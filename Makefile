@@ -68,15 +68,6 @@ churn-smoke:
 		-chaos-profile mixed -chaos-slo -verify-determinism \
 		-quiet -json /tmp/hetload_churn.json
 
-# DSM protocol-upgrade smoke: the knob matrix (prefetch / write-diffs /
-# replication, each alone and all-on, 3 seeds x chaos on/off) must
-# leave page states, fault counts and kernel results invariant, and
-# the knob micro-tests must hold their effectiveness floors.
-.PHONY: dsm-smoke
-dsm-smoke:
-	$(GO) test -count=1 -run 'TestKnobMatrixEquivalence|TestPrefetch|TestWriteDiff|TestReplication|TestAccessPagesAllHitEarlyReturn|TestSetTelemetryAfterAlloc|TestSettleResetsKnobState' ./internal/dsm/
-	$(GO) test -count=1 -run 'TestKnobCombosKernelResultsInvariant|TestKnobCountersSurfaceInResults' ./internal/experiments/
-
 # ------------------------------------------------------- benchmarks
 
 BENCH_JSON := BENCH_hetmp.json
@@ -91,19 +82,12 @@ bench:
 	$(GO) test $(BENCH_FLAGS) . | tee /tmp/bench_hetmp.txt
 	$(GO) run ./cmd/benchjson -suite quick -o $(BENCH_JSON) < /tmp/bench_hetmp.txt
 
-# Compare a fresh run against the committed baseline on this machine
-# (wall-clock included, 20% budget).
-.PHONY: bench-guard
-bench-guard:
-	$(GO) test $(BENCH_FLAGS) . > /tmp/bench_hetmp_current.txt
-	$(GO) run ./cmd/benchjson -suite quick -o /tmp/BENCH_current.json < /tmp/bench_hetmp_current.txt
-	$(GO) run ./cmd/benchguard -baseline $(BENCH_JSON) -current /tmp/BENCH_current.json
-
-# CI benchmark smoke: same comparison but without wall-clock (runner
-# hardware differs from the baseline machine); the deterministic
-# virtual-time metrics are the cross-machine regression signal.
+# Benchmark smoke (local and CI): compare a fresh run's deterministic
+# virtual-time metrics against the committed baseline, exactly. Wall
+# time (ns/op, "-wall" metrics) is recorded, not compared: benchmark/
+# is the yardstick for it.
 .PHONY: bench-smoke
 bench-smoke:
 	$(GO) test $(BENCH_FLAGS) . > /tmp/bench_hetmp_current.txt
 	$(GO) run ./cmd/benchjson -suite quick -o /tmp/BENCH_current.json < /tmp/bench_hetmp_current.txt
-	$(GO) run ./cmd/benchguard -baseline $(BENCH_JSON) -current /tmp/BENCH_current.json -skip-time
+	$(GO) run ./cmd/benchguard -baseline $(BENCH_JSON) -current /tmp/BENCH_current.json

@@ -7,36 +7,47 @@ import (
 	"hetmp/internal/benchfmt"
 )
 
-func snap(metrics map[string]float64) *benchfmt.File {
+func snap(nsPerOp float64, metrics map[string]float64) *benchfmt.File {
 	return &benchfmt.File{Benchmarks: map[string]benchfmt.Bench{
-		"DSMPrefetch": {NsPerOp: 1000, Metrics: metrics},
+		"Figure6": {NsPerOp: nsPerOp, Metrics: metrics},
 	}}
 }
 
-// TestMetricFloors: a floored metric fails when the candidate dips
-// below the absolute floor, even if the baseline agrees with it.
-func TestMetricFloors(t *testing.T) {
-	base := snap(map[string]float64{"prefetch-hit-rate": 0.2})
-	cur := snap(map[string]float64{"prefetch-hit-rate": 0.2})
-	failures := compare(base, cur, 0.2, 0, 0.5, true)
-	if len(failures) != 1 || !strings.Contains(failures[0], "absolute floor") {
-		t.Fatalf("want one floor failure, got %v", failures)
+// TestExactMetricStillGuarded: a virtual-time metric that moves in
+// either direction fails; an identical snapshot passes.
+func TestExactMetricStillGuarded(t *testing.T) {
+	base := snap(1000, map[string]float64{"hetprobe-geomean-x": 0.78})
+	for _, cur := range []float64{0.77, 0.79} {
+		failures := compare(base, snap(1000, map[string]float64{"hetprobe-geomean-x": cur}), 0)
+		if len(failures) != 1 || !strings.Contains(failures[0], "drifted") {
+			t.Errorf("current %g vs baseline 0.78: want one drift failure, got %v", cur, failures)
+		}
 	}
-
-	base = snap(map[string]float64{"prefetch-hit-rate": 0.9})
-	cur = snap(map[string]float64{"prefetch-hit-rate": 0.9})
-	if failures := compare(base, cur, 0.2, 0, 0.5, true); len(failures) != 0 {
-		t.Fatalf("above-floor exact match should pass, got %v", failures)
+	if failures := compare(base, base, 0); len(failures) != 0 {
+		t.Errorf("identical snapshot should pass, got %v", failures)
 	}
 }
 
-// TestExactMetricStillGuarded: floored metrics remain exact
-// virtual-time metrics — drift above the floor still fails.
-func TestExactMetricStillGuarded(t *testing.T) {
-	base := snap(map[string]float64{"diff-bytes-saved-frac": 0.9})
-	cur := snap(map[string]float64{"diff-bytes-saved-frac": 0.8})
-	failures := compare(base, cur, 0.2, 0, 0.5, true)
-	if len(failures) != 1 || !strings.Contains(failures[0], "drifted") {
-		t.Fatalf("want one drift failure, got %v", failures)
+// TestMissingStillFails: a benchmark or a metric the baseline has and
+// the current snapshot lacks is a failure, not a skip.
+func TestMissingStillFails(t *testing.T) {
+	base := snap(1000, map[string]float64{"hetprobe-geomean-x": 0.78})
+	failures := compare(base, snap(1000, nil), 0)
+	if len(failures) != 1 || !strings.Contains(failures[0], `metric "hetprobe-geomean-x" missing`) {
+		t.Errorf("missing metric: got %v", failures)
+	}
+	failures = compare(base, &benchfmt.File{}, 0)
+	if len(failures) != 1 || !strings.Contains(failures[0], "Figure6: missing") {
+		t.Errorf("missing benchmark: got %v", failures)
+	}
+}
+
+// TestWallClockNotCompared: ns/op and "-wall" metrics are single
+// samples of a drifting host and never fail the guard.
+func TestWallClockNotCompared(t *testing.T) {
+	base := snap(1000, map[string]float64{"jobs/s-wall": 230, "cache-hits": 114})
+	cur := snap(9000, map[string]float64{"jobs/s-wall": 23, "cache-hits": 114})
+	if failures := compare(base, cur, 0); len(failures) != 0 {
+		t.Errorf("wall-clock drift should not fail, got %v", failures)
 	}
 }

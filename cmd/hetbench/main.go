@@ -35,10 +35,6 @@ func main() {
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max experiment runs in flight; results are byte-identical to -parallel 1")
 		batch    = flag.Bool("batch-faults", false, "enable the DSM's batched-fault protocol in every run and in calibration")
 
-		prefetch   = flag.Bool("dsm-prefetch", false, "enable the DSM's telemetry-driven stride prefetcher")
-		writeDiffs = flag.Bool("dsm-write-diffs", false, "ship per-page dirty-byte diffs instead of whole pages where possible")
-		replicate  = flag.Int("dsm-replicate-threshold", 0, "replicate read-mostly pages once their read/write fault ratio reaches this threshold (0 disables)")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole evaluation to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
 
@@ -51,8 +47,7 @@ func main() {
 	flag.Parse()
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err == nil {
-		knobs := dsmKnobs{batch: *batch, prefetch: *prefetch, writeDiffs: *writeDiffs, replicate: *replicate}
-		err = run(*quick, *only, *setup, *scale, *jsonOut, *chaosProfile, *chaosSeed, *parallel, knobs, *decisionStore, *minConfidence)
+		err = run(*quick, *only, *setup, *scale, *jsonOut, *chaosProfile, *chaosSeed, *parallel, *batch, *decisionStore, *minConfidence)
 		if perr := stop(); err == nil {
 			err = perr
 		}
@@ -116,15 +111,7 @@ func writeReport(rep *Report, path string) error {
 	return nil
 }
 
-// dsmKnobs bundles the DSM protocol flags so they travel together.
-type dsmKnobs struct {
-	batch      bool
-	prefetch   bool
-	writeDiffs bool
-	replicate  int
-}
-
-func run(quick bool, only string, setup bool, scale float64, jsonOut, chaosProfile string, chaosSeed int64, parallel int, knobs dsmKnobs, decisionStore string, minConfidence float64) error {
+func run(quick bool, only string, setup bool, scale float64, jsonOut, chaosProfile string, chaosSeed int64, parallel int, batch bool, decisionStore string, minConfidence float64) error {
 	if setup {
 		printSetup()
 		return nil
@@ -139,10 +126,7 @@ func run(quick bool, only string, setup bool, scale float64, jsonOut, chaosProfi
 	s.ChaosProfile = chaosProfile
 	s.ChaosSeed = chaosSeed
 	s.Parallel = parallel
-	s.BatchFaults = knobs.batch
-	s.Prefetch = knobs.prefetch
-	s.WriteDiffs = knobs.writeDiffs
-	s.ReplicateThreshold = knobs.replicate
+	s.BatchFaults = batch
 	s.DecisionStore = decisionStore
 	s.PredictorMinConfidence = minConfidence
 	if chaosProfile != "" {

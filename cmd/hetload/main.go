@@ -51,9 +51,6 @@ func main() {
 		budget     = flag.Int64("tenant-budget", 0, "per-tenant iteration budget per window")
 		weights    = flag.String("weights", "", "per-tenant weights, tenant=w,tenant=w")
 		chaosProf  = flag.String("chaos-profile", "", "run jobs under this chaos profile")
-		prefetch   = flag.Bool("dsm-prefetch", false, "enable the DSM's telemetry-driven stride prefetcher for every job")
-		writeDiffs = flag.Bool("dsm-write-diffs", false, "ship per-page dirty-byte diffs instead of whole pages where possible")
-		replicate  = flag.Int("dsm-replicate-threshold", 0, "replicate read-mostly pages once their read/write fault ratio reaches this threshold (0 disables)")
 		cacheDir   = flag.String("cache-dir", "", "persist the shared decision cache here")
 		noPreload  = flag.Bool("no-preload", false, "submit concurrently instead of preloading (exercises backpressure; not deterministic)")
 		verify     = flag.Bool("verify-determinism", false, "run twice and assert identical dispatch hash and virtual time")
@@ -79,7 +76,6 @@ func main() {
 		Jobs: *jobs, Tenants: *tenants, Signatures: *signatures, Seed: *seed,
 		QueueDepth: *queueDepth, MaxInFlight: *inflight, TenantIterBudget: *budget,
 		ChaosProfile: *chaosProf, CacheDir: *cacheDir, NoPreload: *noPreload,
-		Prefetch: *prefetch, WriteDiffs: *writeDiffs, ReplicateThreshold: *replicate,
 		SLO: server.SLO{
 			MaxP95WaitMs:       *sloWaitP95,
 			MaxP99WaitMs:       *sloWaitP99,

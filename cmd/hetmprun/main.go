@@ -43,9 +43,6 @@ func main() {
 		metricsOut = flag.String("metrics", "", "write a Prometheus text-format metrics dump of the run")
 
 		batch      = flag.Bool("batch-faults", false, "enable the DSM's batched-fault protocol")
-		prefetch   = flag.Bool("dsm-prefetch", false, "enable the DSM's telemetry-driven stride prefetcher")
-		writeDiffs = flag.Bool("dsm-write-diffs", false, "ship per-page dirty-byte diffs instead of whole pages where possible")
-		replicate  = flag.Int("dsm-replicate-threshold", 0, "replicate read-mostly pages once their read/write fault ratio reaches this threshold (0 disables)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
 
@@ -80,8 +77,7 @@ func main() {
 		if *rpcAddrs != "" {
 			err = runRPC(*rpcAddrs, *task, *n, *arg, *probe, *callTimeout, *retries, *redial, tel)
 		} else {
-			knobs := dsmKnobs{batch: *batch, prefetch: *prefetch, writeDiffs: *writeDiffs, replicate: *replicate}
-			err = run(*bench, *config, *protocol, *scale, *quick, *chaosProfile, *chaosSeed, knobs, *decisionStore, *minConfidence, tel)
+			err = run(*bench, *config, *protocol, *scale, *quick, *chaosProfile, *chaosSeed, *batch, *decisionStore, *minConfidence, tel)
 		}
 		if perr := stop(); err == nil {
 			err = perr
@@ -179,15 +175,7 @@ func printWorkerStats(stats []rpc.WorkerStats) {
 	}
 }
 
-// dsmKnobs bundles the DSM protocol flags so they travel together.
-type dsmKnobs struct {
-	batch      bool
-	prefetch   bool
-	writeDiffs bool
-	replicate  int
-}
-
-func run(bench, config, protocol string, scale float64, quick bool, chaosProfile string, chaosSeed int64, knobs dsmKnobs, decisionStore string, minConfidence float64, tel *telemetry.Telemetry) error {
+func run(bench, config, protocol string, scale float64, quick bool, chaosProfile string, chaosSeed int64, batch bool, decisionStore string, minConfidence float64, tel *telemetry.Telemetry) error {
 	s := experiments.Default()
 	if quick {
 		s = experiments.Quick()
@@ -198,15 +186,12 @@ func run(bench, config, protocol string, scale float64, quick bool, chaosProfile
 	s.Telemetry = tel
 	s.ChaosProfile = chaosProfile
 	s.ChaosSeed = chaosSeed
-	s.BatchFaults = knobs.batch
-	s.Prefetch = knobs.prefetch
-	s.WriteDiffs = knobs.writeDiffs
-	s.ReplicateThreshold = knobs.replicate
+	s.BatchFaults = batch
 	s.DecisionStore = decisionStore
 	s.PredictorMinConfidence = minConfidence
-	proto := interconnect.RDMA56()
-	if protocol == "tcpip" {
-		proto = interconnect.TCPIP()
+	proto, err := interconnect.ByName(protocol)
+	if err != nil {
+		return err
 	}
 	res, err := s.Run(bench, config, proto)
 	if err != nil {

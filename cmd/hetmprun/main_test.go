@@ -1,0 +1,20 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// An unknown -protocol must fail naming the valid ones, not silently
+// run over RDMA.
+func TestRunRejectsUnknownProtocol(t *testing.T) {
+	err := run("EP-C", "HetProbe", "tcp", 0, true, "", 1, false, "", 0, nil)
+	if err == nil {
+		t.Fatal(`run accepted -protocol "tcp"`)
+	}
+	for _, name := range []string{"rdma", "tcpip"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %q", err, name)
+		}
+	}
+}

@@ -48,28 +48,16 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics and /trace on this address")
 		nodes       = flag.String("nodes", "", "elastic membership: name:class[:weight],... (empty = membership off)")
 		health      = flag.Bool("health", true, "enable the node health monitor (only with -nodes)")
-		prefetch    = flag.Bool("dsm-prefetch", false, "enable the DSM's telemetry-driven stride prefetcher for every job")
-		writeDiffs  = flag.Bool("dsm-write-diffs", false, "ship per-page dirty-byte diffs instead of whole pages where possible")
-		replicate   = flag.Int("dsm-replicate-threshold", 0, "replicate read-mostly pages once their read/write fault ratio reaches this threshold (0 disables)")
 	)
 	flag.Parse()
-	knobs := dsmKnobs{prefetch: *prefetch, writeDiffs: *writeDiffs, replicate: *replicate}
-	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *tenantMax, *budget, *weights, *chaosProf, *seed, *scale, *debugAddr, *nodes, *health, knobs); err != nil {
+	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *tenantMax, *budget, *weights, *chaosProf, *seed, *scale, *debugAddr, *nodes, *health); err != nil {
 		fmt.Fprintf(os.Stderr, "hetserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// dsmKnobs bundles the DSM protocol flags so they travel together.
-type dsmKnobs struct {
-	prefetch   bool
-	writeDiffs bool
-	replicate  int
-}
-
 func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget int64,
-	weights, chaosProf string, seed int64, scale float64, debugAddr, nodes string, health bool,
-	knobs dsmKnobs) error {
+	weights, chaosProf string, seed int64, scale float64, debugAddr, nodes string, health bool) error {
 	w, err := server.ParseWeights(weights)
 	if err != nil {
 		return err
@@ -95,10 +83,7 @@ func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget
 		fmt.Printf("hetserve: metrics on http://%s/metrics\n", dln.Addr())
 	}
 
-	xcfg := server.SimExecutorConfig{
-		Scale: scale, Seed: seed, ChaosProfile: chaosProf,
-		Prefetch: knobs.prefetch, WriteDiffs: knobs.writeDiffs, ReplicateThreshold: knobs.replicate,
-	}
+	xcfg := server.SimExecutorConfig{Scale: scale, Seed: seed, ChaosProfile: chaosProf}
 	probe := server.NewSimExecutor(xcfg)
 	store, err := server.NewCache(cacheDir, probe.Fingerprint())
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"hetmp"
+	"hetmp/internal/interconnect"
 )
 
 func main() {
@@ -33,14 +34,9 @@ func main() {
 }
 
 func run(protocol string, cacheScale float64, pages int, frac float64) error {
-	var proto hetmp.InterconnectSpec
-	switch protocol {
-	case "rdma":
-		proto = hetmp.RDMA()
-	case "tcpip":
-		proto = hetmp.TCPIP()
-	default:
-		return fmt.Errorf("unknown protocol %q (want rdma or tcpip)", protocol)
+	proto, err := interconnect.ByName(protocol)
+	if err != nil {
+		return err
 	}
 	mk := func() (hetmp.Cluster, error) {
 		return hetmp.NewSimCluster(hetmp.SimConfig{

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 )
 
@@ -32,9 +31,6 @@ type Func struct {
 	Obj  *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// File is the base name of the declaring file (e.g. "knobs.go"),
-	// for analyzers whose invariants are file-scoped.
-	File string
 	// Callees lists the FullNames of every statically resolved call
 	// target in the body — deduplicated, sorted, including targets
 	// outside the loaded program (stdlib, interface methods); callers
@@ -62,7 +58,6 @@ func BuildProgram(pkgs []*Package) *Program {
 			prog.Fset = pkg.Fset
 		}
 		for _, file := range pkg.Files {
-			filename := filepath.Base(pkg.Fset.Position(file.Pos()).Filename)
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
@@ -77,7 +72,6 @@ func BuildProgram(pkgs []*Package) *Program {
 					Obj:  obj,
 					Decl: fd,
 					Pkg:  pkg,
-					File: filename,
 				}
 				fn.Callees = collectCallees(pkg.TypesInfo, fd)
 				prog.Funcs[fn.Full] = fn

@@ -6,13 +6,6 @@
 // faultPage, and accessRun. A write anywhere else can produce states
 // the invariant checker never sees between checks.
 //
-// knobs.go is held to a stricter rule: protocol knobs (write diffs,
-// replication, prefetch) are COST models layered on the base protocol
-// — they may charge virtual time and update their own bookkeeping, but
-// must never change page ownership, not even by calling a sanctioned
-// helper. A knobs.go function that reaches a pageState mutation
-// through any call chain is flagged at the first call of the chain.
-//
 // Writes to local pageState copies (st := r.pages[pg]; st.writer = 0)
 // are legal everywhere: the analyzer distinguishes shared lvalues
 // (slice elements, pointer dereferences, struct fields) from value
@@ -29,7 +22,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:       "dsmstate",
-	Doc:        "pageState in internal/dsm may be mutated only by Alloc, SettleAt, faultPage, and accessRun; knobs.go code paths must be cost-only and never reach a mutation",
+	Doc:        "pageState in internal/dsm may be mutated only by Alloc, SettleAt, faultPage, and accessRun",
 	RunProgram: run,
 }
 
@@ -42,18 +35,11 @@ var sanctioned = map[string]bool{
 }
 
 func run(pass *analysis.ProgramPass) error {
-	prog := pass.Prog
-
-	// Pass 1: find direct mutations per function and report the
-	// per-function placement violations.
-	mutates := map[string]bool{}
-	prog.EachFunc(func(fn *analysis.Func) {
-		if !lintutil.HasSegment(fn.Pkg.ImportPath, "dsm") || fn.Decl.Body == nil {
+	pass.Prog.EachFunc(func(fn *analysis.Func) {
+		if !lintutil.HasSegment(fn.Pkg.ImportPath, "dsm") || fn.Decl.Body == nil || sanctioned[fn.Obj.Name()] {
 			return
 		}
 		info := fn.Pkg.TypesInfo
-		inKnobs := fn.File == "knobs.go"
-		direct := false
 		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 			var lhs []ast.Expr
 			switch n := n.(type) {
@@ -65,58 +51,10 @@ func run(pass *analysis.ProgramPass) error {
 				return true
 			}
 			for _, l := range lhs {
-				if !isStateWrite(info, l) {
-					continue
-				}
-				direct = true
-				switch {
-				case inKnobs:
-					pass.Reportf(l.Pos(), "knob hooks are cost-only: pageState mutated directly in knobs.go")
-				case !sanctioned[fn.Obj.Name()]:
+				if isStateWrite(info, l) {
 					pass.Reportf(l.Pos(), "pageState may only be mutated by the sanctioned protocol helpers (Alloc, SettleAt, faultPage, accessRun); move this write into one of them")
 				}
 			}
-			return true
-		})
-		if direct {
-			mutates[fn.Full] = true
-		}
-	})
-
-	// Pass 2: propagate "reaches a mutation" bottom-up.
-	prog.Fixpoint(func() bool {
-		changed := false
-		prog.EachFunc(func(fn *analysis.Func) {
-			if mutates[fn.Full] {
-				return
-			}
-			for _, callee := range fn.Callees {
-				if mutates[callee] {
-					mutates[fn.Full] = true
-					changed = true
-					return
-				}
-			}
-		})
-		return changed
-	})
-
-	// Pass 3: knobs.go call sites whose callee reaches a mutation.
-	prog.EachFunc(func(fn *analysis.Func) {
-		if fn.File != "knobs.go" || !lintutil.HasSegment(fn.Pkg.ImportPath, "dsm") || fn.Decl.Body == nil {
-			return
-		}
-		info := fn.Pkg.TypesInfo
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := analysis.StaticCallee(info, call)
-			if callee == nil || !mutates[callee.FullName()] {
-				return true
-			}
-			pass.Reportf(call.Pos(), "knob hooks are cost-only: call to %s reaches a pageState mutation", callee.FullName())
 			return true
 		})
 	})

@@ -13,7 +13,6 @@ type pageState struct {
 
 type Region struct {
 	pages []pageState
-	knobs *knobSet
 }
 
 func Alloc(n, home int) *Region {

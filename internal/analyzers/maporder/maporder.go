@@ -182,9 +182,8 @@ func orderSensitiveType(t types.Type) string {
 		}
 		// DSM regions and spaces draw protocol jitter from the space's
 		// seeded rng (and their access paths consume virtual time), so
-		// touching them in map order — the prefetch predictor's line
-		// buffer and the replica copyset maps are plain Go maps —
-		// reorders those draws by the map seed.
+		// touching them in map order reorders those draws by the map
+		// seed.
 		if (name == "Region" || name == "Space") && lintutil.HasSegment(path, "dsm") {
 			return "jitter-drawing dsm." + name
 		}

@@ -1,9 +1,8 @@
-// Package dsmmaps exercises maporder's DSM sinks: the prefetch
-// predictor's line buffer and the replica copyset bookkeeping are
-// plain Go maps, and a body that touches a dsm.Region or dsm.Space
-// while ranging over one consumes the space's seeded jitter stream
-// (and virtual time) in map order — the protocol-upgrade variant of
-// the PR 4 makespan nondeterminism.
+// Package dsmmaps exercises maporder's DSM sinks: a body that touches
+// a dsm.Region or dsm.Space while ranging over a plain Go map (here a
+// page-keyed line buffer and a copyset table) consumes the space's
+// seeded jitter stream (and virtual time) in map order — the DSM
+// variant of the PR 4 makespan nondeterminism.
 package dsmmaps
 
 import (

@@ -162,10 +162,6 @@ func (c *Sim) Elapsed() time.Duration { return c.closed }
 // DSMFaults implements Cluster.
 func (c *Sim) DSMFaults() int64 { return c.space.TotalFaults() }
 
-// DSMKnobStats exposes the DSM protocol-upgrade counters (prefetch,
-// write-diff and replication activity; zero when the knobs are off).
-func (c *Sim) DSMKnobStats() dsm.KnobStats { return c.space.KnobStats() }
-
 // DSMStats exposes the per-node DSM statistics (the simulated proc
 // file).
 func (c *Sim) DSMStats() []dsm.NodeStats { return c.space.Stats() }

@@ -70,15 +70,12 @@ func TestAccessAllocationFree(t *testing.T) {
 // TestAccessPagesAllHitEarlyReturn pins the gather fast path: when
 // every requested page is already satisfied, AccessPages must return
 // without entering the fault loop — zero faults, zero stall, zero
-// allocations, no virtual time consumed — both with knobs off and with
-// every protocol upgrade enabled (reads; satisfied writes with diffs
-// or prefetch on take the bookkeeping loop instead, still without
-// allocating).
+// allocations, no virtual time consumed — per-page and batched.
 func TestAccessPagesAllHitEarlyReturn(t *testing.T) {
-	run := func(mutate func(*interconnect.Spec)) (read, write float64) {
+	run := func(batch bool) (read, write float64) {
 		eng := simtime.NewEngine(1)
 		proto := interconnect.TCPIP()
-		mutate(&proto)
+		proto.BatchFaults = batch
 		nodes := machine.PaperPlatform(1).Nodes
 		space, err := dsm.NewSpace(nodes, proto, eng.Rand())
 		if err != nil {
@@ -117,26 +114,13 @@ func TestAccessPagesAllHitEarlyReturn(t *testing.T) {
 		}
 		return read, write
 	}
-	cases := []struct {
-		name   string
-		mutate func(*interconnect.Spec)
-	}{
-		{"knobs-off", func(*interconnect.Spec) {}},
-		{"batch", func(s *interconnect.Spec) { s.BatchFaults = true }},
-		{"all-knobs", func(s *interconnect.Spec) {
-			s.BatchFaults = true
-			s.PrefetchFaults = true
-			s.WriteDiffs = true
-			s.ReplicateThreshold = 2
-		}},
-	}
-	for _, tc := range cases {
-		read, write := run(tc.mutate)
+	for _, batch := range []bool{false, true} {
+		read, write := run(batch)
 		if read != 0 {
-			t.Errorf("%s: all-hit gather read allocates %.1f/call, want 0", tc.name, read)
+			t.Errorf("batch=%v: all-hit gather read allocates %.1f/call, want 0", batch, read)
 		}
 		if write != 0 {
-			t.Errorf("%s: all-hit gather write allocates %.1f/call, want 0", tc.name, write)
+			t.Errorf("batch=%v: all-hit gather write allocates %.1f/call, want 0", batch, write)
 		}
 	}
 }

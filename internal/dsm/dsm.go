@@ -67,12 +67,11 @@ type Space struct {
 	handlers []*simtime.Resource
 	rng      *rand.Rand
 
-	regions   []*Region
-	nextAddr  int64
-	stats     []NodeStats
-	tel       *telHooks
-	chaos     *chaos.Injector
-	knobStats KnobStats
+	regions  []*Region
+	nextAddr int64
+	stats    []NodeStats
+	tel      *telHooks
+	chaos    *chaos.Injector
 }
 
 // telHooks caches per-node metric handles so the fault path avoids
@@ -83,13 +82,6 @@ type telHooks struct {
 	invalidations []*telemetry.Counter
 	bytesIn       []*telemetry.Counter
 	stall         []*telemetry.Histogram
-	prefIssued    []*telemetry.Counter
-	prefHits      []*telemetry.Counter
-	prefWasted    []*telemetry.Counter
-	diffSaved     []*telemetry.Counter
-	replPushes    []*telemetry.Counter
-	replHits      []*telemetry.Counter
-	replInvals    []*telemetry.Counter
 }
 
 // SetTelemetry mirrors the per-node NodeStats counters into the given
@@ -112,13 +104,6 @@ func (s *Space) SetTelemetry(t *telemetry.Telemetry) {
 		invalidations: make([]*telemetry.Counter, len(s.nodes)),
 		bytesIn:       make([]*telemetry.Counter, len(s.nodes)),
 		stall:         make([]*telemetry.Histogram, len(s.nodes)),
-		prefIssued:    make([]*telemetry.Counter, len(s.nodes)),
-		prefHits:      make([]*telemetry.Counter, len(s.nodes)),
-		prefWasted:    make([]*telemetry.Counter, len(s.nodes)),
-		diffSaved:     make([]*telemetry.Counter, len(s.nodes)),
-		replPushes:    make([]*telemetry.Counter, len(s.nodes)),
-		replHits:      make([]*telemetry.Counter, len(s.nodes)),
-		replInvals:    make([]*telemetry.Counter, len(s.nodes)),
 	}
 	for i, n := range s.nodes {
 		h.fill(i, m, n.Name)
@@ -145,13 +130,6 @@ func (h *telHooks) fill(i int, m *telemetry.Registry, node string) {
 	h.invalidations[i] = m.Counter("hetmp_dsm_invalidations_total", lbl)
 	h.bytesIn[i] = m.Counter("hetmp_dsm_bytes_in_total", lbl)
 	h.stall[i] = m.Histogram("hetmp_dsm_stall_seconds", lbl)
-	h.prefIssued[i] = m.Counter("hetmp_dsm_prefetch_issued_total", lbl)
-	h.prefHits[i] = m.Counter("hetmp_dsm_prefetch_hits_total", lbl)
-	h.prefWasted[i] = m.Counter("hetmp_dsm_prefetch_wasted_total", lbl)
-	h.diffSaved[i] = m.Counter("hetmp_dsm_diff_bytes_saved_total", lbl)
-	h.replPushes[i] = m.Counter("hetmp_dsm_replica_pushes_total", lbl)
-	h.replHits[i] = m.Counter("hetmp_dsm_replica_hits_total", lbl)
-	h.replInvals[i] = m.Counter("hetmp_dsm_replica_invalidations_total", lbl)
 }
 
 // SetChaos installs a degradation injector on the fault path: faults
@@ -222,9 +200,6 @@ type Region struct {
 	// refreshed by SetTelemetry); fault paths record through it so the
 	// lookups are construction-time.
 	tel *telHooks
-	// knobs holds the protocol-upgrade state (knobs.go); nil when all
-	// knobs are off, costing the paper-faithful path one pointer test.
-	knobs *regionKnobs
 }
 
 // Alloc creates a region of at least size bytes homed at node home.
@@ -248,7 +223,6 @@ func (s *Space) Alloc(name string, size int64, home int) (*Region, error) {
 		size:  size,
 		pages: pages,
 		tel:   s.tel,
-		knobs: newRegionKnobs(s.proto, len(s.nodes), numPages),
 	}
 	s.nextAddr += numPages * PageSize
 	s.regions = append(s.regions, r)
@@ -294,56 +268,44 @@ func (r *Region) Access(p *simtime.Proc, node int, offset, length int64, write b
 		panic(fmt.Sprintf("dsm: access [%d,%d) out of range of region %q (%d bytes)",
 			offset, offset+length, r.name, int64(len(r.pages))*PageSize))
 	}
-	return r.accessRange(p, node, offset, length, write)
+	return r.accessRange(p, node, offset/PageSize, (offset+length-1)/PageSize, write)
 }
 
-// accessRange run-length-scans the pages covering [offset,
-// offset+length): contiguous already-satisfied pages are skipped in
-// one pass with no protocol call and no time advance (the dominant
-// case for settled regions), and faulting pages either fault one at a
-// time (the paper's per-page protocol, bit-identical to the original
-// loop) or — when the spec's BatchFaults knob is on — coalesce
-// contiguous runs in identical coherence state into one batched
-// transaction. With knobs enabled, satisfied writes still record their
-// dirty bytes, and pages servable from locally staged data (prefetch
-// buffer, pushed replica) are diverted through the single-page fault
-// so the staged copy is consumed.
+// accessRange run-length-scans pages [first, last]: contiguous
+// already-satisfied pages are skipped in one pass with no protocol
+// call and no time advance (the dominant case for settled regions),
+// and faulting pages either fault one at a time (the paper's per-page
+// protocol, bit-identical to the original loop) or — when the spec's
+// BatchFaults knob is on — coalesce contiguous runs in identical
+// coherence state into one batched transaction.
 //
 // Page states are re-read after every protocol transaction: a fault
 // advances virtual time and may yield to procs that change later
 // pages. Skipping satisfied pages never yields, so the states read
 // during a skip run cannot go stale.
-func (r *Region) accessRange(p *simtime.Proc, node int, offset, length int64, write bool) AccessResult {
+func (r *Region) accessRange(p *simtime.Proc, node int, first, last int64, write bool) AccessResult {
 	bit := uint16(1) << node
 	batch := r.space.proto.BatchFaults
-	kn := r.knobs
-	first := offset / PageSize
-	last := (offset + length - 1) / PageSize
 	var faults int64
 	var stall time.Duration
 	for pg := first; pg <= last; {
 		st := r.pages[pg]
 		if st.writer == int8(node) || (!write && st.copyset&bit != 0) {
-			if kn != nil && write {
-				lo, hi := pageSpan(offset, length, pg)
-				kn.noteSatisfiedWrite(pg, lo, hi)
-			}
 			pg++
 			continue
 		}
-		if !batch || (kn != nil && r.fastServable(node, pg)) {
-			lo, hi := pageSpan(offset, length, pg)
-			res := r.faultPage(p, node, pg, write, lo, hi)
+		if !batch {
+			res := r.faultPage(p, node, pg, write)
 			faults += res.Faults
 			stall += res.Stall
 			pg++
 			continue
 		}
 		run := pg + 1
-		for run <= last && r.pages[run] == st && !(kn != nil && r.fastServable(node, run)) {
+		for run <= last && r.pages[run] == st {
 			run++
 		}
-		res := r.accessRun(p, node, pg, run-pg, write, offset, length)
+		res := r.accessRun(p, node, pg, run-pg, write)
 		faults += res.Faults
 		stall += res.Stall
 		pg = run
@@ -361,7 +323,6 @@ func (r *Region) accessRange(p *simtime.Proc, node int, offset, length int64, wr
 func (r *Region) AccessPages(p *simtime.Proc, node int, pages []int64, write bool) AccessResult {
 	bit := uint16(1) << node
 	batch := r.space.proto.BatchFaults
-	kn := r.knobs
 	n := int64(len(r.pages))
 
 	// All-hit early return: a settled region satisfies every gather
@@ -369,24 +330,20 @@ func (r *Region) AccessPages(p *simtime.Proc, node int, pages []int64, write boo
 	// fault loop. The scan is side-effect-free and checks bounds in
 	// order, so out-of-range panics fire exactly where the loop would
 	// have fired them (any page before the panic was satisfied and
-	// would not have faulted). Writes with diffs or prefetch enabled
-	// skip the shortcut: satisfied writes must still record dirty
-	// bytes and advance page write-versions.
-	if !(write && kn != nil && kn.tracksWrites()) {
-		allHit := true
-		for _, pg := range pages {
-			if pg < 0 || pg >= n {
-				panic(fmt.Sprintf("dsm: page %d out of range of region %q", pg, r.name))
-			}
-			st := r.pages[pg]
-			if st.writer != int8(node) && (write || st.copyset&bit == 0) {
-				allHit = false
-				break
-			}
+	// would not have faulted).
+	allHit := true
+	for _, pg := range pages {
+		if pg < 0 || pg >= n {
+			panic(fmt.Sprintf("dsm: page %d out of range of region %q", pg, r.name))
 		}
-		if allHit {
-			return AccessResult{}
+		st := r.pages[pg]
+		if st.writer != int8(node) && (write || st.copyset&bit == 0) {
+			allHit = false
+			break
 		}
+	}
+	if allHit {
+		return AccessResult{}
 	}
 
 	var faults int64
@@ -403,15 +360,12 @@ func (r *Region) AccessPages(p *simtime.Proc, node int, pages []int64, write boo
 		}
 		st := r.pages[pg]
 		if st.writer == int8(node) || (!write && st.copyset&bit != 0) {
-			if kn != nil && write {
-				kn.noteSatisfiedWrite(pg, 0, PageSize)
-			}
 			prev = pg
 			i++
 			continue
 		}
-		if !batch || (kn != nil && r.fastServable(node, pg)) {
-			res := r.faultPage(p, node, pg, write, 0, PageSize)
+		if !batch {
+			res := r.faultPage(p, node, pg, write)
 			faults += res.Faults
 			stall += res.Stall
 			prev = pg
@@ -420,8 +374,7 @@ func (r *Region) AccessPages(p *simtime.Proc, node int, pages []int64, write boo
 		}
 		// Extend the batch over consecutively increasing indices whose
 		// pages share st's coherence state (duplicates of the last page
-		// in the run are absorbed); pages servable from staged data end
-		// the run so the single-page fault can consume them.
+		// in the run are absorbed).
 		j := i + 1
 		next := pg + 1
 		for j < len(pages) {
@@ -433,13 +386,10 @@ func (r *Region) AccessPages(p *simtime.Proc, node int, pages []int64, write boo
 			if q != next || q >= n || r.pages[q] != st {
 				break
 			}
-			if kn != nil && r.fastServable(node, q) {
-				break
-			}
 			next++
 			j++
 		}
-		res := r.accessRun(p, node, pg, next-pg, write, pg*PageSize, (next-pg)*PageSize)
+		res := r.accessRun(p, node, pg, next-pg, write)
 		faults += res.Faults
 		stall += res.Stall
 		prev = next - 1
@@ -467,9 +417,6 @@ func (r *Region) accessPage(p *simtime.Proc, node int, pg int64, write bool) Acc
 	bit := uint16(1) << node
 	if write {
 		if st.writer == int8(node) {
-			if kn := r.knobs; kn != nil {
-				kn.noteSatisfiedWrite(pg, 0, PageSize)
-			}
 			return AccessResult{}
 		}
 	} else {
@@ -477,14 +424,12 @@ func (r *Region) accessPage(p *simtime.Proc, node int, pg int64, write bool) Acc
 			return AccessResult{}
 		}
 	}
-	return r.faultPage(p, node, pg, write, 0, PageSize)
+	return r.faultPage(p, node, pg, write)
 }
 
 // faultPage runs the MRSW protocol for one remote-faulting page (the
-// caller has established the page is not satisfied for node). When
-// write diffs are enabled, [sLo, sHi) is the page-local span the write
-// dirties; reads ignore it.
-func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool, sLo, sHi int32) AccessResult {
+// caller has established the page is not satisfied for node).
+func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool) AccessResult {
 	s := r.space
 	st := &r.pages[pg]
 	bit := uint16(1) << node
@@ -495,30 +440,13 @@ func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool, sLo,
 	owner := r.sourceNode(st)
 	start := p.Now()
 
-	// The requester needs page data unless it already holds a valid
-	// read copy (a write upgrade revokes other copies but moves no
-	// data). Staged local data — a pushed replica or a completed
-	// prefetch — serves the transfer without touching the owner, and
-	// the stride detector observes every demand fault either way.
-	needsData := st.copyset&bit == 0
-	local := false
-	if kn := r.knobs; kn != nil {
-		if needsData {
-			local = r.serveLocal(p, node, pg, bit)
-		}
-		if kn.pref != nil {
-			r.prefObserve(p, node, pg)
-		}
-	}
-
 	// Chaos fault path: a fault into a link outage blocks until the
 	// link is back and pays the retransmit cost; a lossy transport
 	// charges a retransmit penalty. Both stalls land inside the
 	// [start, Now) window, so they count as protocol stall — exactly
 	// how a retransmitted page request looks to the faulting thread.
-	// A locally-served fault sends no request, so it draws no chaos.
 	proto := s.proto
-	if ch := s.chaos; ch != nil && !local {
+	if ch := s.chaos; ch != nil {
 		if resume, retransmit, down := ch.OutageAt(p.Now()); down {
 			p.AdvanceTo(resume)
 			p.Advance(retransmit)
@@ -531,20 +459,19 @@ func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool, sLo,
 		proto = proto.EffectiveAt(p.Now())
 	}
 
-	var moved int64
-	if needsData && !local {
-		moved = PageSize
-		if kn := r.knobs; kn != nil && kn.diffs != nil {
-			moved = r.transferBytes(pg, bit, node)
-		}
-		cost := proto.PageFault(s.nodes[node], s.nodes[owner], int(moved), s.rng)
+	// Transfer the page data unless the requester already holds a valid
+	// read copy (a write upgrade revokes other copies but moves no
+	// data).
+	needsData := st.copyset&bit == 0
+	if needsData {
+		cost := proto.PageFault(s.nodes[node], s.nodes[owner], PageSize, s.rng)
 		// Requester-side software path, paid inline.
 		p.Advance(cost.Inline)
 		// Owner's DSM worker pool services the request (queues under load).
 		s.handlers[owner].Use(p, proto.EffectiveOwnerService(cost.Owner))
-		// The wire carries the page (or its diff).
+		// The wire carries the page.
 		s.wire.Use(p, cost.Wire)
-		s.stats[node].BytesIn += moved
+		s.stats[node].BytesIn += PageSize
 	}
 
 	if write {
@@ -559,7 +486,7 @@ func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool, sLo,
 			if st.copyset&otherBit == 0 && st.writer != int8(other) {
 				continue
 			}
-			if needsData && !local && other == owner {
+			if needsData && other == owner {
 				r.noteInvalidation(other)
 				continue
 			}
@@ -567,17 +494,6 @@ func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool, sLo,
 			p.Advance(inv.Inline)
 			s.handlers[other].Use(p, proto.EffectiveOwnerService(inv.Owner))
 			r.noteInvalidation(other)
-		}
-		if kn := r.knobs; kn != nil {
-			if kn.diffs != nil {
-				r.diffOnWrite(pg, *st, sLo, sHi)
-			}
-			if kn.repl != nil {
-				r.replOnWrite(p, node, pg, 1, proto)
-			}
-			if kn.ver != nil {
-				kn.ver[pg]++
-			}
 		}
 		st.writer = int8(node)
 		st.copyset = bit
@@ -590,9 +506,6 @@ func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool, sLo,
 		}
 		st.copyset |= bit
 		s.stats[node].ReadFaults++
-		if kn := r.knobs; kn != nil && kn.repl != nil {
-			r.replOnRead(p, node, pg, st.copyset)
-		}
 	}
 
 	stall := p.Now() - start
@@ -603,8 +516,8 @@ func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool, sLo,
 		} else {
 			h.readFaults[node].Inc()
 		}
-		if moved > 0 {
-			h.bytesIn[node].Add(moved)
+		if needsData {
+			h.bytesIn[node].Add(PageSize)
 		}
 		h.stall[node].Observe(stall)
 	}
@@ -619,23 +532,14 @@ func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool, sLo,
 // payload, so bytes moved are conserved while per-page software and
 // per-message control overheads are paid once per run. Page-state
 // transitions, fault counts, invalidation counts and bytes are
-// identical to k per-page faults; only the timing differs. With write
-// diffs enabled the payload is the per-page sum of diff or whole-page
-// bytes for the run. [offset, offset+length) is the region-relative
-// byte span the access covers (the gather path passes the run's full
-// page span). Reached only with Spec.BatchFaults enabled; pages
-// servable from staged local data never enter a run.
-func (r *Region) accessRun(p *simtime.Proc, node int, pg, k int64, write bool, offset, length int64) AccessResult {
+// identical to k per-page faults; only the timing differs. Reached
+// only with Spec.BatchFaults enabled.
+func (r *Region) accessRun(p *simtime.Proc, node int, pg, k int64, write bool) AccessResult {
 	s := r.space
 	st := r.pages[pg] // representative state, identical across the run
 	bit := uint16(1) << node
-	kn := r.knobs
 	owner := r.sourceNode(&st)
 	start := p.Now()
-
-	if kn != nil && kn.pref != nil {
-		r.prefObserve(p, node, pg)
-	}
 
 	// Chaos is drawn once per transaction: a batched request is one
 	// message exchange, so it sees one outage/loss opportunity.
@@ -652,20 +556,12 @@ func (r *Region) accessRun(p *simtime.Proc, node int, pg, k int64, write bool, o
 	}
 
 	needsData := st.copyset&bit == 0
-	var moved int64
 	if needsData {
-		moved = k * PageSize
-		if kn != nil && kn.diffs != nil {
-			moved = 0
-			for i := pg; i < pg+k; i++ {
-				moved += r.transferBytes(i, bit, node)
-			}
-		}
-		cost := proto.PageFault(s.nodes[node], s.nodes[owner], int(moved), s.rng)
+		cost := proto.PageFault(s.nodes[node], s.nodes[owner], int(k)*PageSize, s.rng)
 		p.Advance(cost.Inline)
 		s.handlers[owner].Use(p, proto.EffectiveOwnerService(cost.Owner))
 		s.wire.Use(p, cost.Wire)
-		s.stats[node].BytesIn += moved
+		s.stats[node].BytesIn += k * PageSize
 	}
 
 	if write {
@@ -688,22 +584,6 @@ func (r *Region) accessRun(p *simtime.Proc, node int, pg, k int64, write bool, o
 			s.handlers[other].Use(p, proto.EffectiveOwnerService(inv.Owner))
 			r.noteInvalidations(other, k)
 		}
-		if kn != nil {
-			if kn.diffs != nil {
-				for i := pg; i < pg+k; i++ {
-					lo, hi := pageSpan(offset, length, i)
-					r.diffOnWrite(i, st, lo, hi)
-				}
-			}
-			if kn.repl != nil {
-				r.replOnWrite(p, node, pg, k, proto)
-			}
-			if kn.ver != nil {
-				for i := pg; i < pg+k; i++ {
-					kn.ver[i]++
-				}
-			}
-		}
 		for i := pg; i < pg+k; i++ {
 			r.pages[i] = pageState{writer: int8(node), copyset: bit}
 		}
@@ -717,11 +597,6 @@ func (r *Region) accessRun(p *simtime.Proc, node int, pg, k int64, write bool, o
 			r.pages[i] = pageState{writer: noWriter, copyset: newSet}
 		}
 		s.stats[node].ReadFaults += k
-		if kn != nil && kn.repl != nil {
-			for i := pg; i < pg+k; i++ {
-				r.replOnRead(p, node, i, newSet)
-			}
-		}
 	}
 
 	stall := p.Now() - start
@@ -732,8 +607,8 @@ func (r *Region) accessRun(p *simtime.Proc, node int, pg, k int64, write bool, o
 		} else {
 			h.readFaults[node].Add(k)
 		}
-		if moved > 0 {
-			h.bytesIn[node].Add(moved)
+		if needsData {
+			h.bytesIn[node].Add(k * PageSize)
 		}
 		h.stall[node].Observe(stall)
 	}
@@ -786,9 +661,6 @@ func (r *Region) SettleAt(node int) {
 	for i := range r.pages {
 		r.pages[i] = pageState{writer: int8(node), copyset: 1 << node}
 	}
-	if kn := r.knobs; kn != nil {
-		kn.settle()
-	}
 }
 
 // CheckInvariants verifies protocol invariants for every page of every
@@ -815,9 +687,6 @@ func (s *Space) CheckInvariants() error {
 					return fmt.Errorf("dsm: region %q page %d: copyset %016b mentions unknown node", r.name, i, st.copyset)
 				}
 			}
-		}
-		if err := r.checkKnobInvariants(); err != nil {
-			return err
 		}
 	}
 	return nil

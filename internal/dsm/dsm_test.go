@@ -10,6 +10,7 @@ import (
 	"hetmp/internal/interconnect"
 	"hetmp/internal/machine"
 	"hetmp/internal/simtime"
+	"hetmp/internal/telemetry"
 )
 
 func twoNodes() []machine.NodeSpec {
@@ -458,5 +459,45 @@ func TestFaultMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func runProc(t *testing.T, eng *simtime.Engine, body func(p *simtime.Proc)) {
+	t.Helper()
+	eng.Go("t", 0, body)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSetTelemetryAfterAlloc is the regression test for the stale-
+// handle bug: regions snapshot the space's telemetry handles at
+// creation, so installing telemetry after Alloc must refresh existing
+// regions — their faults must land in the registry, not in nil
+// handles.
+func TestSetTelemetryAfterAlloc(t *testing.T) {
+	eng := simtime.NewEngine(1)
+	s, err := NewSpace(machine.PaperPlatform(1).Nodes, interconnect.RDMA56(), eng.Rand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Alloc("late", 4*PageSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New(telemetry.Options{})
+	s.SetTelemetry(tel) // after the region exists
+	runProc(t, eng, func(p *simtime.Proc) {
+		r.AccessPage(p, 1, 0, false)
+	})
+	node1 := s.nodes[1].Name
+	got := tel.Metrics().Counter("hetmp_dsm_read_faults_total", telemetry.L("node", node1)).Value()
+	if got != 1 {
+		t.Errorf("read-fault counter after late SetTelemetry = %d, want 1", got)
+	}
+	// Disabling must also propagate (back to nil handles, not stale ones).
+	s.SetTelemetry(nil)
+	if r.tel != nil {
+		t.Error("region still holds telemetry handles after SetTelemetry(nil)")
 	}
 }

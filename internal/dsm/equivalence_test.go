@@ -104,18 +104,10 @@ const (
 	modeReference                   // strictly per-page AccessPage loop
 )
 
-// eqProto is the protocol every equivalence replay runs over: TCP/IP
-// because its jitter exercises the rng path.
-func eqProto(batch bool) interconnect.Spec {
-	proto := interconnect.TCPIP()
-	proto.BatchFaults = batch
-	return proto
-}
-
 // replay executes the trace with one proc per node (concurrent mode):
 // scheduling interleaves wherever the protocol advances virtual time.
 func replay(t *testing.T, trace [][]traceOp, mode replayMode, batch bool, chaosProfile string, seed int64) traceOut {
-	return replayWith(t, trace, mode, eqProto(batch), chaosProfile, seed, false)
+	return replayWith(t, trace, mode, batch, chaosProfile, seed, false)
 }
 
 // replaySequential executes all nodes' ops from a single proc in
@@ -124,12 +116,14 @@ func replay(t *testing.T, trace [][]traceOp, mode replayMode, batch bool, chaosP
 // *state* outcomes from timing: the batched path must produce the
 // same states and counts as per-page even though its stalls differ.
 func replaySequential(t *testing.T, trace [][]traceOp, mode replayMode, batch bool, chaosProfile string, seed int64) traceOut {
-	return replayWith(t, trace, mode, eqProto(batch), chaosProfile, seed, true)
+	return replayWith(t, trace, mode, batch, chaosProfile, seed, true)
 }
 
-func replayWith(t *testing.T, trace [][]traceOp, mode replayMode, proto interconnect.Spec, chaosProfile string, seed int64, sequential bool) traceOut {
+func replayWith(t *testing.T, trace [][]traceOp, mode replayMode, batch bool, chaosProfile string, seed int64, sequential bool) traceOut {
 	t.Helper()
 	eng := simtime.NewEngine(seed)
+	proto := interconnect.TCPIP() // jittered: exercises the rng path
+	proto.BatchFaults = batch
 	nodes := machine.PaperPlatform(1).Nodes
 	space, err := dsm.NewSpace(nodes, proto, eng.Rand())
 	if err != nil {
@@ -302,83 +296,6 @@ func TestBatchPathStateEquivalence(t *testing.T) {
 				got := replaySequential(t, trace, modeScan, true, profile, seed)
 				assertStateEqual(t, "batch vs per-page", got, want)
 			})
-		}
-	}
-}
-
-// assertProtocolEqual compares the outcomes the protocol upgrades must
-// preserve: page ownership and remote fault / invalidation counts.
-// BytesIn is deliberately excluded — prefetch and replication charge
-// speculative transfers (and diffs shrink demand payloads), so bytes
-// moved legitimately differ while the coherence outcome does not.
-func assertProtocolEqual(t *testing.T, label string, got, want traceOut) {
-	t.Helper()
-	for pg := range want.writers {
-		if got.writers[pg] != want.writers[pg] || got.copies[pg] != want.copies[pg] {
-			t.Errorf("%s: page %d state = (w%d, %016b), want (w%d, %016b)",
-				label, pg, got.writers[pg], got.copies[pg], want.writers[pg], want.copies[pg])
-		}
-	}
-	for n := range want.stats {
-		g, w := got.stats[n], want.stats[n]
-		if g.ReadFaults != w.ReadFaults || g.WriteFaults != w.WriteFaults || g.Invalidations != w.Invalidations {
-			t.Errorf("%s: node %d counts = {r%d w%d inv%d}, want {r%d w%d inv%d}",
-				label, n, g.ReadFaults, g.WriteFaults, g.Invalidations,
-				w.ReadFaults, w.WriteFaults, w.Invalidations)
-		}
-	}
-	for n := range want.totals {
-		if got.totals[n].Faults != want.totals[n].Faults {
-			t.Errorf("%s: node %d total faults = %d, want %d", label, n, got.totals[n].Faults, want.totals[n].Faults)
-		}
-	}
-}
-
-// knobMatrix is every protocol-upgrade configuration the equivalence
-// sweep pins: each knob alone, and everything (including batching)
-// together.
-func knobMatrix() []struct {
-	name string
-	mut  func(*interconnect.Spec)
-} {
-	return []struct {
-		name string
-		mut  func(*interconnect.Spec)
-	}{
-		{"prefetch", func(s *interconnect.Spec) { s.PrefetchFaults = true }},
-		{"write-diffs", func(s *interconnect.Spec) { s.WriteDiffs = true }},
-		{"replicate", func(s *interconnect.Spec) { s.ReplicateThreshold = 2 }},
-		{"all-on", func(s *interconnect.Spec) {
-			s.BatchFaults = true
-			s.PrefetchFaults = true
-			s.WriteDiffs = true
-			s.ReplicateThreshold = 2
-		}},
-	}
-}
-
-// TestKnobMatrixEquivalence sweeps every protocol upgrade (alone and
-// all-on) across seeds and chaos on/off: the sequential replay fixes
-// the access order, so final page states and remote fault counts must
-// match the knob-off baseline exactly — the upgrades may only change
-// when and how many bytes move, never what the protocol decides.
-func TestKnobMatrixEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		trace := genTrace(seed, 2, 60)
-		for _, profile := range []string{"", "mixed"} {
-			chaosName := profile
-			if chaosName == "" {
-				chaosName = "no-chaos"
-			}
-			baseline := replaySequential(t, trace, modeScan, false, profile, seed)
-			for _, kv := range knobMatrix() {
-				t.Run(fmt.Sprintf("seed%d/%s/%s", seed, chaosName, kv.name), func(t *testing.T) {
-					proto := eqProto(false)
-					kv.mut(&proto)
-					got := replayWith(t, trace, modeScan, proto, profile, seed, true)
-					assertProtocolEqual(t, kv.name+" vs knob-off", got, baseline)
-				})
-			}
 		}
 	}
 }

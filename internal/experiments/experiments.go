@@ -18,7 +18,6 @@ import (
 	"hetmp/internal/cluster"
 	"hetmp/internal/core"
 	"hetmp/internal/decstore"
-	"hetmp/internal/dsm"
 	"hetmp/internal/interconnect"
 	"hetmp/internal/kernels"
 	"hetmp/internal/machine"
@@ -72,16 +71,6 @@ type Suite struct {
 	// calibration, so decisions are made against the same substrate
 	// they execute on.
 	BatchFaults bool
-	// Prefetch enables the DSM's telemetry-driven stride prefetcher
-	// (interconnect.Spec.PrefetchFaults); like BatchFaults it applies
-	// to every run and to threshold calibration.
-	Prefetch bool
-	// WriteDiffs enables write-diff propagation
-	// (interconnect.Spec.WriteDiffs).
-	WriteDiffs bool
-	// ReplicateThreshold enables read-mostly page replication when > 0
-	// (interconnect.Spec.ReplicateThreshold).
-	ReplicateThreshold int
 	// DecisionStore, when non-empty, is a directory of persistent
 	// HetProbe decision stores (internal/decstore): every Run opens the
 	// file matching its cluster-configuration fingerprint, seeds
@@ -236,24 +225,12 @@ func (s *Suite) platform(which string) machine.Platform {
 	}
 }
 
-// protoKnobs applies the suite's DSM protocol knobs (batching,
-// prefetch, write diffs, replication) to a protocol spec. Every run —
-// including threshold calibration — goes through this so decisions are
-// made against the same substrate they execute on.
-func (s *Suite) protoKnobs(proto interconnect.Spec) interconnect.Spec {
-	proto.BatchFaults = s.BatchFaults
-	proto.PrefetchFaults = s.Prefetch
-	proto.WriteDiffs = s.WriteDiffs
-	proto.ReplicateThreshold = s.ReplicateThreshold
-	return proto
-}
-
 // Threshold returns (calibrating and caching on first use) the
 // cross-node profitability threshold for a protocol, derived with the
 // Section 3.2 microbenchmark exactly as the paper prescribes.
 func (s *Suite) Threshold(proto interconnect.Spec) (time.Duration, error) {
 	v, err := s.cache.do("threshold/"+proto.Name, func() (any, error) {
-		proto = s.protoKnobs(proto)
+		proto.BatchFaults = s.BatchFaults
 		proto = proto.Scaled(s.TimeScale)
 		intensities := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
 		points, err := core.Calibrate(func() (cluster.Cluster, error) {
@@ -295,9 +272,6 @@ type Result struct {
 	// Predictions counts region decisions seeded from the decision
 	// store instead of probed.
 	Predictions int
-	// Knobs carries the DSM protocol-upgrade counters for the run
-	// (zero unless Prefetch/WriteDiffs/ReplicateThreshold are set).
-	Knobs dsm.KnobStats
 }
 
 // openStore returns (opening and caching per fingerprint) the decision
@@ -340,7 +314,7 @@ var dynChunks = map[string]int{
 // total execution time (serial + parallel phases, like Table 3 and
 // Figure 6).
 func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, error) {
-	proto = s.protoKnobs(proto)
+	proto.BatchFaults = s.BatchFaults
 	th, err := s.Threshold(proto)
 	if err != nil {
 		return Result{}, err
@@ -437,7 +411,6 @@ func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, erro
 		ReDecisions: rt.ReDecisions(),
 		Probes:      rt.Probes(),
 		Predictions: rt.Predictions(),
-		Knobs:       cl.DSMKnobStats(),
 	}, nil
 }
 

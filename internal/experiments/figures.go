@@ -69,7 +69,7 @@ type Fig4Point struct {
 func (s *Suite) Figure4() ([]Fig4Point, error) {
 	intensities := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072}
 	run := func(proto interconnect.Spec) ([]core.CalibrationPoint, error) {
-		proto = s.protoKnobs(proto)
+		proto.BatchFaults = s.BatchFaults
 		return core.Calibrate(func() (cluster.Cluster, error) {
 			return cluster.NewSim(cluster.SimConfig{
 				Platform: s.platform("both"),
@@ -362,7 +362,7 @@ func (s *Suite) Figure9() ([]Fig9Row, time.Duration, error) {
 }
 
 func (s *Suite) runBlackscholesRounds(rounds int, which string, proto interconnect.Spec, th time.Duration) (Result, error) {
-	proto = s.protoKnobs(proto)
+	proto.BatchFaults = s.BatchFaults
 	k := kernels.NewBlackscholesRounds(s.Scale, rounds)
 	cl, err := cluster.NewSim(cluster.SimConfig{
 		Platform:      s.platform(which),
@@ -438,7 +438,7 @@ type AblationRow struct {
 // globally).
 func (s *Suite) AblationHierarchy() ([]AblationRow, error) {
 	proto := interconnect.RDMA56()
-	proto = s.protoKnobs(proto)
+	proto.BatchFaults = s.BatchFaults
 	th, err := s.Threshold(proto)
 	if err != nil {
 		return nil, err
@@ -481,7 +481,7 @@ func (s *Suite) AblationHierarchy() ([]AblationRow, error) {
 // assignment.
 func (s *Suite) AblationSettling() ([]AblationRow, error) {
 	proto := interconnect.RDMA56()
-	proto = s.protoKnobs(proto)
+	proto.BatchFaults = s.BatchFaults
 	th, err := s.Threshold(proto)
 	if err != nil {
 		return nil, err

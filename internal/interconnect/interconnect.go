@@ -57,32 +57,6 @@ type Spec struct {
 	// conserved. Off (the default) reproduces the paper's strictly
 	// per-page protocol.
 	BatchFaults bool
-	// PrefetchFaults enables the DSM's telemetry-driven stride
-	// prefetcher: per-(region, node) fault streams feed a stride/run
-	// detector that issues owner round-trips for predicted pages before
-	// the kernel touches them, overlapping the transfer with compute in
-	// virtual time. Page-state transitions and fault counts are
-	// unchanged — only the stall attributed to predicted faults shrinks.
-	// Off (the default) reproduces the paper's demand-only protocol.
-	PrefetchFaults bool
-	// WriteDiffs enables write-diff propagation: a page transferred
-	// back to a node that recently held a copy ships only the previous
-	// writer's dirty-byte interval instead of the whole page, so wire
-	// occupancy on falsely-shared pages scales with bytes actually
-	// written. Pages dirtier than DiffMaxDensity fall back to whole-page
-	// transfer. Off (the default) always moves whole pages.
-	WriteDiffs bool
-	// DiffMaxDensity is the dirty fraction (dirty bytes / PageSize)
-	// above which WriteDiffs falls back to a whole-page transfer; 0
-	// means the default of 0.5.
-	DiffMaxDensity float64
-	// ReplicateThreshold enables read-mostly page replication when > 0:
-	// a page whose read/write fault ratio reaches the threshold is
-	// pushed to every historical reader outside the copyset, so
-	// repeated remote reads collapse to local hits until the next
-	// write invalidates the replicas (epoch-numbered). 0 (the default)
-	// disables replication.
-	ReplicateThreshold int
 
 	// Cached telemetry series handles, installed by WithTelemetry.
 	// Unexported so they ride along with value copies (Scaled and
@@ -182,6 +156,18 @@ func TCPIP() Spec {
 	}
 }
 
+// ByName returns the calibrated protocol model called name ("rdma" or
+// "tcpip").
+func ByName(name string) (Spec, error) {
+	switch name {
+	case "rdma":
+		return RDMA56(), nil
+	case "tcpip":
+		return TCPIP(), nil
+	}
+	return Spec{}, fmt.Errorf("interconnect: unknown protocol %q (valid: rdma, tcpip)", name)
+}
+
 // Scaled returns the protocol with all latencies and software costs
 // multiplied by f (and bandwidth divided by f): a time scale model of
 // the interconnect, used when benchmark problem sizes are scaled down
@@ -210,10 +196,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("interconnect %q: negative cost parameter", s.Name)
 	case s.DSMWorkers < 1:
 		return fmt.Errorf("interconnect %q: needs at least one DSM worker", s.Name)
-	case s.DiffMaxDensity < 0 || s.DiffMaxDensity > 1:
-		return fmt.Errorf("interconnect %q: diff density %v outside [0,1]", s.Name, s.DiffMaxDensity)
-	case s.ReplicateThreshold < 0:
-		return fmt.Errorf("interconnect %q: negative replicate threshold %d", s.Name, s.ReplicateThreshold)
 	}
 	return nil
 }

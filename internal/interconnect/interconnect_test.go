@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,5 +133,23 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	s.DSMWorkers = 0
 	if err := s.Validate(); err == nil {
 		t.Error("accepted zero DSM workers")
+	}
+}
+
+func TestByName(t *testing.T) {
+	for _, want := range []Spec{RDMA56(), TCPIP()} {
+		got, err := ByName(want.Name)
+		if err != nil || got != want {
+			t.Errorf("ByName(%q) = %+v, %v; want the calibrated %s spec", want.Name, got, err, want.Name)
+		}
+	}
+	_, err := ByName("tcp")
+	if err == nil {
+		t.Fatal("ByName accepted unknown protocol \"tcp\"")
+	}
+	for _, name := range []string{"tcp", "rdma", "tcpip"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not mention %q", err, name)
+		}
 	}
 }

@@ -44,14 +44,6 @@ type SimExecutorConfig struct {
 	// FaultPeriodThreshold passes through to core.Options (default
 	// 100 µs).
 	FaultPeriodThreshold time.Duration
-	// Prefetch, WriteDiffs and ReplicateThreshold enable the DSM's
-	// protocol upgrades (interconnect.Spec.PrefetchFaults, WriteDiffs
-	// and ReplicateThreshold) for every job. They are part of the
-	// executor fingerprint: decisions probed under upgraded protocols
-	// never mix with baseline stores.
-	Prefetch           bool
-	WriteDiffs         bool
-	ReplicateThreshold int
 	// Telemetry receives the runtime's region/probe/decision metrics.
 	Telemetry *telemetry.Telemetry
 }
@@ -97,11 +89,7 @@ func NewSimExecutor(cfg SimExecutorConfig) *SimExecutor {
 // Fingerprint identifies the executor's cluster configuration — the
 // decision-store binding key.
 func (x *SimExecutor) Fingerprint() string {
-	extra := fmt.Sprintf("scale=%g", x.cfg.Scale)
-	if x.cfg.Prefetch || x.cfg.WriteDiffs || x.cfg.ReplicateThreshold > 0 {
-		extra += fmt.Sprintf(" dsm=%t/%t/%d", x.cfg.Prefetch, x.cfg.WriteDiffs, x.cfg.ReplicateThreshold)
-	}
-	return decstore.Fingerprint(x.platform.Nodes, x.proto, extra)
+	return decstore.Fingerprint(x.platform.Nodes, x.proto, fmt.Sprintf("scale=%g", x.cfg.Scale))
 }
 
 // Classes returns the node classes of the executor's platform
@@ -233,13 +221,9 @@ func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.D
 		}
 		inj = chaos.New(p, seed)
 	}
-	proto := interconnect.RDMA56()
-	proto.PrefetchFaults = x.cfg.Prefetch
-	proto.WriteDiffs = x.cfg.WriteDiffs
-	proto.ReplicateThreshold = x.cfg.ReplicateThreshold
 	cl, err := cluster.NewSim(cluster.SimConfig{
 		Platform:  x.platform,
-		Protocol:  proto,
+		Protocol:  interconnect.RDMA56(),
 		Seed:      seed,
 		Telemetry: x.cfg.Telemetry,
 		Chaos:     inj,

@@ -186,3 +186,13 @@ func TestFreshDirStartsCold(t *testing.T) {
 		t.Fatal("cold store should probe")
 	}
 }
+
+// The default executor's fingerprint is the -cache-dir binding key: a
+// change here sends every store already on disk cold, so it is pinned
+// to the value existing stores were written under.
+func TestDefaultFingerprintPinned(t *testing.T) {
+	const want = "c50096c9d735ef33"
+	if got := NewSimExecutor(SimExecutorConfig{}).Fingerprint(); got != want {
+		t.Fatalf("default executor fingerprint = %s, want %s (existing hetserve -cache-dir stores would go cold)", got, want)
+	}
+}

@@ -132,11 +132,6 @@ type LoadConfig struct {
 	MaxRetries int
 	// ChaosProfile runs every job under the named chaos profile.
 	ChaosProfile string
-	// Prefetch, WriteDiffs and ReplicateThreshold pass through to the
-	// executor's DSM protocol knobs (SimExecutorConfig).
-	Prefetch           bool
-	WriteDiffs         bool
-	ReplicateThreshold int
 	// CacheDir persists the shared decision cache ("" = in-memory).
 	CacheDir string
 	// Members, when non-empty, turns on the elastic-membership layer:
@@ -259,10 +254,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	xcfg := SimExecutorConfig{
-		Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile,
-		Prefetch: cfg.Prefetch, WriteDiffs: cfg.WriteDiffs, ReplicateThreshold: cfg.ReplicateThreshold,
-	}
+	xcfg := SimExecutorConfig{Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile}
 	x := NewSimExecutor(xcfg)
 	store, err := NewCache(cfg.CacheDir, x.Fingerprint())
 	if err != nil {
