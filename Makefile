@@ -57,7 +57,7 @@ load-smoke:
 # Membership-churn smoke: a node is removed mid-run and re-added later
 # (covered class, so the re-add warm-starts probe-free), under the
 # mixed chaos profile with its p95/p99 wait+service latency budget
-# asserted (-chaos-slo) and the dispatch + health-transition hashes
+# asserted (-chaos-slo) and the dispatch hash (churn records included)
 # double-run verified. Exactly-once accounting (lost_iterations 0) is
 # always asserted when membership is on.
 .PHONY: churn-smoke

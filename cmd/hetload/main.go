@@ -60,7 +60,6 @@ func main() {
 
 		nodes    = flag.String("nodes", "", "elastic membership: name:class[:weight],... (empty = membership off)")
 		churn    = flag.String("churn", "", "membership-churn schedule: op:args@dispatch,... (e.g. remove:n1@30,add:n1:thunderx:1@70)")
-		health   = flag.Bool("health", true, "enable the node health monitor (only with -nodes)")
 		chaosSLO = flag.Bool("chaos-slo", false, "assert the per-profile latency budget table for -chaos-profile (explicit -slo-* flags override)")
 
 		sloWaitP95 = flag.Float64("slo-p95-wait-ms", 0, "SLO: max p95 admission-to-dispatch wait (ms)")
@@ -104,9 +103,6 @@ func main() {
 	}
 	if len(cfg.Churn) > 0 && len(cfg.Members) == 0 {
 		fail(errors.New("-churn requires -nodes"))
-	}
-	if len(cfg.Members) > 0 {
-		cfg.Health = server.HealthConfig{Enabled: *health}
 	}
 	if *chaosSLO {
 		budget, ok := server.ChaosSLOs(*chaosProf)

@@ -28,6 +28,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"hetmp/internal/chaos"
 	"hetmp/internal/rpc"
 	"hetmp/internal/server"
 	"hetmp/internal/telemetry"
@@ -47,17 +48,16 @@ func main() {
 		scale       = flag.Float64("scale", 0.2, "scale-model cache factor for the simulated cluster")
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics and /trace on this address")
 		nodes       = flag.String("nodes", "", "elastic membership: name:class[:weight],... (empty = membership off)")
-		health      = flag.Bool("health", true, "enable the node health monitor (only with -nodes)")
 	)
 	flag.Parse()
-	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *tenantMax, *budget, *weights, *chaosProf, *seed, *scale, *debugAddr, *nodes, *health); err != nil {
+	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *tenantMax, *budget, *weights, *chaosProf, *seed, *scale, *debugAddr, *nodes); err != nil {
 		fmt.Fprintf(os.Stderr, "hetserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget int64,
-	weights, chaosProf string, seed int64, scale float64, debugAddr, nodes string, health bool) error {
+	weights, chaosProf string, seed int64, scale float64, debugAddr, nodes string) error {
 	w, err := server.ParseWeights(weights)
 	if err != nil {
 		return err
@@ -65,6 +65,13 @@ func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget
 	members, err := server.ParseMembers(nodes)
 	if err != nil {
 		return err
+	}
+	if chaosProf != "" {
+		// Resolve the name before serving: the executor would otherwise
+		// admit jobs and fail each one.
+		if _, err := chaos.Named(chaosProf, seed); err != nil {
+			return err
+		}
 	}
 	var tel *telemetry.Telemetry
 	var debug *http.Server
@@ -107,12 +114,10 @@ func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget
 		Executor:          exec,
 		Telemetry:         tel,
 		Members:           members,
-		Health:            server.HealthConfig{Enabled: health && len(members) > 0},
 		Logf:              func(f string, a ...any) { fmt.Printf(f+"\n", a...) },
 	})
 	if len(members) > 0 {
-		fmt.Printf("hetserve: elastic membership with %d nodes (health monitor %v)\n",
-			len(members), health)
+		fmt.Printf("hetserve: elastic membership with %d nodes\n", len(members))
 	}
 
 	srv := &rpc.Server{Name: "hetserve", Telemetry: tel}

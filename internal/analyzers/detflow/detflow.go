@@ -2,7 +2,7 @@
 // analyzer: nondeterministic values — wall-clock reads, global
 // math/rand draws, and slices accumulated in map-iteration order —
 // must never reach a virtual-time sink (a simtime advance, a
-// dispatch/health hash input, or a virtual-time report field), no
+// dispatch-hash input, or a virtual-time report field), no
 // matter how many helper calls sit between the source and the sink.
 //
 // The per-function analyzers (wallclock, randsource, maporder) ban
@@ -381,7 +381,6 @@ var sinkFields = map[string]string{
 	"VirtualNs":      "virtual-time field",
 	"VirtualSeconds": "virtual-time field",
 	"DispatchHash":   "dispatch-hash field",
-	"HealthHash":     "health-hash field",
 	"TraceHash":      "golden-trace field",
 }
 
@@ -671,4 +670,3 @@ func isSortCall(fn *types.Func) bool {
 		fn.Name() == "Strings" || fn.Name() == "Ints" || fn.Name() == "Float64s" ||
 		fn.Name() == "Slice" || fn.Name() == "SliceStable"
 }
-

@@ -151,18 +151,11 @@ func (x *SimExecutor) sigSeed(sig string) int64 {
 // Spec (Pages of DSM footprint, OpsPerByte compute intensity,
 // Iterations × Invocations of work) under the HetProbe schedule with
 // ReDecide guarding predicted decisions. Probes and Predictions report
-// whether the job paid the probing period or rode the shared cache.
+// whether the job paid the probing period or rode the shared cache. It
+// is the whole-job chunk: every invocation at index 0, whose seed is
+// the signature seed.
 func (x *SimExecutor) Execute(sp Spec) (ExecResult, error) {
-	sp = sp.withDefaults()
-	var store core.DecisionStore
-	if x.cache != nil {
-		// Guarded assignment (a nil pointer wrapped in the interface
-		// would read as non-nil to the runtime). The frozenCache wrap
-		// gives first-write-wins exports: every warm run of a
-		// signature adopts the identical cold entry.
-		store = x.cache
-	}
-	return x.execute(sp, sp.Invocations, x.sigSeed(sp.Sig()), store, nil)
+	return x.ExecuteChunk(sp, sp.withDefaults().Invocations, 0)
 }
 
 // ExecuteChunk runs `invocations` invocations of the job's region —
@@ -176,6 +169,10 @@ func (x *SimExecutor) ExecuteChunk(sp Spec, invocations, chunkIndex int) (ExecRe
 	sp = sp.withDefaults()
 	var store core.DecisionStore
 	if x.cache != nil {
+		// Guarded assignment (a nil pointer wrapped in the interface
+		// would read as non-nil to the runtime). The frozenCache wrap
+		// gives first-write-wins exports: every warm run of a
+		// signature adopts the identical cold entry.
 		store = x.cache
 	}
 	return x.execute(sp, invocations, x.chunkSeed(sp.Sig(), chunkIndex), store, nil)

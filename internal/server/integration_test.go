@@ -2,6 +2,8 @@ package server
 
 import (
 	"testing"
+
+	"hetmp/internal/decstore"
 )
 
 func newSimServer(t *testing.T, cfg Config, xcfg SimExecutorConfig) (*RegionServer, *SimExecutor) {
@@ -194,5 +196,37 @@ func TestDefaultFingerprintPinned(t *testing.T) {
 	const want = "c50096c9d735ef33"
 	if got := NewSimExecutor(SimExecutorConfig{}).Fingerprint(); got != want {
 		t.Fatalf("default executor fingerprint = %s, want %s (existing hetserve -cache-dir stores would go cold)", got, want)
+	}
+}
+
+// A whole-job chunk is the job: Execute(sp) and ExecuteChunk(sp, all
+// invocations, index 0) reach the same seed, so the single job path may
+// use either. Checked cold (both probe) and warm (both adopt their own
+// cold entry), chaos off and on.
+func TestWholeJobChunkEqualsExecute(t *testing.T) {
+	sp := Spec{Tenant: "a", Region: "r", Iterations: 2048, Pages: 24, Invocations: 5}
+	for _, profile := range []string{"", "mixed"} {
+		fresh := func() *SimExecutor {
+			xcfg := SimExecutorConfig{Seed: 3, ChaosProfile: profile}
+			xcfg.Store = decstore.NewMem(NewSimExecutor(xcfg).Fingerprint())
+			return NewSimExecutor(xcfg)
+		}
+		whole, chunked := fresh(), fresh()
+		for _, phase := range []string{"cold", "warm"} {
+			a, err := whole.Execute(sp)
+			if err != nil {
+				t.Fatalf("chaos %q %s Execute: %v", profile, phase, err)
+			}
+			b, err := chunked.ExecuteChunk(sp, sp.Invocations, 0)
+			if err != nil {
+				t.Fatalf("chaos %q %s ExecuteChunk: %v", profile, phase, err)
+			}
+			if a != b {
+				t.Errorf("chaos %q %s: Execute = %+v, ExecuteChunk(all, 0) = %+v", profile, phase, a, b)
+			}
+			if cold := phase == "cold"; cold != (a.Probes > 0) {
+				t.Errorf("chaos %q %s run paid %d probes", profile, phase, a.Probes)
+			}
+		}
 	}
 }

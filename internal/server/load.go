@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"hetmp/internal/chaos"
 )
 
 // ParseWeights parses a "tenant=weight,tenant=weight" flag value.
@@ -140,8 +142,6 @@ type LoadConfig struct {
 	// Churn is the membership-churn schedule, applied at dispatch
 	// milestones (ParseChurn parses the flag form).
 	Churn []ChurnEvent
-	// Health configures the node health monitor (requires Members).
-	Health HealthConfig
 	// SLO is asserted after the run; failures land in
 	// LoadReport.SLOFailures.
 	SLO SLO
@@ -208,8 +208,6 @@ type LoadReport struct {
 	// accounting across churn is asserted, not hoped for).
 	LostIterations int              `json:"lost_iterations,omitempty"`
 	ChurnApplied   int              `json:"churn_applied,omitempty"`
-	Evictions      int              `json:"evictions,omitempty"`
-	Readmissions   int              `json:"readmissions,omitempty"`
 	Rehomed        int              `json:"rehomed,omitempty"`
 	Reprobes       int              `json:"reprobes,omitempty"`
 	Membership     *MembershipStats `json:"membership,omitempty"`
@@ -230,8 +228,8 @@ func Workload(cfg LoadConfig) []Spec {
 	for i := range shapes {
 		shapes[i] = Spec{
 			Region:     fmt.Sprintf("w%d", i),
-			Iterations: 1024 << (i % 3),       // 1k/2k/4k
-			Pages:      16 + 8*(i%4),          // 16..40 pages
+			Iterations: 1024 << (i % 3), // 1k/2k/4k
+			Pages:      16 + 8*(i%4),    // 16..40 pages
 			OpsPerByte: []float64{16, 32, 64}[i%3],
 		}
 	}
@@ -254,6 +252,13 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	if cfg.ChaosProfile != "" {
+		// Resolve the name before anything is built or admitted: the
+		// executor would otherwise fail it once per job.
+		if _, err := chaos.Named(cfg.ChaosProfile, cfg.Seed); err != nil {
+			return LoadReport{}, err
+		}
+	}
 	xcfg := SimExecutorConfig{Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile}
 	x := NewSimExecutor(xcfg)
 	store, err := NewCache(cfg.CacheDir, x.Fingerprint())
@@ -271,7 +276,6 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		Executor:         x,
 		Members:          cfg.Members,
 		Churn:            cfg.Churn,
-		Health:           cfg.Health,
 		Logf:             cfg.Logf,
 	})
 	defer rs.Close()
@@ -325,8 +329,6 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		report.Membership = st.Membership
 		report.LostIterations = int(st.Membership.LostIterations)
 		report.ChurnApplied = st.Membership.ChurnApplied
-		report.Evictions = st.Membership.Evictions
-		report.Readmissions = st.Membership.Readmissions
 		report.Rehomed = st.Membership.Rehomed
 		report.Reprobes = st.Membership.Reprobes
 	}
@@ -349,9 +351,8 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		report.Completed, report.WallSeconds, report.Throughput, report.Wait.P95,
 		report.CacheHits, report.CrossTenantWarm, report.Rejections)
 	if report.Membership != nil {
-		logf("hetload: membership: %d churn events applied, %d chunks rehomed, %d evictions, %d readmissions, %d reprobes, %d lost iterations",
-			report.ChurnApplied, report.Rehomed, report.Evictions, report.Readmissions,
-			report.Reprobes, report.LostIterations)
+		logf("hetload: membership: %d churn events applied, %d chunks rehomed, %d reprobes, %d lost iterations",
+			report.ChurnApplied, report.Rehomed, report.Reprobes, report.LostIterations)
 	}
 	return report, nil
 }

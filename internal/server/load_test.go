@@ -119,6 +119,26 @@ func TestChaosSLOsUnknown(t *testing.T) {
 	}
 }
 
+// A misspelt chaos profile is refused before the server exists — with
+// chaos's own message listing the valid names — instead of being
+// admitted and failing every job inside the executor.
+func TestRunLoadUnknownChaosProfile(t *testing.T) {
+	var logged []string
+	report, err := RunLoad(LoadConfig{
+		Jobs: 4, ChaosProfile: "bogus",
+		Logf: func(f string, a ...any) { logged = append(logged, f) },
+	})
+	if err == nil {
+		t.Fatalf("RunLoad accepted chaos profile \"bogus\": %+v", report)
+	}
+	if !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), "link-flap") {
+		t.Fatalf("error %q does not name the bad profile and a valid one", err)
+	}
+	if report.Jobs != 0 || report.Completed != 0 || report.Failed != 0 || len(logged) != 0 {
+		t.Fatalf("work happened before the refusal: report %+v, log %v", report, logged)
+	}
+}
+
 // The full churn story through the load generator: remove a node
 // mid-run, add it back later, under mixed chaos with the profile's
 // latency budget — exactly-once iteration accounting (lost_iterations
@@ -138,8 +158,7 @@ func TestRunLoadMembershipChurn(t *testing.T) {
 		Jobs: 40, Tenants: 3, Signatures: 3, Seed: 5,
 		ChaosProfile: "mixed",
 		Members:      members, Churn: churn,
-		Health: HealthConfig{Enabled: true},
-		SLO:    slo,
+		SLO: slo,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -64,16 +64,11 @@ const (
 	NodeActive NodeState = iota
 	// NodeWarming runs its class-scoped re-probes before serving.
 	NodeWarming
-	// NodeProbation serves, but one more breach window evicts it.
-	NodeProbation
 	// NodeCordoned finishes queued chunks but receives no new ones.
 	NodeCordoned
 	// NodeDraining is mid-removal: queue re-apportioned, the running
 	// chunk (if any) completing.
 	NodeDraining
-	// NodeEvicted was removed by the health monitor and awaits
-	// readmission backoff.
-	NodeEvicted
 	// NodeRemoved is gone; the name may be re-added.
 	NodeRemoved
 )
@@ -84,14 +79,10 @@ func (st NodeState) String() string {
 		return "active"
 	case NodeWarming:
 		return "warming"
-	case NodeProbation:
-		return "probation"
 	case NodeCordoned:
 		return "cordoned"
 	case NodeDraining:
 		return "draining"
-	case NodeEvicted:
-		return "evicted"
 	case NodeRemoved:
 		return "removed"
 	}
@@ -119,10 +110,10 @@ type ChurnEvent struct {
 	Member     Member // Name always; Class/Weight for ChurnAdd
 }
 
-// ChunkExecutor is the optional executor capability membership uses to
-// run one chunk of a job's invocations under the placement-neutral
-// seed (signature + chunk index). Executors without it fall back to
-// Execute with a reduced invocation count.
+// ChunkExecutor is the optional executor capability that runs one chunk
+// of a job's invocations under the placement-neutral seed (signature +
+// chunk index). Executors without it get Execute with the chunk's
+// invocation count.
 type ChunkExecutor interface {
 	ExecuteChunk(sp Spec, invocations, chunkIndex int) (ExecResult, error)
 }
@@ -137,20 +128,17 @@ type ClassWarmer interface {
 	Reprobe(sp Spec, classes []string) (ExecResult, error)
 }
 
-// chunk is one node lane's share of a job: `invs` invocations of the
-// job's region, simulated under the chunk-index seed.
+// chunk is one share of a job: `invs` invocations of the job's region,
+// simulated under the chunk-index seed. A whole-job chunk is simply
+// {invs: all, index: 0}: index 0 adds nothing to the signature seed.
 type chunk struct {
 	j       *job
 	invs    int
 	index   int    // position in the job's plan — the seed offset
-	planned string // node chosen at dispatch; breach attribution key
-	rehomed bool   // moved off `planned` by churn/eviction
-	// monolithic marks a whole-job chunk (cold prober or collapsed
-	// plan) that runs through Execute, byte-identical to the
-	// membership-free path.
-	monolithic bool
-	res        ExecResult
-	err        error
+	planned string // node chosen at dispatch; "" when there is no lane
+	rehomed bool   // moved off `planned` by churn
+	res     ExecResult
+	err     error
 }
 
 // memberState is one node lane's live state. All fields are guarded by
@@ -162,46 +150,31 @@ type memberState struct {
 	running  bool
 	reprobes []Spec
 	wake     chan struct{} // 1-buffered worker wakeup
-
-	// Health-monitor state.
-	score     int
-	evictions int
-	evictedAt int // applied-job count at the last eviction
-
-	stats NodeStats
+	stats    NodeStats
 }
 
 // NodeStats is one member node's accounting snapshot.
 type NodeStats struct {
-	Class        string  `json:"class"`
-	Weight       float64 `json:"weight"`
-	State        string  `json:"state"`
-	Score        int     `json:"score"`
-	QueueDepth   int     `json:"queue_depth"`
-	Chunks       int     `json:"chunks"`
-	Monolithic   int     `json:"monolithic"`
-	Invocations  int64   `json:"invocations"`
-	Rehomed      int     `json:"rehomed"`
-	Reprobes     int     `json:"reprobes"`
-	Breaches     int     `json:"breaches"`
-	Evictions    int     `json:"evictions"`
-	Readmissions int     `json:"readmissions"`
+	Class       string  `json:"class"`
+	Weight      float64 `json:"weight"`
+	State       string  `json:"state"`
+	QueueDepth  int     `json:"queue_depth"`
+	Chunks      int     `json:"chunks"`
+	Invocations int64   `json:"invocations"`
+	Rehomed     int     `json:"rehomed"`
+	Reprobes    int     `json:"reprobes"`
 }
 
 // MembershipStats is the membership layer's snapshot: per-node
-// accounting plus the cluster-wide churn/health counters the SLO gates
+// accounting plus the cluster-wide churn counters the SLO gates
 // read (LostIterations must stay 0 — the exactly-once assertion).
 type MembershipStats struct {
 	Nodes            map[string]NodeStats `json:"nodes"`
 	ChurnApplied     int                  `json:"churn_applied"`
 	Rehomed          int                  `json:"rehomed"`
-	Probations       int                  `json:"probations"`
-	Evictions        int                  `json:"evictions"`
-	Readmissions     int                  `json:"readmissions"`
 	Reprobes         int                  `json:"reprobes"`
 	ReprobeVirtualNs int64                `json:"reprobe_virtual_ns"`
 	LostIterations   int64                `json:"lost_iterations"`
-	HealthHash       uint64               `json:"health_hash"`
 	Transitions      []string             `json:"transitions,omitempty"`
 }
 
@@ -221,14 +194,7 @@ func signalChan(ch chan struct{}) {
 // without contention.
 func (s *RegionServer) initMembership() {
 	s.members = map[string]*memberState{}
-	s.sigSeen = map[string]bool{}
 	s.churn = s.cfg.Churn
-	s.healthHash = newHashState()
-	s.healthCfg = s.cfg.Health.withDefaults()
-	s.healthOn = s.cfg.Health.Enabled
-	if s.healthOn {
-		s.healthPending = map[int]*healthDelta{}
-	}
 	for _, m := range s.cfg.Members {
 		if err := s.addNodeLocked(m); err != nil {
 			s.logf("server: initial member %s: %v", m.Name, err)
@@ -240,34 +206,38 @@ func (s *RegionServer) initMembership() {
 // decision store already covers serves immediately — warm-started,
 // zero probes; an uncovered class warms up first through a bounded
 // class-scoped re-probe of stored signatures.
-func (s *RegionServer) AddNode(mem Member) error {
-	s.mu.Lock()
-	if s.members == nil {
-		s.mu.Unlock()
-		return errors.New("server: membership not enabled")
-	}
-	err := s.addNodeLocked(mem)
-	if err == nil {
-		s.memStats.Transitions = append(s.memStats.Transitions, "api:add:"+mem.Name)
-	}
-	s.mu.Unlock()
-	return err
-}
+func (s *RegionServer) AddNode(mem Member) error { return s.applyOp(ChurnAdd, mem) }
 
 // RemoveNode drains a node: its queued chunks re-apportion across the
 // survivors immediately (exactly-once — whole chunks move, nothing is
 // re-split or re-run), the running chunk completes, then the lane
 // exits. Refuses to remove the last serving node (ErrLastNode).
 func (s *RegionServer) RemoveNode(name string) error {
+	return s.applyOp(ChurnRemove, Member{Name: name})
+}
+
+// CordonNode stops routing new chunks to a node; queued chunks still
+// run. Refuses to cordon the last serving node.
+func (s *RegionServer) CordonNode(name string) error {
+	return s.applyOp(ChurnCordon, Member{Name: name})
+}
+
+// UncordonNode returns a cordoned node to service.
+func (s *RegionServer) UncordonNode(name string) error {
+	return s.applyOp(ChurnUncordon, Member{Name: name})
+}
+
+// applyOp is the live-API entry to a membership operation: it refuses
+// when the layer is off, records a successful op in the Transitions
+// log, and wakes affected lanes only after unlocking.
+func (s *RegionServer) applyOp(op ChurnOp, m Member) error {
+	var wakes []chan struct{}
+	var err error
 	s.mu.Lock()
 	if s.members == nil {
-		s.mu.Unlock()
-		return errors.New("server: membership not enabled")
-	}
-	var wakes []chan struct{}
-	err := s.removeNodeLocked(name, &wakes)
-	if err == nil {
-		s.memStats.Transitions = append(s.memStats.Transitions, "api:remove:"+name)
+		err = errors.New("server: membership not enabled")
+	} else if err = s.applyOpLocked(op, m, &wakes); err == nil {
+		s.memStats.Transitions = append(s.memStats.Transitions, "api:"+string(op)+":"+m.Name)
 	}
 	s.mu.Unlock()
 	for _, w := range wakes {
@@ -276,35 +246,20 @@ func (s *RegionServer) RemoveNode(name string) error {
 	return err
 }
 
-// CordonNode stops routing new chunks to a node; queued chunks still
-// run. Refuses to cordon the last serving node.
-func (s *RegionServer) CordonNode(name string) error {
-	s.mu.Lock()
-	if s.members == nil {
-		s.mu.Unlock()
-		return errors.New("server: membership not enabled")
+// applyOpLocked performs one membership operation — the single
+// dispatch point behind the live API and the churn schedule.
+func (s *RegionServer) applyOpLocked(op ChurnOp, m Member, wakes *[]chan struct{}) error {
+	switch op {
+	case ChurnAdd:
+		return s.addNodeLocked(m)
+	case ChurnRemove:
+		return s.removeNodeLocked(m.Name, wakes)
+	case ChurnCordon:
+		return s.cordonLocked(m.Name)
+	case ChurnUncordon:
+		return s.uncordonLocked(m.Name)
 	}
-	err := s.cordonLocked(name)
-	if err == nil {
-		s.memStats.Transitions = append(s.memStats.Transitions, "api:cordon:"+name)
-	}
-	s.mu.Unlock()
-	return err
-}
-
-// UncordonNode returns a cordoned node to service.
-func (s *RegionServer) UncordonNode(name string) error {
-	s.mu.Lock()
-	if s.members == nil {
-		s.mu.Unlock()
-		return errors.New("server: membership not enabled")
-	}
-	err := s.uncordonLocked(name)
-	if err == nil {
-		s.memStats.Transitions = append(s.memStats.Transitions, "api:uncordon:"+name)
-	}
-	s.mu.Unlock()
-	return err
+	return fmt.Errorf("server: unknown churn op %q", op)
 }
 
 func (s *RegionServer) addNodeLocked(mem Member) error {
@@ -339,8 +294,7 @@ func (s *RegionServer) addNodeLocked(mem Member) error {
 	}
 	// Always a fresh memberState: a revived name must not share state
 	// with the old lane's worker goroutine (which exits on its own
-	// wake). Cumulative stats and eviction history carry over so a
-	// remove/add flap cannot reset readmission backoff.
+	// wake). Cumulative stats carry over.
 	m := &memberState{
 		spec:     mem,
 		state:    st,
@@ -349,8 +303,6 @@ func (s *RegionServer) addNodeLocked(mem Member) error {
 	}
 	if old != nil {
 		m.stats = old.stats
-		m.evictions = old.evictions
-		m.evictedAt = old.evictedAt
 		signalChan(old.wake) // hasten the old worker's exit
 	} else {
 		s.memberOrder = append(s.memberOrder, mem.Name)
@@ -394,7 +346,7 @@ func (s *RegionServer) cordonLocked(name string) error {
 		return nil // idempotent
 	case NodeDraining:
 		return fmt.Errorf("server: node %s: %w", name, ErrNodeDraining)
-	case NodeActive, NodeProbation, NodeWarming:
+	case NodeActive, NodeWarming:
 		if s.othersServingLocked(m) == 0 {
 			return fmt.Errorf("server: node %s: %w", name, ErrLastNode)
 		}
@@ -432,7 +384,7 @@ func (s *RegionServer) othersServingLocked(m *memberState) int {
 			continue
 		}
 		switch o.state {
-		case NodeActive, NodeProbation, NodeWarming, NodeCordoned:
+		case NodeActive, NodeWarming, NodeCordoned:
 			n++
 		}
 	}
@@ -440,91 +392,90 @@ func (s *RegionServer) othersServingLocked(m *memberState) int {
 }
 
 // eligibleLocked returns the nodes a new plan may target, in sorted
-// name order. Serving nodes (active/probation) are preferred; when
-// none exist the selection degrades to warming nodes (their chunks
-// queue behind the re-probes), then cordoned ones, so the guarded
-// invariant "at least one member can serve" keeps plans non-empty.
+// name order. Active nodes are preferred; when none exist the
+// selection degrades to warming nodes (their chunks queue behind the
+// re-probes), then cordoned ones, so the guarded invariant "at least
+// one member can serve" keeps plans on a lane. Empty only when the
+// server has no members.
 func (s *RegionServer) eligibleLocked() []*memberState {
-	pick := func(states ...NodeState) []*memberState {
+	for _, st := range []NodeState{NodeActive, NodeWarming, NodeCordoned} {
 		var out []*memberState
 		for _, name := range s.memberOrder {
-			m := s.members[name]
-			for _, st := range states {
-				if m.state == st {
-					out = append(out, m)
-					break
-				}
+			if m := s.members[name]; m.state == st {
+				out = append(out, m)
 			}
 		}
-		return out
+		if len(out) > 0 {
+			return out
+		}
 	}
-	if out := pick(NodeActive, NodeProbation); len(out) > 0 {
-		return out
-	}
-	if out := pick(NodeWarming); len(out) > 0 {
-		return out
-	}
-	return pick(NodeCordoned)
+	return nil
 }
 
-// planLocked builds a job's chunk plan at dispatch time. The first
-// dispatch of a signature runs monolithic on one node (cold probing is
-// a whole-job affair — byte-identical to the membership-free path);
-// later dispatches split invocations across the eligible nodes by
-// weight. The plan — chunk count, sizes, indices — depends only on the
-// eligible set at dispatch d, which is itself deterministic under a
-// churn schedule, never on completion timing.
+// planLocked builds a job's chunk plan at dispatch time — every job has
+// one. A prober (first dispatch of a cold signature) and any job on a
+// server without members get one whole-job chunk: cold probing is a
+// whole-job affair, and with no lanes there is nothing to split across.
+// Other jobs split invocations across the eligible nodes by weight. The
+// plan — chunk count, sizes, indices — depends only on the eligible set
+// at dispatch d, which is itself deterministic under a churn schedule,
+// never on completion timing.
 func (s *RegionServer) planLocked(j *job, d int) {
-	elig := s.eligibleLocked()
-	if len(elig) == 0 {
-		return // defensive; guards keep this unreachable
-	}
-	j.dispatchIdx = d
 	j.invsPlanned = j.spec.Invocations
 	j.chunkDone = make(chan struct{})
-	if !s.sigSeen[j.sig] {
-		s.sigSeen[j.sig] = true
-		node := elig[d%len(elig)]
-		j.plan = []*chunk{{j: j, invs: j.invsPlanned, index: 0, planned: node.spec.Name, monolithic: true}}
-	} else {
+	elig := s.eligibleLocked()
+	switch {
+	case len(elig) == 0:
+		j.plan = []*chunk{{j: j, invs: j.invsPlanned}}
+	case j.prober:
+		j.plan = []*chunk{{j: j, invs: j.invsPlanned, planned: elig[d%len(elig)].spec.Name}}
+	default:
 		weights := make([]float64, len(elig))
 		for i, m := range elig {
 			weights[i] = m.spec.Weight
 		}
-		counts := apportion.Split(j.invsPlanned, weights)
-		for i, n := range counts {
-			if n == 0 {
-				continue
+		for i, n := range apportion.Split(j.invsPlanned, weights) {
+			if n > 0 {
+				j.plan = append(j.plan, &chunk{j: j, invs: n, index: len(j.plan), planned: elig[i].spec.Name})
 			}
-			j.plan = append(j.plan, &chunk{j: j, invs: n, index: len(j.plan), planned: elig[i].spec.Name})
 		}
 	}
 	j.chunksLeft = len(j.plan)
 }
 
-// runChunks enqueues a planned job's chunks on their node lanes, waits
-// for all of them, and aggregates the result with exactly-once
-// verification (planned vs executed invocations).
+// runChunks runs a planned job's chunks — each queued on its node lane,
+// or executed right here on the job's goroutine when there is no lane
+// (MaxInFlight-way concurrency; a lane would serialise) — waits for all
+// of them, and aggregates the result with exactly-once verification
+// (planned vs executed invocations).
 func (s *RegionServer) runChunks(j *job, prober bool) (ExecResult, error) {
 	s.mu.Lock()
-	if prober && (len(j.plan) > 1 || !j.plan[0].monolithic) {
-		// A lane reset (failed prober) handed this chunked job the
-		// prober role. Cold probing must run whole, so the plan
-		// collapses to one monolithic chunk on its first node.
-		first := j.plan[0]
-		j.plan = []*chunk{{j: j, invs: j.invsPlanned, index: 0, planned: first.planned, monolithic: true}}
+	if prober && len(j.plan) > 1 {
+		// A lane reset (failed prober) handed this split job the prober
+		// role. Cold probing must run whole, so the plan collapses to
+		// one whole-job chunk on its first node.
+		j.plan = []*chunk{{j: j, invs: j.invsPlanned, planned: j.plan[0].planned}}
 		j.chunksLeft = 1
 	}
 	elig := s.eligibleLocked()
 	var wakes []chan struct{}
+	var laneless []*chunk
 	for _, c := range j.plan {
 		target := s.chunkTargetLocked(c, elig)
+		if target == nil {
+			laneless = append(laneless, c)
+			continue
+		}
 		target.queue = append(target.queue, c)
 		wakes = append(wakes, target.wake)
 	}
 	s.mu.Unlock()
 	for _, w := range wakes {
 		signalChan(w)
+	}
+	for _, c := range laneless {
+		s.executeChunk(c)
+		s.chunkFinished(c, nil)
 	}
 	<-j.chunkDone
 
@@ -551,19 +502,35 @@ func (s *RegionServer) runChunks(j *job, prober bool) (ExecResult, error) {
 			s.logf("server: job %d lost %d invocations to churn (accounting bug)", j.seq, lost)
 		}
 	}
-	if s.healthOn {
-		// Every membership job posts a delta (empty for monolithic or
-		// failed jobs) so the scheduler's windowed barrier applies them
-		// contiguously in dispatch order.
-		s.healthPending[j.dispatchIdx] = s.healthDeltaLocked(j, err)
-	}
 	return res, err
+}
+
+// chunkFinished books an executed chunk: the serving lane's counters
+// (m is nil for a laneless chunk), the job's executed-invocation count,
+// and the completion signal once the job's last chunk is in.
+func (s *RegionServer) chunkFinished(c *chunk, m *memberState) {
+	s.mu.Lock()
+	if m != nil {
+		m.running = false
+		m.stats.Chunks++
+		m.stats.Invocations += int64(c.invs)
+	}
+	if c.err == nil {
+		c.j.invsDone += c.invs
+	}
+	c.j.chunksLeft--
+	last := c.j.chunksLeft == 0
+	s.mu.Unlock()
+	if last {
+		close(c.j.chunkDone)
+	}
 }
 
 // chunkTargetLocked routes a chunk to its planned node, or — when the
 // planned node stopped serving between dispatch and enqueue — rehomes
 // it to the least-loaded eligible node. Placement neutrality makes the
-// choice invisible to virtual time.
+// choice invisible to virtual time. Nil means there is no lane to queue
+// on and the caller runs the chunk itself.
 func (s *RegionServer) chunkTargetLocked(c *chunk, elig []*memberState) *memberState {
 	if m := s.members[c.planned]; m != nil {
 		for _, e := range elig {
@@ -579,9 +546,7 @@ func (s *RegionServer) chunkTargetLocked(c *chunk, elig []*memberState) *memberS
 		}
 	}
 	if best == nil {
-		// Guards keep at least one member serving; fall back to the
-		// planned node so the chunk is never dropped.
-		return s.members[c.planned]
+		return nil
 	}
 	c.rehomed = true
 	best.stats.Rehomed++
@@ -640,27 +605,13 @@ func (s *RegionServer) applyChurnLocked(d int, wakes *[]chan struct{}) {
 	for s.churnNext < len(s.churn) && s.churn[s.churnNext].AtDispatch <= d {
 		ev := s.churn[s.churnNext]
 		s.churnNext++
-		var err error
-		switch ev.Op {
-		case ChurnAdd:
-			err = s.addNodeLocked(ev.Member)
-		case ChurnRemove:
-			err = s.removeNodeLocked(ev.Member.Name, wakes)
-		case ChurnCordon:
-			err = s.cordonLocked(ev.Member.Name)
-		case ChurnUncordon:
-			err = s.uncordonLocked(ev.Member.Name)
-		default:
-			err = fmt.Errorf("server: unknown churn op %q", ev.Op)
-		}
 		outcome := "ok"
-		if err != nil {
+		if err := s.applyOpLocked(ev.Op, ev.Member, wakes); err != nil {
 			outcome = "err"
 			s.logf("server: churn %s %s at d%d: %v", ev.Op, ev.Member.Name, d, err)
 		}
 		rec := fmt.Sprintf("d%d:churn-%s:%s:%s", d, ev.Op, ev.Member.Name, outcome)
-		s.hash.mix(rec)
-		s.dispatchOrder = append(s.dispatchOrder, rec)
+		s.recordLocked(rec)
 		s.memStats.ChurnApplied++
 		s.memStats.Transitions = append(s.memStats.Transitions, rec)
 	}
@@ -702,8 +653,8 @@ func (s *RegionServer) memberLoop(m *memberState) {
 				s.memStats.ReprobeVirtualNs += res.VirtualNs
 			}
 			// Worker-side transitions stay out of the Transitions log:
-			// they happen at wall-clock moments, and the log (like the
-			// health hash) records only virtually-timestamped events.
+			// they happen at wall-clock moments, and the log records
+			// only virtually-timestamped events.
 			if m.state == NodeWarming && len(m.reprobes) == 0 {
 				m.state = NodeActive
 				s.logf("server: node %s warmed, serving", m.spec.Name)
@@ -718,26 +669,7 @@ func (s *RegionServer) memberLoop(m *memberState) {
 			s.mu.Unlock()
 
 			s.executeChunk(c)
-
-			s.mu.Lock()
-			m.running = false
-			m.stats.Chunks++
-			m.stats.Invocations += int64(c.invs)
-			if c.monolithic {
-				m.stats.Monolithic++
-			}
-			if c.err == nil {
-				c.j.invsDone += c.invs
-			}
-			c.j.chunksLeft--
-			var fin chan struct{}
-			if c.j.chunksLeft == 0 {
-				fin = c.j.chunkDone
-			}
-			s.mu.Unlock()
-			if fin != nil {
-				close(fin)
-			}
+			s.chunkFinished(c, m)
 			continue
 		}
 		if m.state == NodeDraining {
@@ -752,15 +684,11 @@ func (s *RegionServer) memberLoop(m *memberState) {
 	}
 }
 
-// executeChunk runs one chunk. Monolithic chunks take the executor's
-// whole-job path (byte-identical cold semantics); split chunks use the
-// chunk-index seed when the executor supports it.
+// executeChunk runs one chunk under the chunk-index seed when the
+// executor supports it. A whole-job chunk (all invocations, index 0) is
+// exactly Execute(sp) either way.
 func (s *RegionServer) executeChunk(c *chunk) {
 	sp := c.j.spec
-	if c.monolithic {
-		c.res, c.err = s.exec.Execute(sp)
-		return
-	}
 	if ce, ok := s.exec.(ChunkExecutor); ok {
 		c.res, c.err = ce.ExecuteChunk(sp, c.invs, c.index)
 		return
@@ -776,7 +704,6 @@ func (s *RegionServer) membershipStatsLocked() *MembershipStats {
 	}
 	out := s.memStats
 	out.Transitions = append([]string(nil), s.memStats.Transitions...)
-	out.HealthHash = s.healthHash.h
 	out.Nodes = make(map[string]NodeStats, len(s.members))
 	for _, name := range s.memberOrder {
 		m := s.members[name]
@@ -784,7 +711,6 @@ func (s *RegionServer) membershipStatsLocked() *MembershipStats {
 		ns.Class = m.spec.Class
 		ns.Weight = m.spec.Weight
 		ns.State = m.state.String()
-		ns.Score = m.score
 		ns.QueueDepth = len(m.queue)
 		out.Nodes[name] = ns
 	}

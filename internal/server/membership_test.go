@@ -10,20 +10,19 @@ import (
 )
 
 // fakeChunkExec is a deterministic executor with the membership
-// capabilities: monolithic jobs run instantly (warm after a sig's
-// first execution, like fakeExec), chunks report a per-invocation
-// virtual time that depends only on the chunk index — placement-
-// neutral by construction — with one index optionally slowed, the
-// synthetic straggler the health tests score.
+// capabilities. A signature's first chunk is its cold prober (instant,
+// never blocked — like fakeExec's first Execute); every later chunk is
+// warm and reports a per-invocation virtual time that depends only on
+// the chunk index — placement-neutral by construction — with one index
+// optionally slowed, so total virtual time depends on the plans' shape.
 type fakeChunkExec struct {
 	mu         sync.Mutex
 	seen       map[string]bool
 	baseNs     int64
 	slowIndex  int // chunk index that runs slow; -1 for none
 	slowNs     int64
-	block      chan struct{} // non-nil: ExecuteChunk blocks until closed
-	calls      int
-	chunkCalls int
+	block      chan struct{} // non-nil: warm chunks block until closed
+	chunkCalls int           // warm chunks started
 }
 
 func newFakeChunkExec() *fakeChunkExec {
@@ -31,29 +30,24 @@ func newFakeChunkExec() *fakeChunkExec {
 }
 
 func (f *fakeChunkExec) Execute(sp Spec) (ExecResult, error) {
-	sp = sp.withDefaults()
+	return f.ExecuteChunk(sp, sp.withDefaults().Invocations, 0)
+}
+
+func (f *fakeChunkExec) ExecuteChunk(sp Spec, invocations, chunkIndex int) (ExecResult, error) {
 	f.mu.Lock()
 	if f.seen == nil {
 		f.seen = map[string]bool{}
 	}
 	warm := f.seen[sp.Sig()]
 	f.seen[sp.Sig()] = true
-	f.calls++
-	f.mu.Unlock()
-	res := ExecResult{VirtualNs: f.baseNs * int64(sp.Invocations)}
 	if warm {
-		res.Predictions = 1
-	} else {
-		res.Probes = 4
+		f.chunkCalls++
 	}
-	return res, nil
-}
-
-func (f *fakeChunkExec) ExecuteChunk(sp Spec, invocations, chunkIndex int) (ExecResult, error) {
-	f.mu.Lock()
-	f.chunkCalls++
 	block := f.block
 	f.mu.Unlock()
+	if !warm {
+		return ExecResult{VirtualNs: f.baseNs * int64(invocations), Probes: 4}, nil
+	}
 	if block != nil {
 		<-block
 	}
@@ -265,64 +259,48 @@ func TestAddNodeWarmStart(t *testing.T) {
 	}
 }
 
-// A flapping straggler walks the full health state machine —
-// probation, eviction, readmission — and each repeat eviction doubles
-// the readmission backoff.
-func TestFlappingNodeReadmissionBackoff(t *testing.T) {
-	f := newFakeChunkExec()
-	f.slowIndex = 1 // the second chunk of every split plan straggles
-	s := New(Config{
-		StartPaused: true,
-		MaxInFlight: 1,
-		QueueDepth:  64,
-		Executor:    f,
-		Members: []Member{
-			{Name: "n0", Class: "xeon", Weight: 1},
-			{Name: "n1", Class: "xeon", Weight: 1},
-		},
-		Health: HealthConfig{Enabled: true, BreachFactor: 3, ProbationScore: 2, EvictScore: 4, ReadmitAfter: 4},
-	})
-	defer s.Close()
-	var specs []Spec
-	for i := 0; i < 40; i++ {
-		specs = append(specs, Spec{Tenant: "t0", Region: "r", Invocations: 6})
-	}
-	chans := preload(t, s, specs)
-	s.Resume()
-	collect(chans)
-	s.Drain()
-
-	ms := s.Stats().Membership
-	if ms.Nodes["n1"].Evictions < 2 {
-		t.Fatalf("n1 evicted %d times, want >= 2 (transitions: %v)", ms.Nodes["n1"].Evictions, ms.Transitions)
-	}
-	if ms.Nodes["n1"].Readmissions < 2 {
-		t.Fatalf("n1 readmitted %d times, want >= 2", ms.Nodes["n1"].Readmissions)
-	}
-	// Parse transition indices: each eviction→readmission gap must
-	// honor the doubled backoff.
-	var evicts, readmits []int
-	for _, rec := range ms.Transitions {
-		var idx int
-		if _, err := fmt.Sscanf(rec, "j%d:evict:n1", &idx); err == nil && strings.HasSuffix(rec, ":evict:n1") {
-			evicts = append(evicts, idx)
+// Members are lanes, not hardware: a chunk's simulation is seeded by
+// (signature, chunk index), so permuting the members' names and classes
+// — which moves every chunk onto a different "node" — changes no
+// virtual time, per job or in total. This is the invariant that made
+// per-node health scoring observe plan position instead of the node.
+func TestMembersArePlacementNeutral(t *testing.T) {
+	specs := Workload(LoadConfig{Jobs: 24, Tenants: 4, Signatures: 3, Seed: 1})
+	run := func(nodes string) (int64, map[int]int64) {
+		members, err := ParseMembers(nodes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := fmt.Sscanf(rec, "j%d:readmit:n1", &idx); err == nil && strings.HasSuffix(rec, ":readmit:n1") {
-			readmits = append(readmits, idx)
+		s, _ := newSimServer(t, Config{StartPaused: true, QueueDepth: len(specs), Members: members},
+			SimExecutorConfig{Seed: 1})
+		defer s.Close()
+		chans := preload(t, s, specs)
+		s.Resume()
+		perSeq := map[int]int64{}
+		for _, r := range collect(chans) {
+			if r.Err != nil {
+				t.Fatalf("%s: job %d failed: %v", nodes, r.Seq, r.Err)
+			}
+			perSeq[r.Seq] = r.VirtualNs
 		}
+		return s.Stats().VirtualNs, perSeq
 	}
-	if len(evicts) < 2 || len(readmits) < 2 {
-		t.Fatalf("parsed %d evicts, %d readmits from %v", len(evicts), len(readmits), ms.Transitions)
-	}
-	gap1, gap2 := readmits[0]-evicts[0], readmits[1]-evicts[1]
-	if gap1 < 4 {
-		t.Fatalf("first readmission after %d applied jobs, want >= ReadmitAfter=4", gap1)
-	}
-	if gap2 < 8 {
-		t.Fatalf("second readmission after %d applied jobs, want >= 2×ReadmitAfter=8 (backoff did not double)", gap2)
-	}
-	if ms.LostIterations != 0 {
-		t.Fatalf("LostIterations = %d under eviction churn, want 0", ms.LostIterations)
+	const base = "n0:xeon,n1:thunderx,n2:thunderx"
+	wantTotal, wantPerSeq := run(base)
+	for _, nodes := range []string{
+		"n0:thunderx,n1:thunderx,n2:xeon",
+		"c:xeon,b:thunderx,a:thunderx",
+		"a:xeon,b:xeon,c:xeon",
+	} {
+		total, perSeq := run(nodes)
+		if total != wantTotal {
+			t.Errorf("-nodes %s: total virtual time %d, want %d (as %s)", nodes, total, wantTotal, base)
+		}
+		for seq, want := range wantPerSeq {
+			if perSeq[seq] != want {
+				t.Errorf("-nodes %s: job %d virtual time %d, want %d (as %s)", nodes, seq, perSeq[seq], want, base)
+			}
+		}
 	}
 }
 
@@ -366,10 +344,9 @@ func TestDrainDuringChurn(t *testing.T) {
 	}
 }
 
-// The determinism contract under churn + health: two identical
-// preloaded runs — same workload, same churn schedule, same health
-// tuning, concurrency 2 — produce bit-equal dispatch hashes, virtual
-// time and health transition logs.
+// The determinism contract under churn: two identical preloaded runs —
+// same workload, same churn schedule, concurrency 2 — produce bit-equal
+// dispatch hashes, virtual time and transition logs.
 func TestChurnDeterminism(t *testing.T) {
 	run := func() (uint64, int64, string, string) {
 		f := newFakeChunkExec()
@@ -385,7 +362,6 @@ func TestChurnDeterminism(t *testing.T) {
 			Executor:    f,
 			Members:     threeNodes(),
 			Churn:       churn,
-			Health:      HealthConfig{Enabled: true, BreachFactor: 3, ProbationScore: 3, EvictScore: 6, ReadmitAfter: 6},
 		})
 		defer s.Close()
 		var specs []Spec
@@ -407,7 +383,7 @@ func TestChurnDeterminism(t *testing.T) {
 		t.Fatalf("dispatch orders diverged:\n--- run1\n%s\n--- run2\n%s", o1, o2)
 	}
 	if t1 != t2 {
-		t.Fatalf("health transitions diverged:\n--- run1\n%s\n--- run2\n%s", t1, t2)
+		t.Fatalf("transitions diverged:\n--- run1\n%s\n--- run2\n%s", t1, t2)
 	}
 	if h1 != h2 {
 		t.Fatalf("DispatchHash diverged: %x vs %x", h1, h2)

@@ -214,6 +214,8 @@ func resultToMeta(r Result) map[string]string {
 		"predictions": strconv.Itoa(r.Predictions),
 		"warm":        strconv.FormatBool(r.Warm),
 		"xtwarm":      strconv.FormatBool(r.CrossTenantWarm),
+		"chunks":      strconv.Itoa(r.Chunks),
+		"rehomed":     strconv.Itoa(r.Rehomed),
 	}
 }
 
@@ -239,6 +241,8 @@ func resultFromMeta(tenant, region string, meta map[string]string) Result {
 		Predictions:     geti("predictions"),
 		Warm:            meta["warm"] == "true",
 		CrossTenantWarm: meta["xtwarm"] == "true",
+		Chunks:          geti("chunks"),
+		Rehomed:         geti("rehomed"),
 	}
 }
 

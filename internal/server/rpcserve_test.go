@@ -42,6 +42,12 @@ func TestRPCBindingRoundTrip(t *testing.T) {
 	if res.Tenant != "alice" || res.VirtualNs != 1000 {
 		t.Fatalf("result = %+v, want tenant alice virtual 1000", res)
 	}
+	if res.Chunks != 1 || res.Rehomed != 0 {
+		t.Fatalf("result = %+v, want the one whole-job chunk, not rehomed", res)
+	}
+	if rt := resultFromMeta("t", "r", resultToMeta(Result{Chunks: 3, Rehomed: 2})); rt.Chunks != 3 || rt.Rehomed != 2 {
+		t.Fatalf("wire round trip = %+v, want Chunks 3 Rehomed 2", rt)
+	}
 	// Second submission of the same signature is warm (fakeExec).
 	res2, err := SubmitRemote(c, Spec{Tenant: "bob", Region: "r"}, 10*time.Second)
 	if err != nil {
@@ -144,6 +150,9 @@ func TestRPCMembershipOps(t *testing.T) {
 
 	if err := AddNodeRemote(c, Member{Name: "n2", Class: "thunderx", Weight: 2}, 5*time.Second); err != nil {
 		t.Fatalf("AddNodeRemote: %v", err)
+	}
+	if r, err := SubmitRemote(c, Spec{Tenant: "a", Region: "probe"}, 5*time.Second); err != nil || r.Chunks < 1 {
+		t.Fatalf("SubmitRemote on a 3-member server = %+v / %v, want Chunks >= 1", r, err)
 	}
 	if err := AddNodeRemote(c, Member{Name: "n2", Class: "thunderx"}, 5*time.Second); !errors.Is(err, ErrNodeExists) {
 		t.Fatalf("duplicate add = %v, want ErrNodeExists", err)

@@ -148,11 +148,12 @@ type Result struct {
 	// CrossTenantWarm reports a warm run whose cache entry was first
 	// produced by a different tenant — the shared-cache payoff.
 	CrossTenantWarm bool
-	// Chunks is how many membership chunks served the job (0 when the
-	// elastic-membership layer is off).
+	// Chunks is how many chunks the job's plan held — always ≥ 1: one
+	// whole-job chunk without members or for a cold prober, a split
+	// across the serving nodes otherwise.
 	Chunks int
 	// Rehomed is how many of those chunks were moved off their planned
-	// node by churn or eviction.
+	// node by churn.
 	Rehomed int
 	// Err is the executor's error, if any.
 	Err error
@@ -235,13 +236,9 @@ type Config struct {
 	// Members, when non-empty, turns on elastic cluster membership:
 	// warm jobs split into invocation chunks apportioned across these
 	// node lanes, and AddNode/RemoveNode/CordonNode (or a Churn
-	// schedule) reshape the set live. Empty keeps the classic
-	// single-executor path, byte-identical to previous releases.
+	// schedule) reshape the set live. Empty means no lanes: every job
+	// is one whole-job chunk run on its own goroutine.
 	Members []Member
-	// Health tunes the membership health monitor (breach scoring,
-	// probation/eviction/readmission). Requires Members; zero value is
-	// disabled.
-	Health HealthConfig
 	// Churn is a deterministic membership-churn schedule, applied by
 	// the scheduler at dispatch milestones and folded into
 	// DispatchHash. Requires Members.
@@ -263,15 +260,13 @@ type job struct {
 	// goroutine reaches the lane first. Letting goroutine scheduling
 	// pick the prober made virtual time timing-dependent on the
 	// membership path (a later split-plan job winning the race
-	// collapses to a monolithic plan with different chunk seeds).
+	// collapses to a whole-job plan with different chunk seeds).
 	prober bool
 
-	// Membership fields, set by planLocked under s.mu at dispatch:
-	// the chunk plan and its exactly-once accounting. invsPlanned must
-	// equal invsDone when the last chunk completes — the zero-lost-
-	// iterations assertion.
+	// Set by planLocked under s.mu at dispatch: the chunk plan and its
+	// exactly-once accounting. invsPlanned must equal invsDone when the
+	// last chunk completes — the zero-lost-iterations assertion.
 	plan        []*chunk
-	dispatchIdx int
 	invsPlanned int
 	invsDone    int
 	chunksLeft  int
@@ -305,37 +300,29 @@ type RegionServer struct {
 	cfg  Config
 	exec Executor
 
-	mu       sync.Mutex
-	tenants  map[string]*tenantState
-	order    []string // tenant names, sorted — deterministic iteration
-	queued   int
-	inFlight int
-	seq      int
-	paused   bool
-	draining bool
-	stopped  bool
-	windows  int
-	lanes    map[string]*lane
-	hash     hashState
+	mu            sync.Mutex
+	tenants       map[string]*tenantState
+	order         []string // tenant names, sorted — deterministic iteration
+	queued        int
+	inFlight      int
+	seq           int
+	paused        bool
+	draining      bool
+	stopped       bool
+	windows       int
+	lanes         map[string]*lane
+	hash          hashState
 	dispatchOrder []string
-	totals   Stats
-	idle     []chan struct{} // waiters for the all-drained condition
+	totals        Stats
+	idle          []chan struct{} // waiters for the all-drained condition
 
 	// Elastic membership (nil maps when Config.Members is empty).
 	members     map[string]*memberState
 	memberOrder []string // member names, sorted — deterministic iteration
-	sigSeen     map[string]bool
 	churn       []ChurnEvent
 	churnNext   int
 	memStats    MembershipStats
 	memberWG    sync.WaitGroup
-
-	// Health monitor (see health.go).
-	healthOn      bool
-	healthCfg     HealthConfig
-	healthPending map[int]*healthDelta
-	healthApplied int
-	healthHash    hashState
 
 	wake chan struct{}
 	done chan struct{}
@@ -352,6 +339,22 @@ func (hs *hashState) mix(s string) {
 	h.Write([]byte(s))
 	// Chain: mix the record hash into the running hash (order matters).
 	hs.h = (hs.h ^ h.Sum64()) * 1099511628211
+}
+
+// dispatchOrderKeep is how many dispatch records DispatchOrder retains.
+// The hash chain covers every record; the record log itself is a
+// debugging aid and must not grow for the life of a daemon.
+const dispatchOrderKeep = 4096
+
+// recordLocked folds one dispatch or churn record into the hash chain
+// and the bounded record log (compacted every dispatchOrderKeep
+// appends, so the cost per record stays constant).
+func (s *RegionServer) recordLocked(rec string) {
+	s.hash.mix(rec)
+	if len(s.dispatchOrder) == 2*dispatchOrderKeep {
+		s.dispatchOrder = append(s.dispatchOrder[:0], s.dispatchOrder[dispatchOrderKeep:]...)
+	}
+	s.dispatchOrder = append(s.dispatchOrder, rec)
 }
 
 // lane serializes cold probing per region signature: the first job of
@@ -635,20 +638,9 @@ func (s *RegionServer) schedule() {
 		if !s.paused {
 			for s.inFlight < s.cfg.MaxInFlight {
 				// d is the next dispatch milestone: due churn applies
-				// here (before selection, so eligibility reflects it),
-				// and the health barrier holds the milestone until the
-				// delta of job d−MaxInFlight has been applied — the
-				// windowed barrier that pins transition effect points
-				// at any concurrency level.
+				// here, before selection, so eligibility reflects it.
 				d := s.totals.Dispatched
-				if s.members != nil {
-					s.applyChurnLocked(d, &wakes)
-					if s.healthOn {
-						if upto := d - s.cfg.MaxInFlight; upto >= 0 && !s.applyHealthUptoLocked(upto, &wakes) {
-							break
-						}
-					}
-				}
+				s.applyChurnLocked(d, &wakes)
 				j, t := s.pickLocked()
 				if j == nil {
 					if s.budgetBlockedLocked() {
@@ -670,13 +662,9 @@ func (s *RegionServer) schedule() {
 				t.stats.Dispatched++
 				t.stats.IterationsDispatched += j.spec.cost()
 				s.totals.Dispatched++
-				rec := fmt.Sprintf("%d:%s:%s", j.seq, j.spec.Tenant, j.sig)
-				s.hash.mix(rec)
-				s.dispatchOrder = append(s.dispatchOrder, rec)
-				if s.members != nil {
-					s.planLocked(j, d)
-				}
-				s.claimLaneLocked(j)
+				s.recordLocked(fmt.Sprintf("%d:%s:%s", j.seq, j.spec.Tenant, j.sig))
+				s.claimLaneLocked(j) // before planning: a prober's plan is whole-job
+				s.planLocked(j, d)
 				launches = append(launches, launch{j, t})
 			}
 		}
@@ -798,13 +786,7 @@ func (s *RegionServer) runJob(j *job, t *tenantState) {
 		// a failed prober.
 	}
 
-	var res ExecResult
-	var err error
-	if j.plan != nil {
-		res, err = s.runChunks(j, isProber)
-	} else {
-		res, err = s.exec.Execute(j.spec)
-	}
+	res, err := s.runChunks(j, isProber)
 	if !warmPath {
 		s.laneDone(j, err == nil)
 	}
@@ -825,14 +807,12 @@ func (s *RegionServer) runJob(j *job, t *tenantState) {
 		Err:         err,
 	}
 	r.CrossTenantWarm = r.Warm && firstTenant != "" && firstTenant != j.spec.Tenant
-	if j.plan != nil {
-		// Safe without the lock: every chunk completed before
-		// chunkDone closed, and rehoming only touches queued chunks.
-		r.Chunks = len(j.plan)
-		for _, c := range j.plan {
-			if c.rehomed {
-				r.Rehomed++
-			}
+	// Safe without the lock: every chunk completed before chunkDone
+	// closed, and rehoming only touches queued chunks.
+	r.Chunks = len(j.plan)
+	for _, c := range j.plan {
+		if c.rehomed {
+			r.Rehomed++
 		}
 	}
 
@@ -923,22 +903,20 @@ func (s *RegionServer) Close() {
 	if !already {
 		<-s.done
 	}
-	if s.members != nil {
-		s.mu.Lock()
-		var wakes []chan struct{}
-		for _, name := range s.memberOrder {
-			m := s.members[name]
-			if m.state != NodeRemoved {
-				m.state = NodeRemoved
-				wakes = append(wakes, m.wake)
-			}
+	s.mu.Lock()
+	var wakes []chan struct{}
+	for _, name := range s.memberOrder {
+		m := s.members[name]
+		if m.state != NodeRemoved {
+			m.state = NodeRemoved
+			wakes = append(wakes, m.wake)
 		}
-		s.mu.Unlock()
-		for _, w := range wakes {
-			signalChan(w)
-		}
-		s.memberWG.Wait()
 	}
+	s.mu.Unlock()
+	for _, w := range wakes {
+		signalChan(w)
+	}
+	s.memberWG.Wait()
 }
 
 // Stats returns a deep snapshot.
@@ -948,7 +926,7 @@ func (s *RegionServer) Stats() Stats {
 	out := s.totals
 	out.QueueDepth = s.queued
 	out.InFlight = s.inFlight
-	out.DispatchHash = s.combinedHashLocked()
+	out.DispatchHash = s.hash.h
 	out.Membership = s.membershipStatsLocked()
 	out.Tenants = make(map[string]TenantStats, len(s.tenants))
 	for _, name := range s.order {
@@ -962,20 +940,23 @@ func (s *RegionServer) Stats() Stats {
 
 // DispatchHash fingerprints the dispatch sequence so far (FNV-1a over
 // "seq:tenant:sig" records in dispatch order, with churn records
-// interleaved and the health-transition chain folded in when the
-// membership layer is on). Two runs of the same preloaded workload —
-// including its churn schedule — must produce equal hashes.
+// interleaved at their milestones). Two runs of the same preloaded
+// workload — including its churn schedule — must produce equal hashes.
 func (s *RegionServer) DispatchHash() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.combinedHashLocked()
+	return s.hash.h
 }
 
-// DispatchOrder returns a copy of the dispatch records so far.
+// DispatchOrder returns a copy of the most recent dispatch and churn
+// records — at most dispatchOrderKeep (4096) of them; older records
+// survive only in DispatchHash.
 func (s *RegionServer) DispatchOrder() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, len(s.dispatchOrder))
-	copy(out, s.dispatchOrder)
-	return out
+	recent := s.dispatchOrder
+	if len(recent) > dispatchOrderKeep {
+		recent = recent[len(recent)-dispatchOrderKeep:]
+	}
+	return append([]string(nil), recent...)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -304,6 +305,42 @@ func TestDeterministicDispatchHash(t *testing.T) {
 		if o1[i] != o2[i] {
 			t.Fatalf("dispatch order diverges at %d: %s vs %s", i, o1[i], o2[i])
 		}
+	}
+}
+
+// The dispatch record log is bounded — a daemon must not grow it for
+// life — while the hash chain still covers every record.
+func TestDispatchOrderBounded(t *testing.T) {
+	const jobs = 2*dispatchOrderKeep + 300 // crosses a compaction
+	s := New(Config{StartPaused: true, QueueDepth: jobs, Executor: &fakeExec{}})
+	defer s.Close()
+	specs := make([]Spec, jobs)
+	for i := range specs {
+		specs[i] = Spec{Tenant: "a", Region: "r"}
+	}
+	chans := preload(t, s, specs)
+	s.Resume()
+	collect(chans)
+
+	// One tenant, one priority: dispatch order is admission order.
+	want := newHashState()
+	var all []string
+	for i := range specs {
+		rec := fmt.Sprintf("%d:a:%s", i, specs[i].Sig())
+		want.mix(rec)
+		all = append(all, rec)
+	}
+	order := s.DispatchOrder()
+	if len(order) != dispatchOrderKeep {
+		t.Fatalf("DispatchOrder kept %d records after %d dispatches, want %d", len(order), jobs, dispatchOrderKeep)
+	}
+	for i, rec := range order {
+		if wantRec := all[jobs-dispatchOrderKeep+i]; rec != wantRec {
+			t.Fatalf("kept record %d = %s, want %s (the newest %d)", i, rec, wantRec, dispatchOrderKeep)
+		}
+	}
+	if got := s.DispatchHash(); got != want.h {
+		t.Fatalf("DispatchHash = %x, want %x over all %d records", got, want.h, jobs)
 	}
 }
 
