@@ -42,12 +42,11 @@ func main() {
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the chaos schedule; same seed = same degradation, bit for bit")
 
 		decisionStore = flag.String("decision-store", "", "directory of persistent HetProbe decision stores: seed decisions from prior runs (skipping the probing period) and save learned ones back")
-		minConfidence = flag.Float64("predictor-min-confidence", 0, "minimum confidence to adopt a stored decision without probing (0 = default 0.5)")
 	)
 	flag.Parse()
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err == nil {
-		err = run(*quick, *only, *setup, *scale, *jsonOut, *chaosProfile, *chaosSeed, *parallel, *batch, *decisionStore, *minConfidence)
+		err = run(*quick, *only, *setup, *scale, *jsonOut, *chaosProfile, *chaosSeed, *parallel, *batch, *decisionStore)
 		if perr := stop(); err == nil {
 			err = perr
 		}
@@ -111,7 +110,7 @@ func writeReport(rep *Report, path string) error {
 	return nil
 }
 
-func run(quick bool, only string, setup bool, scale float64, jsonOut, chaosProfile string, chaosSeed int64, parallel int, batch bool, decisionStore string, minConfidence float64) error {
+func run(quick bool, only string, setup bool, scale float64, jsonOut, chaosProfile string, chaosSeed int64, parallel int, batch bool, decisionStore string) error {
 	if setup {
 		printSetup()
 		return nil
@@ -128,7 +127,6 @@ func run(quick bool, only string, setup bool, scale float64, jsonOut, chaosProfi
 	s.Parallel = parallel
 	s.BatchFaults = batch
 	s.DecisionStore = decisionStore
-	s.PredictorMinConfidence = minConfidence
 	if chaosProfile != "" {
 		fmt.Printf("chaos profile %s (seed %d) active for every run\n\n", chaosProfile, chaosSeed)
 	}

@@ -50,7 +50,6 @@ func main() {
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the chaos schedule; same seed = same degradation, bit for bit")
 
 		decisionStore = flag.String("decision-store", "", "directory of persistent HetProbe decision stores: seed decisions from prior runs (skipping the probing period) and save learned ones back")
-		minConfidence = flag.Float64("predictor-min-confidence", 0, "minimum confidence to adopt a stored decision without probing (0 = default 0.5)")
 
 		rpcAddrs    = flag.String("rpc", "", "comma-separated worker addresses: run -task over real RPC workers instead of the simulator")
 		task        = flag.String("task", "blackscholes", "registered task name for -rpc mode")
@@ -77,7 +76,7 @@ func main() {
 		if *rpcAddrs != "" {
 			err = runRPC(*rpcAddrs, *task, *n, *arg, *probe, *callTimeout, *retries, *redial, tel)
 		} else {
-			err = run(*bench, *config, *protocol, *scale, *quick, *chaosProfile, *chaosSeed, *batch, *decisionStore, *minConfidence, tel)
+			err = run(*bench, *config, *protocol, *scale, *quick, *chaosProfile, *chaosSeed, *batch, *decisionStore, tel)
 		}
 		if perr := stop(); err == nil {
 			err = perr
@@ -175,7 +174,7 @@ func printWorkerStats(stats []rpc.WorkerStats) {
 	}
 }
 
-func run(bench, config, protocol string, scale float64, quick bool, chaosProfile string, chaosSeed int64, batch bool, decisionStore string, minConfidence float64, tel *telemetry.Telemetry) error {
+func run(bench, config, protocol string, scale float64, quick bool, chaosProfile string, chaosSeed int64, batch bool, decisionStore string, tel *telemetry.Telemetry) error {
 	s := experiments.Default()
 	if quick {
 		s = experiments.Quick()
@@ -188,7 +187,6 @@ func run(bench, config, protocol string, scale float64, quick bool, chaosProfile
 	s.ChaosSeed = chaosSeed
 	s.BatchFaults = batch
 	s.DecisionStore = decisionStore
-	s.PredictorMinConfidence = minConfidence
 	proto, err := interconnect.ByName(protocol)
 	if err != nil {
 		return err

@@ -8,7 +8,7 @@ import (
 // An unknown -protocol must fail naming the valid ones, not silently
 // run over RDMA.
 func TestRunRejectsUnknownProtocol(t *testing.T) {
-	err := run("EP-C", "HetProbe", "tcp", 0, true, "", 1, false, "", 0, nil)
+	err := run("EP-C", "HetProbe", "tcp", 0, true, "", 1, false, "", nil)
 	if err == nil {
 		t.Fatal(`run accepted -protocol "tcp"`)
 	}

@@ -66,15 +66,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	// probing (Section 3.1's probe cache).
 	if ent.invocations >= rt.opts.ProbeMaxInvocations {
 		rt.logf("hetprobe %s: cached decision %s", regionID, ent.decision)
-		if rt.opts.ReDecide && ent.predicted {
-			// A predicted decision was never validated by this run's
-			// own probes: keep the ReDecide monitor on it so a
-			// misprediction (or a platform that drifted since the
-			// store was written) is caught mid-region.
-			a.monitorRemainder(regionID, ent, spec, 0, n, body, red)
-		} else {
-			a.executeDecision(ent.decision, spec, 0, n, body, red)
-		}
+		a.executeDecision(ent.decision, spec, 0, n, body, red)
 		return
 	}
 

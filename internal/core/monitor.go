@@ -18,6 +18,16 @@ import (
 // degraded links all surface there, because all of them make a node's
 // iterations slower than the probe promised.
 
+// redecideFactor is the per-iteration blowup over the probe's baseline
+// that marks a node suspect: high enough that the fault stalls a
+// monitored window includes and the probe excludes cannot trip it on a
+// healthy link. maxReDecisions bounds the re-probe → re-decision
+// rounds of one region invocation.
+const (
+	redecideFactor = 3.0
+	maxReDecisions = 2
+)
+
 // monitorRemainder executes iterations [base, n) under the region's
 // cached decision, split into Options.MonitorWindows windows. After
 // each window the per-node watermarks are checked; a breach schedules
@@ -47,7 +57,7 @@ func (a *App) monitorRemainder(regionID string, ent *probeEntry, spec HetProbeSp
 	var acc any
 	accSet := false
 	pendingReprobe := false
-	rounds := 0 // re-probe rounds used, bounded by MaxReDecisions
+	rounds := 0 // re-probe rounds used, bounded by maxReDecisions
 	lo := base
 	for w := 0; w < windows; w++ {
 		hi := base + total*(w+1)/windows
@@ -71,7 +81,7 @@ func (a *App) monitorRemainder(regionID string, ent *probeEntry, spec HetProbeSp
 
 		obs, rejected := nodeWatermarks(rem)
 		rt.rejectCtr.Add(int64(rejected))
-		breached := breachedNodes(obs, baseline, rt.opts.ReDecideFactor, origin)
+		breached := breachedNodes(obs, baseline, origin)
 
 		if pendingReprobe {
 			pendingReprobe = false
@@ -102,7 +112,7 @@ func (a *App) monitorRemainder(regionID string, ent *probeEntry, spec HetProbeSp
 				rt.logf("hetprobe %s: window %d/%d re-probe kept the decision", regionID, w+1, windows)
 			}
 			ent.decision = newDec
-		} else if len(breached) > 0 && ent.decision.CrossNode && w+1 < windows && rounds < rt.opts.MaxReDecisions {
+		} else if len(breached) > 0 && ent.decision.CrossNode && w+1 < windows && rounds < maxReDecisions {
 			// w+1 < windows: a re-probe is the NEXT window's dispatch
 			// mode, so scheduling one on the final window would count a
 			// re-probe that never runs and leave the breach unhandled.
@@ -110,7 +120,7 @@ func (a *App) monitorRemainder(regionID string, ent *probeEntry, spec HetProbeSp
 			pendingReprobe = true
 			rt.reprobeCtr.Inc()
 			rt.logf("hetprobe %s: window %d/%d watermark breach on nodes %v (factor %.1f), scheduling re-probe",
-				regionID, w+1, windows, sortedNodes(breached), rt.opts.ReDecideFactor)
+				regionID, w+1, windows, sortedNodes(breached), redecideFactor)
 		}
 	}
 	if red != nil {
@@ -152,10 +162,11 @@ func nodeWatermarks(ms []measurement) (map[int]time.Duration, int) {
 }
 
 // breachedNodes returns the non-origin nodes whose observed
-// per-iteration time exceeds factor × the decision-time baseline.
-// Nodes without a baseline (never probed, or rejected measurements)
-// cannot breach — there is nothing sane to compare against.
-func breachedNodes(obs, baseline map[int]time.Duration, factor float64, origin int) map[int]bool {
+// per-iteration time exceeds redecideFactor × the decision-time
+// baseline. Nodes without a baseline (never probed, or rejected
+// measurements) cannot breach — there is nothing sane to compare
+// against.
+func breachedNodes(obs, baseline map[int]time.Duration, origin int) map[int]bool {
 	var out map[int]bool
 	for node, o := range obs {
 		if node == origin {
@@ -165,7 +176,7 @@ func breachedNodes(obs, baseline map[int]time.Duration, factor float64, origin i
 		if !ok || exp <= 0 {
 			continue
 		}
-		if float64(o) > factor*float64(exp) {
+		if float64(o) > redecideFactor*float64(exp) {
 			if out == nil {
 				out = map[int]bool{}
 			}

@@ -275,11 +275,11 @@ func TestBreachedNodes(t *testing.T) {
 		2: time.Hour,              // no sane baseline: cannot breach
 		3: time.Hour,              // no baseline at all
 	}
-	got := breachedNodes(obs, baseline, 3, 0)
+	got := breachedNodes(obs, baseline, 0)
 	if len(got) != 1 || !got[1] {
 		t.Fatalf("breached = %v, want {1}", got)
 	}
-	if breachedNodes(map[int]time.Duration{1: 2 * time.Microsecond}, baseline, 3, 0) != nil {
+	if breachedNodes(map[int]time.Duration{1: 2 * time.Microsecond}, baseline, 0) != nil {
 		t.Error("2× should not breach a 3× factor")
 	}
 }

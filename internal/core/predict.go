@@ -15,9 +15,10 @@ import (
 // fresh region of every run; decisions measured by an earlier run on
 // the same cluster configuration (the store is fingerprint-bound, see
 // internal/decstore) can be adopted directly when the region's
-// features match what was stored. Mispredictions are not fatal: a
-// seeded decision runs under the ReDecide monitor (when enabled), and
-// a low-confidence match simply falls back to probing.
+// features match what was stored; a low-confidence match simply falls
+// back to probing. A seeded entry is a mature probe-cache entry
+// (Section 3.1): its decision is reused, unmonitored, exactly like one
+// that matured in-process.
 
 // DecisionStore is the persistence interface the runtime consults for
 // stored decisions and writes learned ones back through. It is
@@ -51,9 +52,9 @@ func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n
 		return false
 	}
 	conf := predictionConfidence(se, n, rt.opts.ProbeMaxInvocations)
-	if conf < rt.opts.PredictorMinConfidence {
+	if conf < predictorMinConfidence {
 		rt.logf("hetprobe %s: stored decision confidence %.2f below %.2f, probing",
-			regionID, conf, rt.opts.PredictorMinConfidence)
+			regionID, conf, predictorMinConfidence)
 		return false
 	}
 	seedEntry(ent, se, rt.opts.ProbeMaxInvocations)
@@ -66,6 +67,10 @@ func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n
 	}
 	return true
 }
+
+// predictorMinConfidence is the confidence (0..1] below which a stored
+// decision is not adopted and the region is probed as usual.
+const predictorMinConfidence = 0.5
 
 // predictionConfidence scores how much a stored entry should be
 // trusted for a fresh invocation of n iterations: the entry's maturity
@@ -99,32 +104,13 @@ func predictionConfidence(se decstore.Entry, n, maxInvocations int) float64 {
 }
 
 // seedEntry loads a stored entry into the live probe cache as a
-// mature entry carrying the stored decision verbatim — the warm run
-// reproduces the cold run's decision exactly, including persisted
-// ReDecide suspects, which stay excluded from any re-decision.
+// mature entry carrying the stored decision verbatim. A mature entry
+// is only ever read for its decision, so the probe statistics behind
+// it stay in the store.
 func seedEntry(ent *probeEntry, se decstore.Entry, maxInvocations int) {
-	ent.perIter = make(map[int]time.Duration, len(se.PerIterNs))
-	for node, ns := range se.PerIterNs {
-		ent.perIter[node] = time.Duration(ns)
-	}
-	ent.faultPeriod = time.Duration(se.FaultPeriodNs)
-	ent.missPerK = se.MissesPerKinst
-	ent.prevMissPerK = -1
-	ent.cumTime = time.Duration(se.CumTimeNs)
-	if len(se.Suspects) > 0 {
-		ent.suspects = make(map[int]bool, len(se.Suspects))
-		for _, node := range se.Suspects {
-			ent.suspects[node] = true
-		}
-	}
 	ent.decision = decisionFromEntry(se)
-	// Mature: the mature-cache branch reuses the decision without
-	// probing, and a later export round-trips the same maturity.
 	ent.invocations = maxInvocations
-	ent.predicted = true
-	ent.featN = se.Features.Iterations
-	ent.featAccesses = se.Features.BytesTouched / cacheLineBytes
-	ent.featInstr = int64(math.Round(se.Features.OpsPerByte * float64(se.Features.BytesTouched)))
+	ent.seeded = true
 }
 
 // decisionFromEntry reconstructs the Decision a stored entry carries.
@@ -185,9 +171,6 @@ func entryToStore(ent *probeEntry) decstore.Entry {
 			se.PerIterNs[node] = int64(t)
 		}
 	}
-	if len(ent.suspects) > 0 {
-		se.Suspects = sortedNodes(ent.suspects)
-	}
 	bytes := ent.featAccesses * cacheLineBytes
 	se.Features = decstore.Features{
 		Iterations:     ent.featN,
@@ -200,9 +183,9 @@ func entryToStore(ent *probeEntry) decstore.Entry {
 	return se
 }
 
-// exportDecisions writes every region with a usable decision — probed
-// this run or seeded from the store — back through the decision store.
-// Called at the end of Runtime.Run; persisting the store afterwards is
+// exportDecisions writes every region this run probed back through
+// the decision store; seeded entries, which it did not measure, are
+// skipped. Called at the end of Runtime.Run; persisting afterwards is
 // the caller's job. Keys are walked in sorted order so the store's
 // Put sequence (and any log it produces) is deterministic.
 func (rt *Runtime) exportDecisions() {
@@ -217,7 +200,7 @@ func (rt *Runtime) exportDecisions() {
 	sort.Strings(keys)
 	for _, id := range keys {
 		ent := rt.cache.entries[id]
-		if ent.invocations == 0 {
+		if ent.invocations == 0 || ent.seeded {
 			continue
 		}
 		store.Put(id, entryToStore(ent))

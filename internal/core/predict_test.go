@@ -2,10 +2,10 @@ package core
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
-	"hetmp/internal/chaos"
 	"hetmp/internal/decstore"
 )
 
@@ -23,12 +23,12 @@ func (s *memStore) Put(key string, e decstore.Entry) { s.m[key] = e }
 // runPingPong executes reps invocations of a cross-node-profitable
 // ping-pong region and returns the runtime plus the run's observable
 // outcomes: reduction result, virtual elapsed time and DSM faults.
-func runPingPong(t *testing.T, opts Options, inj *chaos.Injector, n, reps int) (*Runtime, int, time.Duration, int64) {
+func runPingPong(t *testing.T, opts Options, n, reps int) (*Runtime, int, time.Duration, int64) {
 	t.Helper()
 	if opts.FaultPeriodThreshold == 0 {
 		opts.FaultPeriodThreshold = time.Nanosecond
 	}
-	rt, cl := newChaosRuntime(t, opts, inj)
+	rt, cl := newChaosRuntime(t, opts, nil)
 	var got int
 	err := rt.Run(func(a *App) {
 		r := a.Alloc("shared", 64*page)
@@ -53,9 +53,9 @@ func runPingPong(t *testing.T, opts Options, inj *chaos.Injector, n, reps int) (
 // has nothing to predict from.
 func TestDecisionStoreAbsentEquivalence(t *testing.T) {
 	const n, reps = 1600, 3
-	rtNil, gotNil, eNil, fNil := runPingPong(t, Options{}, nil, n, reps)
+	rtNil, gotNil, eNil, fNil := runPingPong(t, Options{}, n, reps)
 	store := newMemStore()
-	rtEmpty, gotEmpty, eEmpty, fEmpty := runPingPong(t, Options{DecisionStore: store}, nil, n, reps)
+	rtEmpty, gotEmpty, eEmpty, fEmpty := runPingPong(t, Options{DecisionStore: store}, n, reps)
 	if eNil != eEmpty || fNil != fEmpty || gotNil != gotEmpty {
 		t.Fatalf("empty store changed the run: elapsed %v vs %v, faults %d vs %d, result %d vs %d",
 			eNil, eEmpty, fNil, fEmpty, gotNil, gotEmpty)
@@ -90,7 +90,7 @@ func TestWarmRunSkipsProbesAndReproducesDecision(t *testing.T) {
 	const fp = "testcluster"
 
 	cold := decstore.Open(path, fp)
-	rtCold, gotCold, _, _ := runPingPong(t, Options{DecisionStore: cold}, nil, n, reps)
+	rtCold, gotCold, _, _ := runPingPong(t, Options{DecisionStore: cold}, n, reps)
 	if rtCold.Probes() == 0 {
 		t.Fatal("cold run performed no probes")
 	}
@@ -106,7 +106,7 @@ func TestWarmRunSkipsProbesAndReproducesDecision(t *testing.T) {
 	if warm.Len() != 1 {
 		t.Fatalf("reopened store holds %d entries, want 1", warm.Len())
 	}
-	rtWarm, gotWarm, _, _ := runPingPong(t, Options{DecisionStore: warm}, nil, n, reps)
+	rtWarm, gotWarm, _, _ := runPingPong(t, Options{DecisionStore: warm}, n, reps)
 	if p := rtWarm.Probes(); p != 0 {
 		t.Fatalf("warm run performed %d probes, want 0", p)
 	}
@@ -130,8 +130,8 @@ func TestWarmRunSkipsProbesAndReproducesDecision(t *testing.T) {
 // drives confidence below the threshold and the region is probed.
 func TestLowConfidencePredictionFallsBackToProbing(t *testing.T) {
 	store := newMemStore()
-	_, _, _, _ = runPingPong(t, Options{DecisionStore: store}, nil, 3200, 12)
-	rt, _, _, _ := runPingPong(t, Options{DecisionStore: store}, nil, 320, 1)
+	_, _, _, _ = runPingPong(t, Options{DecisionStore: store}, 3200, 12)
+	rt, _, _, _ := runPingPong(t, Options{DecisionStore: store}, 320, 1)
 	if rt.Predictions() != 0 {
 		t.Fatalf("size-mismatched entry was adopted (%d predictions)", rt.Predictions())
 	}
@@ -140,49 +140,52 @@ func TestLowConfidencePredictionFallsBackToProbing(t *testing.T) {
 	}
 }
 
-// TestPredictedDecisionGuardedByReDecide: a predicted decision that
-// turns out wrong (the link degraded since the store was written) is
-// caught by the ReDecide monitor mid-region, falls back to the
-// origin node, and persists the condemned suspect back to the store.
-func TestPredictedDecisionGuardedByReDecide(t *testing.T) {
-	const n, reps = 1600, 12
+// TestSeededEntryRunsAsMature: an entry seeded from the store is a
+// mature probe-cache entry. Its cross-node decision is executed as
+// stored, unmonitored, so a warm run is identical with ReDecide on and
+// off, adopts no re-decision, and writes nothing back about a region
+// it did not measure.
+func TestSeededEntryRunsAsMature(t *testing.T) {
+	const n = 1600
 	store := newMemStore()
-	_, _, coldElapsed, _ := runPingPong(t, Options{DecisionStore: store, ReDecide: true}, nil, n, reps)
+	// Four probed invocations: confident enough to adopt (0.63) yet
+	// short of mature, so a re-export stamped mature would show.
+	runPingPong(t, Options{DecisionStore: store}, n, 4)
+	cold, ok := store.Lookup("warm")
+	if !ok || !cold.CrossNode {
+		t.Fatalf("cold run stored %+v (found %v), want a cross-node entry", cold, ok)
+	}
 
-	// Degrade the link from early on: the stored cross-node decision
-	// is now a misprediction.
-	inj := chaos.New(chaos.Profile{
-		Name: "degraded-since-store",
-		Links: []chaos.LinkEvent{{
-			Start:           coldElapsed / 100,
-			LatencyFactor:   300,
-			BandwidthFactor: 300,
-		}},
-	}, 1)
-	rt, got, _, _ := runPingPong(t, Options{DecisionStore: store, ReDecide: true}, inj, n, 1)
-	if want := n * (n - 1) / 2; got != want {
-		t.Fatalf("degraded warm run reduced to %d, want %d", got, want)
+	type outcome struct {
+		got      int
+		elapsed  time.Duration
+		faults   int64
+		decision string
 	}
-	if rt.Predictions() != 1 {
-		t.Fatalf("predictions = %d, want 1 (the misprediction must still be adopted first)", rt.Predictions())
+	warm := func(redecide bool) outcome {
+		t.Helper()
+		rt, got, elapsed, faults := runPingPong(t, Options{DecisionStore: store, ReDecide: redecide}, n, 3)
+		if rt.Predictions() != 1 || rt.Probes() != 0 {
+			t.Fatalf("ReDecide=%v: %d predictions, %d probes, want 1 and 0", redecide, rt.Predictions(), rt.Probes())
+		}
+		if r := rt.ReDecisions(); r != 0 {
+			t.Fatalf("ReDecide=%v: %d re-decisions on a seeded entry, want 0", redecide, r)
+		}
+		if after, _ := store.Lookup("warm"); !reflect.DeepEqual(after, cold) {
+			t.Fatalf("ReDecide=%v: warm run rewrote the stored entry:\n got %+v\nwant %+v", redecide, after, cold)
+		}
+		d, _ := rt.Decision("warm")
+		return outcome{got, elapsed, faults, d.String()}
 	}
-	if rt.Probes() != 0 {
-		t.Fatalf("warm run performed %d probing periods", rt.Probes())
+	plain, monitored := warm(false), warm(true)
+	if plain != monitored {
+		t.Fatalf("ReDecide changed a warm run: off %+v, on %+v", plain, monitored)
 	}
-	if rt.ReDecisions() < 1 {
-		t.Fatal("ReDecide monitor did not catch the misprediction")
+	if want := decisionFromEntry(cold).String(); plain.decision != want {
+		t.Fatalf("warm decision %s, want the stored %s", plain.decision, want)
 	}
-	d, _ := rt.Decision("warm")
-	if d.CrossNode || d.Node != 0 {
-		t.Fatalf("misprediction should collapse to the origin node, got %+v", d)
-	}
-	// The condemned suspect must persist into the store for future runs.
-	se, ok := store.Lookup("warm")
-	if !ok {
-		t.Fatal("store lost the region entry")
-	}
-	if len(se.Suspects) != 1 || se.Suspects[0] != 1 {
-		t.Fatalf("persisted suspects = %v, want [1]", se.Suspects)
+	if want := n * (n - 1) / 2; plain.got != want {
+		t.Fatalf("warm run reduced to %d, want %d", plain.got, want)
 	}
 }
 
@@ -210,8 +213,9 @@ func TestPredictionConfidence(t *testing.T) {
 	}
 }
 
-// TestEntryToStoreRoundTrip: exporting a live entry and seeding a
-// fresh one from it reproduces the decision and the probe state.
+// TestEntryToStoreRoundTrip: exporting a measured entry and reading
+// the stored form back reproduces the decision; seeding a fresh entry
+// from it yields a mature one carrying that decision.
 func TestEntryToStoreRoundTrip(t *testing.T) {
 	ent := &probeEntry{
 		invocations:  7,
@@ -219,7 +223,6 @@ func TestEntryToStoreRoundTrip(t *testing.T) {
 		faultPeriod:  infinitePeriod,
 		missPerK:     2.5,
 		cumTime:      9 * time.Millisecond,
-		suspects:     map[int]bool{1: true},
 		featN:        1600,
 		featInstr:    640_000,
 		featAccesses: 1000,
@@ -236,26 +239,23 @@ func TestEntryToStoreRoundTrip(t *testing.T) {
 	if se.FaultPeriodNs != int64(infinitePeriod) {
 		t.Errorf("sentinel fault period not preserved: %d", se.FaultPeriodNs)
 	}
+	if se.Invocations != 7 {
+		t.Errorf("invocations = %d, want 7", se.Invocations)
+	}
 	if se.Features.Iterations != 1600 || se.Features.BytesTouched != 64_000 {
 		t.Errorf("features = %+v", se.Features)
 	}
 	if se.Features.OpsPerByte != 10 {
 		t.Errorf("ops/byte = %v, want 10", se.Features.OpsPerByte)
 	}
+	if d := decisionFromEntry(se); d.String() != ent.decision.String() || d.FaultPeriod != infinitePeriod {
+		t.Errorf("decision %s (fault period %v) != %s", d, d.FaultPeriod, ent.decision)
+	}
 
 	seeded := &probeEntry{}
 	seedEntry(seeded, se, 10)
-	if seeded.invocations != 10 || !seeded.predicted {
-		t.Errorf("seeded entry not mature/predicted: %+v", seeded)
-	}
-	if seeded.faultPeriod != infinitePeriod {
-		t.Errorf("seeded fault period %v", seeded.faultPeriod)
-	}
-	if !seeded.suspects[1] {
-		t.Error("suspects lost in round trip")
-	}
-	if seeded.featN != 1600 || seeded.featAccesses != 1000 || seeded.featInstr != 640_000 {
-		t.Errorf("features lost: n=%d acc=%d instr=%d", seeded.featN, seeded.featAccesses, seeded.featInstr)
+	if seeded.invocations != 10 || !seeded.seeded {
+		t.Errorf("seeded entry not mature/seeded: %+v", seeded)
 	}
 	if seeded.decision.String() != ent.decision.String() {
 		t.Errorf("decision %s != %s", seeded.decision, ent.decision)
@@ -271,7 +271,7 @@ func TestEntryToStoreRoundTrip(t *testing.T) {
 func TestForceReprobeIgnoresStoredDecision(t *testing.T) {
 	const n, reps = 1600, 12
 	store := newMemStore()
-	rtCold, _, _, _ := runPingPong(t, Options{DecisionStore: store}, nil, n, reps)
+	rtCold, _, _, _ := runPingPong(t, Options{DecisionStore: store}, n, reps)
 	if rtCold.Probes() == 0 {
 		t.Fatal("cold run performed no probes")
 	}
@@ -284,7 +284,7 @@ func TestForceReprobeIgnoresStoredDecision(t *testing.T) {
 			return regionID == "warm"
 		},
 	}
-	rt, _, _, _ := runPingPong(t, opts, nil, n, reps)
+	rt, _, _, _ := runPingPong(t, opts, n, reps)
 	if forced == 0 {
 		t.Fatal("ForceReprobe hook was never consulted")
 	}
@@ -300,7 +300,7 @@ func TestForceReprobeIgnoresStoredDecision(t *testing.T) {
 	rtWarm, _, _, _ := runPingPong(t, Options{
 		DecisionStore: store,
 		ForceReprobe:  func(string) bool { return false },
-	}, nil, n, reps)
+	}, n, reps)
 	if rtWarm.Probes() != 0 || rtWarm.Predictions() != 1 {
 		t.Fatalf("declined hook broke the fast path: %d probes, %d predictions",
 			rtWarm.Probes(), rtWarm.Predictions())

@@ -17,11 +17,10 @@ type probeEntry struct {
 	prevMissPerK float64 // value before the last update (-1 on first)
 	cumTime      time.Duration
 	decision     Decision
-	// predicted marks an entry seeded from a persistent decision store
-	// rather than measured by this run's probes. Predicted decisions
-	// run under the ReDecide monitor (when enabled) so a misprediction
-	// is caught mid-region instead of trusted for the whole run.
-	predicted bool
+	// seeded marks an entry seeded from a persistent decision store
+	// rather than measured by this run's probes; exportDecisions skips
+	// it, so a warm run never rewrites what it did not measure.
+	seeded bool
 	// storeChecked records that the decision store has been consulted
 	// for this region (hit or miss), so a miss is not re-queried on
 	// every invocation.

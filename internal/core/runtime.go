@@ -72,46 +72,32 @@ type Options struct {
 	// falling back to single-node execution on the next invocation.
 	AdaptiveMonitor bool
 	// ReDecide enables mid-region monitoring (the chaos-hardening
-	// layer): after HetProbe decides, the remaining iterations run in
-	// MonitorWindows windows whose per-node progress is compared
-	// against the decision-time expectation. A node whose observed
-	// per-iteration time exceeds ReDecideFactor × the expectation
-	// (a straggler, a frozen node, or a degraded link inflating fault
-	// stalls) triggers a bounded re-probe → re-decision that can
-	// revise cross-node sharing down to origin-node-only execution
-	// mid-region, without re-executing any iteration. Off by default;
-	// when off, the execution path is identical to the unmonitored
-	// runtime.
+	// layer) of probing invocations: after HetProbe probes and
+	// decides, the remaining iterations run in MonitorWindows windows
+	// whose per-node progress is compared against what that probe
+	// just measured. A node whose observed per-iteration time exceeds
+	// redecideFactor × the expectation (a straggler, a frozen node, or
+	// a degraded link inflating fault stalls) triggers a bounded
+	// re-probe → re-decision that can revise cross-node sharing down
+	// to origin-node-only execution mid-region, without re-executing
+	// any iteration. Mature entries, store-seeded ones included, are
+	// never monitored. Meant for runs with chaos injected: with nothing
+	// to catch it only adds dispatches (DESIGN.md §11). Off by default.
 	ReDecide bool
-	// ReDecideFactor is the progress-watermark blowup that marks a
-	// node suspect. Defaults to 3 — high enough that fault-stall
-	// accounting differences between the probe window (stall
-	// excluded) and monitored windows (stall included) cannot trip it
-	// on a healthy link.
-	ReDecideFactor float64
-	// MaxReDecisions bounds how many re-probe → re-decision rounds
-	// one region invocation may perform. Defaults to 2.
-	MaxReDecisions int
 	// MonitorWindows is how many windows the post-decision remainder
 	// is split into when ReDecide is on. Defaults to 8.
 	MonitorWindows int
 	// DecisionStore, when non-nil, backs the probe-free fast path
 	// (ROADMAP item 3): on a region's first invocation the runtime
 	// consults the store for a previously measured decision and, if the
-	// predictor's confidence clears PredictorMinConfidence, seeds the
-	// probe cache with it — mature, so the run performs no probing for
-	// that region. When Run returns, every probed or seeded region is
-	// written back through the store's Put (persisting is the caller's
-	// job). Mispredictions are guarded by ReDecide when enabled. Nil
-	// (the default) leaves behaviour identical to the storeless
-	// runtime. Callers holding a concrete store pointer must take care
-	// not to wrap a nil pointer in this interface.
+	// predictor is confident in it, seeds the probe cache with it —
+	// mature, so the region runs the stored decision as stored: no
+	// probing, no monitoring. When Run returns, every region this run
+	// probed is written back through the store's Put (persisting is
+	// the caller's job). A store with nothing to offer changes nothing.
+	// Callers holding a concrete store pointer must take care not to
+	// wrap a nil pointer in this interface.
 	DecisionStore DecisionStore
-	// PredictorMinConfidence is the minimum confidence score (0..1] a
-	// stored decision needs before it is adopted without probing;
-	// lower-confidence matches fall back to the normal probing period.
-	// Defaults to 0.5.
-	PredictorMinConfidence float64
 	// ForceReprobe, when non-nil, is consulted before a stored
 	// decision is adopted: returning true for a region makes the
 	// runtime probe it afresh even though the store holds a matching
@@ -162,15 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EWMAAlpha == 0 {
 		o.EWMAAlpha = 0.7
-	}
-	if o.PredictorMinConfidence == 0 {
-		o.PredictorMinConfidence = 0.5
-	}
-	if o.ReDecideFactor == 0 {
-		o.ReDecideFactor = 3
-	}
-	if o.MaxReDecisions == 0 {
-		o.MaxReDecisions = 2
 	}
 	if o.MonitorWindows == 0 {
 		o.MonitorWindows = 8

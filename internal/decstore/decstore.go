@@ -33,7 +33,11 @@ import (
 // SchemaVersion is the on-disk format version. Bump it on any
 // incompatible change to Entry or fileFormat; older files are then
 // rejected (falling back to probing) instead of being misread.
-const SchemaVersion = 1
+// Version 1 files may hold decisions a since-removed guard overturned
+// and wrote back (EXPERIMENTS.md "Negative result: guarding stored
+// decisions"); nothing re-examines a stored decision, so they are
+// retired and re-probe once.
+const SchemaVersion = 2
 
 // Features are the region characteristics the predictor matches a
 // fresh invocation against (iteration count known before execution;
@@ -67,20 +71,16 @@ type Entry struct {
 	CumTimeNs      int64           `json:"cum_time_ns"`
 	// Invocations is how many probed invocations the entry
 	// accumulated — the predictor's maturity signal.
-	Invocations int `json:"invocations"`
-	// Suspects are nodes the ReDecide monitor condemned for this
-	// region. They persist across runs: a node that proved itself a
-	// straggler is not re-enabled by a warm start.
-	Suspects []int    `json:"suspects,omitempty"`
-	Features Features `json:"features"`
+	Invocations int      `json:"invocations"`
+	Features    Features `json:"features"`
 	// Classes are the node classes the entry's measurements cover
 	// (e.g. "xeon", "thunderx"). A serving layer adding a node of a
 	// class the entry has never seen knows the stored decision may not
 	// transfer and schedules a bounded re-probe; a newcomer of a
-	// covered class adopts the entry probe-free. Empty (legacy
-	// entries) means coverage is unknown, which reads as "not
-	// covered" for every class. Optional, so the field does not bump
-	// SchemaVersion: old files load cleanly with nil Classes.
+	// covered class adopts the entry probe-free. Empty (an entry
+	// written without a serving layer, e.g. by an offline suite)
+	// means coverage is unknown, which reads as "not covered" for
+	// every class.
 	Classes []string `json:"classes,omitempty"`
 }
 
@@ -256,8 +256,8 @@ func (s *Store) Put(key string, e Entry) {
 
 // KeysMissingClass returns, in sorted order, the keys of entries that
 // do not cover the given node class — the candidate set for a bounded
-// re-probe when a node of a new class joins. Legacy entries with no
-// class annotation count as missing every class.
+// re-probe when a node of a new class joins. Entries with no class
+// annotation count as missing every class.
 func (s *Store) KeysMissingClass(class string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

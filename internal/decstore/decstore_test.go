@@ -26,7 +26,6 @@ func sampleEntry() Entry {
 		PerIterNs:      map[int]int64{0: 120, 1: 300},
 		CumTimeNs:      9_000_000,
 		Invocations:    10,
-		Suspects:       []int{1},
 		Features: Features{
 			Iterations:     65536,
 			BytesTouched:   4 << 20,
@@ -69,9 +68,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.PerIterNs[1] != 300 || got.Invocations != 10 {
 		t.Errorf("entry did not round-trip: %+v", got)
-	}
-	if len(got.Suspects) != 1 || got.Suspects[0] != 1 {
-		t.Errorf("Suspects = %v, want [1]", got.Suspects)
 	}
 	if got.Features != want.Features {
 		t.Errorf("Features = %+v, want %+v", got.Features, want.Features)

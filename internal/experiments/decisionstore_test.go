@@ -1,0 +1,110 @@
+package experiments
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"hetmp/internal/interconnect"
+	"hetmp/internal/kernels"
+)
+
+// readStoreFiles returns the contents of every file in a decision
+// store directory, keyed by file name.
+func readStoreFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestDecisionStoreReuse pins what a decision store is allowed to do
+// to a run, over all ten benchmarks under HetProbe/RDMA: nothing while
+// it has nothing to offer, and only remove the probing period once it
+// does — a stored decision is executed as stored, never re-decided,
+// and a run that measured nothing writes nothing back.
+func TestDecisionStoreReuse(t *testing.T) {
+	proto := interconnect.RDMA56()
+	dir := t.TempDir()
+	runAll := func(storeDir string) map[string]Result {
+		t.Helper()
+		// A fresh Suite per pass, so the warm pass reopens the store
+		// from the file the cold pass saved.
+		s := Quick()
+		s.DecisionStore = storeDir
+		out := make(map[string]Result, len(kernels.PaperOrder))
+		for _, bench := range kernels.PaperOrder {
+			res, err := s.Run(bench, CfgHetProbe, proto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[bench] = res
+		}
+		return out
+	}
+	storeless := runAll("")
+	cold := runAll(dir)
+	saved := readStoreFiles(t, dir)
+	warm := runAll(dir)
+
+	t.Run("cold run equals storeless run", func(t *testing.T) {
+		for _, bench := range kernels.PaperOrder {
+			c, p := cold[bench], storeless[bench]
+			if c.Time != p.Time || c.Faults != p.Faults {
+				t.Errorf("%s: cold run with a store took %v / %d faults, without one %v / %d",
+					bench, c.Time, c.Faults, p.Time, p.Faults)
+			}
+			if len(c.Decisions) != len(p.Decisions) {
+				t.Errorf("%s: %d decisions with a store, %d without", bench, len(c.Decisions), len(p.Decisions))
+			}
+			for id, d := range p.Decisions {
+				if got := c.Decisions[id].String(); got != d.String() {
+					t.Errorf("%s %s: decision %s with a store, %s without", bench, id, got, d)
+				}
+			}
+		}
+	})
+	t.Run("warm run is no slower and never re-decides", func(t *testing.T) {
+		predicted := 0
+		for _, bench := range kernels.PaperOrder {
+			w, c := warm[bench], cold[bench]
+			if w.Time > c.Time {
+				t.Errorf("%s: warm run %v slower than cold %v", bench, w.Time, c.Time)
+			}
+			if w.ReDecisions != 0 {
+				t.Errorf("%s: warm run adopted %d re-decisions, want 0", bench, w.ReDecisions)
+			}
+			if w.Predictions > 0 {
+				predicted++
+				if w.Probes != 0 {
+					t.Errorf("%s: warm run predicted %d regions and still probed %d times", bench, w.Predictions, w.Probes)
+				}
+			}
+		}
+		if predicted == 0 {
+			t.Error("no benchmark adopted a stored decision: the warm pass tested nothing")
+		}
+	})
+	t.Run("warm run leaves the store file untouched", func(t *testing.T) {
+		after := readStoreFiles(t, dir)
+		if len(after) != len(saved) {
+			t.Fatalf("%d store files after the warm pass, %d before", len(after), len(saved))
+		}
+		for name, want := range saved {
+			if !bytes.Equal(after[name], want) {
+				t.Errorf("%s changed during the warm pass:\n got %s\nwant %s", name, after[name], want)
+			}
+		}
+	})
+}

@@ -75,13 +75,11 @@ type Suite struct {
 	// HetProbe decision stores (internal/decstore): every Run opens the
 	// file matching its cluster-configuration fingerprint, seeds
 	// decisions from it (skipping the probing period when the
-	// predictor's confidence clears PredictorMinConfidence) and saves
-	// learned decisions back after the run. Empty (the default) keeps
-	// every run cold, byte-identical to the storeless suite.
+	// predictor is confident the stored region matches) and saves
+	// newly probed decisions back after the run. A run that finds
+	// nothing to adopt equals the storeless run in time, faults and
+	// decisions. Empty (the default) keeps every run cold.
 	DecisionStore string
-	// PredictorMinConfidence overrides the runtime's default (0.5)
-	// adoption threshold for stored decisions; zero keeps the default.
-	PredictorMinConfidence float64
 	// Parallel bounds how many experiment runs execute concurrently
 	// (0 or 1 = sequential). Every run owns its own engine, cluster and
 	// kernel, and the virtual-time results are deterministic, so
@@ -378,15 +376,12 @@ func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, erro
 		FaultPeriodThreshold: th,
 		ProbeRegionID:        k.ProbeRegion(),
 		Telemetry:            s.Telemetry,
-		// A predicted decision must stay guarded even without chaos:
-		// the store may have been written on a platform that drifted.
-		ReDecide: inj != nil || store != nil,
+		ReDecide:             inj != nil,
 	}
 	if store != nil {
 		// Guarded assignment: a nil *decstore.Store wrapped in the
 		// interface would read as non-nil to the runtime.
 		opts.DecisionStore = store
-		opts.PredictorMinConfidence = s.PredictorMinConfidence
 	}
 	rt := core.New(cl, opts)
 	if err := rt.Run(func(a *core.App) { k.Run(a, kernels.Fixed(sched)) }); err != nil {

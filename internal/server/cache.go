@@ -10,14 +10,14 @@ import (
 // frozenCache adapts a decstore.Store to core.DecisionStore with
 // first-write-wins Put semantics: once a signature has an entry — the
 // cold prober's export, or a previous server run's persisted entry —
-// later exports for the key are dropped. Without the freeze every warm
-// run would re-export a slightly different entry (seeded-mature
-// invocation counts, drifting cumulative times) and concurrent warm
-// runs would adopt whichever version the race left behind, breaking
-// the server's determinism contract (equal signatures ⇒ identical
-// virtual time). The price is that warm-run refinements (including
-// ReDecide suspects condemned under chaos) don't persist; the cold
-// entry is the canonical one.
+// later exports for the key are dropped. A job that adopts the stored
+// entry exports nothing, but one that does not — the entry came from
+// so few invocations that the predictor's confidence stays under the
+// adoption threshold — probes afresh and would export a different
+// measurement; concurrent jobs would then adopt whichever version the
+// race left behind, breaking the server's determinism contract (equal
+// signatures ⇒ identical virtual time). The first entry is the
+// canonical one.
 type frozenCache struct {
 	mu      sync.Mutex
 	store   *decstore.Store

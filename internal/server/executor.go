@@ -149,11 +149,10 @@ func (x *SimExecutor) sigSeed(sig string) int64 {
 
 // Execute runs one job: a synthetic work-sharing region shaped by the
 // Spec (Pages of DSM footprint, OpsPerByte compute intensity,
-// Iterations × Invocations of work) under the HetProbe schedule with
-// ReDecide guarding predicted decisions. Probes and Predictions report
-// whether the job paid the probing period or rode the shared cache. It
-// is the whole-job chunk: every invocation at index 0, whose seed is
-// the signature seed.
+// Iterations × Invocations of work) under the HetProbe schedule.
+// Probes and Predictions report whether the job paid the probing
+// period or rode the shared cache. It is the whole-job chunk: every
+// invocation at index 0, whose seed is the signature seed.
 func (x *SimExecutor) Execute(sp Spec) (ExecResult, error) {
 	return x.ExecuteChunk(sp, sp.withDefaults().Invocations, 0)
 }
@@ -231,11 +230,9 @@ func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.D
 	opts := core.Options{
 		FaultPeriodThreshold: x.cfg.FaultPeriodThreshold,
 		Telemetry:            x.cfg.Telemetry,
-		// Predicted decisions stay guarded: a shared-cache entry may
-		// have been produced under different chaos conditions.
-		ReDecide:      true,
-		DecisionStore: store,
-		ForceReprobe:  force,
+		ReDecide:             inj != nil,
+		DecisionStore:        store,
+		ForceReprobe:         force,
 	}
 	rt := core.New(cl, opts)
 
