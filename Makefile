@@ -30,6 +30,12 @@ race:
 race-fast:
 	$(GO) test -race ./internal/rpc/... ./internal/core/... ./internal/cluster/... ./internal/apportion/... ./internal/decstore/... ./internal/server/...
 
+# The rpc pool keeps state across Runs (the probe cache), so repetition
+# is the net: the whole package, raced, ten times. Foreground, ~30 s.
+.PHONY: rpc-soak
+rpc-soak:
+	$(GO) test -race -count=10 ./internal/rpc/
+
 check: tier1 vet lint race
 
 # Chaos soak: the degradation-injection acceptance tests (multi-seed

@@ -55,7 +55,7 @@ func main() {
 		task        = flag.String("task", "blackscholes", "registered task name for -rpc mode")
 		n           = flag.Int("n", 1_000_000, "iteration count for -rpc mode")
 		arg         = flag.Float64("arg", 0, "scalar task argument for -rpc mode")
-		probe       = flag.Float64("probe", 0.1, "probe fraction for -rpc mode")
+		probe       = flag.Float64("probe", 0.1, "probe fraction of a cold run in -rpc mode (a warm run does not probe)")
 		callTimeout = flag.Duration("call-timeout", rpc.DefaultCallTimeout, "per-chunk RPC deadline (-rpc mode)")
 		retries     = flag.Int("retries", rpc.DefaultMaxRetries, "reconnect retries per failed call before a worker is dropped (-rpc mode)")
 		redial      = flag.Duration("redial", 0, "background re-dial interval for dropped workers, 0 = off (-rpc mode)")

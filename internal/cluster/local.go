@@ -124,7 +124,8 @@ type localEnv struct {
 
 var _ Env = (*localEnv)(nil)
 
-func (e *localEnv) Node() int          { return e.node }
+func (e *localEnv) Node() int { return e.node }
+
 //hetmp:allow wallclock -- Local's Env.Now is wall time since Run started by design; virtual time lives in the sim backend
 func (e *localEnv) Now() time.Duration { return time.Since(e.c.start) }
 

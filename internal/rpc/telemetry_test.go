@@ -155,3 +155,65 @@ func TestPoolTelemetryRecordsDeadlineExpiry(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolTelemetryCountsRunsByPath answers "did it probe" from
+// /metrics: one cold run, then warm ones.
+func TestPoolTelemetryCountsRunsByPath(t *testing.T) {
+	registerTestTasks(t)
+	tel := telemetry.New(telemetry.Options{})
+	pool, err := Dial(startWorker(t, "a", slow), startWorker(t, "b", slow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	pool.Telemetry = tel
+
+	for i := 0; i < 3; i++ {
+		runChecked(t, pool, "count", 4000, 4000, RunOptions{})
+	}
+	body := scrape(t, tel, "/metrics")
+	for _, series := range []string{
+		`hetmp_rpc_runs_total{path="cold"} 1`,
+		`hetmp_rpc_runs_total{path="warm"} 2`,
+	} {
+		if !strings.Contains(body, series) {
+			t.Errorf("pool metrics missing %q in:\n%s", series, body)
+		}
+	}
+}
+
+// TestPoolResolvesWorkerHandlesOncePerRegistry pins the per-Run fixed
+// cost: a worker's metric handles and track name are resolved when the
+// pool's telemetry changes, not on every Run.
+func TestPoolResolvesWorkerHandlesOncePerRegistry(t *testing.T) {
+	registerTestTasks(t)
+	pool, err := Dial(startWorker(t, "a", 0), startWorker(t, "b", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	resolved := func() [2]*workerTel {
+		runChecked(t, pool, "count", 4000, 4000, RunOptions{})
+		return [2]*workerTel{pool.workers[0].tel, pool.workers[1].tel}
+	}
+	off := resolved()
+	if again := resolved(); again != off {
+		t.Error("telemetry off: a second Run resolved the workers' handles again")
+	}
+	tel := telemetry.New(telemetry.Options{})
+	pool.Telemetry = tel
+	on := resolved()
+	if on == off || on[0] == nil || on[0].iters == nil {
+		t.Fatal("handles were not resolved against the newly attached telemetry")
+	}
+	if again := resolved(); again != on {
+		t.Error("telemetry on: a second Run resolved the workers' handles again")
+	}
+	if body := scrape(t, tel, "/metrics"); !strings.Contains(body, `hetmp_rpc_iterations_total{worker="a"}`) {
+		t.Errorf("pool metrics missing worker a's iterations in:\n%s", body)
+	}
+	if trace := scrape(t, tel, "/trace"); !strings.Contains(trace, `"worker b"`) {
+		t.Error("pool trace does not name worker b's track")
+	}
+}
