@@ -3,6 +3,11 @@
 
 GO ?= go
 
+# Where the smoke and bench targets write their JSON and text outputs.
+# `make OUT=/root/scratch/out load-smoke churn-smoke bench-smoke` when
+# /tmp is not writable.
+OUT ?= $(or $(TMPDIR),/tmp)
+
 .PHONY: all tier1 vet race check results chaos lint
 
 all: check
@@ -56,9 +61,9 @@ results:
 .PHONY: load-smoke
 load-smoke:
 	$(GO) run ./cmd/hetload -jobs 200 -tenants 4 -signatures 6 -seed 1 \
-		-verify-determinism -slo-min-cross-tenant-warm 10 -quiet -json /tmp/hetload_smoke.json
+		-verify-determinism -slo-min-cross-tenant-warm 10 -quiet -json $(OUT)/hetload_smoke.json
 	$(GO) run ./cmd/hetload -jobs 60 -tenants 3 -signatures 3 -seed 11 \
-		-no-preload -queue-depth 4 -max-inflight 2 -expect-rejections -quiet -json /tmp/hetload_backpressure.json
+		-no-preload -queue-depth 4 -max-inflight 2 -expect-rejections -quiet -json $(OUT)/hetload_backpressure.json
 
 # Membership-churn smoke: a node is removed mid-run and re-added later
 # (covered class, so the re-add warm-starts probe-free), under the
@@ -72,7 +77,7 @@ churn-smoke:
 		-nodes n0:xeon:1,n1:thunderx:1,n2:thunderx:1 \
 		-churn remove:n1@30,add:n1:thunderx:1@70 \
 		-chaos-profile mixed -chaos-slo -verify-determinism \
-		-quiet -json /tmp/hetload_churn.json
+		-quiet -json $(OUT)/hetload_churn.json
 
 # ------------------------------------------------------- benchmarks
 
@@ -85,8 +90,8 @@ BENCH_FLAGS := -run '^$$' -bench . -benchtime 1x -count 1
 # with the change that moved the numbers.
 .PHONY: bench
 bench:
-	$(GO) test $(BENCH_FLAGS) . | tee /tmp/bench_hetmp.txt
-	$(GO) run ./cmd/benchjson -suite quick -o $(BENCH_JSON) < /tmp/bench_hetmp.txt
+	$(GO) test $(BENCH_FLAGS) . | tee $(OUT)/bench_hetmp.txt
+	$(GO) run ./cmd/benchjson -suite quick -o $(BENCH_JSON) < $(OUT)/bench_hetmp.txt
 
 # Benchmark smoke (local and CI): compare a fresh run's deterministic
 # virtual-time metrics against the committed baseline, exactly. Wall
@@ -94,6 +99,6 @@ bench:
 # is the yardstick for it.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test $(BENCH_FLAGS) . > /tmp/bench_hetmp_current.txt
-	$(GO) run ./cmd/benchjson -suite quick -o /tmp/BENCH_current.json < /tmp/bench_hetmp_current.txt
-	$(GO) run ./cmd/benchguard -baseline $(BENCH_JSON) -current /tmp/BENCH_current.json
+	$(GO) test $(BENCH_FLAGS) . > $(OUT)/bench_hetmp_current.txt
+	$(GO) run ./cmd/benchjson -suite quick -o $(OUT)/BENCH_current.json < $(OUT)/bench_hetmp_current.txt
+	$(GO) run ./cmd/benchguard -baseline $(BENCH_JSON) -current $(OUT)/BENCH_current.json

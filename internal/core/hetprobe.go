@@ -10,6 +10,10 @@ import (
 	"hetmp/internal/telemetry"
 )
 
+// probePercent is the share of a region's iterations spent on the
+// probing period: the paper's 10 %.
+const probePercent = 10
+
 // probeDispatch hands each worker a constant-size, deterministically
 // assigned chunk of probe iterations (Section 3.1: constant per-thread
 // work for comparable timings; deterministic assignment so data
@@ -58,8 +62,9 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	allNodes := rt.allNodes()
 
 	// Probe-free fast path: on a region's first invocation, a
-	// configured decision store may seed the entry with a stored,
-	// confidence-matched decision, making it mature without probing.
+	// configured decision store may seed the entry with the decision
+	// stored for this region and iteration count, making it mature
+	// without probing.
 	rt.tryPredict(a.env, regionID, ent, n)
 
 	// Mature cache entry: reuse the decision for the whole region, no
@@ -71,7 +76,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	}
 
 	fullTeam := rt.teamFor(a.env, allNodes)
-	chunk := n * clampFraction(rt.opts.ProbeFraction) / fullTeam.total / 100
+	chunk := n * probePercent / fullTeam.total / 100
 	if chunk < 1 && n >= 2*fullTeam.total {
 		// Small regions still get probed with one iteration per thread.
 		chunk = 1
@@ -112,7 +117,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	// Aggregate the probe measurements.
 	stats, rejected := summarizeMeasurements(probeDesc.results)
 	rt.rejectCtr.Add(int64(rejected))
-	ent.update(stats, rt.opts.EWMAAlpha)
+	ent.update(stats, ewmaAlpha)
 	// Anchor for the post-region miss-metric refinement: the entry's
 	// metric from before this probe's update. Captured here because a
 	// ReDecide re-probe window can call update again mid-region,
@@ -120,7 +125,9 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	// probe window's misses.
 	missAnchor := ent.prevMissPerK
 	ent.cumTime += stats.windowTime
-	ent.featN = n
+	if ent.invocations == 0 {
+		ent.featN = n
+	}
 	ent.featInstr += stats.instr
 	ent.featAccesses += stats.accesses
 	ent.decision = rt.decide(ent, spec)
@@ -149,43 +156,19 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 		if red != nil {
 			red.out = red.combine(probePartial, red.out)
 		}
-		var instr, misses, remFaults int64
+		var instr, misses int64
 		var remTime time.Duration
 		for _, m := range rem {
 			instr += m.delta.Instructions
 			misses += m.delta.LLCMisses
-			remFaults += m.delta.RemoteFaults
 			remTime += m.elapsed
 		}
 		if instr > 0 {
 			combined := float64(misses+stats.misses) / float64(instr+stats.instr) * 1000
-			ent.replaceMissPerK(combined, rt.opts.EWMAAlpha, missAnchor)
+			ent.replaceMissPerK(combined, ewmaAlpha, missAnchor)
 			// Re-derive the decision from the refined metric so the
 			// next invocation (and the cached decision) see it.
 			ent.decision = rt.decide(ent, spec)
-		}
-		if rt.opts.AdaptiveMonitor && ent.decision.CrossNode && remFaults > 0 {
-			// Continuous monitoring (Section 5 future work): the
-			// post-decision phase keeps faulting harder than the probe
-			// window suggested. Fold its fault period into the entry
-			// and re-decide — if it sinks below the threshold, the
-			// next invocation falls back to a single node.
-			remPeriod := remTime / time.Duration(remFaults)
-			if ent.faultPeriod == infinitePeriod {
-				// The probe window saw no faults at all; the tail's
-				// measurement is the only real signal.
-				ent.faultPeriod = remPeriod
-			} else {
-				ent.faultPeriod = ewmaDur(remPeriod, ent.faultPeriod, rt.opts.EWMAAlpha)
-			}
-			ent.decision = rt.decide(ent, spec)
-			if !ent.decision.CrossNode {
-				rt.logf("hetprobe %s: adaptive monitor: post-probe fault period %v below threshold, falling back to single node",
-					regionID, remPeriod)
-				if rt.tracer != nil {
-					rt.opts.Telemetry.Metrics().Counter("hetmp_hetprobe_adaptive_fallbacks_total").Inc()
-				}
-			}
 		}
 		ent.cumTime += remTime
 	} else if red != nil {
@@ -244,17 +227,6 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func clampFraction(f float64) int {
-	pct := int(f * 100)
-	if pct < 1 {
-		pct = 1
-	}
-	if pct > 50 {
-		pct = 50
-	}
-	return pct
 }
 
 // probeStats are the aggregated measurements of one probing period.
@@ -356,16 +328,16 @@ func (rt *Runtime) decideWith(ent *probeEntry, spec HetProbeSpec, exclude map[in
 	}
 
 	// Q1: is there enough computation per byte moved to amortize DSM
-	// costs? With per-node thresholds (the Section 5 multi-node
-	// extension) each remote node is enabled independently; the origin
-	// is always enabled.
+	// costs? The origin is always enabled; every other node the monitor
+	// has not excluded is enabled when the fault period clears the
+	// threshold.
 	origin := rt.cl.Origin()
 	enabled := []int{origin}
 	for node := range specs {
 		if node == origin || exclude[node] {
 			continue
 		}
-		if ent.faultPeriod >= rt.nodeThreshold(node) {
+		if ent.faultPeriod >= rt.opts.FaultPeriodThreshold {
 			enabled = append(enabled, node)
 		}
 	}
@@ -418,15 +390,6 @@ func (rt *Runtime) decideWith(ent *probeEntry, spec HetProbeSpec, exclude map[in
 		d.Node = manyCoreNode(rt)
 	}
 	return d
-}
-
-// nodeThreshold returns the cross-node break-even threshold for one
-// node.
-func (rt *Runtime) nodeThreshold(node int) time.Duration {
-	if th, ok := rt.opts.NodeThresholds[node]; ok {
-		return th
-	}
-	return rt.opts.FaultPeriodThreshold
 }
 
 // bigCacheNode returns the node with the largest per-core LLC share

@@ -8,9 +8,7 @@ import (
 // This file implements the ReDecide monitor: the chaos-hardening
 // layer that keeps watching a region after HetProbe's decision.
 //
-// The existing AdaptiveMonitor folds post-decision fault periods back
-// into the probe cache, which only helps the NEXT invocation — and a
-// degraded link RAISES the measured fault period (elapsed grows,
+// A degraded link RAISES the measured fault period (elapsed grows,
 // fault count does not), so the Q1 threshold test cannot see it at
 // all. The monitor instead tracks per-node progress watermarks: the
 // observed per-iteration time of each window, fault stalls included,
@@ -92,7 +90,7 @@ func (a *App) monitorRemainder(regionID string, ent *probeEntry, spec HetProbeSp
 			// paper's homogeneous fallback, now reachable mid-region.
 			stats, rej := summarizeMeasurements(rem)
 			rt.rejectCtr.Add(int64(rej))
-			ent.update(stats, rt.opts.EWMAAlpha)
+			ent.update(stats, ewmaAlpha)
 			if len(breached) > 0 && ent.suspects == nil {
 				ent.suspects = map[int]bool{}
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"hetmp/internal/cluster"
 	"hetmp/internal/interconnect"
@@ -10,9 +9,8 @@ import (
 )
 
 // threeNodePlatform adds a second, smaller ThunderX-like node to the
-// test platform — the paper's Section 5 extension scenario ("consider a
-// system with nodes A and B with break-even points of 100 us/fault and
-// 200 us/fault").
+// test platform: three nodes under one threshold must still decide and
+// reduce.
 func threeNodePlatform() machine.Platform {
 	xeon := machine.XeonE5_2620v4().ScaleCaches(1.0 / 64)
 	xeon.Cores = 4
@@ -70,76 +68,6 @@ func TestThreeNodeCrossExecution(t *testing.T) {
 	}
 	if d.CSR[0] <= d.CSR[1] {
 		t.Errorf("Xeon CSR %v not above ThunderX %v", d.CSR[0], d.CSR[1])
-	}
-}
-
-// TestPerNodeThresholds reproduces the paper's worked example: with
-// break-even points of 100 µs (node 1) and 200 µs (node 2), a region
-// measuring ≈150 µs/fault must enable node 1 but not node 2.
-func TestPerNodeThresholds(t *testing.T) {
-	rt := newThreeNodeRuntime(t, Options{
-		FaultPeriodThreshold: 100 * time.Microsecond,
-		NodeThresholds: map[int]time.Duration{
-			1: 100 * time.Microsecond,
-			2: 100 * time.Millisecond, // node 2's link is effectively unprofitable
-		},
-	})
-	const n = 4000
-	var r *cluster.Region
-	err := rt.Run(func(a *App) {
-		r = a.Alloc("data", int64(n)*64)
-		// Moderate communication: enough compute to clear 100 µs but
-		// not 100 ms.
-		a.ParallelFor("r", n, HetProbeSchedule(), func(e cluster.Env, lo, hi int) {
-			e.Load(r, int64(lo)*64, int64(hi-lo)*64)
-			e.Compute(float64(hi-lo)*60_000, 0)
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, ok := rt.Decision("r")
-	if !ok {
-		t.Fatal("no decision")
-	}
-	if !d.CrossNode {
-		t.Fatalf("expected cross-node decision, got %v (period %v)", d, d.FaultPeriod)
-	}
-	if len(d.Nodes) != 2 || d.Nodes[0] != 0 || d.Nodes[1] != 1 {
-		t.Fatalf("enabled nodes = %v, want [0 1] (node 2 excluded by its threshold)", d.Nodes)
-	}
-	if _, hasCSR := d.CSR[2]; hasCSR {
-		t.Error("excluded node 2 received a CSR weight")
-	}
-}
-
-func TestPerNodeThresholdsAllExcluded(t *testing.T) {
-	// When every remote node's threshold is unreachable, HetProbe must
-	// fall back to single-node selection.
-	rt := newThreeNodeRuntime(t, Options{
-		NodeThresholds: map[int]time.Duration{
-			1: time.Hour,
-			2: time.Hour,
-		},
-	})
-	const n = 4000
-	var r *cluster.Region
-	err := rt.Run(func(a *App) {
-		r = a.Alloc("data", int64(n)*64)
-		a.ParallelFor("r", n, HetProbeSchedule(), func(e cluster.Env, lo, hi int) {
-			e.Load(r, int64(lo)*64, int64(hi-lo)*64)
-			e.Compute(float64(hi-lo)*60_000, 0)
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, ok := rt.Decision("r")
-	if !ok {
-		t.Fatal("no decision")
-	}
-	if d.CrossNode {
-		t.Fatalf("cross-node chosen despite unreachable thresholds: %v", d)
 	}
 }
 

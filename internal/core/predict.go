@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 	"time"
 
@@ -9,16 +8,15 @@ import (
 	"hetmp/internal/decstore"
 )
 
-// This file implements the probe-free fast path: a predictor that
-// seeds HetProbe decisions from a persistent store instead of paying
-// the probing period. The probing period is pure overhead on every
-// fresh region of every run; decisions measured by an earlier run on
-// the same cluster configuration (the store is fingerprint-bound, see
-// internal/decstore) can be adopted directly when the region's
-// features match what was stored; a low-confidence match simply falls
-// back to probing. A seeded entry is a mature probe-cache entry
-// (Section 3.1): its decision is reused, unmonitored, exactly like one
-// that matured in-process.
+// This file implements the probe-free fast path: HetProbe decisions
+// seeded from a persistent store instead of paying the probing period.
+// The probing period is pure overhead on every fresh region of every
+// run; a decision measured by an earlier run is adopted on identity —
+// same cluster configuration (the store is fingerprint-bound, see
+// internal/decstore), same region key, same iteration count — and
+// anything else is probed. A seeded entry is a mature probe-cache
+// entry (Section 3.1): its decision is reused, unmonitored, exactly
+// like one that matured in-process.
 
 // DecisionStore is the persistence interface the runtime consults for
 // stored decisions and writes learned ones back through. It is
@@ -34,9 +32,9 @@ type DecisionStore interface {
 }
 
 // tryPredict consults the decision store on a region's first
-// invocation and, when a stored entry matches with sufficient
-// confidence, seeds the probe entry with its decision — mature, so no
-// probing happens. Reports whether the entry was seeded.
+// invocation and, when it holds an entry for the region measured at
+// the same iteration count, seeds the probe entry with its decision —
+// mature, so no probing happens. Reports whether the entry was seeded.
 func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n int) bool {
 	store := rt.opts.DecisionStore
 	if store == nil || ent.invocations > 0 || ent.storeChecked {
@@ -51,56 +49,19 @@ func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n
 	if !ok {
 		return false
 	}
-	conf := predictionConfidence(se, n, rt.opts.ProbeMaxInvocations)
-	if conf < predictorMinConfidence {
-		rt.logf("hetprobe %s: stored decision confidence %.2f below %.2f, probing",
-			regionID, conf, predictorMinConfidence)
+	if se.Features.Iterations != n {
+		rt.logf("hetprobe %s: stored decision was measured at %d iterations, this run presents %d, probing",
+			regionID, se.Features.Iterations, n)
 		return false
 	}
 	seedEntry(ent, se, rt.opts.ProbeMaxInvocations)
 	rt.predictions++
-	rt.logf("hetprobe %s: predicted decision from store (confidence %.2f): %s",
-		regionID, conf, ent.decision)
+	rt.logf("hetprobe %s: adopted stored decision: %s", regionID, ent.decision)
 	if rt.tracer != nil {
 		rt.opts.Telemetry.Metrics().Counter("hetmp_hetprobe_predictions_total").Inc()
 		rt.recordDecision(e, regionID, ent.decision)
 	}
 	return true
-}
-
-// predictorMinConfidence is the confidence (0..1] below which a stored
-// decision is not adopted and the region is probed as usual.
-const predictorMinConfidence = 0.5
-
-// predictionConfidence scores how much a stored entry should be
-// trusted for a fresh invocation of n iterations: the entry's maturity
-// (how many probed invocations it accumulated, relative to the probe
-// budget — square-rooted so even a few invocations carry weight)
-// scaled by the similarity of the iteration counts, the one feature
-// known before execution. A region invoked at a very different size
-// has a different footprint and sharing pattern, so its stored
-// decision may not transfer; the size ratio drives confidence below
-// the adoption threshold and the region is probed afresh.
-func predictionConfidence(se decstore.Entry, n, maxInvocations int) float64 {
-	if maxInvocations < 1 {
-		maxInvocations = 1
-	}
-	inv := float64(se.Invocations) / float64(maxInvocations)
-	if inv > 1 {
-		inv = 1
-	}
-	maturity := math.Sqrt(inv)
-	size := 0.0
-	switch {
-	case se.Features.Iterations == n:
-		size = 1
-	case se.Features.Iterations > 0 && n > 0:
-		size = float64(n) / float64(se.Features.Iterations)
-		if size > 1 {
-			size = 1 / size
-		}
-	}
-	return maturity * size
 }
 
 // seedEntry loads a stored entry into the live probe cache as a

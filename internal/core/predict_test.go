@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,8 +87,7 @@ func TestDecisionStoreAbsentEquivalence(t *testing.T) {
 // run's decision exactly.
 func TestWarmRunSkipsProbesAndReproducesDecision(t *testing.T) {
 	const n = 1600
-	// Enough repetitions to mature the entry (ProbeMaxInvocations=10),
-	// so the stored decision carries full predictor confidence.
+	// Enough repetitions to mature the entry (ProbeMaxInvocations=10).
 	const reps = 12
 	path := filepath.Join(t.TempDir(), "store.json")
 	const fp = "testcluster"
@@ -125,18 +128,84 @@ func TestWarmRunSkipsProbesAndReproducesDecision(t *testing.T) {
 	}
 }
 
-// TestLowConfidencePredictionFallsBackToProbing: a stored decision
-// for a 10×-larger region must not be adopted — the size mismatch
-// drives confidence below the threshold and the region is probed.
+// TestLowConfidencePredictionFallsBackToProbing: adoption is on
+// identity, not on a score. A decision stored at n iterations is not
+// adopted by a run presenting n' ≠ n — the region is probed, the log
+// names both counts, and the export overwrites the entry with the new
+// measurement — while an entry probed only once is adopted by a run
+// presenting its n like any other.
 func TestLowConfidencePredictionFallsBackToProbing(t *testing.T) {
 	store := newMemStore()
-	_, _, _, _ = runPingPong(t, Options{DecisionStore: store}, 3200, 12)
-	rt, _, _, _ := runPingPong(t, Options{DecisionStore: store}, 320, 1)
-	if rt.Predictions() != 0 {
-		t.Fatalf("size-mismatched entry was adopted (%d predictions)", rt.Predictions())
+	runPingPong(t, Options{DecisionStore: store}, 3200, 12)
+
+	var logs []string
+	opts := Options{DecisionStore: store, Logf: func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}}
+	rt, _, _, _ := runPingPong(t, opts, 320, 1)
+	if rt.Predictions() != 0 || rt.Probes() != 1 {
+		t.Fatalf("entry stored at 3200 iterations, run presenting 320: %d predictions, %d probes, want 0 and 1",
+			rt.Predictions(), rt.Probes())
 	}
-	if rt.Probes() == 0 {
-		t.Fatal("low-confidence fallback did not probe")
+	const want = "measured at 3200 iterations, this run presents 320"
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, want) }) {
+		t.Errorf("no log line says %q:\n%s", want, strings.Join(logs, "\n"))
+	}
+	se, _ := store.Lookup("warm")
+	if se.Features.Iterations != 320 || se.Invocations != 1 {
+		t.Fatalf("export left %d iterations / %d invocations in the store, want the new measurement's 320 / 1",
+			se.Features.Iterations, se.Invocations)
+	}
+
+	rt, _, _, _ = runPingPong(t, Options{DecisionStore: store}, 320, 3)
+	if rt.Predictions() != 1 || rt.Probes() != 0 {
+		t.Fatalf("once-probed entry at the same iteration count: %d predictions, %d probes, want 1 and 0",
+			rt.Predictions(), rt.Probes())
+	}
+}
+
+// TestStoreWrittenBeforeIdentityRuleIsAdopted: the schema did not
+// move, so a file a pre-PR-22 binary saved — here with one probed
+// invocation, which that binary's own confidence score rejected — is
+// adopted as is.
+func TestStoreWrittenBeforeIdentityRuleIsAdopted(t *testing.T) {
+	const file = `{
+  "schema_version": 2,
+  "fingerprint": "testcluster",
+  "entries": {
+    "warm": {
+      "cross_node": true,
+      "node": 0,
+      "nodes": [0, 1],
+      "csr": {"0": 2.4704708908604127, "1": 1},
+      "fault_period_ns": 397581,
+      "misses_per_kinst": 0.00020625,
+      "per_iter_ns": {"0": 95245, "1": 235300},
+      "cum_time_ns": 296755406,
+      "invocations": 1,
+      "features": {
+        "iterations": 1600,
+        "bytes_touched": 10240,
+        "ops_per_byte": 6250,
+        "misses_per_kinst": 0.00020625
+      }
+    }
+  }
+}`
+	path := filepath.Join(t.TempDir(), "store.json")
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := decstore.Open(path, "testcluster")
+	if store.Len() != 1 {
+		t.Fatalf("fixture rejected: %s", store.Status())
+	}
+	rt, _, _, _ := runPingPong(t, Options{DecisionStore: store}, 1600, 2)
+	if rt.Predictions() != 1 || rt.Probes() != 0 {
+		t.Fatalf("%d predictions, %d probes, want 1 and 0", rt.Predictions(), rt.Probes())
+	}
+	if d, _ := rt.Decision("warm"); !d.CrossNode || d.CSR[0] != 2.4704708908604127 {
+		t.Fatalf("adopted %s, want the stored cross-node decision", d)
 	}
 }
 
@@ -148,8 +217,8 @@ func TestLowConfidencePredictionFallsBackToProbing(t *testing.T) {
 func TestSeededEntryRunsAsMature(t *testing.T) {
 	const n = 1600
 	store := newMemStore()
-	// Four probed invocations: confident enough to adopt (0.63) yet
-	// short of mature, so a re-export stamped mature would show.
+	// Four probed invocations: short of mature, so a re-export stamped
+	// mature would show.
 	runPingPong(t, Options{DecisionStore: store}, n, 4)
 	cold, ok := store.Lookup("warm")
 	if !ok || !cold.CrossNode {
@@ -186,30 +255,6 @@ func TestSeededEntryRunsAsMature(t *testing.T) {
 	}
 	if want := n * (n - 1) / 2; plain.got != want {
 		t.Fatalf("warm run reduced to %d, want %d", plain.got, want)
-	}
-}
-
-// TestPredictionConfidence pins the score: maturity (sqrt of the
-// invocation fill) × iteration-count similarity.
-func TestPredictionConfidence(t *testing.T) {
-	se := decstore.Entry{Invocations: 10, Features: decstore.Features{Iterations: 1000}}
-	if got := predictionConfidence(se, 1000, 10); got != 1 {
-		t.Errorf("full-maturity same-size confidence = %v, want 1", got)
-	}
-	if got := predictionConfidence(se, 100, 10); got != 0.1 {
-		t.Errorf("10×-smaller confidence = %v, want 0.1", got)
-	}
-	if got := predictionConfidence(se, 10000, 10); got != 0.1 {
-		t.Errorf("10×-larger confidence = %v, want 0.1", got)
-	}
-	se.Invocations = 1
-	conf := predictionConfidence(se, 1000, 10)
-	if conf < 0.31 || conf > 0.32 {
-		t.Errorf("single-invocation confidence = %v, want ≈0.316", conf)
-	}
-	se.Invocations = 40 // over-mature entries cap at 1
-	if got := predictionConfidence(se, 1000, 10); got != 1 {
-		t.Errorf("over-mature confidence = %v, want 1", got)
 	}
 }
 

@@ -4,6 +4,11 @@ import (
 	"time"
 )
 
+// ewmaAlpha is the weight of the newest probe measurement: high enough
+// to shed the first invocations' DSM-replication and cold-cache
+// pollution quickly (Section 3.1's motivation for the EWMA).
+const ewmaAlpha = 0.7
+
 // probeEntry accumulates probe statistics for one work-sharing region
 // across invocations, smoothed with an exponentially weighted moving
 // average. The EWMA favors recent measurements because early probes are
@@ -25,10 +30,10 @@ type probeEntry struct {
 	// for this region (hit or miss), so a miss is not re-queried on
 	// every invocation.
 	storeChecked bool
-	// Region features accumulated by the probing periods, exported to
-	// the decision store for the predictor's confidence match:
-	// iteration count at the last probed invocation, plus cumulative
-	// probe-window instructions and LLC accesses.
+	// Region features exported to the decision store: the iteration
+	// count of the region's first invocation — what a later run presents
+	// when it consults the store, and the one feature adoption tests —
+	// plus cumulative probe-window instructions and LLC accesses.
 	featN        int
 	featInstr    int64
 	featAccesses int64

@@ -102,16 +102,3 @@ func TestCSRFromDecisionNormalizes(t *testing.T) {
 		t.Fatalf("empty decision produced CSR %v", got)
 	}
 }
-
-func TestNodeThresholdFallback(t *testing.T) {
-	rt := newSimRuntime(t, Options{
-		FaultPeriodThreshold: 42 * time.Microsecond,
-		NodeThresholds:       map[int]time.Duration{1: time.Second},
-	})
-	if got := rt.nodeThreshold(1); got != time.Second {
-		t.Errorf("node 1 threshold = %v", got)
-	}
-	if got := rt.nodeThreshold(0); got != 42*time.Microsecond {
-		t.Errorf("node 0 threshold = %v, want the global default", got)
-	}
-}

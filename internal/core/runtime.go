@@ -37,18 +37,10 @@ type Options struct {
 	// single-node execution prefers the node with the strongest cache
 	// hierarchy. Defaults to 3 (Section 3.2).
 	MissThreshold float64
-	// ProbeFraction is the share of a region's iterations used for the
-	// probing period. Defaults to 0.10.
-	ProbeFraction float64
 	// ProbeMaxInvocations is how many invocations of a region are
 	// probed (with EWMA smoothing) before the cached decision is
 	// reused. Defaults to 10.
 	ProbeMaxInvocations int
-	// EWMAAlpha is the weight of the newest probe measurement. High
-	// values shed the first invocations' DSM-replication and cold-cache
-	// pollution quickly (Section 3.1's motivation for the EWMA).
-	// Defaults to 0.7.
-	EWMAAlpha float64
 	// FlatHierarchy disables the two-level thread hierarchy (ablation:
 	// all threads synchronize and grab work globally).
 	FlatHierarchy bool
@@ -63,14 +55,6 @@ type Options struct {
 	// identifier via environment variables and only that region is
 	// probed.
 	ProbeRegionID string
-	// AdaptiveMonitor enables the paper's Section 5 future-work
-	// behaviour: keep monitoring DSM faults *after* the probing period.
-	// If a region runs cross-node but its post-decision phase measures
-	// a fault period below the threshold (the probe window
-	// underestimated the communication), the fault statistics are
-	// folded back into the probe cache and the decision is re-derived,
-	// falling back to single-node execution on the next invocation.
-	AdaptiveMonitor bool
 	// ReDecide enables mid-region monitoring (the chaos-hardening
 	// layer) of probing invocations: after HetProbe probes and
 	// decides, the remaining iterations run in MonitorWindows windows
@@ -87,16 +71,16 @@ type Options struct {
 	// MonitorWindows is how many windows the post-decision remainder
 	// is split into when ReDecide is on. Defaults to 8.
 	MonitorWindows int
-	// DecisionStore, when non-nil, backs the probe-free fast path
-	// (ROADMAP item 3): on a region's first invocation the runtime
-	// consults the store for a previously measured decision and, if the
-	// predictor is confident in it, seeds the probe cache with it —
-	// mature, so the region runs the stored decision as stored: no
-	// probing, no monitoring. When Run returns, every region this run
-	// probed is written back through the store's Put (persisting is
-	// the caller's job). A store with nothing to offer changes nothing.
-	// Callers holding a concrete store pointer must take care not to
-	// wrap a nil pointer in this interface.
+	// DecisionStore, when non-nil, backs the probe-free fast path: on
+	// a region's first invocation the runtime consults the store and,
+	// if it holds a decision for the region measured at the same
+	// iteration count, seeds the probe cache with it — mature, so the
+	// region runs the stored decision as stored: no probing, no
+	// monitoring. Any other region is probed. When Run returns, every
+	// region this run probed is written back through the store's Put
+	// (persisting is the caller's job). A store with nothing to offer
+	// changes nothing. Callers holding a concrete store pointer must
+	// take care not to wrap a nil pointer in this interface.
 	DecisionStore DecisionStore
 	// ForceReprobe, when non-nil, is consulted before a stored
 	// decision is adopted: returning true for a region makes the
@@ -107,18 +91,9 @@ type Options struct {
 	// entries have never covered joins the cluster, only the regions
 	// missing that class are re-probed (bounded by the caller), never
 	// the whole store. The probing itself stays bounded exactly as a
-	// cold run's is (ProbeFraction, ProbeMaxInvocations). Nil (the
-	// default) never forces a re-probe.
+	// cold run's is (ProbeMaxInvocations). Nil (the default) never
+	// forces a re-probe.
 	ForceReprobe func(regionID string) bool
-	// NodeThresholds optionally overrides FaultPeriodThreshold per
-	// node, implementing the paper's Section 5 extension to three or
-	// more nodes: "this break-even point is different for every node
-	// and decisions about which nodes to use can be made independently
-	// from one another". A node is enabled for cross-node execution
-	// when the measured fault period is at or above its threshold;
-	// nodes without an entry use FaultPeriodThreshold. The origin node
-	// is always enabled.
-	NodeThresholds map[int]time.Duration
 	// Logf, when non-nil, receives runtime decision traces.
 	Logf func(format string, args ...any)
 	// Telemetry, when non-nil, receives spans (probe windows, worker
@@ -140,14 +115,8 @@ func (o Options) withDefaults() Options {
 	if o.MissThreshold == 0 {
 		o.MissThreshold = 3
 	}
-	if o.ProbeFraction == 0 {
-		o.ProbeFraction = 0.10
-	}
 	if o.ProbeMaxInvocations == 0 {
 		o.ProbeMaxInvocations = 10
-	}
-	if o.EWMAAlpha == 0 {
-		o.EWMAAlpha = 0.7
 	}
 	if o.MonitorWindows == 0 {
 		o.MonitorWindows = 8
@@ -443,9 +412,9 @@ type Decision struct {
 	CSR map[int]float64
 	// Node is the chosen node for single-node execution.
 	Node int
-	// Nodes is the enabled node set for cross-node execution (the
-	// origin plus every node whose per-node break-even the measured
-	// fault period clears — Section 5's multi-node extension).
+	// Nodes is the enabled node set for cross-node execution: the
+	// origin plus every other node, less those the ReDecide monitor
+	// excluded.
 	Nodes []int
 	// FaultPeriod is the measured page-fault period.
 	FaultPeriod time.Duration

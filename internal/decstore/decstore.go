@@ -39,12 +39,13 @@ import (
 // retired and re-probe once.
 const SchemaVersion = 2
 
-// Features are the region characteristics the predictor matches a
-// fresh invocation against (iteration count known before execution;
-// the rest measured by the probe windows that produced the entry).
+// Features are the region characteristics stored beside a decision.
+// Iterations is the one the runtime reads; the rest, measured by the
+// probe windows that produced the entry, are recorded only.
 type Features struct {
-	// Iterations is the region's iteration count at the last probed
-	// invocation.
+	// Iterations is the region's iteration count at its first
+	// invocation — what a later run presents when it consults the
+	// store. The entry is adopted when the two are equal.
 	Iterations int `json:"iterations"`
 	// BytesTouched approximates the probe windows' memory footprint
 	// (LLC lines touched × line size).
@@ -70,7 +71,8 @@ type Entry struct {
 	PerIterNs      map[int]int64   `json:"per_iter_ns,omitempty"`
 	CumTimeNs      int64           `json:"cum_time_ns"`
 	// Invocations is how many probed invocations the entry
-	// accumulated — the predictor's maturity signal.
+	// accumulated. Recorded, not read: an entry probed once is adopted
+	// like any other.
 	Invocations int      `json:"invocations"`
 	Features    Features `json:"features"`
 	// Classes are the node classes the entry's measurements cover

@@ -8,7 +8,9 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,11 +76,13 @@ type Suite struct {
 	// DecisionStore, when non-empty, is a directory of persistent
 	// HetProbe decision stores (internal/decstore): every Run opens the
 	// file matching its cluster-configuration fingerprint, seeds
-	// decisions from it (skipping the probing period when the
-	// predictor is confident the stored region matches) and saves
-	// newly probed decisions back after the run. A run that finds
-	// nothing to adopt equals the storeless run in time, faults and
-	// decisions. Empty (the default) keeps every run cold.
+	// decisions from it (skipping the probing period of every region
+	// the file holds at the iteration count the run presents) and
+	// saves newly probed decisions back after the run. A run that
+	// finds nothing to adopt equals the storeless run in time, faults
+	// and decisions; a file that is rejected (stale schema, foreign
+	// fingerprint, corrupt) says why on standard error, once. Empty
+	// (the default) keeps every run cold.
 	DecisionStore string
 	// Parallel bounds how many experiment runs execute concurrently
 	// (0 or 1 = sequential). Every run owns its own engine, cluster and
@@ -92,6 +96,9 @@ type Suite struct {
 	// weights, HetProbe decisions) so concurrent runs needing the same
 	// key wait for one computation instead of duplicating it.
 	cache flightMap
+	// warn receives the reason a decision-store file was rejected; nil
+	// means os.Stderr.
+	warn io.Writer
 }
 
 // flight is one in-progress or completed cache computation.
@@ -281,7 +288,7 @@ type Result struct {
 // (and across processes) is the point of persisting them. The
 // singleflight cache shares one *Store instance per fingerprint so
 // parallel suite runs merge their decisions instead of racing on the
-// file.
+// file, and so a rejected file is reported once, not once per run.
 func (s *Suite) openStore(which, config string, proto interconnect.Spec) (*decstore.Store, error) {
 	if s.DecisionStore == "" {
 		return nil, nil
@@ -292,7 +299,15 @@ func (s *Suite) openStore(which, config string, proto interconnect.Spec) (*decst
 		"config="+config,
 	)
 	v, err := s.cache.do("decstore/"+fp, func() (any, error) {
-		return decstore.OpenDir(s.DecisionStore, fp)
+		store, err := decstore.OpenDir(s.DecisionStore, fp)
+		if err == nil && store.Status() != "" {
+			w := s.warn
+			if w == nil {
+				w = os.Stderr
+			}
+			fmt.Fprintf(w, "decision store rejected, probing instead: %s\n", store.Status())
+		}
+		return store, err
 	})
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ const (
 	// huge 1/elapsed values, starving the *fastest* worker.
 	minProbeElapsed = time.Microsecond
 	// rateAlpha is the weight of the newest chunk in a worker's cached
-	// rate (core.Options.EWMAAlpha's default).
+	// rate (the weight core's probe cache gives its newest probe).
 	rateAlpha = 0.7
 )
 

@@ -11,13 +11,16 @@ import (
 // first-write-wins Put semantics: once a signature has an entry — the
 // cold prober's export, or a previous server run's persisted entry —
 // later exports for the key are dropped. A job that adopts the stored
-// entry exports nothing, but one that does not — the entry came from
-// so few invocations that the predictor's confidence stays under the
-// adoption threshold — probes afresh and would export a different
-// measurement; concurrent jobs would then adopt whichever version the
-// race left behind, breaking the server's determinism contract (equal
-// signatures ⇒ identical virtual time). The first entry is the
-// canonical one.
+// entry exports nothing, and behind a RegionServer's probe lanes every
+// job of a stored signature adopts it: the signature carries the
+// iteration count adoption tests. What still reaches the drop is a
+// prober that found an entry it could not adopt (one put under this
+// key at another iteration count, by hand or by another program
+// sharing the directory) and two cold Execute calls of one signature
+// racing outside the lanes. Either would export a second measurement,
+// and concurrent jobs would adopt whichever version the race left
+// behind, breaking the server's determinism contract (equal signatures
+// ⇒ identical virtual time). The first entry is the canonical one.
 type frozenCache struct {
 	mu      sync.Mutex
 	store   *decstore.Store

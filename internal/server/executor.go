@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"hetmp/internal/chaos"
 	"hetmp/internal/cluster"
@@ -18,18 +17,15 @@ import (
 	"hetmp/internal/telemetry"
 )
 
-// SimExecutorConfig tunes the simulated executor. The zero value is a
-// scaled-down paper platform (Xeon + ThunderX over RDMA) with a fresh
-// in-memory shared decision cache — the same scale-model approach the
-// Quick experiment suite uses, so a job completes in milliseconds of
-// wall time while preserving miss/fault ratios.
+// SimExecutorConfig tunes the simulated executor: a scaled-down paper
+// platform (a 4-core Xeon and a 12-core ThunderX over RDMA, decided
+// against core's default fault-period threshold) — the same scale-model
+// approach the Quick experiment suite uses, so a job completes in
+// milliseconds of wall time while preserving miss/fault ratios.
 type SimExecutorConfig struct {
 	// Scale shrinks cache capacities (and with them the scale model's
 	// footprints). Defaults to 0.2.
 	Scale float64
-	// XeonCores/TXCores size the two nodes. Defaults 4 and 12.
-	XeonCores int
-	TXCores   int
 	// Seed is folded with each job's signature hash into the Sim seed,
 	// so a signature's execution is identical wherever it runs in the
 	// dispatch order.
@@ -41,9 +37,6 @@ type SimExecutorConfig struct {
 	// Store is the shared decision cache. Nil means every job probes
 	// cold — the server normally installs one via NewCache.
 	Store *decstore.Store
-	// FaultPeriodThreshold passes through to core.Options (default
-	// 100 µs).
-	FaultPeriodThreshold time.Duration
 	// Telemetry receives the runtime's region/probe/decision metrics.
 	Telemetry *telemetry.Telemetry
 }
@@ -65,16 +58,10 @@ func NewSimExecutor(cfg SimExecutorConfig) *SimExecutor {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 0.2
 	}
-	if cfg.XeonCores <= 0 {
-		cfg.XeonCores = 4
-	}
-	if cfg.TXCores <= 0 {
-		cfg.TXCores = 12
-	}
 	xeon := machine.XeonE5_2620v4().ScaleCaches(cfg.Scale)
-	xeon.Cores = cfg.XeonCores
+	xeon.Cores = 4
 	tx := machine.ThunderX().ScaleCaches(cfg.Scale)
-	tx.Cores = cfg.TXCores
+	tx.Cores = 12
 	x := &SimExecutor{
 		cfg:      cfg,
 		platform: machine.Platform{Nodes: []machine.NodeSpec{xeon, tx}, Origin: 0},
@@ -228,11 +215,10 @@ func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.D
 		return ExecResult{}, err
 	}
 	opts := core.Options{
-		FaultPeriodThreshold: x.cfg.FaultPeriodThreshold,
-		Telemetry:            x.cfg.Telemetry,
-		ReDecide:             inj != nil,
-		DecisionStore:        store,
-		ForceReprobe:         force,
+		Telemetry:     x.cfg.Telemetry,
+		ReDecide:      inj != nil,
+		DecisionStore: store,
+		ForceReprobe:  force,
 	}
 	rt := core.New(cl, opts)
 

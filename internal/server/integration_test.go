@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"testing"
 
 	"hetmp/internal/decstore"
@@ -85,6 +86,37 @@ func TestCrossTenantWarmSharing(t *testing.T) {
 	}
 	if st.CrossTenantWarm != wantXT {
 		t.Fatalf("CrossTenantWarm = %d, want %d", st.CrossTenantWarm, wantXT)
+	}
+}
+
+// A signature warms after its first job however few invocations that
+// job probed: five identical jobs, one after another, pay one job's
+// probes between them.
+func TestWarmAfterOneJobWhateverItsInvocations(t *testing.T) {
+	for invs := 1; invs <= 4; invs++ {
+		s, _ := newSimServer(t, Config{}, SimExecutorConfig{})
+		var probes, predictions []int
+		for job := 0; job < 5; job++ {
+			r, err := s.Submit(Spec{Tenant: "t", Region: "r", Invocations: invs})
+			if err != nil || r.Err != nil {
+				t.Fatalf("%d invocations, job %d: %v / %v", invs, job, err, r.Err)
+			}
+			if r.Warm != (job > 0) {
+				t.Errorf("%d invocations, job %d: Warm = %v", invs, job, r.Warm)
+			}
+			probes = append(probes, r.Probes)
+			predictions = append(predictions, r.Predictions)
+		}
+		if want := []int{invs, 0, 0, 0, 0}; !slices.Equal(probes, want) {
+			t.Errorf("%d invocations: probes per job = %v, want %v", invs, probes, want)
+		}
+		if want := []int{0, 1, 1, 1, 1}; !slices.Equal(predictions, want) {
+			t.Errorf("%d invocations: predictions per job = %v, want %v", invs, predictions, want)
+		}
+		if st := s.Stats(); st.WarmProbes != 0 || st.CacheHits != 4 {
+			t.Errorf("%d invocations: WarmProbes = %d, CacheHits = %d, want 0 and 4", invs, st.WarmProbes, st.CacheHits)
+		}
+		s.Close()
 	}
 }
 

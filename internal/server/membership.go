@@ -118,6 +118,10 @@ type ChunkExecutor interface {
 	ExecuteChunk(sp Spec, invocations, chunkIndex int) (ExecResult, error)
 }
 
+// reprobeLimit bounds, in signatures, the class-scoped re-probe a
+// newcomer of an uncovered class triggers.
+const reprobeLimit = 4
+
 // ClassWarmer is the optional executor capability behind warm-start:
 // coverage checks against the decision store's per-entry class stamps,
 // and bounded forced re-probes for signatures a new class has never
@@ -287,7 +291,7 @@ func (s *RegionServer) addNodeLocked(mem Member) error {
 	st := NodeActive
 	var reprobes []Spec
 	if cw, ok := s.exec.(ClassWarmer); ok && !cw.ClassCovered(mem.Class) {
-		reprobes = cw.ReprobeSpecs(mem.Class, s.cfg.ReprobeLimit)
+		reprobes = cw.ReprobeSpecs(mem.Class, reprobeLimit)
 		if len(reprobes) > 0 {
 			st = NodeWarming
 		}

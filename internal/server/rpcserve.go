@@ -32,6 +32,7 @@ const (
 	errKindFull         = "queue_full"
 	errKindDraining     = "draining"
 	errKindStopped      = "stopped"
+	errKindBadSpec      = "bad_spec"
 	errKindUnknownNode  = "unknown_node"
 	errKindNodeExists   = "node_exists"
 	errKindNodeDraining = "node_draining"
@@ -48,6 +49,7 @@ var errKinds = []struct {
 	{errKindFull, ErrQueueFull},
 	{errKindDraining, ErrDraining},
 	{errKindStopped, ErrStopped},
+	{errKindBadSpec, ErrBadSpec},
 	{errKindUnknownNode, ErrUnknownNode},
 	{errKindNodeExists, ErrNodeExists},
 	{errKindNodeDraining, ErrNodeDraining},

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -115,6 +116,72 @@ func TestRPCQueueFullTyped(t *testing.T) {
 	_, err = SubmitRemote(c, Spec{Tenant: "b", Region: "r"}, 5*time.Second)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("remote submit = %v, want ErrQueueFull", err)
+	}
+}
+
+// A spec over the admission ceilings is refused with ErrBadSpec across
+// the wire before it takes a queue slot: the tenant's rejection counter
+// moves, the queue does not. A spec exactly at the ceilings is admitted.
+func TestRPCBadSpecTyped(t *testing.T) {
+	rs := New(Config{StartPaused: true, Executor: &fakeExec{}})
+	defer rs.Close()
+	srv := &rpc.Server{Name: "hetserve-badspec"}
+	if err := Bind(srv, rs); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+	c, err := rpc.DialClient(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	bad := []Spec{
+		{Iterations: math.MaxInt32, Invocations: math.MaxInt32},
+		{Iterations: math.MaxInt, Invocations: maxInvocations}, // the product overflows
+		{Iterations: maxJobIterations + 1, Invocations: 1},
+		{Iterations: maxJobIterations/maxInvocations + 1, Invocations: maxInvocations},
+		{Iterations: 1, Invocations: maxInvocations + 1},
+		{Pages: maxPages + 1},
+		{OpsPerByte: math.NaN()},
+		{OpsPerByte: math.Inf(1)},
+		{OpsPerByte: 1e300},
+	}
+	for _, sp := range bad {
+		sp.Tenant, sp.Region = "mallory", "r"
+		if _, err := SubmitRemote(c, sp, 5*time.Second); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("remote submit of %+v = %v, want ErrBadSpec", sp, err)
+		}
+	}
+	st := rs.Stats()
+	if got := st.Tenants["mallory"]; got.Rejected != len(bad) || got.Admitted != 0 {
+		t.Errorf("tenant stats = %+v, want %d rejected, 0 admitted", got, len(bad))
+	}
+	if st.QueueDepth != 0 {
+		t.Errorf("queue depth = %d after %d bad specs, want 0", st.QueueDepth, len(bad))
+	}
+
+	atCeiling := []Spec{
+		{Iterations: maxJobIterations, Invocations: 1, Pages: maxPages, OpsPerByte: maxOpsPerByte},
+		{Iterations: maxJobIterations / maxInvocations, Invocations: maxInvocations},
+	}
+	for _, sp := range atCeiling {
+		sp.Tenant, sp.Region = "alice", "r"
+		if _, err := rs.SubmitAsync(sp); err != nil {
+			t.Errorf("submit of %+v at the ceilings = %v, want admitted", sp, err)
+		}
+	}
+	if st := rs.Stats(); st.QueueDepth != len(atCeiling) {
+		t.Errorf("queue depth = %d, want %d", st.QueueDepth, len(atCeiling))
 	}
 }
 

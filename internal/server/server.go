@@ -30,7 +30,7 @@ import (
 )
 
 // Typed admission errors. Clients match with errors.Is and retry with
-// backoff (ErrQueueFull) or give up (ErrDraining/ErrStopped).
+// backoff (ErrQueueFull) or give up (ErrDraining/ErrStopped/ErrBadSpec).
 var (
 	// ErrQueueFull rejects a submission once the bounded queue is at
 	// QueueDepth — the server is saturated; back off and retry.
@@ -40,13 +40,30 @@ var (
 	ErrDraining = errors.New("server: draining")
 	// ErrStopped rejects submissions after Close.
 	ErrStopped = errors.New("server: stopped")
+	// ErrBadSpec rejects a Spec that asks for more than one job may
+	// (the max* ceilings) or whose OpsPerByte is not a usable number.
+	ErrBadSpec = errors.New("server: bad spec")
+)
+
+// Ceilings on what one Spec may ask for. Without them a single remote
+// hetmp.submit holds an in-flight slot — and Drain — for as long as it
+// likes. Measured on the 2-vCPU reference host, a job costs about
+// 0.5 µs of host time per iteration, 45 µs per invocation and 1 µs per
+// page per invocation, so a job at all three ceilings at once holds
+// its slot for about 10 s. The largest job any workload, smoke or test
+// submits (24,576 iterations in all, 6 invocations, 64 pages) sits
+// about two orders of magnitude below each.
+const (
+	maxJobIterations = 1 << 22 // Iterations × Invocations
+	maxInvocations   = 1 << 10
+	maxPages         = 1 << 12
+	maxOpsPerByte    = 1 << 20
 )
 
 // Spec describes one parallel-region job: a synthetic work-sharing
-// region characterized the same way the decision store's predictor
-// features are (iteration count, footprint, compute intensity). Two
-// jobs with equal signatures — from any tenants — share one decision
-// cache entry.
+// region characterized by iteration count, footprint and compute
+// intensity. Two jobs with equal signatures — from any tenants — share
+// one decision cache entry.
 type Spec struct {
 	// Tenant is the submitting tenant's name. Required.
 	Tenant string
@@ -54,10 +71,8 @@ type Spec struct {
 	Region string
 	// Iterations per region invocation. Defaults to 4096.
 	Iterations int
-	// Invocations of the region within the job. Defaults to 4 — enough
-	// probed invocations that the stored entry's maturity clears the
-	// predictor's default confidence threshold, so the next job with
-	// this signature runs probe-free.
+	// Invocations of the region within the job. Defaults to 4. The
+	// next job with this signature runs probe-free whatever the count.
 	Invocations int
 	// OpsPerByte is the region's compute intensity. Defaults to 32.
 	OpsPerByte float64
@@ -85,9 +100,27 @@ func (sp Spec) withDefaults() Spec {
 	return sp
 }
 
+// check reports why a defaulted Spec may not be admitted, as an
+// ErrBadSpec, or nil. The comparison is written so that a NaN
+// OpsPerByte fails it.
+func (sp Spec) check() error {
+	switch {
+	case !(sp.OpsPerByte <= maxOpsPerByte):
+		return fmt.Errorf("%w: opsperbyte %g, want at most %d", ErrBadSpec, sp.OpsPerByte, maxOpsPerByte)
+	case sp.Invocations > maxInvocations:
+		return fmt.Errorf("%w: %d invocations, want at most %d", ErrBadSpec, sp.Invocations, maxInvocations)
+	case sp.Iterations > maxJobIterations/sp.Invocations:
+		return fmt.Errorf("%w: %d iterations × %d invocations, want at most %d in all",
+			ErrBadSpec, sp.Iterations, sp.Invocations, maxJobIterations)
+	case sp.Pages > maxPages:
+		return fmt.Errorf("%w: %d pages, want at most %d", ErrBadSpec, sp.Pages, maxPages)
+	}
+	return nil
+}
+
 // Sig is the job's region signature — the shared decision-cache key.
-// It folds in every feature the predictor matches on, so equal
-// signatures mean the stored entry transfers at full confidence.
+// It folds in the iteration count a stored decision is adopted on, so
+// equal signatures mean the stored entry is adopted.
 func (sp Spec) Sig() string {
 	sp = sp.withDefaults()
 	return fmt.Sprintf("%s/i%d/k%g/p%d", sp.Region, sp.Iterations, sp.OpsPerByte, sp.Pages)
@@ -216,10 +249,8 @@ type Config struct {
 	// preserves determinism. 0 disables budgeting.
 	TenantIterBudget int64
 	// Weights are per-tenant fair-share weights. A tenant not listed
-	// gets DefaultWeight.
+	// gets weight 1.
 	Weights map[string]float64
-	// DefaultWeight defaults to 1.
-	DefaultWeight float64
 	// StartPaused admits but does not dispatch until Resume — the
 	// preload gate a deterministic load run uses to fix the admission
 	// order before any scheduling happens.
@@ -243,9 +274,6 @@ type Config struct {
 	// the scheduler at dispatch milestones and folded into
 	// DispatchHash. Requires Members.
 	Churn []ChurnEvent
-	// ReprobeLimit bounds the class-scoped re-probe a newcomer of an
-	// uncovered class triggers. Defaults to 4 signatures.
-	ReprobeLimit int
 }
 
 type job struct {
@@ -382,12 +410,6 @@ func New(cfg Config) *RegionServer {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 8
 	}
-	if cfg.DefaultWeight <= 0 {
-		cfg.DefaultWeight = 1
-	}
-	if cfg.ReprobeLimit <= 0 {
-		cfg.ReprobeLimit = 4
-	}
 	exec := cfg.Executor
 	if exec == nil {
 		exec = NewSimExecutor(SimExecutorConfig{})
@@ -430,7 +452,7 @@ func (s *RegionServer) tenant(name string) *tenantState {
 	if t, ok := s.tenants[name]; ok {
 		return t
 	}
-	w := s.cfg.DefaultWeight
+	w := 1.0
 	if cw, ok := s.cfg.Weights[name]; ok && cw > 0 {
 		w = cw
 	}
@@ -474,7 +496,8 @@ func (s *RegionServer) vfloorLocked() float64 {
 }
 
 // Submit enqueues a job and blocks until it completes. Admission
-// errors (ErrQueueFull, ErrDraining, ErrStopped) return immediately.
+// errors (ErrBadSpec, ErrQueueFull, ErrDraining, ErrStopped) return
+// immediately.
 func (s *RegionServer) Submit(sp Spec) (Result, error) {
 	ch, err := s.SubmitAsync(sp)
 	if err != nil {
@@ -484,9 +507,9 @@ func (s *RegionServer) Submit(sp Spec) (Result, error) {
 }
 
 // SubmitAsync enqueues a job and returns a channel that will carry its
-// Result. The admission decision is synchronous: a full queue, a
-// draining server or a stopped server reject here, with the tenant's
-// rejection counter bumped.
+// Result. The admission decision is synchronous: a spec over the
+// ceilings, a full queue, a draining server or a stopped server reject
+// here, with the tenant's rejection counter bumped.
 func (s *RegionServer) SubmitAsync(sp Spec) (<-chan Result, error) {
 	sp = sp.withDefaults()
 	if sp.Tenant == "" || sp.Region == "" {
@@ -496,8 +519,9 @@ func (s *RegionServer) SubmitAsync(sp Spec) (<-chan Result, error) {
 	t := s.tenant(sp.Tenant)
 	t.stats.Submitted++
 	s.totals.Submitted++
-	var admitErr error
+	admitErr := sp.check()
 	switch {
+	case admitErr != nil:
 	case s.stopped:
 		admitErr = ErrStopped
 	case s.draining:
