@@ -1,8 +1,7 @@
 // Command hetmplint runs the repo's domain-specific analyzer suite —
-// per-function checks (wallclock, maporder, randsource,
-// telemetryhandle, blockinglock) plus the interprocedural checks
-// (detflow, dsmstate, goroleak, lockorder) — over the named package
-// patterns, multichecker style.
+// six per-function checks (blockinglock, dsmstate, maporder,
+// randsource, telemetryhandle, wallclock) plus the whole-program
+// lockorder — over the named package patterns, multichecker style.
 //
 //	hetmplint ./...
 //	hetmplint -list

@@ -35,19 +35,16 @@ func violations(m map[string]int, reg *telemetry.Registry, n *noisy) time.Time {
 	return time.Now() // wallclock: wall read in a "core" package
 }
 
-// report carries a virtual-time field: detflow's sink.
-type report struct {
-	VirtualNs int64
+// unsortedKeys is the PR 4 teardown with its sort deleted: maporder
+// must report the collect, because nothing in this function orders
+// what it gathered.
+func unsortedKeys(m map[string]int) []string {
+	var keys []string
+	for k := range m { // maporder: key-collect never sorted
+		keys = append(keys, k)
+	}
+	return keys
 }
-
-// detflowViolation launders a global-rand value through a helper
-// before it lands in virtual time — only the interprocedural summary
-// connects the two.
-func detflowViolation(r *report) {
-	r.VirtualNs = jitter() // detflow: rand value into virtual-time field
-}
-
-func jitter() int64 { return rand.Int63n(100) }
 
 // lockorder: two functions acquire the same two locks in opposite
 // orders; each edge looks fine locally.

@@ -17,7 +17,7 @@ import (
 // "(*hetmp/internal/server.RegionServer).runJob" — and the Program
 // index is keyed by them.
 //
-// Soundness caveats (see DESIGN.md §18): calls through interfaces,
+// Soundness caveats (see DESIGN.md §13): calls through interfaces,
 // function values, and func literals are not resolved into call-graph
 // edges, and the graph covers only the loaded packages (stdlib bodies
 // are opaque). Summary-based analyzers built on this graph are
@@ -28,14 +28,8 @@ import (
 type Func struct {
 	// Full is the types.Func FullName — the program-wide identity.
 	Full string
-	Obj  *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// Callees lists the FullNames of every statically resolved call
-	// target in the body — deduplicated, sorted, including targets
-	// outside the loaded program (stdlib, interface methods); callers
-	// filter through Program.Funcs when they need bodies.
-	Callees []string
 }
 
 // A Program is the whole-tree view interprocedural analyzers run on:
@@ -69,11 +63,9 @@ func BuildProgram(pkgs []*Package) *Program {
 				}
 				fn := &Func{
 					Full: obj.FullName(),
-					Obj:  obj,
 					Decl: fd,
 					Pkg:  pkg,
 				}
-				fn.Callees = collectCallees(pkg.TypesInfo, fd)
 				prog.Funcs[fn.Full] = fn
 			}
 		}
@@ -93,60 +85,6 @@ func (p *Program) EachFunc(visit func(*Func)) {
 	for _, name := range p.names {
 		visit(p.Funcs[name])
 	}
-}
-
-// FuncNames returns the sorted FullNames of every indexed function.
-func (p *Program) FuncNames() []string {
-	return append([]string(nil), p.names...)
-}
-
-// StaticCallee resolves the static call target of a call expression
-// using the given package's type info: a *types.Func for direct calls,
-// qualified calls, and method calls (including interface methods —
-// callers decide whether a body-less target matters). Nil for calls of
-// function values, func literals, built-ins, and conversions.
-func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// collectCallees gathers the FullNames of every statically resolved
-// call inside decl, deduplicated and sorted.
-func collectCallees(info *types.Info, decl *ast.FuncDecl) []string {
-	if decl.Body == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := StaticCallee(info, call); fn != nil {
-			seen[fn.FullName()] = true
-		}
-		return true
-	})
-	if len(seen) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Fixpoint runs update until it reports no change, bounded by a depth

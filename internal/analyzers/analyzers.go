@@ -1,27 +1,26 @@
 // Package analyzers aggregates the hetmplint analyzer suite.
 //
 // Each analyzer enforces one determinism or safety invariant of the
-// runtime (see DESIGN.md §13 and §18). The suite runs offline on a
-// minimal reimplementation of the go/analysis API
-// (internal/analyzers/analysis) because the build environment is
-// hermetic; the analyzer code itself is written against the
-// x/tools-shaped API so it can migrate to the real framework by
+// runtime (see DESIGN.md §13, which names the dynamic gate that backs
+// each one). The suite runs offline on a minimal reimplementation of
+// the go/analysis API (internal/analyzers/analysis) because the build
+// environment is hermetic; the analyzer code itself is written against
+// the x/tools-shaped API so it can migrate to the real framework by
 // changing import paths.
 //
-// The suite has two tiers. The per-function analyzers (blockinglock,
-// maporder, randsource, telemetryhandle, wallclock) inspect one
-// function at a time. The interprocedural analyzers (detflow,
-// dsmstate, goroleak, lockorder) run over a whole-program call graph
-// with per-function summaries propagated bottom-up, so a violation
-// split across any number of calls — or packages — is still found.
+// Six analyzers (blockinglock, dsmstate, maporder, randsource,
+// telemetryhandle, wallclock) inspect one function at a time. lockorder
+// alone runs over the whole program, with per-function summaries
+// propagated bottom-up over the call graph: a lock-order cycle split
+// across functions or packages is the one violation class here that no
+// test or double run sees (EXPERIMENTS.md, "Negative result:
+// whole-program determinism and goroutine analyzers").
 package analyzers
 
 import (
 	"hetmp/internal/analyzers/analysis"
 	"hetmp/internal/analyzers/blockinglock"
-	"hetmp/internal/analyzers/detflow"
 	"hetmp/internal/analyzers/dsmstate"
-	"hetmp/internal/analyzers/goroleak"
 	"hetmp/internal/analyzers/lockorder"
 	"hetmp/internal/analyzers/maporder"
 	"hetmp/internal/analyzers/randsource"
@@ -33,9 +32,7 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		blockinglock.Analyzer,
-		detflow.Analyzer,
 		dsmstate.Analyzer,
-		goroleak.Analyzer,
 		lockorder.Analyzer,
 		maporder.Analyzer,
 		randsource.Analyzer,

@@ -21,9 +21,9 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:       "dsmstate",
-	Doc:        "pageState in internal/dsm may be mutated only by Alloc, SettleAt, faultPage, and accessRun",
-	RunProgram: run,
+	Name: "dsmstate",
+	Doc:  "pageState in internal/dsm may be mutated only by Alloc, SettleAt, faultPage, and accessRun",
+	Run:  run,
 }
 
 // sanctioned are the protocol helpers allowed to write page state.
@@ -34,30 +34,35 @@ var sanctioned = map[string]bool{
 	"accessRun": true,
 }
 
-func run(pass *analysis.ProgramPass) error {
-	pass.Prog.EachFunc(func(fn *analysis.Func) {
-		if !lintutil.HasSegment(fn.Pkg.ImportPath, "dsm") || fn.Decl.Body == nil || sanctioned[fn.Obj.Name()] {
-			return
-		}
-		info := fn.Pkg.TypesInfo
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			var lhs []ast.Expr
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				lhs = n.Lhs
-			case *ast.IncDecStmt:
-				lhs = []ast.Expr{n.X}
-			default:
-				return true
+func run(pass *analysis.Pass) error {
+	if !lintutil.HasSegment(pass.Pkg.Path(), "dsm") {
+		return nil
+	}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || sanctioned[fd.Name.Name] {
+				continue
 			}
-			for _, l := range lhs {
-				if isStateWrite(info, l) {
-					pass.Reportf(l.Pos(), "pageState may only be mutated by the sanctioned protocol helpers (Alloc, SettleAt, faultPage, accessRun); move this write into one of them")
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				default:
+					return true
 				}
-			}
-			return true
-		})
-	})
+				for _, l := range lhs {
+					if isStateWrite(pass.TypesInfo, l) {
+						pass.Reportf(l.Pos(), "pageState may only be mutated by the sanctioned protocol helpers (Alloc, SettleAt, faultPage, accessRun); move this write into one of them")
+					}
+				}
+				return true
+			})
+		}
+	}
 	return nil
 }
 

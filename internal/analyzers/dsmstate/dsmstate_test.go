@@ -8,5 +8,5 @@ import (
 )
 
 func TestDsmstate(t *testing.T) {
-	analysistest.RunProgram(t, analysistest.TestData(), dsmstate.Analyzer, "dsm")
+	analysistest.Run(t, analysistest.TestData(), dsmstate.Analyzer, "dsm")
 }

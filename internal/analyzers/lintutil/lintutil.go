@@ -53,10 +53,14 @@ func HasSegment(path string, names ...string) bool {
 }
 
 // VirtualTimePackages is the set of package names whose code runs under
-// the simulated clock. Wall-clock reads inside them break golden-trace
-// reproducibility; only injected clocks are legal.
+// the simulated clock or feeds it (cost models, kernels, the apportioner
+// and stored decisions): every package below server, rpc, telemetry and
+// cmd, the only places a wall read is legitimate. Wall-clock reads
+// inside them break golden-trace reproducibility; only injected clocks
+// are legal.
 var VirtualTimePackages = []string{
 	"core", "dsm", "simtime", "cluster", "machine", "experiments", "chaos",
+	"perf", "interconnect", "kernels", "apportion", "decstore",
 }
 
 // IsVirtualTimePkg reports whether the import path names one of the
@@ -94,21 +98,4 @@ func NamedTypeOf(t types.Type) (pkgPath, typeName string) {
 		return "", obj.Name() // universe scope (error)
 	}
 	return obj.Pkg().Path(), obj.Name()
-}
-
-// TypeTouches reports whether t (after dereferencing pointers and
-// unwrapping one level of slice) is a named type declared in a package
-// whose path contains one of the given segments.
-func TypeTouches(t types.Type, segments ...string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if sl, ok := t.(*types.Slice); ok {
-		t = sl.Elem()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-	}
-	path, _ := NamedTypeOf(t)
-	return path != "" && HasSegment(path, segments...)
 }

@@ -8,13 +8,18 @@
 // where team teardown iterated rt.teams and shutdown consumed virtual
 // time, flipping golden traces by the map seed. The fix idiom — collect
 // the keys, sort, then iterate the sorted slice — is recognized and not
-// flagged: a range body consisting of `keys = append(keys, k)` (the key
-// alone) is treated as the first half of sorted iteration.
+// flagged, but only as a whole: `keys = append(keys, k)` (the key
+// alone) is the first half of sorted iteration when the same function
+// later hands keys to a sort.* or slices.Sort* call, and an append to
+// an outer slice like any other when it does not. Deleting the sort
+// from the PR 4 teardown loop is therefore a finding at that loop. A
+// key slice whose order provably cannot matter (connections gathered
+// to be closed) or that its caller sorts carries a reasoned
+// //hetmp:allow maporder.
 //
-// The analyzer is deliberately blind to two things, documented here so
-// nobody assumes otherwise: it cannot verify that a collected key slice
-// is actually sorted before reuse, and it does not flag commutative
-// accumulation (`sum += v`), even though float accumulation is weakly
+// The analyzer is deliberately blind to one thing, documented here so
+// nobody assumes otherwise: it does not flag commutative accumulation
+// (`sum += v`), even though float accumulation is weakly
 // order-sensitive.
 package maporder
 
@@ -35,32 +40,36 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok {
+		// One declaration at a time: a key-collect loop is judged by
+		// whether the rest of its own function sorts what it collected.
+		for _, decl := range f.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				rng, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				tv, ok := pass.TypesInfo.Types[rng.X]
+				if !ok {
+					return true
+				}
+				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+					return true
+				}
+				if kind, pos := findSink(pass, rng, decl); kind != "" {
+					pass.Reportf(rng.For,
+						"map iteration order reaches an ordering-sensitive sink (%s at %s); iterate sorted keys or justify with //hetmp:allow maporder",
+						kind, pass.Fset.Position(pos))
+				}
 				return true
-			}
-			tv, ok := pass.TypesInfo.Types[rng.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if kind, pos := findSink(pass, rng); kind != "" {
-				pass.Reportf(rng.For,
-					"map iteration order reaches an ordering-sensitive sink (%s at %s); iterate sorted keys or justify with //hetmp:allow maporder",
-					kind, pass.Fset.Position(pos))
-			}
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }
 
 // findSink returns a description and position of the first
 // ordering-sensitive sink inside the range body, or ("", 0).
-func findSink(pass *analysis.Pass, rng *ast.RangeStmt) (string, token.Pos) {
+func findSink(pass *analysis.Pass, rng *ast.RangeStmt, decl ast.Decl) (string, token.Pos) {
 	info := pass.TypesInfo
 	keyObj := rangeKeyObj(info, rng)
 	var kind string
@@ -83,7 +92,7 @@ func findSink(pass *analysis.Pass, rng *ast.RangeStmt) (string, token.Pos) {
 		case *ast.SendStmt:
 			found("channel send", n.Arrow)
 		case *ast.CallExpr:
-			if k := callSink(info, n, rng, keyObj); k != "" {
+			if k := callSink(info, n, rng, decl, keyObj); k != "" {
 				found(k, n.Pos())
 			}
 		}
@@ -101,11 +110,11 @@ func rangeKeyObj(info *types.Info, rng *ast.RangeStmt) types.Object {
 }
 
 // callSink classifies one call inside the range body.
-func callSink(info *types.Info, call *ast.CallExpr, rng *ast.RangeStmt, keyObj types.Object) string {
+func callSink(info *types.Info, call *ast.CallExpr, rng *ast.RangeStmt, decl ast.Decl, keyObj types.Object) string {
 	// Builtin append to a slice that outlives the loop.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
 		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-			return appendSink(info, call, rng, keyObj)
+			return appendSink(info, call, rng, decl, keyObj)
 		}
 	}
 
@@ -143,15 +152,15 @@ func callSink(info *types.Info, call *ast.CallExpr, rng *ast.RangeStmt, keyObj t
 
 // appendSink flags appends that grow a slice declared outside the range
 // statement, except the sorted-iteration key-collect idiom.
-func appendSink(info *types.Info, call *ast.CallExpr, rng *ast.RangeStmt, keyObj types.Object) string {
+func appendSink(info *types.Info, call *ast.CallExpr, rng *ast.RangeStmt, decl ast.Decl, keyObj types.Object) string {
 	if len(call.Args) == 0 {
 		return ""
 	}
 	// keys = append(keys, k) / t.nodes = append(t.nodes, n): appending
 	// the key alone is the first half of sort-then-iterate, the fix
-	// idiom — recoverable by the sort regardless of destination shape.
+	// idiom — provided the second half follows in the same function.
 	if len(call.Args) == 2 && keyObj != nil {
-		if el, ok := ast.Unparen(call.Args[1]).(*ast.Ident); ok && info.Uses[el] == keyObj {
+		if el, ok := ast.Unparen(call.Args[1]).(*ast.Ident); ok && info.Uses[el] == keyObj && sortedLater(info, call.Args[0], rng, decl) {
 			return ""
 		}
 	}
@@ -165,6 +174,52 @@ func appendSink(info *types.Info, call *ast.CallExpr, rng *ast.RangeStmt, keyObj
 		}
 	}
 	return "append to slice declared outside the loop"
+}
+
+// sortedLater reports whether the slice a key-collect grows (a variable
+// or a struct field) is mentioned in an argument of a sort.* or
+// slices.Sort* call after the range statement, anywhere in the
+// enclosing declaration.
+func sortedLater(info *types.Info, dst ast.Expr, rng *ast.RangeStmt, decl ast.Decl) bool {
+	var obj types.Object
+	switch dst := ast.Unparen(dst).(type) {
+	case *ast.Ident:
+		obj = info.Uses[dst]
+	case *ast.SelectorExpr:
+		obj = info.Uses[dst.Sel]
+	}
+	if obj == nil {
+		return false
+	}
+	sorted := false
+	ast.Inspect(decl, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && call.Pos() > rng.End() && isSortCall(info, call) {
+			for _, arg := range call.Args {
+				ast.Inspect(arg, func(m ast.Node) bool {
+					if id, ok := m.(*ast.Ident); ok && info.Uses[id] == obj {
+						sorted = true
+					}
+					return !sorted
+				})
+			}
+		}
+		return !sorted
+	})
+	return sorted
+}
+
+func isSortCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := lintutil.CalleeFunc(info, call)
+	switch lintutil.FuncPkgPath(fn) {
+	case "sort":
+		switch fn.Name() {
+		case "Sort", "Stable", "Slice", "SliceStable", "Strings", "Ints", "Float64s":
+			return true
+		}
+	case "slices":
+		return hasPrefix(fn.Name(), "Sort")
+	}
+	return false
 }
 
 // orderSensitiveType describes types whose consumption order matters:

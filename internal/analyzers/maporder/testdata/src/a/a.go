@@ -5,6 +5,8 @@ package a
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 )
 
@@ -44,6 +46,27 @@ func rngDraw(m map[string]int, rng *rand.Rand) int {
 
 func pick(rng *rand.Rand) int { return rng.Intn(8) }
 
+// The first half of the fix idiom without the second: the keys leave
+// in map order.
+func keyCollectNeverSorted(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m { // want "append to slice declared outside the loop"
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// Neither a sort before the collect nor a sort of some other slice
+// orders what was collected.
+func keyCollectWrongSort(m map[string]int, keys, other []string) []string {
+	sort.Strings(keys)
+	for k := range m { // want "append to slice declared outside the loop"
+		keys = append(keys, k)
+	}
+	sort.Strings(other)
+	return keys
+}
+
 // --- allowed ---
 
 func keyCollectIdent(m map[string]int) []string {
@@ -51,6 +74,7 @@ func keyCollectIdent(m map[string]int) []string {
 	for k := range m { // the sort-then-iterate idiom: not flagged
 		keys = append(keys, k)
 	}
+	sort.Strings(keys)
 	return keys
 }
 
@@ -60,6 +84,16 @@ func keyCollectField(m map[string]int, h *holder) {
 	for k := range m {
 		h.keys = append(h.keys, k)
 	}
+	slices.SortFunc(h.keys, strings.Compare)
+}
+
+func keyCollectWrappedSort(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+	return keys
 }
 
 func loopLocalAppend(m map[string][]int) int {
@@ -89,4 +123,13 @@ func suppressed(m map[string]int, ch chan int) {
 	for _, v := range m {
 		ch <- v
 	}
+}
+
+func suppressedKeyCollect(m map[string]int) []string {
+	var keys []string
+	//hetmp:allow maporder -- fixture: the one caller sorts what it is handed
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
 }

@@ -6,6 +6,8 @@
 package dsmmaps
 
 import (
+	"slices"
+
 	"hetmp/internal/dsm"
 	"hetmp/internal/simtime"
 )
@@ -45,6 +47,7 @@ func sortedFlushKeys(buf map[int64]prefetchLine) []int64 {
 	for pg := range buf {
 		pages = append(pages, pg)
 	}
+	slices.Sort(pages)
 	return pages
 }
 

@@ -4,6 +4,8 @@
 package vt
 
 import (
+	"sort"
+
 	"hetmp/internal/cluster"
 	"hetmp/internal/simtime"
 )
@@ -44,13 +46,16 @@ func methodOnProc(m map[string]int, p *simtime.Proc) {
 
 // --- allowed ---
 
-func sortedFix(teams map[string]*team, env cluster.Env) []string {
+// The PR 4 fix, whole: collect, sort, then consume virtual time.
+func sortedFix(teams map[string]*team, env cluster.Env) {
 	keys := make([]string, 0, len(teams))
 	for k := range teams {
 		keys = append(keys, k)
 	}
-	// (caller sorts and iterates keys; the collect half is clean)
-	return keys
+	sort.Strings(keys)
+	for _, k := range keys {
+		teams[k].stop(env)
+	}
 }
 
 func pureReads(m map[string]*team, p *simtime.Proc) int {

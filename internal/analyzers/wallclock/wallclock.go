@@ -2,13 +2,17 @@
 // packages.
 //
 // Invariant: everything under the simulated clock (core, dsm, simtime,
-// cluster, machine, experiments, chaos) is bit-reproducible — the
-// golden-trace tests hash entire schedules and the chaos tests replay
-// seeded degradation timelines. A single time.Now or time.Sleep in
-// those paths couples the simulation to the host scheduler and silently
-// breaks replay. Wall time is legal only at the system boundary (RPC,
-// telemetry wall track, CLI progress), which is outside these packages
-// or explicitly marked with //hetmp:allow wallclock.
+// cluster, machine, experiments, chaos) and everything that feeds it a
+// cost, a split or a stored decision (perf, interconnect, kernels,
+// apportion, decstore) is bit-reproducible — the golden-trace tests
+// hash entire schedules and the chaos tests replay seeded degradation
+// timelines. A single time.Now or time.Sleep in those paths couples the
+// simulation to the host scheduler and silently breaks replay. Wall
+// time is legal only at the system boundary (server, RPC, telemetry
+// wall track, CLI progress), which is outside these packages or
+// explicitly marked with //hetmp:allow wallclock. Banning the read at
+// its source in every package below that boundary is what lets the
+// suite do without a taint tracker at the sinks.
 package wallclock
 
 import (

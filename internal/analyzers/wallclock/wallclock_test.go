@@ -8,5 +8,5 @@ import (
 )
 
 func TestWallclock(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), wallclock.Analyzer, "core", "rpcboundary")
+	analysistest.Run(t, analysistest.TestData(), wallclock.Analyzer, "core", "decstore", "rpcboundary")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -13,19 +14,11 @@ func fakeTeam(perNode map[int]int) *team {
 	for n := range perNode {
 		t.nodes = append(t.nodes, n)
 	}
-	sortInts(t.nodes)
+	sort.Ints(t.nodes)
 	for _, n := range t.nodes {
 		t.total += perNode[n]
 	}
 	return t
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 func TestStaticPartitionCoversExactly(t *testing.T) {

@@ -199,6 +199,7 @@ func (s *Server) Close() error {
 	close(s.done)
 	ln := s.ln
 	conns := make([]net.Conn, 0, len(s.conns))
+	//hetmp:allow maporder -- gathered only to be closed once s.mu is released; every one is closed and wg.Wait joins their handlers, so the order is unobservable
 	for c := range s.conns {
 		conns = append(conns, c)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -342,6 +343,45 @@ func TestDrainDuringChurn(t *testing.T) {
 	if got := s.Stats().Completed; got != 18 {
 		t.Fatalf("Completed = %d, want 18", got)
 	}
+}
+
+// Nothing the server starts outlives Close: the scheduler, every runJob
+// and every member lane, including the lanes of nodes added and removed
+// on the way. The bound is the baseline itself, not baseline plus
+// slack: one lingering goroutine per server is the leak this exists to
+// catch. (A runJob's last send may trail Close by a moment, hence the
+// poll.)
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	churn, err := ParseChurn("remove:n1@4,add:n3:thunderx:1@9,cordon:n2@12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{
+		StartPaused: true,
+		MaxInFlight: 2,
+		QueueDepth:  64,
+		Executor:    newFakeChunkExec(),
+		Members:     threeNodes(),
+		Churn:       churn,
+	})
+	var specs []Spec
+	for i := 0; i < 18; i++ {
+		specs = append(specs, Spec{Tenant: fmt.Sprintf("t%d", i%2), Region: "r", Invocations: 6})
+	}
+	chans := preload(t, s, specs)
+	s.Resume()
+	for i, r := range collect(chans) {
+		if r.Err != nil {
+			t.Fatalf("job %d failed: %v", i, r.Err)
+		}
+	}
+	if got := s.Stats().Membership.ChurnApplied; got != 3 {
+		t.Fatalf("ChurnApplied = %d, want 3", got)
+	}
+	s.Close()
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before },
+		fmt.Sprintf("the goroutine count to return to its baseline of %d after Close", before))
 }
 
 // The determinism contract under churn: two identical preloaded runs —

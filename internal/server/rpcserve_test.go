@@ -11,8 +11,8 @@ import (
 )
 
 // Full daemon round-trip: a RegionServer bound to an rpc.Server,
-// driven by rpc.Clients — submissions succeed, typed queue-full
-// rejections survive the wire, stats decode, drain works.
+// driven by rpc.Clients — submissions succeed, stats decode, drain
+// works, and the draining and stopped rejections survive the wire typed.
 func TestRPCBindingRoundTrip(t *testing.T) {
 	rs := New(Config{MaxInFlight: 2, QueueDepth: 8, Executor: &fakeExec{}})
 	srv := &rpc.Server{Name: "hetserve-test"}
@@ -72,7 +72,12 @@ func TestRPCBindingRoundTrip(t *testing.T) {
 	if _, err := SubmitRemote(c, Spec{Tenant: "alice", Region: "r"}, 5*time.Second); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain = %v, want ErrDraining", err)
 	}
+	// Close the region server while the rpc listener still serves: the
+	// rejection changes type, and that type survives the wire as well.
 	rs.Close()
+	if _, err := SubmitRemote(c, Spec{Tenant: "alice", Region: "r"}, 5*time.Second); !errors.Is(err, ErrStopped) {
+		t.Fatalf("submit after Close = %v, want ErrStopped", err)
+	}
 }
 
 // Queue-full rejections keep their type across the wire.

@@ -66,7 +66,7 @@ func runKernel(tb testing.TB, bench string, tel *telemetry.Telemetry) time.Durat
 // interconnect).
 func TestTelemetrySimEndToEnd(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
-	runKernel(t, "kmeans", tel) //hetmp:allow detflow -- the tracer's wall epoch only stamps wall-track trace events, never the simulated clock
+	runKernel(t, "kmeans", tel)
 
 	// Trace: must validate (parse, phase rules, ts monotone per track)
 	// and contain the probe → decision → chunk timeline.
@@ -147,7 +147,7 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 		// (thermal, scheduler) does not bias one side.
 		base := minRun(t, "EP-C", nil, trials)
 		tel := telemetry.New(telemetry.Options{})
-		instr := minRun(t, "EP-C", tel, trials) //hetmp:allow detflow -- the tracer's wall epoch only stamps wall-track trace events, never the simulated clock
+		instr := minRun(t, "EP-C", tel, trials)
 		ratio = float64(instr) / float64(base)
 		t.Logf("round %d: baseline %v, enabled %v, ratio %.3f", round, base, instr, ratio)
 		if ratio <= budget {
@@ -170,6 +170,6 @@ func BenchmarkEPTelemetryDisabled(b *testing.B) {
 
 func BenchmarkEPTelemetryEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runKernel(b, "EP-C", telemetry.New(telemetry.Options{})) //hetmp:allow detflow -- the tracer's wall epoch only stamps wall-track trace events, never the simulated clock
+		runKernel(b, "EP-C", telemetry.New(telemetry.Options{}))
 	}
 }
