@@ -3,9 +3,9 @@
 
 GO ?= go
 
-# Where the smoke and bench targets write their JSON and text outputs.
-# `make OUT=/root/scratch/out load-smoke churn-smoke bench-smoke` when
-# /tmp is not writable.
+# Where the smoke targets write their JSON reports.
+# `make OUT=/root/scratch/out load-smoke churn-smoke` when /tmp is not
+# writable.
 OUT ?= $(or $(TMPDIR),/tmp)
 
 .PHONY: all tier1 vet race check results chaos lint
@@ -57,6 +57,12 @@ chaos:
 results:
 	$(GO) run ./cmd/hetbench -json results_full.json | tee results_full.txt
 
+# Regenerate the golden quick report TestQuickReportMatchesGolden
+# compares against. Commit it with the change that moved the numbers.
+.PHONY: golden
+golden:
+	$(GO) run ./cmd/hetbench -quick -json internal/experiments/testdata/quick_report.json
+
 # Serving-layer smoke: a seeded hetload soak (deterministic dispatch
 # asserted by running twice, SLOs on, warm probes pinned to zero) plus
 # a small-queue backpressure run that must see rejections and still
@@ -81,27 +87,3 @@ churn-smoke:
 		-churn remove:n1@30,add:n1:thunderx:1@70 \
 		-chaos-profile mixed -chaos-slo -verify-determinism \
 		-quiet -json $(OUT)/hetload_churn.json
-
-# ------------------------------------------------------- benchmarks
-
-BENCH_JSON := BENCH_hetmp.json
-BENCH_FLAGS := -run '^$$' -bench . -benchtime 1x -count 1
-
-# Regenerate the committed benchmark baseline: the quick suite, one
-# iteration per benchmark, converted to JSON (ns/op + every custom
-# virtual-time metric). Commit the refreshed $(BENCH_JSON) together
-# with the change that moved the numbers.
-.PHONY: bench
-bench:
-	$(GO) test $(BENCH_FLAGS) . | tee $(OUT)/bench_hetmp.txt
-	$(GO) run ./cmd/benchjson -suite quick -o $(BENCH_JSON) < $(OUT)/bench_hetmp.txt
-
-# Benchmark smoke (local and CI): compare a fresh run's deterministic
-# virtual-time metrics against the committed baseline, exactly. Wall
-# time (ns/op, "-wall" metrics) is recorded, not compared: benchmark/
-# is the yardstick for it.
-.PHONY: bench-smoke
-bench-smoke:
-	$(GO) test $(BENCH_FLAGS) . > $(OUT)/bench_hetmp_current.txt
-	$(GO) run ./cmd/benchjson -suite quick -o $(OUT)/BENCH_current.json < $(OUT)/bench_hetmp_current.txt
-	$(GO) run ./cmd/benchguard -baseline $(BENCH_JSON) -current $(OUT)/BENCH_current.json

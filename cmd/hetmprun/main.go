@@ -175,6 +175,9 @@ func printWorkerStats(stats []rpc.WorkerStats) {
 }
 
 func run(bench, config, protocol string, scale float64, quick bool, chaosProfile string, chaosSeed int64, batch bool, decisionStore string, tel *telemetry.Telemetry) error {
+	if scale < 0 {
+		return fmt.Errorf("-scale %g is negative", scale)
+	}
 	s := experiments.Default()
 	if quick {
 		s = experiments.Quick()

@@ -18,3 +18,10 @@ func TestRunRejectsUnknownProtocol(t *testing.T) {
 		}
 	}
 }
+
+// A negative -scale must fail, not run at the default scale.
+func TestRunRejectsNegativeScale(t *testing.T) {
+	if err := run("EP-C", "HetProbe", "rdma", -3, true, "", 1, false, "", nil); err == nil || !strings.Contains(err.Error(), "-scale") {
+		t.Fatalf("run with -scale -3 returned %v, want an error naming -scale", err)
+	}
+}

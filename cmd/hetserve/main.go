@@ -58,6 +58,9 @@ func main() {
 
 func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget int64,
 	weights, chaosProf string, seed int64, scale float64, debugAddr, nodes string) error {
+	if scale < 0 {
+		return fmt.Errorf("-scale %g is negative", scale)
+	}
 	w, err := server.ParseWeights(weights)
 	if err != nil {
 		return err

@@ -30,6 +30,20 @@ func readStoreFiles(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// sameDecisions fails the test unless both runs of bench made the same
+// decision for the same regions.
+func sameDecisions(t *testing.T, bench, gotName string, got Result, wantName string, want Result) {
+	t.Helper()
+	if len(got.Decisions) != len(want.Decisions) {
+		t.Errorf("%s: %d decisions %s, %d %s", bench, len(got.Decisions), gotName, len(want.Decisions), wantName)
+	}
+	for id, d := range want.Decisions {
+		if g := got.Decisions[id].String(); g != d.String() {
+			t.Errorf("%s %s: decision %s %s, %s %s", bench, id, g, gotName, d, wantName)
+		}
+	}
+}
+
 // TestDecisionStoreReuse pins what a decision store is allowed to do
 // to a run, over all ten benchmarks under HetProbe/RDMA: nothing while
 // it has nothing to offer, and only remove the probing period once it
@@ -66,14 +80,7 @@ func TestDecisionStoreReuse(t *testing.T) {
 				t.Errorf("%s: cold run with a store took %v / %d faults, without one %v / %d",
 					bench, c.Time, c.Faults, p.Time, p.Faults)
 			}
-			if len(c.Decisions) != len(p.Decisions) {
-				t.Errorf("%s: %d decisions with a store, %d without", bench, len(c.Decisions), len(p.Decisions))
-			}
-			for id, d := range p.Decisions {
-				if got := c.Decisions[id].String(); got != d.String() {
-					t.Errorf("%s %s: decision %s with a store, %s without", bench, id, got, d)
-				}
-			}
+			sameDecisions(t, bench, "with a store", c, "without", p)
 		}
 	})
 	t.Run("warm run is no slower and never re-decides", func(t *testing.T) {
@@ -92,6 +99,14 @@ func TestDecisionStoreReuse(t *testing.T) {
 				t.Errorf("%s: warm run adopted %d regions and probed %d times, want an adoption and no probe",
 					bench, w.Predictions, w.Probes)
 			}
+			sameDecisions(t, bench, "warm", w, "cold", c)
+		}
+		// The probe-free fast path to the nanosecond, on blackscholes:
+		// what the probing period costs is what the warm run saves.
+		c, w := cold["blackscholes"], warm["blackscholes"]
+		if c.Probes != 5 || w.Predictions != 1 || c.Time-w.Time != 354889 {
+			t.Errorf("blackscholes: %d cold probes, %d warm predictions, %dns saved, want 5, 1, 354889ns",
+				c.Probes, w.Predictions, int64(c.Time-w.Time))
 		}
 	})
 	t.Run("warm run leaves the store file untouched", func(t *testing.T) {

@@ -10,7 +10,9 @@ import (
 
 // The paper's qualitative claims, asserted against the reduced suite.
 // Absolute numbers are model time; what must hold are the decisions,
-// orderings and rough factors (DESIGN.md §3).
+// orderings and rough factors (DESIGN.md §3). The rows come from the
+// one report golden_test.go computes (quickReport); the exact values
+// are pinned there.
 
 // paperDecisions is Figure 7 + Figure 8: which benchmarks HetProbe runs
 // across nodes, and where the single-node ones land.
@@ -34,7 +36,7 @@ var paperDecisions = map[string]struct {
 // "the HetProbe scheduler is able to make the right workload
 // distribution choice in all benchmarks".
 func TestHetProbeMakesThePaperDecisions(t *testing.T) {
-	s := Quick()
+	s, _ := quickReport(t)
 	proto := interconnect.RDMA56()
 	th, err := s.Threshold(proto)
 	if err != nil {
@@ -74,18 +76,14 @@ func TestHetProbeMakesThePaperDecisions(t *testing.T) {
 // ThunderX cache-residency effect our scale model cannot reproduce; see
 // EXPERIMENTS.md).
 func TestTable2CoreSpeedRatios(t *testing.T) {
-	s := Quick()
-	rows, err := s.Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rep := quickReport(t)
 	want := map[string][2]float64{
 		"blackscholes": {2.4, 3.5}, // paper 3:1
 		"EP-C":         {2.2, 3.0}, // paper 2.5:1
 		"kmeans":       {1.0, 4.0}, // paper 1:1 (documented deviation)
 		"lavaMD":       {2.9, 4.2}, // paper 3.666:1
 	}
-	for _, r := range rows {
+	for _, r := range rep.Tbl2 {
 		band := want[r.Benchmark]
 		if r.CSR < band[0] || r.CSR > band[1] {
 			t.Errorf("%s: CSR %.2f outside band [%.2f, %.2f]", r.Benchmark, r.CSR, band[0], band[1])
@@ -100,11 +98,8 @@ func TestTable2CoreSpeedRatios(t *testing.T) {
 // catastrophic cross-node slowdowns for communication-bound benchmarks
 // appear.
 func TestFigure6Orderings(t *testing.T) {
-	s := Quick()
-	fig, err := s.Figure6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rep := quickReport(t)
+	fig := *rep.Fig6
 	g := fig.Geomean
 	if !(g[CfgHetProbe] > g[CfgIdealCSR] && g[CfgIdealCSR] > g[CfgCrossDyn]) {
 		t.Errorf("geomean ordering violated: HetProbe %.2f, Ideal %.2f, CrossDyn %.2f",
@@ -185,11 +180,8 @@ func TestThresholdOrderingAcrossProtocols(t *testing.T) {
 // off only once repeated rounds let the data settle (the paper's case
 // study).
 func TestFigure9Crossover(t *testing.T) {
-	s := Quick()
-	rows, _, err := s.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rep := quickReport(t)
+	rows := rep.Fig9.Rows
 	first, last := rows[0], rows[len(rows)-1]
 	if float64(first.HetProbe) > float64(first.Homogeneous)*1.15 {
 		t.Errorf("1 round: HetProbe %v should be near homogeneous %v (single-node or marginal)",
@@ -209,17 +201,10 @@ func TestFigure9Crossover(t *testing.T) {
 // TestAblations: the hierarchy cuts DSM traffic by at least 2×, and
 // deterministic probing produces fewer faults than rotated probing.
 func TestAblations(t *testing.T) {
-	s := Quick()
-	hier, err := s.AblationHierarchy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rep := quickReport(t)
+	hier, settle := rep.Ablation["hierarchy"], rep.Ablation["settling"]
 	if hier[0].Faults*2 > hier[1].Faults {
 		t.Errorf("hierarchy saved too little traffic: %d vs flat %d", hier[0].Faults, hier[1].Faults)
-	}
-	settle, err := s.AblationSettling()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if settle[0].Faults >= settle[1].Faults {
 		t.Errorf("deterministic probing (%d faults) not below rotated (%d)", settle[0].Faults, settle[1].Faults)
@@ -255,33 +240,17 @@ func TestDeterministicSuite(t *testing.T) {
 
 // TestRenderersProduceOutput smoke-tests every report renderer.
 func TestRenderersProduceOutput(t *testing.T) {
-	s := Quick()
-	rows1, err := s.Figure1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := RenderFigure1(rows1); len(out) < 50 {
+	_, rep := quickReport(t)
+	if out := RenderFigure1(rep.Fig1); len(out) < 50 {
 		t.Error("Figure 1 render too short")
 	}
-	t2, err := s.Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := RenderTable2(t2); len(out) < 50 {
+	if out := RenderTable2(rep.Tbl2); len(out) < 50 {
 		t.Error("Table 2 render too short")
 	}
-	f7, th, err := s.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := RenderFigure7(f7, th); len(out) < 50 {
+	if out := RenderFigure7(rep.Fig7.Rows, time.Duration(rep.Fig7.Threshold)); len(out) < 50 {
 		t.Error("Figure 7 render too short")
 	}
-	f8, miss, err := s.Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := RenderFigure8(f8, miss); len(out) < 50 {
+	if out := RenderFigure8(rep.Fig8.Rows, rep.Fig8.Threshold); len(out) < 50 {
 		t.Error("Figure 8 render too short")
 	}
 }

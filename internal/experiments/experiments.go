@@ -1,9 +1,9 @@
 // Package experiments reproduces the paper's evaluation: every figure
-// and table in Section 5 has a runner here, shared by cmd/hetbench and
-// the repository's bench_test.go. Results are "shape-accurate": the
-// substrate is a calibrated simulator, so relative orderings, ratios
-// and crossovers are meaningful while absolute times are model time
-// (see EXPERIMENTS.md).
+// and table in Section 5 has a runner here, and Suite.Report collects
+// them for cmd/hetbench and the golden test. Results are
+// "shape-accurate": the substrate is a calibrated simulator, so
+// relative orderings, ratios and crossovers are meaningful while
+// absolute times are model time (see EXPERIMENTS.md).
 package experiments
 
 import (

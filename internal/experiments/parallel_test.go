@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"testing"
 )
 
@@ -12,33 +13,22 @@ import (
 // may only change wall-clock, never results. The selection covers the
 // independent-run fan-out (Figure 1), the calibration fan-out
 // (Figure 4), the nested singleflight chain (Table 2: CSR → decisions
-// → HetProbe run → threshold) and the ablation fan-out.
+// → HetProbe run → threshold) and the ablation fan-out. The parallel
+// side is the shared quick report (Parallel = GOMAXPROCS; on a one-CPU
+// host both sides are sequential and this checks determinism only).
 func TestParallelSuiteByteIdentical(t *testing.T) {
-	render := func(parallel int) string {
-		s := Quick()
-		s.Parallel = parallel
-		rows1, err := s.Figure1()
-		if err != nil {
-			t.Fatal(err)
-		}
-		points, err := s.Figure4()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl2, err := s.Table2()
-		if err != nil {
-			t.Fatal(err)
-		}
-		abl, err := s.AblationSettling()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderFigure1(rows1) + "\n" + RenderFigure4(points) + "\n" +
-			RenderTable2(tbl2) + "\n" + RenderAblation("settling", abl)
+	render := func(rep *Report) string {
+		return RenderFigure1(rep.Fig1) + "\n" + RenderFigure4(rep.Fig4) + "\n" +
+			RenderTable2(rep.Tbl2) + "\n" + RenderAblation("settling", rep.Ablation["settling"])
 	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
+	s := Quick()
+	s.Parallel = 1
+	seqRep, err := s.Report("fig1,fig4,tbl2,ablation", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parRep := quickReport(t)
+	if seq, par := render(seqRep), render(parRep); seq != par {
 		t.Errorf("parallel report differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
 }

@@ -2,10 +2,152 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
 )
+
+// reportNames are the experiments a Report can hold, in the order
+// Suite.Report runs and prints them.
+var reportNames = []string{"fig1", "fig4", "tbl2", "tbl3", "fig6", "fig7", "fig8", "fig9", "overhead", "ablation"}
+
+// Report is hetbench's -json output and the golden file's content: one
+// entry per selected experiment, keyed by the -run names.
+// time.Duration fields serialize as nanoseconds.
+type Report struct {
+	Fig1     []Fig1Row                `json:"fig1,omitempty"`
+	Fig4     []Fig4Point              `json:"fig4,omitempty"`
+	Tbl2     []Table2Row              `json:"tbl2,omitempty"`
+	Tbl3     []Table3Row              `json:"tbl3,omitempty"`
+	Fig6     *Fig6                    `json:"fig6,omitempty"`
+	Fig7     *Fig7Report              `json:"fig7,omitempty"`
+	Fig8     *Fig8Report              `json:"fig8,omitempty"`
+	Fig9     *Fig9Report              `json:"fig9,omitempty"`
+	Overhead []OverheadRow            `json:"overhead,omitempty"`
+	Ablation map[string][]AblationRow `json:"ablation,omitempty"`
+}
+
+// Fig7Report pairs the fault-period rows with the threshold they are
+// judged against.
+type Fig7Report struct {
+	Rows      []Fig7Row `json:"rows"`
+	Threshold int64     `json:"threshold_ns"`
+}
+
+// Fig8Report pairs the miss-rate rows with the node-selection
+// threshold.
+type Fig8Report struct {
+	Rows      []Fig8Row `json:"rows"`
+	Threshold float64   `json:"misses_per_kinst_threshold"`
+}
+
+// Fig9Report pairs the TCP/IP case-study rows with that protocol's
+// threshold.
+type Fig9Report struct {
+	Rows      []Fig9Row `json:"rows"`
+	Threshold int64     `json:"threshold_ns"`
+}
+
+// Report runs the experiments named in only (comma-separated
+// reportNames; empty selects all of them), printing each one's table to
+// text as it completes, and collects their results. A name it does not
+// know is an error, returned before anything runs.
+func (s *Suite) Report(only string, text io.Writer) (*Report, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		if !slices.Contains(reportNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(reportNames, " "))
+		}
+		want[name] = true
+	}
+	selected := func(name string) bool { return len(want) == 0 || want[name] }
+
+	var rep Report
+	var err error
+	if selected("fig1") {
+		if rep.Fig1, err = s.Figure1(); err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(text, RenderFigure1(rep.Fig1))
+	}
+	if selected("fig4") {
+		if rep.Fig4, err = s.Figure4(); err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(text, RenderFigure4(rep.Fig4))
+	}
+	if selected("tbl2") {
+		if rep.Tbl2, err = s.Table2(); err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(text, RenderTable2(rep.Tbl2))
+	}
+	if selected("tbl3") {
+		if rep.Tbl3, err = s.Table3(); err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(text, RenderTable3(rep.Tbl3))
+	}
+	// The overhead table is derived from Figure 6's grid: one run of
+	// it serves both.
+	var fig6 Fig6
+	if selected("fig6") || selected("overhead") {
+		if fig6, err = s.Figure6(); err != nil {
+			return nil, err
+		}
+	}
+	if selected("fig6") {
+		rep.Fig6 = &fig6
+		fmt.Fprintln(text, RenderFigure6(fig6))
+	}
+	if selected("fig7") {
+		rows, th, err := s.Figure7()
+		if err != nil {
+			return nil, err
+		}
+		rep.Fig7 = &Fig7Report{Rows: rows, Threshold: int64(th)}
+		fmt.Fprintln(text, RenderFigure7(rows, th))
+	}
+	if selected("fig8") {
+		rows, th, err := s.Figure8()
+		if err != nil {
+			return nil, err
+		}
+		rep.Fig8 = &Fig8Report{Rows: rows, Threshold: th}
+		fmt.Fprintln(text, RenderFigure8(rows, th))
+	}
+	if selected("fig9") {
+		rows, th, err := s.Figure9()
+		if err != nil {
+			return nil, err
+		}
+		rep.Fig9 = &Fig9Report{Rows: rows, Threshold: int64(th)}
+		fmt.Fprintln(text, RenderFigure9(rows, th))
+	}
+	if selected("overhead") {
+		rep.Overhead = ProbeOverhead(fig6)
+		fmt.Fprintln(text, RenderOverheads(rep.Overhead))
+	}
+	if selected("ablation") {
+		hier, err := s.AblationHierarchy()
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(text, RenderAblation("Ablation — two-level thread hierarchy (kmeans, cross-node dynamic)", hier))
+		settle, err := s.AblationSettling()
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(text, RenderAblation("Ablation — deterministic probe distribution (blackscholes, 12 rounds)", settle))
+		rep.Ablation = map[string][]AblationRow{"hierarchy": hier, "settling": settle}
+	}
+	return &rep, nil
+}
 
 // table is a tiny helper building aligned text tables.
 type table struct {

@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// A short seeded load run: deterministic dispatch, zero warm probes,
-// cross-tenant cache hits, all SLOs met. This is the in-process
-// equivalent of `make load-smoke`.
+// The in-process equivalent of `make load-smoke`, same config:
+// deterministic dispatch (run twice), all SLOs met, and the virtual
+// time, dispatch order and cache traffic pinned exactly — a change
+// that moves them is a change to the modelled system and says so here.
 func TestRunLoadVerifiedSmoke(t *testing.T) {
 	report, err := RunLoadVerified(LoadConfig{
-		Jobs: 60, Tenants: 4, Signatures: 4, Seed: 7,
+		Jobs: 200, Tenants: 4, Signatures: 6, Seed: 1,
 		MaxInFlight: 8,
 		SLO: SLO{
-			MinCrossTenantWarm: 1,
+			MinCrossTenantWarm: 10,
 			MaxRejections:      0,
 		},
 	})
@@ -27,18 +28,20 @@ func TestRunLoadVerifiedSmoke(t *testing.T) {
 	if len(report.SLOFailures) != 0 {
 		t.Fatalf("SLO failures: %v", report.SLOFailures)
 	}
-	if report.Completed != 60 {
-		t.Fatalf("completed %d, want 60", report.Completed)
+	if report.Completed != 200 {
+		t.Fatalf("completed %d, want 200", report.Completed)
 	}
-	if report.CacheHits == 0 || report.CrossTenantWarm == 0 {
-		t.Fatalf("shared cache produced hits=%d crossTenant=%d, want > 0", report.CacheHits, report.CrossTenantWarm)
+	if report.VirtualSeconds != 0.144568698 {
+		t.Errorf("virtual_seconds = %.9f, want 0.144568698", report.VirtualSeconds)
 	}
-	if report.WarmProbes != 0 {
-		t.Fatalf("warm probes = %d, want 0", report.WarmProbes)
+	if report.DispatchHash != "47dc6aea47cf0c30" {
+		t.Errorf("dispatch_hash = %s, want 47dc6aea47cf0c30", report.DispatchHash)
 	}
-	// Cold probes: exactly one per signature actually used.
-	if report.CacheMisses > report.Signatures {
-		t.Fatalf("cache misses %d > %d signatures — a signature probed twice", report.CacheMisses, report.Signatures)
+	// One cold probe per signature, every other job a hit, and no warm
+	// run ever probes (cross-tenant ones included).
+	if report.CacheHits != 194 || report.CacheMisses != 6 || report.WarmProbes != 0 {
+		t.Errorf("cache hits/misses/warm probes = %d/%d/%d, want 194/6/0",
+			report.CacheHits, report.CacheMisses, report.WarmProbes)
 	}
 	// The report must be valid JSON (hetload's output contract).
 	if _, err := json.MarshalIndent(report, "", "  "); err != nil {
