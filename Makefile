@@ -87,3 +87,13 @@ churn-smoke:
 		-churn remove:n1@30,add:n1:thunderx:1@70 \
 		-chaos-profile mixed -chaos-slo -verify-determinism \
 		-quiet -json $(OUT)/hetload_churn.json
+
+# Command smoke: the two simulator commands end to end on the quick
+# suite, the JSON report checked for well-formedness, and an unknown
+# chaos profile rejected by both before anything runs. Foreground.
+.PHONY: cmd-smoke
+cmd-smoke:
+	$(GO) run ./cmd/hetmprun -quick -bench EP-C
+	$(GO) run ./cmd/hetbench -quick -run fig4 -json - | python3 -m json.tool > /dev/null
+	! $(GO) run ./cmd/hetmprun -quick -bench EP-C -chaos-profile bogus
+	! $(GO) run ./cmd/hetbench -quick -run fig4 -chaos-profile bogus

@@ -12,27 +12,28 @@ import (
 	"hetmp/internal/experiments"
 )
 
-func runQuick(only string, scale float64, jsonOut string, stdout, stderr io.Writer) error {
-	return run(true, only, false, scale, jsonOut, "", 1, 1, false, "", stdout, stderr)
+func runQuick(stdout, stderr io.Writer, args ...string) error {
+	return run(append([]string{"-quick", "-parallel", "1"}, args...), stdout, stderr)
 }
 
-// A -run name hetbench does not know and a negative -scale are errors
-// that name what is wrong, returned before anything runs or prints.
+// A -run name hetbench does not know, a negative -scale and an unknown
+// -chaos-profile are errors that name what is wrong, returned before
+// anything runs or prints.
 func TestRunRejectsBadSelectionAndScale(t *testing.T) {
 	for _, tc := range []struct {
-		only  string
-		scale float64
-		want  string
+		args []string
+		want string
 	}{
-		{"fig66", 0, `"fig66" (valid: fig1 fig4 tbl2 tbl3 fig6 fig7 fig8 fig9 overhead ablation)`},
-		{"fig4,figg7", 0, `"figg7"`},
-		{"tbl2", -1, "-scale"},
+		{[]string{"-run", "fig66"}, `"fig66" (valid: fig1 fig4 tbl2 tbl3 fig6 fig7 fig8 fig9 overhead ablation)`},
+		{[]string{"-run", "fig4,figg7"}, `"figg7"`},
+		{[]string{"-run", "tbl2", "-scale", "-1"}, "-scale"},
+		{[]string{"-run", "fig4", "-chaos-profile", "bogus"}, `"bogus"`},
 	} {
 		var out bytes.Buffer
-		err := runQuick(tc.only, tc.scale, "", &out, &out)
+		err := runQuick(&out, &out, tc.args...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) || out.Len() != 0 {
-			t.Errorf("-run %s -scale %g: error %v after printing %q, want one containing %q and no output",
-				tc.only, tc.scale, err, out.String(), tc.want)
+			t.Errorf("%v: error %v after printing %q, want one containing %q and no output",
+				tc.args, err, out.String(), tc.want)
 		}
 	}
 }
@@ -42,10 +43,10 @@ func TestRunRejectsBadSelectionAndScale(t *testing.T) {
 func TestJSONToStdoutIsOnlyJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig4.json")
 	var fileOut, dashOut, dashErr bytes.Buffer
-	if err := runQuick("fig4", 0, path, &fileOut, io.Discard); err != nil {
+	if err := runQuick(&fileOut, io.Discard, "-run", "fig4", "-json", path); err != nil {
 		t.Fatal(err)
 	}
-	if err := runQuick("fig4", 0, "-", &dashOut, &dashErr); err != nil {
+	if err := runQuick(&dashOut, &dashErr, "-run", "fig4", "-json", "-"); err != nil {
 		t.Fatal(err)
 	}
 	var rep experiments.Report

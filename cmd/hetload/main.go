@@ -33,6 +33,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -41,36 +43,64 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "hetload: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// inProcessOnly are the flags that configure the in-process server or
+// how hetload drives it. A remote hetserve is configured on the daemon,
+// so -connect rejects them rather than ignore them.
+var inProcessOnly = []string{
+	"verify-determinism", "cache-dir", "queue-depth", "max-inflight",
+	"tenant-budget", "weights", "no-preload", "nodes",
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("hetload", flag.ExitOnError)
 	var (
-		jobs       = flag.Int("jobs", 200, "total jobs to submit")
-		tenants    = flag.Int("tenants", 4, "synthetic tenant count")
-		signatures = flag.Int("signatures", 6, "distinct region shapes in the mix")
-		seed       = flag.Int64("seed", 1, "workload + executor seed")
-		queueDepth = flag.Int("queue-depth", 0, "server queue depth (0 = jobs, so preload admits everything)")
-		inflight   = flag.Int("max-inflight", 8, "server max concurrently executing jobs")
-		budget     = flag.Int64("tenant-budget", 0, "per-tenant iteration budget per window")
-		weights    = flag.String("weights", "", "per-tenant weights, tenant=w,tenant=w")
-		chaosProf  = flag.String("chaos-profile", "", "run jobs under this chaos profile")
-		cacheDir   = flag.String("cache-dir", "", "persist the shared decision cache here")
-		noPreload  = flag.Bool("no-preload", false, "submit concurrently instead of preloading (exercises backpressure; not deterministic)")
-		verify     = flag.Bool("verify-determinism", false, "run twice and assert identical dispatch hash and virtual time")
-		connect    = flag.String("connect", "", "drive a remote hetserve at this address instead of an in-process server")
-		jsonOut    = flag.String("json", "", "write the JSON report here (- = stdout)")
-		quiet      = flag.Bool("quiet", false, "suppress progress output")
+		jobs       = fs.Int("jobs", 200, "total jobs to submit")
+		tenants    = fs.Int("tenants", 4, "synthetic tenant count")
+		signatures = fs.Int("signatures", 6, "distinct region shapes in the mix")
+		seed       = fs.Int64("seed", 1, "workload + executor seed")
+		queueDepth = fs.Int("queue-depth", 0, "server queue depth (0 = jobs, so preload admits everything)")
+		inflight   = fs.Int("max-inflight", 8, "server max concurrently executing jobs")
+		budget     = fs.Int64("tenant-budget", 0, "per-tenant iteration budget per window")
+		weights    = fs.String("weights", "", "per-tenant weights, tenant=w,tenant=w")
+		chaosProf  = fs.String("chaos-profile", "", "run jobs under this chaos profile")
+		cacheDir   = fs.String("cache-dir", "", "persist the shared decision cache here")
+		noPreload  = fs.Bool("no-preload", false, "submit concurrently instead of preloading (exercises backpressure; not deterministic)")
+		verify     = fs.Bool("verify-determinism", false, "run twice and assert identical dispatch hash and virtual time")
+		connect    = fs.String("connect", "", "drive a remote hetserve at this address instead of an in-process server")
+		jsonOut    = fs.String("json", "", "write the JSON report here (- = stdout)")
+		quiet      = fs.Bool("quiet", false, "suppress progress output")
 
-		nodes    = flag.String("nodes", "", "elastic membership: name:class[:weight],... (empty = membership off)")
-		churn    = flag.String("churn", "", "membership-churn schedule: op:args@dispatch,... (e.g. remove:n1@30,add:n1:thunderx:1@70)")
-		chaosSLO = flag.Bool("chaos-slo", false, "assert the per-profile latency budget table for -chaos-profile (explicit -slo-* flags override)")
+		nodes    = fs.String("nodes", "", "elastic membership: name:class[:weight],... (empty = membership off)")
+		churn    = fs.String("churn", "", "membership-churn schedule: op:args@dispatch,... (e.g. remove:n1@30,add:n1:thunderx:1@70)")
+		chaosSLO = fs.Bool("chaos-slo", false, "assert the per-profile latency budget table for -chaos-profile (explicit -slo-* flags override)")
 
-		sloWaitP95 = flag.Float64("slo-p95-wait-ms", 0, "SLO: max p95 admission-to-dispatch wait (ms)")
-		sloWaitP99 = flag.Float64("slo-p99-wait-ms", 0, "SLO: max p99 admission-to-dispatch wait (ms)")
-		sloSvcP95  = flag.Float64("slo-p95-service-ms", 0, "SLO: max p95 service time (ms)")
-		sloSvcP99  = flag.Float64("slo-p99-service-ms", 0, "SLO: max p99 service time (ms)")
-		sloMinTput = flag.Float64("slo-min-throughput", 0, "SLO: min completed jobs per second")
-		sloMinXT   = flag.Int("slo-min-cross-tenant-warm", 0, "SLO: min cross-tenant warm (probe-free) runs")
-		expectRej  = flag.Bool("expect-rejections", false, "tolerate admission rejections (backpressure runs)")
+		sloWaitP95 = fs.Float64("slo-p95-wait-ms", 0, "SLO: max p95 admission-to-dispatch wait (ms)")
+		sloWaitP99 = fs.Float64("slo-p99-wait-ms", 0, "SLO: max p99 admission-to-dispatch wait (ms)")
+		sloSvcP95  = fs.Float64("slo-p95-service-ms", 0, "SLO: max p95 service time (ms)")
+		sloSvcP99  = fs.Float64("slo-p99-service-ms", 0, "SLO: max p99 service time (ms)")
+		sloMinTput = fs.Float64("slo-min-throughput", 0, "SLO: min completed jobs per second")
+		sloMinXT   = fs.Int("slo-min-cross-tenant-warm", 0, "SLO: min cross-tenant warm (probe-free) runs")
+		expectRej  = fs.Bool("expect-rejections", false, "tolerate admission rejections (backpressure runs)")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	if *connect != "" {
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(inProcessOnly, f.Name) {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("%s configure an in-process server; a remote hetserve is configured on the daemon",
+				strings.Join(ignored, ", "))
+		}
+	}
 	cfg := server.LoadConfig{
 		Jobs: *jobs, Tenants: *tenants, Signatures: *signatures, Seed: *seed,
 		QueueDepth: *queueDepth, MaxInFlight: *inflight, TenantIterBudget: *budget,
@@ -87,49 +117,35 @@ func main() {
 	if *expectRej {
 		cfg.SLO.MaxRejections = -1
 	}
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "hetload: %v\n", err)
-		os.Exit(1)
-	}
 	var err error
 	if cfg.Weights, err = server.ParseWeights(*weights); err != nil {
-		fail(err)
+		return err
 	}
 	if cfg.Members, err = server.ParseMembers(*nodes); err != nil {
-		fail(err)
+		return err
 	}
 	if cfg.Churn, err = server.ParseChurn(*churn); err != nil {
-		fail(err)
+		return err
 	}
 	if len(cfg.Churn) > 0 && len(cfg.Members) == 0 {
-		fail(errors.New("-churn requires -nodes"))
+		return errors.New("-churn requires -nodes")
 	}
 	if *chaosSLO {
 		budget, ok := server.ChaosSLOs(*chaosProf)
 		if !ok {
-			fail(fmt.Errorf("-chaos-slo: no latency budget for chaos profile %q", *chaosProf))
+			return fmt.Errorf("-chaos-slo: no latency budget for chaos profile %q", *chaosProf)
 		}
 		cfg.SLO = server.MergeSLO(cfg.SLO, budget)
-	}
-	if *connect != "" && len(cfg.Members) > 0 {
-		fail(errors.New("-nodes drives an in-process server; a remote hetserve's membership is configured on the daemon"))
 	}
 	if !*quiet {
 		cfg.Logf = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
 	}
-	if err := run(cfg, *verify, *connect, *jsonOut); err != nil {
-		fmt.Fprintf(os.Stderr, "hetload: %v\n", err)
-		os.Exit(1)
-	}
-}
 
-func run(cfg server.LoadConfig, verify bool, connect, jsonOut string) error {
 	var report server.LoadReport
-	var err error
 	switch {
-	case connect != "":
-		report, err = runRemote(cfg, connect)
-	case verify:
+	case *connect != "":
+		report, err = runRemote(cfg, *connect)
+	case *verify:
 		report, err = server.RunLoadVerified(cfg)
 	default:
 		report, err = server.RunLoad(cfg)
@@ -137,16 +153,16 @@ func run(cfg server.LoadConfig, verify bool, connect, jsonOut string) error {
 	if err != nil {
 		return err
 	}
-	if jsonOut != "" {
-		data, merr := json.MarshalIndent(report, "", "  ")
-		if merr != nil {
-			return merr
+	if *jsonOut != "" {
+		data, err := json.MarshalIndent(report, "", "  ")
+		if err != nil {
+			return err
 		}
 		data = append(data, '\n')
-		if jsonOut == "-" {
+		if *jsonOut == "-" {
 			os.Stdout.Write(data)
-		} else if werr := os.WriteFile(jsonOut, data, 0o644); werr != nil {
-			return werr
+		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
+			return err
 		}
 	}
 	if len(report.SLOFailures) > 0 {
@@ -161,30 +177,12 @@ func run(cfg server.LoadConfig, verify bool, connect, jsonOut string) error {
 // retry/backoff. Determinism is not asserted against a remote server —
 // its admission order depends on the network.
 func runRemote(cfg server.LoadConfig, addr string) (server.LoadReport, error) {
-	cfg = server.LoadConfig{
-		Jobs: cfg.Jobs, Tenants: cfg.Tenants, Signatures: cfg.Signatures, Seed: cfg.Seed,
-		MaxRetries: cfg.MaxRetries, SLO: cfg.SLO, Logf: cfg.Logf, ChaosProfile: cfg.ChaosProfile,
-	}
-	cfgDef := cfg
-	if cfgDef.Jobs <= 0 {
-		cfgDef.Jobs = 200
-	}
-	if cfgDef.Tenants <= 0 {
-		cfgDef.Tenants = 4
-	}
-	if cfgDef.Signatures <= 0 {
-		cfgDef.Signatures = 6
-	}
-	if cfgDef.MaxRetries <= 0 {
-		cfgDef.MaxRetries = 25
-	}
-	logf := cfgDef.Logf
+	cfg = cfg.WithDefaults()
+	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	specs := server.Workload(server.LoadConfig{
-		Jobs: cfgDef.Jobs, Tenants: cfgDef.Tenants, Signatures: cfgDef.Signatures, Seed: cfgDef.Seed,
-	})
+	specs := server.Workload(cfg)
 
 	// One client per tenant; jobs for a tenant run serially on its
 	// connection, tenants in parallel.
@@ -193,8 +191,8 @@ func runRemote(cfg server.LoadConfig, addr string) (server.LoadReport, error) {
 		byTenant[sp.Tenant] = append(byTenant[sp.Tenant], sp)
 	}
 	report := server.LoadReport{
-		Jobs: cfgDef.Jobs, Tenants: cfgDef.Tenants, Signatures: cfgDef.Signatures,
-		Seed: cfgDef.Seed, TenantJobs: map[string]int{},
+		Jobs: cfg.Jobs, Tenants: cfg.Tenants, Signatures: cfg.Signatures,
+		Seed: cfg.Seed, TenantJobs: map[string]int{},
 	}
 	var mu sync.Mutex
 	var results []server.Result
@@ -222,7 +220,7 @@ func runRemote(cfg server.LoadConfig, addr string) (server.LoadReport, error) {
 						mu.Unlock()
 						break
 					}
-					if !errors.Is(err, server.ErrQueueFull) || attempt >= cfgDef.MaxRetries {
+					if !errors.Is(err, server.ErrQueueFull) || attempt >= cfg.MaxRetries {
 						errs <- fmt.Errorf("tenant %s: %w", tenant, err)
 						return
 					}
@@ -267,7 +265,7 @@ func runRemote(cfg server.LoadConfig, addr string) (server.LoadReport, error) {
 	if wall > 0 {
 		report.Throughput = float64(report.Completed) / wall.Seconds()
 	}
-	report.SLOFailures = server.CheckSLO(cfgDef.SLO, report)
+	report.SLOFailures = server.CheckSLO(cfg.SLO, report)
 	logf("hetload: remote %s: %d jobs in %.2fs (%.1f jobs/s), %d cache hits (%d cross-tenant)",
 		addr, report.Completed, report.WallSeconds, report.Throughput, report.CacheHits, report.CrossTenantWarm)
 	return report, nil

@@ -16,40 +16,29 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
-	"hetmp/internal/chaos"
 	"hetmp/internal/experiments"
 	"hetmp/internal/interconnect"
 	"hetmp/internal/kernels"
-	"hetmp/internal/profiling"
 	"hetmp/internal/rpc"
+	"hetmp/internal/runconfig"
 	"hetmp/internal/telemetry"
 )
 
 func main() {
+	sim := runconfig.Register(flag.CommandLine, true)
 	var (
-		bench    = flag.String("bench", "kmeans", "benchmark name (see -list)")
-		config   = flag.String("config", experiments.CfgHetProbe, "Xeon | ThunderX | Ideal CSR | Cross-Node Dynamic | HetProbe")
-		protocol = flag.String("protocol", "rdma", "rdma or tcpip")
-		scale    = flag.Float64("scale", 0, "problem scale override")
-		quick    = flag.Bool("quick", false, "reduced platform")
-		list     = flag.Bool("list", false, "list benchmarks and exit")
+		bench  = flag.String("bench", "kmeans", "benchmark name (see -list)")
+		config = flag.String("config", experiments.CfgHetProbe, "Xeon | ThunderX | Ideal CSR | Cross-Node Dynamic | HetProbe")
+		list   = flag.Bool("list", false, "list benchmarks and exit")
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (load in chrome://tracing or Perfetto)")
 		metricsOut = flag.String("metrics", "", "write a Prometheus text-format metrics dump of the run")
-
-		batch      = flag.Bool("batch-faults", false, "enable the DSM's batched-fault protocol")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
-
-		chaosProfile = flag.String("chaos-profile", "", "inject a named degradation profile: "+strings.Join(chaos.Profiles(), " | ")+" (enables HetProbe re-decision)")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the chaos schedule; same seed = same degradation, bit for bit")
-
-		decisionStore = flag.String("decision-store", "", "directory of persistent HetProbe decision stores: seed decisions from prior runs (skipping the probing period) and save learned ones back")
 
 		rpcAddrs    = flag.String("rpc", "", "comma-separated worker addresses: run -task over real RPC workers instead of the simulator")
 		task        = flag.String("task", "blackscholes", "registered task name for -rpc mode")
@@ -71,17 +60,13 @@ func main() {
 	if *traceOut != "" || *metricsOut != "" {
 		tel = telemetry.New(telemetry.Options{})
 	}
-	stop, err := profiling.Start(*cpuProfile, *memProfile)
-	if err == nil {
+	err := sim.Run(os.Stdout, func(s *experiments.Suite, proto interconnect.Spec) error {
 		if *rpcAddrs != "" {
-			err = runRPC(*rpcAddrs, *task, *n, *arg, *probe, *callTimeout, *retries, *redial, tel)
-		} else {
-			err = run(*bench, *config, *protocol, *scale, *quick, *chaosProfile, *chaosSeed, *batch, *decisionStore, tel)
+			return runRPC(*rpcAddrs, *task, *n, *arg, *probe, *callTimeout, *retries, *redial, tel)
 		}
-		if perr := stop(); err == nil {
-			err = perr
-		}
-	}
+		s.Telemetry = tel
+		return run(s, *bench, *config, proto)
+	})
 	if err == nil {
 		err = writeTelemetry(tel, *traceOut, *metricsOut)
 	}
@@ -95,15 +80,7 @@ func main() {
 // files.
 func writeTelemetry(tel *telemetry.Telemetry, traceOut, metricsOut string) error {
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := tel.Tracer().WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(traceOut, tel.Tracer().WriteTrace); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (%d spans", traceOut, tel.Tracer().Len())
@@ -113,20 +90,25 @@ func writeTelemetry(tel *telemetry.Telemetry, traceOut, metricsOut string) error
 		fmt.Println(")")
 	}
 	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := tel.Metrics().WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(metricsOut, tel.Metrics().WritePrometheus); err != nil {
 			return err
 		}
 		fmt.Printf("metrics written to %s\n", metricsOut)
 	}
 	return nil
+}
+
+// writeFile creates path and lets write fill it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runRPC distributes a task over real workers and reports the outcome,
@@ -174,37 +156,18 @@ func printWorkerStats(stats []rpc.WorkerStats) {
 	}
 }
 
-func run(bench, config, protocol string, scale float64, quick bool, chaosProfile string, chaosSeed int64, batch bool, decisionStore string, tel *telemetry.Telemetry) error {
-	if scale < 0 {
-		return fmt.Errorf("-scale %g is negative", scale)
-	}
-	s := experiments.Default()
-	if quick {
-		s = experiments.Quick()
-	}
-	if scale > 0 {
-		s.Scale = scale
-	}
-	s.Telemetry = tel
-	s.ChaosProfile = chaosProfile
-	s.ChaosSeed = chaosSeed
-	s.BatchFaults = batch
-	s.DecisionStore = decisionStore
-	proto, err := interconnect.ByName(protocol)
-	if err != nil {
-		return err
-	}
+func run(s *experiments.Suite, bench, config string, proto interconnect.Spec) error {
 	res, err := s.Run(bench, config, proto)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s under %s (%s): %s, %d DSM faults\n",
 		bench, config, proto.Name, experiments.FormatDuration(res.Time), res.Faults)
-	if chaosProfile != "" {
+	if s.ChaosProfile != "" {
 		fmt.Printf("  chaos %s (seed %d): %d mid-region re-decision(s)\n",
-			chaosProfile, chaosSeed, res.ReDecisions)
+			s.ChaosProfile, s.ChaosSeed, res.ReDecisions)
 	}
-	if decisionStore != "" {
+	if s.DecisionStore != "" {
 		fmt.Printf("  decision store: %d probing period(s), %d prediction(s)\n",
 			res.Probes, res.Predictions)
 	}

@@ -45,22 +45,18 @@ func main() {
 		weights     = flag.String("weights", "", "per-tenant fair-share weights, tenant=w,tenant=w (default weight 1)")
 		chaosProf   = flag.String("chaos-profile", "", "run every job under this chaos profile")
 		seed        = flag.Int64("seed", 1, "executor seed (folded with each job's signature)")
-		scale       = flag.Float64("scale", 0.2, "scale-model cache factor for the simulated cluster")
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics and /trace on this address")
 		nodes       = flag.String("nodes", "", "elastic membership: name:class[:weight],... (empty = membership off)")
 	)
 	flag.Parse()
-	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *tenantMax, *budget, *weights, *chaosProf, *seed, *scale, *debugAddr, *nodes); err != nil {
+	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *tenantMax, *budget, *weights, *chaosProf, *seed, *debugAddr, *nodes); err != nil {
 		fmt.Fprintf(os.Stderr, "hetserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget int64,
-	weights, chaosProf string, seed int64, scale float64, debugAddr, nodes string) error {
-	if scale < 0 {
-		return fmt.Errorf("-scale %g is negative", scale)
-	}
+	weights, chaosProf string, seed int64, debugAddr, nodes string) error {
 	w, err := server.ParseWeights(weights)
 	if err != nil {
 		return err
@@ -93,9 +89,7 @@ func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget
 		fmt.Printf("hetserve: metrics on http://%s/metrics\n", dln.Addr())
 	}
 
-	xcfg := server.SimExecutorConfig{Scale: scale, Seed: seed, ChaosProfile: chaosProf}
-	probe := server.NewSimExecutor(xcfg)
-	store, err := server.NewCache(cacheDir, probe.Fingerprint())
+	store, err := server.NewCache(cacheDir, server.SimFingerprint())
 	if err != nil {
 		return err
 	}
@@ -105,9 +99,7 @@ func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget
 			fmt.Printf("hetserve: cache rejected, starting cold: %s\n", st)
 		}
 	}
-	xcfg.Store = store
-	xcfg.Telemetry = tel
-	exec := server.NewSimExecutor(xcfg)
+	exec := server.NewSimExecutor(server.SimExecutorConfig{Seed: seed, ChaosProfile: chaosProf, Store: store, Telemetry: tel})
 	rs := server.New(server.Config{
 		QueueDepth:        queueDepth,
 		MaxInFlight:       maxInflight,

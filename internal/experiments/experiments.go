@@ -189,28 +189,35 @@ func (s *Suite) forEach(n int, fn func(i int) error) error {
 
 // Default returns the full-size suite (the paper's platform).
 func Default() *Suite {
-	return &Suite{
-		Scale:      1,
-		CacheScale: 1.0 / 8,
-		TimeScale:  0.1,
-		XeonCores:  16,
-		TXCores:    96,
-		Seed:       1,
-		Verify:     true,
+	s := &Suite{
+		TimeScale: 0.1,
+		XeonCores: 16,
+		TXCores:   96,
+		Seed:      1,
+		Verify:    true,
 	}
+	s.SetScale(1)
+	return s
 }
 
 // Quick returns a reduced suite for fast runs (unit tests, -quick).
-// Cache capacities shrink with the problem scale so footprint/capacity
-// ratios — the miss-rate signatures — are preserved.
 func Quick() *Suite {
 	s := Default()
-	s.Scale = 0.2
-	s.CacheScale = s.Scale / 8
+	s.SetScale(0.2)
 	s.TimeScale = 0.05
 	s.XeonCores = 8
 	s.TXCores = 48
 	return s
+}
+
+// SetScale moves the suite to one point of the scale model: problem
+// sizes multiply by scale and node caches shrink to scale/8 of the
+// real machines', so footprint-to-capacity ratios — the miss-rate
+// signatures — are the same at every point (DESIGN.md §5). TimeScale
+// is left as the suite has it.
+func (s *Suite) SetScale(scale float64) {
+	s.Scale = scale
+	s.CacheScale = scale / 8
 }
 
 // platform builds the node set for a configuration: "both", "xeon" or
@@ -230,21 +237,36 @@ func (s *Suite) platform(which string) machine.Platform {
 	}
 }
 
+// simConfig is the cluster configuration every run of the suite
+// shares: the configuration's nodes ("both", "xeon" or "tx"), the
+// protocol with the suite's fault batching and time scale, the seed,
+// and the migration cost on the same time scale. Callers add their
+// own Jitter, Chaos or Telemetry.
+func (s *Suite) simConfig(which string, proto interconnect.Spec) cluster.SimConfig {
+	proto.BatchFaults = s.BatchFaults
+	return cluster.SimConfig{
+		Platform:      s.platform(which),
+		Protocol:      proto.Scaled(s.TimeScale),
+		Seed:          s.Seed,
+		MigrationCost: time.Duration(200 * float64(time.Microsecond) * s.TimeScale),
+	}
+}
+
+// calibrate runs the Section 3.2 microbenchmark on fresh clusters of
+// cfg, 8 pages per remote thread. Calibration spawns at the cluster's
+// unscaled default migration cost, whatever cfg says.
+func calibrate(cfg cluster.SimConfig, intensities []float64) ([]core.CalibrationPoint, error) {
+	cfg.MigrationCost = 0
+	return core.Calibrate(func() (cluster.Cluster, error) { return cluster.NewSim(cfg) }, intensities, 8)
+}
+
 // Threshold returns (calibrating and caching on first use) the
 // cross-node profitability threshold for a protocol, derived with the
 // Section 3.2 microbenchmark exactly as the paper prescribes.
 func (s *Suite) Threshold(proto interconnect.Spec) (time.Duration, error) {
 	v, err := s.cache.do("threshold/"+proto.Name, func() (any, error) {
-		proto.BatchFaults = s.BatchFaults
-		proto = proto.Scaled(s.TimeScale)
 		intensities := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
-		points, err := core.Calibrate(func() (cluster.Cluster, error) {
-			return cluster.NewSim(cluster.SimConfig{
-				Platform: s.platform("both"),
-				Protocol: proto,
-				Seed:     s.Seed,
-			})
-		}, intensities, 8)
+		points, err := calibrate(s.simConfig("both", proto), intensities)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +349,6 @@ var dynChunks = map[string]int{
 // total execution time (serial + parallel phases, like Table 3 and
 // Figure 6).
 func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, error) {
-	proto.BatchFaults = s.BatchFaults
 	th, err := s.Threshold(proto)
 	if err != nil {
 		return Result{}, err
@@ -372,18 +393,14 @@ func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, erro
 		}
 		inj = chaos.New(p, s.ChaosSeed)
 	}
-	cl, err := cluster.NewSim(cluster.SimConfig{
-		Platform:      s.platform(which),
-		Protocol:      proto.Scaled(s.TimeScale),
-		Seed:          s.Seed,
-		MigrationCost: time.Duration(200 * float64(time.Microsecond) * s.TimeScale),
-		Telemetry:     s.Telemetry,
-		Chaos:         inj,
-	})
+	cfg := s.simConfig(which, proto)
+	cfg.Telemetry = s.Telemetry
+	cfg.Chaos = inj
+	cl, err := cluster.NewSim(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	store, err := s.openStore(which, config, proto.Scaled(s.TimeScale))
+	store, err := s.openStore(which, config, cfg.Protocol)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%s: %w", bench, config, err)
 	}

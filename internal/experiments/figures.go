@@ -68,20 +68,14 @@ type Fig4Point struct {
 // page-fault period (4b) vs compute intensity for RDMA and TCP/IP.
 func (s *Suite) Figure4() ([]Fig4Point, error) {
 	intensities := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072}
-	run := func(proto interconnect.Spec) ([]core.CalibrationPoint, error) {
-		proto.BatchFaults = s.BatchFaults
-		return core.Calibrate(func() (cluster.Cluster, error) {
-			return cluster.NewSim(cluster.SimConfig{
-				Platform: s.platform("both"),
-				Protocol: proto,
-				Seed:     s.Seed,
-			})
-		}, intensities, 8)
-	}
 	protos := []interconnect.Spec{interconnect.RDMA56(), interconnect.TCPIP()}
 	curves := make([][]core.CalibrationPoint, len(protos))
 	err := s.forEach(len(protos), func(i int) error {
-		pts, err := run(protos[i])
+		// The figure shows the real protocols, not the time-scaled ones.
+		cfg := s.simConfig("both", protos[i])
+		cfg.Protocol = protos[i]
+		cfg.Protocol.BatchFaults = s.BatchFaults
+		pts, err := calibrate(cfg, intensities)
 		if err != nil {
 			return err
 		}
@@ -362,15 +356,10 @@ func (s *Suite) Figure9() ([]Fig9Row, time.Duration, error) {
 }
 
 func (s *Suite) runBlackscholesRounds(rounds int, which string, proto interconnect.Spec, th time.Duration) (Result, error) {
-	proto.BatchFaults = s.BatchFaults
 	k := kernels.NewBlackscholesRounds(s.Scale, rounds)
-	cl, err := cluster.NewSim(cluster.SimConfig{
-		Platform:      s.platform(which),
-		Protocol:      proto.Scaled(s.TimeScale),
-		Seed:          s.Seed,
-		MigrationCost: time.Duration(200 * float64(time.Microsecond) * s.TimeScale),
-		Jitter:        true, // the paper notes TCP/IP results are noisy
-	})
+	cfg := s.simConfig(which, proto)
+	cfg.Jitter = true // the paper notes TCP/IP results are noisy
+	cl, err := cluster.NewSim(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -438,7 +427,6 @@ type AblationRow struct {
 // globally).
 func (s *Suite) AblationHierarchy() ([]AblationRow, error) {
 	proto := interconnect.RDMA56()
-	proto.BatchFaults = s.BatchFaults
 	th, err := s.Threshold(proto)
 	if err != nil {
 		return nil, err
@@ -451,12 +439,7 @@ func (s *Suite) AblationHierarchy() ([]AblationRow, error) {
 		if err != nil {
 			return err
 		}
-		cl, err := cluster.NewSim(cluster.SimConfig{
-			Platform:      s.platform("both"),
-			Protocol:      proto.Scaled(s.TimeScale),
-			Seed:          s.Seed,
-			MigrationCost: time.Duration(200 * float64(time.Microsecond) * s.TimeScale),
-		})
+		cl, err := cluster.NewSim(s.simConfig("both", proto))
 		if err != nil {
 			return err
 		}
@@ -481,7 +464,6 @@ func (s *Suite) AblationHierarchy() ([]AblationRow, error) {
 // assignment.
 func (s *Suite) AblationSettling() ([]AblationRow, error) {
 	proto := interconnect.RDMA56()
-	proto.BatchFaults = s.BatchFaults
 	th, err := s.Threshold(proto)
 	if err != nil {
 		return nil, err
@@ -491,12 +473,7 @@ func (s *Suite) AblationSettling() ([]AblationRow, error) {
 	err = s.forEach(len(variants), func(i int) error {
 		random := variants[i]
 		k := kernels.NewBlackscholesRounds(s.Scale, 12)
-		cl, err := cluster.NewSim(cluster.SimConfig{
-			Platform:      s.platform("both"),
-			Protocol:      proto.Scaled(s.TimeScale),
-			Seed:          s.Seed,
-			MigrationCost: time.Duration(200 * float64(time.Microsecond) * s.TimeScale),
-		})
+		cl, err := cluster.NewSim(s.simConfig("both", proto))
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -101,5 +102,18 @@ func TestGoldenDiffNamesLineValuesAndCommand(t *testing.T) {
 	}
 	if same := goldenDiff(golden, golden); same != "" {
 		t.Errorf("goldenDiff of the golden with itself = %q", same)
+	}
+}
+
+// Quick is the Default suite moved along the scale model, with fewer
+// cores and its own TimeScale: the golden pins a point of the same
+// rule -scale applies, so the two cannot drift apart.
+func TestQuickIsDefaultOnTheScaleRule(t *testing.T) {
+	want := Default()
+	want.SetScale(0.2)
+	want.TimeScale = 0.05
+	want.XeonCores, want.TXCores = 8, 48
+	if got := Quick(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Quick() = %+v, want %+v", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strings"
@@ -17,15 +16,29 @@ import (
 	"hetmp/internal/telemetry"
 )
 
-// SimExecutorConfig tunes the simulated executor: a scaled-down paper
-// platform (a 4-core Xeon and a 12-core ThunderX over RDMA, decided
-// against core's default fault-period threshold) — the same scale-model
-// approach the Quick experiment suite uses, so a job completes in
-// milliseconds of wall time while preserving miss/fault ratios.
+// simPlatform is the simulated executor's cluster: a scaled-down paper
+// platform, a 4-core Xeon and a 12-core ThunderX with caches at the
+// 0.2 scale-model factor, decided over RDMA against core's default
+// fault-period threshold. It is the scale-model approach the Quick
+// experiment suite takes, so a job completes in milliseconds of wall
+// time while preserving miss/fault ratios.
+var simPlatform = func() machine.Platform {
+	xeon := machine.XeonE5_2620v4().ScaleCaches(0.2)
+	xeon.Cores = 4
+	tx := machine.ThunderX().ScaleCaches(0.2)
+	tx.Cores = 12
+	return machine.Platform{Nodes: []machine.NodeSpec{xeon, tx}, Origin: 0}
+}()
+
+// SimFingerprint identifies the simulated executor's cluster
+// configuration: the decision-store binding key. "scale=0.2" names the
+// cache factor, as in the stores already on disk.
+func SimFingerprint() string {
+	return decstore.Fingerprint(simPlatform.Nodes, "rdma", "scale=0.2")
+}
+
+// SimExecutorConfig tunes the simulated executor.
 type SimExecutorConfig struct {
-	// Scale shrinks cache capacities (and with them the scale model's
-	// footprints). Defaults to 0.2.
-	Scale float64
 	// Seed is folded with each job's signature hash into the Sim seed,
 	// so a signature's execution is identical wherever it runs in the
 	// dispatch order.
@@ -45,39 +58,24 @@ type SimExecutorConfig struct {
 // executes exactly one application), sharing one decision store across
 // every job so probes paid by any tenant are reusable by all.
 type SimExecutor struct {
-	cfg      SimExecutorConfig
-	platform machine.Platform
-	proto    string
-	cache    *frozenCache // nil when no store was configured
+	cfg   SimExecutorConfig
+	cache *frozenCache // nil when no store was configured
 
 	mu sync.Mutex // serializes store Save, not execution
 }
 
 // NewSimExecutor builds the executor.
 func NewSimExecutor(cfg SimExecutorConfig) *SimExecutor {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 0.2
-	}
-	xeon := machine.XeonE5_2620v4().ScaleCaches(cfg.Scale)
-	xeon.Cores = 4
-	tx := machine.ThunderX().ScaleCaches(cfg.Scale)
-	tx.Cores = 12
-	x := &SimExecutor{
-		cfg:      cfg,
-		platform: machine.Platform{Nodes: []machine.NodeSpec{xeon, tx}, Origin: 0},
-		proto:    "rdma",
-	}
+	x := &SimExecutor{cfg: cfg}
 	if cfg.Store != nil {
 		x.cache = &frozenCache{store: cfg.Store, classes: x.Classes()}
 	}
 	return x
 }
 
-// Fingerprint identifies the executor's cluster configuration — the
-// decision-store binding key.
-func (x *SimExecutor) Fingerprint() string {
-	return decstore.Fingerprint(x.platform.Nodes, x.proto, fmt.Sprintf("scale=%g", x.cfg.Scale))
-}
+// Fingerprint is SimFingerprint, the key of the store the executor
+// reads and writes.
+func (x *SimExecutor) Fingerprint() string { return SimFingerprint() }
 
 // Classes returns the node classes of the executor's platform
 // (lower-cased machine names, sorted, deduplicated). Decision entries
@@ -86,7 +84,7 @@ func (x *SimExecutor) Fingerprint() string {
 func (x *SimExecutor) Classes() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, n := range x.platform.Nodes {
+	for _, n := range simPlatform.Nodes {
 		c := strings.ToLower(n.Name)
 		if !seen[c] {
 			seen[c] = true
@@ -205,7 +203,7 @@ func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.D
 		inj = chaos.New(p, seed)
 	}
 	cl, err := cluster.NewSim(cluster.SimConfig{
-		Platform:  x.platform,
+		Platform:  simPlatform,
 		Protocol:  interconnect.RDMA56(),
 		Seed:      seed,
 		Telemetry: x.cfg.Telemetry,

@@ -149,7 +149,9 @@ type LoadConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c LoadConfig) withDefaults() LoadConfig {
+// WithDefaults returns the config with every unset field at its
+// documented default.
+func (c LoadConfig) WithDefaults() LoadConfig {
 	if c.Jobs <= 0 {
 		c.Jobs = 200
 	}
@@ -247,7 +249,7 @@ func Workload(cfg LoadConfig) []Spec {
 // returns the report. The server is built, driven, drained and closed
 // inside the call.
 func RunLoad(cfg LoadConfig) (LoadReport, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -259,14 +261,11 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 			return LoadReport{}, err
 		}
 	}
-	xcfg := SimExecutorConfig{Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile}
-	x := NewSimExecutor(xcfg)
-	store, err := NewCache(cfg.CacheDir, x.Fingerprint())
+	store, err := NewCache(cfg.CacheDir, SimFingerprint())
 	if err != nil {
 		return LoadReport{}, err
 	}
-	xcfg.Store = store
-	x = NewSimExecutor(xcfg)
+	x := NewSimExecutor(SimExecutorConfig{Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile, Store: store})
 	rs := New(Config{
 		QueueDepth:       cfg.QueueDepth,
 		MaxInFlight:      cfg.MaxInFlight,
