@@ -33,10 +33,12 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# The packages with real goroutine concurrency, raced quickly.
+# The packages with real goroutine concurrency, plus the engine that
+# switches simulated procs (runtime coroutines) and the LLC pool shared
+# across concurrent Sims, raced quickly.
 .PHONY: race-fast
 race-fast:
-	$(GO) test -race ./internal/rpc/... ./internal/core/... ./internal/cluster/... ./internal/apportion/... ./internal/decstore/... ./internal/server/...
+	$(GO) test -race ./internal/simtime/... ./internal/perf/... ./internal/rpc/... ./internal/core/... ./internal/cluster/... ./internal/apportion/... ./internal/decstore/... ./internal/server/...
 
 # The rpc pool keeps state across Runs (the probe cache), so repetition
 # is the net: the whole package, raced, ten times. Foreground, ~30 s.

@@ -185,8 +185,15 @@ func TestSimRunTwiceFails(t *testing.T) {
 	}
 }
 
+// Two identical Sims run back to back agree on Elapsed and on every
+// node's cache statistics: the second one runs on the cache arrays the
+// first released, which must come back empty.
 func TestSimDeterministicElapsed(t *testing.T) {
-	run := func() time.Duration {
+	type outcome struct {
+		elapsed time.Duration
+		llc     [2][2]int64
+	}
+	run := func() outcome {
 		c := newPaperSim(t)
 		r := c.Alloc("d", 256*4096, 0)
 		err := c.Run(func(e Env) {
@@ -206,10 +213,18 @@ func TestSimDeterministicElapsed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Elapsed()
+		o := outcome{elapsed: c.Elapsed()}
+		for node := range o.llc {
+			o.llc[node][0], o.llc[node][1] = c.LLCStats(node)
+		}
+		return o
 	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("nondeterministic elapsed: %v vs %v", a, b)
+	a, b := run(), run()
+	if a != b {
+		t.Fatalf("back-to-back Sims differ: %+v vs %+v", a, b)
+	}
+	if a.llc[0][1] == 0 || a.llc[1][1] == 0 {
+		t.Fatalf("cache stats %v: the run must miss on both nodes to check recycling", a.llc)
 	}
 }
 

@@ -48,10 +48,14 @@ type Sim struct {
 	cfg    SimConfig
 	engine *simtime.Engine
 	space  *dsm.Space
-	llcs   []*perf.LLC
+	llcs   []*perf.LLC // nil once Run has released them
 	membw  []*simtime.Resource
 	ran    bool
 	closed time.Duration
+
+	// llcStats holds each node's cache (accesses, misses) as Run left
+	// them, once the caches themselves have gone back to perf's pool.
+	llcStats [][2]int64
 }
 
 var _ Cluster = (*Sim)(nil)
@@ -149,7 +153,16 @@ func (c *Sim) Run(master func(Env)) error {
 	c.engine.Go("master", 0, func(p *simtime.Proc) {
 		master(&simEnv{c: c, node: c.Origin(), proc: p})
 	})
-	if err := c.engine.Run(); err != nil {
+	err := c.engine.Run()
+	// No proc can touch a cache once Run has returned, so the tag
+	// arrays go back for the next Sim.
+	c.llcStats = make([][2]int64, len(c.llcs))
+	for i, llc := range c.llcs {
+		c.llcStats[i][0], c.llcStats[i][1] = llc.Stats()
+		llc.Release()
+	}
+	c.llcs = nil
+	if err != nil {
 		return err
 	}
 	c.closed = c.engine.MaxNow()
@@ -167,7 +180,12 @@ func (c *Sim) DSMFaults() int64 { return c.space.TotalFaults() }
 func (c *Sim) DSMStats() []dsm.NodeStats { return c.space.Stats() }
 
 // LLCStats exposes per-node cache accesses and misses.
-func (c *Sim) LLCStats(node int) (accesses, misses int64) { return c.llcs[node].Stats() }
+func (c *Sim) LLCStats(node int) (accesses, misses int64) {
+	if c.llcs == nil {
+		return c.llcStats[node][0], c.llcStats[node][1]
+	}
+	return c.llcs[node].Stats()
+}
 
 // simEnv is one simulated thread.
 type simEnv struct {

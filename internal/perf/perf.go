@@ -7,6 +7,7 @@
 package perf
 
 import (
+	"sync"
 	"time"
 
 	"hetmp/internal/machine"
@@ -83,7 +84,26 @@ type LLC struct {
 	misses    int64
 }
 
-// NewLLC builds the cache described by spec.
+// llcGeometry is what a recycled cache's arrays must match.
+type llcGeometry struct {
+	sets, ways int
+	lineShift  uint
+}
+
+// llcPools holds one *sync.Pool of released caches per geometry, so a
+// simulator that builds a cluster per job reuses the tag arrays of the
+// last finished one instead of allocating them again.
+var llcPools sync.Map // llcGeometry -> *sync.Pool
+
+func llcPool(g llcGeometry) *sync.Pool {
+	if p, ok := llcPools.Load(g); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := llcPools.LoadOrStore(g, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// NewLLC builds the cache described by spec: empty, with zero counters.
 func NewLLC(spec machine.CacheSpec) *LLC {
 	shift := uint(0)
 	for 1<<shift < spec.LineBytes {
@@ -96,13 +116,36 @@ func NewLLC(spec machine.CacheSpec) *LLC {
 	for pow < nsets {
 		pow *= 2
 	}
-	return &LLC{
-		tags:      make([]int64, pow*spec.Ways),
-		sizes:     make([]int32, pow),
-		ways:      spec.Ways,
-		lineShift: shift,
-		setMask:   int64(pow - 1),
+	g := llcGeometry{sets: pow, ways: spec.Ways, lineShift: shift}
+	if c, ok := llcPool(g).Get().(*LLC); ok {
+		// Stale tags need no clearing: probes read set i only up to
+		// sizes[i].
+		clear(c.sizes)
+		c.accesses, c.misses = 0, 0
+		return c
 	}
+	return g.alloc()
+}
+
+// alloc allocates an empty cache of geometry g.
+func (g llcGeometry) alloc() *LLC {
+	return &LLC{
+		tags:      make([]int64, g.sets*g.ways),
+		sizes:     make([]int32, g.sets),
+		ways:      g.ways,
+		lineShift: g.lineShift,
+		setMask:   int64(g.sets - 1),
+	}
+}
+
+// Release hands the cache's arrays to the next NewLLC of the same
+// geometry. The caller must not use c afterwards.
+func (c *LLC) Release() {
+	llcPool(c.geometry()).Put(c)
+}
+
+func (c *LLC) geometry() llcGeometry {
+	return llcGeometry{sets: len(c.sizes), ways: c.ways, lineShift: c.lineShift}
 }
 
 // Access probes one byte address and reports whether it missed.

@@ -144,6 +144,49 @@ func TestMissesNeverExceedAccessesProperty(t *testing.T) {
 	}
 }
 
+// recycledLLC returns a cache NewLLC took back from the pool after it
+// had served the dirty stream. sync.Pool may drop a released item (it
+// does at random under -race), so it retries until the same cache comes
+// back.
+func recycledLLC(t *testing.T, spec machine.CacheSpec, dirty []uint16) *LLC {
+	t.Helper()
+	for attempt := 0; attempt < 100; attempt++ {
+		c := NewLLC(spec)
+		for _, a := range dirty {
+			c.Access(int64(a) * 64)
+		}
+		c.Release()
+		if r := NewLLC(spec); r == c {
+			return r
+		}
+	}
+	t.Fatal("the pool never handed a released cache back")
+	return nil
+}
+
+// Property: a recycled cache is indistinguishable from a fresh one — the
+// same hit/miss sequence and Stats for any stream, whatever the stream
+// it served before release.
+func TestRecycledLLCMatchesFreshProperty(t *testing.T) {
+	spec := machine.CacheSpec{LLCBytes: 16 * 1024, LineBytes: 64, Ways: 4}
+	prop := func(dirty, stream []uint16) bool {
+		recycled := recycledLLC(t, spec, dirty)
+		fresh := recycled.geometry().alloc()
+		defer recycled.Release()
+		for _, a := range stream {
+			if fresh.Access(int64(a)*64) != recycled.Access(int64(a)*64) {
+				return false
+			}
+		}
+		fa, fm := fresh.Stats()
+		ra, rm := recycled.Stats()
+		return fa == ra && fm == rm
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: Counters Add/Sub round-trips.
 func TestCountersRoundTripProperty(t *testing.T) {
 	prop := func(a, b Counters) bool {

@@ -16,25 +16,29 @@
 //
 // # Switch protocol
 //
-// Control moves between procs by direct handoff: the proc that parks
-// pops the next runnable proc off the heap and resumes it itself, so a
-// context switch costs a single channel send to a waiting receiver
-// (and zero channel operations when the parking proc pops itself right
-// back, as happens on Yield with no earlier runnable proc). There is no
-// central scheduler goroutine on the hot path; Run only dispatches the
-// first proc and then waits for the run to complete or deadlock. The
-// engine also caches the earliest runnable clock (nextClock), so the
+// Each proc body runs as a runtime coroutine (iter.Pull), so a context
+// switch is a direct coroutine switch rather than a trip through the Go
+// scheduler. Run is the only resumer: it pops the earliest runnable proc
+// and resumes it. A proc that parks first checks whether it is still
+// the earliest runnable proc; if so it pops itself and keeps executing
+// with no switch at all (as happens on Yield with no earlier runnable
+// proc). Otherwise it yields back to Run, which resumes the next one.
+// The engine also caches the earliest runnable clock (nextClock), so the
 // yield check in Advance chains is two loads and a compare — the heap
 // is only touched when a switch actually happens.
+//
+// When Run ends on a deadlock it stops every live coroutine: the
+// blocked proc's park unwinds its body without finishing it, so no
+// goroutine outlives the run.
 package simtime
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -52,10 +56,10 @@ const (
 // empty: no proc clock can reach it, so the yield check never fires.
 const noProcClock = time.Duration(math.MaxInt64)
 
-// resumePool recycles resume channels across proc lifetimes. A proc's
-// channel holds at most one in-flight token and is provably empty when
-// the proc finishes, so channels return to the pool clean.
-var resumePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+// errStopped is the panic value park raises when Run has stopped the
+// proc's coroutine; the proc's own recover swallows it without
+// finishing the proc.
+var errStopped = errors.New("simtime: proc stopped")
 
 // Proc is a simulated thread of execution. All methods must be called
 // from within the proc's own body function while it is running.
@@ -66,7 +70,13 @@ type Proc struct {
 	clock time.Duration
 	state procState
 
-	resume  chan struct{}
+	// The proc's coroutine: Run calls next to resume the body, the body
+	// calls yield (via park) to hand control back, and stop unwinds a
+	// body that will never be resumed.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
 	waiters []*Proc // procs blocked in Join on this proc
 
 	err error // panic captured from the body, if any
@@ -120,7 +130,7 @@ func (p *Proc) maybeYield() {
 }
 
 // yieldNow requeues p and parks. If p is still the earliest runnable
-// proc it keeps executing without touching its channel.
+// proc it keeps executing without a switch.
 func (p *Proc) yieldNow() {
 	p.eng.requeue(p)
 	p.park()
@@ -132,15 +142,22 @@ func (p *Proc) block() {
 	p.park()
 }
 
-// park cedes control: the next runnable proc is resumed by direct
-// handoff, then p waits for its own resume token. When p pops itself
-// (it is still the earliest runnable proc), park returns immediately
-// with no channel traffic.
+// park cedes control. When p is still the earliest runnable proc it
+// pops itself and returns immediately; otherwise it yields to Run,
+// which resumes the earliest proc, and returns when Run resumes p.
 func (p *Proc) park() {
-	if p.eng.handoff(p) {
+	e := p.eng
+	if p.clock > e.maxNow {
+		e.maxNow = p.clock
+	}
+	if len(e.runnable) > 0 && e.runnable[0] == p {
+		e.pop()
+		p.state = stateRunning
 		return
 	}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // unblock makes a blocked proc runnable, advancing its clock to at least
@@ -160,7 +177,6 @@ type Engine struct {
 	procs     []*Proc
 	runnable  procHeap
 	nextClock time.Duration // runnable[0].clock, or noProcClock when empty
-	done      chan struct{} // closed by the proc that ends the run
 	nextID    int
 	live      int // procs not yet done
 	rng       *rand.Rand
@@ -192,37 +208,41 @@ func (e *Engine) MaxNow() time.Duration { return e.maxNow }
 // typically the spawner's current time).
 func (e *Engine) Go(name string, start time.Duration, fn func(*Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		id:     e.nextID,
-		name:   name,
-		clock:  start,
-		resume: resumePool.Get().(chan struct{}),
+		eng:   e,
+		id:    e.nextID,
+		name:  name,
+		clock: start,
 	}
-	e.nextID++
-	e.live++
-	e.procs = append(e.procs, p)
-	e.requeue(p)
-	go func() {
-		<-p.resume
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
+				if r == errStopped {
+					return
+				}
 				p.err = fmt.Errorf("simtime: proc %q panicked: %v", p.name, r)
 			}
 			p.finish()
 		}()
 		fn(p)
-	}()
+	})
+	e.nextID++
+	e.live++
+	e.procs = append(e.procs, p)
+	e.requeue(p)
 	return p
 }
 
-// finish marks the proc done, wakes joiners, records the first error in
-// completion order and hands control to the next runnable proc. The
-// proc's resume channel can never be signalled again, so it returns to
-// the pool here.
+// finish marks the proc done, wakes joiners and records the first error
+// in completion order. The body then returns, ending its coroutine, and
+// Run resumes the next runnable proc.
 func (p *Proc) finish() {
 	e := p.eng
 	p.state = stateDone
 	e.live--
+	if p.clock > e.maxNow {
+		e.maxNow = p.clock
+	}
 	if p.err != nil && e.firstErr == nil {
 		e.firstErr = p.err
 	}
@@ -230,37 +250,6 @@ func (p *Proc) finish() {
 		w.unblock(p.clock)
 	}
 	p.waiters = nil
-	resumePool.Put(p.resume)
-	p.resume = nil
-	e.handoff(p) // never a self-pop: p is done and not in the heap
-}
-
-// handoff moves control from p (which is parking or finishing) to the
-// next runnable proc. It returns true when that proc is p itself, in
-// which case p simply keeps executing. When nothing is runnable the run
-// is over — complete if no procs remain live, deadlocked otherwise —
-// and the waiting Run call is released.
-func (e *Engine) handoff(p *Proc) bool {
-	if p.clock > e.maxNow {
-		e.maxNow = p.clock
-	}
-	if len(e.runnable) == 0 {
-		if e.live > 0 {
-			e.deadlock = fmt.Errorf("%w\n%s", ErrDeadlock, e.dump())
-		}
-		close(e.done)
-		return false
-	}
-	q := e.pop()
-	q.state = stateRunning
-	if q == p {
-		return true
-	}
-	if q.clock > e.maxNow {
-		e.maxNow = q.clock
-	}
-	q.resume <- struct{}{}
-	return false
 }
 
 // Join blocks the calling proc until target finishes, then advances the
@@ -288,26 +277,23 @@ func (e *Engine) Run() error {
 	e.running = true
 	defer func() { e.running = false }()
 
-	if e.live == 0 {
-		return nil
-	}
-	if len(e.runnable) == 0 {
-		return fmt.Errorf("%w\n%s", ErrDeadlock, e.dump())
-	}
-	e.done = make(chan struct{})
 	e.firstErr = nil
-	e.deadlock = nil
-
-	q := e.pop()
-	q.state = stateRunning
-	if q.clock > e.maxNow {
-		e.maxNow = q.clock
+	for len(e.runnable) > 0 {
+		q := e.pop()
+		q.state = stateRunning
+		if q.clock > e.maxNow {
+			e.maxNow = q.clock
+		}
+		q.next()
 	}
-	q.resume <- struct{}{}
-	<-e.done
-
-	if e.deadlock != nil {
-		return e.deadlock
+	if e.live > 0 {
+		err := fmt.Errorf("%w\n%s", ErrDeadlock, e.dump())
+		for _, p := range e.procs {
+			if p.state != stateDone {
+				p.stop()
+			}
+		}
+		return err
 	}
 	return e.firstErr
 }

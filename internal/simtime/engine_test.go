@@ -3,6 +3,7 @@ package simtime
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -275,16 +276,36 @@ func TestResourceNoQueueWhenIdle(t *testing.T) {
 	}
 }
 
+// checkNoGoroutineLeak fails t if the goroutine count is above base: a
+// run must leave no proc behind, finished, panicked or deadlocked.
+func checkNoGoroutineLeak(t *testing.T, base int) {
+	t.Helper()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Run, %d before: procs leaked", n, base)
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := NewEngine(1)
 	b := NewBarrier(2)
+	finished := false
 	e.Go("alone", 0, func(p *Proc) {
 		b.Wait(p) // second party never arrives
+		finished = true
+	})
+	e.Go("joiner", 0, func(p *Proc) {
+		p.Join(e.Go("sleeper", 0, func(c *Proc) { c.block() }))
+		finished = true
 	})
 	err := e.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("Run error = %v, want ErrDeadlock", err)
 	}
+	if finished {
+		t.Error("a stopped proc ran past its blocking call")
+	}
+	checkNoGoroutineLeak(t, base)
 }
 
 func TestPanicPropagates(t *testing.T) {
@@ -299,6 +320,7 @@ func TestPanicPropagates(t *testing.T) {
 }
 
 func TestPanicWakesJoiners(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := NewEngine(1)
 	e.Go("parent", 0, func(p *Proc) {
 		child := e.Go("child", p.Now(), func(c *Proc) {
@@ -314,6 +336,7 @@ func TestPanicWakesJoiners(t *testing.T) {
 	if errors.Is(err, ErrDeadlock) {
 		t.Fatalf("got deadlock instead of panic propagation: %v", err)
 	}
+	checkNoGoroutineLeak(t, base)
 }
 
 // TestResourceFIFOProperty: regardless of service times, a resource's
