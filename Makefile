@@ -20,11 +20,11 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific invariant checks (see DESIGN.md "Statically enforced
-# invariants"), seven analyzers: wall-clock reads, map-order leaks
+# invariants"), six analyzers: wall-clock reads, map-order leaks
 # (unsorted key-collects included), global randomness, telemetry lookups
-# in loops, blocking calls under mutexes, lock-order cycles across
-# functions, page-state writes outside the DSM protocol helpers — plus
-# stale //hetmp:allow comments.
+# in loops, lock-order cycles across functions and blocking calls under
+# a held mutex (one lock walker), page-state writes outside the DSM
+# protocol helpers — plus stale //hetmp:allow comments.
 lint:
 	$(GO) run ./cmd/hetmplint ./...
 

@@ -1,7 +1,8 @@
 // Command hetmplint runs the repo's domain-specific analyzer suite —
-// six per-function checks (blockinglock, dsmstate, maporder,
-// randsource, telemetryhandle, wallclock) plus the whole-program
-// lockorder — over the named package patterns, multichecker style.
+// five per-function checks (dsmstate, maporder, randsource,
+// telemetryhandle, wallclock) plus the whole-program lockorder, which
+// reports lock-order cycles and blocking under a held lock — over the
+// named package patterns, multichecker style.
 //
 //	hetmplint ./...
 //	hetmplint -list

@@ -10,7 +10,6 @@ import (
 // the same names; drift between this list, analyzers.All(), and the
 // README table fails either the test or the workflow.
 var suite = []string{
-	"blockinglock",
 	"dsmstate",
 	"lockorder",
 	"maporder",
@@ -39,7 +38,7 @@ func runLint(t *testing.T, patterns ...string) (int, string) {
 }
 
 // TestBadFixtureFailsEveryAnalyzer pins that hetmplint exits non-zero
-// on fixtures violating all seven invariants plus the stale-suppression
+// on fixtures violating all six invariants plus the stale-suppression
 // rule, and that every analyzer contributes at least one finding — so
 // a future refactor cannot silently turn the linter into a no-op.
 func TestBadFixtureFailsEveryAnalyzer(t *testing.T) {
@@ -55,6 +54,11 @@ func TestBadFixtureFailsEveryAnalyzer(t *testing.T) {
 	// maporder's key-collect branch: keys gathered and never sorted.
 	if !strings.Contains(out, "append to slice declared outside the loop") {
 		t.Errorf("no finding on the unsorted key-collect\noutput:\n%s", out)
+	}
+	// lockorder's blocking rule: the cycle alone already yields
+	// [lockorder], so the send under n.mu is asserted by its message.
+	if !strings.Contains(out, "channel send while") {
+		t.Errorf("no finding on the send under a held lock\noutput:\n%s", out)
 	}
 }
 

@@ -29,7 +29,7 @@ func violations(m map[string]int, reg *telemetry.Registry, n *noisy) time.Time {
 	_ = rand.Intn(6) // randsource: global generator
 
 	n.mu.Lock()
-	n.ch <- 1 // blockinglock: send under n.mu
+	n.ch <- 1 // lockorder: send under n.mu
 	n.mu.Unlock()
 
 	return time.Now() // wallclock: wall read in a "core" package

@@ -4,9 +4,12 @@
 // framework in the parent package.
 //
 // Fixture layout follows the x/tools convention: <testdata>/src/<pkg>/
-// holds one package of Go files. A line that should be flagged carries a
-// trailing comment `// want "regexp"` (several quoted regexps if the
-// line yields several findings). Lines carrying a valid //hetmp:allow
+// holds one package of Go files. The packages named in one Run are
+// loaded as one program, so whole-program analyzers see across them
+// and per-function ones share one type-checked view of their imports.
+// A line that should be flagged carries a trailing comment
+// `// want "regexp"` (several quoted regexps if the line yields several
+// findings). Lines carrying a valid //hetmp:allow
 // suppression must NOT have a want comment — the harness runs the same
 // suppression filter as the real driver, so an unexpectedly surviving
 // diagnostic fails the test, which is exactly how the suppressed-case
@@ -15,7 +18,6 @@ package analysistest
 
 import (
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -37,24 +39,12 @@ func TestData() string {
 	return dir
 }
 
-// Run loads each fixture package under testdata/src/<pkg>, applies the
-// analyzer (with suppression filtering), and compares the surviving
-// diagnostics against the fixtures' want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgNames ...string) {
-	t.Helper()
-	for _, name := range pkgNames {
-		runPackage(t, filepath.Join(testdata, "src", name), name, a)
-	}
-}
-
-// RunProgram loads the named fixture packages (listed dependency
-// first — later packages may import earlier ones by their fixture
-// paths) as ONE program sharing a FileSet, applies the analyzer once,
-// and compares the surviving diagnostics against want comments across
-// every file of every package. This is the harness for
-// interprocedural analyzers, whose findings in one package can depend
-// on function bodies in another.
-func RunProgram(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
+// Run loads the fixture packages under testdata/src/<pkg> (listed
+// dependency first — later packages may import earlier ones by their
+// fixture paths) as ONE program sharing a FileSet, applies the analyzer
+// (with suppression filtering), and compares the surviving diagnostics
+// against want comments across every file of every package.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	var units []analysis.DirUnit
 	for _, p := range pkgPaths {
@@ -79,7 +69,17 @@ func RunProgram(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ..
 	if err != nil {
 		t.Fatalf("running %s on fixture program %v: %v", a.Name, pkgPaths, err)
 	}
-	compare(t, fset, diags, wants)
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		if !claim(wants, pos.Filename, pos.Line, d.Message) {
+			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+		}
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.source)
+		}
+	}
 }
 
 type expectation struct {
@@ -106,42 +106,6 @@ func goFilesIn(t *testing.T, dir, importPath string) []string {
 		t.Fatalf("fixture package %s: no Go files in %s", importPath, dir)
 	}
 	return filenames
-}
-
-func runPackage(t *testing.T, dir, importPath string, a *analysis.Analyzer) {
-	t.Helper()
-	filenames := goFilesIn(t, dir, importPath)
-
-	pkg, err := analysis.LoadDir(dir, importPath, filenames)
-	if err != nil {
-		t.Fatalf("fixture package %s: %v", importPath, err)
-	}
-
-	wants, err := collectWants(pkg)
-	if err != nil {
-		t.Fatalf("fixture package %s: %v", importPath, err)
-	}
-
-	diags, fset, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on fixture %s: %v", a.Name, importPath, err)
-	}
-	compare(t, fset, diags, wants)
-}
-
-func compare(t *testing.T, fset *token.FileSet, diags []analysis.Diagnostic, wants []*expectation) {
-	t.Helper()
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		if !claim(wants, pos.Filename, pos.Line, d.Message) {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.source)
-		}
-	}
 }
 
 // claim marks the first unmatched expectation at (file, line) whose

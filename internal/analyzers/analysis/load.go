@@ -96,16 +96,6 @@ func LoadPatterns(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir type-checks a single directory of Go files as one package
-// with the given import path. It is the entry point used by the
-// analysistest harness, where fixture packages live outside the module
-// graph and the import path is chosen by the test.
-func LoadDir(dir, importPath string, filenames []string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return checkUnit(fset, imp, importPath, dir, filenames)
-}
-
 // A DirUnit names one fixture package for LoadDirs: a directory of Go
 // files and the import path other units in the same call may import
 // it under.
@@ -117,11 +107,11 @@ type DirUnit struct {
 
 // LoadDirs type-checks several fixture directories as one program
 // sharing a FileSet, in the order given — list dependencies before
-// their importers. Units can import each other by their fixture
-// import paths (a chained importer serves already-checked units and
-// falls back to the source importer for everything else), which is
-// how interprocedural fixtures exercise cross-package flows without
-// living inside the module graph.
+// their importers. It is the analysistest harness's loader: fixture
+// packages live outside the module graph, the test chooses their
+// import paths, and units can import each other by them (a chained
+// importer serves already-checked units and falls back to the source
+// importer for everything else).
 func LoadDirs(units []DirUnit) ([]*Package, error) {
 	fset := token.NewFileSet()
 	chain := &chainedImporter{

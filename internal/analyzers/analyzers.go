@@ -8,18 +8,19 @@
 // the x/tools-shaped API so it can migrate to the real framework by
 // changing import paths.
 //
-// Six analyzers (blockinglock, dsmstate, maporder, randsource,
-// telemetryhandle, wallclock) inspect one function at a time. lockorder
-// alone runs over the whole program, with per-function summaries
+// Five analyzers (dsmstate, maporder, randsource, telemetryhandle,
+// wallclock) inspect one function at a time. lockorder, the one lock
+// walker, runs over the whole program with per-function summaries
 // propagated bottom-up over the call graph: a lock-order cycle split
-// across functions or packages is the one violation class here that no
+// across functions or packages, and a blocking operation under a lock
+// a helper returned still held, are the violation classes here that no
 // test or double run sees (EXPERIMENTS.md, "Negative result:
-// whole-program determinism and goroutine analyzers").
+// whole-program determinism and goroutine analyzers", and "One lock
+// walker").
 package analyzers
 
 import (
 	"hetmp/internal/analyzers/analysis"
-	"hetmp/internal/analyzers/blockinglock"
 	"hetmp/internal/analyzers/dsmstate"
 	"hetmp/internal/analyzers/lockorder"
 	"hetmp/internal/analyzers/maporder"
@@ -31,7 +32,6 @@ import (
 // All returns the full hetmplint suite in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		blockinglock.Analyzer,
 		dsmstate.Analyzer,
 		lockorder.Analyzer,
 		maporder.Analyzer,

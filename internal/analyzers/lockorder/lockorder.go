@@ -1,31 +1,39 @@
-// Package lockorder implements the interprocedural lock-acquisition-
-// order analyzer. It builds a global graph whose nodes are lock
-// identities — "pkg.Type.field" for mutexes embedded in named structs,
-// "pkg.var" for package-level mutexes — and whose edges record "b was
-// acquired while a was held", including acquisitions reached through
-// any depth of function calls. A cycle in that graph is a potential
-// deadlock: two executions can interleave so that each holds one lock
-// of the cycle and waits for the next. blockinglock already bans
-// blocking operations under a held lock within one function; lockorder
-// extends the discipline across function boundaries, where the
-// dangerous acquisition is hidden inside a callee.
+// Package lockorder is the suite's one lock walker: it walks every
+// function body with the set of sync.Mutex/RWMutex locks held at each
+// statement and enforces two rules over it.
+//
+// Lock order: a global graph whose nodes are lock identities —
+// "pkg.Type.field" for mutexes embedded in named structs, "pkg.var" for
+// package-level mutexes — and whose edges record "b was acquired while
+// a was held", including acquisitions reached through any depth of
+// function calls, must be acyclic. A cycle is a potential deadlock.
+//
+// Blocking under a lock: no channel send or receive, select, simtime
+// yield, interconnect round trip or sync.WaitGroup.Wait while any lock
+// is held — the DSM deadlock shape "hold a lock, wait for progress
+// that needs the lock". sync.Cond.Wait releases its mutex and is fine.
 //
 // Three summaries are computed per function and propagated bottom-up:
 //
 //   - acquires: every lock the function takes, transitively — a call
 //     made under lock L adds edges L→acquires(callee);
 //   - netHeld: locks still held when the function returns (acquire
-//     helpers) — they join the caller's held set after the call;
+//     helpers) — they join the caller's held set after the call, so a
+//     blocking operation after `s.lockIt()` is seen;
 //   - netReleased: locks released that the function did not itself
 //     acquire (release helpers) — they leave the caller's held set.
 //
 // Identity is per lock FIELD, not per instance: two instances of the
 // same struct type locked in sequence produce a self-edge. That is
 // deliberate — instance-hierarchy locking needs an explicit
-// //hetmp:allow with the ordering argument spelled out.
+// //hetmp:allow with the ordering argument spelled out. A mutex with no
+// program-wide identity, such as a local variable, is held for the
+// blocking rule under its printed name but is never a node of the
+// graph: two functions that each lock a local `mu` share nothing.
 package lockorder
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -37,9 +45,16 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:       "lockorder",
-	Doc:        "cross-function lock acquisition order must be acyclic; a cycle in the held-while-acquiring graph is a potential deadlock",
+	Doc:        "cross-function lock acquisition order must be acyclic, and nothing may block (channel op, select, simtime yield, interconnect round trip, WaitGroup.Wait) while a sync.Mutex/RWMutex is held",
 	RunProgram: run,
 }
+
+// simtimeYields park the calling proc until the engine resumes it;
+// interconnectRoundTrips are modelled cross-node protocol exchanges.
+var (
+	simtimeYields          = map[string]bool{"Advance": true, "AdvanceTo": true, "Yield": true, "Join": true, "Run": true}
+	interconnectRoundTrips = map[string]bool{"PageFault": true, "ControlMessage": true}
+)
 
 // callSite is one static call made while locks were held.
 type callSite struct {
@@ -57,6 +72,7 @@ type facts struct {
 	// propagation set for transitive acquires. Targets of `go` are
 	// deliberately absent.
 	syncCallees map[string]bool
+	blocking    []analysis.Diagnostic // operations that can block under a held lock
 }
 
 func run(pass *analysis.ProgramPass) error {
@@ -82,6 +98,14 @@ func run(pass *analysis.ProgramPass) error {
 			}
 		})
 		return changed
+	})
+
+	// The last walk saw the settled summaries: its blocking findings
+	// are the ones to report.
+	prog.EachFunc(func(fn *analysis.Func) {
+		for _, d := range allFacts[fn.Full].blocking {
+			pass.Reportf(d.Pos, "%s", d.Message)
+		}
 	})
 
 	// Transitive acquires, propagated bottom-up to a fixpoint. Only
@@ -216,6 +240,10 @@ func before(fset *token.FileSet, a, b token.Pos) bool {
 // statement order (branch bodies see a copy: a lock acquired inside a
 // branch is not assumed held after it). It returns the function's
 // direct facts plus its netHeld / netReleased summaries.
+//
+// A held set maps each held lock to whether it is a node of the lock
+// graph: true for a program-wide identity, false for a lock known only
+// by its printed expression, which counts for the blocking rule alone.
 func collect(fn *analysis.Func, netHeld, netRel map[string]map[string]bool) (*facts, map[string]bool, map[string]bool) {
 	f := &facts{
 		own:         map[string]bool{},
@@ -236,8 +264,8 @@ func collect(fn *analysis.Func, netHeld, netRel map[string]map[string]bool) (*fa
 	held := map[string]bool{}
 	w.stmts(fn.Decl.Body.List, held)
 	nh := map[string]bool{}
-	for l := range held {
-		if !w.deferredRel[l] {
+	for l, node := range held {
+		if node && !w.deferredRel[l] {
 			nh[l] = true
 		}
 	}
@@ -273,10 +301,13 @@ func (w *lockWalker) goSub() *lockWalker {
 	}
 }
 
-func heldList(held map[string]bool) []string {
-	out := make([]string, 0, len(held))
-	for l := range held {
-		out = append(out, l)
+// heldNodes lists the held locks that are nodes of the lock graph.
+func heldNodes(held map[string]bool) []string {
+	var out []string
+	for l, node := range held {
+		if node {
+			out = append(out, l)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -288,6 +319,22 @@ func copyHeld(held map[string]bool) map[string]bool {
 		out[k] = v
 	}
 	return out
+}
+
+// blocking records an operation that can block when any lock is held.
+// The message names the smallest held lock, so it does not depend on
+// map order.
+func (w *lockWalker) blocking(pos token.Pos, held map[string]bool, what, why string) {
+	name := ""
+	for l := range held {
+		if name == "" || l < name {
+			name = l
+		}
+	}
+	if name == "" {
+		return
+	}
+	w.f.blocking = append(w.f.blocking, analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf("%s while %q is held; %s", what, name, why)})
 }
 
 func (w *lockWalker) stmts(list []ast.Stmt, held map[string]bool) {
@@ -365,6 +412,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 			w.stmt(c, copyHeld(held))
 		}
 	case *ast.SelectStmt:
+		w.blocking(s.Select, held, "select", "all arms can block under the lock")
 		for _, c := range s.Body.List {
 			w.stmt(c, copyHeld(held))
 		}
@@ -374,8 +422,16 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 		}
 		w.stmts(s.Body, held)
 	case *ast.CommClause:
-		if s.Comm != nil {
-			w.stmt(s.Comm, held)
+		// The select was reported at its keyword: the arm's own send or
+		// receive is not reported again, only its operands are walked.
+		switch c := s.Comm.(type) {
+		case *ast.SendStmt:
+			w.expr(c.Chan, held)
+			w.expr(c.Value, held)
+		case *ast.ExprStmt:
+			w.expr(ast.Unparen(c.X).(*ast.UnaryExpr).X, held)
+		case *ast.AssignStmt:
+			w.expr(ast.Unparen(c.Rhs[0]).(*ast.UnaryExpr).X, held)
 		}
 		w.stmts(s.Body, held)
 	case *ast.LabeledStmt:
@@ -385,6 +441,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 			w.expr(r, held)
 		}
 	case *ast.SendStmt:
+		w.blocking(s.Arrow, held, "channel send", "sends can block and the receiver may need the lock")
 		w.expr(s.Chan, held)
 		w.expr(s.Value, held)
 	case *ast.DeclStmt:
@@ -408,9 +465,9 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 // deferred runs with whatever is held at return, approximated by the
 // current held set.
 func (w *lockWalker) deferCall(call *ast.CallExpr, held map[string]bool) {
-	if op, id := lockOp(w.info, call); op == opUnlock {
-		if id != "" {
-			w.deferredRel[id] = true
+	if op, key, node := lockOp(w.info, call); op == opUnlock {
+		if node {
+			w.deferredRel[key] = true
 		}
 		return
 	}
@@ -425,20 +482,23 @@ func (w *lockWalker) deferCall(call *ast.CallExpr, held map[string]bool) {
 	if fn == nil {
 		return
 	}
+	full := w.callee(fn, call.Pos(), held)
+	for l := range w.netRel[full] {
+		w.deferredRel[l] = true
+	}
+}
+
+// callee records a static call made on this goroutine under held
+// locks and returns the callee's program-wide name.
+func (w *lockWalker) callee(fn *types.Func, pos token.Pos, held map[string]bool) string {
 	full := fn.FullName()
 	if !w.goCtx {
 		w.f.syncCallees[full] = true
 	}
-	if len(held) > 0 {
-		w.f.calls = append(w.f.calls, callSite{
-			callee: full,
-			pos:    call.Pos(),
-			held:   heldList(held),
-		})
+	if nodes := heldNodes(held); len(nodes) > 0 {
+		w.f.calls = append(w.f.calls, callSite{callee: full, pos: pos, held: nodes})
 	}
-	for l := range w.netRel[full] {
-		w.deferredRel[l] = true
-	}
+	return full
 }
 
 func (w *lockWalker) expr(e ast.Expr, held map[string]bool) {
@@ -452,6 +512,9 @@ func (w *lockWalker) expr(e ast.Expr, held map[string]bool) {
 		w.expr(e.X, held)
 		w.expr(e.Y, held)
 	case *ast.UnaryExpr:
+		if e.Op == token.ARROW {
+			w.blocking(e.OpPos, held, "channel receive", "the sender may need the lock to make progress")
+		}
 		w.expr(e.X, held)
 	case *ast.StarExpr:
 		w.expr(e.X, held)
@@ -462,6 +525,9 @@ func (w *lockWalker) expr(e ast.Expr, held map[string]bool) {
 		w.expr(e.Index, held)
 	case *ast.SliceExpr:
 		w.expr(e.X, held)
+		w.expr(e.Low, held)
+		w.expr(e.High, held)
+		w.expr(e.Max, held)
 	case *ast.TypeAssertExpr:
 		w.expr(e.X, held)
 	case *ast.CompositeLit:
@@ -469,6 +535,7 @@ func (w *lockWalker) expr(e ast.Expr, held map[string]bool) {
 			w.expr(el, held)
 		}
 	case *ast.KeyValueExpr:
+		w.expr(e.Key, held)
 		w.expr(e.Value, held)
 	case *ast.FuncLit:
 		// A func literal's body runs at some call site; approximate
@@ -479,52 +546,41 @@ func (w *lockWalker) expr(e ast.Expr, held map[string]bool) {
 
 // call classifies one call: lock op, unlock op, or ordinary call.
 func (w *lockWalker) call(call *ast.CallExpr, held map[string]bool) {
+	w.expr(call.Fun, held)
 	for _, a := range call.Args {
 		w.expr(a, held)
 	}
-	op, id := lockOp(w.info, call)
+	op, key, node := lockOp(w.info, call)
 	switch op {
 	case opLock:
-		if id == "" {
-			return // unidentifiable lock (local variable): skip
+		if key == "" {
+			return
 		}
-		if !w.goCtx {
-			w.f.own[id] = true
-		}
-		for from := range held {
-			key := [2]string{from, id}
-			if _, ok := w.f.edges[key]; !ok {
-				w.f.edges[key] = call.Pos()
+		if node {
+			if !w.goCtx {
+				w.f.own[key] = true
+			}
+			for from, fromNode := range held {
+				k := [2]string{from, key}
+				if _, ok := w.f.edges[k]; fromNode && !ok {
+					w.f.edges[k] = call.Pos()
+				}
 			}
 		}
-		held[id] = true
+		held[key] = node
 	case opUnlock:
-		if id != "" {
-			if held[id] {
-				delete(held, id)
-			} else if !w.goCtx {
-				w.relNotHeld[id] = true
-			}
+		if _, ok := held[key]; ok {
+			delete(held, key)
+		} else if node && !w.goCtx {
+			w.relNotHeld[key] = true
 		}
 	default:
 		fn := lintutil.CalleeFunc(w.info, call)
 		if fn == nil {
-			if lit, ok := call.Fun.(*ast.FuncLit); ok {
-				w.stmts(lit.Body.List, copyHeld(held))
-			}
 			return
 		}
-		full := fn.FullName()
-		if !w.goCtx {
-			w.f.syncCallees[full] = true
-		}
-		if len(held) > 0 {
-			w.f.calls = append(w.f.calls, callSite{
-				callee: full,
-				pos:    call.Pos(),
-				held:   heldList(held),
-			})
-		}
+		w.blockingCall(call, fn, held)
+		full := w.callee(fn, call.Pos(), held)
 		// An acquire helper leaves its lock held in us; a release
 		// helper takes one away.
 		for l := range w.netHeld[full] {
@@ -532,6 +588,27 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[string]bool) {
 		}
 		for l := range w.netRel[full] {
 			delete(held, l)
+		}
+	}
+}
+
+// blockingCall reports a call that parks its caller: a simtime yield,
+// an interconnect round trip or sync.WaitGroup.Wait. sync.Cond.Wait is
+// not one: it atomically releases the mutex while parked, the one
+// sanctioned way to wait under a lock.
+func (w *lockWalker) blockingCall(call *ast.CallExpr, fn *types.Func, held map[string]bool) {
+	if len(held) == 0 {
+		return
+	}
+	pkg := lintutil.FuncPkgPath(fn)
+	switch {
+	case lintutil.HasSegment(pkg, "simtime") && simtimeYields[fn.Name()]:
+		w.blocking(call.Pos(), held, "simtime yield "+fn.Name(), "the proc parks under the lock and the resuming proc may need it")
+	case lintutil.HasSegment(pkg, "interconnect") && interconnectRoundTrips[fn.Name()]:
+		w.blocking(call.Pos(), held, "interconnect round-trip "+fn.Name(), "protocol exchanges must not run under a DSM lock")
+	case pkg == "sync" && fn.Name() == "Wait":
+		if _, recv := lintutil.ReceiverNamed(fn); recv == "WaitGroup" {
+			w.blocking(call.Pos(), held, "sync.WaitGroup.Wait", "the waited-on goroutines may need the lock")
 		}
 	}
 }
@@ -544,36 +621,40 @@ const (
 	opUnlock
 )
 
-// lockOp classifies a call as a sync.Mutex/RWMutex acquire or release
-// and computes the lock's program-wide identity.
-func lockOp(info *types.Info, call *ast.CallExpr) (lockOpKind, string) {
+// lockOp classifies a call as a sync.Mutex/RWMutex acquire or release.
+// It returns the lock's key in a held set and whether that key is a
+// program-wide identity (a node of the lock graph) or only the printed
+// receiver of a lock that has none, such as a local variable.
+func lockOp(info *types.Info, call *ast.CallExpr) (kind lockOpKind, key string, node bool) {
 	fn := lintutil.CalleeFunc(info, call)
 	if fn == nil {
-		return opNone, ""
+		return opNone, "", false
 	}
 	recvPkg, recvType := lintutil.ReceiverNamed(fn)
 	if recvPkg != "sync" || (recvType != "Mutex" && recvType != "RWMutex") {
-		return opNone, ""
+		return opNone, "", false
 	}
-	var kind lockOpKind
 	switch fn.Name() {
 	case "Lock", "RLock", "TryLock", "TryRLock":
 		kind = opLock
 	case "Unlock", "RUnlock":
 		kind = opUnlock
 	default:
-		return opNone, ""
+		return opNone, "", false
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return kind, ""
+		return kind, "", false
 	}
-	return kind, lockIdent(info, sel.X)
+	if id := lockIdent(info, sel.X); id != "" {
+		return kind, id, true
+	}
+	return kind, types.ExprString(sel.X), false
 }
 
 // lockIdent names a lock expression: "pkg.Type.field" for a mutex
 // field of a named struct, "pkg.var" for a package-level mutex, ""
-// (untrackable) otherwise.
+// (no program-wide identity) otherwise.
 func lockIdent(info *types.Info, e ast.Expr) string {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:

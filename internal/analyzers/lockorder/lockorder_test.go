@@ -8,10 +8,14 @@ import (
 )
 
 func TestLockorder(t *testing.T) {
-	analysistest.RunProgram(t, analysistest.TestData(), lockorder.Analyzer, "locks")
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "locks")
 }
 
 func TestLockorderCrossPackage(t *testing.T) {
-	analysistest.RunProgram(t, analysistest.TestData(), lockorder.Analyzer,
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer,
 		"xlocks/store", "xlocks")
+}
+
+func TestLockorderBlocking(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "b")
 }

@@ -175,10 +175,6 @@ func (c *Sim) Elapsed() time.Duration { return c.closed }
 // DSMFaults implements Cluster.
 func (c *Sim) DSMFaults() int64 { return c.space.TotalFaults() }
 
-// DSMStats exposes the per-node DSM statistics (the simulated proc
-// file).
-func (c *Sim) DSMStats() []dsm.NodeStats { return c.space.Stats() }
-
 // LLCStats exposes per-node cache accesses and misses.
 func (c *Sim) LLCStats(node int) (accesses, misses int64) {
 	if c.llcs == nil {

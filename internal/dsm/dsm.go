@@ -246,9 +246,6 @@ func (r *Region) Pages() int { return len(r.pages) }
 // model to place regions in distinct address ranges).
 func (r *Region) BaseAddr() int64 { return r.base }
 
-// Home returns the region's home node.
-func (r *Region) Home() int { return r.home }
-
 // AccessResult reports the protocol activity caused by one access.
 type AccessResult struct {
 	Faults int64

@@ -43,16 +43,6 @@ func (v *F64) RW(e cluster.Env, lo, hi int) []float64 {
 	return v.Data[lo:hi]
 }
 
-// Gather declares element reads through an index list (8 bytes each).
-func (v *F64) Gather(e cluster.Env, idx []int32, scratch []int64) []int64 {
-	offs := scratch[:0]
-	for _, i := range idx {
-		offs = append(offs, int64(i)*8)
-	}
-	e.LoadAt(v.Reg, offs, 8)
-	return offs
-}
-
 // I32 pairs an int32 slice with its region.
 type I32 struct {
 	Data []int32

@@ -437,3 +437,98 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("VirtualNs = %d, want 3000", st.VirtualNs)
 	}
 }
+
+// failFirst fails the first execution of one signature without running
+// it, so the wrapped executor still sees that signature as cold.
+type failFirst struct {
+	inner  Executor
+	sig    string
+	mu     sync.Mutex
+	failed bool
+}
+
+var errInjectedProbe = errors.New("injected prober failure")
+
+func (f *failFirst) failNow(sp Spec) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.failed || sp.Sig() != f.sig {
+		return false
+	}
+	f.failed = true
+	return true
+}
+
+func (f *failFirst) Execute(sp Spec) (ExecResult, error) {
+	if f.failNow(sp) {
+		return ExecResult{}, errInjectedProbe
+	}
+	return f.inner.Execute(sp)
+}
+
+// failFirstChunk is failFirst over an executor with the chunk
+// capability.
+type failFirstChunk struct{ *failFirst }
+
+func (f failFirstChunk) ExecuteChunk(sp Spec, invocations, chunkIndex int) (ExecResult, error) {
+	if f.failNow(sp) {
+		return ExecResult{}, errInjectedProbe
+	}
+	return f.inner.(ChunkExecutor).ExecuteChunk(sp, invocations, chunkIndex)
+}
+
+// A failed prober resets its lane to cold and hands the probe to one
+// waiting job (acquireLane's laneCold arm); with members, that job's
+// split plan collapses to one whole-job chunk (runChunks). The other
+// three run warm off the new prober's entry.
+func TestFailedProberHandsOffProbe(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		members []Member
+	}{{"laneless", nil}, {"members", threeNodes()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := Spec{Tenant: "t0", Region: "r", Invocations: 6}
+			ff := &failFirst{sig: sp.Sig()}
+			var exec Executor = ff
+			if tc.members == nil {
+				ff.inner = &fakeExec{}
+			} else {
+				ff.inner = newFakeChunkExec()
+				exec = failFirstChunk{ff}
+			}
+			s := New(Config{StartPaused: true, Executor: exec, Members: tc.members})
+			defer s.Close()
+			chans := preload(t, s, []Spec{sp, sp, sp, sp, sp})
+			s.Resume()
+
+			var failed, cold, warm int
+			for _, r := range collect(chans) {
+				switch {
+				case r.Err != nil:
+					if !errors.Is(r.Err, errInjectedProbe) {
+						t.Fatalf("job %d: err = %v, want the injected failure", r.Seq, r.Err)
+					}
+					failed++
+				case r.Probes > 0:
+					cold++
+					if r.Chunks != 1 {
+						t.Errorf("cold job %d ran %d chunks, want 1 whole-job chunk", r.Seq, r.Chunks)
+					}
+				case r.Warm:
+					warm++
+				}
+			}
+			if failed != 1 || cold != 1 || warm != 3 {
+				t.Fatalf("failed/cold/warm = %d/%d/%d, want 1/1/3", failed, cold, warm)
+			}
+			st := s.Stats()
+			if st.Failed != 1 || st.WarmProbes != 0 || st.CacheMisses != 1 || st.CacheHits != 3 {
+				t.Fatalf("Failed/WarmProbes/CacheMisses/CacheHits = %d/%d/%d/%d, want 1/0/1/3",
+					st.Failed, st.WarmProbes, st.CacheMisses, st.CacheHits)
+			}
+			if tc.members != nil && st.Membership.LostIterations != 0 {
+				t.Fatalf("LostIterations = %d, want 0", st.Membership.LostIterations)
+			}
+		})
+	}
+}

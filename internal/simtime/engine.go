@@ -120,15 +120,6 @@ func (p *Proc) Yield() {
 	p.yieldNow()
 }
 
-// maybeYield hands control to an earlier runnable proc, if any. Keeping
-// control on ties avoids quadratic ping-ponging while preserving
-// determinism.
-func (p *Proc) maybeYield() {
-	if p.eng.nextClock < p.clock {
-		p.yieldNow()
-	}
-}
-
 // yieldNow requeues p and parks. If p is still the earliest runnable
 // proc it keeps executing without a switch.
 func (p *Proc) yieldNow() {

@@ -413,20 +413,3 @@ func TestBarrierNeverDeadlocksProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestOccupyDoesNotBlockCaller(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource("link")
-	e.Go("a", 0, func(p *Proc) {
-		end := r.Occupy(p, 30*time.Microsecond)
-		if p.Now() != 0 {
-			t.Errorf("Occupy advanced caller to %v", p.Now())
-		}
-		if end != 30*time.Microsecond {
-			t.Errorf("Occupy completion = %v, want 30µs", end)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -22,9 +22,6 @@ func NewBarrier(parties int) *Barrier {
 	return &Barrier{parties: parties}
 }
 
-// Parties returns the number of participants.
-func (b *Barrier) Parties() int { return b.parties }
-
 // Wait blocks p until all parties have arrived, then releases everyone
 // at the maximum arrival time. It reports whether p was the last
 // arrival (the "winner", used for leader election at barriers).
@@ -117,23 +114,6 @@ func (r *Resource) Use(p *Proc, service time.Duration) time.Duration {
 	r.uses++
 	p.AdvanceTo(start + service)
 	return wait
-}
-
-// Occupy reserves the resource for service without blocking p past the
-// reservation (fire-and-forget transfer initiated by p). It returns the
-// completion time of the transfer.
-func (r *Resource) Occupy(p *Proc, service time.Duration) time.Duration {
-	if service < 0 {
-		service = 0
-	}
-	start := p.Now()
-	if r.next > start {
-		start = r.next
-	}
-	r.next = start + service
-	r.busy += service
-	r.uses++
-	return start + service
 }
 
 // BusyTime returns the total time the resource has been occupied.
