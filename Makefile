@@ -91,11 +91,14 @@ churn-smoke:
 		-quiet -json $(OUT)/hetload_churn.json
 
 # Command smoke: the two simulator commands end to end on the quick
-# suite, the JSON report checked for well-formedness, and an unknown
-# chaos profile rejected by both before anything runs. Foreground.
+# suite, one run under chaos (the ReDecide monitor's windowed remainder
+# end to end), the JSON report checked for well-formedness, and an
+# unknown chaos profile rejected by both before anything runs.
+# Foreground.
 .PHONY: cmd-smoke
 cmd-smoke:
 	$(GO) run ./cmd/hetmprun -quick -bench EP-C
+	$(GO) run ./cmd/hetmprun -quick -bench lud -chaos-profile dsm-loss
 	$(GO) run ./cmd/hetbench -quick -run fig4 -json - | python3 -m json.tool > /dev/null
 	! $(GO) run ./cmd/hetmprun -quick -bench EP-C -chaos-profile bogus
 	! $(GO) run ./cmd/hetbench -quick -run fig4 -chaos-profile bogus

@@ -108,24 +108,33 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestChaosReproducible: the same chaos seed reproduces the run bit
-// for bit — virtual elapsed time, fault count, re-decision count and
-// the reduced value are all identical.
+// TestChaosReproducible: under every named profile, the same chaos
+// seed reproduces the monitored run bit for bit — virtual elapsed
+// time, fault count, re-decision count and the reduced value are all
+// identical — and the reduction counts every iteration exactly once.
 func TestChaosReproducible(t *testing.T) {
 	const n = 3200
-	run := func() chaosRun {
-		p, err := chaos.Named("mixed", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return runChaosRegion(t, chaos.New(p, 42), 1, n)
-	}
-	a, b := run(), run()
-	if a.elapsed != b.elapsed || a.faults != b.faults || a.sum != b.sum ||
-		a.rt.ReDecisions() != b.rt.ReDecisions() {
-		t.Fatalf("same chaos seed diverged: elapsed %v vs %v, faults %d vs %d, sum %d vs %d, re-decisions %d vs %d",
-			a.elapsed, b.elapsed, a.faults, b.faults, a.sum, b.sum,
-			a.rt.ReDecisions(), b.rt.ReDecisions())
+	want := n * (n - 1) / 2
+	for _, name := range chaos.Profiles() {
+		t.Run(name, func(t *testing.T) {
+			run := func() chaosRun {
+				p, err := chaos.Named(name, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return runChaosRegion(t, chaos.New(p, 42), 1, n)
+			}
+			a, b := run(), run()
+			if a.elapsed != b.elapsed || a.faults != b.faults || a.sum != b.sum ||
+				a.rt.ReDecisions() != b.rt.ReDecisions() {
+				t.Fatalf("same chaos seed diverged: elapsed %v vs %v, faults %d vs %d, sum %d vs %d, re-decisions %d vs %d",
+					a.elapsed, b.elapsed, a.faults, b.faults, a.sum, b.sum,
+					a.rt.ReDecisions(), b.rt.ReDecisions())
+			}
+			if a.sum != want {
+				t.Fatalf("reduced to %d, want %d (exactly-once accounting broken)", a.sum, want)
+			}
+		})
 	}
 }
 

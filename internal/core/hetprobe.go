@@ -14,6 +14,11 @@ import (
 // probing period: the paper's 10 %.
 const probePercent = 10
 
+// MissThreshold is the LLC misses per kilo-instruction above which
+// single-node execution prefers the node with the strongest cache
+// hierarchy (Section 3.2).
+const MissThreshold = 3.0
+
 // probeDispatch hands each worker a constant-size, deterministically
 // assigned chunk of probe iterations (Section 3.1: constant per-thread
 // work for comparable timings; deterministic assignment so data
@@ -46,7 +51,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	// decision instead of probing itself.
 	if rt.opts.ProbeRegionID != "" && regionID != rt.opts.ProbeRegionID {
 		if main, ok := rt.cache.get(rt.opts.ProbeRegionID); ok && main.invocations > 0 {
-			a.executeDecision(main.decision, spec, 0, n, body, red)
+			a.execDecision(main.decision, spec, 0, n, body, red, false)
 			return
 		}
 		// The probing region has not run yet: distribute across all
@@ -71,7 +76,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	// probing (Section 3.1's probe cache).
 	if ent.invocations >= rt.opts.ProbeMaxInvocations {
 		rt.logf("hetprobe %s: cached decision %s", regionID, ent.decision)
-		a.executeDecision(ent.decision, spec, 0, n, body, red)
+		a.execDecision(ent.decision, spec, 0, n, body, red, false)
 		return
 	}
 
@@ -133,11 +138,11 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	ent.decision = rt.decide(ent, spec)
 	ent.invocations++
 	rt.probes++
+	rt.probeCtr.Inc()
 	rt.logf("hetprobe %s: invocation %d: %s", regionID, ent.invocations, ent.decision)
 	if tr := rt.tracer; tr != nil {
 		tr.Emit(workerTrack(a.env.Node(), -1), "probe "+regionID, probeStart, a.env.Now(),
 			telemetry.Arg{Key: "iterations", Val: strconv.Itoa(probeIters)})
-		rt.opts.Telemetry.Metrics().Counter("hetmp_hetprobe_probes_total").Inc()
 		rt.recordDecision(a.env, regionID, ent.decision)
 	}
 
@@ -147,12 +152,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	// artificially cache-warm). The paper gets the same effect from
 	// region-wide offline counter collection.
 	if n > probeIters {
-		var rem []measurement
-		if rt.opts.ReDecide {
-			rem = a.monitorRemainder(regionID, ent, spec, probeIters, n, body, red)
-		} else {
-			rem = a.executeDecisionMeasured(ent.decision, spec, probeIters, n, body, red)
-		}
+		rem := a.runRemainder(regionID, ent, spec, probeIters, n, body, red)
 		if red != nil {
 			red.out = red.combine(probePartial, red.out)
 		}
@@ -231,7 +231,10 @@ func gcd(a, b int) int {
 
 // probeStats are the aggregated measurements of one probing period.
 type probeStats struct {
-	perIter     map[int]time.Duration // node → mean per-iteration time
+	perIter map[int]time.Duration // node → mean per-iteration time, fault stalls excluded
+	// observed is perIter with fault stalls included: the ReDecide
+	// monitor's watermark, since a degraded link shows up exactly there.
+	observed    map[int]time.Duration
 	faultPeriod time.Duration
 	missPerK    float64
 	instr       int64
@@ -247,8 +250,8 @@ type probeStats struct {
 // poisoning the per-iteration model; idle workers are skipped.
 func summarizeMeasurements(results []measurement) (probeStats, int) {
 	type agg struct {
-		elapsed time.Duration
-		iters   int
+		elapsed, stall time.Duration
+		iters          int
 	}
 	rejected := 0
 	perNode := make(map[int]agg)
@@ -270,7 +273,8 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 		// including them creates an unstable redistribution
 		// feedback loop). The fault *period* below still uses the
 		// full elapsed time, as the paper specifies.
-		a.elapsed += m.elapsed - m.delta.FaultStall
+		a.elapsed += m.elapsed
+		a.stall += m.delta.FaultStall
 		a.iters += m.iters
 		perNode[m.node] = a
 		totalElapsed += m.elapsed
@@ -279,11 +283,13 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 		totalMisses += m.delta.LLCMisses
 		totalAccesses += m.delta.LLCAccesses
 	}
-	stats := probeStats{perIter: make(map[int]time.Duration, len(perNode))}
+	stats := probeStats{
+		perIter:  make(map[int]time.Duration, len(perNode)),
+		observed: make(map[int]time.Duration, len(perNode)),
+	}
 	for node, a := range perNode {
-		if a.iters > 0 {
-			stats.perIter[node] = a.elapsed / time.Duration(a.iters)
-		}
+		stats.perIter[node] = (a.elapsed - a.stall) / time.Duration(a.iters)
+		stats.observed[node] = a.elapsed / time.Duration(a.iters)
 	}
 	if totalFaults > 0 {
 		stats.faultPeriod = totalElapsed / time.Duration(totalFaults)
@@ -384,7 +390,7 @@ func (rt *Runtime) decideWith(ent *probeEntry, spec HetProbeSpec, exclude map[in
 		d.Node = spec.ForceNode
 		return d
 	}
-	if ent.missPerK > rt.opts.MissThreshold {
+	if ent.missPerK > MissThreshold {
 		d.Node = bigCacheNode(rt)
 	} else {
 		d.Node = manyCoreNode(rt)
@@ -419,21 +425,12 @@ func manyCoreNode(rt *Runtime) int {
 	return best
 }
 
-// executeDecision dispatches iterations [base, n) per a HetProbe
+// execDecision dispatches iterations [base, n) per a HetProbe
 // decision: static with measured CSR across nodes, or static on the
 // chosen single node (the paper's default single-node fallback
 // scheduler). Threads on unused nodes belong to a different team and
-// stay parked, mirroring libHetMP joining them.
-func (a *App) executeDecision(d Decision, spec HetProbeSpec, base, n int, body Body, red *reduceRun) {
-	a.execDecision(d, spec, base, n, body, red, false)
-}
-
-// executeDecisionMeasured is executeDecision with per-worker counter
-// collection; it returns the measurements.
-func (a *App) executeDecisionMeasured(d Decision, spec HetProbeSpec, base, n int, body Body, red *reduceRun) []measurement {
-	return a.execDecision(d, spec, base, n, body, red, true)
-}
-
+// stay parked, mirroring libHetMP joining them. With measure set it
+// collects and returns per-worker counters.
 func (a *App) execDecision(d Decision, spec HetProbeSpec, base, n int, body Body, red *reduceRun, measure bool) []measurement {
 	rt := a.rt
 	var t *team

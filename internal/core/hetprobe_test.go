@@ -93,7 +93,7 @@ func TestHetProbeChoosesXeonForMissHeavy(t *testing.T) {
 	if d.Node != 0 {
 		t.Errorf("chose node %d, want 0 (Xeon, big per-core cache) — misses/kinst=%.1f", d.Node, d.MissesPerKinst)
 	}
-	if d.MissesPerKinst <= rt.Options().MissThreshold {
+	if d.MissesPerKinst <= MissThreshold {
 		t.Errorf("expected misses/kinst above threshold, got %.2f", d.MissesPerKinst)
 	}
 }
@@ -128,7 +128,7 @@ func TestHetProbeChoosesThunderXForLowMissCommHeavy(t *testing.T) {
 		t.Errorf("chose node %d, want 1 (ThunderX, many cores) — misses/kinst=%.2f, period=%v",
 			d.Node, d.MissesPerKinst, d.FaultPeriod)
 	}
-	if d.MissesPerKinst > rt.Options().MissThreshold {
+	if d.MissesPerKinst > MissThreshold {
 		t.Errorf("expected misses/kinst below threshold, got %.2f", d.MissesPerKinst)
 	}
 }

@@ -136,21 +136,21 @@ func TestMonitorFinalWindowDoesNotScheduleReprobe(t *testing.T) {
 	// Healthy pass to learn the run's virtual duration.
 	_, _, elapsed := runMonitored(t, nil, n)
 
-	// Degrade the link a quarter in, with a single monitor window: the
-	// breach can only ever be observed on the final (= only) window.
+	// Degrade the link three quarters in: the probe and the watched
+	// first half of the remainder (iterations up to 55 %) have run, so
+	// the breach can only ever be observed on the final window.
 	inj := chaos.New(chaos.Profile{
 		Name: "test-degrade-final",
 		Links: []chaos.LinkEvent{{
-			Start:           elapsed / 4,
+			Start:           elapsed * 3 / 4,
 			LatencyFactor:   300,
 			BandwidthFactor: 300,
 		}},
 	}, 1)
 	tel := telemetry.New(telemetry.Options{})
-	rt, _ := newChaosRuntime(t, Options{
+	rt, cl := newChaosRuntime(t, Options{
 		ReDecide:             true,
 		FaultPeriodThreshold: time.Nanosecond,
-		MonitorWindows:       1,
 		Telemetry:            tel,
 	}, inj)
 	var got int
@@ -168,11 +168,16 @@ func TestMonitorFinalWindowDoesNotScheduleReprobe(t *testing.T) {
 	if got != want {
 		t.Fatalf("degraded run reduced to %d, want %d", got, want)
 	}
+	// The degradation must have bitten the final window, or the
+	// assertions below prove nothing.
+	if cl.Elapsed() < 2*elapsed {
+		t.Fatalf("degraded run took %v against %v healthy: the final window was not degraded", cl.Elapsed(), elapsed)
+	}
 	if v := rt.reprobeCtr.Value(); v != 0 {
 		t.Fatalf("final-window breach scheduled %d re-probe(s) that can never dispatch", v)
 	}
 	if rt.ReDecisions() != 0 {
-		t.Fatalf("single-window run performed %d re-decisions", rt.ReDecisions())
+		t.Fatalf("final-window breach performed %d re-decisions", rt.ReDecisions())
 	}
 }
 
@@ -233,14 +238,15 @@ func TestDecideWithExclusionFallsBackToOrigin(t *testing.T) {
 // skipped silently, and valid data flows through untouched.
 func TestSanitizeRejectsCorruptMeasurements(t *testing.T) {
 	ms := []measurement{
-		{node: 0, iters: 10, elapsed: 10 * time.Microsecond,
-			delta: perf.Counters{Instructions: 1000, RemoteFaults: 2}},
+		{node: 0, iters: 10, elapsed: 20 * time.Microsecond,
+			delta: perf.Counters{Instructions: 1000, RemoteFaults: 2, FaultStall: 10 * time.Microsecond}},
 		{node: 1, iters: 10, elapsed: 40 * time.Microsecond},
-		{node: 1, iters: 0, elapsed: 0},                      // idle: skipped, not rejected
-		{node: 0, iters: -3, elapsed: time.Microsecond},      // corrupt iters
-		{node: 1, iters: 5, elapsed: -time.Microsecond},      // negative elapsed
-		{node: 1, iters: 5, elapsed: 0},                      // iterations took no time
-		{node: 0, iters: 10, elapsed: 10 * time.Microsecond}, // valid duplicate
+		{node: 1, iters: 0, elapsed: 0},                 // idle: skipped, not rejected
+		{node: 0, iters: -3, elapsed: time.Microsecond}, // corrupt iters
+		{node: 1, iters: 5, elapsed: -time.Microsecond}, // negative elapsed
+		{node: 1, iters: 5, elapsed: 0},                 // iterations took no time
+		{node: 0, iters: 10, elapsed: 20 * time.Microsecond, // valid duplicate
+			delta: perf.Counters{FaultStall: 10 * time.Microsecond}},
 	}
 	stats, rejected := summarizeMeasurements(ms)
 	if rejected != 3 {
@@ -255,13 +261,12 @@ func TestSanitizeRejectsCorruptMeasurements(t *testing.T) {
 	if stats.instr != 1000 {
 		t.Errorf("instructions %d, want 1000", stats.instr)
 	}
-
-	obs, rej := nodeWatermarks(ms)
-	if rej != 3 {
-		t.Fatalf("watermarks rejected %d, want 3", rej)
+	// The watermark keeps the fault stalls the per-iteration model drops.
+	if got := stats.observed[0]; got != 2*time.Microsecond {
+		t.Errorf("node 0 watermark %v, want 2µs", got)
 	}
-	if obs[0] != time.Microsecond || obs[1] != 4*time.Microsecond {
-		t.Errorf("watermarks %v", obs)
+	if got := stats.observed[1]; got != 4*time.Microsecond {
+		t.Errorf("node 1 watermark %v, want 4µs", got)
 	}
 }
 

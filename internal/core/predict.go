@@ -56,9 +56,9 @@ func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n
 	}
 	seedEntry(ent, se, rt.opts.ProbeMaxInvocations)
 	rt.predictions++
+	rt.predictCtr.Inc()
 	rt.logf("hetprobe %s: adopted stored decision: %s", regionID, ent.decision)
 	if rt.tracer != nil {
-		rt.opts.Telemetry.Metrics().Counter("hetmp_hetprobe_predictions_total").Inc()
 		rt.recordDecision(e, regionID, ent.decision)
 	}
 	return true

@@ -33,10 +33,6 @@ type Options struct {
 	// nodes. Defaults to 100 µs (the paper's RDMA threshold); derive a
 	// platform-specific value with Calibrate.
 	FaultPeriodThreshold time.Duration
-	// MissThreshold is the LLC misses per kilo-instruction above which
-	// single-node execution prefers the node with the strongest cache
-	// hierarchy. Defaults to 3 (Section 3.2).
-	MissThreshold float64
 	// ProbeMaxInvocations is how many invocations of a region are
 	// probed (with EWMA smoothing) before the cached decision is
 	// reused. Defaults to 10.
@@ -57,20 +53,18 @@ type Options struct {
 	ProbeRegionID string
 	// ReDecide enables mid-region monitoring (the chaos-hardening
 	// layer) of probing invocations: after HetProbe probes and
-	// decides, the remaining iterations run in MonitorWindows windows
-	// whose per-node progress is compared against what that probe
-	// just measured. A node whose observed per-iteration time exceeds
-	// redecideFactor × the expectation (a straggler, a frozen node, or
-	// a degraded link inflating fault stalls) triggers a bounded
-	// re-probe → re-decision that can revise cross-node sharing down
-	// to origin-node-only execution mid-region, without re-executing
-	// any iteration. Mature entries, store-seeded ones included, are
-	// never monitored. Meant for runs with chaos injected: with nothing
-	// to catch it only adds dispatches (DESIGN.md §11). Off by default.
+	// decides, the remaining iterations run in two halves, and the
+	// first half's per-node progress is compared against what that
+	// probe just measured. A node whose observed per-iteration time
+	// exceeds redecideFactor × the expectation (a straggler, a frozen
+	// node, or a degraded link inflating fault stalls) turns the second
+	// half into a re-probe on equal shares, after which the decision is
+	// re-derived without the breaching nodes — down to origin-node-only
+	// execution — without re-executing any iteration. Mature entries,
+	// store-seeded ones included, are never monitored. Meant for runs
+	// with chaos injected: with nothing to catch it only adds a dispatch
+	// (DESIGN.md §11). Off by default.
 	ReDecide bool
-	// MonitorWindows is how many windows the post-decision remainder
-	// is split into when ReDecide is on. Defaults to 8.
-	MonitorWindows int
 	// DecisionStore, when non-nil, backs the probe-free fast path: on
 	// a region's first invocation the runtime consults the store and,
 	// if it holds a decision for the region measured at the same
@@ -105,21 +99,12 @@ type Options struct {
 	Telemetry *telemetry.Telemetry
 }
 
-// DefaultOptions returns the paper's default tuning.
-func DefaultOptions() Options { return Options{}.withDefaults() }
-
 func (o Options) withDefaults() Options {
 	if o.FaultPeriodThreshold == 0 {
 		o.FaultPeriodThreshold = 100 * time.Microsecond
 	}
-	if o.MissThreshold == 0 {
-		o.MissThreshold = 3
-	}
 	if o.ProbeMaxInvocations == 0 {
 		o.ProbeMaxInvocations = 10
-	}
-	if o.MonitorWindows == 0 {
-		o.MonitorWindows = 8
 	}
 	return o
 }
@@ -135,9 +120,11 @@ type Runtime struct {
 	// Telemetry handles, pre-resolved at construction so hot paths
 	// never touch the registry. All nil when telemetry is disabled
 	// (every use is nil-safe, so the only per-site cost is a nil test).
-	tracer    *telemetry.Tracer
-	iterCtrs  []*telemetry.Counter // per node: iterations executed
-	regionCtr map[string]*telemetry.Counter
+	tracer     *telemetry.Tracer
+	iterCtrs   []*telemetry.Counter // per node: iterations executed
+	regionCtr  map[string]*telemetry.Counter
+	probeCtr   *telemetry.Counter
+	predictCtr *telemetry.Counter
 	// Monitoring handles + counter (ReDecide).
 	reprobeCtr  *telemetry.Counter
 	redecideCtr *telemetry.Counter
@@ -168,6 +155,8 @@ func New(cl cluster.Cluster, opts Options) *Runtime {
 			rt.tracer.NameTrack(workerTrack(i, -1), "node "+strconv.Itoa(i)+" ("+s.Name+")", "master")
 		}
 		rt.regionCtr = make(map[string]*telemetry.Counter)
+		rt.probeCtr = m.Counter("hetmp_hetprobe_probes_total")
+		rt.predictCtr = m.Counter("hetmp_hetprobe_predictions_total")
 		rt.reprobeCtr = m.Counter("hetmp_hetprobe_reprobes_total")
 		rt.redecideCtr = m.Counter("hetmp_hetprobe_redecisions_total")
 		rt.rejectCtr = m.Counter("hetmp_hetprobe_rejected_measurements_total")

@@ -303,7 +303,7 @@ func (s *Suite) Figure8() ([]Fig8Row, float64, error) {
 			rows = append(rows, *r)
 		}
 	}
-	return rows, core.DefaultOptions().MissThreshold, nil
+	return rows, core.MissThreshold, nil
 }
 
 // ---------------------------------------------------------------- Fig 9

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -743,7 +744,7 @@ func ParseMembers(s string) ([]Member, error) {
 		}
 		if len(f) == 3 {
 			w, err := strconv.ParseFloat(strings.TrimSpace(f[2]), 64)
-			if err != nil || w <= 0 {
+			if err != nil || !(w > 0) || math.IsInf(w, 1) {
 				return nil, fmt.Errorf("server: member %q: bad weight", part)
 			}
 			m.Weight = w

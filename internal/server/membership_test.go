@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -447,6 +448,11 @@ func TestParseMembersAndChurn(t *testing.T) {
 	if _, err := ParseMembers("n0:xeon:-1"); err == nil {
 		t.Error("ParseMembers accepted a negative weight")
 	}
+	for _, w := range []string{"NaN", "+Inf"} {
+		if _, err := ParseMembers("n0:xeon:" + w); err == nil {
+			t.Errorf("ParseMembers accepted weight %s", w)
+		}
+	}
 
 	evs, err := ParseChurn("remove:n1@30,add:n1:thunderx:1@70,cordon:n2@10")
 	if err != nil {
@@ -464,6 +470,31 @@ func TestParseMembersAndChurn(t *testing.T) {
 	if _, err := ParseChurn("explode:n1@3"); err == nil {
 		t.Error("ParseChurn accepted an unknown op")
 	}
+}
+
+// FuzzParseChurn: ParseChurn never panics, and every schedule it
+// accepts is sorted by milestone, names a node in every event, and
+// gives every add a class and a positive, finite weight. The seed corpus in
+// testdata/fuzz/FuzzParseChurn holds the schedules the churn smoke and
+// the serve_churn benchmark run.
+func FuzzParseChurn(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		evs, err := ParseChurn(s)
+		if err != nil {
+			return
+		}
+		for i, ev := range evs {
+			if i > 0 && ev.AtDispatch < evs[i-1].AtDispatch {
+				t.Fatalf("%q: events out of milestone order: %+v", s, evs)
+			}
+			if ev.AtDispatch < 0 || ev.Member.Name == "" {
+				t.Fatalf("%q: event %d has milestone %d, node %q", s, i, ev.AtDispatch, ev.Member.Name)
+			}
+			if ev.Op == ChurnAdd && (ev.Member.Class == "" || !(ev.Member.Weight > 0) || math.IsInf(ev.Member.Weight, 1)) {
+				t.Fatalf("%q: add event %d has class %q, weight %v", s, i, ev.Member.Class, ev.Member.Weight)
+			}
+		}
+	})
 }
 
 func TestSpecFromSig(t *testing.T) {
