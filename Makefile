@@ -59,11 +59,15 @@ chaos:
 results:
 	$(GO) run ./cmd/hetbench -json results_full.json | tee results_full.txt
 
-# Regenerate the golden quick report TestQuickReportMatchesGolden
-# compares against. Commit it with the change that moved the numbers.
+# Regenerate the two exact records: the quick report
+# TestQuickReportMatchesGolden compares against, and the serving golden
+# TestLoadReportMatchesGolden writes when it finds none. Commit them with
+# the change that moved the numbers.
 .PHONY: golden
 golden:
 	$(GO) run ./cmd/hetbench -quick -json internal/experiments/testdata/quick_report.json
+	rm -f internal/server/testdata/load_report.json
+	$(GO) test -count=1 -run '^TestLoadReportMatchesGolden$$' ./internal/server/
 
 # Serving-layer smoke: a seeded hetload soak (deterministic dispatch
 # asserted by running twice, SLOs on, warm probes pinned to zero) plus

@@ -205,18 +205,62 @@ type LoadReport struct {
 	DispatchHash    string         `json:"dispatch_hash"`
 	TenantJobs      map[string]int `json:"tenant_jobs"`
 	SLOFailures     []string       `json:"slo_failures"`
-	// Membership fields mirror Stats.Membership when the elastic-
-	// membership layer is on (LostIterations must be 0 — exactly-once
-	// accounting across churn is asserted, not hoped for).
-	LostIterations int              `json:"lost_iterations,omitempty"`
-	ChurnApplied   int              `json:"churn_applied,omitempty"`
-	Rehomed        int              `json:"rehomed,omitempty"`
-	Reprobes       int              `json:"reprobes,omitempty"`
-	Membership     *MembershipStats `json:"membership,omitempty"`
+	// Membership is Stats.Membership when the elastic-membership layer
+	// is on (its LostIterations must be 0 — exactly-once accounting
+	// across churn is asserted, not hoped for).
+	Membership *MembershipStats `json:"membership,omitempty"`
 	// DeterminismChecked/DeterminismOK report the double-run check
 	// (RunLoadVerified).
 	DeterminismChecked bool `json:"determinism_checked"`
 	DeterminismOK      bool `json:"determinism_ok,omitempty"`
+}
+
+// ExactReport is the part of a LoadReport that a seeded, preloaded run
+// reproduces bit for bit: the modelled system's record of the serving
+// path, compared byte for byte by the serving golden.
+type ExactReport struct {
+	Jobs            int            `json:"jobs"`
+	Tenants         int            `json:"tenants"`
+	Signatures      int            `json:"signatures"`
+	Seed            int64          `json:"seed"`
+	ChaosProfile    string         `json:"chaos_profile,omitempty"`
+	Completed       int            `json:"completed"`
+	Failed          int            `json:"failed"`
+	Rejections      int            `json:"rejections"`
+	CacheHits       int            `json:"cache_hits"`
+	CacheMisses     int            `json:"cache_misses"`
+	CrossTenantWarm int            `json:"cross_tenant_warm"`
+	WarmProbes      int            `json:"warm_probes"`
+	BudgetWindows   int            `json:"budget_windows"`
+	VirtualSeconds  float64        `json:"virtual_seconds"`
+	DispatchHash    string         `json:"dispatch_hash"`
+	TenantJobs      map[string]int `json:"tenant_jobs"`
+	ChurnApplied    int            `json:"churn_applied,omitempty"`
+	Reprobes        int            `json:"reprobes,omitempty"`
+	LostIterations  int64          `json:"lost_iterations,omitempty"`
+	Transitions     []string       `json:"transitions,omitempty"`
+}
+
+// Exact projects the report onto ExactReport. What it drops depends on
+// the host: WallSeconds, Throughput, Wait, Service and Retries are
+// wall-clock, SLOFailures follows them through the latency gates, and
+// Membership's rehome and per-node chunk counts record which lane
+// happened to hold a chunk when churn struck. A new LoadReport field
+// joins ExactReport only if a seeded run reproduces it.
+func (r LoadReport) Exact() ExactReport {
+	e := ExactReport{
+		Jobs: r.Jobs, Tenants: r.Tenants, Signatures: r.Signatures, Seed: r.Seed,
+		ChaosProfile: r.ChaosProfile, Completed: r.Completed, Failed: r.Failed,
+		Rejections: r.Rejections, CacheHits: r.CacheHits, CacheMisses: r.CacheMisses,
+		CrossTenantWarm: r.CrossTenantWarm, WarmProbes: r.WarmProbes,
+		BudgetWindows: r.BudgetWindows, VirtualSeconds: r.VirtualSeconds,
+		DispatchHash: r.DispatchHash, TenantJobs: r.TenantJobs,
+	}
+	if m := r.Membership; m != nil {
+		e.ChurnApplied, e.Reprobes = m.ChurnApplied, m.Reprobes
+		e.LostIterations, e.Transitions = m.LostIterations, m.Transitions
+	}
+	return e
 }
 
 // Workload generates the seeded job sequence for a config. Tenants
@@ -324,13 +368,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	report.BudgetWindows = st.BudgetWindows
 	report.VirtualSeconds = time.Duration(st.VirtualNs).Seconds()
 	report.DispatchHash = fmt.Sprintf("%016x", st.DispatchHash)
-	if st.Membership != nil {
-		report.Membership = st.Membership
-		report.LostIterations = int(st.Membership.LostIterations)
-		report.ChurnApplied = st.Membership.ChurnApplied
-		report.Rehomed = st.Membership.Rehomed
-		report.Reprobes = st.Membership.Reprobes
-	}
+	report.Membership = st.Membership
 	if wall > 0 {
 		report.Throughput = float64(st.Completed) / wall.Seconds()
 	}
@@ -349,9 +387,9 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	logf("hetload: %d jobs in %.2fs (%.1f jobs/s), wait p95 %.2fms, %d cache hits (%d cross-tenant), %d rejections",
 		report.Completed, report.WallSeconds, report.Throughput, report.Wait.P95,
 		report.CacheHits, report.CrossTenantWarm, report.Rejections)
-	if report.Membership != nil {
+	if m := report.Membership; m != nil {
 		logf("hetload: membership: %d churn events applied, %d chunks rehomed, %d reprobes, %d lost iterations",
-			report.ChurnApplied, report.Rehomed, report.Reprobes, report.LostIterations)
+			m.ChurnApplied, m.Rehomed, m.Reprobes, m.LostIterations)
 	}
 	return report, nil
 }

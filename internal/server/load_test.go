@@ -7,9 +7,9 @@ import (
 )
 
 // The in-process equivalent of `make load-smoke`, same config:
-// deterministic dispatch (run twice), all SLOs met, and the virtual
-// time, dispatch order and cache traffic pinned exactly — a change
-// that moves them is a change to the modelled system and says so here.
+// deterministic dispatch (run twice), all SLOs met, and the cache
+// traffic of one cold probe per signature. Its virtual time and
+// dispatch order are pinned by the serving golden's load-smoke row.
 func TestRunLoadVerifiedSmoke(t *testing.T) {
 	report, err := RunLoadVerified(LoadConfig{
 		Jobs: 200, Tenants: 4, Signatures: 6, Seed: 1,
@@ -30,12 +30,6 @@ func TestRunLoadVerifiedSmoke(t *testing.T) {
 	}
 	if report.Completed != 200 {
 		t.Fatalf("completed %d, want 200", report.Completed)
-	}
-	if report.VirtualSeconds != 0.144568698 {
-		t.Errorf("virtual_seconds = %.9f, want 0.144568698", report.VirtualSeconds)
-	}
-	if report.DispatchHash != "47dc6aea47cf0c30" {
-		t.Errorf("dispatch_hash = %s, want 47dc6aea47cf0c30", report.DispatchHash)
 	}
 	// One cold probe per signature, every other job a hit, and no warm
 	// run ever probes (cross-tenant ones included).
@@ -175,17 +169,18 @@ func TestRunLoadMembershipChurn(t *testing.T) {
 	if report.Completed != 40 || report.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 40/0", report.Completed, report.Failed)
 	}
-	if report.Membership == nil {
+	m := report.Membership
+	if m == nil {
 		t.Fatal("membership stats missing from report")
 	}
-	if report.LostIterations != 0 {
-		t.Fatalf("lost %d iterations across churn, want 0", report.LostIterations)
+	if m.LostIterations != 0 {
+		t.Fatalf("lost %d iterations across churn, want 0", m.LostIterations)
 	}
-	if report.ChurnApplied != 2 {
-		t.Fatalf("churn applied %d, want 2", report.ChurnApplied)
+	if m.ChurnApplied != 2 {
+		t.Fatalf("churn applied %d, want 2", m.ChurnApplied)
 	}
-	if report.Reprobes != 0 {
-		t.Fatalf("re-added covered class triggered %d reprobes, want 0 (warm start)", report.Reprobes)
+	if m.Reprobes != 0 {
+		t.Fatalf("re-added covered class triggered %d reprobes, want 0 (warm start)", m.Reprobes)
 	}
 	if report.WarmProbes != 0 {
 		t.Fatalf("warm probes = %d, want 0", report.WarmProbes)
@@ -221,8 +216,8 @@ func TestRunLoadMembershipChurnDrainAddRegression(t *testing.T) {
 		if !report.DeterminismChecked || !report.DeterminismOK {
 			t.Fatalf("iter %d: drain-add determinism check failed: %v", i, report.SLOFailures)
 		}
-		if report.ChurnApplied != 2 {
-			t.Fatalf("iter %d: churn applied %d, want 2", i, report.ChurnApplied)
+		if got := report.Membership.ChurnApplied; got != 2 {
+			t.Fatalf("iter %d: churn applied %d, want 2", i, got)
 		}
 		for _, tr := range report.Membership.Transitions {
 			if strings.Contains(tr, "churn-add") && strings.HasSuffix(tr, ":err") {
