@@ -95,8 +95,9 @@ churn-smoke:
 		-quiet -json $(OUT)/hetload_churn.json
 
 # Command smoke: the two simulator commands end to end on the quick
-# suite, one run under chaos (the ReDecide monitor's windowed remainder
-# end to end), the JSON report checked for well-formedness, and an
+# suite, one run under chaos (the ReDecide monitor's four windows and
+# one re-decision end to end), the JSON report checked for
+# well-formedness, and an
 # unknown chaos profile rejected by both before anything runs.
 # Foreground.
 .PHONY: cmd-smoke

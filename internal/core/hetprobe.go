@@ -123,12 +123,6 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	stats, rejected := summarizeMeasurements(probeDesc.results)
 	rt.rejectCtr.Add(int64(rejected))
 	ent.update(stats, ewmaAlpha)
-	// Anchor for the post-region miss-metric refinement: the entry's
-	// metric from before this probe's update. Captured here because a
-	// ReDecide re-probe window can call update again mid-region,
-	// shifting prevMissPerK to a value that already contains this
-	// probe window's misses.
-	missAnchor := ent.prevMissPerK
 	ent.cumTime += stats.windowTime
 	if ent.invocations == 0 {
 		ent.featN = n
@@ -165,7 +159,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 		}
 		if instr > 0 {
 			combined := float64(misses+stats.misses) / float64(instr+stats.instr) * 1000
-			ent.replaceMissPerK(combined, ewmaAlpha, missAnchor)
+			ent.replaceMissPerK(combined, ewmaAlpha)
 			// Re-derive the decision from the refined metric so the
 			// next invocation (and the cached decision) see it.
 			ent.decision = rt.decide(ent, spec)

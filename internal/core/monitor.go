@@ -24,83 +24,65 @@ import (
 // healthy link.
 const redecideFactor = 3.0
 
-// monitorWindows is how many windows a monitored remainder runs in,
-// chosen by trial over six chaos profiles × ten benchmarks (EXPERIMENTS.md
-// "Monitor window trial"): the smallest count whose wins on dsm-loss and
-// mixed are at least those of 8 windows. runRemainder is written for
-// exactly two: a watched first half, and a second half that becomes the
-// re-probe when the first breached.
-const monitorWindows = 2
+// monitorWindows is how many equal windows a monitored remainder runs
+// in, chosen by trial over six chaos profiles on both the hetbench suite
+// and the region server (EXPERIMENTS.md "Simpler monitor trial"): the
+// smallest count whose wins on dsm-loss and mixed hold those of 8
+// windows on both paths.
+const monitorWindows = 4
 
 // runRemainder executes iterations [base, n) of a probing invocation
 // under the decision its probe just made, measured, and returns the
 // measurements. Without ReDecide, or with too few iterations to
 // window, that is one dispatch. With ReDecide the remainder runs in
-// two windows, and the first one's per-node watermarks are checked
-// against the probe. A breach under a cross-node decision makes the
-// second window a re-probe — dispatched with equal, unweighted shares
-// so per-node timings are comparable — whose measurements are folded
-// into the probe entry before the decision is re-derived with the
-// breaching nodes excluded. Every iteration is dispatched exactly once
-// (the re-probe is a normal window, not a re-execution), so reduction
-// accounting is preserved.
+// monitorWindows equal windows, and after each but the last the
+// window's per-node watermarks are checked against the probe. A breach
+// under a cross-node decision condemns the breaching nodes, and the
+// decision is re-derived at once from the probe's own measurements
+// without them — down to the origin node alone, the paper's homogeneous
+// fallback — for the windows that remain. Every iteration is dispatched
+// exactly once, so reduction accounting is preserved.
 func (a *App) runRemainder(regionID string, ent *probeEntry, spec HetProbeSpec, base, n int, body Body, red *reduceRun) []measurement {
 	rt := a.rt
-	if !rt.opts.ReDecide || n-base < 2*monitorWindows {
-		return a.execDecision(ent.decision, spec, base, n, body, red, true)
+	windows := 1
+	if rt.opts.ReDecide && n-base >= 2*monitorWindows {
+		windows = monitorWindows
 	}
-	origin := rt.cl.Origin()
-	mid := base + (n-base)/monitorWindows
-	first := a.execDecision(ent.decision, spec, base, mid, body, red, true)
+	var all []measurement
 	var acc any
-	if red != nil {
-		acc = red.out
-	}
-	stats, rejected := summarizeMeasurements(first)
-	rt.rejectCtr.Add(int64(rejected))
-	dec := ent.decision
-	breached := breachedNodes(stats.observed, ent.perIter, origin)
-	reprobe := len(breached) > 0 && dec.CrossNode
-	if reprobe {
-		dec.CSR = nil // equal shares: comparable per-node timings
-		rt.reprobeCtr.Inc()
-		rt.logf("hetprobe %s: watermark breach on nodes %v (factor %.1f), re-probing the second half",
-			regionID, slices.Sorted(maps.Keys(breached)), redecideFactor)
-	}
-
-	second := a.execDecision(dec, spec, mid, n, body, red, true)
-	if red != nil {
-		red.out = red.combine(acc, red.out)
-	}
-	stats, rejected = summarizeMeasurements(second)
-	rt.rejectCtr.Add(int64(rejected))
-	if reprobe {
-		// Fold the re-probe window into the entry, then re-decide with
-		// the still-breaching nodes excluded. If the exclusion empties
-		// the remote set, decideWith falls back to the origin node —
-		// the paper's homogeneous fallback, reachable mid-region.
-		breached = breachedNodes(stats.observed, ent.perIter, origin)
-		ent.update(stats, ewmaAlpha)
-		for node := range breached {
-			if ent.suspects == nil {
-				ent.suspects = map[int]bool{}
+	for w := range windows {
+		lo, hi := base+(n-base)*w/windows, base+(n-base)*(w+1)/windows
+		ms := a.execDecision(ent.decision, spec, lo, hi, body, red, true)
+		all = append(all, ms...)
+		if red != nil {
+			if w > 0 {
+				red.out = red.combine(acc, red.out)
 			}
-			ent.suspects[node] = true
+			acc = red.out
 		}
-		newDec := rt.decide(ent, spec)
-		if slices.Equal(newDec.Nodes, ent.decision.Nodes) {
-			rt.logf("hetprobe %s: re-probe kept the decision", regionID)
-		} else {
-			rt.reDecisions++
-			rt.redecideCtr.Inc()
-			rt.logf("hetprobe %s: re-decision (suspects %v): %s", regionID, slices.Sorted(maps.Keys(ent.suspects)), newDec)
-			if rt.tracer != nil {
-				rt.recordDecision(a.env, regionID, newDec)
-			}
+		if w == windows-1 || !ent.decision.CrossNode {
+			continue
 		}
-		ent.decision = newDec
+		stats, rejected := summarizeMeasurements(ms)
+		rt.rejectCtr.Add(int64(rejected))
+		breached := breachedNodes(stats.observed, ent.perIter, rt.cl.Origin())
+		if len(breached) == 0 {
+			continue
+		}
+		if ent.suspects == nil {
+			ent.suspects = map[int]bool{}
+		}
+		maps.Copy(ent.suspects, breached)
+		ent.decision = rt.decide(ent, spec)
+		rt.reDecisions++
+		rt.redecideCtr.Inc()
+		rt.logf("hetprobe %s: watermark breach on nodes %v (factor %.1f), re-decision (suspects %v): %s",
+			regionID, slices.Sorted(maps.Keys(breached)), redecideFactor, slices.Sorted(maps.Keys(ent.suspects)), ent.decision)
+		if rt.tracer != nil {
+			rt.recordDecision(a.env, regionID, ent.decision)
+		}
 	}
-	return append(first, second...)
+	return all
 }
 
 // breachedNodes returns the non-origin nodes whose observed

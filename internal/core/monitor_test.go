@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"hetmp/internal/cluster"
 	"hetmp/internal/interconnect"
 	"hetmp/internal/perf"
-	"hetmp/internal/telemetry"
 )
 
 // newChaosRuntime is newSimRuntime with a degradation injector
@@ -49,9 +49,10 @@ func pingPongBody(r *cluster.Region, pages int64, opsPerIter float64) BodyReduce
 }
 
 // runMonitored executes one forced-cross-node ping-pong region under
-// the ReDecide monitor and returns the runtime, the reduction result
-// and the virtual elapsed time.
-func runMonitored(t *testing.T, inj *chaos.Injector, n int) (*Runtime, int, time.Duration) {
+// the ReDecide monitor and returns the runtime, the reduction result,
+// the virtual elapsed time and the highest iteration the remote node
+// ran.
+func runMonitored(t *testing.T, inj *chaos.Injector, n int) (*Runtime, int, time.Duration, int) {
 	t.Helper()
 	rt, cl := newChaosRuntime(t, Options{
 		ReDecide: true,
@@ -61,32 +62,42 @@ func runMonitored(t *testing.T, inj *chaos.Injector, n int) (*Runtime, int, time
 		FaultPeriodThreshold: time.Nanosecond,
 	}, inj)
 	var got int
+	var mu sync.Mutex
+	lastRemote := -1
 	err := rt.Run(func(a *App) {
 		r := a.Alloc("shared", 64*page)
+		body := pingPongBody(r, 64, 400_000)
 		got = a.ParallelReduce("chaotic", n, HetProbeSchedule(),
 			func() any { return 0 },
-			pingPongBody(r, 64, 400_000),
+			func(e cluster.Env, lo, hi int, acc any) any {
+				if e.Node() != cl.Origin() {
+					mu.Lock()
+					lastRemote = max(lastRemote, hi-1)
+					mu.Unlock()
+				}
+				return body(e, lo, hi, acc)
+			},
 			func(x, y any) any { return x.(int) + y.(int) },
 		).(int)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt, got, cl.Elapsed()
+	return rt, got, cl.Elapsed(), lastRemote
 }
 
 // TestReDecideFallsBackUnderLinkDegradation is the core-level version
 // of the soak scenario: the link degrades mid-region, the watermark
-// monitor detects it, and a re-probe → re-decision revises the
-// cross-node split into origin-only execution — without dropping or
-// double-counting a single iteration.
+// monitor detects it, and a re-decision revises the cross-node split
+// into origin-only execution — without dropping or double-counting a
+// single iteration.
 func TestReDecideFallsBackUnderLinkDegradation(t *testing.T) {
 	const n = 1600
 	want := n * (n - 1) / 2
 
 	// Healthy pass: learn the run's virtual duration, and require that
 	// the monitor leaves a good decision alone.
-	rt, got, elapsed := runMonitored(t, nil, n)
+	rt, got, elapsed, _ := runMonitored(t, nil, n)
 	if got != want {
 		t.Fatalf("healthy run reduced to %d, want %d", got, want)
 	}
@@ -99,15 +110,7 @@ func TestReDecideFallsBackUnderLinkDegradation(t *testing.T) {
 
 	// Chaos pass: the link degrades a quarter into the run — after the
 	// probe decided, before the region ends.
-	inj := chaos.New(chaos.Profile{
-		Name: "test-degrade",
-		Links: []chaos.LinkEvent{{
-			Start:           elapsed / 4,
-			LatencyFactor:   300,
-			BandwidthFactor: 300,
-		}},
-	}, 1)
-	rt, got, _ = runMonitored(t, inj, n)
+	rt, got, _, _ = runMonitored(t, degradeAt(elapsed/4), n)
 	if got != want {
 		t.Fatalf("degraded run reduced to %d, want %d (exactly-once accounting broken)", got, want)
 	}
@@ -123,58 +126,68 @@ func TestReDecideFallsBackUnderLinkDegradation(t *testing.T) {
 	}
 }
 
-// TestMonitorFinalWindowDoesNotScheduleReprobe is the regression test
-// for the last-window accounting bug: a breach detected on the final
-// window used to set pendingReprobe — incrementing
-// hetmp_hetprobe_reprobes_total for a re-probe that no later window
-// could ever dispatch. A breach with no window remaining must not be
-// counted as a scheduled re-probe.
+// degradeAt is a link degradation from virtual time start to the end
+// of the run, severe enough to breach any watermark.
+func degradeAt(start time.Duration) *chaos.Injector {
+	return chaos.New(chaos.Profile{
+		Name:  "test-degrade",
+		Links: []chaos.LinkEvent{{Start: start, LatencyFactor: 300, BandwidthFactor: 300}},
+	}, 1)
+}
+
+// TestMonitorRedecidesBeforeTheNextWindow: a link that degrades inside
+// the first monitored window is acted on before the second window is
+// dispatched — the remote node runs no iteration past window 1 — and
+// the reduction still counts every iteration exactly once.
+func TestMonitorRedecidesBeforeTheNextWindow(t *testing.T) {
+	const n = 1600
+	want := n * (n - 1) / 2
+	total := 0
+	for _, s := range smallPlatform().Nodes {
+		total += s.Cores
+	}
+	probeIters := n * probePercent / total / 100 * total
+	window1End := probeIters + (n-probeIters)/monitorWindows
+
+	_, _, elapsed, healthyLast := runMonitored(t, nil, n)
+	if healthyLast < window1End {
+		t.Fatalf("healthy run: remote node stopped at iteration %d, inside window 1 (ends %d)", healthyLast, window1End)
+	}
+	// A fifth of the run in: past the probe (10 % of the iterations),
+	// inside the first window.
+	rt, got, _, last := runMonitored(t, degradeAt(elapsed/5), n)
+	if got != want {
+		t.Fatalf("degraded run reduced to %d, want %d (exactly-once accounting broken)", got, want)
+	}
+	if rt.ReDecisions() != 1 {
+		t.Fatalf("degraded run performed %d re-decisions, want 1", rt.ReDecisions())
+	}
+	if last >= window1End {
+		t.Fatalf("remote node ran iteration %d, past window 1 (ends %d): the re-decision came late", last, window1End)
+	}
+}
+
+// TestMonitorFinalWindowDoesNotScheduleReprobe: a breach that only the
+// final window could show has no window left to act in, so it changes
+// nothing — no re-decision.
 func TestMonitorFinalWindowDoesNotScheduleReprobe(t *testing.T) {
 	const n = 1600
 	want := n * (n - 1) / 2
 
 	// Healthy pass to learn the run's virtual duration.
-	_, _, elapsed := runMonitored(t, nil, n)
+	_, _, elapsed, _ := runMonitored(t, nil, n)
 
-	// Degrade the link three quarters in: the probe and the watched
-	// first half of the remainder (iterations up to 55 %) have run, so
-	// the breach can only ever be observed on the final window.
-	inj := chaos.New(chaos.Profile{
-		Name: "test-degrade-final",
-		Links: []chaos.LinkEvent{{
-			Start:           elapsed * 3 / 4,
-			LatencyFactor:   300,
-			BandwidthFactor: 300,
-		}},
-	}, 1)
-	tel := telemetry.New(telemetry.Options{})
-	rt, cl := newChaosRuntime(t, Options{
-		ReDecide:             true,
-		FaultPeriodThreshold: time.Nanosecond,
-		Telemetry:            tel,
-	}, inj)
-	var got int
-	err := rt.Run(func(a *App) {
-		r := a.Alloc("shared", 64*page)
-		got = a.ParallelReduce("chaotic", n, HetProbeSchedule(),
-			func() any { return 0 },
-			pingPongBody(r, 64, 400_000),
-			func(x, y any) any { return x.(int) + y.(int) },
-		).(int)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Degrade the link nine tenths in: the probe and every window but
+	// the last (iterations up to 77.5 %) have run, so the breach can
+	// only ever be observed on the final window.
+	rt, got, degraded, _ := runMonitored(t, degradeAt(elapsed*9/10), n)
 	if got != want {
 		t.Fatalf("degraded run reduced to %d, want %d", got, want)
 	}
 	// The degradation must have bitten the final window, or the
-	// assertions below prove nothing.
-	if cl.Elapsed() < 2*elapsed {
-		t.Fatalf("degraded run took %v against %v healthy: the final window was not degraded", cl.Elapsed(), elapsed)
-	}
-	if v := rt.reprobeCtr.Value(); v != 0 {
-		t.Fatalf("final-window breach scheduled %d re-probe(s) that can never dispatch", v)
+	// assertion below proves nothing.
+	if degraded < 2*elapsed {
+		t.Fatalf("degraded run took %v against %v healthy: the final window was not degraded", degraded, elapsed)
 	}
 	if rt.ReDecisions() != 0 {
 		t.Fatalf("final-window breach performed %d re-decisions", rt.ReDecisions())

@@ -65,21 +65,16 @@ func (e *probeEntry) update(s probeStats, alpha float64) {
 	e.missPerK = alpha*s.missPerK + (1-alpha)*e.missPerK
 }
 
-// replaceMissPerK substitutes the miss metric folded in by an update
-// with a refined (region-wide) measurement of the same invocation,
-// blending it against prev — the entry's metric from *before* that
-// update (a negative prev marks a first invocation: replace outright).
-// The caller supplies prev rather than this reading e.prevMissPerK
-// because ReDecide's mid-region re-probes call update again before the
-// refinement runs; anchoring on the latest update would blend against
-// a value that already contains the probe window's misses, counting
-// them twice.
-func (e *probeEntry) replaceMissPerK(v, alpha, prev float64) {
-	if prev < 0 {
+// replaceMissPerK substitutes the miss metric folded in by the last
+// update with a refined (region-wide) measurement of the same
+// invocation, blending it against the metric from before that update
+// (on a first invocation: replacing outright).
+func (e *probeEntry) replaceMissPerK(v, alpha float64) {
+	if e.prevMissPerK < 0 {
 		e.missPerK = v
 		return
 	}
-	e.missPerK = alpha*v + (1-alpha)*prev
+	e.missPerK = alpha*v + (1-alpha)*e.prevMissPerK
 }
 
 // ewmaDur blends durations, saturating on the "no faults observed"

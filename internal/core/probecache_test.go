@@ -26,45 +26,17 @@ func TestReplaceMissPerKFirstInvocation(t *testing.T) {
 	e := &probeEntry{}
 	e.update(probeStats{missPerK: 50}, 0.7)
 	// First invocation: the refined value replaces outright.
-	e.replaceMissPerK(5, 0.7, e.prevMissPerK)
+	e.replaceMissPerK(5, 0.7)
 	if e.missPerK != 5 {
 		t.Fatalf("refined first-invocation missPerK = %v, want 5", e.missPerK)
 	}
 	// Later invocations: the refinement substitutes the last EWMA term.
 	e.invocations++
 	e.update(probeStats{missPerK: 11}, 0.5)
-	e.replaceMissPerK(3, 0.5, e.prevMissPerK)
+	e.replaceMissPerK(3, 0.5)
 	want := 0.5*3 + 0.5*5
 	if e.missPerK != want {
 		t.Fatalf("refined missPerK = %v, want %v", e.missPerK, want)
-	}
-}
-
-// Regression test for the ReDecide miss-metric double count: a
-// mid-region re-probe calls update again before the post-region
-// refinement, so the refinement must blend against the anchor captured
-// right after the *probe's* update — not the entry's latest
-// prevMissPerK, which by then holds a value containing the probe
-// window's misses.
-func TestReplaceMissPerKAnchorSurvivesReprobe(t *testing.T) {
-	e := &probeEntry{}
-	e.update(probeStats{missPerK: 10}, 0.5)
-	e.invocations++
-	// This invocation's probing period.
-	e.update(probeStats{missPerK: 20}, 0.5) // missPerK=15, prev=10
-	anchor := e.prevMissPerK
-	if anchor != 10 {
-		t.Fatalf("anchor after probe update = %v, want 10", anchor)
-	}
-	// A ReDecide re-probe window mid-region folds in another update,
-	// shifting prevMissPerK to the probe's own blended value.
-	e.update(probeStats{missPerK: 40}, 0.5) // prev becomes 15
-	// Post-region refinement of the same invocation.
-	e.replaceMissPerK(30, 0.5, anchor)
-	want := 0.5*30 + 0.5*10 // blended against the pre-probe metric
-	if e.missPerK != want {
-		t.Fatalf("refined missPerK = %v, want %v (pre-fix anchor would give %v)",
-			e.missPerK, want, 0.5*30+0.5*15)
 	}
 }
 

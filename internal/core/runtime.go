@@ -53,17 +53,16 @@ type Options struct {
 	ProbeRegionID string
 	// ReDecide enables mid-region monitoring (the chaos-hardening
 	// layer) of probing invocations: after HetProbe probes and
-	// decides, the remaining iterations run in two halves, and the
-	// first half's per-node progress is compared against what that
-	// probe just measured. A node whose observed per-iteration time
-	// exceeds redecideFactor × the expectation (a straggler, a frozen
-	// node, or a degraded link inflating fault stalls) turns the second
-	// half into a re-probe on equal shares, after which the decision is
-	// re-derived without the breaching nodes — down to origin-node-only
-	// execution — without re-executing any iteration. Mature entries,
-	// store-seeded ones included, are never monitored. Meant for runs
-	// with chaos injected: with nothing to catch it only adds a dispatch
-	// (DESIGN.md §11). Off by default.
+	// decides, the remaining iterations run in equal windows, and each
+	// window's per-node progress is compared against what that probe
+	// just measured. A node whose observed per-iteration time exceeds
+	// redecideFactor × the expectation (a straggler, a frozen node, or a
+	// degraded link inflating fault stalls) is excluded at once: the
+	// decision is re-derived without it — down to origin-node-only
+	// execution — for the windows that remain, without re-executing any
+	// iteration. Mature entries, store-seeded ones included, are never
+	// monitored. Meant for runs with chaos injected: with nothing to
+	// catch it only adds dispatches (DESIGN.md §11). Off by default.
 	ReDecide bool
 	// DecisionStore, when non-nil, backs the probe-free fast path: on
 	// a region's first invocation the runtime consults the store and,
@@ -126,7 +125,6 @@ type Runtime struct {
 	probeCtr   *telemetry.Counter
 	predictCtr *telemetry.Counter
 	// Monitoring handles + counter (ReDecide).
-	reprobeCtr  *telemetry.Counter
 	redecideCtr *telemetry.Counter
 	rejectCtr   *telemetry.Counter
 	reDecisions int
@@ -157,7 +155,6 @@ func New(cl cluster.Cluster, opts Options) *Runtime {
 		rt.regionCtr = make(map[string]*telemetry.Counter)
 		rt.probeCtr = m.Counter("hetmp_hetprobe_probes_total")
 		rt.predictCtr = m.Counter("hetmp_hetprobe_predictions_total")
-		rt.reprobeCtr = m.Counter("hetmp_hetprobe_reprobes_total")
 		rt.redecideCtr = m.Counter("hetmp_hetprobe_redecisions_total")
 		rt.rejectCtr = m.Counter("hetmp_hetprobe_rejected_measurements_total")
 	}

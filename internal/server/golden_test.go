@@ -48,9 +48,14 @@ func goldenLoadConfigs(t *testing.T) ([]string, []LoadConfig) {
 // TestLoadReportMatchesGolden runs every pinned config (concurrently:
 // each run owns its server) and compares the projections byte for byte.
 // Like the quick golden it is exact on amd64 only, where it was written.
+// The race detector moves no number and makes the runs ten times slower,
+// so the raced gates leave the numbers to the plain run.
 func TestLoadReportMatchesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("serving golden is exact on amd64; not comparing on GOARCH=%s", runtime.GOARCH)
+	}
+	if raceEnabled {
+		t.Skip("the serving golden runs without -race")
 	}
 	names, cfgs := goldenLoadConfigs(t)
 	got := make([]goldenLoad, len(cfgs))

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -23,8 +24,8 @@ func ParseWeights(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("bad weight %q (want tenant=weight)", part)
 		}
 		w, err := strconv.ParseFloat(kv[1], 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("bad weight %q: want a positive number", part)
+		if err != nil || !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("bad weight %q: want a positive finite number", part)
 		}
 		out[kv[0]] = w
 	}

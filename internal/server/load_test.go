@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,40 @@ func TestRunLoadVerifiedSmoke(t *testing.T) {
 	if _, err := json.MarshalIndent(report, "", "  "); err != nil {
 		t.Fatalf("report marshal: %v", err)
 	}
+}
+
+func TestParseWeights(t *testing.T) {
+	got, err := ParseWeights("gold=4, silver=2.5")
+	if err != nil || len(got) != 2 || got["gold"] != 4 || got["silver"] != 2.5 {
+		t.Fatalf("ParseWeights = %v, %v", got, err)
+	}
+	if got, err := ParseWeights(""); got != nil || err != nil {
+		t.Fatalf("ParseWeights(\"\") = %v, %v, want nil, nil", got, err)
+	}
+	for _, bad := range []string{"gold", "=2", "gold=x", "gold=0", "gold=-1", "gold=NaN", "gold=+Inf", "gold=-Inf", "t0=NaN,t1=+Inf"} {
+		if w, err := ParseWeights(bad); err == nil {
+			t.Errorf("ParseWeights(%q) = %v, want an error", bad, w)
+		}
+	}
+}
+
+// FuzzParseWeights: ParseWeights never panics, and every weight it
+// accepts belongs to a named tenant and is positive and finite. The
+// seed corpus in testdata/fuzz/FuzzParseWeights holds the README and
+// hetserve example weights and the NaN / +Inf values the parser used to
+// accept.
+func FuzzParseWeights(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		ws, err := ParseWeights(s)
+		if err != nil {
+			return
+		}
+		for tenant, w := range ws {
+			if tenant == "" || !(w > 0) || math.IsInf(w, 1) {
+				t.Fatalf("%q: tenant %q has weight %v", s, tenant, w)
+			}
+		}
+	})
 }
 
 // NoPreload mode exercises live backpressure: a tiny queue rejects

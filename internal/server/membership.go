@@ -272,6 +272,9 @@ func (s *RegionServer) addNodeLocked(mem Member) error {
 		return fmt.Errorf("server: member needs Name and Class")
 	}
 	mem.Class = strings.ToLower(mem.Class)
+	if math.IsNaN(mem.Weight) || math.IsInf(mem.Weight, 0) {
+		return fmt.Errorf("server: member %s: weight %v is not finite", mem.Name, mem.Weight)
+	}
 	if mem.Weight <= 0 {
 		mem.Weight = 1
 	}

@@ -182,6 +182,22 @@ func TestMembershipGuards(t *testing.T) {
 	}
 }
 
+// A non-finite weight is refused at AddNode: apportion.Split turns a NaN
+// weight into negative chunk counts, the plan keeps no chunk, and the
+// job never completes.
+func TestAddNodeRefusesNonFiniteWeight(t *testing.T) {
+	s := New(Config{Executor: newFakeChunkExec(), Members: []Member{{Name: "n0", Class: "xeon"}}})
+	defer s.Close()
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.AddNode(Member{Name: "n1", Class: "xeon", Weight: w}); err == nil {
+			t.Errorf("AddNode accepted weight %v", w)
+		}
+	}
+	if _, ok := s.Stats().Membership.Nodes["n1"]; ok {
+		t.Fatal("a refused add left a member behind")
+	}
+}
+
 // Add-then-warm against the real executor and a shared decision store:
 // a newcomer of a class the store already covers serves immediately
 // with zero probes, and a newcomer of an unseen class triggers exactly

@@ -229,6 +229,14 @@ func TestRPCMembershipOps(t *testing.T) {
 	if err := AddNodeRemote(c, Member{Name: "n2", Class: "thunderx"}, 5*time.Second); !errors.Is(err, ErrNodeExists) {
 		t.Fatalf("duplicate add = %v, want ErrNodeExists", err)
 	}
+	// A non-finite weight on the wire is refused before it can reach
+	// the apportioning.
+	for _, w := range []string{"NaN", "+Inf"} {
+		meta := map[string]string{"node": "n3", "class": "xeon", "weight": w}
+		if _, _, err := c.CallMeta(TaskNodeAdd, 0, 0, 0, meta, 5*time.Second); err == nil {
+			t.Fatalf("node-add with weight %s accepted", w)
+		}
+	}
 	if err := RemoveNodeRemote(c, "ghost", 5*time.Second); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("remove unknown = %v, want ErrUnknownNode", err)
 	}
