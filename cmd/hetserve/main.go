@@ -40,7 +40,6 @@ func main() {
 		cacheDir    = flag.String("cache-dir", "", "persist the shared decision cache in this directory (empty = in-memory only)")
 		queueDepth  = flag.Int("queue-depth", 256, "bounded admission queue depth (global)")
 		maxInflight = flag.Int("max-inflight", 8, "maximum concurrently executing jobs")
-		tenantMax   = flag.Int("tenant-max-inflight", 0, "per-tenant in-flight cap (0 = unlimited)")
 		budget      = flag.Int64("tenant-budget", 0, "per-tenant iteration budget per window (0 = unlimited)")
 		weights     = flag.String("weights", "", "per-tenant fair-share weights, tenant=w,tenant=w (default weight 1)")
 		chaosProf   = flag.String("chaos-profile", "", "run every job under this chaos profile")
@@ -49,13 +48,13 @@ func main() {
 		nodes       = flag.String("nodes", "", "elastic membership: name:class[:weight],... (empty = membership off)")
 	)
 	flag.Parse()
-	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *tenantMax, *budget, *weights, *chaosProf, *seed, *debugAddr, *nodes); err != nil {
+	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *budget, *weights, *chaosProf, *seed, *debugAddr, *nodes); err != nil {
 		fmt.Fprintf(os.Stderr, "hetserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget int64,
+func run(listen, cacheDir string, queueDepth, maxInflight int, budget int64,
 	weights, chaosProf string, seed int64, debugAddr, nodes string) error {
 	w, err := server.ParseWeights(weights)
 	if err != nil {
@@ -101,15 +100,14 @@ func run(listen, cacheDir string, queueDepth, maxInflight, tenantMax int, budget
 	}
 	exec := server.NewSimExecutor(server.SimExecutorConfig{Seed: seed, ChaosProfile: chaosProf, Store: store, Telemetry: tel})
 	rs := server.New(server.Config{
-		QueueDepth:        queueDepth,
-		MaxInFlight:       maxInflight,
-		TenantMaxInFlight: tenantMax,
-		TenantIterBudget:  budget,
-		Weights:           w,
-		Executor:          exec,
-		Telemetry:         tel,
-		Members:           members,
-		Logf:              func(f string, a ...any) { fmt.Printf(f+"\n", a...) },
+		QueueDepth:       queueDepth,
+		MaxInFlight:      maxInflight,
+		TenantIterBudget: budget,
+		Weights:          w,
+		Executor:         exec,
+		Telemetry:        tel,
+		Members:          members,
+		Logf:             func(f string, a ...any) { fmt.Printf(f+"\n", a...) },
 	})
 	if len(members) > 0 {
 		fmt.Printf("hetserve: elastic membership with %d nodes\n", len(members))

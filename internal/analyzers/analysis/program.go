@@ -14,7 +14,7 @@ import (
 // package B seen from package A is a different object than the one in
 // B's own unit. Identity across the program therefore hangs on the one
 // thing both universes agree on — types.Func.FullName() strings like
-// "(*hetmp/internal/server.RegionServer).runJob" — and the Program
+// "(*hetmp/internal/server.RegionServer).chunkFinished" — and the Program
 // index is keyed by them.
 //
 // Soundness caveats (see DESIGN.md §13): calls through interfaces,

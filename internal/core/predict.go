@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -54,6 +55,10 @@ func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n
 			regionID, se.Features.Iterations, n)
 		return false
 	}
+	if why := rt.unrunnable(se); why != "" {
+		rt.logf("hetprobe %s: stored decision cannot run on this cluster (%s), probing", regionID, why)
+		return false
+	}
 	seedEntry(ent, se, rt.opts.ProbeMaxInvocations)
 	rt.predictions++
 	rt.predictCtr.Inc()
@@ -62,6 +67,37 @@ func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n
 		rt.recordDecision(e, regionID, ent.decision)
 	}
 	return true
+}
+
+// maxStoredCSR bounds a stored CSR weight. A probe normalizes the
+// slowest node's weight to 1, and the modelled nodes differ per thread
+// by single-digit factors, so a weight a million times the slowest is
+// no measurement; far enough past it, the static partition overflows.
+const maxStoredCSR = 1e6
+
+// unrunnable reports why a stored entry's decision cannot run on this
+// cluster, or "" when it can: every node it names must exist and be
+// named once, and every CSR weight must be one a probe could measure.
+// The fingerprint binds a store to a cluster configuration, but a file
+// edited by hand or written by a broken build carries it just the same.
+func (rt *Runtime) unrunnable(se decstore.Entry) string {
+	nodes := len(rt.cl.NodeSpecs())
+	if se.Node < 0 || se.Node >= nodes {
+		return fmt.Sprintf("node %d of a %d-node cluster", se.Node, nodes)
+	}
+	seen := make(map[int]bool, len(se.Nodes))
+	for _, n := range se.Nodes {
+		if n < 0 || n >= nodes || seen[n] {
+			return fmt.Sprintf("node set %v on a %d-node cluster", se.Nodes, nodes)
+		}
+		seen[n] = true
+	}
+	for _, w := range se.CSR {
+		if !(w > 0 && w <= maxStoredCSR) {
+			return fmt.Sprintf("CSR %s", csrString(se.CSR))
+		}
+	}
+	return ""
 }
 
 // seedEntry loads a stored entry into the live probe cache as a

@@ -209,6 +209,59 @@ func TestStoreWrittenBeforeIdentityRuleIsAdopted(t *testing.T) {
 	}
 }
 
+// storeFile renders a schema-2 store file for the test cluster holding
+// one entry, for region "warm", with the given decision fields.
+func storeFile(iterations int, decision string) string {
+	return fmt.Sprintf(`{"schema_version": 2, "fingerprint": "testcluster", "entries": {"warm": {
+  %s, "fault_period_ns": 397581, "misses_per_kinst": 0.0002, "cum_time_ns": 296755406,
+  "invocations": 1, "features": {"iterations": %d}}}}`, decision, iterations)
+}
+
+// TestStoredDecisionForOtherClusterIsProbed: a stored decision that
+// names a node the two-node cluster lacks, names a node twice, or
+// carries a CSR weight no probe measures is refused with a log line
+// saying why, and the region is probed instead — a bad store never
+// breaks the run. The probe's export replaces the entry.
+func TestStoredDecisionForOtherClusterIsProbed(t *testing.T) {
+	const n = 1600
+	for _, tc := range []struct{ name, decision string }{
+		{"node 7", `"cross_node": false, "node": 7`},
+		{"node -1", `"cross_node": false, "node": -1`},
+		{"node set 0,5", `"cross_node": true, "node": 0, "nodes": [0, 5], "csr": {"0": 2, "5": 1}`},
+		{"node set 0,0", `"cross_node": true, "node": 0, "nodes": [0, 0]`},
+		{"CSR 1e308", `"cross_node": true, "node": 0, "nodes": [0, 1], "csr": {"0": 1e308, "1": 1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "store.json")
+			if err := os.WriteFile(path, []byte(storeFile(n, tc.decision)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store := decstore.Open(path, "testcluster")
+			if store.Len() != 1 {
+				t.Fatalf("fixture rejected at Open: %s", store.Status())
+			}
+			var logs []string
+			opts := Options{DecisionStore: store, Logf: func(format string, args ...any) {
+				logs = append(logs, fmt.Sprintf(format, args...))
+			}}
+			rt, got, _, _ := runPingPong(t, opts, n, 2)
+			if rt.Predictions() != 0 || rt.Probes() != 2 {
+				t.Fatalf("%d predictions, %d probes, want 0 and 2", rt.Predictions(), rt.Probes())
+			}
+			if want := n * (n - 1) / 2; got != want {
+				t.Fatalf("reduced to %d, want %d", got, want)
+			}
+			const want = "stored decision cannot run on this cluster"
+			if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, want) }) {
+				t.Errorf("no log line says %q:\n%s", want, strings.Join(logs, "\n"))
+			}
+			if se, _ := store.Lookup("warm"); se.Invocations != 2 {
+				t.Errorf("export left %+v in the store, want the run's own two-invocation measurement", se)
+			}
+		})
+	}
+}
+
 // TestSeededEntryRunsAsMature: an entry seeded from the store is a
 // mature probe-cache entry. Its cross-node decision is executed as
 // stored, unmonitored, so a warm run is identical with ReDecide on and
@@ -350,4 +403,29 @@ func TestForceReprobeIgnoresStoredDecision(t *testing.T) {
 		t.Fatalf("declined hook broke the fast path: %d probes, %d predictions",
 			rtWarm.Probes(), rtWarm.Predictions())
 	}
+}
+
+// FuzzAdoptStoredDecision: whatever bytes the store file holds, a
+// HetProbe reduction over it completes with the exact sum, adopting the
+// stored decision or probing: decstore rejects a file it cannot read
+// whole, and tryPredict refuses an entry that cannot run on this
+// cluster. The seed corpus in testdata/fuzz/FuzzAdoptStoredDecision
+// holds a store this runtime wrote, a schema-1 file, a truncated file,
+// a foreign-fingerprint file and an entry naming node 7, all for region
+// "warm" at 320 iterations.
+func FuzzAdoptStoredDecision(f *testing.F) {
+	const n = 320
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "store.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rt, got, _, _ := runPingPong(t, Options{DecisionStore: decstore.Open(path, "testcluster")}, n, 1)
+		if want := n * (n - 1) / 2; got != want {
+			t.Fatalf("reduced to %d, want %d", got, want)
+		}
+		if rt.Probes()+rt.Predictions() < 1 {
+			t.Fatalf("%d probes and %d predictions: the region neither probed nor adopted", rt.Probes(), rt.Predictions())
+		}
+	})
 }

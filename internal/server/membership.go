@@ -152,7 +152,6 @@ type memberState struct {
 	spec     Member
 	state    NodeState
 	queue    []*chunk
-	running  bool
 	reprobes []Spec
 	wake     chan struct{} // 1-buffered worker wakeup
 	stats    NodeStats
@@ -236,29 +235,27 @@ func (s *RegionServer) UncordonNode(name string) error {
 // when the layer is off, records a successful op in the Transitions
 // log, and wakes affected lanes only after unlocking.
 func (s *RegionServer) applyOp(op ChurnOp, m Member) error {
-	var wakes []chan struct{}
+	var fx effects
 	var err error
 	s.mu.Lock()
 	if s.members == nil {
 		err = errors.New("server: membership not enabled")
-	} else if err = s.applyOpLocked(op, m, &wakes); err == nil {
+	} else if err = s.applyOpLocked(op, m, &fx); err == nil {
 		s.memStats.Transitions = append(s.memStats.Transitions, "api:"+string(op)+":"+m.Name)
 	}
 	s.mu.Unlock()
-	for _, w := range wakes {
-		signalChan(w)
-	}
+	s.apply(&fx)
 	return err
 }
 
 // applyOpLocked performs one membership operation — the single
 // dispatch point behind the live API and the churn schedule.
-func (s *RegionServer) applyOpLocked(op ChurnOp, m Member, wakes *[]chan struct{}) error {
+func (s *RegionServer) applyOpLocked(op ChurnOp, m Member, fx *effects) error {
 	switch op {
 	case ChurnAdd:
 		return s.addNodeLocked(m)
 	case ChurnRemove:
-		return s.removeNodeLocked(m.Name, wakes)
+		return s.removeNodeLocked(m.Name, fx)
 	case ChurnCordon:
 		return s.cordonLocked(m.Name)
 	case ChurnUncordon:
@@ -325,7 +322,7 @@ func (s *RegionServer) addNodeLocked(mem Member) error {
 	return nil
 }
 
-func (s *RegionServer) removeNodeLocked(name string, wakes *[]chan struct{}) error {
+func (s *RegionServer) removeNodeLocked(name string, fx *effects) error {
 	m := s.members[name]
 	if m == nil || m.state == NodeRemoved {
 		return fmt.Errorf("server: node %s: %w", name, ErrUnknownNode)
@@ -338,8 +335,8 @@ func (s *RegionServer) removeNodeLocked(name string, wakes *[]chan struct{}) err
 	}
 	m.state = NodeDraining
 	m.reprobes = nil
-	s.rehomeLocked(m, wakes)
-	*wakes = append(*wakes, m.wake)
+	s.rehomeLocked(m, fx)
+	fx.wakes = append(fx.wakes, m.wake)
 	s.logf("server: node %s draining", name)
 	return nil
 }
@@ -430,7 +427,6 @@ func (s *RegionServer) eligibleLocked() []*memberState {
 // never on completion timing.
 func (s *RegionServer) planLocked(j *job, d int) {
 	j.invsPlanned = j.spec.Invocations
-	j.chunkDone = make(chan struct{})
 	elig := s.eligibleLocked()
 	switch {
 	case len(elig) == 0:
@@ -451,75 +447,31 @@ func (s *RegionServer) planLocked(j *job, d int) {
 	j.chunksLeft = len(j.plan)
 }
 
-// runChunks runs a planned job's chunks — each queued on its node lane,
-// or executed right here on the job's goroutine when there is no lane
-// (MaxInFlight-way concurrency; a lane would serialise) — waits for all
-// of them, and aggregates the result with exactly-once verification
-// (planned vs executed invocations).
-func (s *RegionServer) runChunks(j *job, prober bool) (ExecResult, error) {
-	s.mu.Lock()
-	if prober && len(j.plan) > 1 {
-		// A lane reset (failed prober) handed this split job the prober
-		// role. Cold probing must run whole, so the plan collapses to
-		// one whole-job chunk on its first node.
-		j.plan = []*chunk{{j: j, invs: j.invsPlanned, planned: j.plan[0].planned}}
-		j.chunksLeft = 1
-	}
+// startLocked queues a running job's chunks, each on its planned node
+// or — when that node stopped serving while the job was parked —
+// rehomed (chunkTargetLocked). A chunk with no lane to queue on runs
+// on its own goroutine: MaxInFlight-way concurrency, where a lane
+// would serialise.
+func (s *RegionServer) startLocked(j *job, fx *effects) {
 	elig := s.eligibleLocked()
-	var wakes []chan struct{}
-	var laneless []*chunk
 	for _, c := range j.plan {
 		target := s.chunkTargetLocked(c, elig)
 		if target == nil {
-			laneless = append(laneless, c)
+			fx.laneless = append(fx.laneless, c)
 			continue
 		}
 		target.queue = append(target.queue, c)
-		wakes = append(wakes, target.wake)
+		fx.wakes = append(fx.wakes, target.wake)
 	}
-	s.mu.Unlock()
-	for _, w := range wakes {
-		signalChan(w)
-	}
-	for _, c := range laneless {
-		s.executeChunk(c)
-		s.chunkFinished(c, nil)
-	}
-	<-j.chunkDone
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var res ExecResult
-	var err error
-	for _, c := range j.plan {
-		if c.err != nil && err == nil {
-			err = c.err
-		}
-		res.VirtualNs += c.res.VirtualNs
-		res.Faults += c.res.Faults
-		res.Probes += c.res.Probes
-		res.Predictions += c.res.Predictions
-	}
-	if err == nil {
-		if lost := j.invsPlanned - j.invsDone; lost != 0 {
-			n := int64(lost) * int64(j.spec.Iterations)
-			if n < 0 {
-				n = -n
-			}
-			s.memStats.LostIterations += n
-			s.logf("server: job %d lost %d invocations to churn (accounting bug)", j.seq, lost)
-		}
-	}
-	return res, err
 }
 
 // chunkFinished books an executed chunk: the serving lane's counters
-// (m is nil for a laneless chunk), the job's executed-invocation count,
-// and the completion signal once the job's last chunk is in.
+// (m is nil for a laneless chunk) and the job's executed-invocation
+// count. The job's last chunk finishes the job.
 func (s *RegionServer) chunkFinished(c *chunk, m *memberState) {
+	var fx effects
 	s.mu.Lock()
 	if m != nil {
-		m.running = false
 		m.stats.Chunks++
 		m.stats.Invocations += int64(c.invs)
 	}
@@ -527,18 +479,18 @@ func (s *RegionServer) chunkFinished(c *chunk, m *memberState) {
 		c.j.invsDone += c.invs
 	}
 	c.j.chunksLeft--
-	last := c.j.chunksLeft == 0
-	s.mu.Unlock()
-	if last {
-		close(c.j.chunkDone)
+	if c.j.chunksLeft == 0 {
+		s.finishLocked(c.j, &fx)
 	}
+	s.mu.Unlock()
+	s.apply(&fx)
 }
 
 // chunkTargetLocked routes a chunk to its planned node, or — when the
 // planned node stopped serving between dispatch and enqueue — rehomes
 // it to the least-loaded eligible node. Placement neutrality makes the
 // choice invisible to virtual time. Nil means there is no lane to queue
-// on and the caller runs the chunk itself.
+// on and the chunk runs on its own goroutine.
 func (s *RegionServer) chunkTargetLocked(c *chunk, elig []*memberState) *memberState {
 	if m := s.members[c.planned]; m != nil {
 		for _, e := range elig {
@@ -566,7 +518,7 @@ func (s *RegionServer) chunkTargetLocked(c *chunk, elig []*memberState) *memberS
 // remaining nodes. Whole chunks move — never re-split, never re-run —
 // so each invocation still executes exactly once, and the chunk seeds
 // (signature + index) are unchanged, so total virtual time is too.
-func (s *RegionServer) rehomeLocked(victim *memberState, wakes *[]chan struct{}) {
+func (s *RegionServer) rehomeLocked(victim *memberState, fx *effects) {
 	pending := victim.queue
 	victim.queue = nil
 	if len(pending) == 0 {
@@ -599,7 +551,7 @@ func (s *RegionServer) rehomeLocked(victim *memberState, wakes *[]chan struct{})
 		}
 		if counts[k] > 0 {
 			m.stats.Rehomed += counts[k]
-			*wakes = append(*wakes, m.wake)
+			fx.wakes = append(fx.wakes, m.wake)
 		}
 	}
 	s.memStats.Rehomed += len(pending)
@@ -609,12 +561,12 @@ func (s *RegionServer) rehomeLocked(victim *memberState, wakes *[]chan struct{})
 // applyChurnLocked applies every scheduled churn event due at dispatch
 // milestone d, folding each application (and its outcome) into the
 // dispatch hash — churn is part of the fingerprinted schedule.
-func (s *RegionServer) applyChurnLocked(d int, wakes *[]chan struct{}) {
+func (s *RegionServer) applyChurnLocked(d int, fx *effects) {
 	for s.churnNext < len(s.churn) && s.churn[s.churnNext].AtDispatch <= d {
 		ev := s.churn[s.churnNext]
 		s.churnNext++
 		outcome := "ok"
-		if err := s.applyOpLocked(ev.Op, ev.Member, wakes); err != nil {
+		if err := s.applyOpLocked(ev.Op, ev.Member, fx); err != nil {
 			outcome = "err"
 			s.logf("server: churn %s %s at d%d: %v", ev.Op, ev.Member.Name, d, err)
 		}
@@ -639,7 +591,6 @@ func (s *RegionServer) memberLoop(m *memberState) {
 		if m.state == NodeWarming && len(m.reprobes) > 0 {
 			sp := m.reprobes[0]
 			m.reprobes = m.reprobes[1:]
-			m.running = true
 			class := m.spec.Class
 			s.mu.Unlock()
 
@@ -650,7 +601,6 @@ func (s *RegionServer) memberLoop(m *memberState) {
 			}
 
 			s.mu.Lock()
-			m.running = false
 			m.stats.Reprobes++
 			s.memStats.Reprobes++
 			if err != nil {
@@ -673,7 +623,6 @@ func (s *RegionServer) memberLoop(m *memberState) {
 		if len(m.queue) > 0 {
 			c := m.queue[0]
 			m.queue = m.queue[1:]
-			m.running = true
 			s.mu.Unlock()
 
 			s.executeChunk(c)

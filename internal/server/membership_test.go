@@ -362,12 +362,13 @@ func TestDrainDuringChurn(t *testing.T) {
 	}
 }
 
-// Nothing the server starts outlives Close: the scheduler, every runJob
-// and every member lane, including the lanes of nodes added and removed
-// on the way. The bound is the baseline itself, not baseline plus
-// slack: one lingering goroutine per server is the leak this exists to
-// catch. (A runJob's last send may trail Close by a moment, hence the
-// poll.)
+// Nothing the server starts outlives Close: the scheduler, every
+// laneless chunk's goroutine and every member lane, including the lanes
+// of nodes added and removed on the way. The bound is the baseline
+// itself, not baseline plus slack: one lingering goroutine per server
+// is the leak this exists to catch. (A finishing chunk's goroutine
+// still delivers its job's reply after releasing Drain, so it may trail
+// Close by a moment, hence the poll.)
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	churn, err := ParseChurn("remove:n1@4,add:n3:thunderx:1@9,cordon:n2@12")

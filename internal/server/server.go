@@ -238,10 +238,6 @@ type Config struct {
 	QueueDepth int
 	// MaxInFlight bounds concurrently executing jobs. Defaults to 8.
 	MaxInFlight int
-	// TenantMaxInFlight bounds one tenant's concurrently executing
-	// jobs. 0 (default) means unlimited — required for a dispatch
-	// order that is independent of completion timing.
-	TenantMaxInFlight int
 	// TenantIterBudget caps the iterations one tenant may dispatch per
 	// budget window; a tenant over budget yields to others until every
 	// queued tenant is budget-blocked, which opens the next window.
@@ -276,18 +272,23 @@ type Config struct {
 	Churn []ChurnEvent
 }
 
+// job is one admitted job. Its state changes only under s.mu: it is
+// dispatched, then either running (its chunks queued) or parked on its
+// signature's probe lane, and its last chunk to finish finishes it.
+// No goroutine belongs to a job.
 type job struct {
-	spec     Spec
-	sig      string
-	seq      int
-	admitted time.Time
-	result   chan Result
+	spec       Spec
+	sig        string
+	seq        int
+	admitted   time.Time
+	dispatched time.Time
+	result     chan Result
 
-	// prober is claimed under s.mu at dispatch: the first-dispatched
-	// job of a cold signature probes, regardless of which runJob
-	// goroutine reaches the lane first. Letting goroutine scheduling
-	// pick the prober made virtual time timing-dependent on the
-	// membership path (a later split-plan job winning the race
+	// prober is set under s.mu, in dispatch order: at dispatch for the
+	// first job of a cold signature, and at a failed prober's hand-off
+	// for the earliest-dispatched parked job. Letting goroutine
+	// scheduling pick the prober made virtual time timing-dependent on
+	// the membership path (a later split-plan job winning the race
 	// collapses to a whole-job plan with different chunk seeds).
 	prober bool
 
@@ -298,7 +299,6 @@ type job struct {
 	invsPlanned int
 	invsDone    int
 	chunksLeft  int
-	chunkDone   chan struct{}
 }
 
 type tenantState struct {
@@ -387,20 +387,80 @@ func (s *RegionServer) recordLocked(rec string) {
 
 // lane serializes cold probing per region signature: the first job of
 // a signature (the prober) executes alone; same-signature jobs
-// dispatched while it probes wait on warmCh and then run probe-free
-// off the shared cache entry. Jobs dispatched after the signature is
-// warm pass straight through.
+// dispatched while it probes park here, holding their in-flight slot
+// but no goroutine, and start probe-free off the shared cache entry
+// once it succeeds. A signature without a lane is cold; a lane that is
+// not probing is warm, and its jobs start at dispatch.
 type lane struct {
-	state       int // laneCold, laneProbing, laneWarm
 	firstTenant string
-	warmCh      chan struct{}
+	probing     bool
+	parked      []*job // in dispatch order
 }
 
-const (
-	laneCold = iota
-	laneProbing
-	laneWarm
-)
+// effects is what a state change under s.mu asks of the world outside
+// it. Locked code only records; apply performs it after the unlock, so
+// no channel operation, goroutine start or telemetry call runs under
+// s.mu.
+type effects struct {
+	wakes      []chan struct{} // member lanes handed work or told to exit
+	laneless   []*chunk        // chunks with no lane, each run on its own goroutine
+	dispatched []dispatchNote
+	finished   []finished
+	idle       []chan struct{} // Drain waiters released by the all-idle state
+}
+
+// dispatchNote is one dispatch's telemetry: the tenant and its queue
+// depth after the dispatch.
+type dispatchNote struct {
+	t     *tenantState
+	depth int
+}
+
+// finished is one job's reply and its telemetry.
+type finished struct {
+	t *tenantState
+	j *job
+	r Result
+}
+
+func (s *RegionServer) apply(fx *effects) {
+	for _, w := range fx.wakes {
+		signalChan(w)
+	}
+	for _, c := range fx.laneless {
+		go func() {
+			s.executeChunk(c)
+			s.chunkFinished(c, nil)
+		}()
+	}
+	for _, d := range fx.dispatched {
+		d.t.dispatch.Inc()
+		d.t.depth.Set(float64(d.depth))
+	}
+	for _, f := range fx.finished {
+		f.t.waitH.Observe(f.r.Wait)
+		f.t.svcH.Observe(f.r.Service)
+		if f.r.Err == nil {
+			if f.r.Warm {
+				f.t.hits.Inc()
+			} else {
+				f.t.misses.Inc()
+			}
+			if f.r.CrossTenantWarm {
+				f.t.xtenant.Inc()
+			}
+		}
+	}
+	for _, ch := range fx.idle {
+		close(ch)
+	}
+	for _, f := range fx.finished {
+		f.j.result <- f.r
+	}
+	if len(fx.finished) > 0 {
+		s.signal() // in-flight slots freed
+	}
+}
 
 // New builds a server. Call Close when done.
 func New(cfg Config) *RegionServer {
@@ -441,12 +501,7 @@ func (s *RegionServer) logf(format string, args ...any) {
 // signal wakes the scheduler loop. Never call it while holding s.mu
 // (channel ops under a mutex are a blocking-lock violation even when
 // buffered).
-func (s *RegionServer) signal() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
+func (s *RegionServer) signal() { signalChan(s.wake) }
 
 func (s *RegionServer) tenant(name string) *tenantState {
 	if t, ok := s.tenants[name]; ok {
@@ -572,8 +627,8 @@ func (s *RegionServer) SubmitAsync(sp Spec) (<-chan Result, error) {
 
 // Resume opens the dispatch gate of a StartPaused server. The preload
 // pattern — StartPaused, submit the whole workload sequentially, then
-// Resume — pins the admission order, which (with TenantMaxInFlight=0)
-// pins the entire dispatch sequence.
+// Resume — pins the admission order, which pins the entire dispatch
+// sequence.
 func (s *RegionServer) Resume() {
 	s.mu.Lock()
 	s.paused = false
@@ -582,17 +637,13 @@ func (s *RegionServer) Resume() {
 }
 
 // pickLocked selects the next job to dispatch: among tenants with
-// queued work that are under their in-flight quota and within budget,
-// the minimum virtual time wins; ties break on tenant name. Returns
-// nil when nothing is eligible.
+// queued work that are within budget, the minimum virtual time wins;
+// ties break on tenant name. Returns nil when nothing is eligible.
 func (s *RegionServer) pickLocked() (*job, *tenantState) {
 	var best *tenantState
 	for _, name := range s.order {
 		t := s.tenants[name]
 		if len(t.queue) == 0 {
-			continue
-		}
-		if s.cfg.TenantMaxInFlight > 0 && t.inFlight >= s.cfg.TenantMaxInFlight {
 			continue
 		}
 		if !s.withinBudgetLocked(t) {
@@ -623,9 +674,8 @@ func (s *RegionServer) withinBudgetLocked(t *tenantState) bool {
 }
 
 // budgetBlockedLocked reports that work is queued but every queued
-// tenant is blocked purely by its iteration budget — the condition
-// that opens the next window. Quota-blocked tenants don't count: their
-// jobs will dispatch when a slot frees.
+// tenant is blocked by its iteration budget — the condition that opens
+// the next window.
 func (s *RegionServer) budgetBlockedLocked() bool {
 	if s.cfg.TenantIterBudget <= 0 {
 		return false
@@ -637,9 +687,6 @@ func (s *RegionServer) budgetBlockedLocked() bool {
 			continue
 		}
 		anyQueued = true
-		if s.cfg.TenantMaxInFlight > 0 && t.inFlight >= s.cfg.TenantMaxInFlight {
-			return false // will become eligible without a new window
-		}
 		if s.withinBudgetLocked(t) {
 			return false
 		}
@@ -652,19 +699,14 @@ func (s *RegionServer) budgetBlockedLocked() bool {
 // dispatch sequence needs no cross-goroutine tie-breaking.
 func (s *RegionServer) schedule() {
 	for {
+		var fx effects
 		s.mu.Lock()
-		type launch struct {
-			j *job
-			t *tenantState
-		}
-		var launches []launch
-		var wakes []chan struct{}
 		if !s.paused {
 			for s.inFlight < s.cfg.MaxInFlight {
 				// d is the next dispatch milestone: due churn applies
 				// here, before selection, so eligibility reflects it.
 				d := s.totals.Dispatched
-				s.applyChurnLocked(d, &wakes)
+				s.applyChurnLocked(d, &fx)
 				j, t := s.pickLocked()
 				if j == nil {
 					if s.budgetBlockedLocked() {
@@ -687,21 +729,18 @@ func (s *RegionServer) schedule() {
 				t.stats.IterationsDispatched += j.spec.cost()
 				s.totals.Dispatched++
 				s.recordLocked(fmt.Sprintf("%d:%s:%s", j.seq, j.spec.Tenant, j.sig))
-				s.claimLaneLocked(j) // before planning: a prober's plan is whole-job
+				j.dispatched = time.Now()
+				parked := s.claimLaneLocked(j) // before planning: a prober's plan is whole-job
 				s.planLocked(j, d)
-				launches = append(launches, launch{j, t})
+				if !parked {
+					s.startLocked(j, &fx)
+				}
+				fx.dispatched = append(fx.dispatched, dispatchNote{t, len(t.queue)})
 			}
 		}
 		stopped := s.stopped && s.queued == 0 && s.inFlight == 0
 		s.mu.Unlock()
-		for _, w := range wakes {
-			signalChan(w)
-		}
-		for _, l := range launches {
-			l.t.dispatch.Inc()
-			l.t.depth.Set(float64(queueLen(s, l.t)))
-			go s.runJob(l.j, l.t)
-		}
+		s.apply(&fx)
 		if stopped {
 			close(s.done)
 			return
@@ -710,146 +749,106 @@ func (s *RegionServer) schedule() {
 	}
 }
 
-func queueLen(s *RegionServer, t *tenantState) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(t.queue)
-}
-
-// claimLaneLocked assigns the prober role at dispatch time: the
-// first-dispatched job of a cold signature claims the lane under the
-// scheduler lock. Deciding this in acquireLane instead let runJob
-// goroutine scheduling pick the prober, which (on the membership
-// path) selected between structurally different chunk plans and made
-// total virtual time drift across identically seeded runs.
-func (s *RegionServer) claimLaneLocked(j *job) {
-	ln, ok := s.lanes[j.sig]
-	if !ok {
-		ln = &lane{}
-		s.lanes[j.sig] = ln
-	}
-	if ln.state == laneCold {
-		ln.state = laneProbing
-		ln.firstTenant = j.spec.Tenant
-		ln.warmCh = make(chan struct{})
-		j.prober = true
-	}
-}
-
-// acquireLane gates a dispatched job on its signature's probe lane.
-// It returns (waitCh, isProber, firstTenant): a nil waitCh means the
-// signature is already warm; a non-nil waitCh means wait for the
-// prober; isProber means this job IS the prober and must call
-// laneDone when finished. The prober role is normally claimed at
-// dispatch (claimLaneLocked); the laneCold arm below only reassigns
-// it after a failed prober reset the lane.
-func (s *RegionServer) acquireLane(j *job) (wait <-chan struct{}, prober bool, firstTenant string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ln, ok := s.lanes[j.sig]
-	if !ok {
-		ln = &lane{}
-		s.lanes[j.sig] = ln
-	}
-	if j.prober && ln.warmCh != nil && ln.state == laneProbing {
-		return nil, true, ln.firstTenant
-	}
-	switch ln.state {
-	case laneCold:
-		ln.state = laneProbing
-		ln.firstTenant = j.spec.Tenant
-		ln.warmCh = make(chan struct{})
-		return nil, true, ln.firstTenant
-	case laneProbing:
-		return ln.warmCh, false, ln.firstTenant
-	default: // laneWarm
-		return nil, false, ln.firstTenant
-	}
-}
-
-// laneDone transitions a probing lane after its prober finishes. On
-// success the lane is warm forever and every waiter proceeds; on
-// failure the lane resets to cold (the current waiters re-acquire, the
-// first of them becomes the next prober).
-func (s *RegionServer) laneDone(j *job, ok bool) {
-	s.mu.Lock()
+// claimLaneLocked decides at dispatch whether j runs or parks: the
+// first-dispatched job of a cold signature claims the lane and probes,
+// a job of a probing signature parks behind the prober, and a job of a
+// warm signature runs. Deciding the prober under the scheduler lock,
+// rather than letting goroutine scheduling pick it, keeps the chunk
+// plans — and with them total virtual time — a function of the
+// dispatch order. Reports whether j parked.
+func (s *RegionServer) claimLaneLocked(j *job) bool {
 	ln := s.lanes[j.sig]
-	ch := ln.warmCh
-	ln.warmCh = nil
-	if ok {
-		ln.state = laneWarm
-	} else {
-		ln.state = laneCold
-		ln.firstTenant = ""
+	switch {
+	case ln == nil:
+		s.lanes[j.sig] = &lane{firstTenant: j.spec.Tenant, probing: true}
+		j.prober = true
+	case ln.probing:
+		ln.parked = append(ln.parked, j)
+		return true
 	}
-	s.mu.Unlock()
-	close(ch)
+	return false
 }
 
-// runJob executes one dispatched job: probe-lane gate, executor run,
-// accounting, completion signal.
-func (s *RegionServer) runJob(j *job, t *tenantState) {
-	dispatched := time.Now()
-	warmPath := false
-	isProber := false
-	var firstTenant string
-	for {
-		wait, prober, ft := s.acquireLane(j)
-		if prober {
-			isProber = true
-			firstTenant = ft
-			break
+// proberDoneLocked moves a probing lane on when its prober finishes.
+// On success the signature is warm for good and every parked job
+// starts, in dispatch order. On failure the earliest-dispatched parked
+// job becomes the prober, its plan collapsed to one whole-job chunk on
+// its first node (cold probing runs whole); with nothing parked the
+// signature is cold again.
+func (s *RegionServer) proberDoneLocked(j *job, ok bool, fx *effects) {
+	ln := s.lanes[j.sig]
+	if ok {
+		ln.probing = false
+		for _, p := range ln.parked {
+			s.startLocked(p, fx)
 		}
-		if wait == nil { // already warm
-			warmPath = true
-			firstTenant = ft
-			break
-		}
-		<-wait
-		// Re-acquire: the lane is either warm now or reset to cold by
-		// a failed prober.
+		ln.parked = nil
+		return
 	}
-
-	res, err := s.runChunks(j, isProber)
-	if !warmPath {
-		s.laneDone(j, err == nil)
+	if len(ln.parked) == 0 {
+		delete(s.lanes, j.sig)
+		return
 	}
-	end := time.Now()
+	next := ln.parked[0]
+	ln.parked = ln.parked[1:]
+	ln.firstTenant = next.spec.Tenant
+	next.prober = true
+	if len(next.plan) > 1 {
+		next.plan = []*chunk{{j: next, invs: next.invsPlanned, planned: next.plan[0].planned}}
+		next.chunksLeft = 1
+	}
+	s.startLocked(next, fx)
+}
 
+// finishLocked completes a job whose last chunk is in: it aggregates
+// the chunks with the exactly-once check, books the result, and moves
+// the job's probe lane on when the job was its prober.
+func (s *RegionServer) finishLocked(j *job, fx *effects) {
+	t := s.tenants[j.spec.Tenant]
 	r := Result{
-		Tenant:      j.spec.Tenant,
-		Region:      j.spec.Region,
-		Sig:         j.sig,
-		Seq:         j.seq,
-		Wait:        dispatched.Sub(j.admitted),
-		Service:     end.Sub(dispatched),
-		VirtualNs:   res.VirtualNs,
-		Faults:      res.Faults,
-		Probes:      res.Probes,
-		Predictions: res.Predictions,
-		Warm:        err == nil && res.Probes == 0 && res.Predictions > 0,
-		Err:         err,
+		Tenant:  j.spec.Tenant,
+		Region:  j.spec.Region,
+		Sig:     j.sig,
+		Seq:     j.seq,
+		Wait:    j.dispatched.Sub(j.admitted),
+		Service: time.Since(j.dispatched),
+		Chunks:  len(j.plan),
 	}
-	r.CrossTenantWarm = r.Warm && firstTenant != "" && firstTenant != j.spec.Tenant
-	// Safe without the lock: every chunk completed before chunkDone
-	// closed, and rehoming only touches queued chunks.
-	r.Chunks = len(j.plan)
 	for _, c := range j.plan {
+		if c.err != nil && r.Err == nil {
+			r.Err = c.err
+		}
+		r.VirtualNs += c.res.VirtualNs
+		r.Faults += c.res.Faults
+		r.Probes += c.res.Probes
+		r.Predictions += c.res.Predictions
 		if c.rehomed {
 			r.Rehomed++
 		}
 	}
+	r.Warm = r.Err == nil && r.Probes == 0 && r.Predictions > 0
+	r.CrossTenantWarm = r.Warm && s.lanes[j.sig].firstTenant != j.spec.Tenant
+	if j.prober {
+		s.proberDoneLocked(j, r.Err == nil, fx)
+	}
 
-	s.mu.Lock()
 	t.inFlight--
 	s.inFlight--
-	if err != nil {
+	if r.Err != nil {
 		t.stats.Failed++
 		s.totals.Failed++
 	} else {
+		if lost := j.invsPlanned - j.invsDone; lost != 0 {
+			n := int64(lost) * int64(j.spec.Iterations)
+			if n < 0 {
+				n = -n
+			}
+			s.memStats.LostIterations += n
+			s.logf("server: job %d lost %d invocations to churn (accounting bug)", j.seq, lost)
+		}
 		t.stats.Completed++
 		s.totals.Completed++
-		s.totals.VirtualNs += res.VirtualNs
+		s.totals.VirtualNs += r.VirtualNs
 		if r.Warm {
 			t.stats.Warm++
 			s.totals.CacheHits++
@@ -860,36 +859,16 @@ func (s *RegionServer) runJob(j *job, t *tenantState) {
 			t.stats.CrossTenantWarm++
 			s.totals.CrossTenantWarm++
 		}
-		if warmPath && res.Probes > 0 {
+		if !j.prober && r.Probes > 0 {
 			// A lane-warm job probed: the shared-cache invariant broke.
-			t.stats.WarmProbes += res.Probes
-			s.totals.WarmProbes += res.Probes
+			t.stats.WarmProbes += r.Probes
+			s.totals.WarmProbes += r.Probes
 		}
 	}
-	var idle []chan struct{}
 	if s.queued == 0 && s.inFlight == 0 {
-		idle, s.idle = s.idle, nil
+		fx.idle, s.idle = s.idle, nil
 	}
-	waitH, svcH, hits, misses, xt := t.waitH, t.svcH, t.hits, t.misses, t.xtenant
-	s.mu.Unlock()
-
-	waitH.Observe(r.Wait)
-	svcH.Observe(r.Service)
-	if err == nil {
-		if r.Warm {
-			hits.Inc()
-		} else {
-			misses.Inc()
-		}
-		if r.CrossTenantWarm {
-			xt.Inc()
-		}
-	}
-	for _, ch := range idle {
-		close(ch)
-	}
-	j.result <- r
-	s.signal()
+	fx.finished = append(fx.finished, finished{t, j, r})
 }
 
 // Drain stops admitting (new submissions get ErrDraining) and blocks
@@ -927,19 +906,17 @@ func (s *RegionServer) Close() {
 	if !already {
 		<-s.done
 	}
+	var fx effects
 	s.mu.Lock()
-	var wakes []chan struct{}
 	for _, name := range s.memberOrder {
 		m := s.members[name]
 		if m.state != NodeRemoved {
 			m.state = NodeRemoved
-			wakes = append(wakes, m.wake)
+			fx.wakes = append(fx.wakes, m.wake)
 		}
 	}
 	s.mu.Unlock()
-	for _, w := range wakes {
-		signalChan(w)
-	}
+	s.apply(&fx)
 	s.memberWG.Wait()
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -477,58 +478,99 @@ func (f failFirstChunk) ExecuteChunk(sp Spec, invocations, chunkIndex int) (Exec
 	return f.inner.(ChunkExecutor).ExecuteChunk(sp, invocations, chunkIndex)
 }
 
-// A failed prober resets its lane to cold and hands the probe to one
-// waiting job (acquireLane's laneCold arm); with members, that job's
-// split plan collapses to one whole-job chunk (runChunks). The other
-// three run warm off the new prober's entry.
+// A failed prober hands the probe to the earliest-dispatched parked job
+// — Seq 1, every time, whatever order goroutines run in — and with
+// members that job's split plan collapses to one whole-job chunk. The
+// other three run warm off the new prober's entry.
 func TestFailedProberHandsOffProbe(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		members []Member
 	}{{"laneless", nil}, {"members", threeNodes()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sp := Spec{Tenant: "t0", Region: "r", Invocations: 6}
-			ff := &failFirst{sig: sp.Sig()}
-			var exec Executor = ff
-			if tc.members == nil {
-				ff.inner = &fakeExec{}
-			} else {
-				ff.inner = newFakeChunkExec()
-				exec = failFirstChunk{ff}
-			}
-			s := New(Config{StartPaused: true, Executor: exec, Members: tc.members})
-			defer s.Close()
-			chans := preload(t, s, []Spec{sp, sp, sp, sp, sp})
-			s.Resume()
-
-			var failed, cold, warm int
-			for _, r := range collect(chans) {
-				switch {
-				case r.Err != nil:
-					if !errors.Is(r.Err, errInjectedProbe) {
-						t.Fatalf("job %d: err = %v, want the injected failure", r.Seq, r.Err)
-					}
-					failed++
-				case r.Probes > 0:
-					cold++
-					if r.Chunks != 1 {
-						t.Errorf("cold job %d ran %d chunks, want 1 whole-job chunk", r.Seq, r.Chunks)
-					}
-				case r.Warm:
-					warm++
+			for iter := 0; iter < 20; iter++ {
+				sp := Spec{Tenant: "t0", Region: "r", Invocations: 6}
+				ff := &failFirst{sig: sp.Sig()}
+				var exec Executor = ff
+				if tc.members == nil {
+					ff.inner = &fakeExec{}
+				} else {
+					ff.inner = newFakeChunkExec()
+					exec = failFirstChunk{ff}
 				}
-			}
-			if failed != 1 || cold != 1 || warm != 3 {
-				t.Fatalf("failed/cold/warm = %d/%d/%d, want 1/1/3", failed, cold, warm)
-			}
-			st := s.Stats()
-			if st.Failed != 1 || st.WarmProbes != 0 || st.CacheMisses != 1 || st.CacheHits != 3 {
-				t.Fatalf("Failed/WarmProbes/CacheMisses/CacheHits = %d/%d/%d/%d, want 1/0/1/3",
-					st.Failed, st.WarmProbes, st.CacheMisses, st.CacheHits)
-			}
-			if tc.members != nil && st.Membership.LostIterations != 0 {
-				t.Fatalf("LostIterations = %d, want 0", st.Membership.LostIterations)
+				s := New(Config{StartPaused: true, Executor: exec, Members: tc.members})
+				chans := preload(t, s, []Spec{sp, sp, sp, sp, sp})
+				s.Resume()
+
+				var failed, cold, warm int
+				for _, r := range collect(chans) {
+					switch {
+					case r.Err != nil:
+						if !errors.Is(r.Err, errInjectedProbe) {
+							t.Fatalf("job %d: err = %v, want the injected failure", r.Seq, r.Err)
+						}
+						failed++
+					case r.Probes > 0:
+						cold++
+						if r.Seq != 1 {
+							t.Fatalf("iteration %d: job %d re-probed, want job 1, the earliest parked", iter, r.Seq)
+						}
+						if r.Chunks != 1 {
+							t.Errorf("cold job %d ran %d chunks, want 1 whole-job chunk", r.Seq, r.Chunks)
+						}
+					case r.Warm:
+						warm++
+					}
+				}
+				if failed != 1 || cold != 1 || warm != 3 {
+					t.Fatalf("failed/cold/warm = %d/%d/%d, want 1/1/3", failed, cold, warm)
+				}
+				st := s.Stats()
+				if st.Failed != 1 || st.WarmProbes != 0 || st.CacheMisses != 1 || st.CacheHits != 3 {
+					t.Fatalf("Failed/WarmProbes/CacheMisses/CacheHits = %d/%d/%d/%d, want 1/0/1/3",
+						st.Failed, st.WarmProbes, st.CacheMisses, st.CacheHits)
+				}
+				if tc.members != nil && st.Membership.LostIterations != 0 {
+					t.Fatalf("LostIterations = %d, want 0", st.Membership.LostIterations)
+				}
+				s.Close()
 			}
 		})
+	}
+}
+
+// A job parked on its signature's probe lane holds an in-flight slot
+// and no goroutine: with the prober blocked in its executor, the 40
+// same-signature jobs parked behind it add nothing to the goroutine
+// count beyond the prober's own chunk.
+func TestParkedJobsHoldNoGoroutine(t *testing.T) {
+	const parked = 40
+	fe := &fakeExec{gate: make(chan struct{})}
+	s := New(Config{StartPaused: true, MaxInFlight: parked + 1, QueueDepth: parked + 1, Executor: fe})
+	defer s.Close()
+	before := runtime.NumGoroutine()
+	specs := make([]Spec, parked+1)
+	for i := range specs {
+		specs[i] = Spec{Tenant: fmt.Sprintf("t%d", i%3), Region: "r"}
+	}
+	chans := preload(t, s, specs)
+	s.Resume()
+	waitFor(t, func() bool {
+		fe.mu.Lock()
+		calls := fe.calls
+		fe.mu.Unlock()
+		return calls == 1 && s.Stats().InFlight == parked+1
+	}, "the prober executing with every other job dispatched")
+	if grew := runtime.NumGoroutine() - before; grew > 2 {
+		t.Errorf("%d jobs parked behind a blocked prober added %d goroutines, want at most 2", parked, grew)
+	}
+	close(fe.gate)
+	for _, r := range collect(chans) {
+		if r.Err != nil {
+			t.Fatalf("job %d failed: %v", r.Seq, r.Err)
+		}
+	}
+	if st := s.Stats(); st.CacheMisses != 1 || st.CacheHits != parked || st.WarmProbes != 0 {
+		t.Fatalf("CacheMisses/CacheHits/WarmProbes = %d/%d/%d, want 1/%d/0", st.CacheMisses, st.CacheHits, st.WarmProbes, parked)
 	}
 }
