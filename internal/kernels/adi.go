@@ -165,25 +165,34 @@ func (k *adi) Verify() error {
 	// Replay the same steps sequentially on the same initial data and
 	// compare checksums: the parallel line solves are independent, so
 	// the result must be bit-identical.
-	ref := k.sequentialReference()
-	if absf(ref-k.checksumAfter) > 1e-6*absf(ref) {
+	shape := adiShape{k.n, k.steps, k.alpha, k.initMin, k.initMax}
+	if ref := reference(shape, shape.reference); ref != k.checksumAfter {
 		return fmt.Errorf("%s: checksum %v != sequential %v", k.name, k.checksumAfter, ref)
 	}
 	return nil
 }
 
-// sequentialReference recomputes the whole solve single-threaded from
-// the original seed.
-func (k *adi) sequentialReference() float64 {
-	n := k.n
+// adiShape is every input of the sequential reference (the seed is
+// fixed).
+type adiShape struct {
+	n, steps         int
+	alpha            float64
+	initMin, initMax float64
+}
+
+// reference recomputes the whole solve single-threaded from the
+// original seed.
+func (s adiShape) reference() float64 {
+	n := s.n
+	k := &adi{n: n, alpha: s.alpha} // what idx and thomas read
 	u := make([]float64, n*n*n)
 	r := rng(99)
 	for i := range u {
-		u[i] = k.initMin + (k.initMax-k.initMin)*r.Float64()
+		u[i] = s.initMin + (s.initMax-s.initMin)*r.Float64()
 	}
 	scratch := make([]float64, n)
 	line := make([]float64, n)
-	for step := 0; step < k.steps; step++ {
+	for step := 0; step < s.steps; step++ {
 		for _, axis := range []string{"x", "y", "z"} {
 			for l := 0; l < n*n; l++ {
 				p, q := l/n, l%n
@@ -211,11 +220,11 @@ func (k *adi) sequentialReference() float64 {
 			}
 		}
 	}
-	var s float64
+	var sum float64
 	for _, v := range u {
-		s += v
+		sum += v
 	}
-	return s
+	return sum
 }
 
 func init() {

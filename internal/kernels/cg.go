@@ -182,8 +182,8 @@ func (k *cg) Verify() error {
 	// CG on a diagonally dominant SPD system must reduce the residual
 	// substantially from its initial value √n.
 	initial := math.Sqrt(float64(k.n))
-	if k.residual >= initial/100 {
-		return fmt.Errorf("CG: residual %.4g after %d iterations, want < %.4g", k.residual, k.iters, initial/10)
+	if bound := initial / 100; k.residual >= bound {
+		return fmt.Errorf("CG: residual %.4g after %d iterations, want < %.4g", k.residual, k.iters, bound)
 	}
 	// Independently recompute ‖b − A x‖ from the final x.
 	nnz := k.nnzRow

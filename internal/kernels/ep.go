@@ -22,7 +22,6 @@ type ep struct {
 	perBlk int
 	sx, sy float64
 	counts [10]int64
-	ref    epResult
 	ran    bool
 }
 
@@ -117,17 +116,8 @@ func (k *ep) Verify() error {
 	if !k.ran {
 		return fmt.Errorf("EP: not run")
 	}
-	// Reference: recompute sequentially (block seeding makes this
-	// exact).
-	var ref epResult
-	for b := 0; b < k.blocks; b++ {
-		part := epBlock(b, k.perBlk)
-		ref.sx += part.sx
-		ref.sy += part.sy
-		for i := range ref.q {
-			ref.q[i] += part.q[i]
-		}
-	}
+	shape := epShape{k.blocks, k.perBlk}
+	ref := reference(shape, shape.reference)
 	if absf(ref.sx-k.sx) > 1e-9 || absf(ref.sy-k.sy) > 1e-9 {
 		return fmt.Errorf("EP: sums (%.9f, %.9f) != sequential (%.9f, %.9f)", k.sx, k.sy, ref.sx, ref.sy)
 	}
@@ -139,4 +129,22 @@ func (k *ep) Verify() error {
 		return fmt.Errorf("EP: implausible Gaussian tallies %v", k.counts)
 	}
 	return nil
+}
+
+// epShape is every input of EP's sequential reference.
+type epShape struct{ blocks, perBlk int }
+
+// reference recomputes the tallies sequentially (block seeding makes
+// this exact).
+func (s epShape) reference() epResult {
+	var ref epResult
+	for b := 0; b < s.blocks; b++ {
+		part := epBlock(b, s.perBlk)
+		ref.sx += part.sx
+		ref.sy += part.sy
+		for i := range ref.q {
+			ref.q[i] += part.q[i]
+		}
+	}
+	return ref
 }

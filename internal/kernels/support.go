@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math/rand"
+	"sync"
 
 	"hetmp/internal/cluster"
 	"hetmp/internal/core"
@@ -88,4 +89,21 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// references holds one once-cell per verification-reference key, so a
+// process that runs one kernel shape many times (a suite, a parallel
+// hetbench) computes its sequential reference once. Each kernel keys it
+// with a private struct type holding every input the reference reads.
+var references sync.Map // key -> func() V (a sync.OnceValue)
+
+// reference returns compute's value for key, computing it at most once
+// per process; concurrent first callers wait for the one computation.
+// Cache only reduced values: an entry lives as long as the process.
+func reference[K comparable, V any](key K, compute func() V) V {
+	f, ok := references.Load(key)
+	if !ok {
+		f, _ = references.LoadOrStore(key, sync.OnceValue(compute))
+	}
+	return f.(func() V)()
 }

@@ -675,12 +675,14 @@ func (s *RegionServer) membershipStatsLocked() *MembershipStats {
 }
 
 // ParseMembers parses a member list: "name:class[:weight],..."
-// (e.g. "n0:xeon:1,n1:thunderx:1,n2:thunderx:1").
+// (e.g. "n0:xeon:1,n1:thunderx:1,n2:thunderx:1"). A name may appear
+// once.
 func ParseMembers(s string) ([]Member, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
 	var out []Member
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -701,6 +703,10 @@ func ParseMembers(s string) ([]Member, error) {
 			}
 			m.Weight = w
 		}
+		if seen[m.Name] {
+			return nil, fmt.Errorf("server: member %q: name %q repeated", part, m.Name)
+		}
+		seen[m.Name] = true
 		out = append(out, m)
 	}
 	return out, nil

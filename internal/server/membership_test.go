@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -470,6 +472,9 @@ func TestParseMembersAndChurn(t *testing.T) {
 			t.Errorf("ParseMembers accepted weight %s", w)
 		}
 	}
+	if ms, err := ParseMembers("n0:xeon,n0:thunderx"); err == nil || !strings.Contains(err.Error(), `"n0"`) {
+		t.Errorf("ParseMembers(repeated n0) = %+v, %v, want an error naming n0", ms, err)
+	}
 
 	evs, err := ParseChurn("remove:n1@30,add:n1:thunderx:1@70,cordon:n2@10")
 	if err != nil {
@@ -487,6 +492,40 @@ func TestParseMembersAndChurn(t *testing.T) {
 	if _, err := ParseChurn("explode:n1@3"); err == nil {
 		t.Error("ParseChurn accepted an unknown op")
 	}
+}
+
+// FuzzParseMembers: ParseMembers never panics, and every list it
+// accepts has non-empty, unique names, non-empty lower-case classes and
+// positive, finite weights, and re-parses to itself when re-formatted
+// as name:class:weight. The seed corpus in
+// testdata/fuzz/FuzzParseMembers holds the README/hetserve list, a
+// repeated name, a NaN weight and empty parts.
+func FuzzParseMembers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		ms, err := ParseMembers(s)
+		if err != nil {
+			return
+		}
+		seen := map[string]bool{}
+		parts := make([]string, len(ms))
+		for i, m := range ms {
+			if m.Name == "" || seen[m.Name] {
+				t.Fatalf("%q: member %d has an empty or repeated name: %+v", s, i, ms)
+			}
+			seen[m.Name] = true
+			if m.Class == "" || strings.ToLower(m.Class) != m.Class {
+				t.Fatalf("%q: member %q has class %q", s, m.Name, m.Class)
+			}
+			if !(m.Weight > 0) || math.IsInf(m.Weight, 1) {
+				t.Fatalf("%q: member %q has weight %v", s, m.Name, m.Weight)
+			}
+			parts[i] = m.Name + ":" + m.Class + ":" + strconv.FormatFloat(m.Weight, 'g', -1, 64)
+		}
+		again, err := ParseMembers(strings.Join(parts, ","))
+		if err != nil || !reflect.DeepEqual(again, ms) {
+			t.Fatalf("%q: %+v re-formatted as %q parses to %+v, %v", s, ms, strings.Join(parts, ","), again, err)
+		}
+	})
 }
 
 // FuzzParseChurn: ParseChurn never panics, and every schedule it
