@@ -87,32 +87,23 @@ func (k *kmeansK) Run(a *core.App, sched SchedFactory) {
 			},
 			func(e cluster.Env, lo, hi int, acc any) any {
 				res := acc.(kmAssign)
-				pts := k.points.R(e, lo*k.dims, hi*k.dims)
-				centers := k.centers.R(e, 0, k.k*k.dims)
+				dims := k.dims
+				pts := k.points.R(e, lo*dims, hi*dims)
+				centers := k.centers.R(e, 0, k.k*dims)
 				member := k.membership.Data[lo:hi]
 				changed := 0
-				for i := 0; i < hi-lo; i++ {
-					p := pts[i*k.dims : (i+1)*k.dims]
-					best, bestD := 0, math.MaxFloat64
-					for c := 0; c < k.k; c++ {
-						ctr := centers[c*k.dims : (c+1)*k.dims]
-						d := 0.0
-						for j := range p {
-							diff := p[j] - ctr[j]
-							d += diff * diff
-						}
-						if d < bestD {
-							best, bestD = c, d
-						}
-					}
+				for i := range member {
+					p := pts[i*dims : (i+1)*dims]
+					best, bestD := nearestCenter(p, centers, k.k, int(member[i]))
 					if member[i] != int32(best) {
 						member[i] = int32(best)
 						changed++
 					}
 					res.sizes[best]++
 					res.cost += bestD
-					for j := range p {
-						res.sums[best*k.dims+j] += p[j]
+					sums := res.sums[best*dims:][:len(p)]
+					for j, x := range p {
+						sums[j] += x
 					}
 				}
 				if changed > 0 {
@@ -153,6 +144,51 @@ func (k *kmeansK) Run(a *core.App, sched SchedFactory) {
 		a.Env().Compute(float64(k.k*k.dims)*4, 0)
 	}
 	k.ran = true
+}
+
+// nearestCenter returns the lowest index among the centers nearest to p
+// and its squared distance, or 0 and math.MaxFloat64 when no distance
+// is below math.MaxFloat64: exactly what a full scan of every center in
+// index order returns. centers holds k rows of len(p) coordinates.
+//
+// It is a partial-distance search (Bei & Gray, 1985). It measures
+// center first (the point's current center, usually still the nearest)
+// in full, then the others in index order, and drops a center as soon
+// as its running sum can no longer win. Every term is a square, so a
+// rounded partial sum never decreases: a dropped center could not have
+// won, and a measured one sums the full scan's terms in its order.
+func nearestCenter(p, centers []float64, k, first int) (best int, bestD float64) {
+	dims := len(p)
+	best, bestD = 0, math.MaxFloat64
+	if d, ok := dist2Within(p, centers[first*dims:], bestD, false); ok {
+		best, bestD = first, d
+	}
+	for c := 0; c < k; c++ {
+		if c == first {
+			continue
+		}
+		// A tie goes to the lower index, as in the full scan.
+		if d, ok := dist2Within(p, centers[c*dims:], bestD, c < best); ok {
+			best, bestD = c, d
+		}
+	}
+	return best, bestD
+}
+
+// dist2Within returns p's squared distance to the center at the head of
+// ctr and whether it beats bestD: is below it, or equal to it when
+// tieWins. It stops summing once the distance cannot beat bestD.
+func dist2Within(p, ctr []float64, bestD float64, tieWins bool) (float64, bool) {
+	ctr = ctr[:len(p)]
+	d := 0.0
+	for j, x := range p {
+		diff := x - ctr[j]
+		d += diff * diff
+		if !(d < bestD || tieWins && d == bestD) {
+			return d, false
+		}
+	}
+	return d, d < bestD || tieWins && d == bestD
 }
 
 func (k *kmeansK) Verify() error {
