@@ -30,6 +30,7 @@ type adi struct {
 	vec           float64
 	alpha         float64
 	u             *F64
+	thomas        thomas
 	initMin       float64
 	initMax       float64
 	serialOps     float64
@@ -43,13 +44,25 @@ func (k *adi) Name() string { return k.name }
 // three sweeps behave alike).
 func (k *adi) ProbeRegion() string { return k.name + ":xsolve" }
 
-// idx maps (i, j, kk) to the linear index (kk innermost).
-func (k *adi) idx(i, j, kk int) int { return (i*k.n+j)*k.n + kk }
+// axisStrides lays out the lines along axis in the n³ grid, indexed
+// (i, j, kk) with kk innermost: line (p, q) starts at p·ps + q·qs and
+// steps by stride.
+func axisStrides(axis string, n int) (ps, qs, stride int) {
+	switch axis {
+	case "x":
+		return n, 1, n * n
+	case "y":
+		return n * n, 1, n
+	default:
+		return n * n, n, 1
+	}
+}
 
 func (k *adi) Run(a *core.App, sched SchedFactory) {
 	n := k.n
 	a.Serial(k.serialOps*float64(n*n*n), 0)
 	k.u = allocF64(a, k.name+":u", n*n*n)
+	k.thomas = newThomas(n, k.alpha)
 	r := rng(99)
 	k.initMin, k.initMax = 1.0, 2.0
 	for i := range k.u.Data {
@@ -72,47 +85,28 @@ func (k *adi) Run(a *core.App, sched SchedFactory) {
 func (k *adi) sweep(a *core.App, sched SchedFactory, axis string) {
 	n := k.n
 	region := k.name + ":" + axis + "solve"
+	ps, qs, stride := axisStrides(axis, n)
 	a.ParallelFor(region, n*n, sched(region), func(e cluster.Env, lo, hi int) {
-		scratch := make([]float64, n)
 		offs := make([]int64, n)
 		line := make([]float64, n)
 		for l := lo; l < hi; l++ {
-			p, q := l/n, l%n
+			base := l/n*ps + l%n*qs
 			// Gather the line's offsets for this axis.
-			for t := 0; t < n; t++ {
-				var ix int
-				switch axis {
-				case "x":
-					ix = k.idx(t, p, q)
-				case "y":
-					ix = k.idx(p, t, q)
-				default:
-					ix = k.idx(p, q, t)
-				}
+			for t, ix := 0, base; t < n; t, ix = t+1, ix+stride {
 				offs[t] = int64(ix) * 8
 				line[t] = k.u.Data[ix]
 			}
 			if axis == "z" {
 				// Contiguous line: declare as a range.
-				base := int64(k.idx(p, q, 0)) * 8
-				e.Load(k.u.Reg, base, int64(n)*8)
-				k.thomas(line, scratch)
-				e.Store(k.u.Reg, base, int64(n)*8)
+				e.Load(k.u.Reg, int64(base)*8, int64(n)*8)
+				k.thomas.solve(line)
+				e.Store(k.u.Reg, int64(base)*8, int64(n)*8)
 			} else {
 				e.LoadAt(k.u.Reg, offs, 8)
-				k.thomas(line, scratch)
+				k.thomas.solve(line)
 				e.StoreAt(k.u.Reg, offs, 8)
 			}
-			for t := 0; t < n; t++ {
-				var ix int
-				switch axis {
-				case "x":
-					ix = k.idx(t, p, q)
-				case "y":
-					ix = k.idx(p, t, q)
-				default:
-					ix = k.idx(p, q, t)
-				}
+			for t, ix := 0, base; t < n; t, ix = t+1, ix+stride {
 				k.u.Data[ix] = line[t]
 			}
 		}
@@ -121,18 +115,33 @@ func (k *adi) sweep(a *core.App, sched SchedFactory, axis string) {
 }
 
 // thomas solves (I + αA) x = d in place, where A is the 1D Laplacian
-// with Dirichlet boundaries — one implicit diffusion sub-step.
-func (k *adi) thomas(d, c []float64) {
-	n := len(d)
-	a, b := -k.alpha, 1+2*k.alpha
-	c[0] = a / b
-	d[0] = d[0] / b
+// with Dirichlet boundaries — one implicit diffusion sub-step. The
+// elimination's coefficients depend only on the line length and α, so
+// they are computed once for every line of that length.
+type thomas struct {
+	a, b float64
+	c    []float64 // the eliminated super-diagonal
+	m    []float64 // 1/pivot for rows 1..n-1
+}
+
+func newThomas(n int, alpha float64) thomas {
+	t := thomas{a: -alpha, b: 1 + 2*alpha, c: make([]float64, n), m: make([]float64, n)}
+	t.c[0] = t.a / t.b
 	for i := 1; i < n; i++ {
-		m := 1 / (b - a*c[i-1])
-		c[i] = a * m
-		d[i] = (d[i] - a*d[i-1]) * m
+		t.m[i] = 1 / (t.b - t.a*t.c[i-1])
+		t.c[i] = t.a * t.m[i]
 	}
-	for i := n - 2; i >= 0; i-- {
+	return t
+}
+
+// solve overwrites d, whose length is the solver's, with the solution.
+func (t thomas) solve(d []float64) {
+	c, m := t.c[:len(d)], t.m[:len(d)]
+	d[0] = d[0] / t.b
+	for i := 1; i < len(d); i++ {
+		d[i] = (d[i] - t.a*d[i-1]) * m[i]
+	}
+	for i := len(d) - 2; i >= 0; i-- {
 		d[i] -= c[i] * d[i+1]
 	}
 }
@@ -184,38 +193,24 @@ type adiShape struct {
 // original seed.
 func (s adiShape) reference() float64 {
 	n := s.n
-	k := &adi{n: n, alpha: s.alpha} // what idx and thomas read
 	u := make([]float64, n*n*n)
 	r := rng(99)
 	for i := range u {
 		u[i] = s.initMin + (s.initMax-s.initMin)*r.Float64()
 	}
-	scratch := make([]float64, n)
+	solver := newThomas(n, s.alpha)
 	line := make([]float64, n)
 	for step := 0; step < s.steps; step++ {
 		for _, axis := range []string{"x", "y", "z"} {
+			ps, qs, stride := axisStrides(axis, n)
 			for l := 0; l < n*n; l++ {
-				p, q := l/n, l%n
+				base := l/n*ps + l%n*qs
 				for t := 0; t < n; t++ {
-					switch axis {
-					case "x":
-						line[t] = u[k.idx(t, p, q)]
-					case "y":
-						line[t] = u[k.idx(p, t, q)]
-					default:
-						line[t] = u[k.idx(p, q, t)]
-					}
+					line[t] = u[base+t*stride]
 				}
-				k.thomas(line, scratch)
+				solver.solve(line)
 				for t := 0; t < n; t++ {
-					switch axis {
-					case "x":
-						u[k.idx(t, p, q)] = line[t]
-					case "y":
-						u[k.idx(p, t, q)] = line[t]
-					default:
-						u[k.idx(p, q, t)] = line[t]
-					}
+					u[base+t*stride] = line[t]
 				}
 			}
 		}

@@ -38,14 +38,12 @@ func TestThomasSolvesTridiagonalProperty(t *testing.T) {
 		rg := rand.New(rand.NewSource(seed))
 		n := 3 + rg.Intn(60)
 		alpha := 0.1 + rg.Float64()
-		k := &adi{alpha: alpha}
 		rhs := make([]float64, n)
 		for i := range rhs {
 			rhs[i] = rg.Float64()*4 - 2
 		}
 		x := append([]float64(nil), rhs...)
-		scratch := make([]float64, n)
-		k.thomas(x, scratch)
+		newThomas(n, alpha).solve(x)
 		// Verify (I + αA)x == rhs where A is the Dirichlet Laplacian:
 		// row i: -α·x[i-1] + (1+2α)·x[i] - α·x[i+1].
 		for i := 0; i < n; i++ {
