@@ -200,7 +200,7 @@ var _ Env = (*simEnv)(nil)
 func (e *simEnv) Node() int          { return e.node }
 func (e *simEnv) Now() time.Duration { return e.proc.Now() }
 
-func (e *simEnv) spec() machine.NodeSpec { return e.c.cfg.Platform.Nodes[e.node] }
+func (e *simEnv) spec() *machine.NodeSpec { return &e.c.cfg.Platform.Nodes[e.node] }
 
 func (e *simEnv) compute(ops, rate float64) {
 	if ops <= 0 {

@@ -94,8 +94,10 @@ type NodeSpec struct {
 }
 
 // CoreOpsPerSecond returns the sustained op throughput of one core for a
-// kernel whose vectorizable fraction is vec (0..1).
-func (n NodeSpec) CoreOpsPerSecond(vec float64) float64 {
+// kernel whose vectorizable fraction is vec (0..1). It and the stall
+// methods below are on the simulator's per-access path, so they take
+// the spec by pointer rather than copying it on every call.
+func (n *NodeSpec) CoreOpsPerSecond(vec float64) float64 {
 	if vec < 0 {
 		vec = 0
 	}
@@ -107,7 +109,7 @@ func (n NodeSpec) CoreOpsPerSecond(vec float64) float64 {
 }
 
 // SerialOpsPerSecond is CoreOpsPerSecond at the serial boost clock.
-func (n NodeSpec) SerialOpsPerSecond(vec float64) float64 {
+func (n *NodeSpec) SerialOpsPerSecond(vec float64) float64 {
 	if n.SerialClockGHz <= 0 {
 		return n.CoreOpsPerSecond(vec)
 	}
@@ -116,14 +118,14 @@ func (n NodeSpec) SerialOpsPerSecond(vec float64) float64 {
 
 // MissStall returns the exposed stall time for nMisses LLC misses on
 // irregular access patterns, accounting for memory-level parallelism.
-func (n NodeSpec) MissStall(nMisses int64) time.Duration {
+func (n *NodeSpec) MissStall(nMisses int64) time.Duration {
 	return n.stall(nMisses, n.Mem.Parallelism)
 }
 
 // GatherHitStall returns the exposed stall for nHits irregular accesses
 // that reach the LLC (far gathers), divided by the core's memory-level
 // parallelism.
-func (n NodeSpec) GatherHitStall(nHits int64) time.Duration {
+func (n *NodeSpec) GatherHitStall(nHits int64) time.Duration {
 	if nHits <= 0 || n.LLCHitLatency <= 0 {
 		return 0
 	}
@@ -136,11 +138,11 @@ func (n NodeSpec) GatherHitStall(nHits int64) time.Duration {
 
 // StreamStall returns the exposed stall time for nMisses LLC misses on
 // sequential streams, where prefetchers hide most latency.
-func (n NodeSpec) StreamStall(nMisses int64) time.Duration {
+func (n *NodeSpec) StreamStall(nMisses int64) time.Duration {
 	return n.stall(nMisses, n.Mem.StreamParallelism)
 }
 
-func (n NodeSpec) stall(nMisses int64, mlp float64) time.Duration {
+func (n *NodeSpec) stall(nMisses int64, mlp float64) time.Duration {
 	if nMisses <= 0 {
 		return 0
 	}
