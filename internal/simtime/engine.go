@@ -19,13 +19,15 @@
 // Each proc body runs as a runtime coroutine (iter.Pull), so a context
 // switch is a direct coroutine switch rather than a trip through the Go
 // scheduler. Run is the only resumer: it pops the earliest runnable proc
-// and resumes it. A proc that parks first checks whether it is still
-// the earliest runnable proc; if so it pops itself and keeps executing
-// with no switch at all (as happens on Yield with no earlier runnable
-// proc). Otherwise it yields back to Run, which resumes the next one.
-// The engine also caches the earliest runnable clock (nextClock), so the
-// yield check in Advance chains is two loads and a compare — the heap
-// is only touched when a switch actually happens.
+// and resumes it. A proc that parks yields back to Run, which resumes
+// the next one. The engine caches the earliest runnable clock
+// (nextClock), so the check in an Advance chain is two loads and a
+// compare, and a proc that is still earliest keeps running without
+// touching the heap. Advance and AdvanceTo park only when another proc
+// is strictly earlier, and a blocking proc is not runnable, so neither
+// can find itself earliest in park. Only Yield can: park then pops the
+// proc itself and it keeps executing with no switch. No code outside
+// the tests calls Yield, so in a simulation every park is a switch.
 //
 // When Run ends on a deadlock it stops every live coroutine: the
 // blocked proc's park unwinds its body without finishing it, so no
