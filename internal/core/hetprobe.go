@@ -345,27 +345,13 @@ func (rt *Runtime) decideWith(ent *probeEntry, spec HetProbeSpec, exclude map[in
 	if len(enabled) > 1 {
 		d.CrossNode = true
 		d.Nodes = enabled
-		// Q2: split work by measured per-core speed. A thread's weight
-		// is proportional to 1/perIterTime; normalize so the slowest
-		// enabled node has weight 1, giving the paper's "X : 1" CSR
-		// form.
-		d.CSR = make(map[int]float64, len(enabled))
+		// Q2: split work by measured per-core speed over the enabled
+		// nodes, the slowest at weight 1.
+		times := make(map[int]time.Duration, len(enabled))
 		for _, node := range enabled {
-			if t := ent.perIter[node]; t > 0 {
-				d.CSR[node] = 1 / float64(t)
-			}
+			times[node] = ent.perIter[node]
 		}
-		var slowest float64
-		for _, w := range d.CSR {
-			if slowest == 0 || w < slowest {
-				slowest = w
-			}
-		}
-		if slowest > 0 {
-			for node := range d.CSR {
-				d.CSR[node] /= slowest
-			}
-		}
+		d.CSR = csrFromTimes(times)
 		return d
 	}
 

@@ -226,9 +226,16 @@ func (rt *Runtime) Decisions() map[string]Decision {
 // single-node — the paper's Ideal CSR configuration does exactly this
 // with HetProbe-measured ratios).
 func CSRFromDecision(d Decision) map[int]float64 {
-	csr := make(map[int]float64, len(d.PerIterTime))
+	return csrFromTimes(d.PerIterTime)
+}
+
+// csrFromTimes turns measured per-iteration times into CSR weights: a
+// node's weight is 1/t, normalized so the slowest node has weight 1
+// (the paper's "X : 1" form). Nodes without a positive time get none.
+func csrFromTimes(perIter map[int]time.Duration) map[int]float64 {
+	csr := make(map[int]float64, len(perIter))
 	var slowest float64
-	for node, t := range d.PerIterTime {
+	for node, t := range perIter {
 		if t > 0 {
 			csr[node] = 1 / float64(t)
 			if slowest == 0 || csr[node] < slowest {

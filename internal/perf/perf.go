@@ -90,17 +90,38 @@ type llcGeometry struct {
 	lineShift  uint
 }
 
-// llcPools holds one *sync.Pool of released caches per geometry, so a
-// simulator that builds a cluster per job reuses the tag arrays of the
-// last finished one instead of allocating them again.
-var llcPools sync.Map // llcGeometry -> *sync.Pool
+// llcFree holds, per geometry, the caches released and not yet taken
+// again, so a simulator that builds a cluster per job reuses the tag
+// arrays of the last finished one instead of allocating them again.
+// Unlike a sync.Pool, a free list keeps its caches across garbage
+// collections; it holds at most as many as were ever live at once.
+var llcFree sync.Map // llcGeometry -> *llcFreeList
 
-func llcPool(g llcGeometry) *sync.Pool {
-	if p, ok := llcPools.Load(g); ok {
-		return p.(*sync.Pool)
+type llcFreeList struct {
+	mu    sync.Mutex
+	cache []*LLC
+}
+
+func llcList(g llcGeometry) *llcFreeList {
+	if l, ok := llcFree.Load(g); ok {
+		return l.(*llcFreeList)
 	}
-	p, _ := llcPools.LoadOrStore(g, new(sync.Pool))
-	return p.(*sync.Pool)
+	l, _ := llcFree.LoadOrStore(g, new(llcFreeList))
+	return l.(*llcFreeList)
+}
+
+// take pops the most recently released cache, or returns nil.
+func (l *llcFreeList) take() *LLC {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.cache)
+	if n == 0 {
+		return nil
+	}
+	c := l.cache[n-1]
+	l.cache[n-1] = nil
+	l.cache = l.cache[:n-1]
+	return c
 }
 
 // NewLLC builds the cache described by spec: empty, with zero counters.
@@ -117,7 +138,7 @@ func NewLLC(spec machine.CacheSpec) *LLC {
 		pow *= 2
 	}
 	g := llcGeometry{sets: pow, ways: spec.Ways, lineShift: shift}
-	if c, ok := llcPool(g).Get().(*LLC); ok {
+	if c := llcList(g).take(); c != nil {
 		// Stale tags need no clearing: probes read set i only up to
 		// sizes[i].
 		clear(c.sizes)
@@ -141,7 +162,10 @@ func (g llcGeometry) alloc() *LLC {
 // Release hands the cache's arrays to the next NewLLC of the same
 // geometry. The caller must not use c afterwards.
 func (c *LLC) Release() {
-	llcPool(c.geometry()).Put(c)
+	l := llcList(c.geometry())
+	l.mu.Lock()
+	l.cache = append(l.cache, c)
+	l.mu.Unlock()
 }
 
 func (c *LLC) geometry() llcGeometry {

@@ -1,6 +1,8 @@
 package perf
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -144,24 +146,67 @@ func TestMissesNeverExceedAccessesProperty(t *testing.T) {
 	}
 }
 
-// recycledLLC returns a cache NewLLC took back from the pool after it
-// had served the dirty stream. sync.Pool may drop a released item (it
-// does at random under -race), so it retries until the same cache comes
-// back.
+// recycledLLC returns a cache NewLLC took back from the free list after
+// it had served the dirty stream.
 func recycledLLC(t *testing.T, spec machine.CacheSpec, dirty []uint16) *LLC {
 	t.Helper()
-	for attempt := 0; attempt < 100; attempt++ {
-		c := NewLLC(spec)
-		for _, a := range dirty {
-			c.Access(int64(a) * 64)
-		}
-		c.Release()
-		if r := NewLLC(spec); r == c {
-			return r
-		}
+	c := NewLLC(spec)
+	for _, a := range dirty {
+		c.Access(int64(a) * 64)
 	}
-	t.Fatal("the pool never handed a released cache back")
-	return nil
+	c.Release()
+	r := NewLLC(spec)
+	if r != c {
+		t.Fatal("the free list did not hand the released cache back")
+	}
+	return r
+}
+
+// A released cache survives garbage collection: the next NewLLC of its
+// geometry gets the same arrays back, however many GCs ran in between
+// (a sync.Pool drops its items after two).
+func TestReleasedLLCSurvivesGC(t *testing.T) {
+	spec := machine.CacheSpec{LLCBytes: 8 * 1024, LineBytes: 128, Ways: 2}
+	c := NewLLC(spec)
+	tags, sizes := &c.tags[0], &c.sizes[0]
+	c.Release()
+	runtime.GC()
+	runtime.GC()
+	r := NewLLC(spec)
+	if &r.tags[0] != tags || &r.sizes[0] != sizes {
+		t.Fatal("NewLLC allocated fresh arrays: the released cache was lost to a GC")
+	}
+	r.Release()
+}
+
+// Concurrent Sims take and release caches of one geometry at once: no
+// cache is ever handed to two holders.
+func TestLLCFreeListConcurrent(t *testing.T) {
+	spec := machine.CacheSpec{LLCBytes: 4 * 1024, LineBytes: 256, Ways: 2}
+	var mu sync.Mutex
+	held := map[*LLC]bool{}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c := NewLLC(spec)
+				mu.Lock()
+				if held[c] {
+					t.Error("one cache handed to two holders")
+				}
+				held[c] = true
+				mu.Unlock()
+				c.Access(int64(i) * 256)
+				mu.Lock()
+				delete(held, c)
+				mu.Unlock()
+				c.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Property: a recycled cache is indistinguishable from a fresh one — the

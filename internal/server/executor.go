@@ -2,7 +2,7 @@ package server
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -82,17 +82,12 @@ func (x *SimExecutor) Fingerprint() string { return SimFingerprint() }
 // exported through the executor's cache are stamped with these — the
 // membership layer's warm-start coverage check reads them back.
 func (x *SimExecutor) Classes() []string {
-	seen := map[string]bool{}
 	var out []string
 	for _, n := range simPlatform.Nodes {
-		c := strings.ToLower(n.Name)
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
+		out = append(out, strings.ToLower(n.Name))
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ClassCovered reports whether every stored decision entry covers the

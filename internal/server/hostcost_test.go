@@ -13,9 +13,6 @@ import (
 // cluster rather than the heap. Measured as TotalAlloc over a run of
 // warm jobs.
 func TestWarmExecuteAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops sync.Pool items at random, so recycled arrays are reallocated")
-	}
 	const jobs = 50
 	const maxPerJob = 256 << 10
 	sp := Spec{Tenant: "t0", Region: "w0", Iterations: 2048, Pages: 24, OpsPerByte: 32}

@@ -364,9 +364,9 @@ func TestDrainDuringChurn(t *testing.T) {
 	}
 }
 
-// Nothing the server starts outlives Close: the scheduler, every
-// laneless chunk's goroutine and every member lane, including the lanes
-// of nodes added and removed on the way. The bound is the baseline
+// Nothing the server starts outlives Close: every laneless chunk's
+// goroutine and every member lane, including the lanes of nodes added
+// and removed on the way. The bound is the baseline
 // itself, not baseline plus slack: one lingering goroutine per server
 // is the leak this exists to catch. (A finishing chunk's goroutine
 // still delivers its job's reply after releasing Drain, so it may trail

@@ -24,36 +24,25 @@ const (
 	TaskNodeUncordon = "hetmp.node-uncordon"
 )
 
-// Error-kind tags carried in response metadata so typed admission and
-// membership errors survive the wire (an rpc remote error is a
-// string; the tag maps it back).
-const (
-	errKindKey          = "err_kind"
-	errKindFull         = "queue_full"
-	errKindDraining     = "draining"
-	errKindStopped      = "stopped"
-	errKindBadSpec      = "bad_spec"
-	errKindUnknownNode  = "unknown_node"
-	errKindNodeExists   = "node_exists"
-	errKindNodeDraining = "node_draining"
-	errKindLastNode     = "last_node"
-)
+// errKindKey is the response metadata key of an error-kind tag, which
+// lets typed admission and membership errors survive the wire (an rpc
+// remote error is a string; the tag maps it back).
+const errKindKey = "err_kind"
 
 // errKinds maps the typed sentinel errors to their wire tags (and
-// back). Order matters only for kindOf specificity — all sentinels
-// are distinct, so a linear walk is fine.
+// back). All sentinels are distinct, so a linear walk is fine.
 var errKinds = []struct {
 	kind string
 	err  error
 }{
-	{errKindFull, ErrQueueFull},
-	{errKindDraining, ErrDraining},
-	{errKindStopped, ErrStopped},
-	{errKindBadSpec, ErrBadSpec},
-	{errKindUnknownNode, ErrUnknownNode},
-	{errKindNodeExists, ErrNodeExists},
-	{errKindNodeDraining, ErrNodeDraining},
-	{errKindLastNode, ErrLastNode},
+	{"queue_full", ErrQueueFull},
+	{"draining", ErrDraining},
+	{"stopped", ErrStopped},
+	{"bad_spec", ErrBadSpec},
+	{"unknown_node", ErrUnknownNode},
+	{"node_exists", ErrNodeExists},
+	{"node_draining", ErrNodeDraining},
+	{"last_node", ErrLastNode},
 }
 
 // kindMeta tags a typed error for the wire; empty map when the error

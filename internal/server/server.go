@@ -9,20 +9,19 @@
 // "hetmp-as-a-service" story; EngineCL's engine-style host API and
 // HEROv2's persistent runtime layer are the references).
 //
-// Scheduling is deterministic by construction: one scheduler goroutine
-// owns every selection, tenants advance a virtual-time clock
-// (vtime += cost/weight on dispatch), and in preload mode (StartPaused
-// + sequential submission + Resume) the dispatch sequence is a pure
-// function of the admission order — completions only affect when the
-// next slot frees, never which job is picked. DispatchHash fingerprints
-// the sequence so a seeded load run can assert bit-equal ordering.
+// Scheduling is deterministic by construction: one dispatch core
+// (dispatch.go) owns every selection, tenants advance a virtual-time
+// clock (vtime += cost/weight on dispatch), and in preload mode
+// (StartPaused + sequential submission + Resume) the dispatch sequence
+// is a pure function of the admission order — completions only affect
+// when the next slot frees, never which job is picked. DispatchHash
+// fingerprints the sequence so a seeded load run can assert bit-equal
+// ordering.
 package server
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
@@ -129,11 +128,7 @@ func (sp Spec) Sig() string {
 // cost is the job's virtual-time cost: total iterations dispatched.
 func (sp Spec) cost() int64 {
 	sp = sp.withDefaults()
-	c := int64(sp.Iterations) * int64(sp.Invocations)
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return max(1, int64(sp.Iterations)*int64(sp.Invocations))
 }
 
 // ExecResult is what an Executor reports for one completed job.
@@ -266,200 +261,63 @@ type Config struct {
 	// schedule) reshape the set live. Empty means no lanes: every job
 	// is one whole-job chunk run on its own goroutine.
 	Members []Member
-	// Churn is a deterministic membership-churn schedule, applied by
-	// the scheduler at dispatch milestones and folded into
-	// DispatchHash. Requires Members.
+	// Churn is a deterministic membership-churn schedule, applied at
+	// dispatch milestones and folded into DispatchHash. Requires Members.
 	Churn []ChurnEvent
 }
 
-// job is one admitted job. Its state changes only under s.mu: it is
-// dispatched, then either running (its chunks queued) or parked on its
-// signature's probe lane, and its last chunk to finish finishes it.
-// No goroutine belongs to a job.
-type job struct {
-	spec       Spec
-	sig        string
-	seq        int
-	admitted   time.Time
-	dispatched time.Time
-	result     chan Result
-
-	// prober is set under s.mu, in dispatch order: at dispatch for the
-	// first job of a cold signature, and at a failed prober's hand-off
-	// for the earliest-dispatched parked job. Letting goroutine
-	// scheduling pick the prober made virtual time timing-dependent on
-	// the membership path (a later split-plan job winning the race
-	// collapses to a whole-job plan with different chunk seeds).
-	prober bool
-
-	// Set by planLocked under s.mu at dispatch: the chunk plan and its
-	// exactly-once accounting. invsPlanned must equal invsDone when the
-	// last chunk completes — the zero-lost-iterations assertion.
-	plan        []*chunk
-	invsPlanned int
-	invsDone    int
-	chunksLeft  int
-}
-
-type tenantState struct {
-	name     string
-	weight   float64
-	queue    []*job // priority desc, then seq asc
-	vtime    float64
-	inFlight int
-	spent    int64 // iterations dispatched in the current budget window
-	stats    TenantStats
-
-	// Telemetry handles, created once when the tenant first appears
-	// (the §10 contract: no registry lookups on hot paths).
-	depth    *telemetry.Gauge
-	waitH    *telemetry.Histogram
-	svcH     *telemetry.Histogram
-	rejects  *telemetry.Counter
-	hits     *telemetry.Counter
-	misses   *telemetry.Counter
-	xtenant  *telemetry.Counter
-	dispatch *telemetry.Counter
-}
-
-// RegionServer is the multi-tenant region service. Construct with New,
-// submit with Submit/SubmitAsync, stop with Drain then Close.
+// RegionServer is the multi-tenant region service, the shell around the
+// dispatch core (dispatch.go). Construct with New, submit with
+// Submit/SubmitAsync, stop with Drain then Close.
 type RegionServer struct {
-	cfg  Config
-	exec Executor
+	cfg Config // defaulted: Executor and Logf are never nil
 
-	mu            sync.Mutex
-	tenants       map[string]*tenantState
-	order         []string // tenant names, sorted — deterministic iteration
-	queued        int
-	inFlight      int
-	seq           int
-	paused        bool
-	draining      bool
-	stopped       bool
-	windows       int
-	lanes         map[string]*lane
-	hash          hashState
-	dispatchOrder []string
-	totals        Stats
-	idle          []chan struct{} // waiters for the all-drained condition
+	mu   sync.Mutex
+	d    *dispatch
+	idle []chan struct{} // Drain waiters for the all-idle signal
 
-	// Elastic membership (nil maps when Config.Members is empty).
-	members     map[string]*memberState
-	memberOrder []string // member names, sorted — deterministic iteration
-	churn       []ChurnEvent
-	churnNext   int
-	memStats    MembershipStats
-	memberWG    sync.WaitGroup
-
-	wake chan struct{}
-	done chan struct{}
+	wake     chan struct{} // 1-buffered: the dispatcher has a pass to run
+	done     chan struct{} // closed when the dispatcher exits
+	wakes    sync.Map      // *memberState → its node lane's wake, like wake
+	tels     sync.Map      // tenant name → *tenantTel
+	memberWG sync.WaitGroup
 }
 
-type hashState struct {
-	h uint64
+// ticket is the shell's half of an admitted job, carried by the core as
+// the job's tag: its reply channel, admission time and, once dispatched, wait.
+type ticket struct {
+	admitted time.Time
+	wait     time.Duration
+	reply    chan Result
 }
 
-func newHashState() hashState { return hashState{h: 14695981039346656037} } // FNV-1a offset
-
-func (hs *hashState) mix(s string) {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	// Chain: mix the record hash into the running hash (order matters).
-	hs.h = (hs.h ^ h.Sum64()) * 1099511628211
+// tenantTel is one tenant's telemetry handles, created once when the
+// tenant first appears (the §10 contract: no registry lookups on hot
+// paths). All nil without Config.Telemetry.
+type tenantTel struct {
+	depth                                    *telemetry.Gauge
+	waitH, svcH                              *telemetry.Histogram
+	rejects, hits, misses, xtenant, dispatch *telemetry.Counter
 }
 
-// dispatchOrderKeep is how many dispatch records DispatchOrder retains.
-// The hash chain covers every record; the record log itself is a
-// debugging aid and must not grow for the life of a daemon.
-const dispatchOrderKeep = 4096
-
-// recordLocked folds one dispatch or churn record into the hash chain
-// and the bounded record log (compacted every dispatchOrderKeep
-// appends, so the cost per record stays constant).
-func (s *RegionServer) recordLocked(rec string) {
-	s.hash.mix(rec)
-	if len(s.dispatchOrder) == 2*dispatchOrderKeep {
-		s.dispatchOrder = append(s.dispatchOrder[:0], s.dispatchOrder[dispatchOrderKeep:]...)
+func (s *RegionServer) tel(tenant string) *tenantTel {
+	if t, ok := s.tels.Load(tenant); ok {
+		return t.(*tenantTel)
 	}
-	s.dispatchOrder = append(s.dispatchOrder, rec)
-}
-
-// lane serializes cold probing per region signature: the first job of
-// a signature (the prober) executes alone; same-signature jobs
-// dispatched while it probes park here, holding their in-flight slot
-// but no goroutine, and start probe-free off the shared cache entry
-// once it succeeds. A signature without a lane is cold; a lane that is
-// not probing is warm, and its jobs start at dispatch.
-type lane struct {
-	firstTenant string
-	probing     bool
-	parked      []*job // in dispatch order
-}
-
-// effects is what a state change under s.mu asks of the world outside
-// it. Locked code only records; apply performs it after the unlock, so
-// no channel operation, goroutine start or telemetry call runs under
-// s.mu.
-type effects struct {
-	wakes      []chan struct{} // member lanes handed work or told to exit
-	laneless   []*chunk        // chunks with no lane, each run on its own goroutine
-	dispatched []dispatchNote
-	finished   []finished
-	idle       []chan struct{} // Drain waiters released by the all-idle state
-}
-
-// dispatchNote is one dispatch's telemetry: the tenant and its queue
-// depth after the dispatch.
-type dispatchNote struct {
-	t     *tenantState
-	depth int
-}
-
-// finished is one job's reply and its telemetry.
-type finished struct {
-	t *tenantState
-	j *job
-	r Result
-}
-
-func (s *RegionServer) apply(fx *effects) {
-	for _, w := range fx.wakes {
-		signalChan(w)
+	t := &tenantTel{}
+	if m := s.cfg.Telemetry.Metrics(); m != nil {
+		lbl := telemetry.L("tenant", tenant)
+		t.depth = m.Gauge("hetserve_queue_depth", lbl)
+		t.waitH = m.Histogram("hetserve_wait", lbl)
+		t.svcH = m.Histogram("hetserve_service", lbl)
+		t.rejects = m.Counter("hetserve_rejections_total", lbl)
+		t.hits = m.Counter("hetserve_cache_hits_total", lbl)
+		t.misses = m.Counter("hetserve_cache_misses_total", lbl)
+		t.xtenant = m.Counter("hetserve_cross_tenant_warm_total", lbl)
+		t.dispatch = m.Counter("hetserve_dispatch_total", lbl)
 	}
-	for _, c := range fx.laneless {
-		go func() {
-			s.executeChunk(c)
-			s.chunkFinished(c, nil)
-		}()
-	}
-	for _, d := range fx.dispatched {
-		d.t.dispatch.Inc()
-		d.t.depth.Set(float64(d.depth))
-	}
-	for _, f := range fx.finished {
-		f.t.waitH.Observe(f.r.Wait)
-		f.t.svcH.Observe(f.r.Service)
-		if f.r.Err == nil {
-			if f.r.Warm {
-				f.t.hits.Inc()
-			} else {
-				f.t.misses.Inc()
-			}
-			if f.r.CrossTenantWarm {
-				f.t.xtenant.Inc()
-			}
-		}
-	}
-	for _, ch := range fx.idle {
-		close(ch)
-	}
-	for _, f := range fx.finished {
-		f.j.result <- f.r
-	}
-	if len(fx.finished) > 0 {
-		s.signal() // in-flight slots freed
-	}
+	got, _ := s.tels.LoadOrStore(tenant, t)
+	return got.(*tenantTel)
 }
 
 // New builds a server. Call Close when done.
@@ -470,84 +328,131 @@ func New(cfg Config) *RegionServer {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 8
 	}
-	exec := cfg.Executor
-	if exec == nil {
-		exec = NewSimExecutor(SimExecutorConfig{})
+	if cfg.Executor == nil {
+		cfg.Executor = NewSimExecutor(SimExecutorConfig{})
 	}
-	s := &RegionServer{
-		cfg:     cfg,
-		exec:    exec,
-		tenants: map[string]*tenantState{},
-		lanes:   map[string]*lane{},
-		paused:  cfg.StartPaused,
-		hash:    newHashState(),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
-	if len(cfg.Members) > 0 {
-		// Before the scheduler goroutine exists, so no lock is needed.
-		s.initMembership()
+	s := &RegionServer{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	// The core's one injected read: a newcomer class's warm-up
+	// worklist, empty when the executor's decision store covers it.
+	var warm func(class string) []Spec
+	if cw, ok := cfg.Executor.(ClassWarmer); ok {
+		warm = func(class string) []Spec {
+			if cw.ClassCovered(class) {
+				return nil
+			}
+			return cw.ReprobeSpecs(class, reprobeLimit)
+		}
 	}
-	go s.schedule()
+	s.step(func() { s.d = newDispatch(cfg, warm) })
+	go s.dispatcher()
 	return s
 }
 
-func (s *RegionServer) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+// dispatcher runs the core's dispatch pass each time it is woken: after
+// an admission, Resume, Drain, Close, or a step that finished jobs. It
+// exits once the server is stopped and idle.
+func (s *RegionServer) dispatcher() {
+	defer close(s.done)
+	for {
+		stopped := false
+		s.step(func() { s.d.pump(); stopped = s.d.stopped && s.d.idle() })
+		if stopped {
+			return
+		}
+		<-s.wake
 	}
 }
 
-// signal wakes the scheduler loop. Never call it while holding s.mu
-// (channel ops under a mutex are a blocking-lock violation even when
-// buffered).
-func (s *RegionServer) signal() { signalChan(s.wake) }
-
-func (s *RegionServer) tenant(name string) *tenantState {
-	if t, ok := s.tenants[name]; ok {
-		return t
+// signal wakes the dispatcher or a node lane without blocking.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
-	w := 1.0
-	if cw, ok := s.cfg.Weights[name]; ok && cw > 0 {
-		w = cw
-	}
-	t := &tenantState{name: name, weight: w}
-	t.stats.Weight = w
-	// A newly active tenant starts at the current virtual floor so it
-	// cannot bank credit from its idle past and lock out incumbents.
-	t.vtime = s.vfloorLocked()
-	if m := s.cfg.Telemetry.Metrics(); m != nil {
-		lbl := telemetry.L("tenant", name)
-		t.depth = m.Gauge("hetserve_queue_depth", lbl)
-		t.waitH = m.Histogram("hetserve_wait", lbl)
-		t.svcH = m.Histogram("hetserve_service", lbl)
-		t.rejects = m.Counter("hetserve_rejections_total", lbl)
-		t.hits = m.Counter("hetserve_cache_hits_total", lbl)
-		t.misses = m.Counter("hetserve_cache_misses_total", lbl)
-		t.xtenant = m.Counter("hetserve_cross_tenant_warm_total", lbl)
-		t.dispatch = m.Counter("hetserve_dispatch_total", lbl)
-	}
-	s.tenants[name] = t
-	s.order = append(s.order, name)
-	sort.Strings(s.order)
-	return t
 }
 
-// vfloorLocked is the minimum virtual time over tenants that still
-// have queued or running work (the WFQ virtual clock).
-func (s *RegionServer) vfloorLocked() float64 {
-	floor := 0.0
-	seen := false
-	for _, name := range s.order {
-		t := s.tenants[name]
-		if len(t.queue) == 0 && t.inFlight == 0 {
-			continue
-		}
-		if !seen || t.vtime < floor {
-			floor, seen = t.vtime, true
+// step is the shell's one way into the core. call runs under s.mu, and
+// so does stamping the jobs it dispatched; everything else the core
+// asked for is applied after the unlock, so no Logf call, executor
+// call, channel operation or goroutine start runs under s.mu.
+func (s *RegionServer) step(call func()) {
+	s.mu.Lock()
+	call()
+	s.release()
+}
+
+// release ends a call into the core begun with s.mu.Lock. A laneless
+// chunk's goroutine calls it directly: a closure it passed to step would
+// escape to the heap (step starts that goroutine), once per job.
+func (s *RegionServer) release() {
+	a := s.d.take()
+	now := time.Now()
+	for _, q := range a.queues {
+		tk := q.j.tag.(*ticket)
+		tk.wait = now.Sub(tk.admitted)
+	}
+	var idle []chan struct{}
+	if a.idle {
+		idle, s.idle = s.idle, nil
+	}
+	s.memberWG.Add(len(a.starts))
+	s.mu.Unlock()
+
+	for _, m := range a.starts {
+		wake := make(chan struct{}, 1)
+		s.wakes.Store(m, wake)
+		go s.memberLoop(m, wake)
+	}
+	for _, m := range a.wakes {
+		// A lane not started yet has no channel; it pulls first anyway.
+		if w, ok := s.wakes.Load(m); ok {
+			signal(w.(chan struct{}))
 		}
 	}
-	return floor
+	for _, c := range a.laneless {
+		go func() {
+			res, err := s.execute(c)
+			s.mu.Lock()
+			s.d.complete(nil, c, res, err)
+			s.release()
+		}()
+	}
+	for _, q := range a.queues {
+		t := s.tel(q.j.spec.Tenant)
+		t.dispatch.Inc()
+		t.depth.Set(float64(q.depth))
+	}
+	for _, line := range a.logs {
+		s.cfg.Logf("%s", line)
+	}
+	for _, f := range a.done {
+		r, tk := f.r, f.j.tag.(*ticket)
+		r.Wait = tk.wait
+		r.Service = now.Sub(tk.admitted) - tk.wait
+		t := s.tel(r.Tenant)
+		t.waitH.Observe(r.Wait)
+		t.svcH.Observe(r.Service)
+		if r.Err == nil {
+			if r.Warm {
+				t.hits.Inc()
+			} else {
+				t.misses.Inc()
+			}
+			if r.CrossTenantWarm {
+				t.xtenant.Inc()
+			}
+		}
+		tk.reply <- r
+	}
+	for _, ch := range idle {
+		close(ch)
+	}
+	if len(a.done) > 0 {
+		signal(s.wake) // in-flight slots freed
+	}
 }
 
 // Submit enqueues a job and blocks until it completes. Admission
@@ -570,59 +475,18 @@ func (s *RegionServer) SubmitAsync(sp Spec) (<-chan Result, error) {
 	if sp.Tenant == "" || sp.Region == "" {
 		return nil, fmt.Errorf("server: spec needs Tenant and Region")
 	}
-	s.mu.Lock()
-	t := s.tenant(sp.Tenant)
-	t.stats.Submitted++
-	s.totals.Submitted++
-	admitErr := sp.check()
-	switch {
-	case admitErr != nil:
-	case s.stopped:
-		admitErr = ErrStopped
-	case s.draining:
-		admitErr = ErrDraining
-	case s.queued >= s.cfg.QueueDepth:
-		admitErr = ErrQueueFull
+	tk := &ticket{admitted: time.Now(), reply: make(chan Result, 1)}
+	var depth int
+	var err error
+	s.step(func() { depth, err = s.d.admit(sp, tk) })
+	t := s.tel(sp.Tenant)
+	if err != nil {
+		t.rejects.Inc()
+		return nil, fmt.Errorf("server: tenant %s region %s: %w", sp.Tenant, sp.Region, err)
 	}
-	if admitErr != nil {
-		t.stats.Rejected++
-		s.totals.Rejected++
-		rejects := t.rejects
-		s.mu.Unlock()
-		rejects.Inc()
-		return nil, fmt.Errorf("server: tenant %s region %s: %w", sp.Tenant, sp.Region, admitErr)
-	}
-	j := &job{
-		spec:     sp,
-		sig:      sp.Sig(),
-		seq:      s.seq,
-		admitted: time.Now(),
-		result:   make(chan Result, 1),
-	}
-	s.seq++
-	t.stats.Admitted++
-	s.totals.Admitted++
-	s.queued++
-	// Insert keeping priority desc, seq asc (stable FIFO within a
-	// priority).
-	at := len(t.queue)
-	for i, q := range t.queue {
-		if sp.Priority > q.spec.Priority {
-			at = i
-			break
-		}
-	}
-	t.queue = append(t.queue, nil)
-	copy(t.queue[at+1:], t.queue[at:])
-	t.queue[at] = j
-	if d := len(t.queue); d > t.stats.QueueDepth {
-		t.stats.QueueDepth = d
-	}
-	depth, dlen := t.depth, len(t.queue)
-	s.mu.Unlock()
-	depth.Set(float64(dlen))
-	s.signal()
-	return j.result, nil
+	t.depth.Set(float64(depth))
+	signal(s.wake)
+	return tk.reply, nil
 }
 
 // Resume opens the dispatch gate of a StartPaused server. The preload
@@ -630,293 +494,35 @@ func (s *RegionServer) SubmitAsync(sp Spec) (<-chan Result, error) {
 // Resume — pins the admission order, which pins the entire dispatch
 // sequence.
 func (s *RegionServer) Resume() {
-	s.mu.Lock()
-	s.paused = false
-	s.mu.Unlock()
-	s.signal()
-}
-
-// pickLocked selects the next job to dispatch: among tenants with
-// queued work that are within budget, the minimum virtual time wins;
-// ties break on tenant name. Returns nil when nothing is eligible.
-func (s *RegionServer) pickLocked() (*job, *tenantState) {
-	var best *tenantState
-	for _, name := range s.order {
-		t := s.tenants[name]
-		if len(t.queue) == 0 {
-			continue
-		}
-		if !s.withinBudgetLocked(t) {
-			continue
-		}
-		if best == nil || t.vtime < best.vtime {
-			best = t
-		}
-	}
-	if best == nil {
-		return nil, nil
-	}
-	return best.queue[0], best
-}
-
-// withinBudgetLocked reports whether t may dispatch its head-of-queue
-// job under the current window's iteration budget. A tenant that has
-// dispatched nothing this window may always run its head job, even an
-// oversized one — budgets throttle hogs, they must not starve anyone.
-func (s *RegionServer) withinBudgetLocked(t *tenantState) bool {
-	if s.cfg.TenantIterBudget <= 0 {
-		return true
-	}
-	if t.spent == 0 {
-		return true
-	}
-	return t.spent+t.queue[0].spec.cost() <= s.cfg.TenantIterBudget
-}
-
-// budgetBlockedLocked reports that work is queued but every queued
-// tenant is blocked by its iteration budget — the condition that opens
-// the next window.
-func (s *RegionServer) budgetBlockedLocked() bool {
-	if s.cfg.TenantIterBudget <= 0 {
-		return false
-	}
-	anyQueued := false
-	for _, name := range s.order {
-		t := s.tenants[name]
-		if len(t.queue) == 0 {
-			continue
-		}
-		anyQueued = true
-		if s.withinBudgetLocked(t) {
-			return false
-		}
-	}
-	return anyQueued
-}
-
-// schedule is the single scheduler goroutine: every selection,
-// virtual-time update and budget-window decision happens here, so the
-// dispatch sequence needs no cross-goroutine tie-breaking.
-func (s *RegionServer) schedule() {
-	for {
-		var fx effects
-		s.mu.Lock()
-		if !s.paused {
-			for s.inFlight < s.cfg.MaxInFlight {
-				// d is the next dispatch milestone: due churn applies
-				// here, before selection, so eligibility reflects it.
-				d := s.totals.Dispatched
-				s.applyChurnLocked(d, &fx)
-				j, t := s.pickLocked()
-				if j == nil {
-					if s.budgetBlockedLocked() {
-						s.windows++
-						s.totals.BudgetWindows++
-						for _, name := range s.order {
-							s.tenants[name].spent = 0
-						}
-						continue
-					}
-					break
-				}
-				t.queue = t.queue[1:]
-				s.queued--
-				t.vtime += float64(j.spec.cost()) / t.weight
-				t.spent += j.spec.cost()
-				t.inFlight++
-				s.inFlight++
-				t.stats.Dispatched++
-				t.stats.IterationsDispatched += j.spec.cost()
-				s.totals.Dispatched++
-				s.recordLocked(fmt.Sprintf("%d:%s:%s", j.seq, j.spec.Tenant, j.sig))
-				j.dispatched = time.Now()
-				parked := s.claimLaneLocked(j) // before planning: a prober's plan is whole-job
-				s.planLocked(j, d)
-				if !parked {
-					s.startLocked(j, &fx)
-				}
-				fx.dispatched = append(fx.dispatched, dispatchNote{t, len(t.queue)})
-			}
-		}
-		stopped := s.stopped && s.queued == 0 && s.inFlight == 0
-		s.mu.Unlock()
-		s.apply(&fx)
-		if stopped {
-			close(s.done)
-			return
-		}
-		<-s.wake
-	}
-}
-
-// claimLaneLocked decides at dispatch whether j runs or parks: the
-// first-dispatched job of a cold signature claims the lane and probes,
-// a job of a probing signature parks behind the prober, and a job of a
-// warm signature runs. Deciding the prober under the scheduler lock,
-// rather than letting goroutine scheduling pick it, keeps the chunk
-// plans — and with them total virtual time — a function of the
-// dispatch order. Reports whether j parked.
-func (s *RegionServer) claimLaneLocked(j *job) bool {
-	ln := s.lanes[j.sig]
-	switch {
-	case ln == nil:
-		s.lanes[j.sig] = &lane{firstTenant: j.spec.Tenant, probing: true}
-		j.prober = true
-	case ln.probing:
-		ln.parked = append(ln.parked, j)
-		return true
-	}
-	return false
-}
-
-// proberDoneLocked moves a probing lane on when its prober finishes.
-// On success the signature is warm for good and every parked job
-// starts, in dispatch order. On failure the earliest-dispatched parked
-// job becomes the prober, its plan collapsed to one whole-job chunk on
-// its first node (cold probing runs whole); with nothing parked the
-// signature is cold again.
-func (s *RegionServer) proberDoneLocked(j *job, ok bool, fx *effects) {
-	ln := s.lanes[j.sig]
-	if ok {
-		ln.probing = false
-		for _, p := range ln.parked {
-			s.startLocked(p, fx)
-		}
-		ln.parked = nil
-		return
-	}
-	if len(ln.parked) == 0 {
-		delete(s.lanes, j.sig)
-		return
-	}
-	next := ln.parked[0]
-	ln.parked = ln.parked[1:]
-	ln.firstTenant = next.spec.Tenant
-	next.prober = true
-	if len(next.plan) > 1 {
-		next.plan = []*chunk{{j: next, invs: next.invsPlanned, planned: next.plan[0].planned}}
-		next.chunksLeft = 1
-	}
-	s.startLocked(next, fx)
-}
-
-// finishLocked completes a job whose last chunk is in: it aggregates
-// the chunks with the exactly-once check, books the result, and moves
-// the job's probe lane on when the job was its prober.
-func (s *RegionServer) finishLocked(j *job, fx *effects) {
-	t := s.tenants[j.spec.Tenant]
-	r := Result{
-		Tenant:  j.spec.Tenant,
-		Region:  j.spec.Region,
-		Sig:     j.sig,
-		Seq:     j.seq,
-		Wait:    j.dispatched.Sub(j.admitted),
-		Service: time.Since(j.dispatched),
-		Chunks:  len(j.plan),
-	}
-	for _, c := range j.plan {
-		if c.err != nil && r.Err == nil {
-			r.Err = c.err
-		}
-		r.VirtualNs += c.res.VirtualNs
-		r.Faults += c.res.Faults
-		r.Probes += c.res.Probes
-		r.Predictions += c.res.Predictions
-		if c.rehomed {
-			r.Rehomed++
-		}
-	}
-	r.Warm = r.Err == nil && r.Probes == 0 && r.Predictions > 0
-	r.CrossTenantWarm = r.Warm && s.lanes[j.sig].firstTenant != j.spec.Tenant
-	if j.prober {
-		s.proberDoneLocked(j, r.Err == nil, fx)
-	}
-
-	t.inFlight--
-	s.inFlight--
-	if r.Err != nil {
-		t.stats.Failed++
-		s.totals.Failed++
-	} else {
-		if lost := j.invsPlanned - j.invsDone; lost != 0 {
-			n := int64(lost) * int64(j.spec.Iterations)
-			if n < 0 {
-				n = -n
-			}
-			s.memStats.LostIterations += n
-			s.logf("server: job %d lost %d invocations to churn (accounting bug)", j.seq, lost)
-		}
-		t.stats.Completed++
-		s.totals.Completed++
-		s.totals.VirtualNs += r.VirtualNs
-		if r.Warm {
-			t.stats.Warm++
-			s.totals.CacheHits++
-		} else {
-			s.totals.CacheMisses++
-		}
-		if r.CrossTenantWarm {
-			t.stats.CrossTenantWarm++
-			s.totals.CrossTenantWarm++
-		}
-		if !j.prober && r.Probes > 0 {
-			// A lane-warm job probed: the shared-cache invariant broke.
-			t.stats.WarmProbes += r.Probes
-			s.totals.WarmProbes += r.Probes
-		}
-	}
-	if s.queued == 0 && s.inFlight == 0 {
-		fx.idle, s.idle = s.idle, nil
-	}
-	fx.finished = append(fx.finished, finished{t, j, r})
+	s.step(func() { s.d.resume() })
+	signal(s.wake)
 }
 
 // Drain stops admitting (new submissions get ErrDraining) and blocks
 // until every admitted job has completed. The server stays alive for
 // Stats; call Close to stop it.
 func (s *RegionServer) Drain() {
-	s.mu.Lock()
-	s.draining = true
-	if s.paused {
-		// A paused drain would deadlock on its own gate.
-		s.paused = false
-	}
-	if s.queued == 0 && s.inFlight == 0 {
-		s.mu.Unlock()
-		s.signal()
-		return
-	}
 	ch := make(chan struct{})
-	s.idle = append(s.idle, ch)
-	s.mu.Unlock()
-	s.signal()
-	<-ch
-	s.logf("server: drained")
+	idle := false
+	s.step(func() {
+		if idle = s.d.drain(); !idle {
+			s.idle = append(s.idle, ch)
+		}
+	})
+	signal(s.wake)
+	if !idle {
+		<-ch
+		s.cfg.Logf("server: drained")
+	}
 }
 
-// Close drains and stops the scheduler and any member node lanes.
+// Close drains and stops the dispatcher and any member node lanes.
 // Idempotent.
 func (s *RegionServer) Close() {
 	s.Drain()
-	s.mu.Lock()
-	already := s.stopped
-	s.stopped = true
-	s.mu.Unlock()
-	s.signal()
-	if !already {
-		<-s.done
-	}
-	var fx effects
-	s.mu.Lock()
-	for _, name := range s.memberOrder {
-		m := s.members[name]
-		if m.state != NodeRemoved {
-			m.state = NodeRemoved
-			fx.wakes = append(fx.wakes, m.wake)
-		}
-	}
-	s.mu.Unlock()
-	s.apply(&fx)
+	s.step(func() { s.d.stop() })
+	signal(s.wake)
+	<-s.done
 	s.memberWG.Wait()
 }
 
@@ -924,30 +530,14 @@ func (s *RegionServer) Close() {
 func (s *RegionServer) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.totals
-	out.QueueDepth = s.queued
-	out.InFlight = s.inFlight
-	out.DispatchHash = s.hash.h
-	out.Membership = s.membershipStatsLocked()
-	out.Tenants = make(map[string]TenantStats, len(s.tenants))
-	for _, name := range s.order {
-		t := s.tenants[name]
-		ts := t.stats
-		ts.QueueDepth = len(t.queue)
-		out.Tenants[name] = ts
-	}
-	return out
+	return s.d.stats()
 }
 
 // DispatchHash fingerprints the dispatch sequence so far (FNV-1a over
 // "seq:tenant:sig" records in dispatch order, with churn records
 // interleaved at their milestones). Two runs of the same preloaded
 // workload — including its churn schedule — must produce equal hashes.
-func (s *RegionServer) DispatchHash() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hash.h
-}
+func (s *RegionServer) DispatchHash() uint64 { return s.Stats().DispatchHash }
 
 // DispatchOrder returns a copy of the most recent dispatch and churn
 // records — at most dispatchOrderKeep (4096) of them; older records
@@ -955,9 +545,5 @@ func (s *RegionServer) DispatchHash() uint64 {
 func (s *RegionServer) DispatchOrder() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recent := s.dispatchOrder
-	if len(recent) > dispatchOrderKeep {
-		recent = recent[len(recent)-dispatchOrderKeep:]
-	}
-	return append([]string(nil), recent...)
+	return s.d.recent()
 }
