@@ -107,6 +107,7 @@ churn-smoke:
 cmd-smoke:
 	$(GO) run ./cmd/hetmprun -quick -bench EP-C
 	$(GO) run ./cmd/hetmprun -quick -bench lud -chaos-profile dsm-loss
+	$(GO) run ./cmd/hetmprun -quick -bench CG-C -config "Cross-Node Dynamic" -batch-faults
 	$(GO) run ./cmd/hetbench -quick -run fig4 -json - | python3 -m json.tool > /dev/null
 	! $(GO) run ./cmd/hetmprun -quick -bench EP-C -chaos-profile bogus
 	! $(GO) run ./cmd/hetbench -quick -run fig4 -chaos-profile bogus

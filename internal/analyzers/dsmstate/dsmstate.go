@@ -2,9 +2,9 @@
 // The coherence state of every page lives in the unexported pageState
 // values inside internal/dsm, and the protocol's correctness proofs
 // (CheckInvariants, the equivalence tests) assume state transitions
-// happen only inside the sanctioned helpers: Alloc, SettleAt,
-// faultPage, and accessRun. A write anywhere else can produce states
-// the invariant checker never sees between checks.
+// happen only inside the sanctioned helpers: Alloc, SettleAt and
+// fault, the one fault transaction. A write anywhere else can produce
+// states the invariant checker never sees between checks.
 //
 // Writes to local pageState copies (st := r.pages[pg]; st.writer = 0)
 // are legal everywhere: the analyzer distinguishes shared lvalues
@@ -22,16 +22,15 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "dsmstate",
-	Doc:  "pageState in internal/dsm may be mutated only by Alloc, SettleAt, faultPage, and accessRun",
+	Doc:  "pageState in internal/dsm may be mutated only by Alloc, SettleAt and fault",
 	Run:  run,
 }
 
 // sanctioned are the protocol helpers allowed to write page state.
 var sanctioned = map[string]bool{
-	"Alloc":     true,
-	"SettleAt":  true,
-	"faultPage": true,
-	"accessRun": true,
+	"Alloc":    true,
+	"SettleAt": true,
+	"fault":    true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -56,7 +55,7 @@ func run(pass *analysis.Pass) error {
 				}
 				for _, l := range lhs {
 					if isStateWrite(pass.TypesInfo, l) {
-						pass.Reportf(l.Pos(), "pageState may only be mutated by the sanctioned protocol helpers (Alloc, SettleAt, faultPage, accessRun); move this write into one of them")
+						pass.Reportf(l.Pos(), "pageState may only be mutated by the sanctioned protocol helpers (Alloc, SettleAt, fault); move this write into one of them")
 					}
 				}
 				return true

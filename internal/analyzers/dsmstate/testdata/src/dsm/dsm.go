@@ -29,15 +29,26 @@ func (r *Region) SettleAt(node int) {
 	}
 }
 
-func (r *Region) faultPage(pg, node int) {
-	st := r.pages[pg]
-	r.pages[pg] = pageState{writer: noWriter, copyset: st.copyset | 1<<node}
+func (r *Region) fault(pg, k, node int) {
+	for i := pg; i < pg+k; i++ {
+		st := &r.pages[i]
+		st.copyset |= 1 << node
+		st.writer = noWriter
+	}
 }
 
-func (r *Region) accessRun(pg, k, node int) {
-	for i := pg; i < pg+k; i++ {
-		r.faultPage(i, node)
+// accessRange reaches page state only through fault: legal.
+func (r *Region) accessRange(first, last, node int) {
+	for pg := first; pg <= last; pg++ {
+		r.fault(pg, 1, node)
 	}
+}
+
+// faultPage is not a sanctioned name: fault is the one fault
+// transaction, so a second, per-page copy of it is flagged.
+func (r *Region) faultPage(pg, node int) {
+	st := r.pages[pg]
+	r.pages[pg] = pageState{writer: noWriter, copyset: st.copyset | 1<<node} // want `pageState may only be mutated by the sanctioned protocol helpers`
 }
 
 // owner reads shared state and writes a LOCAL COPY: legal everywhere.

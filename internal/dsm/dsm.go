@@ -270,11 +270,11 @@ func (r *Region) Access(p *simtime.Proc, node int, offset, length int64, write b
 
 // accessRange run-length-scans pages [first, last]: contiguous
 // already-satisfied pages are skipped in one pass with no protocol
-// call and no time advance (the dominant case for settled regions),
-// and faulting pages either fault one at a time (the paper's per-page
-// protocol, bit-identical to the original loop) or — when the spec's
-// BatchFaults knob is on — coalesce contiguous runs in identical
-// coherence state into one batched transaction.
+// call and no time advance (the dominant case for settled regions).
+// Each faulting page is one fault transaction (the paper's per-page
+// protocol) unless the spec's BatchFaults knob is on, in which case a
+// contiguous run of faulting pages in identical coherence state is
+// one batched transaction.
 //
 // Page states are re-read after every protocol transaction: a fault
 // advances virtual time and may yield to procs that change later
@@ -283,31 +283,25 @@ func (r *Region) Access(p *simtime.Proc, node int, offset, length int64, write b
 func (r *Region) accessRange(p *simtime.Proc, node int, first, last int64, write bool) AccessResult {
 	bit := uint16(1) << node
 	batch := r.space.proto.BatchFaults
-	var faults int64
-	var stall time.Duration
+	var res AccessResult
 	for pg := first; pg <= last; {
 		st := r.pages[pg]
 		if st.writer == int8(node) || (!write && st.copyset&bit != 0) {
 			pg++
 			continue
 		}
-		if !batch {
-			res := r.faultPage(p, node, pg, write)
-			faults += res.Faults
-			stall += res.Stall
-			pg++
-			continue
-		}
 		run := pg + 1
-		for run <= last && r.pages[run] == st {
-			run++
+		if batch {
+			for run <= last && r.pages[run] == st {
+				run++
+			}
 		}
-		res := r.accessRun(p, node, pg, run-pg, write)
-		faults += res.Faults
-		stall += res.Stall
+		f := r.fault(p, node, pg, run-pg, write)
+		res.Faults += f.Faults
+		res.Stall += f.Stall
 		pg = run
 	}
-	return AccessResult{Faults: faults, Stall: stall}
+	return res
 }
 
 // AccessPages performs a sequence of single-page accesses given by page
@@ -343,8 +337,7 @@ func (r *Region) AccessPages(p *simtime.Proc, node int, pages []int64, write boo
 		return AccessResult{}
 	}
 
-	var faults int64
-	var stall time.Duration
+	var res AccessResult
 	prev := int64(-1)
 	for i := 0; i < len(pages); {
 		pg := pages[i]
@@ -361,20 +354,12 @@ func (r *Region) AccessPages(p *simtime.Proc, node int, pages []int64, write boo
 			i++
 			continue
 		}
-		if !batch {
-			res := r.faultPage(p, node, pg, write)
-			faults += res.Faults
-			stall += res.Stall
-			prev = pg
-			i++
-			continue
-		}
-		// Extend the batch over consecutively increasing indices whose
-		// pages share st's coherence state (duplicates of the last page
-		// in the run are absorbed).
+		// With batching, extend the run over consecutively increasing
+		// indices whose pages share st's coherence state (duplicates
+		// of the last page in the run are absorbed).
 		j := i + 1
 		next := pg + 1
-		for j < len(pages) {
+		for batch && j < len(pages) {
 			q := pages[j]
 			if q == next-1 {
 				j++
@@ -386,13 +371,13 @@ func (r *Region) AccessPages(p *simtime.Proc, node int, pages []int64, write boo
 			next++
 			j++
 		}
-		res := r.accessRun(p, node, pg, next-pg, write)
-		faults += res.Faults
-		stall += res.Stall
+		f := r.fault(p, node, pg, next-pg, write)
+		res.Faults += f.Faults
+		res.Stall += f.Stall
 		prev = next - 1
 		i = j
 	}
-	return AccessResult{Faults: faults, Stall: stall}
+	return res
 }
 
 // AccessPage performs a single-page access identified by page index.
@@ -400,41 +385,37 @@ func (r *Region) AccessPage(p *simtime.Proc, node int, page int64, write bool) A
 	if page < 0 || page >= int64(len(r.pages)) {
 		panic(fmt.Sprintf("dsm: page %d out of range of region %q", page, r.name))
 	}
-	return r.accessPage(p, node, page, write)
-}
-
-func (a AccessResult) add(b AccessResult) AccessResult {
-	return AccessResult{Faults: a.Faults + b.Faults, Stall: a.Stall + b.Stall}
-}
-
-// accessPage checks page satisfaction and runs the MRSW protocol for
-// one page.
-func (r *Region) accessPage(p *simtime.Proc, node int, pg int64, write bool) AccessResult {
-	st := r.pages[pg]
-	bit := uint16(1) << node
-	if write {
-		if st.writer == int8(node) {
-			return AccessResult{}
-		}
-	} else {
-		if st.writer == int8(node) || st.copyset&bit != 0 {
-			return AccessResult{}
-		}
+	st := r.pages[page]
+	if st.writer == int8(node) || (!write && st.copyset&(1<<node) != 0) {
+		return AccessResult{}
 	}
-	return r.faultPage(p, node, pg, write)
+	return r.fault(p, node, page, 1, write)
 }
 
-// faultPage runs the MRSW protocol for one remote-faulting page (the
-// caller has established the page is not satisfied for node).
-func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool) AccessResult {
+// fault runs the MRSW protocol for the k contiguous pages [pg, pg+k)
+// that node's access found unsatisfied. k = 1 is the paper's per-page
+// fault. k > 1 (Spec.BatchFaults, over pages the caller found in one
+// coherence state) models Popcorn-style request batching as one
+// transaction: one inline software path, one owner-side service of a
+// k-page request, one wire occupancy for the k-page payload, one
+// invalidation message per remote holder and one chaos draw. Only the
+// per-message fixed costs are paid once instead of k times: page-state
+// transitions and fault, invalidation and byte counts are those of k
+// per-page faults.
+//
+// The transaction yields wherever it advances virtual time, and other
+// procs may change the run's pages meanwhile. So the holders to
+// invalidate and each page's final state are read from the live page
+// state, never from a copy taken before a yield.
+func (r *Region) fault(p *simtime.Proc, node int, pg, k int64, write bool) AccessResult {
 	s := r.space
-	st := &r.pages[pg]
+	run := r.pages[pg : pg+k]
 	bit := uint16(1) << node
 
-	// Remote fault. Find the node to source the page from: the writer
-	// if one exists, otherwise any copy holder (lowest index), falling
-	// back to the home node.
-	owner := r.sourceNode(st)
+	// Find the node to source the data from: the writer if one exists,
+	// otherwise any copy holder (lowest index), falling back to the
+	// home node.
+	owner := r.sourceNode(&run[0])
 	start := p.Now()
 
 	// Chaos fault path: a fault into a link outage blocks until the
@@ -456,142 +437,53 @@ func (r *Region) faultPage(p *simtime.Proc, node int, pg int64, write bool) Acce
 		proto = proto.EffectiveAt(p.Now())
 	}
 
-	// Transfer the page data unless the requester already holds a valid
-	// read copy (a write upgrade revokes other copies but moves no
-	// data).
-	needsData := st.copyset&bit == 0
+	// Transfer the data unless the requester already holds valid read
+	// copies (a write upgrade revokes other copies but moves no data).
+	needsData := run[0].copyset&bit == 0
+	bytes := k * PageSize
 	if needsData {
-		cost := proto.PageFault(s.nodes[node], s.nodes[owner], PageSize, s.rng)
+		cost := proto.PageFault(s.nodes[node], s.nodes[owner], int(bytes), s.rng)
 		// Requester-side software path, paid inline.
 		p.Advance(cost.Inline)
 		// Owner's DSM worker pool services the request (queues under load).
 		s.handlers[owner].Use(p, proto.EffectiveOwnerService(cost.Owner))
-		// The wire carries the page.
+		// The wire carries the data.
 		s.wire.Use(p, cost.Wire)
-		s.stats[node].BytesIn += PageSize
+		s.stats[node].BytesIn += bytes
 	}
 
 	if write {
-		// Invalidate every other copy. The transfer source's copy is
-		// revoked by the transfer request itself; the remaining holders
-		// get explicit invalidation messages.
+		// Invalidate every other copy. The transfer source's copies are
+		// revoked by the transfer request itself; each remaining holder
+		// gets one explicit invalidation message for the whole run.
 		for other := range s.nodes {
 			if other == node {
 				continue
 			}
-			otherBit := uint16(1) << other
-			if st.copyset&otherBit == 0 && st.writer != int8(other) {
+			copies := held(run, other)
+			if copies == 0 {
 				continue
 			}
-			if needsData && other == owner {
-				r.noteInvalidation(other)
-				continue
+			if !needsData || other != owner {
+				inv := proto.ControlMessage(s.nodes[node], s.nodes[other])
+				p.Advance(inv.Inline)
+				s.handlers[other].Use(p, proto.EffectiveOwnerService(inv.Owner))
 			}
-			inv := proto.ControlMessage(s.nodes[node], s.nodes[other])
-			p.Advance(inv.Inline)
-			s.handlers[other].Use(p, proto.EffectiveOwnerService(inv.Owner))
-			r.noteInvalidation(other)
-		}
-		st.writer = int8(node)
-		st.copyset = bit
-		s.stats[node].WriteFaults++
-	} else {
-		// Downgrade a writer to a reader and replicate.
-		if st.writer != noWriter {
-			st.copyset |= uint16(1) << st.writer
-			st.writer = noWriter
-		}
-		st.copyset |= bit
-		s.stats[node].ReadFaults++
-	}
-
-	stall := p.Now() - start
-	s.stats[node].Stall += stall
-	if h := r.tel; h != nil {
-		if write {
-			h.writeFaults[node].Inc()
-		} else {
-			h.readFaults[node].Inc()
-		}
-		if needsData {
-			h.bytesIn[node].Add(PageSize)
-		}
-		h.stall[node].Observe(stall)
-	}
-	return AccessResult{Faults: 1, Stall: stall}
-}
-
-// accessRun services k contiguous pages starting at pg that all fault
-// in the identical coherence state st — one batched protocol
-// transaction modelling Popcorn-style request batching: the requester
-// pays one inline software path, the owner's worker pool services one
-// (k-page) request, and the wire is occupied for the full k-page
-// payload, so bytes moved are conserved while per-page software and
-// per-message control overheads are paid once per run. Page-state
-// transitions, fault counts, invalidation counts and bytes are
-// identical to k per-page faults; only the timing differs. Reached
-// only with Spec.BatchFaults enabled.
-func (r *Region) accessRun(p *simtime.Proc, node int, pg, k int64, write bool) AccessResult {
-	s := r.space
-	st := r.pages[pg] // representative state, identical across the run
-	bit := uint16(1) << node
-	owner := r.sourceNode(&st)
-	start := p.Now()
-
-	// Chaos is drawn once per transaction: a batched request is one
-	// message exchange, so it sees one outage/loss opportunity.
-	proto := s.proto
-	if ch := s.chaos; ch != nil {
-		if resume, retransmit, down := ch.OutageAt(p.Now()); down {
-			p.AdvanceTo(resume)
-			p.Advance(retransmit)
-		}
-		if penalty, lost := ch.FaultLoss(); lost {
-			p.Advance(penalty)
-		}
-		proto = proto.EffectiveAt(p.Now())
-	}
-
-	needsData := st.copyset&bit == 0
-	if needsData {
-		cost := proto.PageFault(s.nodes[node], s.nodes[owner], int(k)*PageSize, s.rng)
-		p.Advance(cost.Inline)
-		s.handlers[owner].Use(p, proto.EffectiveOwnerService(cost.Owner))
-		s.wire.Use(p, cost.Wire)
-		s.stats[node].BytesIn += k * PageSize
-	}
-
-	if write {
-		// One invalidation message per remote holder covers the whole
-		// run; each invalidates k copies.
-		for other := range s.nodes {
-			if other == node {
-				continue
+			s.stats[other].Invalidations += copies
+			if h := r.tel; h != nil {
+				h.invalidations[other].Add(copies)
 			}
-			otherBit := uint16(1) << other
-			if st.copyset&otherBit == 0 && st.writer != int8(other) {
-				continue
-			}
-			if needsData && other == owner {
-				r.noteInvalidations(other, k)
-				continue
-			}
-			inv := proto.ControlMessage(s.nodes[node], s.nodes[other])
-			p.Advance(inv.Inline)
-			s.handlers[other].Use(p, proto.EffectiveOwnerService(inv.Owner))
-			r.noteInvalidations(other, k)
 		}
-		for i := pg; i < pg+k; i++ {
-			r.pages[i] = pageState{writer: int8(node), copyset: bit}
+		for i := range run {
+			run[i] = pageState{writer: int8(node), copyset: bit}
 		}
 		s.stats[node].WriteFaults += k
 	} else {
-		newSet := st.copyset | bit
-		if st.writer != noWriter {
-			newSet |= uint16(1) << st.writer
-		}
-		for i := pg; i < pg+k; i++ {
-			r.pages[i] = pageState{writer: noWriter, copyset: newSet}
+		// Downgrade a writer to a reader and replicate. The writer's
+		// bit needs no branch: uint8(noWriter) is 255, and Go shifts a
+		// uint16 that far to 0.
+		for i, st := range run {
+			run[i] = pageState{writer: noWriter, copyset: st.copyset | bit | 1<<uint8(st.writer)}
 		}
 		s.stats[node].ReadFaults += k
 	}
@@ -605,29 +497,22 @@ func (r *Region) accessRun(p *simtime.Proc, node int, pg, k int64, write bool) A
 			h.readFaults[node].Add(k)
 		}
 		if needsData {
-			h.bytesIn[node].Add(k * PageSize)
+			h.bytesIn[node].Add(bytes)
 		}
 		h.stall[node].Observe(stall)
 	}
 	return AccessResult{Faults: k, Stall: stall}
 }
 
-// noteInvalidation bumps both the NodeStats counter and its telemetry
-// mirror for one invalidated copy at node.
-func (r *Region) noteInvalidation(node int) {
-	r.space.stats[node].Invalidations++
-	if h := r.tel; h != nil {
-		h.invalidations[node].Inc()
+// held counts the pages of run that node holds a copy of.
+func held(run []pageState, node int) int64 {
+	var n int64
+	for _, st := range run {
+		if st.writer == int8(node) || st.copyset&(1<<node) != 0 {
+			n++
+		}
 	}
-}
-
-// noteInvalidations records k copies invalidated at node by one batched
-// write transaction.
-func (r *Region) noteInvalidations(node int, k int64) {
-	r.space.stats[node].Invalidations += k
-	if h := r.tel; h != nil {
-		h.invalidations[node].Add(k)
-	}
+	return n
 }
 
 // sourceNode picks the node currently holding a valid copy.

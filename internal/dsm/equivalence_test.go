@@ -14,14 +14,24 @@ import (
 )
 
 // The equivalence regression suite pins the run-length-scan access
-// path to the original strictly-per-page protocol: with BatchFaults
-// off, Region.Access and Region.AccessPages must be bit-identical —
-// same AccessResult totals, same page states, same NodeStats, same
-// engine MaxNow — to a reference that replays the trace one
-// AccessPage at a time, across randomized traces and every chaos
-// profile. With BatchFaults on, the protocol *state* outcomes (page
-// ownership, fault counts, invalidations, bytes moved) must still be
-// identical; only the timing is allowed to differ.
+// path to the strictly-per-page protocol: with BatchFaults off,
+// Region.Access and Region.AccessPages must be bit-identical — same
+// AccessResult totals, same page states, same NodeStats, same engine
+// MaxNow — to a reference that replays the trace one AccessPage at a
+// time, across randomized traces and every chaos profile. With
+// BatchFaults on, the protocol *state* outcomes (page ownership, fault
+// counts, invalidations, bytes moved) must still be identical; only
+// the timing is allowed to differ.
+//
+// Both paths run the one fault transaction (a per-page fault is its
+// k = 1 run), so the state equivalence holds by construction. It is
+// checked here with a single proc (replaySequential), which fixes the
+// access order whatever the transactions cost; with concurrent procs
+// the batched timing changes the interleaving and so the outcome. What
+// concurrency must not break is that a fault builds page state from
+// the live state after its yields: TestConcurrentFaultReadsLiveState
+// pins that, and FuzzDSMTrace checks the invariants of concurrent
+// batched replays.
 
 // traceOp is one access by one node's proc.
 type traceOp struct {
@@ -298,4 +308,106 @@ func TestBatchPathStateEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// fuzzPages and fuzzOps bound a fuzz trace: two nodes (the paper
+// platform's), the region's first eight pages and 24 ops.
+const (
+	fuzzPages = 8
+	fuzzOps   = 24
+)
+
+// fuzzTrace decodes fuzz bytes into a trace. The first byte picks the
+// chaos variant. Each op is then a header byte — bit 0 the node, bit 1
+// write, bit 2 gather, bits 3–7 a delay of 0–31 µs — and a shape byte:
+// a contiguous Access covers pages first = shape&7 onward, 1 +
+// (shape>>3) % (8-first) of them; a gather takes 1 + shape&7 index
+// bytes (each mod 8) after it.
+func fuzzTrace(data []byte) (trace [][]traceOp, profile string) {
+	trace = make([][]traceOp, 2)
+	if len(data) == 0 {
+		return trace, ""
+	}
+	variants := chaosVariants()
+	profile, data = variants[int(data[0])%len(variants)], data[1:]
+	for ops := 0; ops < fuzzOps && len(data) >= 2; ops++ {
+		head, shape := data[0], data[1]
+		data = data[2:]
+		op := traceOp{write: head&2 != 0, delay: time.Duration(head>>3) * time.Microsecond}
+		if head&4 == 0 {
+			first := int64(shape & 7)
+			op.off = first * dsm.PageSize
+			op.len = (1 + int64(shape>>3)%(fuzzPages-first)) * dsm.PageSize
+		} else {
+			op.kind = 1
+			count := 1 + int(shape&7)
+			if len(data) < count {
+				break
+			}
+			for _, b := range data[:count] {
+				op.pages = append(op.pages, int64(b)%fuzzPages)
+			}
+			data = data[count:]
+		}
+		trace[head&1] = append(trace[head&1], op)
+	}
+	return trace, profile
+}
+
+// encodeFuzzTrace is fuzzTrace's inverse for seeding the corpus: it
+// folds a trace's pages into the first eight, clamps delays to 31 µs
+// and gathers to eight indices, and interleaves the nodes' ops.
+func encodeFuzzTrace(trace [][]traceOp, variant byte) []byte {
+	data := []byte{variant}
+	for i := 0; len(data) < 1+2*fuzzOps; i++ {
+		more := false
+		for n, ops := range trace {
+			if i >= len(ops) {
+				continue
+			}
+			more = true
+			op := ops[i]
+			head := byte(n) | byte(min64(int64(op.delay/time.Microsecond), 31))<<3
+			if op.write {
+				head |= 2
+			}
+			if op.kind == 0 {
+				first := op.off / dsm.PageSize % fuzzPages
+				span := (op.off+op.len-1)/dsm.PageSize - op.off/dsm.PageSize
+				data = append(data, head, byte(first)|byte(span%(fuzzPages-first))<<3)
+				continue
+			}
+			pages := op.pages[:min64(int64(len(op.pages)), fuzzPages)]
+			data = append(data, head|4, byte(len(pages)-1))
+			for _, pg := range pages {
+				data = append(data, byte(pg%fuzzPages))
+			}
+		}
+		if !more {
+			break
+		}
+	}
+	return data
+}
+
+func FuzzDSMTrace(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(encodeFuzzTrace(genTrace(seed, 2, 12), byte(seed)))
+	}
+	// TestConcurrentFaultReadsLiveState's shape on two nodes: node 1
+	// writes all eight pages while node 0 reads page 3 a moment later.
+	f.Add([]byte{0, 0b011, 7 << 3, 1 << 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		trace, profile := fuzzTrace(data)
+		want := replay(t, trace, modeReference, false, profile, 1)
+		got := replay(t, trace, modeScan, false, profile, 1)
+		assertBitIdentical(t, "scan vs per-page", got, want)
+
+		want = replaySequential(t, trace, modeReference, false, profile, 1)
+		got = replaySequential(t, trace, modeScan, true, profile, 1)
+		assertStateEqual(t, "batch vs per-page", got, want)
+
+		// replayWith fails the test if the invariants do not hold.
+		replay(t, trace, modeScan, true, profile, 1)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hetmp/internal/interconnect"
 	"hetmp/internal/machine"
@@ -125,5 +126,58 @@ func TestThreeNodeSourceSelection(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A fault transaction yields while it waits on the owner and the wire,
+// and another node's write may complete in that window. The fault must
+// then build the page's final state from the live state, not from a
+// copy taken when it started: node 1's read of page 3 starts while
+// node 0's write of pages 0–7 is in flight and finishes after it, so
+// the page must end shared by the writer and the reader, with home
+// node 2's copy (invalidated by the write) gone. The per-page control
+// runs the same accesses as eight write faults, which end after the
+// read; page 3 then ends exclusive at node 0.
+func TestConcurrentFaultReadsLiveState(t *testing.T) {
+	for _, batch := range []bool{true, false} {
+		name := "per-page"
+		if batch {
+			name = "batched"
+		}
+		t.Run(name, func(t *testing.T) {
+			proto := interconnect.RDMA56()
+			proto.BatchFaults = batch
+			s, err := NewSpace(threeNodes(), proto, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.Alloc("live", 8*PageSize, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := simtime.NewEngine(1)
+			var wrote, read time.Duration
+			e.Go("writer", 0, func(p *simtime.Proc) {
+				r.Access(p, 0, 0, 8*PageSize, true)
+				wrote = p.Now()
+			})
+			e.Go("reader", time.Nanosecond, func(p *simtime.Proc) {
+				r.Access(p, 1, 3*PageSize, 8, false)
+				read = p.Now()
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if batch && read <= wrote {
+				t.Fatalf("read finished at %v, not after the write (%v): the scenario lost its overlap", read, wrote)
+			}
+			w, cs := r.PageOwner(3)
+			if cs&(1<<0) == 0 || cs&(1<<2) != 0 {
+				t.Errorf("page 3: writer=%d copyset=%03b, want node 0 in the copyset and node 2 out", w, cs)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
