@@ -51,10 +51,12 @@ func main() {
 
 // inProcessOnly are the flags that configure the in-process server or
 // how hetload drives it. A remote hetserve is configured on the daemon,
-// so -connect rejects them rather than ignore them.
+// so -connect rejects them rather than ignore them. -chaos-profile is
+// one of them too unless -chaos-slo is set: then it only picks the
+// budget table.
 var inProcessOnly = []string{
 	"verify-determinism", "cache-dir", "queue-depth", "max-inflight",
-	"tenant-budget", "weights", "no-preload", "nodes",
+	"tenant-budget", "weights", "no-preload", "nodes", "churn",
 }
 
 func run(args []string) error {
@@ -92,7 +94,7 @@ func run(args []string) error {
 	if *connect != "" {
 		var ignored []string
 		fs.Visit(func(f *flag.Flag) {
-			if slices.Contains(inProcessOnly, f.Name) {
+			if slices.Contains(inProcessOnly, f.Name) || f.Name == "chaos-profile" && !*chaosSLO {
 				ignored = append(ignored, "-"+f.Name)
 			}
 		})

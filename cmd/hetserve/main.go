@@ -3,10 +3,11 @@
 // submit parallel-region jobs (hetload's -connect mode, or any
 // rpc.Client speaking the hetmp.submit task); the server applies
 // admission control, weighted fair queueing with quotas, and shares
-// one probe/decision cache across every tenant. -nodes turns on the
-// elastic-membership layer; nodes can then be added, removed,
-// cordoned and uncordoned on the live daemon over rpc (the
-// hetmp.node-* tasks). SIGINT drains gracefully, persists the cache
+// one probe/decision cache across every tenant. hetmp.submit is the
+// one task on the wire: its request carries one gob-encoded
+// server.Spec and its reply one gob-encoded server.Result. -nodes
+// turns on the elastic-membership layer, with jobs chunked across the
+// named nodes. SIGINT drains gracefully, persists the cache
 // (when -cache-dir is set) and exits; a second SIGINT during the
 // drain forces an immediate stop — partial-stats dump to stderr and
 // a non-zero exit.

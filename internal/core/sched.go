@@ -108,6 +108,9 @@ func newStaticDispatch(t *team, base, n int, csr map[int]float64) *staticDispatc
 	}
 	d := &staticDispatch{spans: make([]span, t.total)}
 	if n <= 0 || totalW == 0 {
+		for i := range d.spans {
+			d.spans[i] = span{lo: base, hi: base}
+		}
 		return d
 	}
 	// Largest-remainder apportionment: deterministic, exact.

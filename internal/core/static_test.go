@@ -133,6 +133,10 @@ func TestStaticPartitionProperty(t *testing.T) {
 		}
 		return prev == base+n
 	}
+	// An empty region (n = 0) once drew {0, 0} spans, not spans at base.
+	if !prop(1029640755153539415) {
+		t.Fatal("seed 1029640755153539415: spans do not tile [base, base+n)")
+	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,7 @@ import (
 // invocation count), never of the lane that serves it or when, so churn
 // moves no virtual time.
 
-// Typed membership errors. Carried over rpc as err_kind metadata so
-// remote callers can match with errors.Is.
+// Typed membership errors, for callers to match with errors.Is.
 var (
 	// ErrUnknownNode rejects operations on a node the membership has
 	// never seen (or has fully removed).

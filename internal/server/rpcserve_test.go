@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,8 +14,9 @@ import (
 )
 
 // Full daemon round-trip: a RegionServer bound to an rpc.Server,
-// driven by rpc.Clients — submissions succeed, stats decode, drain
-// works, and the draining and stopped rejections survive the wire typed.
+// driven by rpc.Clients — submissions succeed and their Results come
+// back whole, and after an in-process drain and close the draining and
+// stopped rejections survive the wire typed.
 func TestRPCBindingRoundTrip(t *testing.T) {
 	rs := New(Config{MaxInFlight: 2, QueueDepth: 8, Executor: &fakeExec{}})
 	srv := &rpc.Server{Name: "hetserve-test"}
@@ -46,9 +50,6 @@ func TestRPCBindingRoundTrip(t *testing.T) {
 	if res.Chunks != 1 || res.Rehomed != 0 {
 		t.Fatalf("result = %+v, want the one whole-job chunk, not rehomed", res)
 	}
-	if rt := resultFromMeta("t", "r", resultToMeta(Result{Chunks: 3, Rehomed: 2})); rt.Chunks != 3 || rt.Rehomed != 2 {
-		t.Fatalf("wire round trip = %+v, want Chunks 3 Rehomed 2", rt)
-	}
 	// Second submission of the same signature is warm (fakeExec).
 	res2, err := SubmitRemote(c, Spec{Tenant: "bob", Region: "r"}, 10*time.Second)
 	if err != nil {
@@ -58,17 +59,11 @@ func TestRPCBindingRoundTrip(t *testing.T) {
 		t.Fatalf("second submission = %+v, want warm cross-tenant", res2)
 	}
 
-	st, err := StatsRemote(c, 5*time.Second)
-	if err != nil {
-		t.Fatalf("StatsRemote: %v", err)
-	}
-	if st.Completed != 2 || st.Tenants["alice"].Completed != 1 {
-		t.Fatalf("remote stats = %+v, want 2 completed", st)
+	if st := rs.Stats(); st.Completed != 2 || st.Tenants["alice"].Completed != 1 {
+		t.Fatalf("stats = %+v, want 2 completed", st)
 	}
 
-	if err := DrainRemote(c, 5*time.Second); err != nil {
-		t.Fatalf("DrainRemote: %v", err)
-	}
+	rs.Drain()
 	if _, err := SubmitRemote(c, Spec{Tenant: "alice", Region: "r"}, 5*time.Second); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain = %v, want ErrDraining", err)
 	}
@@ -190,122 +185,6 @@ func TestRPCBadSpecTyped(t *testing.T) {
 	}
 }
 
-// Membership control plane over the wire: add/remove/cordon/uncordon
-// work on a live daemon, and every typed refusal (ErrNodeExists,
-// ErrUnknownNode, ErrLastNode, ErrNodeDraining) survives the rpc
-// round-trip via its err_kind tag.
-func TestRPCMembershipOps(t *testing.T) {
-	fx := newFakeChunkExec()
-	fx.block = make(chan struct{})
-	rs := New(Config{MaxInFlight: 4, QueueDepth: 16, Executor: fx,
-		Members: []Member{{Name: "n0", Class: "xeon", Weight: 1}, {Name: "n1", Class: "thunderx", Weight: 1}}})
-	defer rs.Close()
-	srv := &rpc.Server{Name: "hetserve-members"}
-	if err := Bind(srv, rs); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	defer func() {
-		srv.Close()
-		<-served
-	}()
-	c, err := rpc.DialClient(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := AddNodeRemote(c, Member{Name: "n2", Class: "thunderx", Weight: 2}, 5*time.Second); err != nil {
-		t.Fatalf("AddNodeRemote: %v", err)
-	}
-	if r, err := SubmitRemote(c, Spec{Tenant: "a", Region: "probe"}, 5*time.Second); err != nil || r.Chunks < 1 {
-		t.Fatalf("SubmitRemote on a 3-member server = %+v / %v, want Chunks >= 1", r, err)
-	}
-	if err := AddNodeRemote(c, Member{Name: "n2", Class: "thunderx"}, 5*time.Second); !errors.Is(err, ErrNodeExists) {
-		t.Fatalf("duplicate add = %v, want ErrNodeExists", err)
-	}
-	// A non-finite weight on the wire is refused before it can reach
-	// the apportioning.
-	for _, w := range []string{"NaN", "+Inf"} {
-		meta := map[string]string{"node": "n3", "class": "xeon", "weight": w}
-		if _, _, err := c.CallMeta(TaskNodeAdd, 0, 0, 0, meta, 5*time.Second); err == nil {
-			t.Fatalf("node-add with weight %s accepted", w)
-		}
-	}
-	if err := RemoveNodeRemote(c, "ghost", 5*time.Second); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("remove unknown = %v, want ErrUnknownNode", err)
-	}
-	if err := CordonNodeRemote(c, "n1", 5*time.Second); err != nil {
-		t.Fatalf("CordonNodeRemote: %v", err)
-	}
-	if err := UncordonNodeRemote(c, "n1", 5*time.Second); err != nil {
-		t.Fatalf("UncordonNodeRemote: %v", err)
-	}
-
-	// Park a chunk in flight on every node so a removal has to drain —
-	// the second removal of the same node must be a typed
-	// ErrNodeDraining, not a silent dup.
-	var chans []<-chan Result
-	for i := 0; i < 3; i++ {
-		ch, err := rs.SubmitAsync(Spec{Tenant: "a", Region: "r", Invocations: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
-	}
-	// Every worker blocks inside its first chunk, so once three chunk
-	// calls have started all three nodes are busy — n2's drain cannot
-	// finish until the block lifts.
-	waitFor(t, func() bool {
-		fx.mu.Lock()
-		defer fx.mu.Unlock()
-		return fx.chunkCalls >= 3
-	}, "all three node workers to block in a chunk")
-	if err := RemoveNodeRemote(c, "n2", 5*time.Second); err != nil {
-		t.Fatalf("RemoveNodeRemote: %v", err)
-	}
-	if err := RemoveNodeRemote(c, "n2", 5*time.Second); !errors.Is(err, ErrNodeDraining) {
-		t.Fatalf("remove during drain = %v, want ErrNodeDraining", err)
-	}
-	close(fx.block)
-	for _, ch := range chans {
-		if r := <-ch; r.Err != nil {
-			t.Fatalf("job failed: %v", r.Err)
-		}
-	}
-
-	// Drain the survivors down to one: removing the last serving node
-	// must refuse with a typed ErrLastNode.
-	if err := RemoveNodeRemote(c, "n1", 5*time.Second); err != nil {
-		t.Fatalf("remove n1: %v", err)
-	}
-	if err := RemoveNodeRemote(c, "n0", 5*time.Second); !errors.Is(err, ErrLastNode) {
-		t.Fatalf("remove last node = %v, want ErrLastNode", err)
-	}
-	if err := CordonNodeRemote(c, "n0", 5*time.Second); !errors.Is(err, ErrLastNode) {
-		t.Fatalf("cordon last node = %v, want ErrLastNode", err)
-	}
-
-	st, err := StatsRemote(c, 5*time.Second)
-	if err != nil {
-		t.Fatalf("StatsRemote: %v", err)
-	}
-	if st.Membership == nil {
-		t.Fatal("membership stats did not survive the stats round-trip")
-	}
-	if st.Membership.LostIterations != 0 {
-		t.Fatalf("lost %d iterations, want 0", st.Membership.LostIterations)
-	}
-	if _, ok := st.Membership.Nodes["n0"]; !ok {
-		t.Fatalf("membership nodes missing n0: %+v", st.Membership.Nodes)
-	}
-}
-
 func waitInFlight(t *testing.T, rs *RegionServer, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -316,4 +195,89 @@ func waitInFlight(t *testing.T, rs *RegionServer, want int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("in-flight never reached %d", want)
+}
+
+// FuzzSubmitBody sends arbitrary bytes as the submit body, the one
+// place the daemon decodes a client's bytes. The handler must never
+// panic or hang, and every body must end one of three ways: it fails
+// to decode (exactly when it does not decode as a Spec here either),
+// it is refused — typed ErrBadSpec exactly when the spec is over the
+// admission ceilings, untyped when it lacks a tenant or region — or it
+// completes with a Result for the same tenant and region.
+//
+//	go test -run '^$' -fuzz FuzzSubmitBody -fuzztime 10s -parallel 2 ./internal/server/
+func FuzzSubmitBody(f *testing.F) {
+	encode := func(sp Spec) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(sp); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid := encode(Spec{Tenant: "alice", Region: "r", Iterations: 64, Invocations: 2, OpsPerByte: 8, Pages: 4, Priority: 1})
+	f.Add(valid)
+	for _, sp := range []Spec{
+		{OpsPerByte: math.NaN()},
+		{OpsPerByte: math.Inf(1)},
+		{OpsPerByte: 1e300},
+		{Iterations: math.MaxInt32, Invocations: math.MaxInt32},
+	} {
+		sp.Tenant, sp.Region = "mallory", "r"
+		f.Add(encode(sp))
+	}
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)/2])
+
+	rs := New(Config{MaxInFlight: 2, QueueDepth: 8, Executor: &fakeExec{}})
+	srv := &rpc.Server{Name: "hetserve-fuzz"}
+	if err := Bind(srv, rs); err != nil {
+		f.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	c, err := rpc.DialClient(ln.Addr().String())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		c.Close()
+		srv.Close()
+		<-served
+		rs.Close()
+	})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var sp Spec
+		decodeErr := gob.NewDecoder(bytes.NewReader(body)).Decode(&sp)
+		_, meta, err := c.CallMeta(TaskSubmit, 0, 0, 0, map[string]string{specKey: string(body)}, 10*time.Second)
+		switch {
+		case decodeErr != nil:
+			if err == nil || !strings.Contains(err.Error(), "submit decode") {
+				t.Fatalf("body that does not decode (%v): got %v, want a decode error", decodeErr, err)
+			}
+		case sp.Tenant == "" || sp.Region == "":
+			if err == nil || meta[errKindKey] != "" {
+				t.Fatalf("spec %+v without tenant or region: got %v / %v, want an untyped refusal", sp, err, meta)
+			}
+		case sp.withDefaults().check() != nil:
+			if meta[errKindKey] != "bad_spec" {
+				t.Fatalf("spec %+v over the ceilings: got %v / %v, want bad_spec", sp, err, meta)
+			}
+		default:
+			if err != nil {
+				t.Fatalf("spec %+v: got %v, want it to complete", sp, err)
+			}
+			var res Result
+			if err := gob.NewDecoder(strings.NewReader(meta[resultKey])).Decode(&res); err != nil {
+				t.Fatalf("spec %+v: result decode: %v", sp, err)
+			}
+			if res.Tenant != sp.Tenant || res.Region != sp.Region || res.Sig != sp.Sig() {
+				t.Fatalf("spec %+v: result %+v for another job", sp, res)
+			}
+		}
+	})
 }
