@@ -54,6 +54,27 @@ check: tier1 vet lint race
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' .
 
+# Every fuzz target for $(FUZZTIME) each, from this one list of
+# package:Target pairs. Foreground, ~90 s.
+FUZZ_TARGETS = \
+	internal/core:FuzzAdoptStoredDecision \
+	internal/dsm:FuzzDSMTrace \
+	internal/kernels:FuzzNearestCenter \
+	internal/rpc:FuzzServerConn \
+	internal/server:FuzzDispatchCore \
+	internal/server:FuzzParseChurn \
+	internal/server:FuzzParseMembers \
+	internal/server:FuzzParseWeights \
+	internal/server:FuzzSubmitBody
+FUZZTIME ?= 10s
+
+.PHONY: fuzz
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) ./$${t%%:*}/; \
+	done
+
 # Regenerate the full evaluation output (not checked in — takes
 # minutes; see EXPERIMENTS.md for the committed summary).
 results:

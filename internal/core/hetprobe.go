@@ -44,14 +44,14 @@ func (d *probeDispatch) runWorker(e cluster.Env, w workerID, t *team, r *regionR
 // runHetProbe implements the HetProbe scheduler for one region
 // invocation: probe (unless the cached decision is mature), decide,
 // then distribute the remaining iterations.
-func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, red *reduceRun) {
+func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	rt := a.rt
 
 	// With a designated probing region, every other region adopts its
 	// decision instead of probing itself.
 	if rt.opts.ProbeRegionID != "" && regionID != rt.opts.ProbeRegionID {
 		if main, ok := rt.cache.get(rt.opts.ProbeRegionID); ok && main.invocations > 0 {
-			a.execDecision(main.decision, spec, 0, n, body, red, false)
+			a.execDecision(main.decision, 0, n, body, red, false)
 			return
 		}
 		// The probing region has not run yet: distribute across all
@@ -76,7 +76,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	// probing (Section 3.1's probe cache).
 	if ent.invocations >= rt.opts.ProbeMaxInvocations {
 		rt.logf("hetprobe %s: cached decision %s", regionID, ent.decision)
-		a.execDecision(ent.decision, spec, 0, n, body, red, false)
+		a.execDecision(ent.decision, 0, n, body, red, false)
 		return
 	}
 
@@ -129,7 +129,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	}
 	ent.featInstr += stats.instr
 	ent.featAccesses += stats.accesses
-	ent.decision = rt.decide(ent, spec)
+	ent.decision = rt.decide(ent)
 	ent.invocations++
 	rt.probes++
 	rt.probeCtr.Inc()
@@ -146,7 +146,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 	// artificially cache-warm). The paper gets the same effect from
 	// region-wide offline counter collection.
 	if n > probeIters {
-		rem := a.runRemainder(regionID, ent, spec, probeIters, n, body, red)
+		rem := a.runRemainder(regionID, ent, probeIters, n, body, red)
 		if red != nil {
 			red.out = red.combine(probePartial, red.out)
 		}
@@ -162,7 +162,7 @@ func (a *App) runHetProbe(regionID string, n int, spec HetProbeSpec, body Body, 
 			ent.replaceMissPerK(combined, ewmaAlpha)
 			// Re-derive the decision from the refined metric so the
 			// next invocation (and the cached decision) see it.
-			ent.decision = rt.decide(ent, spec)
+			ent.decision = rt.decide(ent)
 		}
 		ent.cumTime += remTime
 	} else if red != nil {
@@ -303,8 +303,8 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 // decide answers the scheduler's three questions (Section 3.2): use
 // multiple nodes? with what split? or which single node? Nodes the
 // ReDecide monitor has condemned for this region stay excluded.
-func (rt *Runtime) decide(ent *probeEntry, spec HetProbeSpec) Decision {
-	return rt.decideWith(ent, spec, ent.suspects)
+func (rt *Runtime) decide(ent *probeEntry) Decision {
+	return rt.decideWith(ent, ent.suspects)
 }
 
 // decideWith is decide with a suspect set: excluded nodes (stragglers
@@ -313,7 +313,7 @@ func (rt *Runtime) decide(ent *probeEntry, spec HetProbeSpec) Decision {
 // exclusion empties the remote set the fallback is forced to the
 // origin node — Q3's cache heuristics could otherwise pick one of the
 // very nodes the monitor just condemned.
-func (rt *Runtime) decideWith(ent *probeEntry, spec HetProbeSpec, exclude map[int]bool) Decision {
+func (rt *Runtime) decideWith(ent *probeEntry, exclude map[int]bool) Decision {
 	d := Decision{
 		FaultPeriod:    ent.faultPeriod,
 		MissesPerKinst: ent.missPerK,
@@ -366,10 +366,6 @@ func (rt *Runtime) decideWith(ent *probeEntry, spec HetProbeSpec, exclude map[in
 		d.Node = origin
 		return d
 	}
-	if spec.ForceNode >= 0 {
-		d.Node = spec.ForceNode
-		return d
-	}
 	if ent.missPerK > MissThreshold {
 		d.Node = bigCacheNode(rt)
 	} else {
@@ -411,7 +407,7 @@ func manyCoreNode(rt *Runtime) int {
 // scheduler). Threads on unused nodes belong to a different team and
 // stay parked, mirroring libHetMP joining them. With measure set it
 // collects and returns per-worker counters.
-func (a *App) execDecision(d Decision, spec HetProbeSpec, base, n int, body Body, red *reduceRun, measure bool) []measurement {
+func (a *App) execDecision(d Decision, base, n int, body Body, red *reduceRun, measure bool) []measurement {
 	rt := a.rt
 	var t *team
 	var csr map[int]float64
@@ -423,11 +419,7 @@ func (a *App) execDecision(d Decision, spec HetProbeSpec, base, n int, body Body
 		t = rt.teamFor(a.env, nodes)
 		csr = d.CSR
 	} else {
-		node := d.Node
-		if spec.ForceNode >= 0 {
-			node = spec.ForceNode
-		}
-		t = rt.teamFor(a.env, []int{node})
+		t = rt.teamFor(a.env, []int{d.Node})
 	}
 	var subRed *reduceRun
 	if red != nil {

@@ -133,30 +133,6 @@ func TestHetProbeChoosesThunderXForLowMissCommHeavy(t *testing.T) {
 	}
 }
 
-func TestHetProbeForceNode(t *testing.T) {
-	rt := newSimRuntime(t, Options{})
-	const n = 3200
-	var r *cluster.Region
-	err := rt.Run(func(a *App) {
-		r = a.Alloc("hot", 4*page)
-		spec := HetProbeSchedule()
-		spec.ForceNode = 0
-		a.ParallelFor("forced", n, spec, func(e cluster.Env, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.Store(r, int64(i%4)*page, 8)
-			}
-			e.Compute(float64(hi-lo)*2000, 0)
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := rt.Decision("forced")
-	if d.CrossNode || d.Node != 0 {
-		t.Errorf("ForceNode=0 not honored: %s", d)
-	}
-}
-
 func TestHetProbeCoversAllIterations(t *testing.T) {
 	for _, name := range []string{"cross", "single"} {
 		rt := newSimRuntime(t, Options{})
@@ -393,7 +369,7 @@ func TestDecisionCSRSlowestNodeIsOne(t *testing.T) {
 			1: 250 * time.Nanosecond,
 		},
 	}
-	d := rt.decideWith(ent, HetProbeSpec{ForceNode: -1}, nil)
+	d := rt.decideWith(ent, nil)
 	if !d.CrossNode {
 		t.Fatalf("fault-free region should go cross-node, got %+v", d)
 	}

@@ -42,7 +42,7 @@ const monitorWindows = 4
 // without them — down to the origin node alone, the paper's homogeneous
 // fallback — for the windows that remain. Every iteration is dispatched
 // exactly once, so reduction accounting is preserved.
-func (a *App) runRemainder(regionID string, ent *probeEntry, spec HetProbeSpec, base, n int, body Body, red *reduceRun) []measurement {
+func (a *App) runRemainder(regionID string, ent *probeEntry, base, n int, body Body, red *reduceRun) []measurement {
 	rt := a.rt
 	windows := 1
 	if rt.opts.ReDecide && n-base >= 2*monitorWindows {
@@ -52,7 +52,7 @@ func (a *App) runRemainder(regionID string, ent *probeEntry, spec HetProbeSpec, 
 	var acc any
 	for w := range windows {
 		lo, hi := base+(n-base)*w/windows, base+(n-base)*(w+1)/windows
-		ms := a.execDecision(ent.decision, spec, lo, hi, body, red, true)
+		ms := a.execDecision(ent.decision, lo, hi, body, red, true)
 		all = append(all, ms...)
 		if red != nil {
 			if w > 0 {
@@ -73,7 +73,7 @@ func (a *App) runRemainder(regionID string, ent *probeEntry, spec HetProbeSpec, 
 			ent.suspects = map[int]bool{}
 		}
 		maps.Copy(ent.suspects, breached)
-		ent.decision = rt.decide(ent, spec)
+		ent.decision = rt.decide(ent)
 		rt.reDecisions++
 		rt.redecideCtr.Inc()
 		rt.logf("hetprobe %s: watermark breach on nodes %v (factor %.1f), re-decision (suspects %v): %s",

@@ -233,11 +233,10 @@ func TestDecideWithExclusionFallsBackToOrigin(t *testing.T) {
 		// Low miss rate: Q3 would pick the many-core (remote) node.
 		missPerK: 0,
 	}
-	spec := HetProbeSpec{ForceNode: -1}
-	if d := rt.decideWith(ent, spec, nil); !d.CrossNode {
+	if d := rt.decideWith(ent, nil); !d.CrossNode {
 		t.Fatalf("without exclusions the decision should be cross-node, got %+v", d)
 	}
-	d := rt.decideWith(ent, spec, map[int]bool{1: true})
+	d := rt.decideWith(ent, map[int]bool{1: true})
 	if d.CrossNode {
 		t.Fatalf("excluding the only remote must collapse to single-node, got %+v", d)
 	}

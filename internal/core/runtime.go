@@ -387,7 +387,7 @@ func (a *App) parallel(regionID string, n int, sched Schedule, body Body, red *r
 			sched: newDynDispatch(rt, t, n, s.Chunk)}
 		t.dispatch(a.env, desc)
 	case HetProbeSpec:
-		a.runHetProbe(regionID, n, s, body, red)
+		a.runHetProbe(regionID, n, body, red)
 	default:
 		panic(fmt.Sprintf("core: unknown schedule %T", sched))
 	}

@@ -62,18 +62,14 @@ func DynamicSchedule(chunk int) DynamicSpec { return DynamicSpec{Chunk: chunk} }
 // DSM fault period and cache misses, then either distribute the
 // remainder by measured core speed ratio or collapse onto the best
 // single node (Section 3.2).
-type HetProbeSpec struct {
-	// ForceNode, when >= 0, overrides single-node selection (the
-	// paper's "HetProbe (force Xeon)" comparison configuration).
-	ForceNode int
-}
+type HetProbeSpec struct{}
 
 // Name implements Schedule.
 func (HetProbeSpec) Name() string { return "hetprobe" }
 func (HetProbeSpec) isSchedule()  {}
 
 // HetProbeSchedule returns the HetProbe schedule.
-func HetProbeSchedule() HetProbeSpec { return HetProbeSpec{ForceNode: -1} }
+func HetProbeSchedule() HetProbeSpec { return HetProbeSpec{} }
 
 // span is a contiguous iteration range.
 type span struct{ lo, hi int }

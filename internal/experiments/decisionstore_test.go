@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -159,5 +162,72 @@ func TestRejectedStoreSaysWhy(t *testing.T) {
 	}
 	if got := warned.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "schema version 1, want 2") {
 		t.Errorf("two runs over one schema-1 file warned %q, want one line naming the two versions", got)
+	}
+}
+
+// TestRunSimulatesEveryCall: Suite.Run is not memoized — hetmprun and
+// the benchmark harness time one simulation per call — so a second Run
+// of the same cell on a suite with a store adopts what the first one
+// saved instead of repeating its result.
+func TestRunSimulatesEveryCall(t *testing.T) {
+	proto := interconnect.RDMA56()
+	s := Quick()
+	s.DecisionStore = t.TempDir()
+	first, err := s.Run("EP-C", CfgHetProbe, proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Run("EP-C", CfgHetProbe, proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Probes == 0 || second.Predictions == 0 || second.Probes != 0 {
+		t.Errorf("two Runs of EP-C: first probed %d times, second adopted %d regions and probed %d times; want the second to adopt what the first probed",
+			first.Probes, second.Predictions, second.Probes)
+	}
+}
+
+// TestEmptyStoreFigure6EqualsGolden: a report over an empty store is
+// the storeless report, at any Parallel. Every report cell is one run,
+// so no HetProbe run adopts what another run of its own cell saved.
+func TestEmptyStoreFigure6EqualsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden report is exact on amd64; not byte-comparing on GOARCH=%s", runtime.GOARCH)
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden Report
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(golden.Fig6, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+		s := Quick()
+		s.Parallel = par
+		s.DecisionStore = t.TempDir()
+		rep, err := s.Report("fig6", io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent(rep.Fig6, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, want) {
+			continue
+		}
+		for i, row := range rep.Fig6.Rows {
+			for _, cfg := range Configs {
+				if g, w := row.Times[cfg], golden.Fig6.Rows[i].Times[cfg]; g != w {
+					t.Errorf("Parallel %d: %s under %s took %v over an empty store, %v in %s", par, row.Benchmark, cfg, g, w, goldenPath)
+				}
+			}
+		}
+		t.Errorf("Parallel %d: fig6 over an empty store differs from the storeless fig6 in %s", par, goldenPath)
 	}
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"io"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,11 +46,11 @@ func TestHetProbeMakesThePaperDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bench := range kernels.PaperOrder {
-		decs, err := s.hetProbeDecisions(bench, proto)
+		res, err := s.cell(bench, CfgHetProbe, proto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, d, ok := mainDecision(decs)
+		_, d, ok := mainDecision(res.Decisions)
 		if !ok {
 			t.Fatalf("%s: no decision", bench)
 		}
@@ -208,6 +211,29 @@ func TestAblations(t *testing.T) {
 	}
 	if settle[0].Faults >= settle[1].Faults {
 		t.Errorf("deterministic probing (%d faults) not below rotated (%d)", settle[0].Faults, settle[1].Faults)
+	}
+}
+
+// TestChaosReachesEveryRun: a chaos profile reaches Figure 9 and the
+// ablations as it reaches the Figure 6 grid, because every run the
+// suite simulates goes through one runner.
+func TestChaosReachesEveryRun(t *testing.T) {
+	_, clean := quickReport(t)
+	s := Quick()
+	s.Parallel = runtime.GOMAXPROCS(0)
+	s.ChaosProfile, s.ChaosSeed = "dsm-loss", 1
+	rep, err := s.Report("fig9,ablation", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(rep.Fig9.Rows, clean.Fig9.Rows) {
+		t.Error("dsm-loss moved no Figure 9 row")
+	}
+	ablations := func(r *Report) []AblationRow {
+		return append(slices.Clone(r.Ablation["hierarchy"]), r.Ablation["settling"]...)
+	}
+	if slices.Equal(ablations(rep), ablations(clean)) {
+		t.Error("dsm-loss moved no ablation row")
 	}
 }
 

@@ -28,12 +28,11 @@ import (
 
 // Config names, matching the paper's work-distribution configurations.
 const (
-	CfgXeon          = "Xeon"
-	CfgThunderX      = "ThunderX"
-	CfgIdealCSR      = "Ideal CSR"
-	CfgCrossDyn      = "Cross-Node Dynamic"
-	CfgHetProbe      = "HetProbe"
-	CfgHetProbeForce = "HetProbe (force Xeon)"
+	CfgXeon     = "Xeon"
+	CfgThunderX = "ThunderX"
+	CfgIdealCSR = "Ideal CSR"
+	CfgCrossDyn = "Cross-Node Dynamic"
+	CfgHetProbe = "HetProbe"
 )
 
 // Configs is the paper's configuration order (Figure 6).
@@ -60,7 +59,8 @@ type Suite struct {
 	// into it (hetmprun's -trace/-metrics flags use this).
 	Telemetry *telemetry.Telemetry
 	// ChaosProfile, when non-empty, names a chaos.Named degradation
-	// profile injected into every Run (NOT into threshold calibration,
+	// profile injected into every run the suite simulates, Figure 9
+	// and the ablations included (NOT into threshold calibration,
 	// which must measure the healthy substrate). It also enables the
 	// runtime's ReDecide monitor so HetProbe can revise its decision
 	// mid-region when the injected degradation bites.
@@ -80,9 +80,12 @@ type Suite struct {
 	// the file holds at the iteration count the run presents) and
 	// saves newly probed decisions back after the run. A run that
 	// finds nothing to adopt equals the storeless run in time, faults
-	// and decisions; a file that is rejected (stale schema, foreign
-	// fingerprint, corrupt) says why on standard error, once. Empty
-	// (the default) keeps every run cold.
+	// and decisions, and since a report simulates each of its cells
+	// once, a report over an empty store equals the storeless report
+	// at any Parallel. Figure 9 and the ablations never use the store.
+	// A file that is rejected (stale schema, foreign fingerprint,
+	// corrupt) says why on standard error, once. Empty (the default)
+	// keeps every run cold.
 	DecisionStore string
 	// Parallel bounds how many experiment runs execute concurrently
 	// (0 or 1 = sequential). Every run owns its own engine, cluster and
@@ -92,9 +95,9 @@ type Suite struct {
 	// trace and metric sinks are shared across runs.
 	Parallel int
 
-	// cache singleflights the lazily derived products (thresholds, CSR
-	// weights, HetProbe decisions) so concurrent runs needing the same
-	// key wait for one computation instead of duplicating it.
+	// cache singleflights the lazily derived products (thresholds,
+	// decision stores, report cells) so concurrent runs needing the
+	// same key wait for one computation instead of duplicating it.
 	cache flightMap
 	// warn receives the reason a decision-store file was rejected; nil
 	// means os.Stderr.
@@ -347,17 +350,13 @@ var dynChunks = map[string]int{
 
 // Run executes one benchmark under one configuration and returns its
 // total execution time (serial + parallel phases, like Table 3 and
-// Figure 6).
+// Figure 6). Every call simulates: hetmprun and the benchmark harness
+// time it once per call. The figures read their cells through cell
+// instead, which runs each one once per suite. Only runs made through
+// Run adopt and save decisions in the suite's DecisionStore.
 func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, error) {
-	th, err := s.Threshold(proto)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var (
-		which string
-		sched core.Schedule
-	)
+	which := "both"
+	var sched core.Schedule
 	switch config {
 	case CfgXeon:
 		which, sched = "xeon", core.StaticSchedule()
@@ -368,21 +367,53 @@ func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, erro
 		if err != nil {
 			return Result{}, err
 		}
-		which, sched = "both", core.StaticCSR(csr)
+		sched = core.StaticCSR(csr)
 	case CfgCrossDyn:
-		which, sched = "both", core.DynamicSchedule(dynChunks[bench])
+		sched = core.DynamicSchedule(dynChunks[bench])
 	case CfgHetProbe:
-		which, sched = "both", core.HetProbeSchedule()
-	case CfgHetProbeForce:
-		spec := core.HetProbeSchedule()
-		spec.ForceNode = 0
-		which, sched = "both", spec
+		sched = core.HetProbeSchedule()
 	default:
 		return Result{}, fmt.Errorf("experiments: unknown config %q", config)
 	}
+	return s.simulate(simRun{bench: bench, config: config, which: which, sched: sched, proto: proto, store: true})
+}
 
-	k, err := kernels.New(bench, s.Scale)
+// simRun is one simulated run as the experiments vary it.
+type simRun struct {
+	// bench names the kernel; with rounds > 0 it is blackscholes with
+	// that many pricing rounds (Figure 9, the settling ablation).
+	bench  string
+	rounds int
+	// config labels the run in its Result and errors, and names its
+	// decision store file.
+	config string
+	// which is the node set: "both", "xeon" or "tx".
+	which string
+	sched core.Schedule
+	proto interconnect.Spec
+	// opts holds the ablations' core.Options fields; simulate sets
+	// the rest.
+	opts core.Options
+	// jitter adds latency jitter (Figure 9: the paper notes TCP/IP
+	// results are noisy).
+	jitter bool
+	// store adopts and saves decisions in the suite's DecisionStore.
+	store bool
+}
+
+// simulate is the one place the experiments simulate: every run gets
+// the suite's threshold, chaos profile, telemetry and verification,
+// whichever figure asks for it.
+func (s *Suite) simulate(r simRun) (Result, error) {
+	name := r.bench + "/" + r.config
+	th, err := s.Threshold(r.proto)
 	if err != nil {
+		return Result{}, err
+	}
+	var k kernels.Kernel
+	if r.rounds > 0 {
+		k = kernels.NewBlackscholesRounds(s.Scale, r.rounds)
+	} else if k, err = kernels.New(r.bench, s.Scale); err != nil {
 		return Result{}, err
 	}
 	var inj *chaos.Injector
@@ -393,22 +424,24 @@ func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, erro
 		}
 		inj = chaos.New(p, s.ChaosSeed)
 	}
-	cfg := s.simConfig(which, proto)
+	cfg := s.simConfig(r.which, r.proto)
+	cfg.Jitter = r.jitter
 	cfg.Telemetry = s.Telemetry
 	cfg.Chaos = inj
 	cl, err := cluster.NewSim(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	store, err := s.openStore(which, config, cfg.Protocol)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s/%s: %w", bench, config, err)
-	}
-	opts := core.Options{
-		FaultPeriodThreshold: th,
-		ProbeRegionID:        k.ProbeRegion(),
-		Telemetry:            s.Telemetry,
-		ReDecide:             inj != nil,
+	opts := r.opts
+	opts.FaultPeriodThreshold = th
+	opts.ProbeRegionID = k.ProbeRegion()
+	opts.Telemetry = s.Telemetry
+	opts.ReDecide = inj != nil
+	var store *decstore.Store
+	if r.store {
+		if store, err = s.openStore(r.which, r.config, cfg.Protocol); err != nil {
+			return Result{}, fmt.Errorf("%s: %w", name, err)
+		}
 	}
 	if store != nil {
 		// Guarded assignment: a nil *decstore.Store wrapped in the
@@ -416,22 +449,22 @@ func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, erro
 		opts.DecisionStore = store
 	}
 	rt := core.New(cl, opts)
-	if err := rt.Run(func(a *core.App) { k.Run(a, kernels.Fixed(sched)) }); err != nil {
-		return Result{}, fmt.Errorf("%s/%s: %w", bench, config, err)
+	if err := rt.Run(func(a *core.App) { k.Run(a, kernels.Fixed(r.sched)) }); err != nil {
+		return Result{}, fmt.Errorf("%s: %w", name, err)
 	}
 	if s.Verify {
 		if err := k.Verify(); err != nil {
-			return Result{}, fmt.Errorf("%s/%s: %w", bench, config, err)
+			return Result{}, fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	if store != nil {
 		if err := store.Save(); err != nil {
-			return Result{}, fmt.Errorf("%s/%s: %w", bench, config, err)
+			return Result{}, fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return Result{
-		Benchmark:   bench,
-		Config:      config,
+		Benchmark:   r.bench,
+		Config:      r.config,
 		Time:        cl.Elapsed(),
 		Faults:      cl.DSMFaults(),
 		Decisions:   rt.Decisions(),
@@ -441,21 +474,19 @@ func (s *Suite) Run(bench, config string, proto interconnect.Spec) (Result, erro
 	}, nil
 }
 
-// hetProbeDecisions runs the benchmark once under HetProbe and caches
-// its per-region decisions (used for Ideal CSR weights, Figure 7 fault
-// periods and Figure 8 counter data).
-func (s *Suite) hetProbeDecisions(bench string, proto interconnect.Spec) (map[string]core.Decision, error) {
-	v, err := s.cache.do("decisions/"+bench+"/"+proto.Name, func() (any, error) {
-		res, err := s.Run(bench, CfgHetProbe, proto)
-		if err != nil {
-			return nil, err
-		}
-		return res.Decisions, nil
+// cell returns the suite's one run of bench under config over proto.
+// Every figure that reads a (benchmark, configuration, protocol) cell
+// shares that run: Figure 1 and Table 3 read Figure 6's cells, and
+// Table 2, Ideal CSR and Figures 7–8 read the decisions of its
+// HetProbe cells.
+func (s *Suite) cell(bench, config string, proto interconnect.Spec) (Result, error) {
+	v, err := s.cache.do("cell/"+bench+"/"+config+"/"+proto.Name, func() (any, error) {
+		return s.Run(bench, config, proto)
 	})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	return v.(map[string]core.Decision), nil
+	return v.(Result), nil
 }
 
 // mainDecision picks the benchmark's dominant region decision — the
@@ -479,25 +510,17 @@ func mainDecision(decs map[string]core.Decision) (string, core.Decision, bool) {
 	return best, decs[best], true
 }
 
-// csrFor returns the HetProbe-measured CSR weights for a benchmark
-// (Table 2's procedure).
+// csrFor returns the CSR weights HetProbe measured for a benchmark in
+// its HetProbe cell (Table 2's procedure).
 func (s *Suite) csrFor(bench string, proto interconnect.Spec) (map[int]float64, error) {
-	v, err := s.cache.do("csr/"+bench+"/"+proto.Name, func() (any, error) {
-		decs, err := s.hetProbeDecisions(bench, proto)
-		if err != nil {
-			return nil, err
-		}
-		_, d, ok := mainDecision(decs)
-		csr := map[int]float64{}
-		if ok {
-			csr = core.CSRFromDecision(d)
-		}
-		return csr, nil
-	})
+	res, err := s.cell(bench, CfgHetProbe, proto)
 	if err != nil {
 		return nil, err
 	}
-	return v.(map[int]float64), nil
+	if _, d, ok := mainDecision(res.Decisions); ok {
+		return core.CSRFromDecision(d), nil
+	}
+	return map[int]float64{}, nil
 }
 
 // geomean returns the geometric mean of positive values.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"hetmp/internal/cluster"
 	"hetmp/internal/core"
 	"hetmp/internal/interconnect"
 	"hetmp/internal/kernels"
@@ -27,12 +26,12 @@ func (s *Suite) Figure1() ([]Fig1Row, error) {
 	proto := interconnect.RDMA56()
 	benches := []string{"BT-C", "streamcluster", "lavaMD"}
 	cfgs := []string{CfgXeon, CfgThunderX, CfgHetProbe}
-	// Every (bench, config) run is independent: fan out across the
+	// Every (bench, config) cell is Figure 6's: fan out across the
 	// suite's workers, collect into an indexed slice for deterministic
 	// assembly.
 	times := make([]time.Duration, len(benches)*len(cfgs))
 	err := s.forEach(len(times), func(i int) error {
-		res, err := s.Run(benches[i/len(cfgs)], cfgs[i%len(cfgs)], proto)
+		res, err := s.cell(benches[i/len(cfgs)], cfgs[i%len(cfgs)], proto)
 		if err != nil {
 			return err
 		}
@@ -136,7 +135,7 @@ type Table3Row struct {
 func (s *Suite) Table3() ([]Table3Row, error) {
 	rows := make([]Table3Row, len(kernels.PaperOrder))
 	err := s.forEach(len(kernels.PaperOrder), func(i int) error {
-		res, err := s.Run(kernels.PaperOrder[i], CfgXeon, interconnect.RDMA56())
+		res, err := s.cell(kernels.PaperOrder[i], CfgXeon, interconnect.RDMA56())
 		if err != nil {
 			return err
 		}
@@ -178,7 +177,7 @@ func (s *Suite) Figure6() (Fig6, error) {
 	// indexed times, so the result is identical to a sequential pass.
 	grid := make([]time.Duration, len(kernels.PaperOrder)*len(Configs))
 	err := s.forEach(len(grid), func(i int) error {
-		res, err := s.Run(kernels.PaperOrder[i/len(Configs)], Configs[i%len(Configs)], proto)
+		res, err := s.cell(kernels.PaperOrder[i/len(Configs)], Configs[i%len(Configs)], proto)
 		if err != nil {
 			return err
 		}
@@ -240,11 +239,11 @@ func (s *Suite) Figure7() ([]Fig7Row, time.Duration, error) {
 	rows := make([]Fig7Row, len(kernels.PaperOrder))
 	err = s.forEach(len(kernels.PaperOrder), func(i int) error {
 		bench := kernels.PaperOrder[i]
-		decs, err := s.hetProbeDecisions(bench, proto)
+		res, err := s.cell(bench, CfgHetProbe, proto)
 		if err != nil {
 			return err
 		}
-		region, d, ok := mainDecision(decs)
+		region, d, ok := mainDecision(res.Decisions)
 		if !ok {
 			return fmt.Errorf("experiments: %s recorded no probe decision", bench)
 		}
@@ -279,11 +278,11 @@ func (s *Suite) Figure8() ([]Fig8Row, float64, error) {
 	candidates := make([]*Fig8Row, len(kernels.PaperOrder))
 	err := s.forEach(len(kernels.PaperOrder), func(i int) error {
 		bench := kernels.PaperOrder[i]
-		decs, err := s.hetProbeDecisions(bench, proto)
+		res, err := s.cell(bench, CfgHetProbe, proto)
 		if err != nil {
 			return err
 		}
-		_, d, ok := mainDecision(decs)
+		_, d, ok := mainDecision(res.Decisions)
 		if !ok || d.CrossNode {
 			return nil
 		}
@@ -331,11 +330,15 @@ func (s *Suite) Figure9() ([]Fig9Row, time.Duration, error) {
 	rows := make([]Fig9Row, len(allRounds))
 	err = s.forEach(len(allRounds), func(i int) error {
 		rounds := allRounds[i]
-		homog, err := s.runBlackscholesRounds(rounds, "xeon", proto, th)
+		run := func(config, which string, sched core.Schedule) (Result, error) {
+			return s.simulate(simRun{bench: "blackscholes", rounds: rounds, config: config,
+				which: which, sched: sched, proto: proto, jitter: true})
+		}
+		homog, err := run(CfgXeon, "xeon", core.StaticSchedule())
 		if err != nil {
 			return err
 		}
-		het, err := s.runBlackscholesRounds(rounds, "both", proto, th)
+		het, err := run(CfgHetProbe, "both", core.HetProbeSchedule())
 		if err != nil {
 			return err
 		}
@@ -353,30 +356,6 @@ func (s *Suite) Figure9() ([]Fig9Row, time.Duration, error) {
 		return nil, 0, err
 	}
 	return rows, th, nil
-}
-
-func (s *Suite) runBlackscholesRounds(rounds int, which string, proto interconnect.Spec, th time.Duration) (Result, error) {
-	k := kernels.NewBlackscholesRounds(s.Scale, rounds)
-	cfg := s.simConfig(which, proto)
-	cfg.Jitter = true // the paper notes TCP/IP results are noisy
-	cl, err := cluster.NewSim(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	sched := core.Schedule(core.HetProbeSchedule())
-	if which == "xeon" {
-		sched = core.StaticSchedule()
-	}
-	rt := core.New(cl, core.Options{FaultPeriodThreshold: th})
-	if err := rt.Run(func(a *core.App) { k.Run(a, kernels.Fixed(sched)) }); err != nil {
-		return Result{}, err
-	}
-	if s.Verify {
-		if err := k.Verify(); err != nil {
-			return Result{}, err
-		}
-	}
-	return Result{Time: cl.Elapsed(), Faults: cl.DSMFaults(), Decisions: rt.Decisions()}, nil
 }
 
 // ------------------------------------------------------ probe overhead
@@ -426,72 +405,35 @@ type AblationRow struct {
 // flat ablation (every thread synchronizing and grabbing work
 // globally).
 func (s *Suite) AblationHierarchy() ([]AblationRow, error) {
-	proto := interconnect.RDMA56()
-	th, err := s.Threshold(proto)
-	if err != nil {
-		return nil, err
-	}
-	variants := []bool{false, true}
-	rows := make([]AblationRow, len(variants))
-	err = s.forEach(len(variants), func(i int) error {
-		flat := variants[i]
-		k, err := kernels.New("kmeans", s.Scale)
-		if err != nil {
-			return err
-		}
-		cl, err := cluster.NewSim(s.simConfig("both", proto))
-		if err != nil {
-			return err
-		}
-		rt := core.New(cl, core.Options{FaultPeriodThreshold: th, FlatHierarchy: flat})
-		if err := rt.Run(func(a *core.App) {
-			k.Run(a, kernels.Fixed(core.DynamicSchedule(dynChunks["kmeans"])))
-		}); err != nil {
-			return err
-		}
-		name := "two-level hierarchy"
-		if flat {
-			name = "flat (ablation)"
-		}
-		rows[i] = AblationRow{Variant: name, Time: cl.Elapsed(), Faults: cl.DSMFaults()}
-		return nil
-	})
-	return rows, err
+	hier := simRun{bench: "kmeans", config: "two-level hierarchy", which: "both",
+		sched: core.DynamicSchedule(dynChunks["kmeans"]), proto: interconnect.RDMA56()}
+	flat := hier
+	flat.config, flat.opts.FlatHierarchy = "flat (ablation)", true
+	return s.ablation(hier, flat)
 }
 
 // AblationSettling quantifies deterministic probe distribution:
 // repeated blackscholes regions with deterministic vs rotated probe
 // assignment.
 func (s *Suite) AblationSettling() ([]AblationRow, error) {
-	proto := interconnect.RDMA56()
-	th, err := s.Threshold(proto)
-	if err != nil {
-		return nil, err
-	}
-	variants := []bool{false, true}
+	det := simRun{bench: "blackscholes", rounds: 12, config: "deterministic probe", which: "both",
+		sched: core.HetProbeSchedule(), proto: interconnect.RDMA56()}
+	det.opts.ProbeMaxInvocations = 100 // keep probing so the assignment keeps rotating
+	rotated := det
+	rotated.config, rotated.opts.RandomProbe = "rotated probe (ablation)", true
+	return s.ablation(det, rotated)
+}
+
+// ablation runs each variant of an ablation, fanned out, into one row
+// named by its config.
+func (s *Suite) ablation(variants ...simRun) ([]AblationRow, error) {
 	rows := make([]AblationRow, len(variants))
-	err = s.forEach(len(variants), func(i int) error {
-		random := variants[i]
-		k := kernels.NewBlackscholesRounds(s.Scale, 12)
-		cl, err := cluster.NewSim(s.simConfig("both", proto))
+	err := s.forEach(len(variants), func(i int) error {
+		res, err := s.simulate(variants[i])
 		if err != nil {
 			return err
 		}
-		rt := core.New(cl, core.Options{
-			FaultPeriodThreshold: th,
-			RandomProbe:          random,
-			ProbeMaxInvocations:  100, // keep probing so the assignment keeps rotating
-		})
-		if err := rt.Run(func(a *core.App) {
-			k.Run(a, kernels.Fixed(core.HetProbeSchedule()))
-		}); err != nil {
-			return err
-		}
-		name := "deterministic probe"
-		if random {
-			name = "rotated probe (ablation)"
-		}
-		rows[i] = AblationRow{Variant: name, Time: cl.Elapsed(), Faults: cl.DSMFaults()}
+		rows[i] = AblationRow{Variant: res.Config, Time: res.Time, Faults: res.Faults}
 		return nil
 	})
 	return rows, err

@@ -8,14 +8,16 @@ import (
 // TestParallelSuiteByteIdentical is the acceptance test for the
 // parallel harness: a suite fanned out across workers must render
 // byte-identical report text to a sequential suite. Every run owns its
-// own virtual-time engine, and the lazily derived caches (thresholds,
-// HetProbe decisions, CSR weights) are singleflighted, so concurrency
-// may only change wall-clock, never results. The selection covers the
-// independent-run fan-out (Figure 1), the calibration fan-out
-// (Figure 4), the nested singleflight chain (Table 2: CSR → decisions
-// → HetProbe run → threshold) and the ablation fan-out. The parallel
-// side is the shared quick report (Parallel = GOMAXPROCS; on a one-CPU
-// host both sides are sequential and this checks determinism only).
+// own virtual-time engine, and the lazily derived products (thresholds
+// and the report cells every figure reads) are singleflighted, so
+// concurrency may only change wall-clock, never results. The selection
+// covers the cell fan-out (Figure 1), the calibration fan-out
+// (Figure 4), the nested singleflight chain (Table 2: HetProbe cell →
+// threshold) and the ablation fan-out, which bypasses the cells. The
+// parallel side is the shared quick report (Parallel = GOMAXPROCS; on
+// a one-CPU host both sides are sequential and this checks determinism
+// only). TestEmptyStoreFigure6EqualsGolden checks the same over an
+// empty decision store.
 func TestParallelSuiteByteIdentical(t *testing.T) {
 	render := func(rep *Report) string {
 		return RenderFigure1(rep.Fig1) + "\n" + RenderFigure4(rep.Fig4) + "\n" +
