@@ -65,7 +65,8 @@ FUZZ_TARGETS = \
 	internal/server:FuzzParseChurn \
 	internal/server:FuzzParseMembers \
 	internal/server:FuzzParseWeights \
-	internal/server:FuzzSubmitBody
+	internal/server:FuzzSubmitBody \
+	internal/simtime:FuzzWaitChain
 FUZZTIME ?= 10s
 
 .PHONY: fuzz

@@ -52,7 +52,11 @@ var Analyzer = &analysis.Analyzer{
 // simtimeYields park the calling proc until the engine resumes it;
 // interconnectRoundTrips are modelled cross-node protocol exchanges.
 var (
-	simtimeYields          = map[string]bool{"Advance": true, "AdvanceTo": true, "Yield": true, "Join": true, "Run": true}
+	simtimeYields = map[string]bool{
+		"Advance": true, "AdvanceTo": true, "Yield": true, "Join": true, "Run": true,
+		"Wait": true, // Barrier.Wait, Gate.Wait, Chain.Wait
+		"Use":  true, // Resource.Use
+	}
 	interconnectRoundTrips = map[string]bool{"PageFault": true, "ControlMessage": true}
 )
 

@@ -58,6 +58,16 @@ func simtimeYieldUnderLock(s *state, p *simtime.Proc) {
 	p.Yield() // released: fine
 }
 
+func simtimeWaitsUnderLock(s *state, p *simtime.Proc, bar *simtime.Barrier, gate *simtime.Gate,
+	res *simtime.Resource, chain *simtime.Chain) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bar.Wait(p)      // want `simtime yield Wait while "b\.state\.mu" is held`
+	gate.Wait(p)     // want `simtime yield Wait while "b\.state\.mu" is held`
+	res.Use(p, 10)   // want `simtime yield Use while "b\.state\.mu" is held`
+	chain.Wait(p, 0) // want `simtime yield Wait while "b\.state\.mu" is held`
+}
+
 func roundTripUnderLock(s *state, spec interconnect.Spec, n machine.NodeSpec, rng *rand.Rand) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -62,6 +62,26 @@ type Barrier interface {
 	Wait(e Env) bool
 }
 
+// Link is one barrier of a Chain. Stop ends the walk at this barrier
+// when the walking thread is its last arrival. A nil Barrier stands for
+// a rendezvous whose only party is the walker: the walker is always its
+// last arrival, and arriving costs nothing.
+type Link struct {
+	Barrier Barrier
+	Stop    bool
+}
+
+// Chain is a fixed sequence of barriers a thread waits on in order
+// without running code in between. Walking it behaves exactly as
+// Barrier.Wait on each link in turn; the simulated backend parks the
+// thread once for the whole walk instead of once per barrier.
+type Chain interface {
+	// Wait waits on the links from index from on, in order, and
+	// returns the index of the first stop link at which the caller was
+	// the last arrival, or the number of links if there was none.
+	Wait(e Env, from int) int
+}
+
 // Cell is an 8-byte shared word. In the simulated backend it lives on a
 // DSM page, so cross-node operations pay coherence costs — this is how
 // the runtime's global counters and flags generate the traffic the
@@ -108,6 +128,8 @@ type Cluster interface {
 	NewCell(name string, home int) Cell
 	// NewBarrier creates a rendezvous for the given number of threads.
 	NewBarrier(parties int) Barrier
+	// NewChain creates a chain over barriers this cluster created.
+	NewChain(links ...Link) Chain
 	// Run executes master as the application's initial thread on the
 	// origin node and blocks until every spawned thread finishes.
 	Run(master func(Env)) error

@@ -95,6 +95,9 @@ func (c *Local) NewBarrier(parties int) Barrier {
 	return b
 }
 
+// NewChain implements Cluster: the links are waited in turn.
+func (c *Local) NewChain(links ...Link) Chain { return localChain(links) }
+
 // Run implements Cluster.
 func (c *Local) Run(master func(Env)) error {
 	if !c.started.CompareAndSwap(false, true) {
@@ -204,6 +207,20 @@ func (b *localBarrier) Wait(e Env) bool {
 		b.cond.Wait()
 	}
 	return false
+}
+
+// localChain waits its links one Barrier.Wait at a time.
+type localChain []Link
+
+// Wait implements Chain.
+func (c localChain) Wait(e Env, from int) int {
+	for i := from; i < len(c); i++ {
+		last := c[i].Barrier == nil || c[i].Barrier.Wait(e)
+		if last && c[i].Stop {
+			return i
+		}
+	}
+	return len(c)
 }
 
 // localCell is an atomic word.

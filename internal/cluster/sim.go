@@ -141,7 +141,24 @@ func (c *Sim) NewCell(name string, home int) Cell {
 
 // NewBarrier implements Cluster.
 func (c *Sim) NewBarrier(parties int) Barrier {
-	return &simBarrier{b: simtime.NewBarrier(parties)}
+	return (*simBarrier)(simtime.NewBarrier(parties))
+}
+
+// NewChain implements Cluster: a simtime chain, so the engine walks a
+// waiting thread through the links without resuming it in between.
+func (c *Sim) NewChain(links ...Link) Chain {
+	sl := make([]simtime.Link, len(links))
+	for i, l := range links {
+		sl[i].Stop = l.Stop
+		if l.Barrier != nil {
+			b, ok := l.Barrier.(*simBarrier)
+			if !ok {
+				panic("cluster: chaining a non-sim barrier on a sim cluster")
+			}
+			sl[i].Barrier = (*simtime.Barrier)(b)
+		}
+	}
+	return (*simChain)(simtime.NewChain(sl...))
 }
 
 // Run implements Cluster.
@@ -406,15 +423,27 @@ func (h *simHandle) Join(from Env) {
 	se.proc.Join(h.proc)
 }
 
-type simBarrier struct{ b *simtime.Barrier }
+type simBarrier simtime.Barrier
 
 // Wait implements Barrier.
 func (b *simBarrier) Wait(e Env) bool {
+	return (*simtime.Barrier)(b).Wait(simProc(e))
+}
+
+type simChain simtime.Chain
+
+// Wait implements Chain.
+func (c *simChain) Wait(e Env, from int) int {
+	return (*simtime.Chain)(c).Wait(simProc(e), from)
+}
+
+// simProc is the proc behind a sim thread's Env.
+func simProc(e Env) *simtime.Proc {
 	se, ok := e.(*simEnv)
 	if !ok {
 		panic("cluster: waiting on a sim barrier from a non-sim Env")
 	}
-	return b.b.Wait(se.proc)
+	return se.proc
 }
 
 // simCell is a DSM-backed shared word. Operations pay coherence costs;

@@ -56,7 +56,7 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		}
 		// The probing region has not run yet: distribute across all
 		// nodes with plain static (the runtime's pre-decision default).
-		t := rt.teamFor(a.env, rt.allNodes())
+		t := rt.teamFor(a.env, rt.all)
 		desc := &regionRun{n: n, body: body, reduce: red,
 			sched: newStaticDispatch(t, 0, n, nil)}
 		t.dispatch(a.env, desc)
@@ -64,7 +64,7 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	}
 
 	ent := rt.cache.entry(regionID)
-	allNodes := rt.allNodes()
+	allNodes := rt.all
 
 	// Probe-free fast path: on a region's first invocation, a
 	// configured decision store may seed the entry with the decision
@@ -414,7 +414,7 @@ func (a *App) execDecision(d Decision, base, n int, body Body, red *reduceRun, m
 	if d.CrossNode {
 		nodes := d.Nodes
 		if len(nodes) == 0 {
-			nodes = rt.allNodes()
+			nodes = rt.all
 		}
 		t = rt.teamFor(a.env, nodes)
 		csr = d.CSR

@@ -45,10 +45,10 @@ func newReduceBuffers(rt *Runtime, t *team) *reduceBuffers {
 	}
 	for _, n := range t.nodes {
 		b.partials[n] = make([]any, t.perNode[n])
-		b.localRegions[n] = rt.cl.Alloc(fmt.Sprintf("reduce:local:%d:%s", n, teamKey(t.nodes)),
+		b.localRegions[n] = rt.cl.Alloc(fmt.Sprintf("reduce:local:%d:%s", n, t.key),
 			int64(t.perNode[n])*8, n)
 	}
-	b.globalRegion = rt.cl.Alloc("reduce:global:"+teamKey(t.nodes),
+	b.globalRegion = rt.cl.Alloc("reduce:global:"+t.key,
 		int64(len(t.nodes))*4096, rt.cl.Origin())
 	return b
 }

@@ -114,7 +114,8 @@ type Runtime struct {
 	cl    cluster.Cluster
 	opts  Options
 	cache *probeCache
-	teams map[string]*team
+	teams map[nodeSet]*team
+	all   []int // every node index; read-only
 
 	// Telemetry handles, pre-resolved at construction so hot paths
 	// never touch the registry. All nil when telemetry is disabled
@@ -140,7 +141,11 @@ func New(cl cluster.Cluster, opts Options) *Runtime {
 		cl:    cl,
 		opts:  opts.withDefaults(),
 		cache: newProbeCache(),
-		teams: make(map[string]*team),
+		teams: make(map[nodeSet]*team),
+	}
+	rt.all = make([]int, len(cl.NodeSpecs()))
+	for i := range rt.all {
+		rt.all[i] = i
 	}
 	if tel := rt.opts.Telemetry; tel.Enabled() {
 		rt.tracer = tel.Tracer()
@@ -264,16 +269,16 @@ func (rt *Runtime) Run(app func(*App)) error {
 	return rt.cl.Run(func(env cluster.Env) {
 		a := &App{rt: rt, env: env}
 		defer func() {
-			// Tear teams down in sorted key order: shutdown consumes
-			// virtual time, so map-order iteration would make the
-			// run's makespan depend on Go's map seed.
-			keys := make([]string, 0, len(rt.teams))
-			for key := range rt.teams {
-				keys = append(keys, key)
+			// Tear teams down in key order: shutdown consumes virtual
+			// time, so map-order iteration would make the run's
+			// makespan depend on Go's map seed.
+			sets := make([]nodeSet, 0, len(rt.teams))
+			for set := range rt.teams {
+				sets = append(sets, set)
 			}
-			sort.Strings(keys)
-			for _, key := range keys {
-				rt.teams[key].shutdown(env)
+			sort.Slice(sets, func(i, j int) bool { return rt.teams[sets[i]].key < rt.teams[sets[j]].key })
+			for _, set := range sets {
+				rt.teams[set].shutdown(env)
 			}
 			rt.exportDecisions()
 		}()
@@ -306,27 +311,28 @@ func (a *App) Alloc(name string, size int64) *cluster.Region {
 	return a.rt.cl.Alloc(name, size, a.rt.cl.Origin())
 }
 
-// allNodes returns every node index.
-func (rt *Runtime) allNodes() []int {
-	specs := rt.cl.NodeSpecs()
-	nodes := make([]int, len(specs))
-	for i := range specs {
-		nodes[i] = i
-	}
-	return nodes
-}
+// nodeSet is a set of node indexes, one bit per node (the DSM caps a
+// platform at 16 nodes).
+type nodeSet uint16
 
 // teamFor returns (creating if needed) the persistent team spanning the
-// given node set.
+// given node set. Finding an existing team allocates nothing.
 func (rt *Runtime) teamFor(master cluster.Env, nodes []int) *team {
-	sorted := append([]int(nil), nodes...)
-	sort.Ints(sorted)
-	key := teamKey(sorted)
-	if t, ok := rt.teams[key]; ok {
+	var set nodeSet
+	for _, n := range nodes {
+		set |= 1 << n
+	}
+	if t, ok := rt.teams[set]; ok {
 		return t
 	}
+	var sorted []int
+	for n := range rt.all {
+		if set&(1<<n) != 0 {
+			sorted = append(sorted, n)
+		}
+	}
 	t := newTeam(rt, master, sorted)
-	rt.teams[key] = t
+	rt.teams[set] = t
 	return t
 }
 
@@ -377,12 +383,12 @@ func (a *App) parallel(regionID string, n int, sched Schedule, body Body, red *r
 	}
 	switch s := sched.(type) {
 	case StaticSpec:
-		t := rt.teamFor(a.env, rt.allNodes())
+		t := rt.teamFor(a.env, rt.all)
 		desc := &regionRun{n: n, body: body, reduce: red,
 			sched: newStaticDispatch(t, 0, n, s.CSR)}
 		t.dispatch(a.env, desc)
 	case DynamicSpec:
-		t := rt.teamFor(a.env, rt.allNodes())
+		t := rt.teamFor(a.env, rt.all)
 		desc := &regionRun{n: n, body: body, reduce: red,
 			sched: newDynDispatch(rt, t, n, s.Chunk)}
 		t.dispatch(a.env, desc)

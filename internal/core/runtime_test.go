@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -327,5 +328,32 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// TestBodyPanicIsReported: a region body that panics on one worker
+// leaves the others blocked at the end barrier; Run must report the
+// panic, not only the deadlock it leaves behind.
+func TestBodyPanicIsReported(t *testing.T) {
+	xeon := machine.XeonE5_2620v4().ScaleCaches(1.0 / 64)
+	xeon.Cores = 4
+	cl, err := cluster.NewSim(cluster.SimConfig{
+		Platform: machine.Platform{Nodes: []machine.NodeSpec{xeon}},
+		Protocol: interconnect.RDMA56(),
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = New(cl, Options{}).Run(func(a *App) {
+		a.ParallelFor("boom", 64, StaticSchedule(), func(e cluster.Env, lo, hi int) {
+			e.Compute(float64(hi-lo)*10, 0)
+			if lo == 0 {
+				panic("body failed")
+			}
+		})
+	})
+	if err == nil || !strings.Contains(err.Error(), "body failed") {
+		t.Fatalf("Run error = %v, want the body's panic", err)
 	}
 }

@@ -10,12 +10,14 @@ import (
 // fakeTeam builds a team skeleton for partitioning tests without
 // spawning any threads.
 func fakeTeam(perNode map[int]int) *team {
-	t := &team{perNode: perNode}
+	t := &team{}
 	for n := range perNode {
 		t.nodes = append(t.nodes, n)
 	}
 	sort.Ints(t.nodes)
+	t.perNode = make([]int, t.nodes[len(t.nodes)-1]+1)
 	for _, n := range t.nodes {
+		t.perNode[n] = perNode[n]
 		t.total += perNode[n]
 	}
 	return t

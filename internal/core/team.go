@@ -71,18 +71,34 @@ type dispatcher interface {
 // elected leaders, plus the master thread (always resident on the
 // origin node — the Popcorn Linux constraint).
 type team struct {
-	rt        *Runtime
-	nodes     []int // participating nodes, ascending
-	perNode   map[int]int
-	total     int // worker count (excluding master)
-	handles   []cluster.Handle
-	desc      *regionRun
-	start     *hierBarrier
-	end       *hierBarrier
+	rt      *Runtime
+	nodes   []int  // participating nodes, ascending
+	key     string // the node set's canonical name
+	perNode []int  // workers per node, by node index
+	total   int    // worker count (excluding master)
+	handles []cluster.Handle
+	desc    *regionRun
+	start   *hierBarrier
+	end     *hierBarrier
+	// chains[n] is node n's walk from a region's end barrier into the
+	// next region's start barrier: end arrive (stop), end release,
+	// start arrive (stop), start release. A worker that is no leader
+	// waits through it without running code; a stop hands it the
+	// leader's path. nil for nodes with no thread of the team.
+	chains []cluster.Chain
+	// masterEnd is the master's end barrier alone: its node's end
+	// arrive (stop) and end release.
+	masterEnd cluster.Chain
 	reduceBuf *reduceBuffers
 }
 
-// key canonicalizes a node set for team caching.
+// Indexes into a team chain of the links where a walk can stop.
+const (
+	endArrive   = 0
+	startArrive = 2
+)
+
+// key canonicalizes a node set for naming a team's shared state.
 func teamKey(nodes []int) string {
 	k := ""
 	for _, n := range nodes {
@@ -92,22 +108,41 @@ func teamKey(nodes []int) string {
 }
 
 // newTeam spawns worker threads for every core of every node in the
-// set. The master (the caller) is a barrier participant on its own
-// node even when that node contributes no workers.
+// set (ascending, no duplicates). The master (the caller) is a barrier
+// participant on its own node even when that node contributes no
+// workers.
 func newTeam(rt *Runtime, master cluster.Env, nodes []int) *team {
 	specs := rt.cl.NodeSpecs()
 	t := &team{
 		rt:      rt,
-		nodes:   append([]int(nil), nodes...),
-		perNode: make(map[int]int, len(nodes)),
+		nodes:   nodes,
+		key:     teamKey(nodes),
+		perNode: make([]int, len(specs)),
 	}
+	parties := make([]int, len(specs))
 	for _, n := range nodes {
 		t.perNode[n] = specs[n].Cores
 		t.total += specs[n].Cores
+		parties[n] = specs[n].Cores
 	}
 	masterNode := master.Node()
-	t.start = newHierBarrier(rt, "start", t, masterNode)
-	t.end = newHierBarrier(rt, "end", t, masterNode)
+	parties[masterNode]++ // the master takes part on its own node
+	t.start = newHierBarrier(rt, "start", t.key, parties)
+	t.end = newHierBarrier(rt, "end", t.key, parties)
+	t.chains = make([]cluster.Chain, len(specs))
+	for n, c := range parties {
+		if c == 0 {
+			continue
+		}
+		links := []cluster.Link{
+			{Barrier: t.end.arrive[n], Stop: true}, {Barrier: t.end.release[n]},
+			{Barrier: t.start.arrive[n], Stop: true}, {Barrier: t.start.release[n]},
+		}
+		t.chains[n] = rt.cl.NewChain(links...)
+		if n == masterNode {
+			t.masterEnd = rt.cl.NewChain(links[:startArrive]...)
+		}
+	}
 	t.reduceBuf = newReduceBuffers(rt, t)
 
 	flat := 0
@@ -127,14 +162,20 @@ func newTeam(rt *Runtime, master cluster.Env, nodes []int) *team {
 }
 
 // workerLoop is the body of every team thread: rendezvous, execute the
-// dispatched region, rendezvous again.
+// dispatched region, rendezvous again. Between two regions the thread
+// makes one chain walk through the end and the next start barrier,
+// leaving it only to lead its node.
 func (t *team) workerLoop(e cluster.Env, w workerID) {
 	// One scratch per worker thread, reset per region: regions are the
 	// innermost hot loop, and nothing retains the pointer past the end
 	// barrier (measurements and reduction partials are copied out).
 	var scratch workerState
+	chain := t.chains[w.node]
+	at := chain.Wait(e, startArrive)
 	for {
-		t.start.wait(e, nil)
+		if at == startArrive {
+			t.start.lead(e, nil)
+		}
 		desc := t.desc
 		if desc.stop {
 			return
@@ -174,7 +215,11 @@ func (t *team) workerLoop(e cluster.Env, w workerID) {
 		if desc.reduce != nil {
 			t.reduceBuf.storePartial(e, w, ws.acc)
 		}
-		t.end.wait(e, t.leaderHook(desc))
+		at = chain.Wait(e, endArrive)
+		if at == endArrive {
+			t.end.lead(e, t.leaderHook(desc))
+			at = chain.Wait(e, startArrive)
+		}
 	}
 }
 
@@ -197,9 +242,11 @@ func (t *team) dispatch(master cluster.Env, desc *regionRun) {
 		t.reduceBuf.clear()
 	}
 	t.desc = desc
-	t.start.wait(master, nil)
+	t.masterStart(master)
 	// Workers execute; master proceeds straight to the end barrier.
-	t.end.wait(master, t.leaderHook(desc))
+	if t.masterEnd.Wait(master, endArrive) == endArrive {
+		t.end.lead(master, t.leaderHook(desc))
+	}
 	if desc.reduce != nil {
 		if t.rt.opts.FlatHierarchy {
 			desc.reduce.out = t.reduceBuf.combineFlat(master, desc.reduce)
@@ -209,10 +256,17 @@ func (t *team) dispatch(master cluster.Env, desc *regionRun) {
 	}
 }
 
+// masterStart is the master's wait at the start barrier.
+func (t *team) masterStart(master cluster.Env) {
+	if t.chains[master.Node()].Wait(master, startArrive) == startArrive {
+		t.start.lead(master, nil)
+	}
+}
+
 // shutdown terminates the worker threads and joins them.
 func (t *team) shutdown(master cluster.Env) {
 	t.desc = &regionRun{stop: true}
-	t.start.wait(master, nil)
+	t.masterStart(master)
 	for _, h := range t.handles {
 		h.Join(master)
 	}
@@ -224,90 +278,63 @@ func (t *team) shutdown(master cluster.Env) {
 // leader and represents the node at the global level, touching the
 // DSM-backed arrival word. Non-leader threads never touch global state
 // (Figure 3). With Options.FlatHierarchy set, every thread goes global
-// — the ablation configuration.
+// — the ablation configuration: each thread is then its own node
+// leader.
+//
+// The per-node rendezvous are waited through a team's chains; lead is
+// the leader's part.
 type hierBarrier struct {
-	flat bool
-	// arrive and release are the per-node rendezvous (nil for nodes
-	// with a single participant).
-	arrive  map[int]cluster.Barrier
-	release map[int]cluster.Barrier
-	// global synchronizes the node leaders (plus master).
+	// arrive[n] and release[n] are node n's rendezvous, nil where n has
+	// a single participant and everywhere under FlatHierarchy.
+	arrive  []cluster.Barrier
+	release []cluster.Barrier
+	// global synchronizes the node leaders (plus master), or every
+	// thread under FlatHierarchy.
 	global cluster.Barrier
 	// word is the DSM-resident arrival counter leaders update; its
 	// traffic is the cross-node synchronization cost.
 	word cluster.Cell
-	// flatAll is used instead when the hierarchy is disabled.
-	flatAll cluster.Barrier
 }
 
-// newHierBarrier sizes the barrier for team t plus the master on
-// masterNode.
-func newHierBarrier(rt *Runtime, name string, t *team, masterNode int) *hierBarrier {
+// newHierBarrier sizes the barrier for parties[n] threads on each node
+// n, the master included.
+func newHierBarrier(rt *Runtime, name, key string, parties []int) *hierBarrier {
 	b := &hierBarrier{
-		flat: rt.opts.FlatHierarchy,
-		word: rt.cl.NewCell(fmt.Sprintf("bar:%s:%s", name, teamKey(t.nodes)), rt.cl.Origin()),
+		arrive:  make([]cluster.Barrier, len(parties)),
+		release: make([]cluster.Barrier, len(parties)),
+		word:    rt.cl.NewCell(fmt.Sprintf("bar:%s:%s", name, key), rt.cl.Origin()),
 	}
-	parties := make(map[int]int, len(t.nodes)+1)
-	for n, c := range t.perNode {
-		parties[n] = c
-	}
-	parties[masterNode]++ // the master takes part on its own node
-
-	if b.flat {
-		total := 0
-		for _, c := range parties {
-			total += c
-		}
-		b.flatAll = rt.cl.NewBarrier(total)
-		return b
-	}
-
-	b.arrive = make(map[int]cluster.Barrier, len(parties))
-	b.release = make(map[int]cluster.Barrier, len(parties))
-	leaders := 0
+	total, leaders := 0, 0
 	for n, c := range parties {
+		total += c
+		if c == 0 {
+			continue
+		}
 		leaders++
-		if c > 1 {
+		if c > 1 && !rt.opts.FlatHierarchy {
 			b.arrive[n] = rt.cl.NewBarrier(c)
 			b.release[n] = rt.cl.NewBarrier(c)
 		}
+	}
+	if rt.opts.FlatHierarchy {
+		leaders = total
 	}
 	b.global = rt.cl.NewBarrier(leaders)
 	return b
 }
 
-// wait blocks until every participant arrives. The last thread to
-// arrive on each node is elected leader and runs onLeader (if non-nil)
-// before the global rendezvous — this is where hierarchical reductions
-// fold each node's partials. It reports whether the caller acted as a
-// node leader.
-func (b *hierBarrier) wait(e cluster.Env, onLeader func(cluster.Env)) bool {
-	if b.flat {
-		// Ablation: every thread touches the global word and meets in
-		// one global rendezvous.
-		b.word.Add(e, 1)
-		b.flatAll.Wait(e)
-		return false
-	}
-	node := e.Node()
-	if local := b.arrive[node]; local != nil {
-		if !local.Wait(e) {
-			// Non-leader: wait for the leader to come back from the
-			// global phase. No global data touched.
-			b.release[node].Wait(e)
-			return false
-		}
-	}
-	// Leader (or sole thread on this node): perform leader-only work,
-	// announce the node's arrival on the shared word, then meet the
-	// other leaders.
+// lead is a node leader's part of the barrier, entered by the last
+// arrival on its node (or the sole thread there): run onLeader (if
+// non-nil) — this is where hierarchical reductions fold each node's
+// partials — announce the node's arrival on the shared word, meet the
+// other leaders, then release the node's threads.
+func (b *hierBarrier) lead(e cluster.Env, onLeader func(cluster.Env)) {
 	if onLeader != nil {
 		onLeader(e)
 	}
 	b.word.Add(e, 1)
 	b.global.Wait(e)
-	if local := b.release[node]; local != nil {
-		local.Wait(e)
+	if r := b.release[e.Node()]; r != nil {
+		r.Wait(e)
 	}
-	return true
 }

@@ -29,9 +29,22 @@
 // proc itself and it keeps executing with no switch. No code outside
 // the tests calls Yield, so in a simulation every park is a switch.
 //
-// When Run ends on a deadlock it stops every live coroutine: the
-// blocked proc's park unwinds its body without finishing it, so no
-// goroutine outlives the run.
+// A proc waiting on a Chain parks once for the whole walk. Run pops it
+// exactly when it would have resumed a proc calling Barrier.Wait on
+// each link in turn, and performs the next arrival itself, with the
+// same blocking, release and AdvanceTo rule that Wait applies. So the
+// arrivals, releases, heap operations and MaxNow updates are those of
+// the sequential waits, and the coroutine is resumed only when the walk
+// ends. A team worker's end-of-region plus next-start rendezvous is one
+// such walk: one resume per region instead of one per barrier.
+//
+// The runnable heap holds (clock, id) slots with no pointers, so a sift
+// compares keys without touching the procs.
+//
+// When Run ends with live procs blocked it stops every live coroutine:
+// the blocked proc's park unwinds its body without finishing it, so no
+// goroutine outlives the run. A chained proc blocked mid-walk is parked
+// in the same place and unwinds the same way.
 package simtime
 
 import (
@@ -40,12 +53,11 @@ import (
 	"iter"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
 // procState describes where a proc is in its lifecycle.
-type procState int
+type procState uint8
 
 const (
 	stateRunnable procState = iota + 1
@@ -67,10 +79,14 @@ var errStopped = errors.New("simtime: proc stopped")
 // from within the proc's own body function while it is running.
 type Proc struct {
 	eng   *Engine
-	id    int
+	id    int32 // spawn index: e.procs[id] == p
+	state procState
+	// at is the next link of chain to arrive at while a walk is in
+	// progress, and the walk's result once it has ended.
+	at    int32
 	name  string
 	clock time.Duration
-	state procState
+	chain *Chain // the chain being walked, nil when none
 
 	// The proc's coroutine: Run calls next to resume the body, the body
 	// calls yield (via park) to hand control back, and stop unwinds a
@@ -80,12 +96,10 @@ type Proc struct {
 	stop  func()
 
 	waiters []*Proc // procs blocked in Join on this proc
-
-	err error // panic captured from the body, if any
 }
 
 // ID returns the proc's unique spawn-ordered identifier.
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return int(p.id) }
 
 // Name returns the proc's debug name.
 func (p *Proc) Name() string { return p.name }
@@ -143,7 +157,7 @@ func (p *Proc) park() {
 	if p.clock > e.maxNow {
 		e.maxNow = p.clock
 	}
-	if len(e.runnable) > 0 && e.runnable[0] == p {
+	if len(e.runnable) > 0 && e.runnable[0].id == p.id {
 		e.pop()
 		p.state = stateRunning
 		return
@@ -167,11 +181,10 @@ func (p *Proc) unblock(at time.Duration) {
 
 // Engine owns the procs and drives them in deterministic order.
 type Engine struct {
-	procs     []*Proc
-	runnable  procHeap
+	procs     []*Proc       // indexed by proc id
+	runnable  []slot        // binary min-heap of runnable procs
 	nextClock time.Duration // runnable[0].clock, or noProcClock when empty
-	nextID    int
-	live      int // procs not yet done
+	live      int           // procs not yet done
 	rng       *rand.Rand
 	maxNow    time.Duration
 	running   bool
@@ -202,42 +215,43 @@ func (e *Engine) MaxNow() time.Duration { return e.maxNow }
 func (e *Engine) Go(name string, start time.Duration, fn func(*Proc)) *Proc {
 	p := &Proc{
 		eng:   e,
-		id:    e.nextID,
+		id:    int32(len(e.procs)),
 		name:  name,
 		clock: start,
 	}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
+			var err error
 			if r := recover(); r != nil {
 				if r == errStopped {
 					return
 				}
-				p.err = fmt.Errorf("simtime: proc %q panicked: %v", p.name, r)
+				err = fmt.Errorf("simtime: proc %q panicked: %v", p.name, r)
 			}
-			p.finish()
+			p.finish(err)
 		}()
 		fn(p)
 	})
-	e.nextID++
 	e.live++
 	e.procs = append(e.procs, p)
 	e.requeue(p)
 	return p
 }
 
-// finish marks the proc done, wakes joiners and records the first error
-// in completion order. The body then returns, ending its coroutine, and
-// Run resumes the next runnable proc.
-func (p *Proc) finish() {
+// finish marks the proc done, wakes joiners and records err (the
+// body's panic, if any) when it is the first in completion order. The
+// body then returns, ending its coroutine, and Run resumes the next
+// runnable proc.
+func (p *Proc) finish(err error) {
 	e := p.eng
 	p.state = stateDone
 	e.live--
 	if p.clock > e.maxNow {
 		e.maxNow = p.clock
 	}
-	if p.err != nil && e.firstErr == nil {
-		e.firstErr = p.err
+	if err != nil && e.firstErr == nil {
+		e.firstErr = err
 	}
 	for _, w := range p.waiters {
 		w.unblock(p.clock)
@@ -261,8 +275,9 @@ func (p *Proc) Join(target *Proc) {
 var ErrDeadlock = errors.New("simtime: deadlock: live procs remain but none are runnable")
 
 // Run drives the simulation until every proc has finished. It returns
-// ErrDeadlock (wrapped with a proc dump) if all remaining procs are
-// blocked, or the first proc panic converted to an error.
+// the first proc panic converted to an error, or ErrDeadlock (wrapped
+// with a proc dump) if all remaining procs are blocked. A panic that
+// leaves other procs blocked returns both, the panic first.
 func (e *Engine) Run() error {
 	if e.running {
 		return errors.New("simtime: engine already running")
@@ -277,26 +292,31 @@ func (e *Engine) Run() error {
 		if q.clock > e.maxNow {
 			e.maxNow = q.clock
 		}
+		if q.chain != nil && !q.walk() {
+			// The walk blocked or requeued q. It needs none of park's
+			// MaxNow update: it raised q's clock at most to a release
+			// time, the clock of an arrival that has already parked.
+			continue
+		}
 		q.next()
 	}
 	if e.live > 0 {
 		err := fmt.Errorf("%w\n%s", ErrDeadlock, e.dump())
 		for _, p := range e.procs {
 			if p.state != stateDone {
+				p.chain = nil
 				p.stop()
 			}
 		}
-		return err
+		return errors.Join(e.firstErr, err)
 	}
 	return e.firstErr
 }
 
 // dump renders the blocked-proc table for deadlock diagnostics.
 func (e *Engine) dump() string {
-	procs := append([]*Proc(nil), e.procs...)
-	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
 	s := ""
-	for _, p := range procs {
+	for _, p := range e.procs { // in id order
 		if p.state == stateDone {
 			continue
 		}
@@ -311,23 +331,37 @@ func (e *Engine) requeue(p *Proc) {
 	e.push(p)
 }
 
-// procHeap is a binary min-heap ordered by (clock, id).
-type procHeap []*Proc
+// slot is one runnable proc in the heap, keyed inline by (clock, id) so
+// that sifting never dereferences a proc. A runnable proc's clock does
+// not change until it is popped, so the key stays valid.
+type slot struct {
+	clock time.Duration
+	id    int32
+}
+
+func (a slot) less(b slot) bool {
+	if a.clock != b.clock {
+		return a.clock < b.clock
+	}
+	return a.id < b.id
+}
 
 func (e *Engine) push(p *Proc) {
 	if p.clock < e.nextClock {
 		e.nextClock = p.clock
 	}
-	h := append(e.runnable, p)
+	s := slot{p.clock, p.id}
+	h := append(e.runnable, s)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less(h[i], h[parent]) {
+		if !s.less(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = s
 	e.runnable = h
 }
 
@@ -335,37 +369,29 @@ func (e *Engine) pop() *Proc {
 	h := e.runnable
 	top := h[0]
 	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil // release the reference for the GC
+	s := h[last]
 	h = h[:last]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && less(h[l], h[smallest]) {
-			smallest = l
-		}
-		if r < len(h) && less(h[r], h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= last {
 			break
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		if r := c + 1; r < last && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(s) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	e.runnable = h
-	if len(h) > 0 {
+	if last > 0 {
+		h[i] = s
 		e.nextClock = h[0].clock
 	} else {
 		e.nextClock = noProcClock
 	}
-	return top
-}
-
-func less(a, b *Proc) bool {
-	if a.clock != b.clock {
-		return a.clock < b.clock
-	}
-	return a.id < b.id
+	e.runnable = h
+	return e.procs[top.id]
 }

@@ -19,22 +19,35 @@ func NewBarrier(parties int) *Barrier {
 	if parties < 1 {
 		panic(fmt.Sprintf("simtime: barrier parties must be >= 1, got %d", parties))
 	}
-	return &Barrier{parties: parties}
+	// Room for every waiter up front: the last arrival never queues.
+	return &Barrier{parties: parties, arrived: make([]*Proc, 0, parties-1)}
 }
 
 // Wait blocks p until all parties have arrived, then releases everyone
 // at the maximum arrival time. It reports whether p was the last
 // arrival (the "winner", used for leader election at barriers).
 func (b *Barrier) Wait(p *Proc) bool {
-	if p.Now() > b.maxT {
-		b.maxT = p.Now()
-	}
-	if len(b.arrived)+1 < b.parties {
-		b.arrived = append(b.arrived, p)
+	release, last := b.arrive(p)
+	if !last {
 		p.block()
 		return false
 	}
-	release := b.maxT
+	p.AdvanceTo(release)
+	return true
+}
+
+// arrive records p's arrival. A non-last arrival is queued for release
+// and must block; the last one releases every queued waiter and
+// returns the release time, which it still has to advance to.
+func (b *Barrier) arrive(p *Proc) (release time.Duration, last bool) {
+	if p.clock > b.maxT {
+		b.maxT = p.clock
+	}
+	if len(b.arrived)+1 < b.parties {
+		b.arrived = append(b.arrived, p)
+		return 0, false
+	}
+	release = b.maxT
 	waiters := b.arrived
 	// Keep the backing array for the next round: every waiter is
 	// unblocked below, before any of them can re-enter Wait and append.
@@ -43,7 +56,82 @@ func (b *Barrier) Wait(p *Proc) bool {
 	for _, w := range waiters {
 		w.unblock(release)
 	}
-	p.AdvanceTo(release)
+	return release, true
+}
+
+// Link is one barrier of a Chain. Stop ends the walk at this barrier
+// when the walking proc is its last arrival. A nil Barrier stands for a
+// barrier whose only party is the walker: the walker is always its
+// last arrival, and arriving costs no time.
+type Link struct {
+	Barrier *Barrier
+	Stop    bool
+}
+
+// Chain is a fixed sequence of barriers a proc waits on in order
+// without running code in between. Walking it is exactly a loop of
+// Barrier.Wait calls, one per link, that returns at the first stop
+// link where the proc was the last arrival — but the proc's coroutine
+// is resumed once, when the walk ends, instead of once per barrier.
+type Chain struct {
+	links []Link
+}
+
+// NewChain returns a chain over links, waited in order.
+func NewChain(links ...Link) *Chain {
+	return &Chain{links: links}
+}
+
+// Wait walks p through the links from index from on, as Barrier.Wait
+// on each in turn. It returns the index of the stop link at which p
+// was the last arrival, or the number of links if the walk passed
+// every one.
+func (c *Chain) Wait(p *Proc, from int) int {
+	p.chain, p.at = c, int32(from)
+	if !p.walk() {
+		// Blocked or requeued: Run finishes the walk before resuming p.
+		p.park()
+	}
+	return int(p.at)
+}
+
+// walk performs p's arrivals from link p.at on. It reports true when
+// the walk has ended with p free to run: p.chain is then nil and p.at
+// holds the result. Otherwise p is blocked on a link, or requeued
+// behind a strictly earlier proc exactly where Barrier.Wait's AdvanceTo
+// would yield, and Run continues the walk when it pops p. walk runs on
+// p's coroutine for the first arrival and on Run's for the rest, so it
+// never parks itself.
+func (p *Proc) walk() bool {
+	links := p.chain.links
+	for int(p.at) < len(links) {
+		l := links[p.at]
+		release, last := p.clock, true
+		if l.Barrier != nil {
+			release, last = l.Barrier.arrive(p)
+		}
+		if !last {
+			p.at++
+			p.state = stateBlocked
+			return false
+		}
+		if release > p.clock {
+			p.clock = release
+		}
+		if l.Stop {
+			p.chain = nil
+		} else {
+			p.at++
+		}
+		if p.eng.nextClock < p.clock {
+			p.eng.requeue(p)
+			return false
+		}
+		if l.Stop {
+			return true
+		}
+	}
+	p.chain = nil
 	return true
 }
 
