@@ -38,7 +38,7 @@ race:
 # across concurrent Sims, raced quickly.
 .PHONY: race-fast
 race-fast:
-	$(GO) test -race ./internal/simtime/... ./internal/perf/... ./internal/rpc/... ./internal/core/... ./internal/cluster/... ./internal/apportion/... ./internal/decstore/... ./internal/server/...
+	$(GO) test -race ./internal/simtime/... ./internal/dsm/... ./internal/kernels/... ./internal/perf/... ./internal/rpc/... ./internal/core/... ./internal/cluster/... ./internal/apportion/... ./internal/decstore/... ./internal/server/...
 
 # The rpc pool keeps state across Runs (the probe cache), so repetition
 # is the net: the whole package, raced, ten times. Foreground, ~30 s.

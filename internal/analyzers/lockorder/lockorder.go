@@ -56,8 +56,12 @@ var (
 		"Advance": true, "AdvanceTo": true, "Yield": true, "Join": true, "Run": true,
 		"Wait": true, // Barrier.Wait, Gate.Wait, Chain.Wait
 		"Use":  true, // Resource.Use
+		"Walk": true, // Proc.Walk
 	}
-	interconnectRoundTrips = map[string]bool{"PageFault": true, "ControlMessage": true}
+	interconnectRoundTrips = map[string]bool{
+		"PageFault": true, "ControlMessage": true,
+		"PageFaultBetween": true, "ControlMessageBetween": true,
+	}
 )
 
 // callSite is one static call made while locks were held.

@@ -62,16 +62,18 @@ func simtimeWaitsUnderLock(s *state, p *simtime.Proc, bar *simtime.Barrier, gate
 	res *simtime.Resource, chain *simtime.Chain) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bar.Wait(p)      // want `simtime yield Wait while "b\.state\.mu" is held`
-	gate.Wait(p)     // want `simtime yield Wait while "b\.state\.mu" is held`
-	res.Use(p, 10)   // want `simtime yield Use while "b\.state\.mu" is held`
-	chain.Wait(p, 0) // want `simtime yield Wait while "b\.state\.mu" is held`
+	bar.Wait(p)                             // want `simtime yield Wait while "b\.state\.mu" is held`
+	gate.Wait(p)                            // want `simtime yield Wait while "b\.state\.mu" is held`
+	res.Use(p, 10)                          // want `simtime yield Use while "b\.state\.mu" is held`
+	chain.Wait(p, 0)                        // want `simtime yield Wait while "b\.state\.mu" is held`
+	p.Walk(simtime.Delay(10), res.Step(10)) // want `simtime yield Walk while "b\.state\.mu" is held`
 }
 
 func roundTripUnderLock(s *state, spec interconnect.Spec, n machine.NodeSpec, rng *rand.Rand) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = spec.PageFault(n, n, 4096, rng) // want `interconnect round-trip PageFault while "b\.state\.mu" is held`
+	_ = spec.PageFault(n, n, 4096, rng)    // want `interconnect round-trip PageFault while "b\.state\.mu" is held`
+	_ = spec.ControlMessageBetween(&n, &n) // want `interconnect round-trip ControlMessageBetween while "b\.state\.mu" is held`
 }
 
 // lockIt returns with s.mu held; the caller's send is under it.

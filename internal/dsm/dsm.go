@@ -423,7 +423,7 @@ func (r *Region) fault(p *simtime.Proc, node int, pg, k int64, write bool) Acces
 	// charges a retransmit penalty. Both stalls land inside the
 	// [start, Now) window, so they count as protocol stall — exactly
 	// how a retransmitted page request looks to the faulting thread.
-	proto := s.proto
+	proto := &s.proto
 	if ch := s.chaos; ch != nil {
 		if resume, retransmit, down := ch.OutageAt(p.Now()); down {
 			p.AdvanceTo(resume)
@@ -434,7 +434,8 @@ func (r *Region) fault(p *simtime.Proc, node int, pg, k int64, write bool) Acces
 		}
 		// Protocol costs reflect the link state at (post-outage)
 		// fault-service time.
-		proto = proto.EffectiveAt(p.Now())
+		eff := proto.EffectiveAt(p.Now())
+		proto = &eff
 	}
 
 	// Transfer the data unless the requester already holds valid read
@@ -442,13 +443,13 @@ func (r *Region) fault(p *simtime.Proc, node int, pg, k int64, write bool) Acces
 	needsData := run[0].copyset&bit == 0
 	bytes := k * PageSize
 	if needsData {
-		cost := proto.PageFault(s.nodes[node], s.nodes[owner], int(bytes), s.rng)
-		// Requester-side software path, paid inline.
-		p.Advance(cost.Inline)
-		// Owner's DSM worker pool services the request (queues under load).
-		s.handlers[owner].Use(p, proto.EffectiveOwnerService(cost.Owner))
-		// The wire carries the data.
-		s.wire.Use(p, cost.Wire)
+		cost := proto.PageFaultBetween(&s.nodes[node], &s.nodes[owner], int(bytes), s.rng)
+		// One walk: the requester-side software path, paid inline; the
+		// owner's DSM worker pool servicing the request (it queues
+		// under load); the wire carrying the data.
+		p.Walk(simtime.Delay(cost.Inline),
+			s.handlers[owner].Step(proto.EffectiveOwnerService(cost.Owner)),
+			s.wire.Step(cost.Wire))
 		s.stats[node].BytesIn += bytes
 	}
 
@@ -465,9 +466,9 @@ func (r *Region) fault(p *simtime.Proc, node int, pg, k int64, write bool) Acces
 				continue
 			}
 			if !needsData || other != owner {
-				inv := proto.ControlMessage(s.nodes[node], s.nodes[other])
-				p.Advance(inv.Inline)
-				s.handlers[other].Use(p, proto.EffectiveOwnerService(inv.Owner))
+				inv := proto.ControlMessageBetween(&s.nodes[node], &s.nodes[other])
+				p.Walk(simtime.Delay(inv.Inline),
+					s.handlers[other].Step(proto.EffectiveOwnerService(inv.Owner)))
 			}
 			s.stats[other].Invalidations += copies
 			if h := r.tel; h != nil {

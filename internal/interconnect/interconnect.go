@@ -202,7 +202,7 @@ func (s Spec) Validate() error {
 
 // scale returns the node's software-cost multiplier relative to the
 // reference node.
-func scale(n machine.NodeSpec) float64 {
+func scale(n *machine.NodeSpec) float64 {
 	if n.DSMHandlerCost <= 0 {
 		return 1
 	}
@@ -231,6 +231,12 @@ func (c FaultCost) Total() time.Duration { return c.Inline + c.Owner + c.Wire }
 // owner to requester, with optional jitter drawn from rng (nil disables
 // jitter).
 func (s Spec) PageFault(requester, owner machine.NodeSpec, pageBytes int, rng *rand.Rand) FaultCost {
+	return s.PageFaultBetween(&requester, &owner, pageBytes, rng)
+}
+
+// PageFaultBetween is PageFault for specs and nodes held by pointer, so
+// the DSM's fault path copies none of them.
+func (s *Spec) PageFaultBetween(requester, owner *machine.NodeSpec, pageBytes int, rng *rand.Rand) FaultCost {
 	req := time.Duration(float64(s.ReqSoftBase) * scale(requester))
 	own := time.Duration(float64(s.OwnerSoftBase) * scale(owner))
 	if rng != nil && s.JitterFrac > 0 {
@@ -251,6 +257,12 @@ func (s Spec) PageFault(requester, owner machine.NodeSpec, pageBytes int, rng *r
 // invalidation) from one node to another: paid inline by the sender,
 // plus a service component at the receiver.
 func (s Spec) ControlMessage(sender, receiver machine.NodeSpec) FaultCost {
+	return s.ControlMessageBetween(&sender, &receiver)
+}
+
+// ControlMessageBetween is ControlMessage for specs and nodes held by
+// pointer.
+func (s *Spec) ControlMessageBetween(sender, receiver *machine.NodeSpec) FaultCost {
 	cost := FaultCost{
 		Inline: 2 * s.OneWayLatency,
 		Owner:  time.Duration(float64(s.OwnerSoftBase) * scale(receiver) / 2),

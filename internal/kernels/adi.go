@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"hetmp/internal/cluster"
 	"hetmp/internal/core"
@@ -87,31 +88,89 @@ func (k *adi) sweep(a *core.App, sched SchedFactory, axis string) {
 	region := k.name + ":" + axis + "solve"
 	ps, qs, stride := axisStrides(axis, n)
 	a.ParallelFor(region, n*n, sched(region), func(e cluster.Env, lo, hi int) {
-		offs := make([]int64, n)
-		line := make([]float64, n)
-		for l := lo; l < hi; l++ {
+		// The body yields inside Load and LoadAt, and another proc's
+		// body runs meanwhile, so each call takes its own scratch.
+		sc := getLineScratch(n)
+		defer lineScratchPool.Put(sc)
+		u := k.u.Data
+		// Four lines at a time: gather them interleaved, solve them
+		// together, then declare each line's accesses in line order and
+		// scatter. Reading the lines before the declarations is safe:
+		// a sweep's lines are disjoint and no other body touches them.
+		l := lo
+		for ; l+4 <= hi; l += 4 {
+			buf := sc.buf[:4*n]
+			var bases [4]int
+			for j := range bases {
+				bases[j] = (l+j)/n*ps + (l+j)%n*qs
+				offs := sc.offs[j][:n]
+				for t, ix := 0, bases[j]; t < n; t, ix = t+1, ix+stride {
+					offs[t] = int64(ix) * 8
+					buf[4*t+j] = u[ix]
+				}
+			}
+			k.thomas.solve4(buf)
+			for j, base := range bases {
+				k.declare(e, axis, base, sc.offs[j][:n])
+			}
+			for j, base := range bases {
+				for t, ix := 0, base; t < n; t, ix = t+1, ix+stride {
+					u[ix] = buf[4*t+j]
+				}
+			}
+		}
+		for ; l < hi; l++ {
 			base := l/n*ps + l%n*qs
-			// Gather the line's offsets for this axis.
+			line, offs := sc.buf[:n], sc.offs[0][:n]
 			for t, ix := 0, base; t < n; t, ix = t+1, ix+stride {
 				offs[t] = int64(ix) * 8
-				line[t] = k.u.Data[ix]
+				line[t] = u[ix]
 			}
-			if axis == "z" {
-				// Contiguous line: declare as a range.
-				e.Load(k.u.Reg, int64(base)*8, int64(n)*8)
-				k.thomas.solve(line)
-				e.Store(k.u.Reg, int64(base)*8, int64(n)*8)
-			} else {
-				e.LoadAt(k.u.Reg, offs, 8)
-				k.thomas.solve(line)
-				e.StoreAt(k.u.Reg, offs, 8)
-			}
+			k.thomas.solve(line)
+			k.declare(e, axis, base, offs)
 			for t, ix := 0, base; t < n; t, ix = t+1, ix+stride {
-				k.u.Data[ix] = line[t]
+				u[ix] = line[t]
 			}
 		}
 		e.Compute(float64(hi-lo)*float64(n)*k.flopsPerElem, k.vec)
 	})
+}
+
+// declare charges one line solve's read and write of the line starting
+// at base, whose element byte offsets are offs.
+func (k *adi) declare(e cluster.Env, axis string, base int, offs []int64) {
+	if axis == "z" {
+		// Contiguous line: declare as a range.
+		e.Load(k.u.Reg, int64(base)*8, int64(len(offs))*8)
+		e.Store(k.u.Reg, int64(base)*8, int64(len(offs))*8)
+		return
+	}
+	e.LoadAt(k.u.Reg, offs, 8)
+	e.StoreAt(k.u.Reg, offs, 8)
+}
+
+// lineScratch is one sweep body's scratch: four lines interleaved
+// (element t of line j at buf[4t+j]) and each line's byte offsets.
+type lineScratch struct {
+	buf  []float64
+	offs [4][]int64
+}
+
+// lineScratchPool recycles sweep scratch across bodies, kernels and
+// concurrent simulations.
+var lineScratchPool sync.Pool
+
+// getLineScratch returns scratch for lines of n elements.
+func getLineScratch(n int) *lineScratch {
+	if sc, _ := lineScratchPool.Get().(*lineScratch); sc != nil && len(sc.offs[0]) >= n {
+		return sc
+	}
+	sc := &lineScratch{buf: make([]float64, 4*n)}
+	offs := make([]int64, 4*n)
+	for j := range sc.offs {
+		sc.offs[j] = offs[j*n : (j+1)*n : (j+1)*n]
+	}
+	return sc
 }
 
 // thomas solves (I + αA) x = d in place, where A is the 1D Laplacian
@@ -143,6 +202,35 @@ func (t thomas) solve(d []float64) {
 	}
 	for i := len(d) - 2; i >= 0; i-- {
 		d[i] -= c[i] * d[i+1]
+	}
+}
+
+// solve4 solves four lines of the solver's length, interleaved in d
+// (element t of line j at d[4t+j]), with exactly solve's operations on
+// each, so every line's bits are solve's.
+func (t thomas) solve4(d []float64) {
+	n := len(d) / 4
+	c, m := t.c[:n], t.m[:n]
+	a, b := t.a, t.b
+	x0, x1, x2, x3 := d[0]/b, d[1]/b, d[2]/b, d[3]/b
+	d[0], d[1], d[2], d[3] = x0, x1, x2, x3
+	for i := 1; i < n; i++ {
+		q := d[4*i : 4*i+4 : 4*i+4]
+		mi := m[i]
+		x0 = (q[0] - a*x0) * mi
+		x1 = (q[1] - a*x1) * mi
+		x2 = (q[2] - a*x2) * mi
+		x3 = (q[3] - a*x3) * mi
+		q[0], q[1], q[2], q[3] = x0, x1, x2, x3
+	}
+	for i := n - 2; i >= 0; i-- {
+		q := d[4*i : 4*i+4 : 4*i+4]
+		ci := c[i]
+		x0 = q[0] - ci*x0
+		x1 = q[1] - ci*x1
+		x2 = q[2] - ci*x2
+		x3 = q[3] - ci*x3
+		q[0], q[1], q[2], q[3] = x0, x1, x2, x3
 	}
 }
 

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"testing"
 
 	"hetmp/internal/cluster"
@@ -22,9 +23,19 @@ func testPlatform() machine.Platform {
 
 func runKernel(t *testing.T, name string, scale float64, sched core.Schedule) Kernel {
 	t.Helper()
-	k, err := New(name, scale)
+	k, err := simulateKernel(name, scale, sched)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return k
+}
+
+// simulateKernel is runKernel for any goroutine: it returns what
+// runKernel fails on.
+func simulateKernel(name string, scale float64, sched core.Schedule) (Kernel, error) {
+	k, err := New(name, scale)
+	if err != nil {
+		return nil, err
 	}
 	cl, err := cluster.NewSim(cluster.SimConfig{
 		Platform: testPlatform(),
@@ -32,16 +43,16 @@ func runKernel(t *testing.T, name string, scale float64, sched core.Schedule) Ke
 		Seed:     1,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	rt := core.New(cl, core.Options{})
 	if err := rt.Run(func(a *core.App) { k.Run(a, Fixed(sched)) }); err != nil {
-		t.Fatalf("%s: %v", name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if cl.Elapsed() <= 0 {
-		t.Fatalf("%s: no virtual time elapsed", name)
+		return nil, fmt.Errorf("%s: no virtual time elapsed", name)
 	}
-	return k
+	return k, nil
 }
 
 // TestAllKernelsVerifyUnderStatic runs every benchmark at a reduced

@@ -21,7 +21,10 @@ import (
 // while a walker arrives, and a launcher spawns the procs over time,
 // some of them in the past, so a barrier's last arrival can release at
 // a time later than its own clock: the cases where the last arrival
-// must requeue.
+// must requeue. The work also includes step walks over two resources,
+// which the chained run takes with Proc.Walk and the reference with
+// Advance and Use in turn; a child spawned in the past, a launch in the
+// past or a tie on a resource makes a step yield at any position.
 type chainPlan struct {
 	group  []int              // group of each proc
 	launch [][2]time.Duration // per proc: launcher advance before spawning it, and how far in the past
@@ -37,8 +40,16 @@ type planLink struct {
 }
 
 type planOp struct {
-	kind int // 0 advance, 1 resource use, 2 spawn a child in the past, 3 yield
-	d    time.Duration
+	kind  int // 0 advance, 1 resource use, 2 spawn a child in the past, 3 yield, 4 step walk
+	d     time.Duration
+	steps []planStep // kind 4
+}
+
+// planStep is one step of a walk: a delay (res 0) or a use of resource
+// res (1 or 2).
+type planStep struct {
+	res int
+	d   time.Duration
 }
 
 // byteSource hands out the plan's choices, then zeros once data runs
@@ -79,8 +90,16 @@ func decodeChainPlan(data []byte) chainPlan {
 		pl.lead[p] = make([][]time.Duration, pl.rounds)
 		for r := 0; r < pl.rounds; r++ {
 			for k := src.next(4); k > 0; k-- {
-				pl.work[p][r] = append(pl.work[p][r],
-					planOp{kind: src.next(4), d: time.Duration(src.next(4)) * time.Microsecond})
+				op := planOp{kind: src.next(5)}
+				if op.kind == 4 {
+					op.steps = make([]planStep, 1+src.next(4))
+					for i := range op.steps {
+						op.steps[i] = planStep{res: src.next(3), d: time.Duration(src.next(4)) * time.Microsecond}
+					}
+				} else {
+					op.d = time.Duration(src.next(4)) * time.Microsecond
+				}
+				pl.work[p][r] = append(pl.work[p][r], op)
 			}
 			pl.lead[p][r] = make([]time.Duration, len(pl.links))
 			for l := range pl.links {
@@ -106,7 +125,15 @@ func (pl chainPlan) encode() []byte {
 		for r := 0; r < pl.rounds; r++ {
 			b = append(b, byte(len(pl.work[p][r])))
 			for _, op := range pl.work[p][r] {
-				b = append(b, byte(op.kind), byte(op.d/time.Microsecond))
+				b = append(b, byte(op.kind))
+				if op.kind != 4 {
+					b = append(b, byte(op.d/time.Microsecond))
+					continue
+				}
+				b = append(b, byte(len(op.steps)-1))
+				for _, st := range op.steps {
+					b = append(b, byte(st.res), byte(st.d/time.Microsecond))
+				}
 			}
 			for _, d := range pl.lead[p][r] {
 				b = append(b, byte(d/time.Microsecond))
@@ -124,9 +151,10 @@ func boolByte(v bool) byte {
 }
 
 // runChainPlan runs pl, walking the links either with Chain.Wait or
-// with the reference loop, and returns the run's event log: every
-// observable step of every proc, in execution order, with the proc's
-// clock and the engine's MaxNow at that step.
+// with the reference loop and the steps with Proc.Walk or with the
+// reference calls, and returns the run's event log: every observable
+// step of every proc, in execution order, with the proc's clock and the
+// engine's MaxNow at that step, and each resource's state at the end.
 func runChainPlan(pl chainPlan, chained bool) ([]string, time.Duration, error) {
 	var log []string
 	at := func(p *Proc, what string) {
@@ -134,6 +162,7 @@ func runChainPlan(pl chainPlan, chained bool) ([]string, time.Duration, error) {
 	}
 	e := NewEngine(1)
 	res := NewResource("link")
+	resources := [3]*Resource{nil, res, NewResource("wire")}
 
 	var sizes [3]int
 	for _, g := range pl.group {
@@ -191,6 +220,24 @@ func runChainPlan(pl chainPlan, chained bool) ([]string, time.Duration, error) {
 						})
 					case 3:
 						p.Yield()
+					case 4:
+						var steps []Step
+						for _, st := range op.steps {
+							r := resources[st.res]
+							switch {
+							case chained && r == nil:
+								steps = append(steps, Delay(st.d))
+							case chained:
+								steps = append(steps, r.Step(st.d))
+							case r == nil:
+								p.Advance(st.d)
+							default:
+								r.Use(p, st.d)
+							}
+						}
+						if chained {
+							p.Walk(steps...)
+						}
 					}
 					at(p, fmt.Sprintf("r%dk%d", r, k))
 				}
@@ -209,6 +256,9 @@ func runChainPlan(pl chainPlan, chained bool) ([]string, time.Duration, error) {
 		}
 	})
 	err := e.Run()
+	for _, r := range resources[1:] {
+		log = append(log, fmt.Sprintf("%s:next=%d busy=%d uses=%d", r.name, r.next, r.busy, r.uses))
+	}
 	return log, e.MaxNow(), err
 }
 
@@ -283,8 +333,8 @@ func chainSeeds() [][]byte {
 	// A last arrival on a non-stop link while a child spawned in the
 	// past is runnable: the walker requeues on its own coroutine.
 	past := zero(3, 1, planLink{false, false}, planLink{false, false}, planLink{false, true})
-	past.work[0][0] = []planOp{{0, 3 * time.Microsecond}, {2, 3 * time.Microsecond}}
-	past.work[1][0] = []planOp{{0, 2 * time.Microsecond}, {2, 2 * time.Microsecond}}
+	past.work[0][0] = []planOp{{kind: 0, d: 3 * time.Microsecond}, {kind: 2, d: 3 * time.Microsecond}}
+	past.work[1][0] = []planOp{{kind: 0, d: 2 * time.Microsecond}, {kind: 2, d: 2 * time.Microsecond}}
 	past.lead[2][0][2] = time.Microsecond
 
 	// Stops with leader work between them, staggered arrivals.
@@ -292,17 +342,38 @@ func chainSeeds() [][]byte {
 	lead.group = []int{0, 1, 0, 1}
 	for p := range lead.work {
 		for r := range lead.work[p] {
-			lead.work[p][r] = []planOp{{1, time.Duration(p%3) * time.Microsecond}}
+			lead.work[p][r] = []planOp{{kind: 1, d: time.Duration(p%3) * time.Microsecond}}
 			lead.lead[p][r][0] = 2 * time.Microsecond
 			lead.lead[p][r][3] = time.Microsecond
 		}
 	}
+	// Step walks: three procs, tied at 0, queue on two resources in
+	// walks of one to four steps, so some step yields at every position
+	// of a walk, on both sides of it, and a four-step walk yields with
+	// more steps left than the engine holds. The last proc starts
+	// later, launched in the past, and spawns a child in the past just
+	// before its walk.
+	us := time.Microsecond
+	steps := zero(3, 2, planLink{false, false}, planLink{false, true})
+	steps.launch[2] = [2]time.Duration{3 * us, 2 * us}
+	walk := func(st ...planStep) planOp { return planOp{kind: 4, steps: st} }
+	for p := range steps.work {
+		for r := range steps.work[p] {
+			steps.work[p][r] = []planOp{
+				walk(planStep{1, us}, planStep{0, us}, planStep{2, 2 * us}, planStep{1, 0}),
+				walk(planStep{2, time.Duration(p) * us}),
+				walk(planStep{0, 0}, planStep{1, us}),
+			}
+		}
+	}
+	steps.work[2][1] = append([]planOp{{kind: 2, d: 2 * us}}, steps.work[2][1]...)
+
 	// Found by search: on Run's side of a walk, a proc launched in the
 	// past is the last arrival, releases at a later arrival's clock and
 	// requeues behind a strictly earlier proc.
-	late, _ := hex.DecodeString("522ec05829a7808fb02038833cbd018d612992a88df944b8e34a70920b3f26cd" +
-		"a2e8bb16c3aa38b12b33b395c9ba5e809f60ff")
-	return [][]byte{nil, ties.encode(), past.encode(), lead.encode(), late}
+	late, _ := hex.DecodeString("040100000207000200000203040001050101000001000001020200020303020102" +
+		"00030203020201030302020102020200")
+	return [][]byte{nil, ties.encode(), past.encode(), lead.encode(), steps.encode(), late}
 }
 
 // TestChainMatchesSequentialWaits: over seeded random plans and the
@@ -359,6 +430,48 @@ func TestChainResumesOncePerWalk(t *testing.T) {
 	}
 	if e.procs[0].Now() != links*time.Microsecond || resumes != 1 {
 		t.Fatalf("walker at %v after %d resumes", e.procs[0].Now(), resumes)
+	}
+}
+
+// TestWalkResumesOnce: a walk whose every step yields resumes the
+// walker's coroutine once at its end, where the sequential calls resume
+// it after each step, and both end at the same clock.
+func TestWalkResumesOnce(t *testing.T) {
+	const us = time.Microsecond
+	run := func(walk bool) (resumes int, end time.Duration) {
+		e := NewEngine(1)
+		r := NewResource("r")
+		w := e.Go("walker", 0, func(p *Proc) {
+			if walk {
+				p.Walk(Delay(us), r.Step(us), Delay(us))
+				return
+			}
+			p.Advance(us)
+			r.Use(p, us)
+			p.Advance(us)
+		})
+		next := w.next
+		w.next = func() (struct{}, bool) {
+			resumes++
+			return next()
+		}
+		// Half a step behind the walker after each of its steps.
+		e.Go("peer", 0, func(p *Proc) {
+			p.Advance(3 * us / 2)
+			for i := 0; i < 2; i++ {
+				p.Advance(us)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return resumes, w.Now()
+	}
+	seqResumes, seqEnd := run(false)
+	walkResumes, walkEnd := run(true)
+	if seqResumes != 4 || walkResumes != 2 || walkEnd != seqEnd || walkEnd != 3*us {
+		t.Fatalf("sequential: %d resumes, end %v; walk: %d resumes, end %v; want 4 and 2, both 3µs",
+			seqResumes, seqEnd, walkResumes, walkEnd)
 	}
 }
 

@@ -38,13 +38,21 @@
 // ends. A team worker's end-of-region plus next-start rendezvous is one
 // such walk: one resume per region instead of one per barrier.
 //
+// Proc.Walk does the same for a short list of time steps, each an
+// Advance or a Resource.Use: the steps run on the proc's coroutine
+// until one must yield, the engine holds the rest, and Run takes each
+// one when it pops the proc, where the sequential call would have been
+// resumed. A step raises the clock past every parked proc, so Run
+// records it in MaxNow whenever it requeues the walker, as park would.
+// A DSM fault's inline, owner-service and wire steps are one walk.
+//
 // The runnable heap holds (clock, id) slots with no pointers, so a sift
 // compares keys without touching the procs.
 //
 // When Run ends with live procs blocked it stops every live coroutine:
 // the blocked proc's park unwinds its body without finishing it, so no
 // goroutine outlives the run. A chained proc blocked mid-walk is parked
-// in the same place and unwinds the same way.
+// in the same place and unwinds the same way. A step walk never blocks.
 package simtime
 
 import (
@@ -78,15 +86,17 @@ var errStopped = errors.New("simtime: proc stopped")
 // Proc is a simulated thread of execution. All methods must be called
 // from within the proc's own body function while it is running.
 type Proc struct {
-	eng   *Engine
-	id    int32 // spawn index: e.procs[id] == p
-	state procState
-	// at is the next link of chain to arrive at while a walk is in
-	// progress, and the walk's result once it has ended.
-	at    int32
-	name  string
-	clock time.Duration
-	chain *Chain // the chain being walked, nil when none
+	eng *Engine
+	id  int32 // spawn index: e.procs[id] == p
+	// at is the next link of chain to arrive at while a chain walk is in
+	// progress, and the walk's result once it has ended. While a step
+	// walk is parked it is the walk's slot in the engine's held table.
+	at       int32
+	state    procState
+	stepping bool // a step walk is parked: Run takes its held steps
+	name     string
+	clock    time.Duration
+	chain    *Chain // the chain being walked, nil when none
 
 	// The proc's coroutine: Run calls next to resume the body, the body
 	// calls yield (via park) to hand control back, and stop unwinds a
@@ -185,6 +195,7 @@ type Engine struct {
 	runnable  []slot        // binary min-heap of runnable procs
 	nextClock time.Duration // runnable[0].clock, or noProcClock when empty
 	live      int           // procs not yet done
+	held      *heldTable    // parked step walks' steps; nil outside a run's walks
 	rng       *rand.Rand
 	maxNow    time.Duration
 	running   bool
@@ -292,13 +303,15 @@ func (e *Engine) Run() error {
 		if q.clock > e.maxNow {
 			e.maxNow = q.clock
 		}
-		if q.chain != nil && !q.walk() {
-			// The walk blocked or requeued q. It needs none of park's
-			// MaxNow update: it raised q's clock at most to a release
-			// time, the clock of an arrival that has already parked.
-			continue
+		if q.chain != nil && !q.walkChain() || q.stepping && !q.walkHeld() {
+			continue // the walk blocked or requeued q
 		}
 		q.next()
+	}
+	if e.held != nil {
+		// Every walk has ended: a step walker never blocks.
+		heldTables.Put(e.held)
+		e.held = nil
 	}
 	if e.live > 0 {
 		err := fmt.Errorf("%w\n%s", ErrDeadlock, e.dump())
