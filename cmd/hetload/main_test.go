@@ -1,11 +1,18 @@
 package main
 
 import (
+	"encoding/json"
+	"flag"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"hetmp/internal/rpc"
+	"hetmp/internal/runconfig"
 	"hetmp/internal/server"
 )
 
@@ -44,29 +51,82 @@ func TestConnectRejectsInProcessFlags(t *testing.T) {
 	}
 }
 
-// hetload -connect end to end: a RegionServer built the way hetserve
-// builds it, bound to a loopback rpc.Server, serves the remote path's
-// jobs with the same completions, cache hits and misses and summed
-// virtual time as the in-process run of the same config.
-// cross_tenant_warm is not compared: it depends on admission order,
-// which the network decides.
+// hetload -connect end to end: a RegionServer built from hetserve's
+// flags, as hetserve builds it, bound to a loopback rpc.Server, serves
+// the remote path's jobs with the same completions, failures,
+// rejections, cache hits and misses, per-tenant counts and summed
+// virtual time as the in-process run of the same flags, and both
+// reports name the chaos profile they ran under. cross_tenant_warm is
+// not compared: it depends on admission order, which the network
+// decides.
 func TestRemoteMatchesInProcess(t *testing.T) {
-	cfg := server.LoadConfig{Jobs: 60, Tenants: 3, Signatures: 4, Seed: 1}
-	local, err := server.RunLoad(cfg)
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
+	for _, tc := range []struct {
+		name        string
+		serve, load []string
+	}{
+		{"plain", nil, nil},
+		{"chaos", []string{"-chaos-profile", "mixed"}, []string{"-chaos-profile", "mixed", "-chaos-slo"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			load := append([]string{"-quiet", "-jobs", "60", "-tenants", "3", "-signatures", "4", "-seed", "1"}, tc.load...)
+			local := runReport(t, load)
+			remote := runReport(t, append(load, "-connect", serveLoopback(t, tc.serve)))
+			type counts struct {
+				Completed, Failed, Rejections, CacheHits, CacheMisses int
+				VirtualSeconds                                        float64
+				TenantJobs                                            map[string]int
+				ChaosProfile                                          string
+			}
+			project := func(r server.LoadReport) counts {
+				return counts{r.Completed, r.Failed, r.Rejections, r.CacheHits, r.CacheMisses, r.VirtualSeconds, r.TenantJobs, r.ChaosProfile}
+			}
+			got, want := project(remote), project(local)
+			if !reflect.DeepEqual(got, want) || got.Completed != 60 {
+				t.Fatalf("remote = %+v, in-process = %+v, want equal with 60 completed", got, want)
+			}
+			if i := slices.Index(tc.load, "-chaos-profile"); i >= 0 && got.ChaosProfile != tc.load[i+1] {
+				t.Fatalf("reports carry chaos profile %q, want %q", got.ChaosProfile, tc.load[i+1])
+			}
+		})
 	}
+}
 
-	store, err := server.NewCache("", server.SimFingerprint())
+// runReport runs hetload with args and returns its JSON report.
+func runReport(t *testing.T, args []string) server.LoadReport {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := run(append(args, "-json", path)); err != nil {
+		t.Fatalf("hetload %v: %v", args, err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := server.New(server.Config{
-		QueueDepth:  256,
-		MaxInFlight: 8,
-		Executor:    server.NewSimExecutor(server.SimExecutorConfig{Seed: 1, Store: store}),
-	})
-	defer rs.Close()
+	var r server.LoadReport
+	if err := json.Unmarshal(data, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// serveLoopback serves a region server configured by hetserve's
+// serving flags on a loopback rpc.Server until the test ends, and
+// returns its address.
+func serveLoopback(t *testing.T, args []string) string {
+	t.Helper()
+	fs := flag.NewFlagSet("hetserve", flag.ContinueOnError)
+	flags := runconfig.RegisterServe(fs, 256)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	host, err := flags.Server()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _, err := server.NewSimServer(host)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := &rpc.Server{Name: "hetserve-remote"}
 	if err := server.Bind(srv, rs); err != nil {
 		t.Fatal(err)
@@ -77,22 +137,10 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
-	defer func() {
+	t.Cleanup(func() {
 		srv.Close()
 		<-served
-	}()
-
-	remote, err := runRemote(cfg, ln.Addr().String())
-	if err != nil {
-		t.Fatalf("runRemote: %v", err)
-	}
-	type counts struct {
-		Completed, CacheHits, CacheMisses int
-		VirtualSeconds                    float64
-	}
-	got := counts{remote.Completed, remote.CacheHits, remote.CacheMisses, remote.VirtualSeconds}
-	want := counts{local.Completed, local.CacheHits, local.CacheMisses, local.VirtualSeconds}
-	if got != want || got.Completed != cfg.Jobs {
-		t.Fatalf("remote = %+v, in-process = %+v, want equal with %d completed", got, want, cfg.Jobs)
-	}
+		rs.Close()
+	})
+	return ln.Addr().String()
 }

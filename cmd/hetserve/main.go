@@ -29,58 +29,35 @@ import (
 	"os/signal"
 	"syscall"
 
-	"hetmp/internal/chaos"
 	"hetmp/internal/rpc"
+	"hetmp/internal/runconfig"
 	"hetmp/internal/server"
 	"hetmp/internal/telemetry"
 )
 
 func main() {
-	var (
-		listen      = flag.String("listen", ":7070", "address to serve the rpc transport on")
-		cacheDir    = flag.String("cache-dir", "", "persist the shared decision cache in this directory (empty = in-memory only)")
-		queueDepth  = flag.Int("queue-depth", 256, "bounded admission queue depth (global)")
-		maxInflight = flag.Int("max-inflight", 8, "maximum concurrently executing jobs")
-		budget      = flag.Int64("tenant-budget", 0, "per-tenant iteration budget per window (0 = unlimited)")
-		weights     = flag.String("weights", "", "per-tenant fair-share weights, tenant=w,tenant=w (default weight 1)")
-		chaosProf   = flag.String("chaos-profile", "", "run every job under this chaos profile")
-		seed        = flag.Int64("seed", 1, "executor seed (folded with each job's signature)")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics and /trace on this address")
-		nodes       = flag.String("nodes", "", "elastic membership: name:class[:weight],... (empty = membership off)")
-	)
+	listen := flag.String("listen", ":7070", "address to serve the rpc transport on")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics and /trace on this address")
+	serve := runconfig.RegisterServe(flag.CommandLine, 256)
 	flag.Parse()
-	if err := run(*listen, *cacheDir, *queueDepth, *maxInflight, *budget, *weights, *chaosProf, *seed, *debugAddr, *nodes); err != nil {
+	host, err := serve.Server()
+	if err == nil {
+		err = run(*listen, *debugAddr, host)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "hetserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, cacheDir string, queueDepth, maxInflight int, budget int64,
-	weights, chaosProf string, seed int64, debugAddr, nodes string) error {
-	w, err := server.ParseWeights(weights)
-	if err != nil {
-		return err
-	}
-	members, err := server.ParseMembers(nodes)
-	if err != nil {
-		return err
-	}
-	if chaosProf != "" {
-		// Resolve the name before serving: the executor would otherwise
-		// admit jobs and fail each one.
-		if _, err := chaos.Named(chaosProf, seed); err != nil {
-			return err
-		}
-	}
-	var tel *telemetry.Telemetry
-	var debug *http.Server
+func run(listen, debugAddr string, host server.SimServerConfig) error {
 	if debugAddr != "" {
-		tel = telemetry.New(telemetry.Options{})
+		host.Telemetry = telemetry.New(telemetry.Options{})
 		dln, err := net.Listen("tcp", debugAddr)
 		if err != nil {
 			return err
 		}
-		debug = &http.Server{Handler: telemetry.Handler(tel)}
+		debug := &http.Server{Handler: telemetry.Handler(host.Telemetry)}
 		go func() {
 			if err := debug.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(os.Stderr, "hetserve: debug server: %v\n", err)
@@ -89,32 +66,16 @@ func run(listen, cacheDir string, queueDepth, maxInflight int, budget int64,
 		fmt.Printf("hetserve: metrics on http://%s/metrics\n", dln.Addr())
 	}
 
-	store, err := server.NewCache(cacheDir, server.SimFingerprint())
+	host.Logf = func(f string, a ...any) { fmt.Printf(f+"\n", a...) }
+	rs, exec, err := server.NewSimServer(host)
 	if err != nil {
 		return err
 	}
-	if cacheDir != "" {
-		fmt.Printf("hetserve: decision cache %s (%d warm entries)\n", store.Path(), store.Len())
-		if st := store.Status(); st != "" {
-			fmt.Printf("hetserve: cache rejected, starting cold: %s\n", st)
-		}
-	}
-	exec := server.NewSimExecutor(server.SimExecutorConfig{Seed: seed, ChaosProfile: chaosProf, Store: store, Telemetry: tel})
-	rs := server.New(server.Config{
-		QueueDepth:       queueDepth,
-		MaxInFlight:      maxInflight,
-		TenantIterBudget: budget,
-		Weights:          w,
-		Executor:         exec,
-		Telemetry:        tel,
-		Members:          members,
-		Logf:             func(f string, a ...any) { fmt.Printf(f+"\n", a...) },
-	})
-	if len(members) > 0 {
-		fmt.Printf("hetserve: elastic membership with %d nodes\n", len(members))
+	if len(host.Members) > 0 {
+		fmt.Printf("hetserve: elastic membership with %d nodes\n", len(host.Members))
 	}
 
-	srv := &rpc.Server{Name: "hetserve", Telemetry: tel}
+	srv := &rpc.Server{Name: "hetserve", Telemetry: host.Telemetry}
 	if err := server.Bind(srv, rs); err != nil {
 		return err
 	}
@@ -149,7 +110,7 @@ func run(listen, cacheDir string, queueDepth, maxInflight int, budget int64,
 		srv.Close()
 	}()
 
-	fmt.Printf("hetserve: serving on %s (queue %d, in-flight %d)\n", ln.Addr(), queueDepth, maxInflight)
+	fmt.Printf("hetserve: serving on %s (queue %d, in-flight %d)\n", ln.Addr(), host.QueueDepth, host.MaxInFlight)
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, rpc.ErrServerClosed) {
 		return err
 	}

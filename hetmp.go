@@ -14,8 +14,9 @@
 //     nodes coupled by a page-granularity DSM (the paper's platform —
 //     used by every experiment in EXPERIMENTS.md).
 //   - Local: real goroutines on the host.
-//   - RPC (package internal/rpc re-exported via RPCWorkerPool): workers
-//     over TCP connections.
+//
+// Work sharing over real TCP workers is internal/rpc's Pool (hetmprun
+// -rpc, hetworker), which is not a Cluster and is not exported here.
 //
 // Quickstart:
 //
@@ -64,7 +65,7 @@ type (
 
 // Cluster/platform types.
 type (
-	// Cluster is an execution substrate (simulated, local or RPC).
+	// Cluster is an execution substrate (simulated or local).
 	Cluster = cluster.Cluster
 	// Env is a thread's execution environment.
 	Env = cluster.Env

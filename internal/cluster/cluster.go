@@ -1,14 +1,16 @@
 // Package cluster abstracts the execution substrate the hetmp runtime
 // runs on: a set of nodes, threads placed on those nodes, shared memory
 // regions with (possibly) DSM cost, cross-thread synchronization and
-// per-thread measurement. Three implementations exist:
+// per-thread measurement. Two implementations exist, both here:
 //
-//   - Sim (this package): deterministic virtual-time simulation of a
-//     heterogeneous multi-node platform with page-granularity DSM —
-//     the substrate for all paper experiments.
-//   - Local (this package): real goroutines on the host machine, for
-//     using the library as an ordinary parallel-for runtime.
-//   - RPC (package rpc): workers on real TCP connections.
+//   - Sim: deterministic virtual-time simulation of a heterogeneous
+//     multi-node platform with page-granularity DSM — the substrate
+//     for all paper experiments.
+//   - Local: real goroutines on the host machine, for using the
+//     library as an ordinary parallel-for runtime.
+//
+// Package rpc shares work over TCP workers by itself; it does not
+// implement Cluster.
 package cluster
 
 import (

@@ -1,7 +1,7 @@
-// Package runconfig defines, once, the run settings the simulator
-// commands (hetmprun, hetbench) share: it registers their flags,
-// validates the values before anything runs, builds the configured
-// experiments.Suite and wraps the run in the requested pprof profiles.
+// Package runconfig defines, once, the flags commands share, and checks
+// their values before anything runs: the simulator commands' (hetmprun,
+// hetbench), which configure an experiments.Suite run under pprof
+// profiles, and the serving commands' (hetserve, hetload; serve.go).
 package runconfig
 
 import (

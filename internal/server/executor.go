@@ -73,6 +73,46 @@ func NewSimExecutor(cfg SimExecutorConfig) *SimExecutor {
 	return x
 }
 
+// SimServerConfig is what a RegionServer over a SimExecutor is built
+// from: the server's settings and the executor's.
+type SimServerConfig struct {
+	// Config is the server's. NewSimServer sets its Executor; its
+	// Telemetry feeds the executor too.
+	Config
+	// Seed and ChaosProfile are the executor's (SimExecutorConfig).
+	Seed         int64
+	ChaosProfile string
+	// CacheDir persists the shared decision cache ("" = in-memory).
+	CacheDir string
+}
+
+// NewSimServer builds a RegionServer over a SimExecutor, as hetserve
+// and hetload do. An unknown chaos profile is refused before anything
+// is built (the executor would otherwise fail it once per job). With a
+// CacheDir, the store it opens is reported through Logf, and so is the
+// reason it rejected the file on disk, if it did. The executor is
+// returned for Save.
+func NewSimServer(cfg SimServerConfig) (*RegionServer, *SimExecutor, error) {
+	if cfg.ChaosProfile != "" {
+		if _, err := chaos.Named(cfg.ChaosProfile, cfg.Seed); err != nil {
+			return nil, nil, err
+		}
+	}
+	store, err := NewCache(cfg.CacheDir, SimFingerprint())
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.CacheDir != "" && cfg.Logf != nil {
+		cfg.Logf("server: decision cache %s (%d warm entries)", store.Path(), store.Len())
+		if st := store.Status(); st != "" {
+			cfg.Logf("server: decision cache rejected, starting cold: %s", st)
+		}
+	}
+	x := NewSimExecutor(SimExecutorConfig{Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile, Store: store, Telemetry: cfg.Telemetry})
+	cfg.Executor = x
+	return New(cfg.Config), x, nil
+}
+
 // Fingerprint is SimFingerprint, the key of the store the executor
 // reads and writes.
 func (x *SimExecutor) Fingerprint() string { return SimFingerprint() }

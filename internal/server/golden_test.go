@@ -35,12 +35,12 @@ func goldenLoadConfigs(t *testing.T) ([]string, []LoadConfig) {
 		t.Fatal(err)
 	}
 	names := []string{"load-smoke"}
-	cfgs := []LoadConfig{{Jobs: 200, Tenants: 4, Signatures: 6, Seed: 1, MaxInFlight: 8,
-		SLO: SLO{MinCrossTenantWarm: 10}}}
+	cfgs := []LoadConfig{{SimServerConfig: SimServerConfig{Config: Config{MaxInFlight: 8}, Seed: 1},
+		Jobs: 200, Tenants: 4, Signatures: 6, SLO: SLO{MinCrossTenantWarm: 10}}}
 	for _, p := range []string{"dsm-loss", "link-degrade", "link-flap", "mixed", "node-freeze", "node-straggle"} {
 		names = append(names, "churn "+p)
-		cfgs = append(cfgs, LoadConfig{Jobs: 120, Tenants: 4, Signatures: 4, Seed: 1,
-			ChaosProfile: p, Members: members, Churn: churn})
+		cfgs = append(cfgs, LoadConfig{Jobs: 120, Tenants: 4, Signatures: 4,
+			SimServerConfig: SimServerConfig{Config: Config{Members: members, Churn: churn}, Seed: 1, ChaosProfile: p}})
 	}
 	return names, cfgs
 }

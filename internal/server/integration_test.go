@@ -1,32 +1,28 @@
 package server
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"hetmp/internal/decstore"
 )
 
-func newSimServer(t *testing.T, cfg Config, xcfg SimExecutorConfig) (*RegionServer, *SimExecutor) {
+func simServer(t *testing.T, cfg SimServerConfig) (*RegionServer, *SimExecutor) {
 	t.Helper()
-	if xcfg.Store == nil {
-		x := NewSimExecutor(xcfg)
-		store, err := NewCache("", x.Fingerprint())
-		if err != nil {
-			t.Fatal(err)
-		}
-		xcfg.Store = store
+	s, x, err := NewSimServer(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	x := NewSimExecutor(xcfg)
-	cfg.Executor = x
-	return New(cfg), x
+	return s, x
 }
 
 // The tentpole invariant: tenant B's first submission of a region
 // tenant A already probed takes the probe-free fast path — across the
 // whole run, lane-warm jobs pay zero probing periods.
 func TestCrossTenantWarmSharing(t *testing.T) {
-	s, _ := newSimServer(t, Config{StartPaused: true, MaxInFlight: 4, QueueDepth: 64}, SimExecutorConfig{})
+	s, _ := simServer(t, SimServerConfig{Config: Config{StartPaused: true, MaxInFlight: 4, QueueDepth: 64}})
 	defer s.Close()
 
 	// Three tenants, two jobs each, all the same region signature,
@@ -94,7 +90,7 @@ func TestCrossTenantWarmSharing(t *testing.T) {
 // probes between them.
 func TestWarmAfterOneJobWhateverItsInvocations(t *testing.T) {
 	for invs := 1; invs <= 4; invs++ {
-		s, _ := newSimServer(t, Config{}, SimExecutorConfig{})
+		s, _ := simServer(t, SimServerConfig{})
 		var probes, predictions []int
 		for job := 0; job < 5; job++ {
 			r, err := s.Submit(Spec{Tenant: "t", Region: "r", Invocations: invs})
@@ -124,15 +120,7 @@ func TestWarmAfterOneJobWhateverItsInvocations(t *testing.T) {
 // the second server's very first job runs warm.
 func TestWarmAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	xcfg := SimExecutorConfig{}
-	x0 := NewSimExecutor(xcfg)
-	fp := x0.Fingerprint()
-
-	store1, err := NewCache(dir, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, x1 := newSimServer(t, Config{MaxInFlight: 2}, SimExecutorConfig{Store: store1})
+	s1, x1 := simServer(t, SimServerConfig{Config: Config{MaxInFlight: 2}, CacheDir: dir})
 	r1, err := s1.Submit(Spec{Tenant: "alice", Region: "persist", Iterations: 2048, Pages: 24})
 	if err != nil || r1.Err != nil {
 		t.Fatalf("first run: %v / %v", err, r1.Err)
@@ -145,15 +133,13 @@ func TestWarmAcrossRestart(t *testing.T) {
 	}
 	s1.Close()
 
-	store2, err := NewCache(dir, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store2.Len() == 0 {
-		t.Fatalf("persisted store is empty (status %q)", store2.Status())
-	}
-	s2, _ := newSimServer(t, Config{MaxInFlight: 2}, SimExecutorConfig{Store: store2})
+	var logged []string
+	logf := func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }
+	s2, _ := simServer(t, SimServerConfig{Config: Config{MaxInFlight: 2, Logf: logf}, CacheDir: dir})
 	defer s2.Close()
+	if len(logged) != 1 || !strings.Contains(logged[0], "(1 warm entries)") {
+		t.Fatalf("restarted server should open the one persisted entry; log %q", logged)
+	}
 	r2, err := s2.Submit(Spec{Tenant: "bob", Region: "persist", Iterations: 2048, Pages: 24})
 	if err != nil || r2.Err != nil {
 		t.Fatalf("second run: %v / %v", err, r2.Err)
@@ -166,7 +152,7 @@ func TestWarmAcrossRestart(t *testing.T) {
 // Differently-shaped jobs (distinct signatures) don't cross-pollinate:
 // each signature pays its own cold probe once.
 func TestSignatureIsolation(t *testing.T) {
-	s, _ := newSimServer(t, Config{StartPaused: true, MaxInFlight: 4}, SimExecutorConfig{})
+	s, _ := simServer(t, SimServerConfig{Config: Config{StartPaused: true, MaxInFlight: 4}})
 	defer s.Close()
 	specs := []Spec{
 		{Tenant: "a", Region: "small", Iterations: 1024, Pages: 16},
@@ -202,15 +188,12 @@ func TestSignatureIsolation(t *testing.T) {
 // A fresh persistent cache directory starts cold: the first job probes
 // instead of adopting anything.
 func TestFreshDirStartsCold(t *testing.T) {
-	x := NewSimExecutor(SimExecutorConfig{})
-	store, err := NewCache(t.TempDir(), x.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
+	var logged []string
+	logf := func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }
+	s, _ := simServer(t, SimServerConfig{Config: Config{MaxInFlight: 1, Logf: logf}, CacheDir: t.TempDir()})
+	if len(logged) == 0 || !strings.Contains(logged[0], "(0 warm entries)") {
+		t.Fatalf("fresh dir store should open empty; log %q", logged)
 	}
-	if store.Len() != 0 {
-		t.Fatal("fresh dir store should be empty")
-	}
-	s, _ := newSimServer(t, Config{MaxInFlight: 1}, SimExecutorConfig{Store: store})
 	defer s.Close()
 	r, err := s.Submit(Spec{Tenant: "a", Region: "r", Iterations: 1024, Pages: 16})
 	if err != nil || r.Err != nil {

@@ -1,15 +1,18 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
-	"hetmp/internal/chaos"
+	"hetmp/internal/rpc"
 )
 
 // ParseWeights parses a "tenant=weight,tenant=weight" flag value.
@@ -106,8 +109,14 @@ func MergeSLO(base, def SLO) SLO {
 }
 
 // LoadConfig drives one seeded load-generator run against an
-// in-process RegionServer.
+// in-process RegionServer (RunLoad) or a remote one (RunRemote).
 type LoadConfig struct {
+	// SimServerConfig is the server under test; RunRemote reads only
+	// its Seed, ChaosProfile and Logf. QueueDepth defaults to Jobs
+	// (preload admits everything); set it lower with Preload off to
+	// exercise backpressure. Seed also drives tenant/shape assignment:
+	// the same seed reproduces the same workload bit-for-bit.
+	SimServerConfig
 	// Jobs is the total submission count. Defaults to 200.
 	Jobs int
 	// Tenants is how many synthetic tenants submit. Defaults to 4.
@@ -115,39 +124,16 @@ type LoadConfig struct {
 	// Signatures is how many distinct region shapes the workload
 	// mixes. Defaults to 6.
 	Signatures int
-	// Seed drives tenant/shape assignment and executor seeds. The
-	// same seed reproduces the same workload bit-for-bit.
-	Seed int64
-	// QueueDepth / MaxInFlight / TenantIterBudget / Weights configure
-	// the server under test. QueueDepth defaults to Jobs (preload
-	// admits everything); set it lower with Preload off to exercise
-	// backpressure.
-	QueueDepth       int
-	MaxInFlight      int
-	TenantIterBudget int64
-	Weights          map[string]float64
 	// Preload (default true, via the zero value of NoPreload) submits
 	// the whole workload to a paused server, then resumes: admission
 	// order — and therefore dispatch order — is deterministic.
 	NoPreload bool
-	// MaxRetries is how many times a rejected submission retries with
-	// backoff in NoPreload mode. Defaults to 25.
+	// MaxRetries is how many times a submission rejected with
+	// ErrQueueFull retries with backoff. Defaults to 25.
 	MaxRetries int
-	// ChaosProfile runs every job under the named chaos profile.
-	ChaosProfile string
-	// CacheDir persists the shared decision cache ("" = in-memory).
-	CacheDir string
-	// Members, when non-empty, turns on the elastic-membership layer:
-	// jobs split into per-node chunks apportioned by weight.
-	Members []Member
-	// Churn is the membership-churn schedule, applied at dispatch
-	// milestones (ParseChurn parses the flag form).
-	Churn []ChurnEvent
 	// SLO is asserted after the run; failures land in
 	// LoadReport.SLOFailures.
 	SLO SLO
-	// Logf receives progress lines (nil = silent).
-	Logf func(format string, args ...any)
 }
 
 // WithDefaults returns the config with every unset field at its
@@ -170,6 +156,9 @@ func (c LoadConfig) WithDefaults() LoadConfig {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 25
+	}
+	if c.Logf == nil {
+		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -267,8 +256,7 @@ func (r LoadReport) Exact() ExactReport {
 // Workload generates the seeded job sequence for a config. Tenants
 // are "t0".."tN"; signatures mix iteration counts and footprints so
 // several shapes coexist in the shared cache. The same seed yields
-// the same sequence — hetload's remote mode reuses it against a
-// daemon.
+// the same sequence — RunRemote reuses it against a daemon.
 func Workload(cfg LoadConfig) []Spec {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	shapes := make([]Spec, cfg.Signatures)
@@ -295,56 +283,35 @@ func Workload(cfg LoadConfig) []Spec {
 // inside the call.
 func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	cfg = cfg.WithDefaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if cfg.ChaosProfile != "" {
-		// Resolve the name before anything is built or admitted: the
-		// executor would otherwise fail it once per job.
-		if _, err := chaos.Named(cfg.ChaosProfile, cfg.Seed); err != nil {
-			return LoadReport{}, err
-		}
-	}
-	store, err := NewCache(cfg.CacheDir, SimFingerprint())
+	cfg.StartPaused = !cfg.NoPreload
+	rs, x, err := NewSimServer(cfg.SimServerConfig)
 	if err != nil {
 		return LoadReport{}, err
 	}
-	x := NewSimExecutor(SimExecutorConfig{Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile, Store: store})
-	rs := New(Config{
-		QueueDepth:       cfg.QueueDepth,
-		MaxInFlight:      cfg.MaxInFlight,
-		TenantIterBudget: cfg.TenantIterBudget,
-		Weights:          cfg.Weights,
-		StartPaused:      !cfg.NoPreload,
-		Executor:         x,
-		Members:          cfg.Members,
-		Churn:            cfg.Churn,
-		Logf:             cfg.Logf,
-	})
 	defer rs.Close()
 
 	specs := Workload(cfg)
-	report := LoadReport{
-		Jobs: cfg.Jobs, Tenants: cfg.Tenants, Signatures: cfg.Signatures,
-		Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile, Preload: !cfg.NoPreload,
-		TenantJobs: map[string]int{},
-	}
-
 	start := time.Now()
 	var results []Result
+	retries := 0
 	if cfg.NoPreload {
-		results = submitConcurrent(rs, specs, cfg, &report)
+		// Every job is a stream of its own: the flood is what
+		// exercises backpressure.
+		streams := make([][]Spec, len(specs))
+		for i := range specs {
+			streams[i] = specs[i : i+1]
+		}
+		results, retries, err = submitStreams(streams, cfg.MaxRetries, func(_ int, sp Spec) (Result, error) { return rs.Submit(sp) })
 	} else {
 		chans := make([]<-chan Result, 0, len(specs))
 		for i, sp := range specs {
 			ch, err := rs.SubmitAsync(sp)
 			if err != nil {
-				return report, fmt.Errorf("preload submit %d: %w", i, err)
+				return LoadReport{}, fmt.Errorf("preload submit %d: %w", i, err)
 			}
 			chans = append(chans, ch)
 		}
-		logf("hetload: preloaded %d jobs across %d tenants, resuming", len(specs), cfg.Tenants)
+		cfg.Logf("hetload: preloaded %d jobs across %d tenants, resuming", len(specs), cfg.Tenants)
 		start = time.Now()
 		rs.Resume()
 		for _, ch := range chans {
@@ -353,46 +320,155 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	}
 	rs.Drain()
 	wall := time.Since(start)
-	if err := x.Save(); err != nil {
-		return report, fmt.Errorf("cache save: %w", err)
+	if err != nil {
+		return LoadReport{}, err
 	}
-
+	if err := x.Save(); err != nil {
+		return LoadReport{}, fmt.Errorf("cache save: %w", err)
+	}
 	st := rs.Stats()
-	report.WallSeconds = wall.Seconds()
-	report.Completed = st.Completed
-	report.Failed = st.Failed
-	report.Rejections = st.Rejected
-	report.CacheHits = st.CacheHits
-	report.CacheMisses = st.CacheMisses
-	report.CrossTenantWarm = st.CrossTenantWarm
-	report.WarmProbes = st.WarmProbes
-	report.BudgetWindows = st.BudgetWindows
-	report.VirtualSeconds = time.Duration(st.VirtualNs).Seconds()
-	report.DispatchHash = fmt.Sprintf("%016x", st.DispatchHash)
-	report.Membership = st.Membership
-	if wall > 0 {
-		report.Throughput = float64(st.Completed) / wall.Seconds()
+	return cfg.report(results, retries, wall, &st), nil
+}
+
+// RunRemote drives the workload against a remote hetserve at addr: one
+// rpc connection per tenant, each submitting its tenant's jobs in turn.
+// The daemon's own flags configure its server, so only cfg's Seed,
+// ChaosProfile and Logf are read from SimServerConfig. Determinism is not
+// asserted against a remote server: its admission order depends on the
+// network.
+func RunRemote(cfg LoadConfig, addr string) (LoadReport, error) {
+	cfg = cfg.WithDefaults()
+	cfg.NoPreload = true
+	byTenant := map[string][]Spec{}
+	for _, sp := range Workload(cfg) {
+		byTenant[sp.Tenant] = append(byTenant[sp.Tenant], sp)
+	}
+	var streams [][]Spec
+	var clients []*rpc.Client
+	for _, tenant := range slices.Sorted(maps.Keys(byTenant)) {
+		c, err := rpc.DialClient(addr)
+		if err != nil {
+			return LoadReport{}, fmt.Errorf("tenant %s: %w", tenant, err)
+		}
+		defer c.Close()
+		streams, clients = append(streams, byTenant[tenant]), append(clients, c)
+	}
+	start := time.Now()
+	results, retries, err := submitStreams(streams, cfg.MaxRetries, func(i int, sp Spec) (Result, error) {
+		return SubmitRemote(clients[i], sp, 5*time.Minute)
+	})
+	if err != nil {
+		return LoadReport{}, err
+	}
+	return cfg.report(results, retries, time.Since(start), nil), nil
+}
+
+// submitStreams is the driver of both live modes: each stream of jobs
+// on its own goroutine, one job at a time, through submit (given the
+// stream's index) under submitRetrying. It returns the results in
+// completion order, the retries spent and the first error that ended a
+// stream.
+func submitStreams(streams [][]Spec, maxRetries int, submit func(stream int, sp Spec) (Result, error)) ([]Result, int, error) {
+	var (
+		mu      sync.Mutex
+		wg      sync.WaitGroup
+		results []Result
+		retries int
+		first   error
+	)
+	for i, specs := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, sp := range specs {
+				r, n, err := submitRetrying(func() (Result, error) { return submit(i, sp) }, maxRetries)
+				mu.Lock()
+				retries += n
+				if err == nil {
+					results = append(results, r)
+				} else if first == nil {
+					first = err
+				}
+				mu.Unlock()
+				if err != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return results, retries, first
+}
+
+// submitRetrying is the one retry rule: a submission rejected with
+// ErrQueueFull retries after a backoff that doubles from 1 ms to 64 ms,
+// at most maxRetries times. Any other error ends the job at once:
+// ErrDraining, ErrStopped and ErrBadSpec will not pass on a retry. It
+// returns the result, the retries spent and the error that ended it.
+func submitRetrying(submit func() (Result, error), maxRetries int) (Result, int, error) {
+	backoff := time.Millisecond
+	for attempt := 0; ; attempt++ {
+		r, err := submit()
+		if err == nil || !errors.Is(err, ErrQueueFull) || attempt >= maxRetries {
+			return r, attempt, err
+		}
+		time.Sleep(backoff)
+		backoff = min(2*backoff, 64*time.Millisecond)
+	}
+}
+
+// report builds a run's LoadReport from the results its driver
+// collected, checks the SLO and logs the summary. st is the in-process
+// server's final Stats: the rejections it counted and what only it can
+// see (warm probes, budget windows, the dispatch hash, membership).
+// It is nil for a remote run, whose rejections are the retries.
+func (cfg LoadConfig) report(results []Result, retries int, wall time.Duration, st *Stats) LoadReport {
+	r := LoadReport{
+		Jobs: cfg.Jobs, Tenants: cfg.Tenants, Signatures: cfg.Signatures,
+		Seed: cfg.Seed, ChaosProfile: cfg.ChaosProfile, Preload: !cfg.NoPreload,
+		WallSeconds: wall.Seconds(), Rejections: retries, Retries: retries,
+		TenantJobs: map[string]int{},
 	}
 	var waits, svcs []time.Duration
-	for _, r := range results {
-		if r.Err != nil {
+	var virtual int64
+	for _, res := range results {
+		if res.Err != nil {
+			r.Failed++
 			continue
 		}
-		waits = append(waits, r.Wait)
-		svcs = append(svcs, r.Service)
-		report.TenantJobs[r.Tenant]++
+		r.Completed++
+		r.TenantJobs[res.Tenant]++
+		waits = append(waits, res.Wait)
+		svcs = append(svcs, res.Service)
+		virtual += res.VirtualNs
+		if res.Warm {
+			r.CacheHits++
+		} else {
+			r.CacheMisses++
+		}
+		if res.CrossTenantWarm {
+			r.CrossTenantWarm++
+		}
 	}
-	report.Wait = ComputePercentiles(waits)
-	report.Service = ComputePercentiles(svcs)
-	report.SLOFailures = CheckSLO(cfg.SLO, report)
-	logf("hetload: %d jobs in %.2fs (%.1f jobs/s), wait p95 %.2fms, %d cache hits (%d cross-tenant), %d rejections",
-		report.Completed, report.WallSeconds, report.Throughput, report.Wait.P95,
-		report.CacheHits, report.CrossTenantWarm, report.Rejections)
-	if m := report.Membership; m != nil {
-		logf("hetload: membership: %d churn events applied, %d chunks rehomed, %d reprobes, %d lost iterations",
+	r.Wait = percentiles(waits)
+	r.Service = percentiles(svcs)
+	r.VirtualSeconds = time.Duration(virtual).Seconds()
+	if wall > 0 {
+		r.Throughput = float64(r.Completed) / wall.Seconds()
+	}
+	if st != nil {
+		r.Rejections, r.WarmProbes, r.BudgetWindows = st.Rejected, st.WarmProbes, st.BudgetWindows
+		r.DispatchHash = fmt.Sprintf("%016x", st.DispatchHash)
+		r.Membership = st.Membership
+	}
+	r.SLOFailures = checkSLO(cfg.SLO, r)
+	cfg.Logf("hetload: %d jobs in %.2fs (%.1f jobs/s), wait p95 %.2fms, %d cache hits (%d cross-tenant), %d rejections",
+		r.Completed, r.WallSeconds, r.Throughput, r.Wait.P95, r.CacheHits, r.CrossTenantWarm, r.Rejections)
+	if m := r.Membership; m != nil {
+		cfg.Logf("hetload: membership: %d churn events applied, %d chunks rehomed, %d reprobes, %d lost iterations",
 			m.ChurnApplied, m.Rehomed, m.Reprobes, m.LostIterations)
 	}
-	return report, nil
+	return r
 }
 
 // RunLoadVerified runs the workload twice on fresh servers and asserts
@@ -423,74 +499,29 @@ func RunLoadVerified(cfg LoadConfig) (LoadReport, error) {
 	return r1, nil
 }
 
-// submitConcurrent is the NoPreload path: one goroutine per job,
-// retrying typed queue-full rejections with seeded-jitter backoff.
-// Admission order is racy by construction — this mode exercises
-// backpressure, not determinism.
-func submitConcurrent(rs *RegionServer, specs []Spec, cfg LoadConfig, report *LoadReport) []Result {
-	type outcome struct {
-		r       Result
-		retries int
-		ok      bool
-	}
-	outcomes := make([]outcome, len(specs))
-	done := make(chan int, len(specs))
-	for i, sp := range specs {
-		go func(i int, sp Spec) {
-			backoff := time.Millisecond
-			for attempt := 0; ; attempt++ {
-				r, err := rs.Submit(sp)
-				if err == nil {
-					outcomes[i] = outcome{r: r, retries: attempt, ok: true}
-					break
-				}
-				if attempt >= cfg.MaxRetries {
-					outcomes[i] = outcome{retries: attempt}
-					break
-				}
-				time.Sleep(backoff)
-				if backoff < 64*time.Millisecond {
-					backoff *= 2
-				}
-			}
-			done <- i
-		}(i, sp)
-	}
-	var results []Result
-	for range specs {
-		i := <-done
-		if outcomes[i].ok {
-			results = append(results, outcomes[i].r)
-		}
-		report.Retries += outcomes[i].retries
-	}
-	return results
-}
-
-// ComputePercentiles summarizes a latency sample set in milliseconds.
-func ComputePercentiles(ds []time.Duration) Percentiles {
+// percentiles summarizes a latency sample set in milliseconds,
+// sorting it in place.
+func percentiles(ds []time.Duration) Percentiles {
 	if len(ds) == 0 {
 		return Percentiles{}
 	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(ds)
 	at := func(q float64) float64 {
-		idx := int(q*float64(len(sorted))+0.5) - 1
+		idx := int(q*float64(len(ds))+0.5) - 1
 		if idx < 0 {
 			idx = 0
 		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
+		if idx >= len(ds) {
+			idx = len(ds) - 1
 		}
-		return float64(sorted[idx]) / float64(time.Millisecond)
+		return float64(ds[idx]) / float64(time.Millisecond)
 	}
 	return Percentiles{P50: at(0.50), P95: at(0.95), P99: at(0.99)}
 }
 
-// CheckSLO evaluates a report against an SLO, returning one line per
+// checkSLO evaluates a report against an SLO, returning one line per
 // violated assertion (empty = all met).
-func CheckSLO(slo SLO, r LoadReport) []string {
+func checkSLO(slo SLO, r LoadReport) []string {
 	fails := []string{}
 	if r.WarmProbes != 0 {
 		fails = append(fails, fmt.Sprintf("warm cross-tenant probes = %d, want 0", r.WarmProbes))

@@ -2,8 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -13,8 +18,8 @@ import (
 // dispatch order are pinned by the serving golden's load-smoke row.
 func TestRunLoadVerifiedSmoke(t *testing.T) {
 	report, err := RunLoadVerified(LoadConfig{
-		Jobs: 200, Tenants: 4, Signatures: 6, Seed: 1,
-		MaxInFlight: 8,
+		Jobs: 200, Tenants: 4, Signatures: 6,
+		SimServerConfig: SimServerConfig{Config: Config{MaxInFlight: 8}, Seed: 1},
 		SLO: SLO{
 			MinCrossTenantWarm: 10,
 			MaxRejections:      0,
@@ -82,10 +87,11 @@ func FuzzParseWeights(f *testing.F) {
 // bursts, retries with backoff land everything eventually.
 func TestRunLoadBackpressure(t *testing.T) {
 	report, err := RunLoad(LoadConfig{
-		Jobs: 30, Tenants: 3, Signatures: 2, Seed: 11,
-		QueueDepth: 4, MaxInFlight: 2, NoPreload: true,
-		MaxRetries: 200,
-		SLO:        SLO{MaxRejections: -1},
+		Jobs: 30, Tenants: 3, Signatures: 2,
+		SimServerConfig: SimServerConfig{Config: Config{QueueDepth: 4, MaxInFlight: 2}, Seed: 11},
+		NoPreload:       true,
+		MaxRetries:      200,
+		SLO:             SLO{MaxRejections: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,9 +126,9 @@ func TestRunLoadChaosProfileSLOs(t *testing.T) {
 				t.Fatalf("budget for %q leaves a latency gate unset: %+v", profile, slo)
 			}
 			report, err := RunLoad(LoadConfig{
-				Jobs: 16, Tenants: 2, Signatures: 2, Seed: 3,
-				ChaosProfile: profile,
-				SLO:          slo, // MaxRejections zero value = none allowed
+				Jobs: 16, Tenants: 2, Signatures: 2,
+				SimServerConfig: SimServerConfig{Seed: 3, ChaosProfile: profile},
+				SLO:             slo, // MaxRejections zero value = none allowed
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -157,8 +163,11 @@ func TestChaosSLOsUnknown(t *testing.T) {
 func TestRunLoadUnknownChaosProfile(t *testing.T) {
 	var logged []string
 	report, err := RunLoad(LoadConfig{
-		Jobs: 4, ChaosProfile: "bogus",
-		Logf: func(f string, a ...any) { logged = append(logged, f) },
+		Jobs: 4,
+		SimServerConfig: SimServerConfig{
+			Config:       Config{Logf: func(f string, a ...any) { logged = append(logged, f) }},
+			ChaosProfile: "bogus",
+		},
 	})
 	if err == nil {
 		t.Fatalf("RunLoad accepted chaos profile \"bogus\": %+v", report)
@@ -187,10 +196,9 @@ func TestRunLoadMembershipChurn(t *testing.T) {
 	}
 	slo, _ := ChaosSLOs("mixed")
 	report, err := RunLoadVerified(LoadConfig{
-		Jobs: 40, Tenants: 3, Signatures: 3, Seed: 5,
-		ChaosProfile: "mixed",
-		Members:      members, Churn: churn,
-		SLO: slo,
+		Jobs: 40, Tenants: 3, Signatures: 3,
+		SimServerConfig: SimServerConfig{Config: Config{Members: members, Churn: churn}, Seed: 5, ChaosProfile: "mixed"},
+		SLO:             slo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,8 +250,8 @@ func TestRunLoadMembershipChurnDrainAddRegression(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		report, err := RunLoadVerified(LoadConfig{
-			Jobs: 16, Tenants: 2, Signatures: 3, Seed: 5,
-			Members: members, Churn: churn,
+			Jobs: 16, Tenants: 2, Signatures: 3,
+			SimServerConfig: SimServerConfig{Config: Config{Members: members, Churn: churn}, Seed: 5},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -261,6 +269,95 @@ func TestRunLoadMembershipChurnDrainAddRegression(t *testing.T) {
 		}
 		if st := report.Membership.Nodes["n1"].State; st != "active" {
 			t.Fatalf("iter %d: n1 state %s after readmission, want active", i, st)
+		}
+	}
+}
+
+// A store file RunLoad cannot use is reported once, naming the file
+// and the reason, and the run goes on cold; it used to start cold
+// without a word.
+func TestRunLoadReportsRejectedStore(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "hetmp-"+SimFingerprint()+".json")
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var rejected []string
+	logf := func(f string, a ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if line := fmt.Sprintf(f, a...); strings.Contains(line, "rejected") {
+			rejected = append(rejected, line)
+		}
+	}
+	report, err := RunLoad(LoadConfig{
+		Jobs: 12, Tenants: 2, Signatures: 2,
+		SimServerConfig: SimServerConfig{Config: Config{Logf: logf}, Seed: 1, CacheDir: dir},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rejected) != 1 || !strings.Contains(rejected[0], path) || !strings.Contains(rejected[0], "corrupt") {
+		t.Fatalf("rejection lines %q, want one naming %s and why", rejected, path)
+	}
+	if report.Completed != 12 || report.CacheMisses != 2 {
+		t.Fatalf("completed %d, cache misses %d, want 12 and a cold probe per signature", report.Completed, report.CacheMisses)
+	}
+}
+
+// Two runs over one CacheDir share the store: the second probes
+// nothing, since the first saved every signature's decision.
+func TestRunLoadSharesCacheDir(t *testing.T) {
+	cfg := LoadConfig{Jobs: 60, Tenants: 3, Signatures: 4,
+		SimServerConfig: SimServerConfig{Seed: 1, CacheDir: t.TempDir()}}
+	first, err := RunLoad(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunLoad(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheMisses != 4 {
+		t.Errorf("first run: %d cache misses, want 4 (one cold probe per signature)", first.CacheMisses)
+	}
+	if second.Completed != 60 || second.CacheMisses != 0 || second.WarmProbes != 0 {
+		t.Errorf("second run: completed %d, cache misses %d, warm probes %d, want 60, 0, 0",
+			second.Completed, second.CacheMisses, second.WarmProbes)
+	}
+}
+
+// The one retry rule of both live drivers: ErrQueueFull is retried up
+// to MaxRetries times, any other refusal ends the stream at once, and
+// the first error that ended a stream fails the run.
+func TestSubmitStreamsRetriesOnlyQueueFull(t *testing.T) {
+	for _, tc := range []struct {
+		refusal                          error
+		refusals, wantCalls, wantRetries int
+		wantDone                         bool
+	}{
+		{ErrQueueFull, 2, 3, 2, true},
+		{ErrQueueFull, 4, 4, 3, false}, // three retries, then give up
+		{ErrDraining, 1, 1, 0, false},
+		{ErrStopped, 1, 1, 0, false},
+		{ErrBadSpec, 1, 1, 0, false},
+	} {
+		calls := 0
+		submit := func(_ int, sp Spec) (Result, error) {
+			if calls++; calls <= tc.refusals {
+				return Result{}, fmt.Errorf("tenant %s: %w", sp.Tenant, tc.refusal)
+			}
+			return Result{Tenant: sp.Tenant}, nil
+		}
+		results, retries, err := submitStreams([][]Spec{{{Tenant: "t0", Region: "r"}}}, 3, submit)
+		done := err == nil && len(results) == 1
+		if calls != tc.wantCalls || retries != tc.wantRetries || done != tc.wantDone {
+			t.Errorf("%d × %v: %d calls, %d retries, done %v; want %d, %d, %v",
+				tc.refusals, tc.refusal, calls, retries, done, tc.wantCalls, tc.wantRetries, tc.wantDone)
+		}
+		if !tc.wantDone && !errors.Is(err, tc.refusal) {
+			t.Errorf("%d × %v: error %v, want the refusal", tc.refusals, tc.refusal, err)
 		}
 	}
 }

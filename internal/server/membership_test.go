@@ -285,14 +285,13 @@ func TestAddNodeWarmStart(t *testing.T) {
 // virtual time, per job or in total. This is the invariant that made
 // per-node health scoring observe plan position instead of the node.
 func TestMembersArePlacementNeutral(t *testing.T) {
-	specs := Workload(LoadConfig{Jobs: 24, Tenants: 4, Signatures: 3, Seed: 1})
+	specs := Workload(LoadConfig{Jobs: 24, Tenants: 4, Signatures: 3, SimServerConfig: SimServerConfig{Seed: 1}})
 	run := func(nodes string) (int64, map[int]int64) {
 		members, err := ParseMembers(nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _ := newSimServer(t, Config{StartPaused: true, QueueDepth: len(specs), Members: members},
-			SimExecutorConfig{Seed: 1})
+		s, _ := simServer(t, SimServerConfig{Config: Config{StartPaused: true, QueueDepth: len(specs), Members: members}, Seed: 1})
 		defer s.Close()
 		chans := preload(t, s, specs)
 		s.Resume()

@@ -246,8 +246,8 @@ type Config struct {
 	// preload gate a deterministic load run uses to fix the admission
 	// order before any scheduling happens.
 	StartPaused bool
-	// Executor runs jobs. Defaults to a SimExecutor over the paper
-	// platform with a fresh in-memory shared decision cache.
+	// Executor runs jobs. Defaults to a SimExecutor with no decision
+	// store, so every job probes; NewSimServer installs a shared one.
 	Executor Executor
 	// Telemetry, when non-nil, receives per-tenant queue-depth gauges,
 	// wait/service histograms, admission counters and cache hit/miss
