@@ -51,6 +51,7 @@ check: tier1 vet lint race
 # Chaos soak: the degradation-injection acceptance tests (multi-seed
 # soak, seeded reproducibility, chaos-off zero-delta) under the race
 # detector. The wall-clock overhead guard skips itself under -race.
+# A local target: `make race` (CI's gate) runs the same tests raced.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' .
 

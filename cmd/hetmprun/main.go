@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -31,30 +32,59 @@ import (
 )
 
 func main() {
-	sim := runconfig.Register(flag.CommandLine, true)
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "hetmprun:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("hetmprun", flag.ExitOnError)
+	sim := runconfig.Register(fs, true)
+	// The flags that configure the simulated run: every shared one but
+	// the two profiles, plus -bench and -config. -rpc drives real
+	// workers, so it refuses them rather than ignore them.
+	var simOnly []string
+	fs.VisitAll(func(f *flag.Flag) {
+		if f.Name != "cpuprofile" && f.Name != "memprofile" {
+			simOnly = append(simOnly, f.Name)
+		}
+	})
+	simOnly = append(simOnly, "bench", "config")
 	var (
-		bench  = flag.String("bench", "kmeans", "benchmark name (see -list)")
-		config = flag.String("config", experiments.CfgHetProbe, "Xeon | ThunderX | Ideal CSR | Cross-Node Dynamic | HetProbe")
-		list   = flag.Bool("list", false, "list benchmarks and exit")
+		bench  = fs.String("bench", "kmeans", "benchmark name (see -list)")
+		config = fs.String("config", experiments.CfgHetProbe, "Xeon | ThunderX | Ideal CSR | Cross-Node Dynamic | HetProbe")
+		list   = fs.Bool("list", false, "list benchmarks and exit")
 
-		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (load in chrome://tracing or Perfetto)")
-		metricsOut = flag.String("metrics", "", "write a Prometheus text-format metrics dump of the run")
+		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON file of the run (load in chrome://tracing or Perfetto)")
+		metricsOut = fs.String("metrics", "", "write a Prometheus text-format metrics dump of the run")
 
-		rpcAddrs    = flag.String("rpc", "", "comma-separated worker addresses: run -task over real RPC workers instead of the simulator")
-		task        = flag.String("task", "blackscholes", "registered task name for -rpc mode")
-		n           = flag.Int("n", 1_000_000, "iteration count for -rpc mode")
-		arg         = flag.Float64("arg", 0, "scalar task argument for -rpc mode")
-		probe       = flag.Float64("probe", 0.1, "probe fraction of a cold run in -rpc mode (a warm run does not probe)")
-		callTimeout = flag.Duration("call-timeout", rpc.DefaultCallTimeout, "per-chunk RPC deadline (-rpc mode)")
-		retries     = flag.Int("retries", rpc.DefaultMaxRetries, "reconnect retries per failed call before a worker is dropped (-rpc mode)")
-		redial      = flag.Duration("redial", 0, "background re-dial interval for dropped workers, 0 = off (-rpc mode)")
+		rpcAddrs    = fs.String("rpc", "", "comma-separated worker addresses: run -task over real RPC workers instead of the simulator")
+		task        = fs.String("task", "blackscholes", "registered task name for -rpc mode")
+		n           = fs.Int("n", 1_000_000, "iteration count for -rpc mode")
+		arg         = fs.Float64("arg", 0, "scalar task argument for -rpc mode")
+		probe       = fs.Float64("probe", 0.1, "probe fraction of a cold run in -rpc mode (a warm run does not probe)")
+		callTimeout = fs.Duration("call-timeout", rpc.DefaultCallTimeout, "per-chunk RPC deadline (-rpc mode)")
+		retries     = fs.Int("retries", rpc.DefaultMaxRetries, "reconnect retries per failed call before a worker is dropped (-rpc mode)")
+		redial      = fs.Duration("redial", 0, "background re-dial interval for dropped workers, 0 = off (-rpc mode)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *list {
 		for _, name := range kernels.PaperOrder {
 			fmt.Println(name)
 		}
-		return
+		return nil
+	}
+	if *rpcAddrs != "" {
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(simOnly, f.Name) {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("%s configure the simulator; -rpc runs on real workers", strings.Join(ignored, ", "))
+		}
 	}
 	var tel *telemetry.Telemetry
 	if *traceOut != "" || *metricsOut != "" {
@@ -65,15 +95,12 @@ func main() {
 			return runRPC(*rpcAddrs, *task, *n, *arg, *probe, *callTimeout, *retries, *redial, tel)
 		}
 		s.Telemetry = tel
-		return run(s, *bench, *config, proto)
+		return runBench(s, *bench, *config, proto)
 	})
-	if err == nil {
-		err = writeTelemetry(tel, *traceOut, *metricsOut)
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hetmprun:", err)
-		os.Exit(1)
+		return err
 	}
+	return writeTelemetry(tel, *traceOut, *metricsOut)
 }
 
 // writeTelemetry exports the run's spans and metrics to the requested
@@ -156,7 +183,7 @@ func printWorkerStats(stats []rpc.WorkerStats) {
 	}
 }
 
-func run(s *experiments.Suite, bench, config string, proto interconnect.Spec) error {
+func runBench(s *experiments.Suite, bench, config string, proto interconnect.Spec) error {
 	res, err := s.Run(bench, config, proto)
 	if err != nil {
 		return err

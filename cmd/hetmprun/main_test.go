@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func runArgs(t *testing.T, args ...string) (ran bool, err error) {
 	}
 	err = sim.Run(io.Discard, func(s *experiments.Suite, proto interconnect.Spec) error {
 		ran = true
-		return run(s, "EP-C", experiments.CfgHetProbe, proto)
+		return runBench(s, "EP-C", experiments.CfgHetProbe, proto)
 	})
 	return ran, err
 }
@@ -47,5 +48,40 @@ func TestRunRejectsUnknownProtocol(t *testing.T) {
 func TestRunRejectsNegativeScale(t *testing.T) {
 	if ran, err := runArgs(t, "-scale", "-3"); err == nil || ran || !strings.Contains(err.Error(), "-scale") {
 		t.Fatalf("-scale -3: ran %v, error %v; want an error naming -scale before the run", ran, err)
+	}
+}
+
+// With -rpc every flag that configures the simulated run is an error
+// naming it, before anything is dialled: the rpc path would otherwise
+// drop it without a word. The profiles and telemetry dumps are not
+// refused: they cover the rpc run too.
+func TestRPCRejectsSimulatorFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quick"}, "-quick"},
+		{[]string{"-scale", "0.5"}, "-scale"},
+		{[]string{"-batch-faults"}, "-batch-faults"},
+		{[]string{"-chaos-profile", "mixed"}, "-chaos-profile"},
+		{[]string{"-chaos-seed", "7"}, "-chaos-seed"},
+		{[]string{"-decision-store", "d"}, "-decision-store"},
+		{[]string{"-protocol", "tcpip"}, "-protocol"},
+		{[]string{"-bench", "lud"}, "-bench"},
+		{[]string{"-config", "Xeon"}, "-config"},
+		{[]string{"-quick", "-chaos-seed", "7", "-cpuprofile", "p"}, "-chaos-seed, -quick"},
+	} {
+		// Port 0 cannot be dialled: reaching the dial is a failure of
+		// its own, with a different message.
+		err := run(append([]string{"-rpc", "127.0.0.1:0"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want+" configure the simulator") {
+			t.Errorf("-rpc %v: error %v, want one naming %s", tc.args, err, tc.want)
+		}
+	}
+	dir := t.TempDir()
+	metrics, cpu := filepath.Join(dir, "run.prom"), filepath.Join(dir, "cpu.pprof")
+	err := run([]string{"-rpc", "127.0.0.1:0", "-metrics", metrics, "-cpuprofile", cpu})
+	if err == nil || strings.Contains(err.Error(), "configure the simulator") {
+		t.Errorf("-rpc -metrics -cpuprofile: error %v, want a dial failure", err)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -53,17 +52,11 @@ func main() {
 func run(listen, debugAddr string, host server.SimServerConfig) error {
 	if debugAddr != "" {
 		host.Telemetry = telemetry.New(telemetry.Options{})
-		dln, err := net.Listen("tcp", debugAddr)
+		_, bound, err := telemetry.ServeDebug("hetserve", debugAddr, host.Telemetry)
 		if err != nil {
 			return err
 		}
-		debug := &http.Server{Handler: telemetry.Handler(host.Telemetry)}
-		go func() {
-			if err := debug.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintf(os.Stderr, "hetserve: debug server: %v\n", err)
-			}
-		}()
-		fmt.Printf("hetserve: metrics on http://%s/metrics\n", dln.Addr())
+		fmt.Printf("hetserve: metrics on http://%s/metrics\n", bound)
 	}
 
 	host.Logf = func(f string, a ...any) { fmt.Printf(f+"\n", a...) }

@@ -72,19 +72,13 @@ func run(listen, name string, throttle time.Duration, fault *rpc.FaultConfig, de
 	var debug *http.Server
 	if debugAddr != "" {
 		tel = telemetry.New(telemetry.Options{})
-		dln, err := net.Listen("tcp", debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
+		var bound net.Addr
+		if debug, bound, err = telemetry.ServeDebug("hetworker", debugAddr, tel); err != nil {
+			return err
 		}
-		debug = &http.Server{Handler: telemetry.Handler(tel)}
-		go func() {
-			if err := debug.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "hetworker: debug server:", err)
-			}
-		}()
 		// Log the bound address, not the flag value: with ":0" the OS
 		// picks the port and this line is the only way to find it.
-		fmt.Printf("hetworker %q debug endpoint on http://%s/metrics\n", name, dln.Addr())
+		fmt.Printf("hetworker %q debug endpoint on http://%s/metrics\n", name, bound)
 	}
 	srv := &rpc.Server{Name: name, Cores: runtime.GOMAXPROCS(0), Throttle: throttle, Fault: fault, Telemetry: tel}
 

@@ -48,22 +48,23 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	rt := a.rt
 
 	// With a designated probing region, every other region adopts its
-	// decision instead of probing itself.
+	// decision instead of probing itself; until the probing region has
+	// run, they run static across every node (the runtime's
+	// pre-decision default).
 	if rt.opts.ProbeRegionID != "" && regionID != rt.opts.ProbeRegionID {
-		if main, ok := rt.cache.get(rt.opts.ProbeRegionID); ok && main.invocations > 0 {
-			a.execDecision(main.decision, 0, n, body, red, false)
-			return
+		d := Decision{CrossNode: true}
+		if main, ok := rt.cache[rt.opts.ProbeRegionID]; ok && main.invocations > 0 {
+			d = main.decision
 		}
-		// The probing region has not run yet: distribute across all
-		// nodes with plain static (the runtime's pre-decision default).
-		t := rt.teamFor(a.env, rt.all)
-		desc := &regionRun{n: n, body: body, reduce: red,
-			sched: newStaticDispatch(t, 0, n, nil)}
-		t.dispatch(a.env, desc)
+		a.execDecision(d, 0, n, body, red, false)
 		return
 	}
 
-	ent := rt.cache.entry(regionID)
+	ent, ok := rt.cache[regionID]
+	if !ok {
+		ent = &probeEntry{}
+		rt.cache[regionID] = ent
+	}
 	allNodes := rt.all
 
 	// Probe-free fast path: on a region's first invocation, a
@@ -90,9 +91,7 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		// Too few iterations to probe meaningfully: run the whole
 		// region static across every node and record nothing.
 		rt.logf("hetprobe %s: region too small to probe (n=%d, threads=%d)", regionID, n, fullTeam.total)
-		desc := &regionRun{n: n, body: body, reduce: red,
-			sched: newStaticDispatch(fullTeam, 0, n, nil)}
-		fullTeam.dispatch(a.env, desc)
+		a.execDecision(Decision{CrossNode: true}, 0, n, body, red, false)
 		return
 	}
 	probeIters := chunk * fullTeam.total
@@ -122,9 +121,12 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	// Aggregate the probe measurements.
 	stats, rejected := summarizeMeasurements(probeDesc.results)
 	rt.rejectCtr.Add(int64(rejected))
-	ent.update(stats, ewmaAlpha)
-	ent.cumTime += stats.windowTime
-	if ent.invocations == 0 {
+	first, prevMissPerK := ent.invocations == 0, ent.missPerK
+	// A float64 value, not the untyped constant: 1-alpha must round at
+	// run time, as update's does, for the miss fold below to match it.
+	alpha := float64(ewmaAlpha)
+	ent.update(stats, alpha)
+	if first {
 		ent.featN = n
 	}
 	ent.featInstr += stats.instr
@@ -151,20 +153,22 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 			red.out = red.combine(probePartial, red.out)
 		}
 		var instr, misses int64
-		var remTime time.Duration
 		for _, m := range rem {
 			instr += m.delta.Instructions
 			misses += m.delta.LLCMisses
-			remTime += m.elapsed
 		}
 		if instr > 0 {
-			combined := float64(misses+stats.misses) / float64(instr+stats.instr) * 1000
-			ent.replaceMissPerK(combined, ewmaAlpha)
+			// The region-wide reading replaces the probe window's in
+			// this invocation's EWMA term (on a first invocation, it
+			// is the whole entry).
+			ent.missPerK = float64(misses+stats.misses) / float64(instr+stats.instr) * 1000
+			if !first {
+				ent.missPerK = alpha*ent.missPerK + (1-alpha)*prevMissPerK
+			}
 			// Re-derive the decision from the refined metric so the
 			// next invocation (and the cached decision) see it.
 			ent.decision = rt.decide(ent)
 		}
-		ent.cumTime += remTime
 	} else if red != nil {
 		red.out = probePartial
 	}
@@ -234,7 +238,6 @@ type probeStats struct {
 	instr       int64
 	misses      int64
 	accesses    int64
-	windowTime  time.Duration
 }
 
 // summarizeMeasurements turns per-worker measurements into per-node
@@ -296,29 +299,21 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 	stats.instr = totalInstr
 	stats.misses = totalMisses
 	stats.accesses = totalAccesses
-	stats.windowTime = totalElapsed
 	return stats, rejected
 }
 
 // decide answers the scheduler's three questions (Section 3.2): use
 // multiple nodes? with what split? or which single node? Nodes the
-// ReDecide monitor has condemned for this region stay excluded.
+// ReDecide monitor has condemned for this region (stragglers, or nodes
+// behind a degraded link) are never enabled for cross-node execution,
+// and when their exclusion empties the remote set the fallback is
+// forced to the origin node — Q3's cache heuristics could otherwise
+// pick one of the very nodes the monitor just condemned.
 func (rt *Runtime) decide(ent *probeEntry) Decision {
-	return rt.decideWith(ent, ent.suspects)
-}
-
-// decideWith is decide with a suspect set: excluded nodes (stragglers
-// or nodes behind a degraded link, identified by the ReDecide
-// monitor) are never enabled for cross-node execution, and when the
-// exclusion empties the remote set the fallback is forced to the
-// origin node — Q3's cache heuristics could otherwise pick one of the
-// very nodes the monitor just condemned.
-func (rt *Runtime) decideWith(ent *probeEntry, exclude map[int]bool) Decision {
 	d := Decision{
 		FaultPeriod:    ent.faultPeriod,
 		MissesPerKinst: ent.missPerK,
 		PerIterTime:    copyDur(ent.perIter),
-		CumTime:        ent.cumTime,
 	}
 	specs := rt.cl.NodeSpecs()
 	if len(specs) == 1 {
@@ -334,7 +329,7 @@ func (rt *Runtime) decideWith(ent *probeEntry, exclude map[int]bool) Decision {
 	origin := rt.cl.Origin()
 	enabled := []int{origin}
 	for node := range specs {
-		if node == origin || exclude[node] {
+		if node == origin || ent.suspects[node] {
 			continue
 		}
 		if ent.faultPeriod >= rt.opts.FaultPeriodThreshold {
@@ -360,7 +355,7 @@ func (rt *Runtime) decideWith(ent *probeEntry, exclude map[int]bool) Decision {
 	// rates favor raw parallelism (Section 3.2's Xeon vs ThunderX
 	// dichotomy).
 	d.CrossNode = false
-	if len(exclude) > 0 {
+	if len(ent.suspects) > 0 {
 		// Mid-region fallback under suspicion: the origin holds the
 		// data and is never excluded.
 		d.Node = origin

@@ -171,7 +171,7 @@ func TestHetProbeCacheMatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, ok := rt.cache.get("r")
+	ent, ok := rt.cache["r"]
 	if !ok {
 		t.Fatal("no cache entry")
 	}
@@ -369,7 +369,7 @@ func TestDecisionCSRSlowestNodeIsOne(t *testing.T) {
 			1: 250 * time.Nanosecond,
 		},
 	}
-	d := rt.decideWith(ent, nil)
+	d := rt.decide(ent)
 	if !d.CrossNode {
 		t.Fatalf("fault-free region should go cross-node, got %+v", d)
 	}

@@ -233,10 +233,11 @@ func TestDecideWithExclusionFallsBackToOrigin(t *testing.T) {
 		// Low miss rate: Q3 would pick the many-core (remote) node.
 		missPerK: 0,
 	}
-	if d := rt.decideWith(ent, nil); !d.CrossNode {
+	if d := rt.decide(ent); !d.CrossNode {
 		t.Fatalf("without exclusions the decision should be cross-node, got %+v", d)
 	}
-	d := rt.decideWith(ent, map[int]bool{1: true})
+	ent.suspects = map[int]bool{1: true}
+	d := rt.decide(ent)
 	if d.CrossNode {
 		t.Fatalf("excluding the only remote must collapse to single-node, got %+v", d)
 	}

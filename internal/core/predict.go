@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"hetmp/internal/cluster"
@@ -42,10 +43,6 @@ func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n
 		return false
 	}
 	ent.storeChecked = true
-	if rt.opts.ForceReprobe != nil && rt.opts.ForceReprobe(regionID) {
-		rt.logf("hetprobe %s: forced re-probe, ignoring stored decision", regionID)
-		return false
-	}
 	se, ok := store.Lookup(regionID)
 	if !ok {
 		return false
@@ -117,7 +114,6 @@ func decisionFromEntry(se decstore.Entry) Decision {
 		Node:           se.Node,
 		FaultPeriod:    time.Duration(se.FaultPeriodNs),
 		MissesPerKinst: se.MissesPerKinst,
-		CumTime:        time.Duration(se.CumTimeNs),
 	}
 	if len(se.Nodes) > 0 {
 		d.Nodes = append([]int(nil), se.Nodes...)
@@ -150,7 +146,6 @@ func entryToStore(ent *probeEntry) decstore.Entry {
 		Node:           d.Node,
 		FaultPeriodNs:  int64(ent.faultPeriod),
 		MissesPerKinst: ent.missPerK,
-		CumTimeNs:      int64(ent.cumTime),
 		Invocations:    ent.invocations,
 	}
 	if len(d.Nodes) > 0 {
@@ -190,13 +185,8 @@ func (rt *Runtime) exportDecisions() {
 	if store == nil {
 		return
 	}
-	keys := make([]string, 0, len(rt.cache.entries))
-	for id := range rt.cache.entries {
-		keys = append(keys, id)
-	}
-	sort.Strings(keys)
-	for _, id := range keys {
-		ent := rt.cache.entries[id]
+	for _, id := range slices.Sorted(maps.Keys(rt.cache)) {
+		ent := rt.cache[id]
 		if ent.invocations == 0 || ent.seeded {
 			continue
 		}

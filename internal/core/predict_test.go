@@ -209,6 +209,78 @@ func TestStoreWrittenBeforeIdentityRuleIsAdopted(t *testing.T) {
 	}
 }
 
+// headStoreFile is the store a cold three-invocation runPingPong
+// (1600 iterations) saved before Decision.CumTime was deleted: that
+// build also wrote cum_time_ns, a field nothing read.
+const headStoreFile = `{
+  "schema_version": 2,
+  "fingerprint": "testcluster",
+  "entries": {
+    "warm": {
+      "cross_node": true,
+      "node": 0,
+      "nodes": [
+        0,
+        1
+      ],
+      "csr": {
+        "0": 2.470589470589471,
+        "1": 1
+      },
+      "fault_period_ns": 445417,
+      "misses_per_kinst": 0.000054109375000000006,
+      "per_iter_ns": {
+        "0": 95238,
+        "1": 235294
+      },
+      "cum_time_ns": 889509796,
+      "invocations": 3,
+      "features": {
+        "iterations": 1600,
+        "bytes_touched": 30720,
+        "ops_per_byte": 6250,
+        "misses_per_kinst": 0.000054109375000000006
+      }
+    }
+  }
+}
+`
+
+// TestStoreWithCumTimeIsAdopted: dropping cum_time_ns did not move the
+// schema. A file that carries it loads without complaint and a warm
+// run adopts it probe-free, and the same cold run today saves the same
+// file, bit for bit, less that one line.
+func TestStoreWithCumTimeIsAdopted(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "head.json")
+	if err := os.WriteFile(path, []byte(headStoreFile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := decstore.Open(path, "testcluster")
+	if store.Status() != "" || store.Len() != 1 {
+		t.Fatalf("file rejected: %q, %d entries", store.Status(), store.Len())
+	}
+	rt, _, _, _ := runPingPong(t, Options{DecisionStore: store}, 1600, 3)
+	if rt.Predictions() != 1 || rt.Probes() != 0 {
+		t.Fatalf("%d predictions, %d probes, want 1 and 0", rt.Predictions(), rt.Probes())
+	}
+
+	path = filepath.Join(dir, "cold.json")
+	cold := decstore.Open(path, "testcluster")
+	runPingPong(t, Options{DecisionStore: cold}, 1600, 3)
+	if err := cold.Save(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Replace(headStoreFile, "      \"cum_time_ns\": 889509796,\n", "", 1)
+	if string(got) != want {
+		t.Fatalf("cold run saved\n%s\nwant\n%s", got, want)
+	}
+}
+
 // storeFile renders a schema-2 store file for the test cluster holding
 // one entry, for region "warm", with the given decision fields.
 func storeFile(iterations int, decision string) string {
@@ -320,7 +392,6 @@ func TestEntryToStoreRoundTrip(t *testing.T) {
 		perIter:      map[int]time.Duration{0: 120 * time.Nanosecond, 1: 300 * time.Nanosecond},
 		faultPeriod:  infinitePeriod,
 		missPerK:     2.5,
-		cumTime:      9 * time.Millisecond,
 		featN:        1600,
 		featInstr:    640_000,
 		featAccesses: 1000,
@@ -357,51 +428,6 @@ func TestEntryToStoreRoundTrip(t *testing.T) {
 	}
 	if seeded.decision.String() != ent.decision.String() {
 		t.Errorf("decision %s != %s", seeded.decision, ent.decision)
-	}
-}
-
-// TestForceReprobeIgnoresStoredDecision: the class-scoped re-probe
-// hook. A mature stored entry would normally be adopted probe-free;
-// with ForceReprobe answering true for the region, the run probes
-// afresh (bounded exactly like a cold run) and re-exports the
-// re-measured entry, while regions the hook declines keep the fast
-// path.
-func TestForceReprobeIgnoresStoredDecision(t *testing.T) {
-	const n, reps = 1600, 12
-	store := newMemStore()
-	rtCold, _, _, _ := runPingPong(t, Options{DecisionStore: store}, n, reps)
-	if rtCold.Probes() == 0 {
-		t.Fatal("cold run performed no probes")
-	}
-
-	forced := 0
-	opts := Options{
-		DecisionStore: store,
-		ForceReprobe: func(regionID string) bool {
-			forced++
-			return regionID == "warm"
-		},
-	}
-	rt, _, _, _ := runPingPong(t, opts, n, reps)
-	if forced == 0 {
-		t.Fatal("ForceReprobe hook was never consulted")
-	}
-	if rt.Predictions() != 0 {
-		t.Fatalf("forced re-probe still adopted a stored decision (%d predictions)", rt.Predictions())
-	}
-	if rt.Probes() != rtCold.Probes() {
-		t.Fatalf("forced re-probe performed %d probes, want the cold run's %d (bounded identically)",
-			rt.Probes(), rtCold.Probes())
-	}
-
-	// A region the hook declines keeps the probe-free fast path.
-	rtWarm, _, _, _ := runPingPong(t, Options{
-		DecisionStore: store,
-		ForceReprobe:  func(string) bool { return false },
-	}, n, reps)
-	if rtWarm.Probes() != 0 || rtWarm.Predictions() != 1 {
-		t.Fatalf("declined hook broke the fast path: %d probes, %d predictions",
-			rtWarm.Probes(), rtWarm.Predictions())
 	}
 }
 

@@ -15,13 +15,11 @@ const ewmaAlpha = 0.7
 // polluted by the DSM initially replicating data across nodes (Section
 // 3.1).
 type probeEntry struct {
-	invocations  int
-	perIter      map[int]time.Duration
-	faultPeriod  time.Duration
-	missPerK     float64
-	prevMissPerK float64 // value before the last update (-1 on first)
-	cumTime      time.Duration
-	decision     Decision
+	invocations int
+	perIter     map[int]time.Duration
+	faultPeriod time.Duration
+	missPerK    float64
+	decision    Decision
 	// seeded marks an entry seeded from a persistent decision store
 	// rather than measured by this run's probes; exportDecisions skips
 	// it, so a warm run never rewrites what it did not measure.
@@ -46,12 +44,10 @@ type probeEntry struct {
 
 // update folds a new probing period into the entry.
 func (e *probeEntry) update(s probeStats, alpha float64) {
-	e.prevMissPerK = e.missPerK
 	if e.invocations == 0 {
 		e.perIter = copyDur(s.perIter)
 		e.faultPeriod = s.faultPeriod
 		e.missPerK = s.missPerK
-		e.prevMissPerK = -1
 		return
 	}
 	for node, v := range s.perIter {
@@ -65,18 +61,6 @@ func (e *probeEntry) update(s probeStats, alpha float64) {
 	e.missPerK = alpha*s.missPerK + (1-alpha)*e.missPerK
 }
 
-// replaceMissPerK substitutes the miss metric folded in by the last
-// update with a refined (region-wide) measurement of the same
-// invocation, blending it against the metric from before that update
-// (on a first invocation: replacing outright).
-func (e *probeEntry) replaceMissPerK(v, alpha float64) {
-	if e.prevMissPerK < 0 {
-		e.missPerK = v
-		return
-	}
-	e.missPerK = alpha*v + (1-alpha)*e.prevMissPerK
-}
-
 // ewmaDur blends durations, saturating on the "no faults observed"
 // sentinel instead of overflowing.
 func ewmaDur(newV, oldV time.Duration, alpha float64) time.Duration {
@@ -86,29 +70,4 @@ func ewmaDur(newV, oldV time.Duration, alpha float64) time.Duration {
 		return infinitePeriod
 	}
 	return time.Duration(alpha*float64(newV) + (1-alpha)*float64(oldV))
-}
-
-// probeCache maps region identifiers to their accumulated statistics.
-type probeCache struct {
-	entries map[string]*probeEntry
-}
-
-func newProbeCache() *probeCache {
-	return &probeCache{entries: make(map[string]*probeEntry)}
-}
-
-// entry returns the entry for a region, creating it on first use.
-func (c *probeCache) entry(regionID string) *probeEntry {
-	if e, ok := c.entries[regionID]; ok {
-		return e
-	}
-	e := &probeEntry{}
-	c.entries[regionID] = e
-	return e
-}
-
-// get looks a region up without creating it.
-func (c *probeCache) get(regionID string) (*probeEntry, bool) {
-	e, ok := c.entries[regionID]
-	return e, ok
 }

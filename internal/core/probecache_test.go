@@ -6,40 +6,6 @@ import (
 	"time"
 )
 
-func TestProbeCacheEntryIdentity(t *testing.T) {
-	c := newProbeCache()
-	a := c.entry("r1")
-	b := c.entry("r1")
-	if a != b {
-		t.Fatal("entry not memoized")
-	}
-	if _, ok := c.get("r2"); ok {
-		t.Fatal("get invented an entry")
-	}
-	c.entry("r2")
-	if _, ok := c.get("r2"); !ok {
-		t.Fatal("created entry not found")
-	}
-}
-
-func TestReplaceMissPerKFirstInvocation(t *testing.T) {
-	e := &probeEntry{}
-	e.update(probeStats{missPerK: 50}, 0.7)
-	// First invocation: the refined value replaces outright.
-	e.replaceMissPerK(5, 0.7)
-	if e.missPerK != 5 {
-		t.Fatalf("refined first-invocation missPerK = %v, want 5", e.missPerK)
-	}
-	// Later invocations: the refinement substitutes the last EWMA term.
-	e.invocations++
-	e.update(probeStats{missPerK: 11}, 0.5)
-	e.replaceMissPerK(3, 0.5)
-	want := 0.5*3 + 0.5*5
-	if e.missPerK != want {
-		t.Fatalf("refined missPerK = %v, want %v", e.missPerK, want)
-	}
-}
-
 // Property: EWMA of finite durations stays within [min, max] of its
 // inputs.
 func TestEWMABoundedProperty(t *testing.T) {

@@ -75,18 +75,6 @@ type Options struct {
 	// changes nothing. Callers holding a concrete store pointer must
 	// take care not to wrap a nil pointer in this interface.
 	DecisionStore DecisionStore
-	// ForceReprobe, when non-nil, is consulted before a stored
-	// decision is adopted: returning true for a region makes the
-	// runtime probe it afresh even though the store holds a matching
-	// entry, and the re-measured decision is exported back through
-	// the store when Run returns. The serving layer uses this as its
-	// class-scoped re-probe hook — when a node of a class the stored
-	// entries have never covered joins the cluster, only the regions
-	// missing that class are re-probed (bounded by the caller), never
-	// the whole store. The probing itself stays bounded exactly as a
-	// cold run's is (ProbeMaxInvocations). Nil (the default) never
-	// forces a re-probe.
-	ForceReprobe func(regionID string) bool
 	// Logf, when non-nil, receives runtime decision traces.
 	Logf func(format string, args ...any)
 	// Telemetry, when non-nil, receives spans (probe windows, worker
@@ -113,7 +101,7 @@ func (o Options) withDefaults() Options {
 type Runtime struct {
 	cl    cluster.Cluster
 	opts  Options
-	cache *probeCache
+	cache map[string]*probeEntry // HetProbe's probe cache, by region
 	teams map[nodeSet]*team
 	all   []int // every node index; read-only
 
@@ -140,7 +128,7 @@ func New(cl cluster.Cluster, opts Options) *Runtime {
 	rt := &Runtime{
 		cl:    cl,
 		opts:  opts.withDefaults(),
-		cache: newProbeCache(),
+		cache: make(map[string]*probeEntry),
 		teams: make(map[nodeSet]*team),
 	}
 	rt.all = make([]int, len(cl.NodeSpecs()))
@@ -207,7 +195,7 @@ func (rt *Runtime) Predictions() int { return rt.predictions }
 
 // Decision returns HetProbe's cached decision for a region, if any.
 func (rt *Runtime) Decision(regionID string) (Decision, bool) {
-	ent, ok := rt.cache.get(regionID)
+	ent, ok := rt.cache[regionID]
 	if !ok || ent.invocations == 0 {
 		return Decision{}, false
 	}
@@ -217,8 +205,8 @@ func (rt *Runtime) Decision(regionID string) (Decision, bool) {
 // Decisions returns HetProbe's cached decisions for every probed
 // region.
 func (rt *Runtime) Decisions() map[string]Decision {
-	out := make(map[string]Decision, len(rt.cache.entries))
-	for id, ent := range rt.cache.entries {
+	out := make(map[string]Decision, len(rt.cache))
+	for id, ent := range rt.cache {
 		if ent.invocations > 0 {
 			out[id] = ent.decision
 		}
@@ -421,10 +409,6 @@ type Decision struct {
 	MissesPerKinst float64
 	// PerIterTime is the measured per-iteration time per node.
 	PerIterTime map[int]time.Duration
-	// CumTime is the cumulative measured thread-time of the region
-	// across invocations — the "longest-running region" signal the
-	// paper uses to pick the probing region.
-	CumTime time.Duration
 }
 
 // String renders the decision the way the runtime logs it.

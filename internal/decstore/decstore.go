@@ -69,7 +69,6 @@ type Entry struct {
 	FaultPeriodNs  int64           `json:"fault_period_ns"`
 	MissesPerKinst float64         `json:"misses_per_kinst"`
 	PerIterNs      map[int]int64   `json:"per_iter_ns,omitempty"`
-	CumTimeNs      int64           `json:"cum_time_ns"`
 	// Invocations is how many probed invocations the entry
 	// accumulated. Recorded, not read: an entry probed once is adopted
 	// like any other.

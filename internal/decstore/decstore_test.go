@@ -24,7 +24,6 @@ func sampleEntry() Entry {
 		FaultPeriodNs:  int64(250_000),
 		MissesPerKinst: 1.7,
 		PerIterNs:      map[int]int64{0: 120, 1: 300},
-		CumTimeNs:      9_000_000,
 		Invocations:    10,
 		Features: Features{
 			Iterations:     65536,

@@ -9,9 +9,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -489,25 +490,15 @@ func (s *Suite) cell(bench, config string, proto interconnect.Spec) (Result, err
 	return v.(Result), nil
 }
 
-// mainDecision picks the benchmark's dominant region decision — the
-// longest-running work-sharing region, exactly the region the paper
-// selects for probing (ties broken by name for determinism).
+// mainDecision returns the benchmark's region decision. Suite.simulate
+// names the kernel's probe region (the paper's longest-running region)
+// as the one that probes, so a run records at most one decision.
 func mainDecision(decs map[string]core.Decision) (string, core.Decision, bool) {
-	ids := make([]string, 0, len(decs))
-	for id := range decs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	best := ""
-	for _, id := range ids {
-		if best == "" || decs[id].CumTime > decs[best].CumTime {
-			best = id
-		}
-	}
-	if best == "" {
+	ids := slices.Sorted(maps.Keys(decs))
+	if len(ids) == 0 {
 		return "", core.Decision{}, false
 	}
-	return best, decs[best], true
+	return ids[0], decs[ids[0]], true
 }
 
 // csrFor returns the CSR weights HetProbe measured for a benchmark in

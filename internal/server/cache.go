@@ -44,18 +44,18 @@ func (c *frozenCache) Put(key string, e decstore.Entry) {
 	c.store.Put(key, e)
 }
 
-// reprobeCache is the write path of a forced re-probe: unlike the
-// frozen cache it OVERWRITES the stored entry (the re-probe exists to
-// replace a measurement that predates the newcomer's class), stamping
-// the union of the old coverage and the re-probe's class set. Lookups
-// still delegate — the re-probing run ignores them via ForceReprobe.
+// reprobeCache is the store of a forced re-probe. It answers every
+// lookup with a miss, so the run probes afresh, and unlike the frozen
+// cache it OVERWRITES the stored entry (the re-probe exists to replace
+// a measurement that predates the newcomer's class), stamping the
+// union of the old coverage and the re-probe's class set.
 type reprobeCache struct {
 	store   *decstore.Store
 	classes []string
 }
 
-func (c *reprobeCache) Lookup(key string) (decstore.Entry, bool) {
-	return c.store.Lookup(key)
+func (c *reprobeCache) Lookup(string) (decstore.Entry, bool) {
+	return decstore.Entry{}, false
 }
 
 func (c *reprobeCache) Put(key string, e decstore.Entry) {

@@ -194,7 +194,7 @@ func (x *SimExecutor) ExecuteChunk(sp Spec, invocations, chunkIndex int) (ExecRe
 		// signature adopts the identical cold entry.
 		store = x.cache
 	}
-	return x.execute(sp, invocations, x.chunkSeed(sp.Sig(), chunkIndex), store, nil)
+	return x.execute(sp, invocations, x.chunkSeed(sp.Sig(), chunkIndex), store)
 }
 
 // chunkSeed derives a chunk's sim seed: the signature seed offset by
@@ -205,26 +205,24 @@ func (x *SimExecutor) chunkSeed(sig string, chunkIndex int) int64 {
 }
 
 // Reprobe re-measures one region's decision, ignoring any stored
-// entry (core's ForceReprobe hook), and overwrites the store entry
-// with the fresh measurement stamped as covering `classes`. This is
-// the newcomer warm-up path: a node of a class the stored entries
-// have never covered joins, and the membership layer re-probes a
-// bounded set of signatures to validate their decisions for the new
-// class. Probing stays bounded exactly like a cold run's.
+// entry (its store answers every lookup with a miss), and overwrites
+// the store entry with the fresh measurement stamped as covering
+// `classes`. This is the newcomer warm-up path: a node of a class the
+// stored entries have never covered joins, and the membership layer
+// re-probes a bounded set of signatures to validate their decisions
+// for the new class. Probing stays bounded exactly like a cold run's.
 func (x *SimExecutor) Reprobe(sp Spec, classes []string) (ExecResult, error) {
 	sp = sp.withDefaults()
 	var store core.DecisionStore
 	if x.cache != nil {
 		store = &reprobeCache{store: x.cache.store, classes: classes}
 	}
-	force := func(string) bool { return true }
-	return x.execute(sp, sp.Invocations, x.sigSeed(sp.Sig()), store, force)
+	return x.execute(sp, sp.Invocations, x.sigSeed(sp.Sig()), store)
 }
 
 // execute is the shared sim-run core behind Execute, ExecuteChunk and
 // Reprobe.
-func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.DecisionStore,
-	force func(string) bool) (ExecResult, error) {
+func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.DecisionStore) (ExecResult, error) {
 	if invocations < 1 {
 		invocations = 1
 	}
@@ -251,7 +249,6 @@ func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.D
 		Telemetry:     x.cfg.Telemetry,
 		ReDecide:      inj != nil,
 		DecisionStore: store,
-		ForceReprobe:  force,
 	}
 	rt := core.New(cl, opts)
 
