@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"hetmp/internal/chaos"
@@ -73,9 +74,9 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	}
 	cfg.Protocol = cfg.Protocol.WithTelemetry(cfg.Telemetry).WithChaos(cfg.Chaos)
 	eng := simtime.NewEngine(cfg.Seed)
-	var rng = eng.Rand()
-	if !cfg.Jitter {
-		rng = nil
+	var rng *rand.Rand
+	if cfg.Jitter {
+		rng = eng.Rand()
 	}
 	space, err := dsm.NewSpace(cfg.Platform.Nodes, cfg.Protocol, rng)
 	if err != nil {

@@ -315,8 +315,7 @@ func (rt *Runtime) decide(ent *probeEntry) Decision {
 		MissesPerKinst: ent.missPerK,
 		PerIterTime:    copyDur(ent.perIter),
 	}
-	specs := rt.cl.NodeSpecs()
-	if len(specs) == 1 {
+	if len(rt.specs) == 1 {
 		d.CrossNode = false
 		d.Node = 0
 		return d
@@ -328,7 +327,7 @@ func (rt *Runtime) decide(ent *probeEntry) Decision {
 	// threshold.
 	origin := rt.cl.Origin()
 	enabled := []int{origin}
-	for node := range specs {
+	for node := range rt.specs {
 		if node == origin || ent.suspects[node] {
 			continue
 		}
@@ -372,9 +371,8 @@ func (rt *Runtime) decide(ent *probeEntry) Decision {
 // bigCacheNode returns the node with the largest per-core LLC share
 // (ties: deeper hierarchy, then lower index).
 func bigCacheNode(rt *Runtime) int {
-	specs := rt.cl.NodeSpecs()
 	best, bestShare := 0, 0.0
-	for i, s := range specs {
+	for i, s := range rt.specs {
 		share := float64(s.Cache.LLCBytes) / float64(s.Cores) * float64(s.Cache.Levels)
 		if share > bestShare {
 			best, bestShare = i, share
@@ -386,9 +384,8 @@ func bigCacheNode(rt *Runtime) int {
 // manyCoreNode returns the node with the most cores (ties: lower
 // index).
 func manyCoreNode(rt *Runtime) int {
-	specs := rt.cl.NodeSpecs()
 	best, bestCores := 0, 0
-	for i, s := range specs {
+	for i, s := range rt.specs {
 		if s.Cores > bestCores {
 			best, bestCores = i, s.Cores
 		}

@@ -78,7 +78,7 @@ const maxStoredCSR = 1e6
 // The fingerprint binds a store to a cluster configuration, but a file
 // edited by hand or written by a broken build carries it just the same.
 func (rt *Runtime) unrunnable(se decstore.Entry) string {
-	nodes := len(rt.cl.NodeSpecs())
+	nodes := len(rt.specs)
 	if se.Node < 0 || se.Node >= nodes {
 		return fmt.Sprintf("node %d of a %d-node cluster", se.Node, nodes)
 	}

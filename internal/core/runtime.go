@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hetmp/internal/cluster"
+	"hetmp/internal/machine"
 	"hetmp/internal/telemetry"
 )
 
@@ -103,7 +104,8 @@ type Runtime struct {
 	opts  Options
 	cache map[string]*probeEntry // HetProbe's probe cache, by region
 	teams map[nodeSet]*team
-	all   []int // every node index; read-only
+	specs []machine.NodeSpec // the cluster's nodes, read once; read-only
+	all   []int              // every node index; read-only
 
 	// Telemetry handles, pre-resolved at construction so hot paths
 	// never touch the registry. All nil when telemetry is disabled
@@ -130,17 +132,17 @@ func New(cl cluster.Cluster, opts Options) *Runtime {
 		opts:  opts.withDefaults(),
 		cache: make(map[string]*probeEntry),
 		teams: make(map[nodeSet]*team),
+		specs: cl.NodeSpecs(),
 	}
-	rt.all = make([]int, len(cl.NodeSpecs()))
+	rt.all = make([]int, len(rt.specs))
 	for i := range rt.all {
 		rt.all[i] = i
 	}
 	if tel := rt.opts.Telemetry; tel.Enabled() {
 		rt.tracer = tel.Tracer()
 		m := tel.Metrics()
-		specs := cl.NodeSpecs()
-		rt.iterCtrs = make([]*telemetry.Counter, len(specs))
-		for i, s := range specs {
+		rt.iterCtrs = make([]*telemetry.Counter, len(rt.specs))
+		for i, s := range rt.specs {
 			//hetmp:allow telemetryhandle -- construction-time wiring: New runs once per runtime, not per iteration
 			rt.iterCtrs[i] = m.Counter("hetmp_iterations_total", telemetry.L("node", s.Name))
 			rt.tracer.NameTrack(workerTrack(i, -1), "node "+strconv.Itoa(i)+" ("+s.Name+")", "master")

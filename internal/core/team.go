@@ -112,7 +112,7 @@ func teamKey(nodes []int) string {
 // participant on its own node even when that node contributes no
 // workers.
 func newTeam(rt *Runtime, master cluster.Env, nodes []int) *team {
-	specs := rt.cl.NodeSpecs()
+	specs := rt.specs
 	t := &team{
 		rt:      rt,
 		nodes:   nodes,

@@ -61,26 +61,15 @@ func (k *blackscholes) ProbeRegion() string { return "blackscholes:calc" }
 func (k *blackscholes) Run(a *core.App, sched SchedFactory) {
 	// Serial phase: parse the portfolio file.
 	a.Serial(float64(k.n)*bsIOOpsPerOption, 0)
-	k.spot = allocF64(a, "bs:spot", k.n)
-	k.strike = allocF64(a, "bs:strike", k.n)
-	k.rate = allocF64(a, "bs:rate", k.n)
-	k.vol = allocF64(a, "bs:vol", k.n)
-	k.otime = allocF64(a, "bs:otime", k.n)
-	k.otype = allocI32(a, "bs:otype", k.n)
+	in := bsInput{k.n}
+	pf := reference(in, in.portfolio)
+	k.spot = sharedF64(a, "bs:spot", pf.spot)
+	k.strike = sharedF64(a, "bs:strike", pf.strike)
+	k.rate = sharedF64(a, "bs:rate", pf.rate)
+	k.vol = sharedF64(a, "bs:vol", pf.vol)
+	k.otime = sharedF64(a, "bs:otime", pf.otime)
+	k.otype = sharedI32(a, "bs:otype", pf.otype)
 	k.prices = allocF64(a, "bs:prices", k.n)
-
-	r := rng(42)
-	for i := 0; i < k.n; i++ {
-		k.spot.Data[i] = 50 + 100*r.Float64()
-		k.strike.Data[i] = 50 + 100*r.Float64()
-		k.rate.Data[i] = 0.01 + 0.05*r.Float64()
-		k.vol.Data[i] = 0.05 + 0.5*r.Float64()
-		k.otime.Data[i] = 0.25 + 2*r.Float64()
-		k.otype.Data[i] = int32(i % 2) // alternate calls and puts
-	}
-	// Index 0 carries a textbook reference case checked by Verify.
-	k.spot.Data[0], k.strike.Data[0], k.rate.Data[0] = 100, 100, 0.02
-	k.vol.Data[0], k.otime.Data[0], k.otype.Data[0] = 0.2, 1, 0
 
 	for run := 0; run < k.runs; run++ {
 		a.ParallelFor("blackscholes:calc", k.n, sched("blackscholes:calc"),
@@ -98,6 +87,37 @@ func (k *blackscholes) Run(a *core.App, sched SchedFactory) {
 				e.Compute(float64(hi-lo)*bsFlopsPerOption, bsVec)
 			})
 	}
+}
+
+// bsInput is every value the portfolio generator reads.
+type bsInput struct{ n int }
+
+// bsPortfolio is the parsed portfolio file, one entry per option.
+type bsPortfolio struct {
+	spot, strike, rate, vol, otime []float64
+	otype                          []int32
+}
+
+// portfolio draws n random options, alternating calls and puts.
+func (s bsInput) portfolio() bsPortfolio {
+	pf := bsPortfolio{
+		spot: make([]float64, s.n), strike: make([]float64, s.n),
+		rate: make([]float64, s.n), vol: make([]float64, s.n),
+		otime: make([]float64, s.n), otype: make([]int32, s.n),
+	}
+	r := rng(42)
+	for i := 0; i < s.n; i++ {
+		pf.spot[i] = 50 + 100*r.Float64()
+		pf.strike[i] = 50 + 100*r.Float64()
+		pf.rate[i] = 0.01 + 0.05*r.Float64()
+		pf.vol[i] = 0.05 + 0.5*r.Float64()
+		pf.otime[i] = 0.25 + 2*r.Float64()
+		pf.otype[i] = int32(i % 2) // alternate calls and puts
+	}
+	// Index 0 carries a textbook reference case checked by Verify.
+	pf.spot[0], pf.strike[0], pf.rate[0] = 100, 100, 0.02
+	pf.vol[0], pf.otime[0], pf.otype[0] = 0.2, 1, 0
+	return pf
 }
 
 // bsPrice evaluates the Black–Scholes formula for a call (put=false) or

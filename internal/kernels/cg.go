@@ -46,43 +46,16 @@ func (k *cg) ProbeRegion() string { return "cg:spmv" }
 func (k *cg) Run(a *core.App, sched SchedFactory) {
 	n, nnz := k.n, k.nnzRow
 	a.Serial(float64(n*nnz)*20, 0)
-	k.vals = allocF64(a, "cg:vals", n*nnz)
-	k.cols = allocI32(a, "cg:cols", n*nnz)
+	in := cgInput{n, nnz}
+	m := reference(in, in.matrix)
+	k.vals = sharedF64(a, "cg:vals", m.vals)
+	k.cols = sharedI32(a, "cg:cols", m.cols)
 	k.x = allocF64(a, "cg:x", n)
 	k.p = allocF64(a, "cg:p", n)
 	k.q = allocF64(a, "cg:q", n)
 	k.r = allocF64(a, "cg:r", n)
-	k.diag = make([]float64, n)
+	k.diag = m.diag
 
-	// Random symmetric-pattern, diagonally dominant matrix: row i gets
-	// nnz-1 random off-diagonal entries plus a dominant diagonal.
-	rg := rng(5)
-	for i := 0; i < n; i++ {
-		cols := make([]int, 0, nnz)
-		cols = append(cols, i)
-		for len(cols) < nnz {
-			c := rg.Intn(n)
-			cols = append(cols, c)
-		}
-		sort.Ints(cols)
-		var off float64
-		for j, c := range cols {
-			v := 0.0
-			if c != i {
-				v = -rg.Float64()
-				off += -v
-			}
-			k.vals.Data[i*nnz+j] = v
-			k.cols.Data[i*nnz+j] = int32(c)
-		}
-		// Dominant diagonal ⇒ positive definite enough for CG.
-		for j, c := range cols {
-			if c == i {
-				k.vals.Data[i*nnz+j] += off + 1
-				k.diag[i] = k.vals.Data[i*nnz+j]
-			}
-		}
-	}
 	// Solve A x = b with b = 1.
 	for i := 0; i < n; i++ {
 		k.r.Data[i] = 1
@@ -105,6 +78,57 @@ func (k *cg) Run(a *core.App, sched SchedFactory) {
 	}
 	k.residual = math.Sqrt(rho)
 	k.ran = true
+}
+
+// cgInput is every value the matrix generator reads.
+type cgInput struct{ n, nnzRow int }
+
+// cgMatrix is the sparse matrix in row-major CSR form with a fixed
+// nnzRow entries a row, plus its diagonal.
+type cgMatrix struct {
+	vals []float64
+	cols []int32
+	diag []float64
+}
+
+// matrix draws a random symmetric-pattern, diagonally dominant matrix:
+// row i gets nnz-1 random off-diagonal entries plus a dominant
+// diagonal.
+func (s cgInput) matrix() cgMatrix {
+	n, nnz := s.n, s.nnzRow
+	m := cgMatrix{
+		vals: make([]float64, n*nnz),
+		cols: make([]int32, n*nnz),
+		diag: make([]float64, n),
+	}
+	rg := rng(5)
+	for i := 0; i < n; i++ {
+		cols := make([]int, 0, nnz)
+		cols = append(cols, i)
+		for len(cols) < nnz {
+			c := rg.Intn(n)
+			cols = append(cols, c)
+		}
+		sort.Ints(cols)
+		var off float64
+		for j, c := range cols {
+			v := 0.0
+			if c != i {
+				v = -rg.Float64()
+				off += -v
+			}
+			m.vals[i*nnz+j] = v
+			m.cols[i*nnz+j] = int32(c)
+		}
+		// Dominant diagonal ⇒ positive definite enough for CG.
+		for j, c := range cols {
+			if c == i {
+				m.vals[i*nnz+j] += off + 1
+				m.diag[i] = m.vals[i*nnz+j]
+			}
+		}
+	}
+	return m
 }
 
 // spmv computes q = A p, gathering p through the column indices.

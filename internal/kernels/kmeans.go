@@ -59,18 +59,11 @@ type kmAssign struct {
 func (k *kmeansK) Run(a *core.App, sched SchedFactory) {
 	// Serial phase: read the input points.
 	a.Serial(float64(k.n*k.dims)*40, 0)
-	k.points = allocF64(a, "km:points", k.n*k.dims)
+	in := kmeansInput{k.n, k.dims, k.k}
+	k.points = sharedF64(a, "km:points", reference(in, in.points))
 	k.centers = allocF64(a, "km:centers", k.k*k.dims)
 	k.membership = allocI32(a, "km:membership", k.n)
 
-	// Synthetic well-separated clusters so convergence is checkable.
-	r := rng(7)
-	for i := 0; i < k.n; i++ {
-		c := i % k.k
-		for d := 0; d < k.dims; d++ {
-			k.points.Data[i*k.dims+d] = float64(c*10) + r.NormFloat64()
-		}
-	}
 	// Initialize centers from the first point of each true cluster.
 	for c := 0; c < k.k; c++ {
 		copy(k.centers.Data[c*k.dims:(c+1)*k.dims], k.points.Data[c*k.dims:(c+1)*k.dims])
@@ -144,6 +137,23 @@ func (k *kmeansK) Run(a *core.App, sched SchedFactory) {
 		a.Env().Compute(float64(k.k*k.dims)*4, 0)
 	}
 	k.ran = true
+}
+
+// kmeansInput is every value the point generator reads.
+type kmeansInput struct{ n, dims, k int }
+
+// points draws synthetic well-separated clusters, so convergence is
+// checkable: point i belongs to cluster i mod k.
+func (s kmeansInput) points() []float64 {
+	pts := make([]float64, s.n*s.dims)
+	r := rng(7)
+	for i := 0; i < s.n; i++ {
+		c := i % s.k
+		for d := 0; d < s.dims; d++ {
+			pts[i*s.dims+d] = float64(c*10) + r.NormFloat64()
+		}
+	}
+	return pts
 }
 
 // nearestCenter returns the lowest index among the centers nearest to p

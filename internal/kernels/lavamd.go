@@ -17,12 +17,16 @@ func init() { register("lavaMD", newLavaMD) }
 // the paper's strongest cross-node case (CSR 3.666:1 — FMA-dense,
 // highly vectorizable inner loops).
 type lavaMD struct {
-	dim, perBox int
-	boxes       int
-	pos         *F64 // 4 doubles per particle: x, y, z, charge
-	fv          *F64 // 4 doubles per particle: potential + force vector
-	ran         bool
+	lavaGrid
+	boxes int
+	pos   *F64 // 4 doubles per particle: x, y, z, charge
+	fv    *F64 // 4 doubles per particle: potential + force vector
+	ran   bool
 }
+
+// lavaGrid is the box grid, dim boxes a side with perBox particles
+// each: every value the particle generator reads.
+type lavaGrid struct{ dim, perBox int }
 
 const (
 	lavaFlopsPerPair = 45 // distance + exp() + 4 FMAs per pair
@@ -32,7 +36,7 @@ const (
 
 func newLavaMD(scale float64) Kernel {
 	dim := scaled(16, math.Cbrt(scale), 4)
-	return &lavaMD{dim: dim, perBox: 12, boxes: dim * dim * dim}
+	return &lavaMD{lavaGrid: lavaGrid{dim: dim, perBox: 12}, boxes: dim * dim * dim}
 }
 
 func (k *lavaMD) Name() string { return "lavaMD" }
@@ -44,20 +48,8 @@ func (k *lavaMD) boxFloats() int { return k.perBox * 4 }
 
 func (k *lavaMD) Run(a *core.App, sched SchedFactory) {
 	a.Serial(float64(k.boxes*k.perBox)*50, 0)
-	k.pos = allocF64(a, "lava:pos", k.boxes*k.boxFloats())
+	k.pos = sharedF64(a, "lava:pos", reference(k.lavaGrid, k.lavaGrid.positions))
 	k.fv = allocF64(a, "lava:fv", k.boxes*k.boxFloats())
-
-	r := rng(13)
-	for b := 0; b < k.boxes; b++ {
-		bx, by, bz := k.coords(b)
-		for p := 0; p < k.perBox; p++ {
-			base := (b*k.perBox + p) * 4
-			k.pos.Data[base+0] = float64(bx) + r.Float64()
-			k.pos.Data[base+1] = float64(by) + r.Float64()
-			k.pos.Data[base+2] = float64(bz) + r.Float64()
-			k.pos.Data[base+3] = 0.5 + r.Float64() // charge
-		}
-	}
 
 	pairsPerBox := float64(27 * k.perBox * k.perBox)
 	a.ParallelFor("lavamd:boxes", k.boxes, sched("lavamd:boxes"),
@@ -102,8 +94,27 @@ func (k *lavaMD) interact(b, nb int, out []float64) {
 	}
 }
 
-func (k *lavaMD) coords(b int) (x, y, z int) {
-	return b % k.dim, (b / k.dim) % k.dim, b / (k.dim * k.dim)
+// positions places perBox particles at random in each box, with random
+// charges.
+func (g lavaGrid) positions() []float64 {
+	boxes := g.dim * g.dim * g.dim
+	pos := make([]float64, boxes*g.perBox*4)
+	r := rng(13)
+	for b := 0; b < boxes; b++ {
+		bx, by, bz := g.coords(b)
+		for p := 0; p < g.perBox; p++ {
+			base := (b*g.perBox + p) * 4
+			pos[base+0] = float64(bx) + r.Float64()
+			pos[base+1] = float64(by) + r.Float64()
+			pos[base+2] = float64(bz) + r.Float64()
+			pos[base+3] = 0.5 + r.Float64() // charge
+		}
+	}
+	return pos
+}
+
+func (g lavaGrid) coords(b int) (x, y, z int) {
+	return b % g.dim, (b / g.dim) % g.dim, b / (g.dim * g.dim)
 }
 
 // neighbors returns box b and its ≤26 grid neighbors (ascending, so

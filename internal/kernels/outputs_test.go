@@ -49,13 +49,7 @@ func (o outputDigests) array(name string, words []uint64) {
 	o[name] = hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-func (o outputDigests) f64(name string, v []float64) {
-	words := make([]uint64, len(v))
-	for i, x := range v {
-		words[i] = math.Float64bits(x)
-	}
-	o.array(name, words)
-}
+func (o outputDigests) f64(name string, v []float64) { o.array(name, f64Words(v)) }
 
 // intWords widens an integer array to the words its digest is taken over.
 func intWords[T int | int32 | int64](v []T) []uint64 {

@@ -50,22 +50,12 @@ func (k *streamcluster) dist2(a, b []float64) float64 {
 func (k *streamcluster) Run(a *core.App, sched SchedFactory) {
 	n, dims := k.n, k.dims
 	a.Serial(float64(n*dims)*30, 0)
-	k.points = allocF64(a, "sc:points", n*dims)
+	in := scInput{n, dims}
+	st := reference(in, in.stream)
+	k.points = sharedF64(a, "sc:points", st.points)
 	k.assignCost = allocF64(a, "sc:cost", n)
 	k.assignTo = allocI32(a, "sc:assign", n)
-
-	rg := rng(31)
-	for i := range k.points.Data {
-		k.points.Data[i] = rg.Float64() * 100
-	}
-	// Points are processed in stream-arrival order through an
-	// indirection array — the paper's "access them in irregular
-	// patterns using an indirection array".
-	k.perm = make([]int32, n)
-	for i := range k.perm {
-		k.perm[i] = int32(i)
-	}
-	rg.Shuffle(n, func(i, j int) { k.perm[i], k.perm[j] = k.perm[j], k.perm[i] })
+	k.perm = st.perm
 	// Open the first point as the initial center. Costs and assignments
 	// are indexed by point id and accessed through the stream order —
 	// the paper's "calculate a set of results and then access them in
@@ -119,6 +109,33 @@ func (k *streamcluster) Run(a *core.App, sched SchedFactory) {
 	}
 	k.totalCost = total
 	k.ran = true
+}
+
+// scInput is every value the stream generator reads.
+type scInput struct{ n, dims int }
+
+// scStream is the point stream: the points by id and their arrival
+// order.
+type scStream struct {
+	points []float64
+	perm   []int32
+}
+
+// stream draws n uniform points and a random arrival order.
+func (s scInput) stream() scStream {
+	st := scStream{points: make([]float64, s.n*s.dims), perm: make([]int32, s.n)}
+	rg := rng(31)
+	for i := range st.points {
+		st.points[i] = rg.Float64() * 100
+	}
+	// Points are processed in stream-arrival order through an
+	// indirection array — the paper's "access them in irregular
+	// patterns using an indirection array".
+	for i := range st.perm {
+		st.perm[i] = int32(i)
+	}
+	rg.Shuffle(s.n, func(i, j int) { st.perm[i], st.perm[j] = st.perm[j], st.perm[i] })
+	return st
 }
 
 func (k *streamcluster) Verify() error {

@@ -44,6 +44,13 @@ func (v *F64) RW(e cluster.Env, lo, hi int) []float64 {
 	return v.Data[lo:hi]
 }
 
+// sharedF64 pairs data that every run of one input shape shares with a
+// region of this run, homed at the origin node: the run declares its
+// own accesses, but the host holds the read-only data once.
+func sharedF64(a *core.App, name string, data []float64) *F64 {
+	return &F64{Data: data, Reg: a.Alloc(name, int64(len(data))*8)}
+}
+
 // I32 pairs an int32 slice with its region.
 type I32 struct {
 	Data []int32
@@ -56,6 +63,11 @@ func allocI32(a *core.App, name string, n int) *I32 {
 		Data: make([]int32, n),
 		Reg:  a.Alloc(name, int64(n)*4),
 	}
+}
+
+// sharedI32 is sharedF64 for int32 data.
+func sharedI32(a *core.App, name string, data []int32) *I32 {
+	return &I32{Data: data, Reg: a.Alloc(name, int64(len(data))*4)}
 }
 
 // R declares a read of elements [lo, hi) and returns them.
@@ -91,15 +103,20 @@ func absf(x float64) float64 {
 	return x
 }
 
-// references holds one once-cell per verification-reference key, so a
-// process that runs one kernel shape many times (a suite, a parallel
-// hetbench) computes its sequential reference once. Each kernel keys it
-// with a private struct type holding every input the reference reads.
+// references holds one once-cell per key, so a process that runs one
+// kernel shape many times (a suite, a parallel hetbench, a benchmark
+// pass) computes each per-shape value once: a kernel's read-only input
+// arrays and its sequential verification reference. Each kernel keys it
+// with a private struct type holding every value the computation reads;
+// the computation is a method of that type.
 var references sync.Map // key -> func() V (a sync.OnceValue)
 
 // reference returns compute's value for key, computing it at most once
 // per process; concurrent first callers wait for the one computation.
-// Cache only reduced values: an entry lives as long as the process.
+// Every caller gets the same value, so cache only what no run writes.
+// An entry lives as long as the process: the inputs of every shape one
+// process runs stay resident, about 49 MB at Scale 1 and 10 MB for the
+// quick suite.
 func reference[K comparable, V any](key K, compute func() V) V {
 	f, ok := references.Load(key)
 	if !ok {

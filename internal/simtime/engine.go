@@ -196,7 +196,8 @@ type Engine struct {
 	nextClock time.Duration // runnable[0].clock, or noProcClock when empty
 	live      int           // procs not yet done
 	held      *heldTable    // parked step walks' steps; nil outside a run's walks
-	rng       *rand.Rand
+	seed      int64
+	rng       *rand.Rand // built from seed by the first Rand call
 	maxNow    time.Duration
 	running   bool
 	firstErr  error // first proc panic, in completion order
@@ -206,15 +207,18 @@ type Engine struct {
 // NewEngine returns an engine whose jitter source is seeded with seed,
 // so runs are reproducible.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		nextClock: noProcClock,
-		rng:       rand.New(rand.NewSource(seed)),
-	}
+	return &Engine{nextClock: noProcClock, seed: seed}
 }
 
 // Rand exposes the engine's deterministic random source (used for
-// optional interconnect jitter).
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// optional interconnect jitter). The source is built on the first
+// call, so an engine that never asks for it never pays for it.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // MaxNow returns the largest virtual clock observed across all procs,
 // i.e. the makespan of the simulation so far.

@@ -2,6 +2,7 @@ package hetmp_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -111,16 +112,22 @@ func TestTelemetrySimEndToEnd(t *testing.T) {
 	}
 }
 
-// minRun returns the fastest of n runs — the standard noise-robust
-// estimator for wall-clock comparisons.
-func minRun(tb testing.TB, bench string, tel *telemetry.Telemetry, n int) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < n; i++ {
-		if d := runKernel(tb, bench, tel); d < best {
-			best = d
+// interleavedMins runs bench n times with telemetry off and n times
+// with tel, in the order off, on, on, off, off, on, …, and returns the
+// fastest run of each (the standard noise-robust estimator for
+// wall-clock comparisons). Neither side runs all its trials first, so
+// a drift over the round (thermal, scheduler, neighbours) reaches both
+// minima alike.
+func interleavedMins(tb testing.TB, bench string, tel *telemetry.Telemetry, n int) (base, instr time.Duration) {
+	base, instr = math.MaxInt64, math.MaxInt64
+	for i := 0; i < 2*n; i++ {
+		if i%4 == 0 || i%4 == 3 {
+			base = min(base, runKernel(tb, bench, nil))
+		} else {
+			instr = min(instr, runKernel(tb, bench, tel))
 		}
 	}
-	return best
+	return base, instr
 }
 
 // TestTelemetryOverheadGuard enforces the ≤5% overhead budget on the
@@ -143,11 +150,7 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 	)
 	var ratio float64
 	for round := 1; ; round++ {
-		// Interleave by alternating which variant runs first so drift
-		// (thermal, scheduler) does not bias one side.
-		base := minRun(t, "EP-C", nil, trials)
-		tel := telemetry.New(telemetry.Options{})
-		instr := minRun(t, "EP-C", tel, trials)
+		base, instr := interleavedMins(t, "EP-C", telemetry.New(telemetry.Options{}), trials)
 		ratio = float64(instr) / float64(base)
 		t.Logf("round %d: baseline %v, enabled %v, ratio %.3f", round, base, instr, ratio)
 		if ratio <= budget {
