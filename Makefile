@@ -106,17 +106,18 @@ load-smoke:
 	$(GO) run ./cmd/hetload -jobs 60 -tenants 3 -signatures 3 -seed 11 \
 		-no-preload -queue-depth 4 -max-inflight 2 -expect-rejections -quiet -json $(OUT)/hetload_backpressure.json
 
-# Membership-churn smoke: a node is removed mid-run and re-added later
-# (covered class, so the re-add warm-starts probe-free), under the
-# mixed chaos profile with its p95/p99 wait+service latency budget
-# asserted (-chaos-slo) and the dispatch hash (churn records included)
-# double-run verified. Exactly-once accounting (lost_iterations 0) is
-# always asserted when membership is on.
+# Membership-churn smoke: a node is removed mid-run and re-added later,
+# and a node of a class the platform lacks joins (it serves at once,
+# like any newcomer), under the mixed chaos profile with its p95/p99
+# wait+service latency budget asserted (-chaos-slo) and the dispatch
+# hash (churn records included) and total virtual time double-run
+# verified. Exactly-once accounting (lost_iterations 0) is always
+# asserted when membership is on.
 .PHONY: churn-smoke
 churn-smoke:
 	$(GO) run ./cmd/hetload -jobs 120 -tenants 4 -signatures 4 -seed 1 \
 		-nodes n0:xeon:1,n1:thunderx:1,n2:thunderx:1 \
-		-churn remove:n1@30,add:n1:thunderx:1@70 \
+		-churn remove:n1@30,add:n1:thunderx:1@70,add:n3:gracehopper:1@90 \
 		-chaos-profile mixed -chaos-slo -verify-determinism \
 		-quiet -json $(OUT)/hetload_churn.json
 

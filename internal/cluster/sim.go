@@ -72,7 +72,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	if cfg.Protocol.Name == "" {
 		cfg.Protocol = interconnect.RDMA56()
 	}
-	cfg.Protocol = cfg.Protocol.WithTelemetry(cfg.Telemetry).WithChaos(cfg.Chaos)
+	cfg.Protocol = cfg.Protocol.WithTelemetry(cfg.Telemetry)
 	eng := simtime.NewEngine(cfg.Seed)
 	var rng *rand.Rand
 	if cfg.Jitter {

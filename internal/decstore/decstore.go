@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"hetmp/internal/machine"
@@ -74,26 +73,9 @@ type Entry struct {
 	// like any other.
 	Invocations int      `json:"invocations"`
 	Features    Features `json:"features"`
-	// Classes are the node classes the entry's measurements cover
-	// (e.g. "xeon", "thunderx"). A serving layer adding a node of a
-	// class the entry has never seen knows the stored decision may not
-	// transfer and schedules a bounded re-probe; a newcomer of a
-	// covered class adopts the entry probe-free. Empty (an entry
-	// written without a serving layer, e.g. by an offline suite)
-	// means coverage is unknown, which reads as "not covered" for
-	// every class.
+	// Classes is read by nothing. benchmark/ is its only user: it sets
+	// it in an Entry literal.
 	Classes []string `json:"classes,omitempty"`
-}
-
-// CoversClass reports whether the entry's measurements cover the
-// given node class.
-func (e Entry) CoversClass(class string) bool {
-	for _, c := range e.Classes {
-		if c == class {
-			return true
-		}
-	}
-	return false
 }
 
 // fileFormat is the on-disk envelope.
@@ -253,38 +235,6 @@ func (s *Store) Put(key string, e Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries[key] = e
-}
-
-// KeysMissingClass returns, in sorted order, the keys of entries that
-// do not cover the given node class — the candidate set for a bounded
-// re-probe when a node of a new class joins. Entries with no class
-// annotation count as missing every class.
-func (s *Store) KeysMissingClass(class string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var keys []string
-	for k, e := range s.entries {
-		if !e.CoversClass(class) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ClassCovered reports whether every stored entry covers the given
-// node class — the condition under which a newcomer of that class can
-// be warmed entirely from the store, with no re-probe. An empty store
-// trivially covers every class (there is nothing to re-probe).
-func (s *Store) ClassCovered(class string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.entries {
-		if !e.CoversClass(class) {
-			return false
-		}
-	}
-	return true
 }
 
 // Save persists the store atomically: the current on-disk entries (if

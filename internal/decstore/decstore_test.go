@@ -260,53 +260,3 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Errorf("fingerprint length %d, want 16", len(base))
 	}
 }
-
-func TestClassCoverage(t *testing.T) {
-	s := NewMem(testFingerprint())
-	if !s.ClassCovered("thunderx2") {
-		t.Error("empty store must trivially cover every class")
-	}
-	withClasses := func(classes ...string) Entry {
-		e := sampleEntry()
-		e.Classes = classes
-		return e
-	}
-	s.Put("kmeans:assign", withClasses("xeon", "thunderx"))
-	s.Put("lud:update", withClasses("xeon"))
-	s.Put("cfd:flux", Entry{}) // legacy entry: no class annotation
-
-	if s.ClassCovered("xeon") {
-		// cfd:flux has no annotation, so even "xeon" is not fully covered
-		t.Error("legacy entry without classes must read as covering nothing")
-	}
-	got := s.KeysMissingClass("thunderx")
-	want := []string{"cfd:flux", "lud:update"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("KeysMissingClass(thunderx) = %v, want %v", got, want)
-	}
-	if missing := s.KeysMissingClass("thunderx2"); len(missing) != 3 {
-		t.Fatalf("new class should miss all 3 entries, got %v", missing)
-	}
-
-	// Annotations survive the on-disk round trip without a schema bump.
-	dir := t.TempDir()
-	disk, err := OpenDir(dir, testFingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk.Put("kmeans:assign", withClasses("xeon", "thunderx"))
-	if err := disk.Save(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenDir(dir, testFingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := re.Lookup("kmeans:assign")
-	if !ok || !e.CoversClass("thunderx") || e.CoversClass("thunderx2") {
-		t.Fatalf("classes lost across save/reopen: %+v ok=%v", e.Classes, ok)
-	}
-	if len(re.KeysMissingClass("xeon")) != 0 {
-		t.Error("reopened store lost xeon coverage")
-	}
-}

@@ -434,7 +434,7 @@ func (r *Region) fault(p *simtime.Proc, node int, pg, k int64, write bool) Acces
 		}
 		// Protocol costs reflect the link state at (post-outage)
 		// fault-service time.
-		eff := proto.EffectiveAt(p.Now())
+		eff := proto.Degraded(ch.LinkAt(p.Now()))
 		proto = &eff
 	}
 

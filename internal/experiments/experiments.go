@@ -99,43 +99,24 @@ type Suite struct {
 	// cache singleflights the lazily derived products (thresholds,
 	// decision stores, report cells) so concurrent runs needing the
 	// same key wait for one computation instead of duplicating it.
-	cache flightMap
+	cache memo
 	// warn receives the reason a decision-store file was rejected; nil
 	// means os.Stderr.
 	warn io.Writer
 }
 
-// flight is one in-progress or completed cache computation.
-type flight struct {
-	done chan struct{}
-	v    any
-	err  error
-}
+// memo is singleflight-with-memory: the first caller of a key computes,
+// everyone else waits and shares the result forever (experiment caches
+// are immutable once derived). It is kernels.reference's idiom: a
+// sync.Map of sync.OnceValues cells.
+type memo struct{ m sync.Map } // key -> func() (any, error)
 
-// flightMap is a minimal singleflight-with-memory: the first caller of
-// a key computes, everyone else waits and shares the result forever
-// (experiment caches are immutable once derived).
-type flightMap struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}
-
-func (f *flightMap) do(key string, fn func() (any, error)) (any, error) {
-	f.mu.Lock()
-	if f.m == nil {
-		f.m = make(map[string]*flight)
+func (c *memo) do(key string, fn func() (any, error)) (any, error) {
+	f, ok := c.m.Load(key)
+	if !ok {
+		f, _ = c.m.LoadOrStore(key, sync.OnceValues(fn))
 	}
-	if fl, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		<-fl.done
-		return fl.v, fl.err
-	}
-	fl := &flight{done: make(chan struct{})}
-	f.m[key] = fl
-	f.mu.Unlock()
-	fl.v, fl.err = fn()
-	close(fl.done)
-	return fl.v, fl.err
+	return f.(func() (any, error))()
 }
 
 // workers returns the concurrency for a fan-out over n items.

@@ -106,12 +106,15 @@ func TestOrderingPreservedUnderEveryChaosProfile(t *testing.T) {
 	}
 }
 
-// TestEffectiveAtFollowsSchedule: a spec with chaos attached resolves
-// the schedule at query time; without chaos it is the identity.
-func TestEffectiveAtFollowsSchedule(t *testing.T) {
+// TestDegradedFollowsSchedule: a spec degraded by an injector's link
+// factors at a virtual time sees the schedule at that time; a nil
+// injector's factors leave it unchanged. This is the link state the
+// DSM fault path charges.
+func TestDegradedFollowsSchedule(t *testing.T) {
 	base := RDMA56()
-	if got := base.EffectiveAt(time.Millisecond); got != base {
-		t.Error("EffectiveAt without chaos must be the identity")
+	var none *chaos.Injector
+	if got := base.Degraded(none.LinkAt(time.Millisecond)); got != base {
+		t.Error("Degraded by a nil injector's link must be the identity")
 	}
 	inj := chaos.New(chaos.Profile{
 		Name: "window",
@@ -122,11 +125,11 @@ func TestEffectiveAtFollowsSchedule(t *testing.T) {
 			BandwidthFactor: 10,
 		}},
 	}, 1)
-	s := base.WithChaos(inj)
-	before := s.EffectiveAt(0)
-	during := s.EffectiveAt(1500 * time.Microsecond)
-	after := s.EffectiveAt(3 * time.Millisecond)
-	if before.OneWayLatency != base.OneWayLatency || after.OneWayLatency != base.OneWayLatency {
+	at := func(now time.Duration) Spec { return base.Degraded(inj.LinkAt(now)) }
+	before := at(0)
+	during := at(1500 * time.Microsecond)
+	after := at(3 * time.Millisecond)
+	if before != base || after != base {
 		t.Error("link degraded outside its window")
 	}
 	if during.OneWayLatency != 10*base.OneWayLatency {

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"time"
 
-	"hetmp/internal/chaos"
 	"hetmp/internal/machine"
 	"hetmp/internal/telemetry"
 )
@@ -65,12 +64,6 @@ type Spec struct {
 	// one nil test per fault when telemetry is off.
 	faultLatency *telemetry.Histogram
 	ctrlLatency  *telemetry.Histogram
-
-	// chaos, installed by WithChaos, supplies the time-varying link
-	// degradation EffectiveAt folds into the cost parameters. Rides
-	// along with value copies like the telemetry handles; nil (the
-	// default) means an always-healthy link.
-	chaos *chaos.Injector
 }
 
 // WithTelemetry returns the spec with per-fault latency observation
@@ -86,28 +79,6 @@ func (s Spec) WithTelemetry(t *telemetry.Telemetry) Spec {
 	out.faultLatency = t.Metrics().Histogram("hetmp_interconnect_fault_seconds", telemetry.L("proto", s.Name))
 	out.ctrlLatency = t.Metrics().Histogram("hetmp_interconnect_control_seconds", telemetry.L("proto", s.Name))
 	return out
-}
-
-// WithChaos returns the spec with a degradation schedule attached:
-// cost queries made through a spec derived by EffectiveAt see the
-// link state the injector prescribes for that virtual time. A nil
-// injector returns the spec unchanged.
-func (s Spec) WithChaos(in *chaos.Injector) Spec {
-	out := s
-	out.chaos = in
-	return out
-}
-
-// EffectiveAt resolves the spec's chaos schedule at virtual time now:
-// wire latency is multiplied and bandwidth divided by the injector's
-// current link factors. Without chaos (or while the link is healthy)
-// the spec is returned unchanged, so the disabled path costs one nil
-// test.
-func (s Spec) EffectiveAt(now time.Duration) Spec {
-	if s.chaos == nil {
-		return s
-	}
-	return s.Degraded(s.chaos.LinkAt(now))
 }
 
 // Degraded returns the spec with wire latency multiplied by latFactor

@@ -24,7 +24,6 @@ type cg struct {
 	vals             *F64
 	cols             *I32
 	x, p, q, r       *F64
-	diag             []float64
 	residual         float64
 	ran              bool
 }
@@ -54,7 +53,6 @@ func (k *cg) Run(a *core.App, sched SchedFactory) {
 	k.p = allocF64(a, "cg:p", n)
 	k.q = allocF64(a, "cg:q", n)
 	k.r = allocF64(a, "cg:r", n)
-	k.diag = m.diag
 
 	// Solve A x = b with b = 1.
 	for i := 0; i < n; i++ {
@@ -84,11 +82,10 @@ func (k *cg) Run(a *core.App, sched SchedFactory) {
 type cgInput struct{ n, nnzRow int }
 
 // cgMatrix is the sparse matrix in row-major CSR form with a fixed
-// nnzRow entries a row, plus its diagonal.
+// nnzRow entries a row.
 type cgMatrix struct {
 	vals []float64
 	cols []int32
-	diag []float64
 }
 
 // matrix draws a random symmetric-pattern, diagonally dominant matrix:
@@ -99,7 +96,6 @@ func (s cgInput) matrix() cgMatrix {
 	m := cgMatrix{
 		vals: make([]float64, n*nnz),
 		cols: make([]int32, n*nnz),
-		diag: make([]float64, n),
 	}
 	rg := rng(5)
 	for i := 0; i < n; i++ {
@@ -124,7 +120,6 @@ func (s cgInput) matrix() cgMatrix {
 		for j, c := range cols {
 			if c == i {
 				m.vals[i*nnz+j] += off + 1
-				m.diag[i] = m.vals[i*nnz+j]
 			}
 		}
 	}

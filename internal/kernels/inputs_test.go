@@ -46,7 +46,6 @@ func sharedInputs(k Kernel) map[string]inputPair {
 		return map[string]inputPair{
 			"vals": f(k.vals.Data, m.vals),
 			"cols": i(k.cols.Data, m.cols),
-			"diag": f(k.diag, m.diag),
 		}
 	case *streamcluster:
 		st := scInput{k.n, k.dims}.stream()

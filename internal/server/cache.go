@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"sync"
 
 	"hetmp/internal/decstore"
@@ -22,9 +21,8 @@ import (
 // behind, breaking the server's determinism contract (equal signatures
 // ⇒ identical virtual time). The first entry is the canonical one.
 type frozenCache struct {
-	mu      sync.Mutex
-	store   *decstore.Store
-	classes []string // node classes stamped onto exported entries
+	mu    sync.Mutex
+	store *decstore.Store
 }
 
 func (c *frozenCache) Lookup(key string) (decstore.Entry, bool) {
@@ -37,45 +35,16 @@ func (c *frozenCache) Put(key string, e decstore.Entry) {
 	if _, ok := c.store.Lookup(key); ok {
 		return
 	}
-	// Stamp the classes the measurement covers, so the membership
-	// layer can tell a newcomer of a known class (warm, no probe)
-	// from one of a class the entry has never seen (bounded re-probe).
-	e.Classes = append([]string(nil), c.classes...)
 	c.store.Put(key, e)
 }
 
-// reprobeCache is the store of a forced re-probe. It answers every
-// lookup with a miss, so the run probes afresh, and unlike the frozen
-// cache it OVERWRITES the stored entry (the re-probe exists to replace
-// a measurement that predates the newcomer's class), stamping the
-// union of the old coverage and the re-probe's class set.
-type reprobeCache struct {
-	store   *decstore.Store
-	classes []string
-}
+// reprobeCache is the store of a forced re-probe: every lookup misses,
+// so the run probes afresh, and a put overwrites the stored entry.
+type reprobeCache struct{ store *decstore.Store }
 
-func (c *reprobeCache) Lookup(string) (decstore.Entry, bool) {
-	return decstore.Entry{}, false
-}
+func (reprobeCache) Lookup(string) (decstore.Entry, bool) { return decstore.Entry{}, false }
 
-func (c *reprobeCache) Put(key string, e decstore.Entry) {
-	merged := map[string]bool{}
-	if old, ok := c.store.Lookup(key); ok {
-		for _, cl := range old.Classes {
-			merged[cl] = true
-		}
-	}
-	for _, cl := range c.classes {
-		merged[cl] = true
-	}
-	classes := make([]string, 0, len(merged))
-	for cl := range merged {
-		classes = append(classes, cl)
-	}
-	sort.Strings(classes)
-	e.Classes = classes
-	c.store.Put(key, e)
-}
+func (c reprobeCache) Put(key string, e decstore.Entry) { c.store.Put(key, e) }
 
 // NewCache builds the server's shared decision cache for an executor's
 // cluster fingerprint. With a directory it is the persistent per-

@@ -16,10 +16,11 @@ import (
 // §16): WFQ virtual time, budget windows, the probe-lane claim and
 // hand-off, chunk plans, churn at dispatch milestones, member states,
 // rehoming and exactly-once accounting, and the dispatch hash. It owns
-// no lock, channel, goroutine, clock, logger or telemetry handle; its
-// one read of the world is the injected warm query. What its calls ask
-// of the world collects in actions, which RegionServer, the shell,
-// takes under its lock and applies after the unlock.
+// no lock, channel, goroutine, clock, logger or telemetry handle, and
+// reads nothing of the world: its state is a function of its calls.
+// What its calls ask of the world collects in actions, which
+// RegionServer, the shell, takes under its lock and applies after the
+// unlock.
 
 // job is one admitted job: dispatched, then either running (its chunks
 // queued) or parked on its signature's probe lane, and finished by its
@@ -81,11 +82,10 @@ type chunk struct {
 // memberState is one node lane's state. A re-added name gets a fresh
 // one, so the old lane's worker never shares state with the new one.
 type memberState struct {
-	spec     Member
-	state    NodeState
-	queue    []*chunk
-	reprobes []Spec
-	stats    NodeStats
+	spec  Member
+	state NodeState
+	queue []*chunk
+	stats NodeStats
 }
 
 // actions is what the calls into the core since the last take ask of
@@ -113,12 +113,11 @@ type jobDone struct {
 	r Result
 }
 
-// work is a node lane's next task: a chunk, a re-probe, or exit. The
-// zero work means wait for a wake.
+// work is a node lane's next task: a chunk, or exit. The zero work
+// means wait for a wake.
 type work struct {
-	c       *chunk
-	reprobe *Spec
-	exit    bool
+	c    *chunk
+	exit bool
 }
 
 type dispatch struct {
@@ -126,10 +125,6 @@ type dispatch struct {
 	maxInFlight int
 	budget      int64
 	weights     map[string]float64
-	// warm is the injected read: the re-probe worklist a newcomer of a
-	// node class runs before it serves, empty when the decision store
-	// already covers the class. Nil without a ClassWarmer executor.
-	warm func(class string) []Spec
 
 	tenants       map[string]*tenantState
 	order         []string // tenant names, sorted — deterministic iteration
@@ -156,10 +151,10 @@ type dispatch struct {
 
 // newDispatch builds the core for a defaulted Config, joining its
 // members. It keeps the Config's numbers, never its handles.
-func newDispatch(cfg Config, warm func(class string) []Spec) *dispatch {
+func newDispatch(cfg Config) *dispatch {
 	d := &dispatch{
 		queueDepth: cfg.QueueDepth, maxInFlight: cfg.MaxInFlight, budget: cfg.TenantIterBudget,
-		weights: cfg.Weights, warm: warm, paused: cfg.StartPaused,
+		weights: cfg.Weights, paused: cfg.StartPaused,
 		tenants: map[string]*tenantState{}, lanes: map[string]*lane{}, hash: newHashState(),
 	}
 	if len(cfg.Members) > 0 {
@@ -571,14 +566,7 @@ func (d *dispatch) addNode(mem Member) error {
 	if old != nil && old.state != NodeRemoved {
 		return fmt.Errorf("server: node %s: %w", mem.Name, ErrNodeExists)
 	}
-	st := NodeActive
-	var reprobes []Spec
-	if d.warm != nil {
-		if reprobes = d.warm(mem.Class); len(reprobes) > 0 {
-			st = NodeWarming
-		}
-	}
-	m := &memberState{spec: mem, state: st, reprobes: reprobes}
+	m := &memberState{spec: mem, state: NodeActive}
 	if old != nil {
 		// Cumulative stats carry over; the old lane is told to exit.
 		m.stats = old.stats
@@ -591,7 +579,7 @@ func (d *dispatch) addNode(mem Member) error {
 	m.stats.Weight = mem.Weight
 	d.members[mem.Name] = m
 	d.out.starts = append(d.out.starts, m)
-	d.logf("server: node %s (%s, weight %g) joined %s", mem.Name, mem.Class, mem.Weight, st)
+	d.logf("server: node %s (%s, weight %g) joined %s", mem.Name, mem.Class, mem.Weight, m.state)
 	return nil
 }
 
@@ -616,7 +604,6 @@ func (d *dispatch) removeNode(name string) error {
 		return fmt.Errorf("server: node %s: %w", name, ErrLastNode)
 	}
 	m.state = NodeDraining
-	m.reprobes = nil
 	d.rehome(m)
 	d.out.wakes = append(d.out.wakes, m)
 	d.logf("server: node %s draining", name)
@@ -636,8 +623,7 @@ func (d *dispatch) cordon(name string) error {
 	case !d.anotherServes(m):
 		return fmt.Errorf("server: node %s: %w", name, ErrLastNode)
 	}
-	m.state = NodeCordoned // from active or warming
-	m.reprobes = nil
+	m.state = NodeCordoned
 	d.logf("server: node %s cordoned", name)
 	return nil
 }
@@ -658,8 +644,8 @@ func (d *dispatch) uncordon(name string) error {
 	return fmt.Errorf("server: node %s: cannot uncordon from state %s", name, m.state)
 }
 
-// anotherServes reports whether a member other than m could serve, now
-// or after warming — the last-node guard.
+// anotherServes reports whether a member other than m could serve —
+// the last-node guard.
 func (d *dispatch) anotherServes(m *memberState) bool {
 	for _, name := range d.memberOrder {
 		if o := d.members[name]; o != m && o.state != NodeDraining && o.state != NodeRemoved {
@@ -671,13 +657,12 @@ func (d *dispatch) anotherServes(m *memberState) bool {
 
 // eligible returns the nodes a new plan may target, in sorted name
 // order. Active nodes are preferred; when none exist the selection
-// degrades to warming nodes (their chunks queue behind the re-probes),
-// then cordoned ones, so the guarded invariant "at least one member can
-// serve" keeps plans on a lane. Empty only when the server has no
-// members.
+// degrades to cordoned ones, so the guarded invariant "at least one
+// member can serve" keeps plans on a lane. Empty only when the server
+// has no members.
 func (d *dispatch) eligible() []*memberState {
 	var out []*memberState
-	for _, st := range []NodeState{NodeActive, NodeWarming, NodeCordoned} {
+	for _, st := range []NodeState{NodeActive, NodeCordoned} {
 		for _, name := range d.memberOrder {
 			if m := d.members[name]; m.state == st {
 				out = append(out, m)
@@ -817,17 +802,12 @@ func (d *dispatch) applyChurn(n int) {
 	}
 }
 
-// next is node lane m's pull: a re-probe while m warms, then its queued
-// chunks in order, and exit once m is removed. A draining member whose
-// queue is empty is removed here.
+// next is node lane m's pull: its queued chunks in order, and exit once
+// m is removed. A draining member whose queue is empty is removed here.
 func (d *dispatch) next(m *memberState) work {
 	switch {
 	case m.state == NodeRemoved:
 		return work{exit: true}
-	case m.state == NodeWarming && len(m.reprobes) > 0:
-		sp := m.reprobes[0]
-		m.reprobes = m.reprobes[1:]
-		return work{reprobe: &sp}
 	case len(m.queue) > 0:
 		c := m.queue[0]
 		m.queue = m.queue[1:]
@@ -838,25 +818,6 @@ func (d *dispatch) next(m *memberState) work {
 		return work{exit: true}
 	}
 	return work{}
-}
-
-// reprobed books one of member m's warm-up re-probes. Re-probe time is
-// warm-up overhead, accounted apart from job virtual time. Leaving the
-// warming state stays out of the Transitions log: it happens at a
-// wall-clock moment, and the log records only events at dispatch
-// milestones.
-func (d *dispatch) reprobed(m *memberState, sp Spec, res ExecResult, err error) {
-	m.stats.Reprobes++
-	d.memStats.Reprobes++
-	if err != nil {
-		d.logf("server: reprobe %s on %s: %v", sp.Sig(), m.spec.Name, err)
-	} else {
-		d.memStats.ReprobeVirtualNs += res.VirtualNs
-	}
-	if m.state == NodeWarming && len(m.reprobes) == 0 {
-		m.state = NodeActive
-		d.logf("server: node %s warmed, serving", m.spec.Name)
-	}
 }
 
 // stats returns a deep snapshot.

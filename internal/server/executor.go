@@ -2,8 +2,6 @@ package server
 
 import (
 	"hash/fnv"
-	"slices"
-	"strings"
 	"sync"
 
 	"hetmp/internal/chaos"
@@ -68,7 +66,7 @@ type SimExecutor struct {
 func NewSimExecutor(cfg SimExecutorConfig) *SimExecutor {
 	x := &SimExecutor{cfg: cfg}
 	if cfg.Store != nil {
-		x.cache = &frozenCache{store: cfg.Store, classes: x.Classes()}
+		x.cache = &frozenCache{store: cfg.Store}
 	}
 	return x
 }
@@ -117,48 +115,6 @@ func NewSimServer(cfg SimServerConfig) (*RegionServer, *SimExecutor, error) {
 // reads and writes.
 func (x *SimExecutor) Fingerprint() string { return SimFingerprint() }
 
-// Classes returns the node classes of the executor's platform
-// (lower-cased machine names, sorted, deduplicated). Decision entries
-// exported through the executor's cache are stamped with these — the
-// membership layer's warm-start coverage check reads them back.
-func (x *SimExecutor) Classes() []string {
-	var out []string
-	for _, n := range simPlatform.Nodes {
-		out = append(out, strings.ToLower(n.Name))
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// ClassCovered reports whether every stored decision entry covers the
-// node class — the membership layer's warm-start test. A store-less
-// executor trivially covers everything (nothing to warm from).
-func (x *SimExecutor) ClassCovered(class string) bool {
-	if x.cfg.Store == nil {
-		return true
-	}
-	return x.cfg.Store.ClassCovered(strings.ToLower(class))
-}
-
-// ReprobeSpecs returns up to limit runnable specs whose stored entries
-// do not cover the class — the newcomer's bounded warm-up worklist,
-// reconstructed from the store's signature keys.
-func (x *SimExecutor) ReprobeSpecs(class string, limit int) []Spec {
-	if x.cfg.Store == nil || limit <= 0 {
-		return nil
-	}
-	var out []Spec
-	for _, key := range x.cfg.Store.KeysMissingClass(strings.ToLower(class)) {
-		if len(out) >= limit {
-			break
-		}
-		if sp, ok := specFromSig(key); ok {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
 // sigSeed derives a job's deterministic Sim seed from its signature:
 // execution depends on what the job is, never on when it arrives.
 func (x *SimExecutor) sigSeed(sig string) int64 {
@@ -204,24 +160,20 @@ func (x *SimExecutor) chunkSeed(sig string, chunkIndex int) int64 {
 	return x.sigSeed(sig) + int64(chunkIndex)*1_000_003
 }
 
-// Reprobe re-measures one region's decision, ignoring any stored
-// entry (its store answers every lookup with a miss), and overwrites
-// the store entry with the fresh measurement stamped as covering
-// `classes`. This is the newcomer warm-up path: a node of a class the
-// stored entries have never covered joins, and the membership layer
-// re-probes a bounded set of signatures to validate their decisions
-// for the new class. Probing stays bounded exactly like a cold run's.
-func (x *SimExecutor) Reprobe(sp Spec, classes []string) (ExecResult, error) {
+// Reprobe re-measures one region's decision, ignoring any stored entry
+// (its store answers every lookup with a miss), and overwrites the
+// entry with the fresh measurement. The class list is ignored.
+// benchmark/ is its only caller; it stays while benchmark/ names it.
+func (x *SimExecutor) Reprobe(sp Spec, _ []string) (ExecResult, error) {
 	sp = sp.withDefaults()
 	var store core.DecisionStore
 	if x.cache != nil {
-		store = &reprobeCache{store: x.cache.store, classes: classes}
+		store = reprobeCache{x.cache.store}
 	}
 	return x.execute(sp, sp.Invocations, x.sigSeed(sp.Sig()), store)
 }
 
-// execute is the shared sim-run core behind Execute, ExecuteChunk and
-// Reprobe.
+// execute is the shared sim-run core behind ExecuteChunk and Reprobe.
 func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.DecisionStore) (ExecResult, error) {
 	if invocations < 1 {
 		invocations = 1

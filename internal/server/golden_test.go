@@ -24,7 +24,9 @@ type goldenLoad struct {
 
 // goldenLoadConfigs are the pinned runs: load-smoke, then the churn
 // sweep at seed 1 under each chaos profile. Its "mixed" row is
-// churn-smoke. Latency SLOs stay off, so nothing here is wall-bound.
+// churn-smoke without that schedule's last event (a gracehopper node
+// joining at dispatch 90). Latency SLOs stay off, so nothing here is
+// wall-bound.
 func goldenLoadConfigs(t *testing.T) ([]string, []LoadConfig) {
 	members, err := ParseMembers("n0:xeon:1,n1:thunderx:1,n2:thunderx:1")
 	if err != nil {

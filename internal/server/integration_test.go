@@ -248,9 +248,8 @@ func TestWholeJobChunkEqualsExecute(t *testing.T) {
 
 // A re-probe is a run over a store that answers no: with the signature
 // stored, Reprobe adopts nothing and pays exactly the cold job's
-// probes and virtual time (the same seed), overwrites the entry
-// stamped with the old classes and the new one, and the next job
-// adopts the re-measured entry probe-free.
+// probes and virtual time (the same seed), overwrites the entry, and
+// the next job adopts the re-measured entry probe-free.
 func TestReprobeIgnoresStoredEntry(t *testing.T) {
 	sp := Spec{Tenant: "a", Region: "r", Iterations: 2048, Pages: 24, Invocations: 5}
 	xcfg := SimExecutorConfig{Seed: 3}
@@ -263,11 +262,6 @@ func TestReprobeIgnoresStoredEntry(t *testing.T) {
 	re, err := x.Reprobe(sp, []string{"gracehopper"})
 	if err != nil || re != cold {
 		t.Fatalf("Reprobe = %+v, %v; want the cold job's %+v", re, err, cold)
-	}
-	want := append(x.Classes(), "gracehopper")
-	slices.Sort(want)
-	if e, _ := xcfg.Store.Lookup(sp.Sig()); !slices.Equal(e.Classes, want) {
-		t.Fatalf("re-probed entry covers %v, want %v", e.Classes, want)
 	}
 	if warm, err := x.Execute(sp); err != nil || warm.Probes != 0 || warm.Predictions != 1 {
 		t.Fatalf("job after the re-probe: %+v, %v; want a probe-free adoption", warm, err)

@@ -226,7 +226,6 @@ type ExactReport struct {
 	DispatchHash    string         `json:"dispatch_hash"`
 	TenantJobs      map[string]int `json:"tenant_jobs"`
 	ChurnApplied    int            `json:"churn_applied,omitempty"`
-	Reprobes        int            `json:"reprobes,omitempty"`
 	LostIterations  int64          `json:"lost_iterations,omitempty"`
 	Transitions     []string       `json:"transitions,omitempty"`
 }
@@ -247,8 +246,7 @@ func (r LoadReport) Exact() ExactReport {
 		DispatchHash: r.DispatchHash, TenantJobs: r.TenantJobs,
 	}
 	if m := r.Membership; m != nil {
-		e.ChurnApplied, e.Reprobes = m.ChurnApplied, m.Reprobes
-		e.LostIterations, e.Transitions = m.LostIterations, m.Transitions
+		e.ChurnApplied, e.LostIterations, e.Transitions = m.ChurnApplied, m.LostIterations, m.Transitions
 	}
 	return e
 }
@@ -465,8 +463,8 @@ func (cfg LoadConfig) report(results []Result, retries int, wall time.Duration, 
 	cfg.Logf("hetload: %d jobs in %.2fs (%.1f jobs/s), wait p95 %.2fms, %d cache hits (%d cross-tenant), %d rejections",
 		r.Completed, r.WallSeconds, r.Throughput, r.Wait.P95, r.CacheHits, r.CrossTenantWarm, r.Rejections)
 	if m := r.Membership; m != nil {
-		cfg.Logf("hetload: membership: %d churn events applied, %d chunks rehomed, %d reprobes, %d lost iterations",
-			m.ChurnApplied, m.Rehomed, m.Reprobes, m.LostIterations)
+		cfg.Logf("hetload: membership: %d churn events applied, %d chunks rehomed, %d lost iterations",
+			m.ChurnApplied, m.Rehomed, m.LostIterations)
 	}
 	return r
 }

@@ -222,9 +222,6 @@ func TestRunLoadMembershipChurn(t *testing.T) {
 	if m.ChurnApplied != 2 {
 		t.Fatalf("churn applied %d, want 2", m.ChurnApplied)
 	}
-	if m.Reprobes != 0 {
-		t.Fatalf("re-added covered class triggered %d reprobes, want 0 (warm start)", m.Reprobes)
-	}
 	if report.WarmProbes != 0 {
 		t.Fatalf("warm probes = %d, want 0", report.WarmProbes)
 	}

@@ -36,9 +36,9 @@ var (
 type Member struct {
 	// Name uniquely identifies the node ("n0").
 	Name string
-	// Class is the node's hardware class ("xeon", "thunderx") —
-	// matched against the decision store's per-entry class coverage to
-	// decide whether a newcomer needs a re-probe.
+	// Class labels the node ("xeon", "thunderx"). It is reported in
+	// NodeStats and changes no decision: every chunk runs on the
+	// executor's one platform and adopts the shared decision store.
 	Class string
 	// Weight is the node's apportioning weight. Defaults to 1.
 	Weight float64
@@ -50,8 +50,6 @@ type NodeState int
 const (
 	// NodeActive serves chunks.
 	NodeActive NodeState = iota
-	// NodeWarming runs its class-scoped re-probes before serving.
-	NodeWarming
 	// NodeCordoned finishes queued chunks but receives no new ones.
 	NodeCordoned
 	// NodeDraining is mid-removal: queue re-apportioned, the running
@@ -61,7 +59,7 @@ const (
 	NodeRemoved
 )
 
-var nodeStateNames = [...]string{"active", "warming", "cordoned", "draining", "removed"}
+var nodeStateNames = [...]string{"active", "cordoned", "draining", "removed"}
 
 func (st NodeState) String() string {
 	if st >= 0 && int(st) < len(nodeStateNames) {
@@ -99,20 +97,6 @@ type ChunkExecutor interface {
 	ExecuteChunk(sp Spec, invocations, chunkIndex int) (ExecResult, error)
 }
 
-// reprobeLimit bounds, in signatures, the class-scoped re-probe a
-// newcomer of an uncovered class triggers.
-const reprobeLimit = 4
-
-// ClassWarmer is the optional executor capability behind warm-start:
-// coverage checks against the decision store's per-entry class stamps,
-// and bounded forced re-probes for signatures a new class has never
-// validated.
-type ClassWarmer interface {
-	ClassCovered(class string) bool
-	ReprobeSpecs(class string, limit int) []Spec
-	Reprobe(sp Spec, classes []string) (ExecResult, error)
-}
-
 // NodeStats is one member node's accounting snapshot.
 type NodeStats struct {
 	Class       string  `json:"class"`
@@ -122,26 +106,24 @@ type NodeStats struct {
 	Chunks      int     `json:"chunks"`
 	Invocations int64   `json:"invocations"`
 	Rehomed     int     `json:"rehomed"`
-	Reprobes    int     `json:"reprobes"`
 }
 
 // MembershipStats is the membership layer's snapshot: per-node
 // accounting plus the cluster-wide churn counters the SLO gates
 // read (LostIterations must stay 0 — the exactly-once assertion).
 type MembershipStats struct {
-	Nodes            map[string]NodeStats `json:"nodes"`
-	ChurnApplied     int                  `json:"churn_applied"`
-	Rehomed          int                  `json:"rehomed"`
-	Reprobes         int                  `json:"reprobes"`
-	ReprobeVirtualNs int64                `json:"reprobe_virtual_ns"`
-	LostIterations   int64                `json:"lost_iterations"`
-	Transitions      []string             `json:"transitions,omitempty"`
+	Nodes        map[string]NodeStats `json:"nodes"`
+	ChurnApplied int                  `json:"churn_applied"`
+	Rehomed      int                  `json:"rehomed"`
+	// Reprobes is always 0. benchmark/ is its only reader.
+	Reprobes       int      `json:"reprobes"`
+	LostIterations int64    `json:"lost_iterations"`
+	Transitions    []string `json:"transitions,omitempty"`
 }
 
-// AddNode adds (or re-adds) a node lane. A node of a class the
-// decision store already covers serves immediately — warm-started,
-// zero probes; an uncovered class warms up first through a bounded
-// class-scoped re-probe of stored signatures.
+// AddNode adds (or re-adds) a node lane. The node joins active and
+// serves at once, whatever its class: its chunks adopt the shared
+// decision store like every other node's.
 func (s *RegionServer) AddNode(mem Member) error { return s.nodeOp(ChurnAdd, mem) }
 
 // RemoveNode drains a node: its queued chunks re-apportion across the
@@ -168,9 +150,8 @@ func (s *RegionServer) nodeOp(op ChurnOp, m Member) (err error) {
 	return err
 }
 
-// memberLoop is node lane m: it pulls m's next re-probe or chunk from
-// the core, runs it outside s.mu and books it, until the core says m is
-// removed. It blocks on wake only when there is nothing to pull.
+// memberLoop is node lane m: it pulls m's next chunk from the core,
+// runs it outside s.mu and books it, until the core says m is removed. It blocks on wake only when there is nothing to pull.
 func (s *RegionServer) memberLoop(m *memberState, wake chan struct{}) {
 	defer s.memberWG.Done()
 	for {
@@ -183,9 +164,6 @@ func (s *RegionServer) memberLoop(m *memberState, wake chan struct{}) {
 		case w.c != nil:
 			res, err := s.execute(w.c)
 			s.step(func() { s.d.complete(m, w.c, res, err) })
-		case w.reprobe != nil:
-			res, err := s.cfg.Executor.(ClassWarmer).Reprobe(*w.reprobe, []string{m.spec.Class})
-			s.step(func() { s.d.reprobed(m, *w.reprobe, res, err) })
 		default:
 			<-wake
 		}
@@ -288,52 +266,4 @@ func ParseChurn(s string) ([]ChurnEvent, error) {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].AtDispatch < out[j].AtDispatch })
 	return out, nil
-}
-
-// specFromSig reconstructs a runnable Spec from a stored decision key
-// (Sig's "region/i%d/k%g/p%d" format) — re-probe scheduling reads keys
-// back from the store, which holds only signatures.
-func specFromSig(sig string) (Spec, bool) {
-	parts := strings.Split(sig, "/")
-	if len(parts) < 4 {
-		return Spec{}, false
-	}
-	n := len(parts)
-	iters, ok1 := atoiPrefixed(parts[n-3], "i")
-	ops, ok2 := atofPrefixed(parts[n-2], "k")
-	pages, ok3 := atoiPrefixed(parts[n-1], "p")
-	if !ok1 || !ok2 || !ok3 {
-		return Spec{}, false
-	}
-	sp := Spec{
-		Region:     strings.Join(parts[:n-3], "/"),
-		Iterations: iters,
-		OpsPerByte: ops,
-		Pages:      pages,
-	}
-	return sp.withDefaults(), true
-}
-
-func atoiPrefixed(s, prefix string) (int, bool) {
-	rest, ok := strings.CutPrefix(s, prefix)
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.Atoi(rest)
-	if err != nil || v <= 0 {
-		return 0, false
-	}
-	return v, true
-}
-
-func atofPrefixed(s, prefix string) (float64, bool) {
-	rest, ok := strings.CutPrefix(s, prefix)
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil || v <= 0 {
-		return 0, false
-	}
-	return v, true
 }

@@ -200,20 +200,17 @@ func TestAddNodeRefusesNonFiniteWeight(t *testing.T) {
 	}
 }
 
-// Add-then-warm against the real executor and a shared decision store:
-// a newcomer of a class the store already covers serves immediately
-// with zero probes, and a newcomer of an unseen class triggers exactly
-// the bounded class-scoped re-probe. Warm probes stay pinned at 0.
-func TestAddNodeWarmStart(t *testing.T) {
-	exec := NewSimExecutor(SimExecutorConfig{Seed: 7})
-	store, err := NewCache("", exec.Fingerprint())
+// A newcomer serves at once, whatever its class: over a warm store, a
+// node of a class no member has had joins active, and the next job
+// adopts the stored decision probe-free with a chunk on the newcomer.
+func TestAddNodeServesAtOnce(t *testing.T) {
+	store, err := NewCache("", SimFingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec = NewSimExecutor(SimExecutorConfig{Seed: 7, Store: store})
 	s := New(Config{
 		MaxInFlight: 2,
-		Executor:    exec,
+		Executor:    NewSimExecutor(SimExecutorConfig{Seed: 7, Store: store}),
 		Members: []Member{
 			{Name: "n0", Class: "xeon", Weight: 1},
 			{Name: "n1", Class: "thunderx", Weight: 1},
@@ -222,59 +219,24 @@ func TestAddNodeWarmStart(t *testing.T) {
 	defer s.Close()
 	sp := Spec{Tenant: "t0", Region: "r0", Iterations: 2048, Pages: 16, Invocations: 4}
 	cold, err := s.Submit(sp)
-	if err != nil || cold.Err != nil {
-		t.Fatalf("cold job: %v / %v", err, cold.Err)
-	}
-	if cold.Probes == 0 {
-		t.Fatal("cold job paid no probes — store was not cold")
-	}
-
-	// Same class as the platform's stamped entries: warm-started, no
-	// re-probe, and the next jobs chunk across three nodes probe-free.
-	if !exec.ClassCovered("thunderx") {
-		t.Fatal("thunderx not covered after cold export")
-	}
-	if err := s.AddNode(Member{Name: "n2", Class: "thunderx", Weight: 1}); err != nil {
-		t.Fatalf("AddNode(n2): %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		r, err := s.Submit(sp)
-		if err != nil || r.Err != nil {
-			t.Fatalf("warm job %d: %v / %v", i, err, r.Err)
-		}
-		if !r.Warm || r.Probes != 0 {
-			t.Fatalf("warm job %d: Warm=%v Probes=%d, want probe-free", i, r.Warm, r.Probes)
-		}
-		if r.Chunks < 2 {
-			t.Fatalf("warm job %d ran %d chunks, want a split plan", i, r.Chunks)
-		}
-	}
-	ms := s.Stats().Membership
-	if ms.Nodes["n2"].Reprobes != 0 {
-		t.Fatalf("covered-class newcomer re-probed %d times, want 0", ms.Nodes["n2"].Reprobes)
-	}
-
-	// Unseen class: bounded re-probe of the store's uncovered keys,
-	// then the node serves and the store covers the class.
-	if exec.ClassCovered("gracehopper") {
-		t.Fatal("unseen class reads as covered")
+	if err != nil || cold.Err != nil || cold.Probes == 0 {
+		t.Fatalf("cold job: %+v, %v; want it to probe", cold, err)
 	}
 	if err := s.AddNode(Member{Name: "n3", Class: "gracehopper", Weight: 1}); err != nil {
 		t.Fatalf("AddNode(n3): %v", err)
 	}
-	waitFor(t, func() bool { return s.Stats().Membership.Nodes["n3"].State == "active" }, "n3 warmed")
-	ms = s.Stats().Membership
-	if got := ms.Nodes["n3"].Reprobes; got != 1 {
-		t.Fatalf("n3 ran %d re-probes, want 1 (one stored signature)", got)
-	}
-	if !store.ClassCovered("gracehopper") {
-		t.Fatal("re-probe did not stamp the new class onto the store")
+	if st := s.Stats().Membership.Nodes["n3"].State; st != "active" {
+		t.Fatalf("n3 is %s right after AddNode, want active", st)
 	}
 	r, err := s.Submit(sp)
 	if err != nil || r.Err != nil || !r.Warm || r.Probes != 0 {
-		t.Fatalf("post-warm job: err=%v/%v Warm=%v Probes=%d", err, r.Err, r.Warm, r.Probes)
+		t.Fatalf("next job: err=%v/%v Warm=%v Probes=%d, want probe-free", err, r.Err, r.Warm, r.Probes)
 	}
-	if st := s.Stats(); st.WarmProbes != 0 {
+	st := s.Stats()
+	if n := st.Membership.Nodes["n3"].Chunks; n == 0 {
+		t.Fatalf("n3 ran no chunk of the next job (%d chunks planned)", r.Chunks)
+	}
+	if st.WarmProbes != 0 {
 		t.Fatalf("WarmProbes = %d, want 0 pinned", st.WarmProbes)
 	}
 }
@@ -550,18 +512,4 @@ func FuzzParseChurn(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestSpecFromSig(t *testing.T) {
-	orig := Spec{Tenant: "t", Region: "app/region", Iterations: 2048, OpsPerByte: 3.5, Pages: 64}
-	sp, ok := specFromSig(orig.Sig())
-	if !ok {
-		t.Fatalf("specFromSig(%q) failed", orig.Sig())
-	}
-	if sp.Sig() != orig.Sig() {
-		t.Fatalf("round trip: %q != %q", sp.Sig(), orig.Sig())
-	}
-	if _, ok := specFromSig("not-a-sig"); ok {
-		t.Error("specFromSig accepted garbage")
-	}
 }

@@ -335,18 +335,7 @@ func New(cfg Config) *RegionServer {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &RegionServer{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
-	// The core's one injected read: a newcomer class's warm-up
-	// worklist, empty when the executor's decision store covers it.
-	var warm func(class string) []Spec
-	if cw, ok := cfg.Executor.(ClassWarmer); ok {
-		warm = func(class string) []Spec {
-			if cw.ClassCovered(class) {
-				return nil
-			}
-			return cw.ReprobeSpecs(class, reprobeLimit)
-		}
-	}
-	s.step(func() { s.d = newDispatch(cfg, warm) })
+	s.step(func() { s.d = newDispatch(cfg) })
 	go s.dispatcher()
 	return s
 }
