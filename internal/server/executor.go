@@ -215,14 +215,8 @@ func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.D
 		region := a.Alloc(sig, size)
 		for inv := 0; inv < invocations; inv++ {
 			a.ParallelFor(sig, sp.Iterations, core.HetProbeSchedule(), func(e cluster.Env, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					off := (int64(i) * bytesPerIter) % size
-					if off+bytesPerIter > size {
-						off = size - bytesPerIter
-					}
-					e.Load(region, off, bytesPerIter)
-					e.Compute(opsPerIter, 0.5)
-				}
+				spanSegments(lo, hi, bytesPerIter, size, func(off, n int64) { e.Load(region, off, n) })
+				e.Compute(opsPerIter*float64(hi-lo), 0.5)
 			})
 		}
 	})
@@ -236,6 +230,18 @@ func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.D
 		Predictions: rt.Predictions(),
 	}
 	return res, nil
+}
+
+// spanSegments calls load, in order, for each contiguous byte run of
+// the span [lo, hi): iteration i touches bytesPerIter bytes at
+// i*bytesPerIter, wrapping at size (only when bytesPerIter is 1).
+func spanSegments(lo, hi int, bytesPerIter, size int64, load func(off, n int64)) {
+	for pos, end := int64(lo)*bytesPerIter, int64(hi)*bytesPerIter; pos < end; {
+		off := pos % size
+		n := min(end-pos, size-off)
+		load(off, n)
+		pos += n
+	}
 }
 
 // Save persists the shared store (no-op for in-memory stores).
