@@ -48,9 +48,17 @@ rpc-soak:
 
 check: tier1 vet lint race
 
+# Telemetry's 5 % wall-clock budget on EP-C: interleaved off/on pairs
+# and a one-sided sign test (TestTelemetryWallBudget). Wall time means
+# nothing beside other work, so it runs alone, after the tests; tier 1
+# checks only telemetry's exact costs (TestTelemetryOverheadGuard).
+.PHONY: telemetry-guard
+telemetry-guard:
+	HETMP_TELEMETRY_GUARD=1 $(GO) test -count=1 -run '^TestTelemetryWallBudget$$' -v .
+
 # Chaos soak: the degradation-injection acceptance tests (multi-seed
 # soak, seeded reproducibility, chaos-off zero-delta) under the race
-# detector. The wall-clock overhead guard skips itself under -race.
+# detector.
 # A local target: `make race` (CI's gate) runs the same tests raced.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' .

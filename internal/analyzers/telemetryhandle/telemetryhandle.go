@@ -2,7 +2,7 @@
 // inside loop bodies.
 //
 // Invariant: the telemetry overhead contract (DESIGN §10, enforced by
-// TestTelemetryOverheadGuard) is ≤5% with telemetry enabled and one nil
+// TestTelemetryWallBudget) is ≤5% with telemetry enabled and one nil
 // test when disabled. Registry.Counter/Gauge/Histogram take the
 // registry mutex and build a label-set key with fmt — fine at
 // construction, ruinous per iteration or per chunk. Handles must be

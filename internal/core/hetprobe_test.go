@@ -237,7 +237,12 @@ func TestDeterministicProbeLetsDataSettle(t *testing.T) {
 	// distribution is deterministic (Section 3.1's settling argument,
 	// and the blackscholes analysis in Section 5).
 	faultsAfterWarmup := func(random bool) int64 {
-		rt := newSimRuntime(t, Options{RandomProbe: random, ProbeMaxInvocations: 100})
+		// At the default 100 µs threshold the rotated run reads a fault
+		// period of about 88 µs and decides single-node; at 50 µs both
+		// runs decide cross-node, so the comparison is between two
+		// cross-node steady states.
+		rt := newSimRuntime(t, Options{RandomProbe: random, ProbeMaxInvocations: 100,
+			FaultPeriodThreshold: 50 * time.Microsecond})
 		const n = 1600
 		var r *cluster.Region
 		var before, after int64

@@ -246,6 +246,30 @@ func TestDecideWithExclusionFallsBackToOrigin(t *testing.T) {
 	}
 }
 
+// TestDecideQ1AtThreshold pins Q1's boundary: a fault period equal to
+// the threshold enables the remote node (the comparison is >=), one
+// nanosecond less does not.
+func TestDecideQ1AtThreshold(t *testing.T) {
+	rt := newSimRuntime(t, Options{})
+	th := rt.Options().FaultPeriodThreshold
+	for _, tc := range []struct {
+		period    time.Duration
+		crossNode bool
+	}{
+		{th - time.Nanosecond, false},
+		{th, true},
+		{th + time.Nanosecond, true},
+	} {
+		ent := &probeEntry{
+			faultPeriod: tc.period,
+			perIter:     map[int]time.Duration{0: time.Microsecond, 1: 2 * time.Microsecond},
+		}
+		if d := rt.decide(ent); d.CrossNode != tc.crossNode {
+			t.Errorf("fault period %v against threshold %v: cross-node %v, want %v", tc.period, th, d.CrossNode, tc.crossNode)
+		}
+	}
+}
+
 // TestSanitizeRejectsCorruptMeasurements pins the clamps: negative or
 // time-free measurements are dropped (and counted), idle workers are
 // skipped silently, and valid data flows through untouched.

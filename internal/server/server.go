@@ -47,9 +47,10 @@ var (
 // Ceilings on what one Spec may ask for. Without them a single remote
 // hetmp.submit holds an in-flight slot — and Drain — for as long as it
 // likes. Measured on the 2-vCPU reference host, a job costs about
-// 0.5 µs of host time per iteration, 45 µs per invocation and 1 µs per
-// page per invocation, so a job at all three ceilings at once holds
-// its slot for about 10 s. The largest job any workload, smoke or test
+// 15 µs of host time per invocation and 1.1 µs per page per
+// invocation; an iteration costs about 0.1 ns, since each worker's
+// span is charged once. A job at all three ceilings at once holds its
+// slot for about 7 s. The largest job any workload, smoke or test
 // submits (24,576 iterations in all, 6 invocations, 64 pages) sits
 // about two orders of magnitude below each.
 const (

@@ -2,7 +2,10 @@ package hetmp_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -26,10 +29,22 @@ func quickPlatform() machine.Platform {
 	return machine.Platform{Nodes: []machine.NodeSpec{xeon, tx}, Origin: 0}
 }
 
+// runFacts are the exact results of one runKernel call: the model's
+// virtual time and counts, which telemetry must not move.
+type runFacts struct {
+	virtual     time.Duration
+	faults      int64
+	probes      int
+	predictions int
+	reDecisions int
+	decisions   string
+	llc         [2][2]int64 // per node: accesses, misses
+}
+
 // runKernel executes one benchmark on the quick simulated platform
 // under HetProbe with the given telemetry (nil = disabled) and returns
-// the wall-clock time of the run.
-func runKernel(tb testing.TB, bench string, tel *telemetry.Telemetry) time.Duration {
+// the wall-clock time of the run and its exact results.
+func runKernel(tb testing.TB, bench string, tel *telemetry.Telemetry) (time.Duration, runFacts) {
 	tb.Helper()
 	const timeScale = 0.05
 	k, err := kernels.New(bench, 0.2)
@@ -57,7 +72,19 @@ func runKernel(tb testing.TB, bench string, tel *telemetry.Telemetry) time.Durat
 	if err := rt.Run(func(a *core.App) { k.Run(a, kernels.Fixed(core.HetProbeSchedule())) }); err != nil {
 		tb.Fatal(err)
 	}
-	return time.Since(start)
+	wall := time.Since(start)
+	f := runFacts{
+		virtual:     cl.Elapsed(),
+		faults:      cl.DSMFaults(),
+		probes:      rt.Probes(),
+		predictions: rt.Predictions(),
+		reDecisions: rt.ReDecisions(),
+		decisions:   fmt.Sprint(rt.Decisions()),
+	}
+	for n := range f.llc {
+		f.llc[n][0], f.llc[n][1] = cl.LLCStats(n)
+	}
+	return wall, f
 }
 
 // TestTelemetrySimEndToEnd is the acceptance test for the sim-mode
@@ -67,7 +94,7 @@ func runKernel(tb testing.TB, bench string, tel *telemetry.Telemetry) time.Durat
 // interconnect).
 func TestTelemetrySimEndToEnd(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
-	runKernel(t, "kmeans", tel)
+	_, _ = runKernel(t, "kmeans", tel)
 
 	// Trace: must validate (parse, phase rules, ts monotone per track)
 	// and contain the probe → decision → chunk timeline.
@@ -112,55 +139,116 @@ func TestTelemetrySimEndToEnd(t *testing.T) {
 	}
 }
 
-// interleavedMins runs bench n times with telemetry off and n times
-// with tel, in the order off, on, on, off, off, on, …, and returns the
-// fastest run of each (the standard noise-robust estimator for
-// wall-clock comparisons). Neither side runs all its trials first, so
-// a drift over the round (thermal, scheduler, neighbours) reaches both
-// minima alike.
-func interleavedMins(tb testing.TB, bench string, tel *telemetry.Telemetry, n int) (base, instr time.Duration) {
-	base, instr = math.MaxInt64, math.MaxInt64
-	for i := 0; i < 2*n; i++ {
-		if i%4 == 0 || i%4 == 3 {
-			base = min(base, runKernel(tb, bench, nil))
-		} else {
-			instr = min(instr, runKernel(tb, bench, tel))
+// TestTelemetryOverheadGuard pins what telemetry may cost in exact
+// terms: with it enabled, EP-C's virtual time and every count are those
+// of the disabled run, the enabled run's host allocations stay under a
+// literal bound, and so does the number of spans it records per region
+// invocation. The wall-clock side of the 5 % budget is
+// TestTelemetryWallBudget (make telemetry-guard), which needs a quiet
+// host and so runs on its own.
+func TestTelemetryOverheadGuard(t *testing.T) {
+	const (
+		// Per enabled EP-C run; it reads 2,065, the disabled run 1,845.
+		maxAllocs = 2500
+		// EP-C's one region reads 115: a probe-chunk and a chunks span
+		// for each of the 56 workers, plus the region, probe and
+		// decision.
+		maxSpansPerRegion = 128
+	)
+	_, off := runKernel(t, "EP-C", nil)
+	tel := telemetry.New(telemetry.Options{})
+	_, on := runKernel(t, "EP-C", tel)
+	if on != off {
+		t.Errorf("telemetry moved the model:\n off %+v\n on  %+v", off, on)
+	}
+	spans, regions := 0, 0
+	for _, sp := range tel.Tracer().Spans() {
+		spans++
+		if strings.HasPrefix(sp.Name, "region ") {
+			regions++
 		}
 	}
-	return base, instr
+	if tel.Tracer().Dropped() != 0 || regions == 0 {
+		t.Fatalf("%d spans (%d dropped), %d region spans", spans, tel.Tracer().Dropped(), regions)
+	}
+	if per := spans / regions; per > maxSpansPerRegion {
+		t.Errorf("%d spans per region invocation (%d over %d), want ≤ %d", per, spans, regions, maxSpansPerRegion)
+	}
+	if raceEnabled {
+		return // the detector's shadow allocations are not the program's
+	}
+	allocs := testing.AllocsPerRun(2, func() { _, _ = runKernel(t, "EP-C", tel) })
+	t.Logf("enabled EP-C: %.0f allocations, %d spans over %d regions", allocs, spans, regions)
+	if allocs > maxAllocs {
+		t.Errorf("enabled EP-C run allocates %.0f times, want ≤ %d", allocs, maxAllocs)
+	}
 }
 
-// TestTelemetryOverheadGuard enforces the ≤5% overhead budget on the
+// TestTelemetryWallBudget enforces the ≤ 5 % wall-clock budget on the
 // EP kernel. The disabled path (nil telemetry) cannot be compared
 // against a build without the instrumentation, so the guard proves a
 // strictly stronger bound: even with telemetry fully ENABLED the run
-// stays within the budget of the nil-telemetry baseline — therefore
-// the disabled path (a subset: just the nil checks) does too.
-func TestTelemetryOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock comparison; skipped in -short")
+// stays within the budget of the nil-telemetry baseline, so the
+// disabled path (a subset: just the nil checks) does too.
+//
+// It runs interleaved pairs, off then on and on then off in turn, and
+// applies a one-sided sign test to the pairs whose enabled run exceeds
+// the budget: it fails when that count is improbable (p < 0.05) for an
+// overhead of exactly 5 %. Wall time on a loaded host says nothing, so
+// it runs only when HETMP_TELEMETRY_GUARD is set: `make
+// telemetry-guard`, a CI step of its own after the tests.
+func TestTelemetryWallBudget(t *testing.T) {
+	if os.Getenv("HETMP_TELEMETRY_GUARD") == "" {
+		t.Skip("wall-clock comparison; run it alone with make telemetry-guard")
 	}
 	if raceEnabled {
 		t.Skip("wall-clock comparison; meaningless under the race detector")
 	}
 	const (
-		trials = 5
+		pairs  = 200
 		budget = 1.05
-		rounds = 3
+		alpha  = 0.05
 	)
-	var ratio float64
-	for round := 1; ; round++ {
-		base, instr := interleavedMins(t, "EP-C", telemetry.New(telemetry.Options{}), trials)
-		ratio = float64(instr) / float64(base)
-		t.Logf("round %d: baseline %v, enabled %v, ratio %.3f", round, base, instr, ratio)
-		if ratio <= budget {
-			return
+	tel := telemetry.New(telemetry.Options{})
+	runKernel(t, "EP-C", nil) // one untimed run of each: inputs, pools
+	runKernel(t, "EP-C", tel)
+	over := 0
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var off, on time.Duration
+		if i%2 == 0 {
+			off, _ = runKernel(t, "EP-C", nil)
+			on, _ = runKernel(t, "EP-C", tel)
+		} else {
+			on, _ = runKernel(t, "EP-C", tel)
+			off, _ = runKernel(t, "EP-C", nil)
 		}
-		if round == rounds {
-			t.Fatalf("telemetry overhead %.1f%% exceeds 5%% budget after %d rounds (baseline %v, enabled %v)",
-				(ratio-1)*100, rounds, base, instr)
+		ratios[i] = float64(on) / float64(off)
+		if ratios[i] > budget {
+			over++
 		}
 	}
+	p := signTestP(over, pairs)
+	sort.Float64s(ratios)
+	t.Logf("%d pairs: enabled/disabled median %.3f (quartiles %.3f, %.3f); %d over %.2f, sign test p = %.4f",
+		pairs, ratios[pairs/2], ratios[pairs/4], ratios[3*pairs/4], over, budget, p)
+	if p < alpha {
+		t.Errorf("telemetry overhead exceeds the 5 %% budget: %d of %d pairs over it (p = %.4f), median ratio %.3f",
+			over, pairs, p, ratios[pairs/2])
+	}
+}
+
+// signTestP is the one-sided sign test's p-value: the probability of k
+// or more successes in n fair coin flips.
+func signTestP(k, n int) float64 {
+	p, c := 0.0, 1.0 // c = C(n, i)
+	for i := 0; i <= n; i++ {
+		if i >= k {
+			p += c
+		}
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return p / math.Pow(2, float64(n))
 }
 
 // BenchmarkEPTelemetryDisabled / Enabled expose the same comparison as
