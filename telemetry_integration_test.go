@@ -94,7 +94,7 @@ func runKernel(tb testing.TB, bench string, tel *telemetry.Telemetry) (time.Dura
 // interconnect).
 func TestTelemetrySimEndToEnd(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
-	_, _ = runKernel(t, "kmeans", tel)
+	runKernel(t, "kmeans", tel)
 
 	// Trace: must validate (parse, phase rules, ts monotone per track)
 	// and contain the probe → decision → chunk timeline.
@@ -177,7 +177,7 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		return // the detector's shadow allocations are not the program's
 	}
-	allocs := testing.AllocsPerRun(2, func() { _, _ = runKernel(t, "EP-C", tel) })
+	allocs := testing.AllocsPerRun(2, func() { runKernel(t, "EP-C", tel) })
 	t.Logf("enabled EP-C: %.0f allocations, %d spans over %d regions", allocs, spans, regions)
 	if allocs > maxAllocs {
 		t.Errorf("enabled EP-C run allocates %.0f times, want ≤ %d", allocs, maxAllocs)
