@@ -48,25 +48,36 @@ rpc-soak:
 
 check: tier1 vet lint race
 
-# Telemetry's 5 % wall-clock budget on EP-C: interleaved off/on pairs
-# and a one-sided sign test (TestTelemetryWallBudget). Wall time means
-# nothing beside other work, so it runs alone, after the tests; tier 1
-# checks only telemetry's exact costs (TestTelemetryOverheadGuard).
-.PHONY: telemetry-guard
-telemetry-guard:
-	HETMP_TELEMETRY_GUARD=1 $(GO) test -count=1 -run '^TestTelemetryWallBudget$$' -v .
+# The 5 % wall-clock budgets on EP-C, of telemetry enabled and of an
+# empty chaos injector attached: interleaved pairs and a one-sided sign
+# test each (TestTelemetryWallBudget, TestChaosOffWallBudget). Wall time
+# means nothing beside other work, so they run alone, after the tests;
+# tier 1 checks only the exact costs (TestTelemetryOverheadGuard,
+# TestChaosOffZeroDelta).
+.PHONY: wall-guard
+wall-guard:
+	HETMP_WALL_GUARD=1 $(GO) test -count=1 -run '^(TestTelemetryWallBudget|TestChaosOffWallBudget)$$' -v .
 
 # Chaos soak: the degradation-injection acceptance tests (multi-seed
 # soak, seeded reproducibility, chaos-off zero-delta) under the race
-# detector. The wall-clock overhead guard skips itself under -race.
+# detector. The chaos-off wall budget is make wall-guard's.
 # A local target: `make race` (CI's gate) runs the same tests raced.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' .
+
+# Hand mutants of the HetProbe rule (mutants/list.txt gives the
+# format), each applied with go test -overlay from a temp dir, never in
+# the tree: killed or survived, with the first killing test and its
+# time; a survivor fails the target. Foreground, ~15 s.
+.PHONY: mutants
+mutants:
+	bash mutants/run.sh
 
 # Every fuzz target for $(FUZZTIME) each, from this one list of
 # package:Target pairs. Foreground, ~90 s.
 FUZZ_TARGETS = \
 	internal/core:FuzzAdoptStoredDecision \
+	internal/core:FuzzRegionStep \
 	internal/dsm:FuzzDSMTrace \
 	internal/kernels:FuzzNearestCenter \
 	internal/rpc:FuzzServerConn \

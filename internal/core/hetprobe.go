@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"strconv"
 	"time"
 
@@ -13,11 +12,6 @@ import (
 // probePercent is the share of a region's iterations spent on the
 // probing period: the paper's 10 %.
 const probePercent = 10
-
-// MissThreshold is the LLC misses per kilo-instruction above which
-// single-node execution prefers the node with the strongest cache
-// hierarchy (Section 3.2).
-const MissThreshold = 3.0
 
 // probeDispatch hands each worker a constant-size, deterministically
 // assigned chunk of probe iterations (Section 3.1: constant per-thread
@@ -118,37 +112,27 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		probePartial = red.out
 	}
 
-	// Aggregate the probe measurements.
+	// Fold the probe measurements into the region's state.
 	stats, rejected := summarizeMeasurements(probeDesc.results)
 	rt.rejectCtr.Add(int64(rejected))
-	first, prevMissPerK := ent.invocations == 0, ent.missPerK
-	// A float64 value, not the untyped constant: 1-alpha must round at
-	// run time, as update's does, for the miss fold below to match it.
-	alpha := float64(ewmaAlpha)
-	ent.update(stats, alpha)
-	if first {
+	if ent.invocations == 0 {
 		ent.featN = n
 	}
-	ent.featInstr += stats.instr
-	ent.featAccesses += stats.accesses
-	ent.decision = rt.decide(ent)
-	ent.invocations++
+	var run Decision
+	ent.regionState, run, _ = rt.plat.step(ent.regionState, probeReading, stats)
 	rt.probes++
 	rt.probeCtr.Inc()
-	rt.logf("hetprobe %s: invocation %d: %s", regionID, ent.invocations, ent.decision)
+	rt.logf("hetprobe %s: invocation %d: %s", regionID, ent.invocations, run)
 	if tr := rt.tracer; tr != nil {
 		tr.Emit(workerTrack(a.env.Node(), -1), "probe "+regionID, probeStart, a.env.Now(),
 			telemetry.Arg{Key: "iterations", Val: strconv.Itoa(probeIters)})
-		rt.recordDecision(a.env, regionID, ent.decision)
+		rt.recordDecision(a.env, regionID, run)
 	}
 
 	// Distribute the remaining iterations per the decision, measuring
-	// them too: the cache-miss metric must reflect the whole region,
-	// not just the probe window (whose small per-thread footprint stays
-	// artificially cache-warm). The paper gets the same effect from
-	// region-wide offline counter collection.
+	// them too, and hand the step the region-wide counters.
 	if n > probeIters {
-		rem := a.runRemainder(regionID, ent, probeIters, n, body, red)
+		rem := a.runRemainder(regionID, ent, run, probeIters, n, body, red)
 		if red != nil {
 			red.out = red.combine(probePartial, red.out)
 		}
@@ -158,16 +142,8 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 			misses += m.delta.LLCMisses
 		}
 		if instr > 0 {
-			// The region-wide reading replaces the probe window's in
-			// this invocation's EWMA term (on a first invocation, it
-			// is the whole entry).
-			ent.missPerK = float64(misses+stats.misses) / float64(instr+stats.instr) * 1000
-			if !first {
-				ent.missPerK = alpha*ent.missPerK + (1-alpha)*prevMissPerK
-			}
-			// Re-derive the decision from the refined metric so the
-			// next invocation (and the cached decision) see it.
-			ent.decision = rt.decide(ent)
+			region := probeStats{instr: instr + stats.instr, misses: misses + stats.misses}
+			ent.regionState, _, _ = rt.plat.step(ent.regionState, regionReading, region)
 		}
 	} else if red != nil {
 		red.out = probePartial
@@ -237,7 +213,6 @@ type probeStats struct {
 	missPerK    float64
 	instr       int64
 	misses      int64
-	accesses    int64
 }
 
 // summarizeMeasurements turns per-worker measurements into per-node
@@ -253,7 +228,7 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 	rejected := 0
 	perNode := make(map[int]agg)
 	var totalElapsed time.Duration
-	var totalFaults, totalInstr, totalMisses, totalAccesses int64
+	var totalFaults, totalInstr, totalMisses int64
 	for _, m := range results {
 		switch {
 		case m.iters < 0 || m.elapsed < 0 || (m.iters > 0 && m.elapsed == 0):
@@ -278,7 +253,6 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 		totalFaults += m.delta.RemoteFaults
 		totalInstr += m.delta.Instructions
 		totalMisses += m.delta.LLCMisses
-		totalAccesses += m.delta.LLCAccesses
 	}
 	stats := probeStats{
 		perIter:  make(map[int]time.Duration, len(perNode)),
@@ -298,99 +272,7 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 	}
 	stats.instr = totalInstr
 	stats.misses = totalMisses
-	stats.accesses = totalAccesses
 	return stats, rejected
-}
-
-// decide answers the scheduler's three questions (Section 3.2): use
-// multiple nodes? with what split? or which single node? Nodes the
-// ReDecide monitor has condemned for this region (stragglers, or nodes
-// behind a degraded link) are never enabled for cross-node execution,
-// and when their exclusion empties the remote set the fallback is
-// forced to the origin node — Q3's cache heuristics could otherwise
-// pick one of the very nodes the monitor just condemned.
-func (rt *Runtime) decide(ent *probeEntry) Decision {
-	d := Decision{
-		FaultPeriod:    ent.faultPeriod,
-		MissesPerKinst: ent.missPerK,
-		PerIterTime:    copyDur(ent.perIter),
-	}
-	if len(rt.specs) == 1 {
-		d.CrossNode = false
-		d.Node = 0
-		return d
-	}
-
-	// Q1: is there enough computation per byte moved to amortize DSM
-	// costs? The origin is always enabled; every other node the monitor
-	// has not excluded is enabled when the fault period clears the
-	// threshold.
-	origin := rt.cl.Origin()
-	enabled := []int{origin}
-	for node := range rt.specs {
-		if node == origin || ent.suspects[node] {
-			continue
-		}
-		if ent.faultPeriod >= rt.opts.FaultPeriodThreshold {
-			enabled = append(enabled, node)
-		}
-	}
-	sort.Ints(enabled)
-	if len(enabled) > 1 {
-		d.CrossNode = true
-		d.Nodes = enabled
-		// Q2: split work by measured per-core speed over the enabled
-		// nodes, the slowest at weight 1.
-		times := make(map[int]time.Duration, len(enabled))
-		for _, node := range enabled {
-			times[node] = ent.perIter[node]
-		}
-		d.CSR = csrFromTimes(times)
-		return d
-	}
-
-	// Q3: single node — pick by cache behaviour. High miss rates favor
-	// the node with the strongest per-core cache hierarchy; low miss
-	// rates favor raw parallelism (Section 3.2's Xeon vs ThunderX
-	// dichotomy).
-	d.CrossNode = false
-	if len(ent.suspects) > 0 {
-		// Mid-region fallback under suspicion: the origin holds the
-		// data and is never excluded.
-		d.Node = origin
-		return d
-	}
-	if ent.missPerK > MissThreshold {
-		d.Node = bigCacheNode(rt)
-	} else {
-		d.Node = manyCoreNode(rt)
-	}
-	return d
-}
-
-// bigCacheNode returns the node with the largest per-core LLC share
-// (ties: deeper hierarchy, then lower index).
-func bigCacheNode(rt *Runtime) int {
-	best, bestShare := 0, 0.0
-	for i, s := range rt.specs {
-		share := float64(s.Cache.LLCBytes) / float64(s.Cores) * float64(s.Cache.Levels)
-		if share > bestShare {
-			best, bestShare = i, share
-		}
-	}
-	return best
-}
-
-// manyCoreNode returns the node with the most cores (ties: lower
-// index).
-func manyCoreNode(rt *Runtime) int {
-	best, bestCores := 0, 0
-	for i, s := range rt.specs {
-		if s.Cores > bestCores {
-			best, bestCores = i, s.Cores
-		}
-	}
-	return best
 }
 
 // execDecision dispatches iterations [base, n) per a HetProbe
@@ -428,12 +310,4 @@ func (a *App) execDecision(d Decision, base, n int, body Body, red *reduceRun, m
 		red.out = subRed.out
 	}
 	return desc.results
-}
-
-func copyDur(m map[int]time.Duration) map[int]time.Duration {
-	out := make(map[int]time.Duration, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -297,18 +298,21 @@ func TestSingleNodePlatformAlwaysLocal(t *testing.T) {
 }
 
 func TestEWMAFavorsRecentMeasurements(t *testing.T) {
-	e := &probeEntry{}
-	e.update(probeStats{faultPeriod: 100 * time.Microsecond, missPerK: 10}, 0.5)
-	if e.faultPeriod != 100*time.Microsecond {
-		t.Fatalf("first update not taken verbatim: %v", e.faultPeriod)
+	p := testPlatform()
+	s, _, _ := p.step(regionState{}, probeReading, probeStats{faultPeriod: 100 * time.Microsecond, missPerK: 10})
+	if s.faultPeriod != 100*time.Microsecond || s.missPerK != 10 {
+		t.Fatalf("first probe not taken verbatim: %v, %v", s.faultPeriod, s.missPerK)
 	}
-	e.invocations++
-	e.update(probeStats{faultPeriod: 200 * time.Microsecond, missPerK: 2}, 0.5)
-	if e.faultPeriod != 150*time.Microsecond {
-		t.Errorf("EWMA fault period = %v, want 150µs", e.faultPeriod)
+	s, _, _ = p.step(s, probeReading, probeStats{faultPeriod: 200 * time.Microsecond, missPerK: 2})
+	// ewmaAlpha = 0.7 weighs the newest reading.
+	if s.faultPeriod != 170*time.Microsecond {
+		t.Errorf("EWMA fault period = %v, want 170µs", s.faultPeriod)
 	}
-	if e.missPerK != 6 {
-		t.Errorf("EWMA misses = %v, want 6", e.missPerK)
+	if math.Abs(s.missPerK-4.4) > 1e-12 {
+		t.Errorf("EWMA misses = %v, want 4.4", s.missPerK)
+	}
+	if s.invocations != 2 {
+		t.Errorf("invocations = %d, want 2", s.invocations)
 	}
 }
 
@@ -366,15 +370,14 @@ func TestProbeRotationCoprime(t *testing.T) {
 // cross-node weights are normalized so the slowest enabled node has
 // weight exactly 1 (the paper's "X : 1" form), not the fastest.
 func TestDecisionCSRSlowestNodeIsOne(t *testing.T) {
-	rt := newSimRuntime(t, Options{})
-	ent := &probeEntry{
+	p := testPlatform()
+	d := p.decide(regionState{
 		faultPeriod: infinitePeriod, // no faults: every node passes Q1
 		perIter: map[int]time.Duration{
 			0: 100 * time.Nanosecond,
 			1: 250 * time.Nanosecond,
 		},
-	}
-	d := rt.decide(ent)
+	})
 	if !d.CrossNode {
 		t.Fatalf("fault-free region should go cross-node, got %+v", d)
 	}

@@ -32,17 +32,17 @@ const redecideFactor = 3.0
 const monitorWindows = 4
 
 // runRemainder executes iterations [base, n) of a probing invocation
-// under the decision its probe just made, measured, and returns the
-// measurements. Without ReDecide, or with too few iterations to
+// under run, the decision its probe just made, measured, and returns
+// the measurements. Without ReDecide, or with too few iterations to
 // window, that is one dispatch. With ReDecide the remainder runs in
 // monitorWindows equal windows, and after each but the last the
-// window's per-node watermarks are checked against the probe. A breach
-// under a cross-node decision condemns the breaching nodes, and the
-// decision is re-derived at once from the probe's own measurements
-// without them — down to the origin node alone, the paper's homogeneous
-// fallback — for the windows that remain. Every iteration is dispatched
-// exactly once, so reduction accounting is preserved.
-func (a *App) runRemainder(regionID string, ent *probeEntry, base, n int, body Body, red *reduceRun) []measurement {
+// window's per-node watermarks of a cross-node decision go to the
+// rule's step. A breach condemns the breaching nodes, and the step
+// re-derives the decision at once from the probe's own measurements
+// without them — down to the origin node alone, the paper's
+// homogeneous fallback — for the windows that remain. Every iteration
+// is dispatched exactly once, so reduction accounting is preserved.
+func (a *App) runRemainder(regionID string, ent *probeEntry, run Decision, base, n int, body Body, red *reduceRun) []measurement {
 	rt := a.rt
 	windows := 1
 	if rt.opts.ReDecide && n-base >= 2*monitorWindows {
@@ -52,7 +52,7 @@ func (a *App) runRemainder(regionID string, ent *probeEntry, base, n int, body B
 	var acc any
 	for w := range windows {
 		lo, hi := base+(n-base)*w/windows, base+(n-base)*(w+1)/windows
-		ms := a.execDecision(ent.decision, lo, hi, body, red, true)
+		ms := a.execDecision(run, lo, hi, body, red, true)
 		all = append(all, ms...)
 		if red != nil {
 			if w > 0 {
@@ -60,26 +60,22 @@ func (a *App) runRemainder(regionID string, ent *probeEntry, base, n int, body B
 			}
 			acc = red.out
 		}
-		if w == windows-1 || !ent.decision.CrossNode {
+		if w == windows-1 || !run.CrossNode {
 			continue
 		}
 		stats, rejected := summarizeMeasurements(ms)
 		rt.rejectCtr.Add(int64(rejected))
-		breached := breachedNodes(stats.observed, ent.perIter, rt.cl.Origin())
-		if len(breached) == 0 {
+		suspects := len(ent.suspects)
+		ent.regionState, run, _ = rt.plat.step(ent.regionState, windowReading, stats)
+		if len(ent.suspects) == suspects {
 			continue
 		}
-		if ent.suspects == nil {
-			ent.suspects = map[int]bool{}
-		}
-		maps.Copy(ent.suspects, breached)
-		ent.decision = rt.decide(ent)
 		rt.reDecisions++
 		rt.redecideCtr.Inc()
-		rt.logf("hetprobe %s: watermark breach on nodes %v (factor %.1f), re-decision (suspects %v): %s",
-			regionID, slices.Sorted(maps.Keys(breached)), redecideFactor, slices.Sorted(maps.Keys(ent.suspects)), ent.decision)
+		rt.logf("hetprobe %s: watermark breach (factor %.1f), re-decision (suspects %v): %s",
+			regionID, redecideFactor, slices.Sorted(maps.Keys(ent.suspects)), run)
 		if rt.tracer != nil {
-			rt.recordDecision(a.env, regionID, ent.decision)
+			rt.recordDecision(a.env, regionID, run)
 		}
 	}
 	return all

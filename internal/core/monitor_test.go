@@ -223,26 +223,31 @@ func TestReDecideDisabledPathUnchanged(t *testing.T) {
 }
 
 // TestDecideWithExclusionFallsBackToOrigin pins the suspect-set
-// semantics: excluding the only remote node collapses the decision to
-// the origin even when Q3's heuristics would pick the remote node.
+// semantics: a monitor window that condemns the only remote node
+// collapses the decision to the origin even when Q3's heuristics would
+// pick the remote node, and the next probe leaves it out too.
 func TestDecideWithExclusionFallsBackToOrigin(t *testing.T) {
-	rt := newSimRuntime(t, Options{})
-	ent := &probeEntry{
+	p := testPlatform()
+	probe := probeStats{
 		faultPeriod: infinitePeriod, // no faults: every node passes Q1
 		perIter:     map[int]time.Duration{0: time.Microsecond, 1: 2 * time.Microsecond},
 		// Low miss rate: Q3 would pick the many-core (remote) node.
 		missPerK: 0,
 	}
-	if d := rt.decide(ent); !d.CrossNode {
-		t.Fatalf("without exclusions the decision should be cross-node, got %+v", d)
+	s, run, _ := p.step(regionState{}, probeReading, probe)
+	if !run.CrossNode {
+		t.Fatalf("without exclusions the decision should be cross-node, got %+v", run)
 	}
-	ent.suspects = map[int]bool{1: true}
-	d := rt.decide(ent)
-	if d.CrossNode {
-		t.Fatalf("excluding the only remote must collapse to single-node, got %+v", d)
+	window := probeStats{observed: map[int]time.Duration{0: time.Microsecond, 1: 7 * time.Microsecond}}
+	s, run, record := p.step(s, windowReading, window)
+	if run.CrossNode || record.CrossNode {
+		t.Fatalf("excluding the only remote must collapse to single-node, got %+v", run)
 	}
-	if d.Node != rt.cl.Origin() {
-		t.Fatalf("fallback picked node %d, want origin %d", d.Node, rt.cl.Origin())
+	if run.Node != p.origin || !s.suspects[1] {
+		t.Fatalf("fallback picked node %d (suspects %v), want origin %d", run.Node, s.suspects, p.origin)
+	}
+	if _, run, _ = p.step(s, probeReading, probe); run.CrossNode || run.Node != p.origin {
+		t.Fatalf("the next probe re-enabled a suspect: %+v", run)
 	}
 }
 
@@ -250,8 +255,8 @@ func TestDecideWithExclusionFallsBackToOrigin(t *testing.T) {
 // the threshold enables the remote node (the comparison is >=), one
 // nanosecond less does not.
 func TestDecideQ1AtThreshold(t *testing.T) {
-	rt := newSimRuntime(t, Options{})
-	th := rt.Options().FaultPeriodThreshold
+	p := testPlatform()
+	th := p.threshold
 	for _, tc := range []struct {
 		period    time.Duration
 		crossNode bool
@@ -260,11 +265,11 @@ func TestDecideQ1AtThreshold(t *testing.T) {
 		{th, true},
 		{th + time.Nanosecond, true},
 	} {
-		ent := &probeEntry{
+		probe := probeStats{
 			faultPeriod: tc.period,
 			perIter:     map[int]time.Duration{0: time.Microsecond, 1: 2 * time.Microsecond},
 		}
-		if d := rt.decide(ent); d.CrossNode != tc.crossNode {
+		if _, d, _ := p.step(regionState{}, probeReading, probe); d.CrossNode != tc.crossNode {
 			t.Errorf("fault period %v against threshold %v: cross-node %v, want %v", tc.period, th, d.CrossNode, tc.crossNode)
 		}
 	}

@@ -133,11 +133,6 @@ func decisionFromEntry(se decstore.Entry) Decision {
 	return d
 }
 
-// cacheLineBytes converts between LLC access counts and the bytes
-// they touch (all modelled caches use 64-byte lines, machine.CacheSpec
-// LineBytes).
-const cacheLineBytes = 64
-
 // entryToStore renders a live probe entry as a storable one.
 func entryToStore(ent *probeEntry) decstore.Entry {
 	d := ent.decision
@@ -163,15 +158,7 @@ func entryToStore(ent *probeEntry) decstore.Entry {
 			se.PerIterNs[node] = int64(t)
 		}
 	}
-	bytes := ent.featAccesses * cacheLineBytes
-	se.Features = decstore.Features{
-		Iterations:     ent.featN,
-		BytesTouched:   bytes,
-		MissesPerKinst: ent.missPerK,
-	}
-	if bytes > 0 {
-		se.Features.OpsPerByte = float64(ent.featInstr) / float64(bytes)
-	}
+	se.Features = decstore.Features{Iterations: ent.featN, MissesPerKinst: ent.missPerK}
 	return se
 }
 

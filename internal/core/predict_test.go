@@ -211,7 +211,8 @@ func TestStoreWrittenBeforeIdentityRuleIsAdopted(t *testing.T) {
 
 // headStoreFile is the store a cold three-invocation runPingPong
 // (1600 iterations) saved before Decision.CumTime was deleted: that
-// build also wrote cum_time_ns, a field nothing read.
+// build also wrote cum_time_ns, bytes_touched and ops_per_byte, fields
+// nothing read.
 const headStoreFile = `{
   "schema_version": 2,
   "fingerprint": "testcluster",
@@ -246,10 +247,11 @@ const headStoreFile = `{
 }
 `
 
-// TestStoreWithCumTimeIsAdopted: dropping cum_time_ns did not move the
-// schema. A file that carries it loads without complaint and a warm
-// run adopts it probe-free, and the same cold run today saves the same
-// file, bit for bit, less that one line.
+// TestStoreWithCumTimeIsAdopted: dropping cum_time_ns, bytes_touched
+// and ops_per_byte did not move the schema. A file that carries them
+// loads without complaint and a warm run adopts it probe-free, and the
+// same cold run today saves the same file, bit for bit, less those
+// three lines.
 func TestStoreWithCumTimeIsAdopted(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "head.json")
@@ -275,7 +277,11 @@ func TestStoreWithCumTimeIsAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Replace(headStoreFile, "      \"cum_time_ns\": 889509796,\n", "", 1)
+	want := strings.NewReplacer(
+		"      \"cum_time_ns\": 889509796,\n", "",
+		"        \"bytes_touched\": 30720,\n", "",
+		"        \"ops_per_byte\": 6250,\n", "",
+	).Replace(headStoreFile)
 	if string(got) != want {
 		t.Fatalf("cold run saved\n%s\nwant\n%s", got, want)
 	}
@@ -387,14 +393,11 @@ func TestSeededEntryRunsAsMature(t *testing.T) {
 // the stored form back reproduces the decision; seeding a fresh entry
 // from it yields a mature one carrying that decision.
 func TestEntryToStoreRoundTrip(t *testing.T) {
-	ent := &probeEntry{
-		invocations:  7,
-		perIter:      map[int]time.Duration{0: 120 * time.Nanosecond, 1: 300 * time.Nanosecond},
-		faultPeriod:  infinitePeriod,
-		missPerK:     2.5,
-		featN:        1600,
-		featInstr:    640_000,
-		featAccesses: 1000,
+	ent := &probeEntry{regionState: regionState{
+		invocations: 7,
+		perIter:     map[int]time.Duration{0: 120 * time.Nanosecond, 1: 300 * time.Nanosecond},
+		faultPeriod: infinitePeriod,
+		missPerK:    2.5,
 		decision: Decision{
 			CrossNode:      true,
 			Nodes:          []int{0, 1},
@@ -403,7 +406,7 @@ func TestEntryToStoreRoundTrip(t *testing.T) {
 			MissesPerKinst: 2.5,
 			PerIterTime:    map[int]time.Duration{0: 120 * time.Nanosecond, 1: 300 * time.Nanosecond},
 		},
-	}
+	}, featN: 1600}
 	se := entryToStore(ent)
 	if se.FaultPeriodNs != int64(infinitePeriod) {
 		t.Errorf("sentinel fault period not preserved: %d", se.FaultPeriodNs)
@@ -411,11 +414,8 @@ func TestEntryToStoreRoundTrip(t *testing.T) {
 	if se.Invocations != 7 {
 		t.Errorf("invocations = %d, want 7", se.Invocations)
 	}
-	if se.Features.Iterations != 1600 || se.Features.BytesTouched != 64_000 {
+	if se.Features.Iterations != 1600 {
 		t.Errorf("features = %+v", se.Features)
-	}
-	if se.Features.OpsPerByte != 10 {
-		t.Errorf("ops/byte = %v, want 10", se.Features.OpsPerByte)
 	}
 	if d := decisionFromEntry(se); d.String() != ent.decision.String() || d.FaultPeriod != infinitePeriod {
 		t.Errorf("decision %s (fault period %v) != %s", d, d.FaultPeriod, ent.decision)

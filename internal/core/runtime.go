@@ -106,6 +106,7 @@ type Runtime struct {
 	teams map[nodeSet]*team
 	specs []machine.NodeSpec // the cluster's nodes, read once; read-only
 	all   []int              // every node index; read-only
+	plat  platform           // what HetProbe's rule reads of the cluster
 
 	// Telemetry handles, pre-resolved at construction so hot paths
 	// never touch the registry. All nil when telemetry is disabled
@@ -138,6 +139,7 @@ func New(cl cluster.Cluster, opts Options) *Runtime {
 	for i := range rt.all {
 		rt.all[i] = i
 	}
+	rt.plat = platform{specs: rt.specs, origin: cl.Origin(), threshold: rt.opts.FaultPeriodThreshold}
 	if tel := rt.opts.Telemetry; tel.Enabled() {
 		rt.tracer = tel.Tracer()
 		m := tel.Metrics()

@@ -39,19 +39,19 @@ import (
 const SchemaVersion = 2
 
 // Features are the region characteristics stored beside a decision.
-// Iterations is the one the runtime reads; the rest, measured by the
-// probe windows that produced the entry, are recorded only.
+// Iterations is the one the runtime reads; MissesPerKinst is recorded
+// only.
 type Features struct {
 	// Iterations is the region's iteration count at its first
 	// invocation — what a later run presents when it consults the
 	// store. The entry is adopted when the two are equal.
 	Iterations int `json:"iterations"`
-	// BytesTouched approximates the probe windows' memory footprint
-	// (LLC lines touched × line size).
-	BytesTouched int64 `json:"bytes_touched"`
-	// OpsPerByte is instructions per byte touched — the
-	// compute-intensity axis of the paper's Figure 4.
-	OpsPerByte float64 `json:"ops_per_byte"`
+	// BytesTouched and OpsPerByte are what older runtimes measured of
+	// the probe windows' footprint and compute intensity. Nothing read
+	// them; the runtime no longer writes them, and files that carry
+	// them still load.
+	BytesTouched int64   `json:"bytes_touched,omitempty"`
+	OpsPerByte   float64 `json:"ops_per_byte,omitempty"`
 	// MissesPerKinst is the region's LLC misses per kilo-instruction
 	// (internal/perf's node-selection metric).
 	MissesPerKinst float64 `json:"misses_per_kinst"`

@@ -3,9 +3,6 @@ package hetmp_test
 import (
 	"bytes"
 	"fmt"
-	"math"
-	"os"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -144,8 +141,8 @@ func TestTelemetrySimEndToEnd(t *testing.T) {
 // of the disabled run, the enabled run's host allocations stay under a
 // literal bound, and so does the number of spans it records per region
 // invocation. The wall-clock side of the 5 % budget is
-// TestTelemetryWallBudget (make telemetry-guard), which needs a quiet
-// host and so runs on its own.
+// TestTelemetryWallBudget (make wall-guard), which needs a quiet host
+// and so runs on its own.
 func TestTelemetryOverheadGuard(t *testing.T) {
 	const (
 		// Per enabled EP-C run; it reads 2,065, the disabled run 1,845.
@@ -190,65 +187,12 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 // strictly stronger bound: even with telemetry fully ENABLED the run
 // stays within the budget of the nil-telemetry baseline, so the
 // disabled path (a subset: just the nil checks) does too.
-//
-// It runs interleaved pairs, off then on and on then off in turn, and
-// applies a one-sided sign test to the pairs whose enabled run exceeds
-// the budget: it fails when that count is improbable (p < 0.05) for an
-// overhead of exactly 5 %. Wall time on a loaded host says nothing, so
-// it runs only when HETMP_TELEMETRY_GUARD is set: `make
-// telemetry-guard`, a CI step of its own after the tests.
 func TestTelemetryWallBudget(t *testing.T) {
-	if os.Getenv("HETMP_TELEMETRY_GUARD") == "" {
-		t.Skip("wall-clock comparison; run it alone with make telemetry-guard")
-	}
-	if raceEnabled {
-		t.Skip("wall-clock comparison; meaningless under the race detector")
-	}
-	const (
-		pairs  = 200
-		budget = 1.05
-		alpha  = 0.05
-	)
+	skipUnlessWallGuard(t) // before New allocates the span ring
 	tel := telemetry.New(telemetry.Options{})
-	runKernel(t, "EP-C", nil) // one untimed run of each: inputs, pools
-	runKernel(t, "EP-C", tel)
-	over := 0
-	ratios := make([]float64, pairs)
-	for i := range ratios {
-		var off, on time.Duration
-		if i%2 == 0 {
-			off, _ = runKernel(t, "EP-C", nil)
-			on, _ = runKernel(t, "EP-C", tel)
-		} else {
-			on, _ = runKernel(t, "EP-C", tel)
-			off, _ = runKernel(t, "EP-C", nil)
-		}
-		ratios[i] = float64(on) / float64(off)
-		if ratios[i] > budget {
-			over++
-		}
-	}
-	p := signTestP(over, pairs)
-	sort.Float64s(ratios)
-	t.Logf("%d pairs: enabled/disabled median %.3f (quartiles %.3f, %.3f); %d over %.2f, sign test p = %.4f",
-		pairs, ratios[pairs/2], ratios[pairs/4], ratios[3*pairs/4], over, budget, p)
-	if p < alpha {
-		t.Errorf("telemetry overhead exceeds the 5 %% budget: %d of %d pairs over it (p = %.4f), median ratio %.3f",
-			over, pairs, p, ratios[pairs/2])
-	}
-}
-
-// signTestP is the one-sided sign test's p-value: the probability of k
-// or more successes in n fair coin flips.
-func signTestP(k, n int) float64 {
-	p, c := 0.0, 1.0 // c = C(n, i)
-	for i := 0; i <= n; i++ {
-		if i >= k {
-			p += c
-		}
-		c = c * float64(n-i) / float64(i+1)
-	}
-	return p / math.Pow(2, float64(n))
+	checkWallBudget(t, "telemetry",
+		func() time.Duration { w, _ := runKernel(t, "EP-C", nil); return w },
+		func() time.Duration { w, _ := runKernel(t, "EP-C", tel); return w })
 }
 
 // BenchmarkEPTelemetryDisabled / Enabled expose the same comparison as
