@@ -65,10 +65,11 @@ wall-guard:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' .
 
-# Hand mutants of the HetProbe rule (mutants/list.txt gives the
-# format), each applied with go test -overlay from a temp dir, never in
-# the tree: killed or survived, with the first killing test and its
-# time; a survivor fails the target. Foreground, ~15 s.
+# Hand mutants of the HetProbe rule and of the state a team reuses
+# across regions (mutants/list.txt gives the format), each applied
+# with go test -overlay from a temp dir, never in the tree: killed or
+# survived, with the first killing test and its time; a survivor fails
+# the target. Foreground, ~25 s.
 .PHONY: mutants
 mutants:
 	bash mutants/run.sh
@@ -76,6 +77,7 @@ mutants:
 # Every fuzz target for $(FUZZTIME) each, from this one list of
 # package:Target pairs. Foreground, ~90 s.
 FUZZ_TARGETS = \
+	internal/apportion:FuzzSplitterReuse \
 	internal/core:FuzzAdoptStoredDecision \
 	internal/core:FuzzRegionStep \
 	internal/dsm:FuzzDSMTrace \

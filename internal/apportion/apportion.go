@@ -18,10 +18,40 @@ package apportion
 //     win first). If no weight is positive, the split degrades to equal
 //     weights so the quantity is still fully assigned.
 //
-// n <= 0 or an empty weight slice yields all-zero counts.
+// n <= 0 or an empty weight slice yields all-zero counts. The counts
+// are the caller's: Split is a zero Splitter's call.
 func Split(n int, weights []float64) []int {
-	counts := make([]int, len(weights))
-	if n <= 0 || len(weights) == 0 {
+	var s Splitter
+	return s.Split(n, weights)
+}
+
+// Splitter is Split with buffers that survive across calls, for a
+// caller that splits once per region and must not allocate: after the
+// first call of a size, a call allocates nothing. The zero value is
+// ready to use. A Splitter is not safe for concurrent use.
+type Splitter struct {
+	counts []int
+	rems   []rem
+}
+
+// rem is one slot's fractional part; frac < 0 marks a slot that has
+// taken its remainder unit.
+type rem struct {
+	frac float64
+	idx  int
+}
+
+// Split returns Split(n, weights). The counts are the splitter's own
+// buffer: they are valid until its next call.
+func (s *Splitter) Split(n int, weights []float64) []int {
+	k := len(weights)
+	if s.counts == nil || cap(s.counts) < k {
+		s.counts = make([]int, k)
+		s.rems = make([]rem, k)
+	}
+	counts := s.counts[:k]
+	clear(counts)
+	if n <= 0 || k == 0 {
 		return counts
 	}
 	var totalW float64
@@ -41,13 +71,9 @@ func Split(n int, weights []float64) []int {
 	}
 	tw := totalW
 	if tw == 0 {
-		tw = float64(len(weights))
+		tw = float64(k)
 	}
-	type rem struct {
-		frac float64
-		idx  int
-	}
-	rems := make([]rem, len(weights))
+	rems := s.rems[:k]
 	assigned := 0
 	for i := range weights {
 		exact := float64(n) * weight(i) / tw

@@ -59,7 +59,6 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		ent = &probeEntry{}
 		rt.cache[regionID] = ent
 	}
-	allNodes := rt.all
 
 	// Probe-free fast path: on a region's first invocation, a
 	// configured decision store may seed the entry with the decision
@@ -70,12 +69,14 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	// Mature cache entry: reuse the decision for the whole region, no
 	// probing (Section 3.1's probe cache).
 	if ent.invocations >= rt.opts.ProbeMaxInvocations {
-		rt.logf("hetprobe %s: cached decision %s", regionID, ent.decision)
+		if lf := rt.opts.Logf; lf != nil {
+			lf("hetprobe %s: cached decision %s", regionID, ent.decision)
+		}
 		a.execDecision(ent.decision, 0, n, body, red, false)
 		return
 	}
 
-	fullTeam := rt.teamFor(a.env, allNodes)
+	fullTeam := rt.teamFor(a.env, rt.allSet)
 	chunk := n * probePercent / fullTeam.total / 100
 	if chunk < 1 && n >= 2*fullTeam.total {
 		// Small regions still get probed with one iteration per thread.
@@ -84,7 +85,9 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	if chunk < 1 {
 		// Too few iterations to probe meaningfully: run the whole
 		// region static across every node and record nothing.
-		rt.logf("hetprobe %s: region too small to probe (n=%d, threads=%d)", regionID, n, fullTeam.total)
+		if lf := rt.opts.Logf; lf != nil {
+			lf("hetprobe %s: region too small to probe (n=%d, threads=%d)", regionID, n, fullTeam.total)
+		}
 		a.execDecision(Decision{CrossNode: true}, 0, n, body, red, false)
 		return
 	}
@@ -94,26 +97,20 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	if rt.opts.RandomProbe {
 		rotate = probeRotation(ent.invocations, fullTeam.total)
 	}
-	probeDesc := &regionRun{
-		n:       probeIters,
-		body:    body,
-		reduce:  red,
-		measure: true,
-		results: make([]measurement, fullTeam.total),
-		sched:   &probeDispatch{chunk: chunk, rotate: rotate, total: fullTeam.total},
-	}
 	var probeStart time.Duration
 	if rt.tracer != nil {
 		probeStart = a.env.Now()
 	}
-	fullTeam.dispatch(a.env, probeDesc)
+	fullTeam.probe = probeDispatch{chunk: chunk, rotate: rotate, total: fullTeam.total}
+	results := fullTeam.dispatch(a.env, body, red, &fullTeam.probe, true)
 	var probePartial any
 	if red != nil {
 		probePartial = red.out
 	}
 
-	// Fold the probe measurements into the region's state.
-	stats, rejected := summarizeMeasurements(probeDesc.results)
+	// Fold the probe measurements into the region's state; results are
+	// the team's, read before its next dispatch.
+	stats, rejected := summarizeMeasurements(results)
 	rt.rejectCtr.Add(int64(rejected))
 	if ent.invocations == 0 {
 		ent.featN = n
@@ -122,24 +119,20 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	ent.regionState, run, _ = rt.plat.step(ent.regionState, probeReading, stats)
 	rt.probes++
 	rt.probeCtr.Inc()
-	rt.logf("hetprobe %s: invocation %d: %s", regionID, ent.invocations, run)
+	if lf := rt.opts.Logf; lf != nil {
+		lf("hetprobe %s: invocation %d: %s", regionID, ent.invocations, run)
+	}
 	if tr := rt.tracer; tr != nil {
 		tr.Emit(workerTrack(a.env.Node(), -1), "probe "+regionID, probeStart, a.env.Now(),
 			telemetry.Arg{Key: "iterations", Val: strconv.Itoa(probeIters)})
-		rt.recordDecision(a.env, regionID, run)
 	}
 
 	// Distribute the remaining iterations per the decision, measuring
 	// them too, and hand the step the region-wide counters.
 	if n > probeIters {
-		rem := a.runRemainder(regionID, ent, run, probeIters, n, body, red)
+		instr, misses := a.runRemainder(regionID, ent, run, probeIters, n, body, red)
 		if red != nil {
 			red.out = red.combine(probePartial, red.out)
-		}
-		var instr, misses int64
-		for _, m := range rem {
-			instr += m.delta.Instructions
-			misses += m.delta.LLCMisses
 		}
 		if instr > 0 {
 			region := probeStats{instr: instr + stats.instr, misses: misses + stats.misses}
@@ -147,6 +140,11 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		}
 	} else if red != nil {
 		red.out = probePartial
+	}
+	// Publish what the invocation leaves recorded for the region: the
+	// region reading's misses/kinst, not the probe window's.
+	if rt.tracer != nil {
+		rt.recordDecision(a.env, regionID, ent.decision)
 	}
 }
 
@@ -280,34 +278,18 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 // chosen single node (the paper's default single-node fallback
 // scheduler). Threads on unused nodes belong to a different team and
 // stay parked, mirroring libHetMP joining them. With measure set it
-// collects and returns per-worker counters.
+// collects and returns per-worker counters: the team's slots, valid
+// until its next dispatch.
 func (a *App) execDecision(d Decision, base, n int, body Body, red *reduceRun, measure bool) []measurement {
 	rt := a.rt
-	var t *team
+	set := nodeSet(1) << d.Node
 	var csr map[int]float64
 	if d.CrossNode {
-		nodes := d.Nodes
-		if len(nodes) == 0 {
-			nodes = rt.all
+		set, csr = rt.allSet, d.CSR
+		if len(d.Nodes) > 0 {
+			set = setOf(d.Nodes)
 		}
-		t = rt.teamFor(a.env, nodes)
-		csr = d.CSR
-	} else {
-		t = rt.teamFor(a.env, []int{d.Node})
 	}
-	var subRed *reduceRun
-	if red != nil {
-		subRed = &reduceRun{init: red.init, combine: red.combine, body: red.body}
-	}
-	desc := &regionRun{n: n, body: body, reduce: subRed,
-		sched: newStaticDispatch(t, base, n-base, csr)}
-	if measure {
-		desc.measure = true
-		desc.results = make([]measurement, t.total)
-	}
-	t.dispatch(a.env, desc)
-	if red != nil {
-		red.out = subRed.out
-	}
-	return desc.results
+	t := rt.teamFor(a.env, set)
+	return t.dispatch(a.env, body, red, t.partition(base, n-base, csr), measure)
 }

@@ -7,6 +7,7 @@ import (
 
 	"hetmp/internal/cluster"
 	"hetmp/internal/dsm"
+	"hetmp/internal/telemetry"
 )
 
 const page = dsm.PageSize
@@ -386,5 +387,51 @@ func TestDecisionCSRSlowestNodeIsOne(t *testing.T) {
 	}
 	if d.CSR[0] < 2.49 || d.CSR[0] > 2.51 {
 		t.Fatalf("fast node weight = %v, want 2.5", d.CSR[0])
+	}
+}
+
+// The telemetry gauges publish the decision HetProbe records for a
+// region, whose misses/kinst is the region reading's, not the probe
+// window's; the decision counter counts one decision per probing
+// invocation.
+func TestPublishedDecisionIsRecorded(t *testing.T) {
+	tel := telemetry.New(telemetry.Options{})
+	// The second probing invocation's probe window reads 122.4
+	// misses/kinst, its region 127.4.
+	const probes = 2
+	rt := newSimRuntime(t, Options{Telemetry: tel, ProbeMaxInvocations: probes})
+	const n = 3200
+	err := rt.Run(func(a *App) {
+		r := a.Alloc("stream", int64(n)*page)
+		for range probes + 1 {
+			a.ParallelFor("miss-heavy", n, HetProbeSchedule(), func(e cluster.Env, lo, hi int) {
+				e.Load(r, int64(lo)*page, int64(hi-lo)*page)
+				e.Compute(float64(hi-lo)*500, 0)
+			})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := rt.Decision("miss-heavy")
+	if !ok {
+		t.Fatal("no decision recorded")
+	}
+	m := tel.Metrics()
+	region := telemetry.L("region", "miss-heavy")
+	if got := m.Gauge("hetmp_hetprobe_misses_per_kinst", region).Value(); got != d.MissesPerKinst {
+		t.Errorf("misses/kinst gauge %v, recorded decision %v", got, d.MissesPerKinst)
+	}
+	period := math.Inf(1)
+	if d.FaultPeriod != infinitePeriod {
+		period = d.FaultPeriod.Seconds()
+	}
+	if got := m.Gauge("hetmp_hetprobe_fault_period_seconds", region).Value(); got != period {
+		t.Errorf("fault period gauge %v s, recorded decision %v s", got, period)
+	}
+	decisions := m.Counter("hetmp_hetprobe_decisions_total", telemetry.L("outcome", "cross-node")).Value() +
+		m.Counter("hetmp_hetprobe_decisions_total", telemetry.L("outcome", "single-node")).Value()
+	if decisions != probes || rt.Probes() != probes {
+		t.Errorf("%d decisions published over %d probing invocations, want %d each", decisions, rt.Probes(), probes)
 	}
 }

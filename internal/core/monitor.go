@@ -33,27 +33,30 @@ const monitorWindows = 4
 
 // runRemainder executes iterations [base, n) of a probing invocation
 // under run, the decision its probe just made, measured, and returns
-// the measurements. Without ReDecide, or with too few iterations to
-// window, that is one dispatch. With ReDecide the remainder runs in
-// monitorWindows equal windows, and after each but the last the
-// window's per-node watermarks of a cross-node decision go to the
-// rule's step. A breach condemns the breaching nodes, and the step
+// the instructions and LLC misses it retired. Without ReDecide, or
+// with too few iterations to window, that is one dispatch. With
+// ReDecide the remainder runs in monitorWindows equal windows, and
+// after each but the last the window's per-node watermarks of a
+// cross-node decision go to the rule's step. A breach condemns the breaching nodes, and the step
 // re-derives the decision at once from the probe's own measurements
 // without them — down to the origin node alone, the paper's
 // homogeneous fallback — for the windows that remain. Every iteration
 // is dispatched exactly once, so reduction accounting is preserved.
-func (a *App) runRemainder(regionID string, ent *probeEntry, run Decision, base, n int, body Body, red *reduceRun) []measurement {
+func (a *App) runRemainder(regionID string, ent *probeEntry, run Decision, base, n int, body Body, red *reduceRun) (instr, misses int64) {
 	rt := a.rt
 	windows := 1
 	if rt.opts.ReDecide && n-base >= 2*monitorWindows {
 		windows = monitorWindows
 	}
-	var all []measurement
 	var acc any
 	for w := range windows {
 		lo, hi := base+(n-base)*w/windows, base+(n-base)*(w+1)/windows
+		// ms is the team's: read before the next window's dispatch.
 		ms := a.execDecision(run, lo, hi, body, red, true)
-		all = append(all, ms...)
+		for _, m := range ms {
+			instr += m.delta.Instructions
+			misses += m.delta.LLCMisses
+		}
 		if red != nil {
 			if w > 0 {
 				red.out = red.combine(acc, red.out)
@@ -72,13 +75,15 @@ func (a *App) runRemainder(regionID string, ent *probeEntry, run Decision, base,
 		}
 		rt.reDecisions++
 		rt.redecideCtr.Inc()
-		rt.logf("hetprobe %s: watermark breach (factor %.1f), re-decision (suspects %v): %s",
-			regionID, redecideFactor, slices.Sorted(maps.Keys(ent.suspects)), run)
+		if lf := rt.opts.Logf; lf != nil {
+			lf("hetprobe %s: watermark breach (factor %.1f), re-decision (suspects %v): %s",
+				regionID, redecideFactor, slices.Sorted(maps.Keys(ent.suspects)), run)
+		}
 		if rt.tracer != nil {
 			rt.recordDecision(a.env, regionID, run)
 		}
 	}
-	return all
+	return instr, misses
 }
 
 // breachedNodes returns the non-origin nodes whose observed

@@ -48,18 +48,24 @@ func (rt *Runtime) tryPredict(e cluster.Env, regionID string, ent *probeEntry, n
 		return false
 	}
 	if se.Features.Iterations != n {
-		rt.logf("hetprobe %s: stored decision was measured at %d iterations, this run presents %d, probing",
-			regionID, se.Features.Iterations, n)
+		if lf := rt.opts.Logf; lf != nil {
+			lf("hetprobe %s: stored decision was measured at %d iterations, this run presents %d, probing",
+				regionID, se.Features.Iterations, n)
+		}
 		return false
 	}
 	if why := rt.unrunnable(se); why != "" {
-		rt.logf("hetprobe %s: stored decision cannot run on this cluster (%s), probing", regionID, why)
+		if lf := rt.opts.Logf; lf != nil {
+			lf("hetprobe %s: stored decision cannot run on this cluster (%s), probing", regionID, why)
+		}
 		return false
 	}
 	seedEntry(ent, se, rt.opts.ProbeMaxInvocations)
 	rt.predictions++
 	rt.predictCtr.Inc()
-	rt.logf("hetprobe %s: adopted stored decision: %s", regionID, ent.decision)
+	if lf := rt.opts.Logf; lf != nil {
+		lf("hetprobe %s: adopted stored decision: %s", regionID, ent.decision)
+	}
 	if rt.tracer != nil {
 		rt.recordDecision(e, regionID, ent.decision)
 	}

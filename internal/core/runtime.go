@@ -100,13 +100,14 @@ func (o Options) withDefaults() Options {
 // Runtime is the hetmp runtime bound to one cluster. Create one per
 // application run with New.
 type Runtime struct {
-	cl    cluster.Cluster
-	opts  Options
-	cache map[string]*probeEntry // HetProbe's probe cache, by region
-	teams map[nodeSet]*team
-	specs []machine.NodeSpec // the cluster's nodes, read once; read-only
-	all   []int              // every node index; read-only
-	plat  platform           // what HetProbe's rule reads of the cluster
+	cl     cluster.Cluster
+	opts   Options
+	cache  map[string]*probeEntry // HetProbe's probe cache, by region
+	teams  map[nodeSet]*team
+	specs  []machine.NodeSpec // the cluster's nodes, read once; read-only
+	all    []int              // every node index; read-only
+	allSet nodeSet            // all, as a set
+	plat   platform           // what HetProbe's rule reads of the cluster
 
 	// Telemetry handles, pre-resolved at construction so hot paths
 	// never touch the registry. All nil when telemetry is disabled
@@ -139,6 +140,7 @@ func New(cl cluster.Cluster, opts Options) *Runtime {
 	for i := range rt.all {
 		rt.all[i] = i
 	}
+	rt.allSet = setOf(rt.all)
 	rt.plat = platform{specs: rt.specs, origin: cl.Origin(), threshold: rt.opts.FaultPeriodThreshold}
 	if tel := rt.opts.Telemetry; tel.Enabled() {
 		rt.tracer = tel.Tracer()
@@ -248,13 +250,6 @@ func csrFromTimes(perIter map[int]time.Duration) map[int]float64 {
 	return csr
 }
 
-// logf traces a decision if logging is enabled.
-func (rt *Runtime) logf(format string, args ...any) {
-	if rt.opts.Logf != nil {
-		rt.opts.Logf(format, args...)
-	}
-}
-
 // Run executes app as the application's master thread (on the origin
 // node) and tears the runtime's teams down when it returns.
 func (rt *Runtime) Run(app func(*App)) error {
@@ -307,13 +302,18 @@ func (a *App) Alloc(name string, size int64) *cluster.Region {
 // platform at 16 nodes).
 type nodeSet uint16
 
-// teamFor returns (creating if needed) the persistent team spanning the
-// given node set. Finding an existing team allocates nothing.
-func (rt *Runtime) teamFor(master cluster.Env, nodes []int) *team {
+// setOf returns the set of the given nodes.
+func setOf(nodes []int) nodeSet {
 	var set nodeSet
 	for _, n := range nodes {
 		set |= 1 << n
 	}
+	return set
+}
+
+// teamFor returns (creating if needed) the persistent team spanning the
+// given node set. Finding an existing team allocates nothing.
+func (rt *Runtime) teamFor(master cluster.Env, set nodeSet) *team {
 	if t, ok := rt.teams[set]; ok {
 		return t
 	}
@@ -375,15 +375,11 @@ func (a *App) parallel(regionID string, n int, sched Schedule, body Body, red *r
 	}
 	switch s := sched.(type) {
 	case StaticSpec:
-		t := rt.teamFor(a.env, rt.all)
-		desc := &regionRun{n: n, body: body, reduce: red,
-			sched: newStaticDispatch(t, 0, n, s.CSR)}
-		t.dispatch(a.env, desc)
+		t := rt.teamFor(a.env, rt.allSet)
+		t.dispatch(a.env, body, red, t.partition(0, n, s.CSR), false)
 	case DynamicSpec:
-		t := rt.teamFor(a.env, rt.all)
-		desc := &regionRun{n: n, body: body, reduce: red,
-			sched: newDynDispatch(rt, t, n, s.Chunk)}
-		t.dispatch(a.env, desc)
+		t := rt.teamFor(a.env, rt.allSet)
+		t.dispatch(a.env, body, red, newDynDispatch(rt, t, n, s.Chunk), false)
 	case HetProbeSpec:
 		a.runHetProbe(regionID, n, body, red)
 	default:

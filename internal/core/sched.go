@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"hetmp/internal/apportion"
 	"hetmp/internal/cluster"
 )
 
@@ -81,42 +80,36 @@ type staticDispatch struct {
 
 var _ dispatcher = (*staticDispatch)(nil)
 
-// newStaticDispatch partitions [base, base+n) across the team's
-// threads proportionally to their node weights. Every iteration is
-// assigned exactly once; rounding remainders go to the earliest
-// threads.
-func newStaticDispatch(t *team, base, n int, csr map[int]float64) *staticDispatch {
-	weights := make([]float64, t.total)
-	var totalW float64
+// partition partitions [base, base+n) across the team's threads
+// proportionally to their node weights, into the team's own span table.
+// Every iteration is assigned exactly once; rounding remainders go to
+// the earliest threads. The table is the team's: it is valid until the
+// next partition, and a warm call allocates nothing.
+func (t *team) partition(base, n int, csr map[int]float64) *staticDispatch {
+	if t.weights == nil {
+		t.weights = make([]float64, t.total)
+		t.static.spans = make([]span, t.total)
+	}
 	flat := 0
 	for _, node := range t.nodes {
 		w := 1.0
-		if csr != nil {
-			if v, ok := csr[node]; ok && v > 0 {
-				w = v
-			}
+		if v, ok := csr[node]; ok && v > 0 {
+			w = v
 		}
 		for i := 0; i < t.perNode[node]; i++ {
-			weights[flat] = w
-			totalW += w
+			t.weights[flat] = w
 			flat++
 		}
 	}
-	d := &staticDispatch{spans: make([]span, t.total)}
-	if n <= 0 || totalW == 0 {
-		for i := range d.spans {
-			d.spans[i] = span{lo: base, hi: base}
-		}
-		return d
-	}
-	// Largest-remainder apportionment: deterministic, exact.
-	counts := apportion.Split(n, weights)
+	// Largest-remainder apportionment: deterministic, exact. n <= 0
+	// gives every thread the empty span at base.
+	d := &t.static
 	lo := base
-	for i, c := range counts {
+	for i, c := range t.split.Split(n, t.weights) {
 		d.spans[i] = span{lo: lo, hi: lo + c}
 		lo += c
 	}
-	if lo != base+n {
+	if lo != base+max(n, 0) {
 		panic(fmt.Sprintf("core: static partition covered %d of %d iterations", lo-base, n))
 	}
 	return d
@@ -214,6 +207,13 @@ func (d *dynDispatch) runWorker(e cluster.Env, w workerID, t *team, r *regionRun
 		// briefly and retry the local pool; they never touch global
 		// state.
 		if refill.CompareAndSwap(e, 0, 1) {
+			// Another thread may have refilled the pool between this
+			// thread's dry grab and its win: its batch must not be
+			// overwritten, so take from it instead.
+			if v := pool.Load(e); int(uint32(v)) < int(uint32(v>>32)) {
+				refill.Store(e, 0)
+				continue
+			}
 			g := int(d.global.Add(e, int64(d.batch[node]))) - d.batch[node]
 			if g >= d.n {
 				refill.Store(e, 0)

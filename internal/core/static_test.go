@@ -25,7 +25,7 @@ func fakeTeam(perNode map[int]int) *team {
 
 func TestStaticPartitionCoversExactly(t *testing.T) {
 	tm := fakeTeam(map[int]int{0: 16, 1: 96})
-	d := newStaticDispatch(tm, 0, 20000, nil)
+	d := tm.partition(0, 20000, nil)
 	covered := 0
 	prevHi := 0
 	for _, s := range d.spans {
@@ -44,7 +44,7 @@ func TestStaticCSRSkew(t *testing.T) {
 	// The paper's Figure 5: 20 cores (4 on node A at CSR 3, 16 on node
 	// B at 1): node A threads get 3× the iterations of node B threads.
 	tm := fakeTeam(map[int]int{0: 4, 1: 16})
-	d := newStaticDispatch(tm, 0, 28000, map[int]float64{0: 3, 1: 1})
+	d := tm.partition(0, 28000, map[int]float64{0: 3, 1: 1})
 	aIters := 0
 	for i := 0; i < 4; i++ {
 		aIters += d.spans[i].hi - d.spans[i].lo
@@ -67,7 +67,7 @@ func TestStaticPaperFigure5Example(t *testing.T) {
 	// over 20 cores — node A (4 cores, CSR 3) gets ≈1929 per thread,
 	// node B (16 cores, CSR 1) gets ≈643 per thread.
 	tm := fakeTeam(map[int]int{0: 4, 1: 16})
-	d := newStaticDispatch(tm, 2000, 18000, map[int]float64{0: 3, 1: 1})
+	d := tm.partition(2000, 18000, map[int]float64{0: 3, 1: 1})
 	for i := 0; i < 4; i++ {
 		got := d.spans[i].hi - d.spans[i].lo
 		if got < 1928 || got > 1930 {
@@ -90,7 +90,7 @@ func TestStaticPaperFigure5Example(t *testing.T) {
 
 func TestStaticZeroIterations(t *testing.T) {
 	tm := fakeTeam(map[int]int{0: 4})
-	d := newStaticDispatch(tm, 0, 0, nil)
+	d := tm.partition(0, 0, nil)
 	for _, s := range d.spans {
 		if s.hi != s.lo {
 			t.Errorf("zero-iteration partition handed out span %+v", s)
@@ -100,7 +100,7 @@ func TestStaticZeroIterations(t *testing.T) {
 
 func TestStaticFewerIterationsThanThreads(t *testing.T) {
 	tm := fakeTeam(map[int]int{0: 16, 1: 96})
-	d := newStaticDispatch(tm, 0, 7, nil)
+	d := tm.partition(0, 7, nil)
 	total := 0
 	for _, s := range d.spans {
 		total += s.hi - s.lo
@@ -125,7 +125,7 @@ func TestStaticPartitionProperty(t *testing.T) {
 		tm := fakeTeam(perNode)
 		n := rng.Intn(100000)
 		base := rng.Intn(1000)
-		d := newStaticDispatch(tm, base, n, csr)
+		d := tm.partition(base, n, csr)
 		prev := base
 		for _, s := range d.spans {
 			if s.lo != prev || s.hi < s.lo {
@@ -151,7 +151,7 @@ func TestStaticBalanceProperty(t *testing.T) {
 		n := int(nRaw)
 		threads := 1 + int(threadsRaw)%64
 		tm := fakeTeam(map[int]int{0: threads})
-		d := newStaticDispatch(tm, 0, n, nil)
+		d := tm.partition(0, n, nil)
 		lo, hi := n, 0
 		for _, s := range d.spans {
 			c := s.hi - s.lo
@@ -166,5 +166,27 @@ func TestStaticBalanceProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// One team partitions region after region into the same span table:
+// each partition, whatever the previous one left there, equals a fresh
+// team's. Sizes shrink to zero, so a worker whose span empties must not
+// keep the previous region's.
+func TestTeamPartitionReuse(t *testing.T) {
+	perNode := map[int]int{0: 4, 1: 12}
+	tm := fakeTeam(perNode)
+	csrs := []map[int]float64{nil, {0: 3.7, 1: 1}, {0: 1, 1: 2}, {0: 0, 1: 1}}
+	for n := 40; n >= 0; n-- {
+		for i, csr := range csrs {
+			base := n * i
+			got := tm.partition(base, n, csr).spans
+			want := fakeTeam(perNode).partition(base, n, csr).spans
+			for w := range want {
+				if got[w] != want[w] {
+					t.Fatalf("n=%d csr=%v: reused team's worker %d has span %+v, a fresh team's %+v", n, csr, w, got[w], want[w])
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
+	"hetmp/internal/apportion"
 	"hetmp/internal/cluster"
 	"hetmp/internal/perf"
 	"hetmp/internal/telemetry"
@@ -27,15 +27,15 @@ type measurement struct {
 
 // regionRun describes one dispatched parallel region. The master writes
 // it before releasing the start barrier; workers read it afterwards
-// (the barrier provides the happens-before edge on real backends).
+// (the barrier provides the happens-before edge on real backends). It
+// is the team's own (team.run), reset by each dispatch.
 type regionRun struct {
-	stop    bool
-	n       int
-	body    Body
-	sched   dispatcher
+	stop  bool
+	body  Body
+	sched dispatcher
+	// measure makes every worker record its measurement in the
+	// team's results.
 	measure bool
-	// results holds per-worker measurements when measure is set.
-	results []measurement
 	// reduce, when non-nil, makes workers produce partial values that
 	// are combined up the hierarchy.
 	reduce *reduceRun
@@ -70,6 +70,12 @@ type dispatcher interface {
 // organized into the paper's two-level hierarchy: per-node groups with
 // elected leaders, plus the master thread (always resident on the
 // origin node — the Popcorn Linux constraint).
+//
+// Like libgomp's work-share state, a region's descriptor, its static
+// partition and its measurement slots belong to the team and are reset
+// by each dispatch, so a warm region allocates nothing. What a caller
+// reads of them after the team's next dispatch must be copied out
+// first (DESIGN.md §12, "A team owns its per-region state").
 type team struct {
 	rt      *Runtime
 	nodes   []int  // participating nodes, ascending
@@ -77,9 +83,19 @@ type team struct {
 	perNode []int  // workers per node, by node index
 	total   int    // worker count (excluding master)
 	handles []cluster.Handle
-	desc    *regionRun
-	start   *hierBarrier
-	end     *hierBarrier
+	// run is the dispatched region, written by the master before the
+	// start barrier.
+	run regionRun
+	// results is the workers' measurement slots, indexed by flat id.
+	results []measurement
+	// weights, static and split are the static partition's buffers.
+	weights []float64
+	static  staticDispatch
+	split   apportion.Splitter
+	// probe is a probing period's chunk assignment.
+	probe probeDispatch
+	start *hierBarrier
+	end   *hierBarrier
 	// chains[n] is node n's walk from a region's end barrier into the
 	// next region's start barrier: end arrive (stop), end release,
 	// start arrive (stop), start release. A worker that is no leader
@@ -100,11 +116,12 @@ const (
 
 // key canonicalizes a node set for naming a team's shared state.
 func teamKey(nodes []int) string {
-	k := ""
+	var k []byte
 	for _, n := range nodes {
-		k += fmt.Sprintf("%d,", n)
+		k = strconv.AppendInt(k, int64(n), 10)
+		k = append(k, ',')
 	}
-	return k
+	return string(k)
 }
 
 // newTeam spawns worker threads for every core of every node in the
@@ -147,12 +164,15 @@ func newTeam(rt *Runtime, master cluster.Env, nodes []int) *team {
 
 	flat := 0
 	for _, n := range t.nodes {
+		node := strconv.Itoa(n)
 		for i := 0; i < t.perNode[n]; i++ {
 			w := workerID{node: n, local: i, flat: flat}
 			flat++
-			rt.tracer.NameTrack(workerTrack(n, i),
-				fmt.Sprintf("node %d (%s)", n, specs[n].Name), fmt.Sprintf("worker %d", i))
-			h := master.Spawn(n, fmt.Sprintf("w%d.%d", n, i), func(e cluster.Env) {
+			local := strconv.Itoa(i)
+			if rt.tracer != nil {
+				rt.tracer.NameTrack(workerTrack(n, i), "node "+node+" ("+specs[n].Name+")", "worker "+local)
+			}
+			h := master.Spawn(n, "w"+node+"."+local, func(e cluster.Env) {
 				t.workerLoop(e, w)
 			})
 			t.handles = append(t.handles, h)
@@ -176,7 +196,7 @@ func (t *team) workerLoop(e cluster.Env, w workerID) {
 		if at == startArrive {
 			t.start.lead(e, nil)
 		}
-		desc := t.desc
+		desc := &t.run
 		if desc.stop {
 			return
 		}
@@ -191,7 +211,7 @@ func (t *team) workerLoop(e cluster.Env, w workerID) {
 			t0 := e.Now()
 			desc.sched.runWorker(e, w, t, desc, ws)
 			end := e.Now()
-			desc.results[w.flat] = measurement{
+			t.results[w.flat] = measurement{
 				node:    w.node,
 				iters:   ws.iters,
 				elapsed: end - t0,
@@ -236,12 +256,22 @@ func (t *team) leaderHook(desc *regionRun) func(cluster.Env) {
 	}
 }
 
-// dispatch runs one region to completion from the master thread.
-func (t *team) dispatch(master cluster.Env, desc *regionRun) {
-	if desc.reduce != nil {
+// dispatch runs one region under sched to completion from the master
+// thread, through the team's own descriptor. With measure set it
+// returns the workers' measurements: the team's own slots, valid until
+// its next dispatch.
+func (t *team) dispatch(master cluster.Env, body Body, red *reduceRun, sched dispatcher, measure bool) []measurement {
+	t.run = regionRun{body: body, reduce: red, sched: sched, measure: measure}
+	desc := &t.run
+	if measure {
+		if t.results == nil {
+			t.results = make([]measurement, t.total)
+		}
+		clear(t.results)
+	}
+	if red != nil {
 		t.reduceBuf.clear()
 	}
-	t.desc = desc
 	t.masterStart(master)
 	// Workers execute; master proceeds straight to the end barrier.
 	if t.masterEnd.Wait(master, endArrive) == endArrive {
@@ -254,6 +284,10 @@ func (t *team) dispatch(master cluster.Env, desc *regionRun) {
 			desc.reduce.out = t.reduceBuf.combineGlobal(master, desc.reduce)
 		}
 	}
+	if !measure {
+		return nil
+	}
+	return t.results
 }
 
 // masterStart is the master's wait at the start barrier.
@@ -265,7 +299,7 @@ func (t *team) masterStart(master cluster.Env) {
 
 // shutdown terminates the worker threads and joins them.
 func (t *team) shutdown(master cluster.Env) {
-	t.desc = &regionRun{stop: true}
+	t.run = regionRun{stop: true}
 	t.masterStart(master)
 	for _, h := range t.handles {
 		h.Join(master)
@@ -302,7 +336,7 @@ func newHierBarrier(rt *Runtime, name, key string, parties []int) *hierBarrier {
 	b := &hierBarrier{
 		arrive:  make([]cluster.Barrier, len(parties)),
 		release: make([]cluster.Barrier, len(parties)),
-		word:    rt.cl.NewCell(fmt.Sprintf("bar:%s:%s", name, key), rt.cl.Origin()),
+		word:    rt.cl.NewCell("bar:"+name+":"+key, rt.cl.Origin()),
 	}
 	total, leaders := 0, 0
 	for n, c := range parties {

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 
 	"hetmp/internal/cluster"
 	"hetmp/internal/core"
@@ -26,9 +27,10 @@ type cfd struct {
 	energy       *F64
 	fluxD        *F64
 	fluxE        *F64
-	neighbors    []int32
-	checksum     float64
-	ran          bool
+	// neighbors is the shape's mesh connectivity, shared by every run.
+	neighbors []int32
+	checksum  float64
+	ran       bool
 }
 
 const (
@@ -56,33 +58,19 @@ func (k *cfd) Run(a *core.App, sched SchedFactory) {
 	// The long serial I/O phase.
 	a.Serial(float64(n)*cfdIOOpsPerElem, 0)
 
+	// The mesh is generated once per shape: density and energy are
+	// updated in place, so each run copies them; momentum and the
+	// connectivity are only read, so every run shares them.
+	shape := cfdShape{n}
+	mesh := reference(shape, shape.mesh)
 	k.density = allocF64(a, "cfd:density", n)
-	k.momentum = allocF64(a, "cfd:momentum", n)
+	k.momentum = sharedF64(a, "cfd:momentum", mesh.momentum)
 	k.energy = allocF64(a, "cfd:energy", n)
 	k.fluxD = allocF64(a, "cfd:fluxD", n)
 	k.fluxE = allocF64(a, "cfd:fluxE", n)
-
-	rg := rng(17)
-	for i := 0; i < n; i++ {
-		k.density.Data[i] = 1 + 0.1*rg.Float64()
-		k.momentum.Data[i] = 0.1 * (rg.Float64() - 0.5)
-		k.energy.Data[i] = 2 + 0.1*rg.Float64()
-	}
-	// Unstructured-but-local connectivity: each element's 4 neighbors
-	// are nearby with a random perturbation (mesh numbering locality).
-	k.neighbors = make([]int32, n*4)
-	for i := 0; i < n; i++ {
-		for d := 0; d < 4; d++ {
-			nb := i + []int{-1, 1, -17, 17}[d] + rg.Intn(7) - 3
-			if nb < 0 {
-				nb = 0
-			}
-			if nb >= n {
-				nb = n - 1
-			}
-			k.neighbors[i*4+d] = int32(nb)
-		}
-	}
+	copy(k.density.Data, mesh.density)
+	copy(k.energy.Data, mesh.energy)
+	k.neighbors = mesh.neighbors
 
 	const dt = 0.01
 	for step := 0; step < k.steps; step++ {
@@ -142,34 +130,77 @@ func (k *cfd) Verify() error {
 			return fmt.Errorf("cfd: density[%d] = %v out of physical range", i, v)
 		}
 	}
-	// Replay sequentially and compare checksums: element updates are
+	// Compare against the sequential replay: element updates are
 	// independent within a step, so the result must be bit-identical.
-	ref := k.sequentialReference()
-	if ref != k.checksum {
+	solve := cfdSolve{k.elems, k.steps}
+	if ref := reference(solve, solve.reference); ref != k.checksum {
 		return fmt.Errorf("cfd: checksum %v != sequential %v", k.checksum, ref)
 	}
 	return nil
 }
 
-func (k *cfd) sequentialReference() float64 {
-	n := k.elems
+// cfdShape is every input of cfd's mesh.
+type cfdShape struct{ elems int }
+
+// cfdMesh is a mesh's initial state and its connectivity. Every run of
+// the shape shares it, so no run may write it.
+type cfdMesh struct {
+	density, momentum, energy []float64
+	neighbors                 []int32
+}
+
+// mesh generates the initial state, then the connectivity: each
+// element's 4 neighbors are nearby with a random perturbation
+// (unstructured-but-local, like a mesh numbering).
+func (s cfdShape) mesh() cfdMesh {
+	n := s.elems
 	rg := rng(17)
-	dens := make([]float64, n)
-	mom := make([]float64, n)
-	ener := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dens[i] = 1 + 0.1*rg.Float64()
-		mom[i] = 0.1 * (rg.Float64() - 0.5)
-		ener[i] = 2 + 0.1*rg.Float64()
+	m := cfdMesh{
+		density:   make([]float64, n),
+		momentum:  make([]float64, n),
+		energy:    make([]float64, n),
+		neighbors: make([]int32, n*4),
 	}
+	for i := 0; i < n; i++ {
+		m.density[i] = 1 + 0.1*rg.Float64()
+		m.momentum[i] = 0.1 * (rg.Float64() - 0.5)
+		m.energy[i] = 2 + 0.1*rg.Float64()
+	}
+	for i := 0; i < n; i++ {
+		for d := 0; d < 4; d++ {
+			nb := i + []int{-1, 1, -17, 17}[d] + rg.Intn(7) - 3
+			if nb < 0 {
+				nb = 0
+			}
+			if nb >= n {
+				nb = n - 1
+			}
+			m.neighbors[i*4+d] = int32(nb)
+		}
+	}
+	return m
+}
+
+// cfdSolve is every input of cfd's sequential reference.
+type cfdSolve struct{ elems, steps int }
+
+// reference replays the whole run single-threaded from the shape's
+// mesh and returns its density checksum.
+func (s cfdSolve) reference() float64 {
+	n := s.elems
+	shape := cfdShape{n}
+	m := reference(shape, shape.mesh)
+	dens := slices.Clone(m.density)
+	ener := slices.Clone(m.energy)
+	mom := m.momentum
 	fd := make([]float64, n)
 	fe := make([]float64, n)
 	const dt = 0.01
-	for step := 0; step < k.steps; step++ {
+	for step := 0; step < s.steps; step++ {
 		for i := 0; i < n; i++ {
 			var dFlux, eFlux float64
 			for d := 0; d < 4; d++ {
-				nb := int(k.neighbors[i*4+d])
+				nb := int(m.neighbors[i*4+d])
 				dFlux += dens[nb] - dens[i]
 				eFlux += ener[nb] - ener[i]
 			}

@@ -55,13 +55,21 @@ func sharedInputs(k Kernel) map[string]inputPair {
 		}
 	case *lavaMD:
 		return map[string]inputPair{"pos": f(k.pos.Data, k.lavaGrid.positions())}
+	case *lud:
+		return map[string]inputPair{"matrix": f(k.ref, ludInput{k.n}.matrix())}
+	case *cfd:
+		m := cfdShape{k.elems}.mesh()
+		return map[string]inputPair{
+			"momentum":  f(k.momentum.Data, m.momentum),
+			"neighbors": i(k.neighbors, m.neighbors),
+		}
 	}
 	return nil
 }
 
 // sharingKernels are the benchmarks whose read-only inputs are
 // generated once per shape.
-var sharingKernels = []string{"kmeans", "blackscholes", "CG-C", "streamcluster", "lavaMD"}
+var sharingKernels = []string{"kmeans", "blackscholes", "CG-C", "streamcluster", "lavaMD", "lud", "cfd"}
 
 // A run reads its shared inputs and never writes them: after runs under
 // the static and HetProbe schedules, each shared array equals a fresh

@@ -18,8 +18,10 @@ func init() { register("lud", newLUD) }
 // but the trailing matrix fits the ThunderX's LLC, keeping misses/kinst
 // under the threshold (lud lands on the ThunderX in Figure 8).
 type lud struct {
-	n   int
-	m   *F64
+	n int
+	m *F64
+	// ref is the shape's input matrix, shared by every run of it: a
+	// run factors its own copy, m.
 	ref []float64
 	ran bool
 }
@@ -40,20 +42,9 @@ func (k *lud) Run(a *core.App, sched SchedFactory) {
 	n := k.n
 	a.Serial(float64(n*n)*20, 0)
 	k.m = allocF64(a, "lud:m", n*n)
-
-	// Build a well-conditioned matrix: diagonally dominant random.
-	rg := rng(21)
-	k.ref = make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		var row float64
-		for j := 0; j < n; j++ {
-			v := rg.Float64() - 0.5
-			k.m.Data[i*n+j] = v
-			row += absf(v)
-		}
-		k.m.Data[i*n+i] = row + 1
-	}
-	copy(k.ref, k.m.Data)
+	in := ludInput{n}
+	k.ref = reference(in, in.matrix)
+	copy(k.m.Data, k.ref)
 
 	// Doolittle elimination: for each pivot k, update trailing rows in
 	// parallel (one iteration = one row).
@@ -81,6 +72,27 @@ func (k *lud) Run(a *core.App, sched SchedFactory) {
 		})
 	}
 	k.ran = true
+}
+
+// ludInput is every input of lud's matrix.
+type ludInput struct{ n int }
+
+// matrix builds a well-conditioned n×n matrix: diagonally dominant
+// random.
+func (in ludInput) matrix() []float64 {
+	n := in.n
+	rg := rng(21)
+	m := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		var row float64
+		for j := 0; j < n; j++ {
+			v := rg.Float64() - 0.5
+			m[i*n+j] = v
+			row += absf(v)
+		}
+		m[i*n+i] = row + 1
+	}
+	return m
 }
 
 func (k *lud) Verify() error {
