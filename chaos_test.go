@@ -46,19 +46,17 @@ func runChaosRegion(t *testing.T, inj *chaos.Injector, seed int64, n int) chaosR
 	var sum int
 	err = rt.Run(func(a *core.App) {
 		r := a.Alloc("shared", 64*chaosPage)
-		sum = a.ParallelReduce("soak", n, core.HetProbeSchedule(),
-			func() any { return 0 },
-			func(e cluster.Env, lo, hi int, acc any) any {
-				s := acc.(int)
+		sum = *core.ParallelReduce(a, "soak", n, core.HetProbeSchedule(),
+			func(acc *int) { *acc = 0 },
+			func(e cluster.Env, lo, hi int, acc *int) {
 				for i := lo; i < hi; i++ {
 					e.Compute(400_000, 0)
 					e.Store(r, (int64(i)%64)*chaosPage, 8)
-					s += i
+					*acc += i
 				}
-				return s
 			},
-			func(x, y any) any { return x.(int) + y.(int) },
-		).(int)
+			func(dst, src *int) { *dst += *src },
+		)
 	})
 	if err != nil {
 		t.Fatal(err)

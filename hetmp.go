@@ -160,13 +160,13 @@ func DeriveThreshold(points []CalibrationPoint, frac float64) time.Duration {
 
 // Reduce runs a typed parallel reduction: body folds [lo, hi) into its
 // accumulator, and combine (which must be associative, with init as its
-// identity) merges partial results up the thread hierarchy.
+// identity) merges partial results up the thread hierarchy. It is a
+// by-value wrapper over the runtime's in-place reduction.
 func Reduce[T any](a *App, regionID string, n int, sched Schedule,
 	init T, body func(e Env, lo, hi int, acc T) T, combine func(x, y T) T) T {
-	out := a.ParallelReduce(regionID, n, sched,
-		func() any { return init },
-		func(e Env, lo, hi int, acc any) any { return body(e, lo, hi, acc.(T)) },
-		func(x, y any) any { return combine(x.(T), y.(T)) },
+	return *core.ParallelReduce(a, regionID, n, sched,
+		func(acc *T) { *acc = init },
+		func(e Env, lo, hi int, acc *T) { *acc = body(e, lo, hi, *acc) },
+		func(dst, src *T) { *dst = combine(*dst, *src) },
 	)
-	return out.(T)
 }

@@ -37,8 +37,10 @@ func (d *probeDispatch) runWorker(e cluster.Env, w workerID, t *team, r *regionR
 
 // runHetProbe implements the HetProbe scheduler for one region
 // invocation: probe (unless the cached decision is mature), decide,
-// then distribute the remaining iterations.
-func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
+// then distribute the remaining iterations. A reduction's result lands
+// in its accResult: the probe period folds there, the remainder into
+// accRemainder, which is combined into it last.
+func (a *App) runHetProbe(regionID string, n int, body Body, red reducer) {
 	rt := a.rt
 
 	// With a designated probing region, every other region adopts its
@@ -50,7 +52,7 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		if main, ok := rt.cache[rt.opts.ProbeRegionID]; ok && main.invocations > 0 {
 			d = main.decision
 		}
-		a.execDecision(d, 0, n, body, red, false)
+		a.execDecision(d, 0, n, body, reduceTo{red, accResult}, false)
 		return
 	}
 
@@ -72,7 +74,7 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		if lf := rt.opts.Logf; lf != nil {
 			lf("hetprobe %s: cached decision %s", regionID, ent.decision)
 		}
-		a.execDecision(ent.decision, 0, n, body, red, false)
+		a.execDecision(ent.decision, 0, n, body, reduceTo{red, accResult}, false)
 		return
 	}
 
@@ -88,7 +90,7 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		if lf := rt.opts.Logf; lf != nil {
 			lf("hetprobe %s: region too small to probe (n=%d, threads=%d)", regionID, n, fullTeam.total)
 		}
-		a.execDecision(Decision{CrossNode: true}, 0, n, body, red, false)
+		a.execDecision(Decision{CrossNode: true}, 0, n, body, reduceTo{red, accResult}, false)
 		return
 	}
 	probeIters := chunk * fullTeam.total
@@ -102,11 +104,7 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 		probeStart = a.env.Now()
 	}
 	fullTeam.probe = probeDispatch{chunk: chunk, rotate: rotate, total: fullTeam.total}
-	results := fullTeam.dispatch(a.env, body, red, &fullTeam.probe, true)
-	var probePartial any
-	if red != nil {
-		probePartial = red.out
-	}
+	results := fullTeam.dispatch(a.env, body, reduceTo{red, accResult}, &fullTeam.probe, true)
 
 	// Fold the probe measurements into the region's state; results are
 	// the team's, read before its next dispatch.
@@ -132,14 +130,12 @@ func (a *App) runHetProbe(regionID string, n int, body Body, red *reduceRun) {
 	if n > probeIters {
 		instr, misses := a.runRemainder(regionID, ent, run, probeIters, n, body, red)
 		if red != nil {
-			red.out = red.combine(probePartial, red.out)
+			red.combine(accResult, accRemainder)
 		}
 		if instr > 0 {
 			region := probeStats{instr: instr + stats.instr, misses: misses + stats.misses}
 			ent.regionState, _, _ = rt.plat.step(ent.regionState, regionReading, region)
 		}
-	} else if red != nil {
-		red.out = probePartial
 	}
 	// Publish what the invocation leaves recorded for the region: the
 	// region reading's misses/kinst, not the probe window's.
@@ -280,7 +276,7 @@ func summarizeMeasurements(results []measurement) (probeStats, int) {
 // stay parked, mirroring libHetMP joining them. With measure set it
 // collects and returns per-worker counters: the team's slots, valid
 // until its next dispatch.
-func (a *App) execDecision(d Decision, base, n int, body Body, red *reduceRun, measure bool) []measurement {
+func (a *App) execDecision(d Decision, base, n int, body Body, into reduceTo, measure bool) []measurement {
 	rt := a.rt
 	set := nodeSet(1) << d.Node
 	var csr map[int]float64
@@ -291,5 +287,5 @@ func (a *App) execDecision(d Decision, base, n int, body Body, red *reduceRun, m
 		}
 	}
 	t := rt.teamFor(a.env, set)
-	return t.dispatch(a.env, body, red, t.partition(base, n-base, csr), measure)
+	return t.dispatch(a.env, body, into, t.partition(base, n-base, csr), measure)
 }

@@ -210,19 +210,15 @@ func TestHetProbeWithReduction(t *testing.T) {
 	var got int64
 	err := rt.Run(func(a *App) {
 		for i := 0; i < 3; i++ {
-			out := a.ParallelReduce("sum", n, HetProbeSchedule(),
-				func() any { return int64(0) },
-				func(e cluster.Env, lo, hi int, acc any) any {
-					s := acc.(int64)
+			got = *ParallelReduce(a, "sum", n, HetProbeSchedule(), zeroInt64,
+				func(e cluster.Env, lo, hi int, acc *int64) {
 					for i := lo; i < hi; i++ {
-						s += int64(i)
+						*acc += int64(i)
 					}
 					e.Compute(float64(hi-lo)*10_000, 0)
-					return s
 				},
-				func(x, y any) any { return x.(int64) + y.(int64) },
+				addInt64,
 			)
-			got = out.(int64)
 			if want := int64(n) * (n - 1) / 2; got != want {
 				t.Fatalf("invocation %d: reduction = %d, want %d", i, got, want)
 			}

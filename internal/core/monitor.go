@@ -41,27 +41,29 @@ const monitorWindows = 4
 // re-derives the decision at once from the probe's own measurements
 // without them — down to the origin node alone, the paper's
 // homogeneous fallback — for the windows that remain. Every iteration
-// is dispatched exactly once, so reduction accounting is preserved.
-func (a *App) runRemainder(regionID string, ent *probeEntry, run Decision, base, n int, body Body, red *reduceRun) (instr, misses int64) {
+// is dispatched exactly once, so reduction accounting is preserved: the
+// first window folds into accRemainder, and each later one into
+// accWindow, which is then combined into it.
+func (a *App) runRemainder(regionID string, ent *probeEntry, run Decision, base, n int, body Body, red reducer) (instr, misses int64) {
 	rt := a.rt
 	windows := 1
 	if rt.opts.ReDecide && n-base >= 2*monitorWindows {
 		windows = monitorWindows
 	}
-	var acc any
 	for w := range windows {
 		lo, hi := base+(n-base)*w/windows, base+(n-base)*(w+1)/windows
+		into := reduceTo{red, accRemainder}
+		if w > 0 {
+			into.dst = accWindow
+		}
 		// ms is the team's: read before the next window's dispatch.
-		ms := a.execDecision(run, lo, hi, body, red, true)
+		ms := a.execDecision(run, lo, hi, body, into, true)
 		for _, m := range ms {
 			instr += m.delta.Instructions
 			misses += m.delta.LLCMisses
 		}
-		if red != nil {
-			if w > 0 {
-				red.out = red.combine(acc, red.out)
-			}
-			acc = red.out
+		if red != nil && w > 0 {
+			red.combine(accRemainder, accWindow)
 		}
 		if w == windows-1 || !run.CrossNode {
 			continue

@@ -32,9 +32,8 @@ func newChaosRuntime(t *testing.T, opts Options, inj *chaos.Injector) (*Runtime,
 // opsPerIter of compute. The compute dominates on a healthy link, so
 // the region is legitimately cross-node; a degraded link blows the
 // fault stalls — and only the fault stalls — up.
-func pingPongBody(r *cluster.Region, pages int64, opsPerIter float64) BodyReduce {
-	return func(e cluster.Env, lo, hi int, acc any) any {
-		sum := acc.(int)
+func pingPongBody(r *cluster.Region, pages int64, opsPerIter float64) func(cluster.Env, int, int, *int) {
+	return func(e cluster.Env, lo, hi int, acc *int) {
 		for i := lo; i < hi; i++ {
 			// Compute BEFORE the store so writes from different
 			// workers interleave in virtual time (a single burst of
@@ -42,9 +41,8 @@ func pingPongBody(r *cluster.Region, pages int64, opsPerIter float64) BodyReduce
 			// alternate ownership).
 			e.Compute(opsPerIter, 0)
 			e.Store(r, (int64(i)%pages)*page, 8)
-			sum += i
+			*acc += i
 		}
-		return sum
 	}
 }
 
@@ -67,18 +65,17 @@ func runMonitored(t *testing.T, inj *chaos.Injector, n int) (*Runtime, int, time
 	err := rt.Run(func(a *App) {
 		r := a.Alloc("shared", 64*page)
 		body := pingPongBody(r, 64, 400_000)
-		got = a.ParallelReduce("chaotic", n, HetProbeSchedule(),
-			func() any { return 0 },
-			func(e cluster.Env, lo, hi int, acc any) any {
+		got = *ParallelReduce(a, "chaotic", n, HetProbeSchedule(), zeroInt,
+			func(e cluster.Env, lo, hi int, acc *int) {
 				if e.Node() != cl.Origin() {
 					mu.Lock()
 					lastRemote = max(lastRemote, hi-1)
 					mu.Unlock()
 				}
-				return body(e, lo, hi, acc)
+				body(e, lo, hi, acc)
 			},
-			func(x, y any) any { return x.(int) + y.(int) },
-		).(int)
+			addInt,
+		)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,11 +200,8 @@ func TestReDecideDisabledPathUnchanged(t *testing.T) {
 		var got int
 		err := rt.Run(func(a *App) {
 			r := a.Alloc("shared", 64*page)
-			got = a.ParallelReduce("chaotic", 1600, HetProbeSchedule(),
-				func() any { return 0 },
-				pingPongBody(r, 64, 50_000),
-				func(x, y any) any { return x.(int) + y.(int) },
-			).(int)
+			got = *ParallelReduce(a, "chaotic", 1600, HetProbeSchedule(), zeroInt,
+				pingPongBody(r, 64, 50_000), addInt)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -76,19 +76,15 @@ func TestThreeNodeReduction(t *testing.T) {
 	const n = 9999
 	var got int64
 	err := rt.Run(func(a *App) {
-		out := a.ParallelReduce("sum", n, DynamicSchedule(16),
-			func() any { return int64(0) },
-			func(e cluster.Env, lo, hi int, acc any) any {
-				s := acc.(int64)
+		got = *ParallelReduce(a, "sum", n, DynamicSchedule(16), zeroInt64,
+			func(e cluster.Env, lo, hi int, acc *int64) {
 				for i := lo; i < hi; i++ {
-					s += int64(i)
+					*acc += int64(i)
 				}
 				e.Compute(float64(hi-lo)*100, 0)
-				return s
 			},
-			func(x, y any) any { return x.(int64) + y.(int64) },
+			addInt64,
 		)
-		got = out.(int64)
 	})
 	if err != nil {
 		t.Fatal(err)

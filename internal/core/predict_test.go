@@ -37,11 +37,8 @@ func runPingPong(t *testing.T, opts Options, n, reps int) (*Runtime, int, time.D
 	err := rt.Run(func(a *App) {
 		r := a.Alloc("shared", 64*page)
 		for i := 0; i < reps; i++ {
-			got = a.ParallelReduce("warm", n, HetProbeSchedule(),
-				func() any { return 0 },
-				pingPongBody(r, 64, 400_000),
-				func(x, y any) any { return x.(int) + y.(int) },
-			).(int)
+			got = *ParallelReduce(a, "warm", n, HetProbeSchedule(), zeroInt,
+				pingPongBody(r, 64, 400_000), addInt)
 		}
 	})
 	if err != nil {

@@ -23,9 +23,6 @@ import (
 // Body is a work-sharing loop body covering iterations [lo, hi).
 type Body func(e cluster.Env, lo, hi int)
 
-// BodyReduce is a loop body that folds iterations into an accumulator.
-type BodyReduce func(e cluster.Env, lo, hi int, acc any) any
-
 // Options tunes the runtime. The zero value selects the paper's
 // defaults.
 type Options struct {
@@ -280,6 +277,9 @@ type App struct {
 	env cluster.Env
 	// inRegion guards against nested parallel regions.
 	inRegion bool
+	// reduction is the last reduction run (a *reduction[T]): its
+	// master-side accumulators, reused by the next one of its type.
+	reduction any
 }
 
 // Env exposes the master thread's environment.
@@ -335,21 +335,13 @@ func (a *App) ParallelFor(regionID string, n int, sched Schedule, body Body) {
 	a.parallel(regionID, n, sched, body, nil)
 }
 
-// ParallelReduce executes a work-sharing loop whose iterations fold
-// into an accumulator; partial results are combined hierarchically
-// (worker → node leader → master). combine must be associative and
-// init its identity.
-func (a *App) ParallelReduce(regionID string, n int, sched Schedule,
-	init func() any, body BodyReduce, combine func(x, y any) any) any {
-	red := &reduceRun{init: init, combine: combine, body: body}
-	a.parallel(regionID, n, sched, nil, red)
-	return red.out
-}
+const nestedRegion = "core: nested parallel regions are not supported"
 
-// parallel dispatches a region under any schedule.
-func (a *App) parallel(regionID string, n int, sched Schedule, body Body, red *reduceRun) {
+// parallel dispatches a region under any schedule: a loop of body, or,
+// with red non-nil, a reduction into red's accResult.
+func (a *App) parallel(regionID string, n int, sched Schedule, body Body, red reducer) {
 	if a.inRegion {
-		panic("core: nested parallel regions are not supported")
+		panic(nestedRegion)
 	}
 	if n < 0 {
 		panic(fmt.Sprintf("core: region %q has negative iteration count %d", regionID, n))
@@ -358,7 +350,7 @@ func (a *App) parallel(regionID string, n int, sched Schedule, body Body, red *r
 	defer func() { a.inRegion = false }()
 	if n == 0 {
 		if red != nil {
-			red.out = red.init()
+			red.reset(accResult)
 		}
 		return
 	}
@@ -376,10 +368,10 @@ func (a *App) parallel(regionID string, n int, sched Schedule, body Body, red *r
 	switch s := sched.(type) {
 	case StaticSpec:
 		t := rt.teamFor(a.env, rt.allSet)
-		t.dispatch(a.env, body, red, t.partition(0, n, s.CSR), false)
+		t.dispatch(a.env, body, reduceTo{red, accResult}, t.partition(0, n, s.CSR), false)
 	case DynamicSpec:
 		t := rt.teamFor(a.env, rt.allSet)
-		t.dispatch(a.env, body, red, newDynDispatch(rt, t, n, s.Chunk), false)
+		t.dispatch(a.env, body, reduceTo{red, accResult}, newDynDispatch(rt, t, n, s.Chunk), false)
 	case HetProbeSpec:
 		a.runHetProbe(regionID, n, body, red)
 	default:

@@ -151,19 +151,15 @@ func TestHierarchicalReduction(t *testing.T) {
 	const n = 10000
 	var got int64
 	err := rt.Run(func(a *App) {
-		out := a.ParallelReduce("sum", n, StaticSchedule(),
-			func() any { return int64(0) },
-			func(e cluster.Env, lo, hi int, acc any) any {
-				s := acc.(int64)
+		got = *ParallelReduce(a, "sum", n, StaticSchedule(), zeroInt64,
+			func(e cluster.Env, lo, hi int, acc *int64) {
 				for i := lo; i < hi; i++ {
-					s += int64(i)
+					*acc += int64(i)
 				}
 				e.Compute(float64(hi-lo), 0)
-				return s
 			},
-			func(x, y any) any { return x.(int64) + y.(int64) },
+			addInt64,
 		)
-		got = out.(int64)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,18 +175,14 @@ func TestFlatReductionSameResult(t *testing.T) {
 		rt := newSimRuntime(t, Options{FlatHierarchy: flat})
 		var got int64
 		err := rt.Run(func(a *App) {
-			out := a.ParallelReduce("sum", 999, DynamicSchedule(8),
-				func() any { return int64(0) },
-				func(e cluster.Env, lo, hi int, acc any) any {
-					s := acc.(int64)
+			got = *ParallelReduce(a, "sum", 999, DynamicSchedule(8), zeroInt64,
+				func(e cluster.Env, lo, hi int, acc *int64) {
 					for i := lo; i < hi; i++ {
-						s += int64(i)
+						*acc += int64(i)
 					}
-					return s
 				},
-				func(x, y any) any { return x.(int64) + y.(int64) },
+				addInt64,
 			)
-			got = out.(int64)
 		})
 		if err != nil {
 			t.Fatalf("flat=%v: %v", flat, err)
@@ -241,13 +233,13 @@ func TestZeroIterationRegion(t *testing.T) {
 		a.ParallelFor("empty", 0, StaticSchedule(), func(e cluster.Env, lo, hi int) {
 			t.Error("body invoked for empty region")
 		})
-		out := a.ParallelReduce("emptyR", 0, StaticSchedule(),
-			func() any { return int64(7) },
-			func(e cluster.Env, lo, hi int, acc any) any { return acc },
-			func(x, y any) any { return x.(int64) + y.(int64) },
+		out := *ParallelReduce(a, "emptyR", 0, StaticSchedule(),
+			func(acc *int64) { *acc = 7 },
+			func(e cluster.Env, lo, hi int, acc *int64) {},
+			addInt64,
 		)
-		if out.(int64) != 7 {
-			t.Errorf("empty reduction = %v, want init value 7", out)
+		if out != 7 {
+			t.Errorf("empty reduction = %v, want the reset value 7", out)
 		}
 	})
 	if err != nil {
@@ -284,19 +276,15 @@ func TestLocalBackendRunsRegions(t *testing.T) {
 	body, check := coverageBody(n)
 	err = rt.Run(func(a *App) {
 		a.ParallelFor("r", n, DynamicSchedule(16), body)
-		var sum any
-		sum = a.ParallelReduce("sum", 100, StaticSchedule(),
-			func() any { return 0 },
-			func(e cluster.Env, lo, hi int, acc any) any {
-				s := acc.(int)
+		sum := *ParallelReduce(a, "sum", 100, StaticSchedule(), zeroInt,
+			func(e cluster.Env, lo, hi int, acc *int) {
 				for i := lo; i < hi; i++ {
-					s += i
+					*acc += i
 				}
-				return s
 			},
-			func(x, y any) any { return x.(int) + y.(int) },
+			addInt,
 		)
-		if sum.(int) != 4950 {
+		if sum != 4950 {
 			t.Errorf("local reduction = %v, want 4950", sum)
 		}
 	})

@@ -36,14 +36,15 @@ type regionRun struct {
 	// measure makes every worker record its measurement in the
 	// team's results.
 	measure bool
-	// reduce, when non-nil, makes workers produce partial values that
-	// are combined up the hierarchy.
-	reduce *reduceRun
+	// reduce, when its reducer is non-nil, makes workers fold their
+	// spans into the team's slots, combined up the hierarchy into the
+	// master-side accumulator reduce.dst.
+	reduce reduceTo
 }
 
 // workerState is one worker's per-region scratch.
 type workerState struct {
-	acc   any
+	flat  int // the worker's flat id: its reduction slot
 	iters int
 }
 
@@ -54,8 +55,8 @@ func (r *regionRun) runSpan(e cluster.Env, lo, hi int, ws *workerState) {
 		return
 	}
 	ws.iters += hi - lo
-	if r.reduce != nil {
-		ws.acc = r.reduce.body(e, lo, hi, ws.acc)
+	if r.reduce.red != nil {
+		r.reduce.red.span(e, lo, hi, ws.flat)
 		return
 	}
 	r.body(e, lo, hi)
@@ -72,10 +73,11 @@ type dispatcher interface {
 // origin node — the Popcorn Linux constraint).
 //
 // Like libgomp's work-share state, a region's descriptor, its static
-// partition and its measurement slots belong to the team and are reset
-// by each dispatch, so a warm region allocates nothing. What a caller
-// reads of them after the team's next dispatch must be copied out
-// first (DESIGN.md §12, "A team owns its per-region state").
+// partition, its measurement slots and its reduction slots belong to
+// the team and are reset by each dispatch, so a warm region allocates
+// nothing. What a caller reads of them after the team's next dispatch
+// must be copied out first (DESIGN.md §12, "A team owns its per-region
+// state").
 type team struct {
 	rt      *Runtime
 	nodes   []int  // participating nodes, ascending
@@ -88,6 +90,9 @@ type team struct {
 	run regionRun
 	// results is the workers' measurement slots, indexed by flat id.
 	results []measurement
+	// accs is the reduction slots (*accSlots[T]) of the type the team
+	// last reduced, one per worker and one per node leader.
+	accs any
 	// weights, static and split are the static partition's buffers.
 	weights []float64
 	static  staticDispatch
@@ -106,6 +111,9 @@ type team struct {
 	// arrive (stop) and end release.
 	masterEnd cluster.Chain
 	reduceBuf *reduceBuffers
+	// foldNode is the node leader's end-barrier hook of a reduction,
+	// built once.
+	foldNode func(cluster.Env)
 }
 
 // Indexes into a team chain of the links where a walk can stop.
@@ -161,6 +169,13 @@ func newTeam(rt *Runtime, master cluster.Env, nodes []int) *team {
 		}
 	}
 	t.reduceBuf = newReduceBuffers(rt, t)
+	t.foldNode = func(le cluster.Env) {
+		// The master's node takes part in every barrier, with or
+		// without workers of its own.
+		if node := le.Node(); t.perNode[node] > 0 {
+			t.reduceBuf.combineNode(le, node, t.run.reduce.red)
+		}
+	}
 
 	flat := 0
 	for _, n := range t.nodes {
@@ -200,10 +215,10 @@ func (t *team) workerLoop(e cluster.Env, w workerID) {
 		if desc.stop {
 			return
 		}
-		scratch = workerState{}
+		scratch = workerState{flat: w.flat}
 		ws := &scratch
-		if desc.reduce != nil {
-			ws.acc = desc.reduce.init()
+		if red := desc.reduce.red; red != nil {
+			red.resetWorker(w.flat)
 		}
 		tr := t.rt.tracer
 		if desc.measure {
@@ -232,56 +247,52 @@ func (t *team) workerLoop(e cluster.Env, w workerID) {
 		if ctrs := t.rt.iterCtrs; ctrs != nil {
 			ctrs[w.node].Add(int64(ws.iters))
 		}
-		if desc.reduce != nil {
-			t.reduceBuf.storePartial(e, w, ws.acc)
+		if desc.reduce.red != nil {
+			t.reduceBuf.storePartial(e, w)
 		}
 		at = chain.Wait(e, endArrive)
 		if at == endArrive {
-			t.end.lead(e, t.leaderHook(desc))
+			t.end.lead(e, t.leaderHook())
 			at = chain.Wait(e, startArrive)
 		}
 	}
 }
 
-// leaderHook returns the node-leader reduction callback for a region,
-// or nil when no leader work is needed.
-func (t *team) leaderHook(desc *regionRun) func(cluster.Env) {
-	if desc.reduce == nil || t.rt.opts.FlatHierarchy {
+// leaderHook returns the node-leader callback of the dispatched
+// region, or nil when no leader work is needed.
+func (t *team) leaderHook() func(cluster.Env) {
+	if t.run.reduce.red == nil || t.rt.opts.FlatHierarchy {
 		return nil
 	}
-	return func(le cluster.Env) {
-		if _, ok := t.reduceBuf.partials[le.Node()]; ok {
-			t.reduceBuf.combineNode(le, le.Node(), desc.reduce)
-		}
-	}
+	return t.foldNode
 }
 
 // dispatch runs one region under sched to completion from the master
-// thread, through the team's own descriptor. With measure set it
-// returns the workers' measurements: the team's own slots, valid until
-// its next dispatch.
-func (t *team) dispatch(master cluster.Env, body Body, red *reduceRun, sched dispatcher, measure bool) []measurement {
-	t.run = regionRun{body: body, reduce: red, sched: sched, measure: measure}
-	desc := &t.run
+// thread, through the team's own descriptor. A reduction's workers fold
+// into the team's slots, and the master folds them into into.dst. With
+// measure set it returns the workers' measurements: the team's own
+// slots, valid until its next dispatch.
+func (t *team) dispatch(master cluster.Env, body Body, into reduceTo, sched dispatcher, measure bool) []measurement {
+	t.run = regionRun{body: body, reduce: into, sched: sched, measure: measure}
 	if measure {
 		if t.results == nil {
 			t.results = make([]measurement, t.total)
 		}
 		clear(t.results)
 	}
-	if red != nil {
-		t.reduceBuf.clear()
+	if into.red != nil {
+		into.red.bind(t)
 	}
 	t.masterStart(master)
 	// Workers execute; master proceeds straight to the end barrier.
 	if t.masterEnd.Wait(master, endArrive) == endArrive {
-		t.end.lead(master, t.leaderHook(desc))
+		t.end.lead(master, t.leaderHook())
 	}
-	if desc.reduce != nil {
+	if into.red != nil {
 		if t.rt.opts.FlatHierarchy {
-			desc.reduce.out = t.reduceBuf.combineFlat(master, desc.reduce)
+			t.reduceBuf.combineFlat(master, into.red, into.dst)
 		} else {
-			desc.reduce.out = t.reduceBuf.combineGlobal(master, desc.reduce)
+			t.reduceBuf.combineGlobal(master, into.red, into.dst)
 		}
 	}
 	if !measure {

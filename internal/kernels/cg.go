@@ -153,21 +153,19 @@ func (k *cg) spmv(a *core.App, sched SchedFactory) {
 
 // dot computes Σ u[i]·v[i] with a hierarchical reduction.
 func (k *cg) dot(a *core.App, sched SchedFactory, region string, u, v *F64) float64 {
-	out := a.ParallelReduce(region, k.n, sched(region),
-		func() any { return 0.0 },
-		func(e cluster.Env, lo, hi int, acc any) any {
-			s := acc.(float64)
+	return *core.ParallelReduce(a, region, k.n, sched(region), zeroF64,
+		func(e cluster.Env, lo, hi int, acc *float64) {
+			s := *acc
 			us := u.R(e, lo, hi)
 			vs := v.R(e, lo, hi)
 			for i := range us {
 				s += us[i] * vs[i]
 			}
 			e.Compute(float64(hi-lo)*2, 0.9)
-			return s
+			*acc = s
 		},
-		func(x, y any) any { return x.(float64) + y.(float64) },
+		addF64,
 	)
-	return out.(float64)
 }
 
 // axpy computes u += α v.

@@ -81,10 +81,9 @@ func epBlock(block, pairs int) epResult {
 func (k *ep) Run(a *core.App, sched SchedFactory) {
 	// Tiny serial setup (no input file for EP).
 	a.Serial(1e6, 0)
-	out := a.ParallelReduce("ep:pairs", k.blocks, sched("ep:pairs"),
-		func() any { return epResult{} },
-		func(e cluster.Env, lo, hi int, acc any) any {
-			res := acc.(epResult)
+	res := *core.ParallelReduce(a, "ep:pairs", k.blocks, sched("ep:pairs"),
+		func(acc *epResult) { *acc = epResult{} },
+		func(e cluster.Env, lo, hi int, res *epResult) {
 			for b := lo; b < hi; b++ {
 				part := epBlock(b, k.perBlk)
 				res.sx += part.sx
@@ -94,19 +93,15 @@ func (k *ep) Run(a *core.App, sched SchedFactory) {
 				}
 			}
 			e.Compute(float64(hi-lo)*float64(k.perBlk)*epFlopsPerPair, epVec)
-			return res
 		},
-		func(x, y any) any {
-			a, b := x.(epResult), y.(epResult)
+		func(a, b *epResult) {
 			a.sx += b.sx
 			a.sy += b.sy
 			for i := range a.q {
 				a.q[i] += b.q[i]
 			}
-			return a
 		},
 	)
-	res := out.(epResult)
 	k.sx, k.sy = res.sx, res.sy
 	k.counts = res.q
 	k.ran = true

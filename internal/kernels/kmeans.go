@@ -73,54 +73,57 @@ func (k *kmeansK) Run(a *core.App, sched SchedFactory) {
 	// multiply, accumulate, compare and loop overhead — plus per-point
 	// bookkeeping.
 	flopsPerPoint := float64(5*k.k*k.dims + 16)
+	// The accumulators are the runtime's, reused from region to region
+	// (and by a later kmeans on the same runtime): reset clears them, and
+	// allocates only when one is new or of another shape.
+	reset := func(acc *kmAssign) {
+		if len(acc.sums) != k.k*k.dims {
+			acc.sums = make([]float64, k.k*k.dims)
+			acc.sizes = make([]int64, k.k)
+		}
+		clear(acc.sums)
+		clear(acc.sizes)
+		acc.cost = 0
+	}
+	assign := func(e cluster.Env, lo, hi int, res *kmAssign) {
+		dims := k.dims
+		pts := k.points.R(e, lo*dims, hi*dims)
+		centers := k.centers.R(e, 0, k.k*dims)
+		member := k.membership.Data[lo:hi]
+		changed := 0
+		for i := range member {
+			p := pts[i*dims : (i+1)*dims]
+			best, bestD := nearestCenter(p, centers, k.k, int(member[i]))
+			if member[i] != int32(best) {
+				member[i] = int32(best)
+				changed++
+			}
+			res.sizes[best]++
+			res.cost += bestD
+			sums := res.sums[best*dims:][:len(p)]
+			for j, x := range p {
+				sums[j] += x
+			}
+		}
+		if changed > 0 {
+			// Membership writes only happen for reassigned points; once
+			// clustering converges the page stops being dirtied (and
+			// stops churning across nodes).
+			e.Store(k.membership.Reg, int64(lo)*4, int64(hi-lo)*4)
+		}
+		e.Compute(float64(hi-lo)*flopsPerPoint, kmVec)
+	}
+	combine := func(dst, src *kmAssign) {
+		for i := range dst.sums {
+			dst.sums[i] += src.sums[i]
+		}
+		for i := range dst.sizes {
+			dst.sizes[i] += src.sizes[i]
+		}
+		dst.cost += src.cost
+	}
 	for it := 0; it < k.iters; it++ {
-		out := a.ParallelReduce("kmeans:assign", k.n, sched("kmeans:assign"),
-			func() any {
-				return kmAssign{sums: make([]float64, k.k*k.dims), sizes: make([]int64, k.k)}
-			},
-			func(e cluster.Env, lo, hi int, acc any) any {
-				res := acc.(kmAssign)
-				dims := k.dims
-				pts := k.points.R(e, lo*dims, hi*dims)
-				centers := k.centers.R(e, 0, k.k*dims)
-				member := k.membership.Data[lo:hi]
-				changed := 0
-				for i := range member {
-					p := pts[i*dims : (i+1)*dims]
-					best, bestD := nearestCenter(p, centers, k.k, int(member[i]))
-					if member[i] != int32(best) {
-						member[i] = int32(best)
-						changed++
-					}
-					res.sizes[best]++
-					res.cost += bestD
-					sums := res.sums[best*dims:][:len(p)]
-					for j, x := range p {
-						sums[j] += x
-					}
-				}
-				if changed > 0 {
-					// Membership writes only happen for reassigned
-					// points; once clustering converges the page stops
-					// being dirtied (and stops churning across nodes).
-					e.Store(k.membership.Reg, int64(lo)*4, int64(hi-lo)*4)
-				}
-				e.Compute(float64(hi-lo)*flopsPerPoint, kmVec)
-				return res
-			},
-			func(x, y any) any {
-				ax, ay := x.(kmAssign), y.(kmAssign)
-				for i := range ax.sums {
-					ax.sums[i] += ay.sums[i]
-				}
-				for i := range ax.sizes {
-					ax.sizes[i] += ay.sizes[i]
-				}
-				ax.cost += ay.cost
-				return ax
-			},
-		)
-		res := out.(kmAssign)
+		res := core.ParallelReduce(a, "kmeans:assign", k.n, sched("kmeans:assign"), reset, assign, combine)
 		k.inertia = res.cost
 		// Serial center update on the master (writes invalidate the
 		// replicated centers page — the per-iteration DSM cost the

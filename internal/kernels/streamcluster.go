@@ -73,10 +73,9 @@ func (k *streamcluster) Run(a *core.App, sched SchedFactory) {
 	for round := 0; round < k.cands; round++ {
 		cand := (round*7919 + 13) % n
 		candPt := k.points.Data[cand*dims : (cand+1)*dims]
-		out := a.ParallelReduce("sc:gain", n, sched("sc:gain"),
-			func() any { return 0.0 },
-			func(e cluster.Env, lo, hi int, acc any) any {
-				gain := acc.(float64)
+		gain := *core.ParallelReduce(a, "sc:gain", n, sched("sc:gain"), zeroF64,
+			func(e cluster.Env, lo, hi int, acc *float64) {
+				gain := *acc
 				e.Load(k.points.Reg, int64(cand*dims)*8, int64(dims)*8)
 				ptOffs := make([]int64, 0, hi-lo)
 				costOffs := make([]int64, 0, hi-lo)
@@ -95,11 +94,11 @@ func (k *streamcluster) Run(a *core.App, sched SchedFactory) {
 				e.LoadAt(k.assignCost.Reg, costOffs, 8)
 				e.StoreAt(k.assignCost.Reg, costOffs, 8)
 				e.Compute(float64(hi-lo)*flopsPerPoint, scVec)
-				return gain
+				*acc = gain
 			},
-			func(x, y any) any { return x.(float64) + y.(float64) },
+			addF64,
 		)
-		if out.(float64) > 0 {
+		if gain > 0 {
 			k.centers = append(k.centers, cand)
 		}
 	}

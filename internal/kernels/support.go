@@ -95,6 +95,10 @@ func scaled(n int, scale float64, lo int) int {
 // with.
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// zeroF64 and addF64 are a float64 sum's reset and combine.
+func zeroF64(acc *float64)     { *acc = 0 }
+func addF64(dst, src *float64) { *dst += *src }
+
 // absf is a float abs without importing math for one call site.
 func absf(x float64) float64 {
 	if x < 0 {

@@ -145,7 +145,7 @@ func TestTelemetrySimEndToEnd(t *testing.T) {
 // and so runs on its own.
 func TestTelemetryOverheadGuard(t *testing.T) {
 	const (
-		// Per enabled EP-C run; it reads 2,065, the disabled run 1,845.
+		// Per enabled EP-C run; it reads 1,641, the disabled run 1,309.
 		maxAllocs = 2500
 		// EP-C's one region reads 115: a probe-chunk and a chunks span
 		// for each of the 56 workers, plus the region, probe and
