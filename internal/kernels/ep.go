@@ -81,38 +81,38 @@ func epBlock(block, pairs int) epResult {
 func (k *ep) Run(a *core.App, sched SchedFactory) {
 	// Tiny serial setup (no input file for EP).
 	a.Serial(1e6, 0)
+	shape := epShape{k.blocks, k.perBlk}
+	tallies := reference(shape, shape.tallies)
 	res := *core.ParallelReduce(a, "ep:pairs", k.blocks, sched("ep:pairs"),
 		func(acc *epResult) { *acc = epResult{} },
 		func(e cluster.Env, lo, hi int, res *epResult) {
 			for b := lo; b < hi; b++ {
-				part := epBlock(b, k.perBlk)
-				res.sx += part.sx
-				res.sy += part.sy
-				for i := range res.q {
-					res.q[i] += part.q[i]
-				}
+				res.add(&tallies[b])
 			}
 			e.Compute(float64(hi-lo)*float64(k.perBlk)*epFlopsPerPair, epVec)
 		},
-		func(a, b *epResult) {
-			a.sx += b.sx
-			a.sy += b.sy
-			for i := range a.q {
-				a.q[i] += b.q[i]
-			}
-		},
+		(*epResult).add,
 	)
 	k.sx, k.sy = res.sx, res.sy
 	k.counts = res.q
 	k.ran = true
 }
 
+// add folds p into r.
+func (r *epResult) add(p *epResult) {
+	r.sx += p.sx
+	r.sy += p.sy
+	for i := range r.q {
+		r.q[i] += p.q[i]
+	}
+}
+
 func (k *ep) Verify() error {
 	if !k.ran {
 		return fmt.Errorf("EP: not run")
 	}
-	shape := epShape{k.blocks, k.perBlk}
-	ref := reference(shape, shape.reference)
+	seq := epSequential{epShape{k.blocks, k.perBlk}}
+	ref := reference(seq, seq.fold)
 	if absf(ref.sx-k.sx) > 1e-9 || absf(ref.sy-k.sy) > 1e-9 {
 		return fmt.Errorf("EP: sums (%.9f, %.9f) != sequential (%.9f, %.9f)", k.sx, k.sy, ref.sx, ref.sy)
 	}
@@ -126,20 +126,29 @@ func (k *ep) Verify() error {
 	return nil
 }
 
-// epShape is every input of EP's sequential reference.
+// epShape is every input of EP's per-block tallies.
 type epShape struct{ blocks, perBlk int }
 
-// reference recomputes the tallies sequentially (block seeding makes
-// this exact).
-func (s epShape) reference() epResult {
+// tallies generates every block's partial tallies, in block order. No
+// schedule can change them (block seeding), so every run of a shape
+// folds the same table.
+func (s epShape) tallies() []epResult {
+	t := make([]epResult, s.blocks)
+	for b := range t {
+		t[b] = epBlock(b, s.perBlk)
+	}
+	return t
+}
+
+// epSequential keys EP's sequential reference.
+type epSequential struct{ epShape }
+
+// fold sums the shape's tallies in block order: the sequential run,
+// bit for bit, without generating the blocks again.
+func (s epSequential) fold() epResult {
 	var ref epResult
-	for b := 0; b < s.blocks; b++ {
-		part := epBlock(b, s.perBlk)
-		ref.sx += part.sx
-		ref.sy += part.sy
-		for i := range ref.q {
-			ref.q[i] += part.q[i]
-		}
+	for _, part := range reference(s.epShape, s.tallies) {
+		ref.add(&part)
 	}
 	return ref
 }

@@ -1,10 +1,13 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hetmp/internal/core"
 )
@@ -142,25 +145,110 @@ func TestConcurrentRunsShareInputs(t *testing.T) {
 	}
 }
 
-// A second run of a shape generates no input: its host allocation stays
-// below the size of the input it reads.
+// A second run of a shape generates no input and builds no table: its
+// host allocation, beyond the output arrays it makes itself, stays below
+// the size of the input or table it shares with every run of the shape.
 func TestRepeatRunAllocatesLessThanItsInput(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation count; the race detector adds its own")
 	}
 	const scale = 0.2 // the quick suite's
-	run := func() (Kernel, uint64) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		k := runKernel(t, "kmeans", scale, core.StaticSchedule())
-		runtime.ReadMemStats(&m1)
-		return k, m1.TotalAlloc - m0.TotalAlloc
+	for _, name := range []string{"kmeans", "EP-C", "blackscholes", "lavaMD"} {
+		t.Run(name, func(t *testing.T) {
+			run := func() (Kernel, uint64) {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				k := runKernel(t, name, scale, core.StaticSchedule())
+				runtime.ReadMemStats(&m1)
+				return k, m1.TotalAlloc - m0.TotalAlloc
+			}
+			run()
+			k, alloc := run()
+			own, shared := repeatSizes(k)
+			if alloc >= own+shared {
+				t.Fatalf("second %s run allocated %d B, not below its %d B of output plus the %d B it shares: the input or table is built again",
+					name, alloc, own, shared)
+			}
+		})
 	}
-	run()
-	k, alloc := run()
-	km := k.(*kmeansK)
-	input := uint64(km.n * km.dims * 8)
-	if alloc >= input {
-		t.Fatalf("second kmeans run allocated %d B, not below its %d B input: the input is generated again", alloc, input)
+}
+
+// repeatSizes returns the bytes of the output arrays a run of k makes
+// itself, and of the smallest input or table it shares with every run
+// of its shape.
+func repeatSizes(k Kernel) (own, shared uint64) {
+	switch k := k.(type) {
+	case *kmeansK:
+		return 0, uint64(k.n * k.dims * 8)
+	case *ep:
+		return 0, uint64(k.blocks) * uint64(unsafe.Sizeof(epResult{}))
+	case *blackscholes:
+		return uint64(k.n * 8), uint64(k.n * 8)
+	case *lavaMD:
+		return uint64(len(k.fv.Data) * 8), uint64(len(k.fv.Data) * 8)
 	}
+	panic(fmt.Sprintf("no repeat sizes for %T", k))
+}
+
+// Each schedule-free table, as a run of the quick and the default shape
+// leaves it in its cell, equals a direct computation of its entries bit
+// for bit: the first, middle and last entries and a seeded sample.
+func TestScheduleFreeTablesMatchDirect(t *testing.T) {
+	for _, scale := range []float64{0.2, 1} {
+		for _, name := range []string{"EP-C", "blackscholes", "lavaMD"} {
+			t.Run(fmt.Sprintf("%s/%g", name, scale), func(t *testing.T) {
+				k := runKernel(t, name, scale, core.StaticSchedule())
+				held, direct, n := scheduleFreeTable(k)
+				entries := []int{0, n / 2, n - 1}
+				r := rng(7)
+				for range 16 {
+					entries = append(entries, r.Intn(n))
+				}
+				for _, i := range entries {
+					if h, d := held(i), direct(i); !slices.Equal(h, d) {
+						t.Fatalf("entry %d of %d holds %#x, a direct computation gives %#x", i, n, h, d)
+					}
+				}
+			})
+		}
+	}
+}
+
+// scheduleFreeTable returns entry i of k's table as its cell holds it
+// and as a direct computation gives it, both as bits, and the number of
+// entries.
+func scheduleFreeTable(k Kernel) (held, direct func(i int) []uint64, n int) {
+	switch k := k.(type) {
+	case *ep:
+		shape := epShape{k.blocks, k.perBlk}
+		tallies := reference(shape, shape.tallies)
+		words := func(r epResult) []uint64 {
+			return append(f64Words([]float64{r.sx, r.sy}), intWords(r.q[:])...)
+		}
+		return func(b int) []uint64 { return words(tallies[b]) },
+			func(b int) []uint64 { return words(epBlock(b, k.perBlk)) }, k.blocks
+	case *blackscholes:
+		key := bsPrices{bsInput{k.n}}
+		prices := reference(key, key.table)
+		pf := key.portfolio()
+		return func(i int) []uint64 { return f64Words(prices[i : i+1]) },
+			func(i int) []uint64 {
+				p := bsPrice(pf.otype[i] == 1, pf.spot[i], pf.strike[i], pf.rate[i], pf.vol[i], pf.otime[i])
+				return f64Words([]float64{p})
+			}, k.n
+	case *lavaMD:
+		forces := lavaForces{k.lavaGrid}
+		fv := reference(forces, forces.table)
+		pos := k.lavaGrid.positions()
+		bf := k.boxFloats()
+		return func(b int) []uint64 { return f64Words(fv[b*bf : (b+1)*bf]) },
+			func(b int) []uint64 {
+				out := make([]float64, bf)
+				for _, nb := range k.neighbors(b, nil) {
+					k.interact(pos, b, nb, out)
+				}
+				return f64Words(out)
+			}, k.boxes
+	}
+	panic(fmt.Sprintf("no schedule-free table for %T", k))
 }

@@ -44,25 +44,34 @@ func (k *lavaMD) Name() string { return "lavaMD" }
 // ProbeRegion implements Kernel.
 func (k *lavaMD) ProbeRegion() string { return "lavamd:boxes" }
 
-func (k *lavaMD) boxFloats() int { return k.perBox * 4 }
+func (g lavaGrid) boxFloats() int { return g.perBox * 4 }
 
 func (k *lavaMD) Run(a *core.App, sched SchedFactory) {
 	a.Serial(float64(k.boxes*k.perBox)*50, 0)
 	k.pos = sharedF64(a, "lava:pos", reference(k.lavaGrid, k.lavaGrid.positions))
-	k.fv = allocF64(a, "lava:fv", k.boxes*k.boxFloats())
+	bf := k.boxFloats()
+	k.fv = allocF64(a, "lava:fv", k.boxes*bf)
+	forces := lavaForces{k.lavaGrid}
+	table := reference(forces, forces.table)
 
 	pairsPerBox := float64(27 * k.perBox * k.perBox)
 	a.ParallelFor("lavamd:boxes", k.boxes, sched("lavamd:boxes"),
 		func(e cluster.Env, lo, hi int) {
+			var nbs [27]int
 			for b := lo; b < hi; b++ {
 				// Own box particles (read) and outputs (write).
-				k.pos.R(e, b*k.boxFloats(), (b+1)*k.boxFloats())
-				out := k.fv.W(e, b*k.boxFloats(), (b+1)*k.boxFloats())
-				for _, nb := range k.neighbors(b) {
+				k.pos.R(e, b*bf, (b+1)*bf)
+				out := k.fv.W(e, b*bf, (b+1)*bf)
+				for _, nb := range k.neighbors(b, nbs[:0]) {
 					if nb != b {
-						k.pos.R(e, nb*k.boxFloats(), (nb+1)*k.boxFloats())
+						k.pos.R(e, nb*bf, (nb+1)*bf)
 					}
-					k.interact(b, nb, out)
+				}
+				// Fold, not copy: out is zero, so 0 + x is exact, and
+				// a box folded twice or not at all still shows.
+				box := table[b*bf : (b+1)*bf]
+				for i, x := range box {
+					out[i] += x
 				}
 			}
 			e.Compute(float64(hi-lo)*pairsPerBox*lavaFlopsPerPair, lavaVec)
@@ -71,15 +80,16 @@ func (k *lavaMD) Run(a *core.App, sched SchedFactory) {
 }
 
 // interact accumulates the potential of box b's particles against box
-// nb's particles into out (b's force/potential vectors).
-func (k *lavaMD) interact(b, nb int, out []float64) {
-	for i := 0; i < k.perBox; i++ {
-		pi := k.pos.Data[(b*k.perBox+i)*4 : (b*k.perBox+i)*4+4]
-		for j := 0; j < k.perBox; j++ {
+// nb's particles, at positions pos, into out (b's force/potential
+// vectors).
+func (g lavaGrid) interact(pos []float64, b, nb int, out []float64) {
+	for i := 0; i < g.perBox; i++ {
+		pi := pos[(b*g.perBox+i)*4 : (b*g.perBox+i)*4+4]
+		for j := 0; j < g.perBox; j++ {
 			if b == nb && i == j {
 				continue
 			}
-			pj := k.pos.Data[(nb*k.perBox+j)*4 : (nb*k.perBox+j)*4+4]
+			pj := pos[(nb*g.perBox+j)*4 : (nb*g.perBox+j)*4+4]
 			dx, dy, dz := pi[0]-pj[0], pi[1]-pj[1], pi[2]-pj[2]
 			r2 := dx*dx + dy*dy + dz*dz
 			if r2 > lavaCutoff*lavaCutoff {
@@ -92,6 +102,26 @@ func (k *lavaMD) interact(b, nb int, out []float64) {
 			out[i*4+3] += w * dz
 		}
 	}
+}
+
+// lavaForces keys every box's potential and force vectors. They depend
+// only on the grid's positions, so no schedule can change them and
+// every run of a grid folds the same table.
+type lavaForces struct{ lavaGrid }
+
+// table interacts every box with its neighbors, in box and neighbor
+// order, each box starting from zero.
+func (s lavaForces) table() []float64 {
+	pos := reference(s.lavaGrid, s.lavaGrid.positions)
+	bf := s.boxFloats()
+	fv := make([]float64, len(pos))
+	var nbs [27]int
+	for b := 0; b < len(fv)/bf; b++ {
+		for _, nb := range s.neighbors(b, nbs[:0]) {
+			s.interact(pos, b, nb, fv[b*bf:(b+1)*bf])
+		}
+	}
+	return fv
 }
 
 // positions places perBox particles at random in each box, with random
@@ -117,19 +147,18 @@ func (g lavaGrid) coords(b int) (x, y, z int) {
 	return b % g.dim, (b / g.dim) % g.dim, b / (g.dim * g.dim)
 }
 
-// neighbors returns box b and its ≤26 grid neighbors (ascending, so
-// access declarations are near-sorted).
-func (k *lavaMD) neighbors(b int) []int {
-	bx, by, bz := k.coords(b)
-	var out []int
+// neighbors appends box b and its ≤26 grid neighbors to out and
+// returns it (ascending, so access declarations are near-sorted).
+func (g lavaGrid) neighbors(b int, out []int) []int {
+	bx, by, bz := g.coords(b)
 	for dz := -1; dz <= 1; dz++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
 				x, y, z := bx+dx, by+dy, bz+dz
-				if x < 0 || y < 0 || z < 0 || x >= k.dim || y >= k.dim || z >= k.dim {
+				if x < 0 || y < 0 || z < 0 || x >= g.dim || y >= g.dim || z >= g.dim {
 					continue
 				}
-				out = append(out, (z*k.dim+y)*k.dim+x)
+				out = append(out, (z*g.dim+y)*g.dim+x)
 			}
 		}
 	}
@@ -143,8 +172,8 @@ func (k *lavaMD) Verify() error {
 	// Recompute a sample of boxes sequentially and compare.
 	for _, b := range []int{0, k.boxes / 2, k.boxes - 1} {
 		ref := make([]float64, k.boxFloats())
-		for _, nb := range k.neighbors(b) {
-			k.interact(b, nb, ref)
+		for _, nb := range k.neighbors(b, nil) {
+			k.interact(k.pos.Data, b, nb, ref)
 		}
 		got := k.fv.Data[b*k.boxFloats() : (b+1)*k.boxFloats()]
 		for i := range ref {

@@ -109,18 +109,18 @@ func TestEPGaussianStatistics(t *testing.T) {
 func TestLavaMDNeighborCounts(t *testing.T) {
 	k := newLavaMD(1).(*lavaMD)
 	// Interior boxes have 27 neighbors (incl. self); corners have 8.
-	interior := k.neighbors((1*k.dim+1)*k.dim + 1)
+	interior := k.neighbors((1*k.dim+1)*k.dim+1, nil)
 	if len(interior) != 27 {
 		t.Errorf("interior box has %d neighbors, want 27", len(interior))
 	}
-	corner := k.neighbors(0)
+	corner := k.neighbors(0, nil)
 	if len(corner) != 8 {
 		t.Errorf("corner box has %d neighbors, want 8", len(corner))
 	}
 	// Every neighbor list contains the box itself.
 	for _, b := range []int{0, k.boxes / 2, k.boxes - 1} {
 		found := false
-		for _, nb := range k.neighbors(b) {
+		for _, nb := range k.neighbors(b, nil) {
 			if nb == b {
 				found = true
 			}

@@ -73,12 +73,12 @@ func (k *streamcluster) Run(a *core.App, sched SchedFactory) {
 	for round := 0; round < k.cands; round++ {
 		cand := (round*7919 + 13) % n
 		candPt := k.points.Data[cand*dims : (cand+1)*dims]
-		gain := *core.ParallelReduce(a, "sc:gain", n, sched("sc:gain"), zeroF64,
-			func(e cluster.Env, lo, hi int, acc *float64) {
-				gain := *acc
+		gain := core.ParallelReduce(a, "sc:gain", n, sched("sc:gain"),
+			func(acc *scGain) { acc.gain = 0 },
+			func(e cluster.Env, lo, hi int, acc *scGain) {
+				gain := acc.gain
 				e.Load(k.points.Reg, int64(cand*dims)*8, int64(dims)*8)
-				ptOffs := make([]int64, 0, hi-lo)
-				costOffs := make([]int64, 0, hi-lo)
+				ptOffs, costOffs := acc.ptOffs[:0], acc.costOffs[:0]
 				for i := lo; i < hi; i++ {
 					p := int(k.perm[i])
 					ptOffs = append(ptOffs, int64(p*dims)*8)
@@ -94,10 +94,10 @@ func (k *streamcluster) Run(a *core.App, sched SchedFactory) {
 				e.LoadAt(k.assignCost.Reg, costOffs, 8)
 				e.StoreAt(k.assignCost.Reg, costOffs, 8)
 				e.Compute(float64(hi-lo)*flopsPerPoint, scVec)
-				*acc = gain
+				acc.gain, acc.ptOffs, acc.costOffs = gain, ptOffs, costOffs
 			},
-			addF64,
-		)
+			func(dst, src *scGain) { dst.gain += src.gain },
+		).gain
 		if gain > 0 {
 			k.centers = append(k.centers, cand)
 		}
@@ -108,6 +108,13 @@ func (k *streamcluster) Run(a *core.App, sched SchedFactory) {
 	}
 	k.totalCost = total
 	k.ran = true
+}
+
+// scGain is sc:gain's accumulator: the gain, and the offset scratch of
+// the worker whose slot it is, kept across its spans and rounds.
+type scGain struct {
+	gain             float64
+	ptOffs, costOffs []int64
 }
 
 // scInput is every value the stream generator reads.

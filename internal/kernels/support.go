@@ -110,17 +110,20 @@ func absf(x float64) float64 {
 // references holds one once-cell per key, so a process that runs one
 // kernel shape many times (a suite, a parallel hetbench, a benchmark
 // pass) computes each per-shape value once: a kernel's read-only input
-// arrays and its sequential verification reference. Each kernel keys it
-// with a private struct type holding every value the computation reads;
-// the computation is a method of that type.
+// arrays, the per-iteration results no schedule can change (EP's block
+// tallies, blackscholes' prices, lavaMD's box forces), which each run
+// folds into its own output, and a sequential verification reference.
+// Each kernel keys it with a private struct type holding every value the
+// computation reads, one type per value; the computation is a method of
+// that type.
 var references sync.Map // key -> func() V (a sync.OnceValue)
 
 // reference returns compute's value for key, computing it at most once
 // per process; concurrent first callers wait for the one computation.
 // Every caller gets the same value, so cache only what no run writes.
-// An entry lives as long as the process: the inputs of every shape one
-// process runs stay resident, about 49 MB at Scale 1 and 10 MB for the
-// quick suite.
+// An entry lives as long as the process: the inputs and tables of every
+// shape one process runs stay resident, about 49 MB of inputs and 9 MB
+// of tables at Scale 1, and 12 MB in all for the quick suite.
 func reference[K comparable, V any](key K, compute func() V) V {
 	f, ok := references.Load(key)
 	if !ok {
