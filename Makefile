@@ -82,6 +82,7 @@ FUZZ_TARGETS = \
 	internal/core:FuzzRegionStep \
 	internal/dsm:FuzzDSMTrace \
 	internal/kernels:FuzzNearestCenter \
+	internal/perf:FuzzLLCMatchesReference \
 	internal/rpc:FuzzServerConn \
 	internal/server:FuzzDispatchCore \
 	internal/server:FuzzParseChurn \

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -349,6 +350,9 @@ func (e *simEnv) accessAt(r *Region, offsets []int64, width int, write bool) {
 		e.ctr.FaultStall += res.Stall
 	}
 
+	// The LLC's line is the spec's line size rounded up to a power of
+	// two (perf.NewLLC).
+	lineShift := uint(bits.Len64(uint64(e.spec().Cache.LineBytes - 1)))
 	lastPage := int64(-1)
 	lastLine := int64(-1)
 	prevOff := int64(-1 << 40)
@@ -378,7 +382,7 @@ func (e *simEnv) accessAt(r *Region, offsets []int64, width int, write bool) {
 				lastPage = endPage
 			}
 		}
-		line := (dreg.BaseAddr() + off) >> 6
+		line := (dreg.BaseAddr() + off) >> lineShift
 		if line != lastLine {
 			lines, m := llc.SampledRange(dreg.BaseAddr()+off, int64(width))
 			e.ctr.LLCAccesses += lines

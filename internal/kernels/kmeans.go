@@ -85,6 +85,10 @@ func (k *kmeansK) Run(a *core.App, sched SchedFactory) {
 		clear(acc.sizes)
 		acc.cost = 0
 	}
+	// settled reports that the last center update left the centers
+	// bit-identical to those the last assignment read: every point's
+	// nearest center is then still the member that assignment gave it.
+	settled := false
 	assign := func(e cluster.Env, lo, hi int, res *kmAssign) {
 		dims := k.dims
 		pts := k.points.R(e, lo*dims, hi*dims)
@@ -93,7 +97,16 @@ func (k *kmeansK) Run(a *core.App, sched SchedFactory) {
 		changed := 0
 		for i := range member {
 			p := pts[i*dims : (i+1)*dims]
-			best, bestD := nearestCenter(p, centers, k.k, int(member[i]))
+			m := int(member[i])
+			best, bestD, ok := m, 0.0, false
+			if settled {
+				// The full scan's own distance to it (nearestCenter
+				// measures its first center in full).
+				bestD, ok = dist2Within(p, centers[m*dims:], math.MaxFloat64, false)
+			}
+			if !ok {
+				best, bestD = nearestCenter(p, centers, k.k, m)
+			}
 			if member[i] != int32(best) {
 				member[i] = int32(best)
 				changed++
@@ -128,18 +141,29 @@ func (k *kmeansK) Run(a *core.App, sched SchedFactory) {
 		// Serial center update on the master (writes invalidate the
 		// replicated centers page — the per-iteration DSM cost the
 		// paper describes).
-		centers := k.centers.W(a.Env(), 0, k.k*k.dims)
-		for c := 0; c < k.k; c++ {
-			if res.sizes[c] == 0 {
-				continue
-			}
-			for d := 0; d < k.dims; d++ {
-				centers[c*k.dims+d] = res.sums[c*k.dims+d] / float64(res.sizes[c])
-			}
-		}
+		settled = updateCenters(k.centers.W(a.Env(), 0, k.k*k.dims), res, k.dims)
 		a.Env().Compute(float64(k.k*k.dims)*4, 0)
 	}
 	k.ran = true
+}
+
+// updateCenters moves each non-empty cluster's center to the mean of
+// its points and reports whether every center kept its bits.
+func updateCenters(centers []float64, res *kmAssign, dims int) (same bool) {
+	same = true
+	for c, size := range res.sizes {
+		if size == 0 {
+			continue
+		}
+		for d := c * dims; d < (c+1)*dims; d++ {
+			x := res.sums[d] / float64(size)
+			if math.Float64bits(x) != math.Float64bits(centers[d]) {
+				same = false
+			}
+			centers[d] = x
+		}
+	}
+	return same
 }
 
 // kmeansInput is every value the point generator reads.

@@ -3,6 +3,7 @@ package kernels
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +66,12 @@ func FuzzNearestCenter(f *testing.F) {
 		}
 		p, centers := xs[:dims], xs[dims:]
 		wantC, wantD := fullScanNearest(p, centers, k)
+		// A settled assignment measures only the point's member, the
+		// full scan's answer: its distance must carry the same bits
+		// whenever it is below math.MaxFloat64, the shortcut's test.
+		if d, ok := dist2Within(p, centers[wantC*dims:], math.MaxFloat64, false); ok && math.Float64bits(d) != math.Float64bits(wantD) {
+			t.Fatalf("k=%d p=%v centers=%v: member %d measured alone is %v, full scan %v", k, p, centers, wantC, d, wantD)
+		}
 		for first := 0; first < k; first++ {
 			c, d := nearestCenter(p, centers, k, first)
 			if c != wantC || math.Float64bits(d) != math.Float64bits(wantD) {
@@ -73,4 +80,30 @@ func FuzzNearestCenter(f *testing.F) {
 			}
 		}
 	})
+}
+
+// updateCenters reports a settled update only when no center moved by
+// a bit, and leaves an empty cluster's center where it was.
+func TestUpdateCentersReportsMoves(t *testing.T) {
+	const dims = 2
+	res := &kmAssign{sums: []float64{2, 4, 0, 0, 9, 3}, sizes: []int64{2, 0, 3}}
+	centers := []float64{0, 0, 7, 7, 0, 0}
+	if updateCenters(centers, res, dims) {
+		t.Fatal("an update that moved two centers reported them settled")
+	}
+	if want := []float64{1, 2, 7, 7, 3, 1}; !slices.Equal(centers, want) {
+		t.Fatalf("centers = %v, want %v", centers, want)
+	}
+	if !updateCenters(centers, res, dims) {
+		t.Fatal("an update that moved nothing reported a move")
+	}
+	res.sums[4] = 12
+	if updateCenters(centers, res, dims) {
+		t.Fatal("an update that moved one coordinate of a settled center reported it settled")
+	}
+	centers[0] = math.Copysign(0, -1)
+	res.sums[0], res.sums[1], res.sizes = 0, 2, []int64{1, 0, 3}
+	if updateCenters(centers, res, dims) {
+		t.Fatal("-0 → +0 is a move: the next assignment would read other bits")
+	}
 }

@@ -152,6 +152,10 @@ func (n *NodeSpec) stall(nMisses int64, mlp float64) time.Duration {
 	return time.Duration(float64(n.Mem.Latency) * float64(nMisses) / mlp)
 }
 
+// maxWays is the highest associativity the LLC model supports: it
+// numbers a set's slots with a uint8 (perf.LLC).
+const maxWays = 255
+
 // Validate reports a descriptive error for malformed specs.
 func (n NodeSpec) Validate() error {
 	switch {
@@ -163,6 +167,8 @@ func (n NodeSpec) Validate() error {
 		return fmt.Errorf("machine: node %q has non-positive issue rates", n.Name)
 	case n.Cache.LLCBytes <= 0 || n.Cache.LineBytes <= 0 || n.Cache.Ways <= 0:
 		return fmt.Errorf("machine: node %q has malformed cache spec", n.Name)
+	case n.Cache.Ways > maxWays:
+		return fmt.Errorf("machine: node %q has %d cache ways, above the model's %d", n.Name, n.Cache.Ways, maxWays)
 	case n.Mem.BandwidthBytesPerSec <= 0:
 		return fmt.Errorf("machine: node %q has no memory bandwidth", n.Name)
 	}

@@ -118,6 +118,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"no issue", func(n *NodeSpec) { n.ScalarIPC = 0 }},
 		{"no cache", func(n *NodeSpec) { n.Cache.LLCBytes = 0 }},
 		{"no bandwidth", func(n *NodeSpec) { n.Mem.BandwidthBytesPerSec = 0 }},
+		{"256 ways", func(n *NodeSpec) { n.Cache.Ways = 256 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -131,6 +132,11 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	bad := Platform{Nodes: []NodeSpec{XeonE5_2620v4()}, Origin: 3}
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted out-of-range origin")
+	}
+	wide := XeonE5_2620v4()
+	wide.Cache.Ways = maxWays
+	if err := wide.Validate(); err != nil {
+		t.Errorf("Validate rejected %d ways, the LLC model's limit: %v", maxWays, err)
 	}
 	empty := Platform{}
 	if err := empty.Validate(); err == nil {

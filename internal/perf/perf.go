@@ -7,6 +7,7 @@
 package perf
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -69,20 +70,38 @@ func (c Counters) MissesPerKiloInstr() float64 {
 // within each set. One instance exists per node; the simulated threads
 // of that node probe it with the line addresses of their declared
 // accesses. The engine serializes execution, so no locking is needed.
+//
+// Each set has ways fixed slots. A line keeps its slot from fill to
+// eviction; recency lives in a doubly linked list through the set's
+// filled slots, MRU at head and LRU at tail. A per-line hint names the
+// slot a line was last filled into, so a probe finds a line without
+// scanning its set: a hit relinks one slot, and a miss refills the tail
+// slot (or the next empty one). Every probe is O(1), and the
+// replacement is exact LRU.
 type LLC struct {
-	// tags is one flat backing array of pow × ways entries — set i's
-	// tags live at [i*ways, i*ways+sizes[i]) in LRU order (front =
-	// MRU). Flat storage keeps the probe loop allocation-free and
-	// cache-friendly; the replacement behavior is identical to the
-	// earlier per-set slices.
-	tags      []int64
-	sizes     []int32 // valid entries per set
+	// tags is one flat array of pow × ways slots: set i's are
+	// [i*ways, (i+1)*ways), and its first sets[i].n are filled.
+	tags []int64
+	// next and prev link a set's filled slots from MRU to LRU; they
+	// hold slot numbers within the set (Ways ≤ 255, machine.Validate).
+	next, prev []uint8
+	sets       []llcSet
+	// hint[line] is the slot line was last filled into. It is trusted
+	// only when that slot of line's set is filled and holds line, so a
+	// hint is never cleared: not on eviction, and not when the cache is
+	// recycled. Lines are dense global line numbers (the DSM allocates
+	// addresses upward from 0), so the table grows to the highest line
+	// probed, one byte per line.
+	hint      []uint8
 	ways      int
 	lineShift uint
 	setMask   int64
 	accesses  int64
 	misses    int64
 }
+
+// llcSet is one set's filled-slot count and its MRU and LRU slots.
+type llcSet struct{ n, head, tail uint8 }
 
 // llcGeometry is what a recycled cache's arrays must match.
 type llcGeometry struct {
@@ -91,10 +110,10 @@ type llcGeometry struct {
 }
 
 // llcFree holds, per geometry, the caches released and not yet taken
-// again, so a simulator that builds a cluster per job reuses the tag
-// arrays of the last finished one instead of allocating them again.
-// Unlike a sync.Pool, a free list keeps its caches across garbage
-// collections; it holds at most as many as were ever live at once.
+// again, so a simulator that builds a cluster per job reuses the arrays
+// of the last finished one instead of allocating them again. Unlike a
+// sync.Pool, a free list keeps its caches across garbage collections;
+// it holds at most as many as were ever live at once.
 var llcFree sync.Map // llcGeometry -> *llcFreeList
 
 type llcFreeList struct {
@@ -139,9 +158,10 @@ func NewLLC(spec machine.CacheSpec) *LLC {
 	}
 	g := llcGeometry{sets: pow, ways: spec.Ways, lineShift: shift}
 	if c := llcList(g).take(); c != nil {
-		// Stale tags need no clearing: probes read set i only up to
-		// sizes[i].
-		clear(c.sizes)
+		// Stale tags, links and hints need no clearing: a probe reads
+		// only a set's first n slots, and trusts a hint only when it
+		// names one of them holding the line.
+		clear(c.sets)
 		c.accesses, c.misses = 0, 0
 		return c
 	}
@@ -152,7 +172,9 @@ func NewLLC(spec machine.CacheSpec) *LLC {
 func (g llcGeometry) alloc() *LLC {
 	return &LLC{
 		tags:      make([]int64, g.sets*g.ways),
-		sizes:     make([]int32, g.sets),
+		next:      make([]uint8, g.sets*g.ways),
+		prev:      make([]uint8, g.sets*g.ways),
+		sets:      make([]llcSet, g.sets),
 		ways:      g.ways,
 		lineShift: g.lineShift,
 		setMask:   int64(g.sets - 1),
@@ -169,38 +191,14 @@ func (c *LLC) Release() {
 }
 
 func (c *LLC) geometry() llcGeometry {
-	return llcGeometry{sets: len(c.sizes), ways: c.ways, lineShift: c.lineShift}
+	return llcGeometry{sets: len(c.sets), ways: c.ways, lineShift: c.lineShift}
 }
 
 // Access probes one byte address and reports whether it missed.
 func (c *LLC) Access(addr int64) bool {
-	tag := addr >> c.lineShift
-	return c.accessLine(tag)
-}
-
-// accessLine probes one line tag.
-func (c *LLC) accessLine(tag int64) bool {
-	c.accesses++
-	idx := tag & c.setMask
-	base := int(idx) * c.ways
-	n := int(c.sizes[idx])
-	set := c.tags[base : base+n]
-	for i, t := range set {
-		if t == tag {
-			// Hit: move to MRU position.
-			copy(set[1:i+1], set[:i])
-			set[0] = tag
-			return false
-		}
-	}
-	c.misses++
-	if n < c.ways {
-		c.sizes[idx] = int32(n + 1)
-		set = c.tags[base : base+n+1]
-	}
-	copy(set[1:], set)
-	set[0] = tag
-	return true
+	line := addr >> c.lineShift
+	_, misses := c.probe(line, line, 1)
+	return misses != 0
 }
 
 // AccessRange probes every line in [base, base+length) and returns the
@@ -209,15 +207,7 @@ func (c *LLC) AccessRange(base, length int64) (lines, misses int64) {
 	if length <= 0 {
 		return 0, 0
 	}
-	first := base >> c.lineShift
-	last := (base + length - 1) >> c.lineShift
-	for tag := first; tag <= last; tag++ {
-		lines++
-		if c.accessLine(tag) {
-			misses++
-		}
-	}
-	return lines, misses
+	return c.probe(base>>c.lineShift, (base+length-1)>>c.lineShift, 1)
 }
 
 // sampleMask selects one in four cache sets for sampled probing.
@@ -234,18 +224,78 @@ func (c *LLC) SampledRange(base, length int64) (lines, misses int64) {
 	if length <= 0 {
 		return 0, 0
 	}
-	first := base >> c.lineShift
-	last := (base + length - 1) >> c.lineShift
-	for tag := first; tag <= last; tag++ {
-		if tag&sampleMask != 0 {
-			continue
-		}
-		lines += sampleMask + 1
-		if c.accessLine(tag) {
-			misses += sampleMask + 1
-		}
+	lines, misses = c.probe(base>>c.lineShift, (base+length-1)>>c.lineShift, sampleMask+1)
+	return lines * (sampleMask + 1), misses * (sampleMask + 1)
+}
+
+// probe accesses, in ascending order, every line of [first, last] that
+// is a multiple of step (a power of two), and returns how many it
+// accessed and how many of those missed.
+func (c *LLC) probe(first, last, step int64) (lines, misses int64) {
+	if first < 0 {
+		panic(fmt.Sprintf("perf: negative line address %d", first))
 	}
+	first += -first & (step - 1)
+	for line := first; line <= last; line += step {
+		lines++
+		idx := line & c.setMask
+		set := &c.sets[idx]
+		base := int(idx) * c.ways
+		if line < int64(len(c.hint)) {
+			if s := c.hint[line]; s < set.n && c.tags[base+int(s)] == line {
+				c.toHead(set, base, s)
+				continue
+			}
+		} else {
+			c.growHint(line)
+		}
+		misses++
+		var s uint8
+		switch {
+		case set.n == 0:
+			set.n, set.head, set.tail = 1, 0, 0
+		case int(set.n) < c.ways:
+			s = set.n
+			set.n++
+			c.next[base+int(s)] = set.head
+			c.prev[base+int(set.head)] = s
+			set.head = s
+		default:
+			s = set.tail
+			c.toHead(set, base, s)
+		}
+		c.tags[base+int(s)] = line
+		c.hint[line] = s
+	}
+	c.accesses += lines
+	c.misses += misses
 	return lines, misses
+}
+
+// toHead makes filled slot s of the set at base its MRU slot.
+func (c *LLC) toHead(set *llcSet, base int, s uint8) {
+	if s == set.head {
+		return
+	}
+	p, n := c.prev[base+int(s)], c.next[base+int(s)]
+	c.next[base+int(p)] = n
+	if s == set.tail {
+		set.tail = p
+	} else {
+		c.prev[base+int(n)] = p
+	}
+	c.next[base+int(s)] = set.head
+	c.prev[base+int(set.head)] = s
+	set.head = s
+}
+
+// growHint makes line an index of the hint table, at least doubling it
+// so that a stream of new lines grows it O(log n) times. The hints of
+// resident lines move with it.
+func (c *LLC) growHint(line int64) {
+	h := make([]uint8, max(line+1, 2*int64(len(c.hint)), 1024))
+	copy(h, c.hint)
+	c.hint = h
 }
 
 // Stats returns the lifetime access and miss counts.

@@ -1,7 +1,10 @@
 package perf
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -66,7 +69,7 @@ func TestLRUWithinSet(t *testing.T) {
 	// the least recently used (the 1st); re-touching the 1st misses,
 	// while 3rd/4th/5th still hit.
 	c := NewLLC(smallCache())
-	setStride := int64(len(c.sizes)) * 64
+	setStride := int64(len(c.sets)) * 64
 	addr := func(i int) int64 { return int64(i) * setStride } // all map to set 0
 	for i := 0; i < 4; i++ {
 		c.Access(addr(i))
@@ -168,12 +171,13 @@ func recycledLLC(t *testing.T, spec machine.CacheSpec, dirty []uint16) *LLC {
 func TestReleasedLLCSurvivesGC(t *testing.T) {
 	spec := machine.CacheSpec{LLCBytes: 8 * 1024, LineBytes: 128, Ways: 2}
 	c := NewLLC(spec)
-	tags, sizes := &c.tags[0], &c.sizes[0]
+	c.Access(0)
+	tags, sets, hint := &c.tags[0], &c.sets[0], &c.hint[0]
 	c.Release()
 	runtime.GC()
 	runtime.GC()
 	r := NewLLC(spec)
-	if &r.tags[0] != tags || &r.sizes[0] != sizes {
+	if &r.tags[0] != tags || &r.sets[0] != sets || &r.hint[0] != hint {
 		t.Fatal("NewLLC allocated fresh arrays: the released cache was lost to a GC")
 	}
 	r.Release()
@@ -275,5 +279,164 @@ func TestXeonVsThunderXPerCoreCachePressure(t *testing.T) {
 	tr := missRate(tx)
 	if xr >= tr {
 		t.Errorf("Xeon steady-state miss rate (%.3f) must be below ThunderX's (%.3f) for a mid-size working set", xr, tr)
+	}
+}
+
+// refLLC is the LRU the slot-linked LLC replaced: each set's tags kept
+// in recency order (front = MRU), scanned on every probe and shifted on
+// every hit or fill. It is FuzzLLCMatchesReference's oracle.
+type refLLC struct {
+	tags             []int64
+	sizes            []int
+	ways             int
+	setMask          int64
+	accesses, misses int64
+}
+
+func newRefLLC(sets, ways int) *refLLC {
+	return &refLLC{tags: make([]int64, sets*ways), sizes: make([]int, sets), ways: ways, setMask: int64(sets - 1)}
+}
+
+func (r *refLLC) access(line int64) bool {
+	r.accesses++
+	idx := line & r.setMask
+	base := int(idx) * r.ways
+	n := r.sizes[idx]
+	set := r.tags[base : base+n]
+	for i, t := range set {
+		if t == line {
+			copy(set[1:i+1], set[:i])
+			set[0] = line
+			return false
+		}
+	}
+	r.misses++
+	if n < r.ways {
+		r.sizes[idx]++
+		set = r.tags[base : base+n+1]
+	}
+	copy(set[1:], set)
+	set[0] = line
+	return true
+}
+
+// accessRange probes the lines of [base, base+length) that are
+// multiples of step, and scales the counts by step.
+func (r *refLLC) accessRange(base, length, step int64) (lines, misses int64) {
+	if length <= 0 {
+		return 0, 0
+	}
+	for line := base >> 6; line <= (base+length-1)>>6; line++ {
+		if line%step != 0 {
+			continue
+		}
+		lines += step
+		if r.access(line) {
+			misses += step
+		}
+	}
+	return lines, misses
+}
+
+// llcFuzzOp decodes one 4-byte operation of FuzzLLCMatchesReference:
+// the kind (Access, AccessRange or SampledRange), whether the line is
+// a near one (dense, so lines are reused) or a far one (128 lines
+// apart within its set), the byte offset in the line and the length.
+func llcFuzzOp(op []byte) (kind int, addr, length int64) {
+	kind = int(op[0] % 3)
+	a := int64(op[1])<<8 | int64(op[2])
+	line := a & 1023
+	if op[0]/3%2 == 1 {
+		line = a&7 | a>>3<<7
+	}
+	return kind, line<<6 + int64(op[0]>>4)*4, int64(op[3]) * 8
+}
+
+// FuzzLLCMatchesReference runs one random stream of Access,
+// AccessRange and SampledRange calls on an LLC of 8 sets and 1, 2, 3,
+// 4 or 16 ways, fresh or recycled after serving the same stream, and on
+// the MRU-array oracle: every hit/miss, line and miss count, and the
+// Stats after every call, must match.
+func FuzzLLCMatchesReference(f *testing.F) {
+	for w := uint8(0); w < 5; w++ {
+		// Twenty lines of set 0, far apart, twice: evictions at every
+		// associativity.
+		var evict []byte
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < 20; i++ {
+				evict = append(evict, 3, 0, byte(i*8), 0)
+			}
+		}
+		f.Add(w, false, evict)
+		f.Add(w, true, evict)
+		// Ranges over near lines, re-read out of order, then sampled.
+		f.Add(w, w%2 == 0, []byte{1, 0, 0, 40, 1, 0, 16, 64, 0, 0, 3, 0, 2, 0, 0, 255, 2, 0, 32, 255, 5, 0, 8, 9})
+	}
+	f.Fuzz(func(t *testing.T, waysSel uint8, recycle bool, ops []byte) {
+		ways := []int{1, 2, 3, 4, 16}[waysSel%5]
+		spec := machine.CacheSpec{LLCBytes: int64(8 * 64 * ways), LineBytes: 64, Ways: ways}
+		ops = ops[:len(ops)/4*4]
+		c := NewLLC(spec)
+		if recycle {
+			for i := 0; i < len(ops); i += 4 {
+				_, addr, length := llcFuzzOp(ops[i:])
+				c.AccessRange(addr, length+1)
+			}
+			c.Release()
+			c = NewLLC(spec)
+		}
+		defer c.Release()
+		ref := newRefLLC(len(c.sets), ways)
+		for i := 0; i < len(ops); i += 4 {
+			kind, addr, length := llcFuzzOp(ops[i:])
+			var lines, misses, wantLines, wantMisses int64
+			switch kind {
+			case 0:
+				if c.Access(addr) {
+					misses = 1
+				}
+				if ref.access(addr >> 6) {
+					wantMisses = 1
+				}
+			case 1:
+				lines, misses = c.AccessRange(addr, length)
+				wantLines, wantMisses = ref.accessRange(addr, length, 1)
+			case 2:
+				lines, misses = c.SampledRange(addr, length)
+				wantLines, wantMisses = ref.accessRange(addr, length, sampleMask+1)
+			}
+			if lines != wantLines || misses != wantMisses {
+				t.Fatalf("op %d (kind %d, addr %d, length %d): (lines, misses) = (%d, %d), oracle (%d, %d)",
+					i/4, kind, addr, length, lines, misses, wantLines, wantMisses)
+			}
+			if acc, miss := c.Stats(); acc != ref.accesses || miss != ref.misses {
+				t.Fatalf("op %d: Stats = (%d, %d), oracle (%d, %d)", i/4, acc, miss, ref.accesses, ref.misses)
+			}
+		}
+	})
+}
+
+func TestNegativeLineAddressPanics(t *testing.T) {
+	c := NewLLC(smallCache())
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative line address") {
+			t.Errorf("recovered %v, want a negative line address panic", r)
+		}
+	}()
+	c.Access(-64)
+}
+
+// The widest set machine.Validate allows, 255 ways, numbers its slots
+// 0..254 in a uint8 and still replaces exactly as the oracle does.
+func TestWidestSetMatchesReference(t *testing.T) {
+	c := NewLLC(machine.CacheSpec{LLCBytes: 255 * 64, LineBytes: 64, Ways: 255})
+	defer c.Release()
+	ref := newRefLLC(len(c.sets), 255)
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 4000; i++ {
+		line := r.Int63n(320)
+		if got, want := c.Access(line<<6), ref.access(line); got != want {
+			t.Fatalf("access %d (line %d): miss = %v, oracle %v", i, line, got, want)
+		}
 	}
 }

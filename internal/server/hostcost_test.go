@@ -9,7 +9,7 @@ import (
 
 // A warm job's host cost is the model, not the scaffolding around it.
 // The executor builds a fresh simulated cluster per job; its LLC tag
-// arrays alone are 1.6 MB, so they must come from the previous job's
+// and link arrays alone are 2.0 MB, so they must come from the previous job's
 // cluster rather than the heap. Measured as TotalAlloc over a run of
 // warm jobs.
 func TestWarmExecuteAllocations(t *testing.T) {
