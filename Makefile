@@ -92,8 +92,20 @@ FUZZ_TARGETS = \
 	internal/simtime:FuzzWaitChain
 FUZZTIME ?= 10s
 
-.PHONY: fuzz
-fuzz:
+# fuzz-targets-check fails when FUZZ_TARGETS misses a `func Fuzz*` of
+# a _test.go file, or names one that does not exist, and says which.
+.PHONY: fuzz fuzz-targets-check
+fuzz-targets-check:
+	@declared=$$(grep -rEo --include='*_test.go' --exclude-dir=testdata --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]*\(' . \
+		| sed -E 's|^\./||; s|^([^:]*)/[^/:]*:func |\1:|; s|^[^/:]*:func |.:|; s|\($$||' | sort -u); \
+	listed=$$(printf '%s\n' $(FUZZ_TARGETS) | sort -u); \
+	unlisted=$$(printf '%s\n' "$$declared" | grep -vxF "$$listed" || true); \
+	stale=$$(printf '%s\n' "$$listed" | grep -vxF "$$declared" || true); \
+	[ -z "$$unlisted" ] || echo "fuzz: missing from FUZZ_TARGETS:" $$unlisted >&2; \
+	[ -z "$$stale" ] || echo "fuzz: FUZZ_TARGETS names no such function:" $$stale >&2; \
+	[ -z "$$unlisted$$stale" ]
+
+fuzz: fuzz-targets-check
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) ./$${t%%:*}/; \

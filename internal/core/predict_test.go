@@ -161,10 +161,10 @@ func TestLowConfidencePredictionFallsBackToProbing(t *testing.T) {
 	}
 }
 
-// TestStoreWrittenBeforeIdentityRuleIsAdopted: the schema did not
-// move, so a file a pre-PR-22 binary saved — here with one probed
-// invocation, which that binary's own confidence score rejected — is
-// adopted as is.
+// TestStoreWrittenBeforeIdentityRuleIsAdopted: a schema-2 file an
+// older binary saved — here with one probed invocation, which that
+// binary's own confidence score rejected — is adopted, and the rule
+// derives from its state the decision that binary stored beside it.
 func TestStoreWrittenBeforeIdentityRuleIsAdopted(t *testing.T) {
 	const file = `{
   "schema_version": 2,
@@ -201,15 +201,15 @@ func TestStoreWrittenBeforeIdentityRuleIsAdopted(t *testing.T) {
 	if rt.Predictions() != 1 || rt.Probes() != 0 {
 		t.Fatalf("%d predictions, %d probes, want 1 and 0", rt.Predictions(), rt.Probes())
 	}
-	if d, _ := rt.Decision("warm"); !d.CrossNode || d.CSR[0] != 2.4704708908604127 {
+	if d, _ := rt.Decision("warm"); !d.CrossNode || d.CSR[0] != 2.4704708908604127 || d.CSR[1] != 1 {
 		t.Fatalf("adopted %s, want the stored cross-node decision", d)
 	}
 }
 
-// headStoreFile is the store a cold three-invocation runPingPong
-// (1600 iterations) saved before Decision.CumTime was deleted: that
-// build also wrote cum_time_ns, bytes_touched and ops_per_byte, fields
-// nothing read.
+// headStoreFile is the schema-2 store a cold three-invocation
+// runPingPong (1600 iterations) saved before Decision.CumTime was
+// deleted: that build also wrote cum_time_ns, bytes_touched and
+// ops_per_byte, fields nothing read, and the decision beside the state.
 const headStoreFile = `{
   "schema_version": 2,
   "fingerprint": "testcluster",
@@ -244,11 +244,32 @@ const headStoreFile = `{
 }
 `
 
-// TestStoreWithCumTimeIsAdopted: dropping cum_time_ns, bytes_touched
-// and ops_per_byte did not move the schema. A file that carries them
-// loads without complaint and a warm run adopts it probe-free, and the
-// same cold run today saves the same file, bit for bit, less those
-// three lines.
+// coldStoreFile is what the same cold run saves in schema 3: the state
+// of headStoreFile alone.
+const coldStoreFile = `{
+  "schema_version": 3,
+  "fingerprint": "testcluster",
+  "entries": {
+    "warm": {
+      "fault_period_ns": 445417,
+      "misses_per_kinst": 0.000054109375000000006,
+      "per_iter_ns": {
+        "0": 95238,
+        "1": 235294
+      },
+      "invocations": 3,
+      "features": {
+        "iterations": 1600
+      }
+    }
+  }
+}
+`
+
+// TestStoreWithCumTimeIsAdopted: a schema-2 file that carries fields
+// nothing reads loads without complaint, and a warm run adopts it
+// probe-free with the decision that file stored beside its state. The
+// same cold run today saves that state in schema 3, bit for bit.
 func TestStoreWithCumTimeIsAdopted(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "head.json")
@@ -263,6 +284,9 @@ func TestStoreWithCumTimeIsAdopted(t *testing.T) {
 	if rt.Predictions() != 1 || rt.Probes() != 0 {
 		t.Fatalf("%d predictions, %d probes, want 1 and 0", rt.Predictions(), rt.Probes())
 	}
+	if d, _ := rt.Decision("warm"); !d.CrossNode || d.CSR[0] != 2.470589470589471 || d.CSR[1] != 1 {
+		t.Fatalf("adopted %s, want the stored cross-node decision", d)
+	}
 
 	path = filepath.Join(dir, "cold.json")
 	cold := decstore.Open(path, "testcluster")
@@ -274,41 +298,38 @@ func TestStoreWithCumTimeIsAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.NewReplacer(
-		"      \"cum_time_ns\": 889509796,\n", "",
-		"        \"bytes_touched\": 30720,\n", "",
-		"        \"ops_per_byte\": 6250,\n", "",
-	).Replace(headStoreFile)
-	if string(got) != want {
-		t.Fatalf("cold run saved\n%s\nwant\n%s", got, want)
+	if string(got) != coldStoreFile {
+		t.Fatalf("cold run saved\n%s\nwant\n%s", got, coldStoreFile)
 	}
 }
 
-// storeFile renders a schema-2 store file for the test cluster holding
-// one entry, for region "warm", with the given decision fields.
-func storeFile(iterations int, decision string) string {
-	return fmt.Sprintf(`{"schema_version": 2, "fingerprint": "testcluster", "entries": {"warm": {
-  %s, "fault_period_ns": 397581, "misses_per_kinst": 0.0002, "cum_time_ns": 296755406,
-  "invocations": 1, "features": {"iterations": %d}}}}`, decision, iterations)
+// storeFile renders a schema-3 store file for the test cluster holding
+// one state, for region "warm" at the given iteration count.
+func storeFile(iterations int, state string) string {
+	return fmt.Sprintf(`{"schema_version": 3, "fingerprint": "testcluster", "entries": {"warm": {
+  %s, "misses_per_kinst": 0.0002, "invocations": 1, "features": {"iterations": %d}}}}`, state, iterations)
 }
 
-// TestStoredDecisionForOtherClusterIsProbed: a stored decision that
-// names a node the two-node cluster lacks, names a node twice, or
-// carries a CSR weight no probe measures is refused with a log line
-// saying why, and the region is probed instead — a bad store never
-// breaks the run. The probe's export replaces the entry.
+// TestStoredDecisionForOtherClusterIsProbed: a stored state that names
+// a node the two-node cluster lacks, or from which the rule derives a
+// cross-node decision with a CSR weight no probe measures, is refused
+// with a log line saying why, and the region is probed instead — a bad
+// store never breaks the run. The probe's export replaces the entry.
 func TestStoredDecisionForOtherClusterIsProbed(t *testing.T) {
 	const n = 1600
-	for _, tc := range []struct{ name, decision string }{
-		{"node 7", `"cross_node": false, "node": 7`},
-		{"node -1", `"cross_node": false, "node": -1`},
-		{"node set 0,5", `"cross_node": true, "node": 0, "nodes": [0, 5], "csr": {"0": 2, "5": 1}`},
-		{"node set 0,0", `"cross_node": true, "node": 0, "nodes": [0, 0]`},
-		{"CSR 1e308", `"cross_node": true, "node": 0, "nodes": [0, 1], "csr": {"0": 1e308, "1": 1}`},
+	for _, tc := range []struct{ name, state string }{
+		{"node 7", `"fault_period_ns": 397581, "per_iter_ns": {"0": 95245, "1": 235300, "7": 1000}`},
+		{"node -1", `"fault_period_ns": 397581, "per_iter_ns": {"0": 95245, "1": 235300}, "suspects": [-1]`},
+		{"suspect 5", `"fault_period_ns": 397581, "per_iter_ns": {"0": 95245, "1": 235300}, "suspects": [5]`},
+		// A float ratio of 1e308 does not fit the int64 nanoseconds
+		// (Open rejects such a file as corrupt); this is the widest
+		// that does.
+		{"CSR 9.2e18", `"fault_period_ns": 397581, "per_iter_ns": {"0": 1, "1": 9223372036854775807}`},
+		{"cross-node without per-iteration times", `"fault_period_ns": 397581`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "store.json")
-			if err := os.WriteFile(path, []byte(storeFile(n, tc.decision)), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(storeFile(n, tc.state)), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			store := decstore.Open(path, "testcluster")
@@ -347,10 +368,11 @@ func TestSeededEntryRunsAsMature(t *testing.T) {
 	store := newMemStore()
 	// Four probed invocations: short of mature, so a re-export stamped
 	// mature would show.
-	runPingPong(t, Options{DecisionStore: store}, n, 4)
+	rtCold, _, _, _ := runPingPong(t, Options{DecisionStore: store}, n, 4)
 	cold, ok := store.Lookup("warm")
-	if !ok || !cold.CrossNode {
-		t.Fatalf("cold run stored %+v (found %v), want a cross-node entry", cold, ok)
+	dCold, _ := rtCold.Decision("warm")
+	if !ok || !dCold.CrossNode {
+		t.Fatalf("cold run stored %+v (found %v) and decided %s, want a cross-node decision", cold, ok, dCold)
 	}
 
 	type outcome struct {
@@ -378,64 +400,63 @@ func TestSeededEntryRunsAsMature(t *testing.T) {
 	if plain != monitored {
 		t.Fatalf("ReDecide changed a warm run: off %+v, on %+v", plain, monitored)
 	}
-	if want := decisionFromEntry(cold).String(); plain.decision != want {
-		t.Fatalf("warm decision %s, want the stored %s", plain.decision, want)
+	if plain.decision != dCold.String() {
+		t.Fatalf("warm decision %s, want the cold run's %s", plain.decision, dCold)
 	}
 	if want := n * (n - 1) / 2; plain.got != want {
 		t.Fatalf("warm run reduced to %d, want %d", plain.got, want)
 	}
 }
 
-// TestEntryToStoreRoundTrip: exporting a measured entry and reading
-// the stored form back reproduces the decision; seeding a fresh entry
-// from it yields a mature one carrying that decision.
+// TestEntryToStoreRoundTrip: exporting a measured entry stores its
+// state — the ∞ fault-period sentinel and the suspects included — and
+// seeding a fresh entry from it yields a mature one whose decision the
+// rule derives as the measured entry's. Here the suspect is what keeps
+// a fault-free region off the cross-node path.
 func TestEntryToStoreRoundTrip(t *testing.T) {
+	p := testPlatform()
 	ent := &probeEntry{regionState: regionState{
 		invocations: 7,
 		perIter:     map[int]time.Duration{0: 120 * time.Nanosecond, 1: 300 * time.Nanosecond},
 		faultPeriod: infinitePeriod,
 		missPerK:    2.5,
-		decision: Decision{
-			CrossNode:      true,
-			Nodes:          []int{0, 1},
-			CSR:            map[int]float64{0: 2.5, 1: 1},
-			FaultPeriod:    infinitePeriod,
-			MissesPerKinst: 2.5,
-			PerIterTime:    map[int]time.Duration{0: 120 * time.Nanosecond, 1: 300 * time.Nanosecond},
-		},
+		suspects:    map[int]bool{1: true},
 	}, featN: 1600}
+	ent.decision = p.decide(ent.regionState)
+	if ent.decision.CrossNode || ent.decision.Node != p.origin {
+		t.Fatalf("measured decision %s, want the origin alone under suspicion", ent.decision)
+	}
 	se := entryToStore(ent)
 	if se.FaultPeriodNs != int64(infinitePeriod) {
 		t.Errorf("sentinel fault period not preserved: %d", se.FaultPeriodNs)
 	}
-	if se.Invocations != 7 {
-		t.Errorf("invocations = %d, want 7", se.Invocations)
+	if se.Invocations != 7 || !slices.Equal(se.Suspects, []int{1}) {
+		t.Errorf("invocations %d, suspects %v, want 7 and [1]", se.Invocations, se.Suspects)
 	}
 	if se.Features.Iterations != 1600 {
 		t.Errorf("features = %+v", se.Features)
 	}
-	if d := decisionFromEntry(se); d.String() != ent.decision.String() || d.FaultPeriod != infinitePeriod {
-		t.Errorf("decision %s (fault period %v) != %s", d, d.FaultPeriod, ent.decision)
-	}
 
 	seeded := &probeEntry{}
-	seedEntry(seeded, se, 10)
+	seedEntry(seeded, &p, se, 10)
 	if seeded.invocations != 10 || !seeded.seeded {
 		t.Errorf("seeded entry not mature/seeded: %+v", seeded)
 	}
-	if seeded.decision.String() != ent.decision.String() {
-		t.Errorf("decision %s != %s", seeded.decision, ent.decision)
+	if !reflect.DeepEqual(seeded.decision, ent.decision) {
+		t.Errorf("seeded decision %s, want %s", seeded.decision, ent.decision)
 	}
 }
 
 // FuzzAdoptStoredDecision: whatever bytes the store file holds, a
 // HetProbe reduction over it completes with the exact sum, adopting the
-// stored decision or probing: decstore rejects a file it cannot read
-// whole, and tryPredict refuses an entry that cannot run on this
-// cluster. The seed corpus in testdata/fuzz/FuzzAdoptStoredDecision
-// holds a store this runtime wrote, a schema-1 file, a truncated file,
-// a foreign-fingerprint file and an entry naming node 7, all for region
-// "warm" at 320 iterations.
+// decision the rule derives from the stored state or probing: decstore
+// rejects a file it cannot read whole, and tryPredict refuses a state
+// that names a node this cluster lacks or gives a CSR no probe
+// measures. The seed corpus in testdata/fuzz/FuzzAdoptStoredDecision
+// holds a schema-3 and a schema-2 store this runtime's builds wrote, a
+// schema-1 file, a truncated file, a foreign-fingerprint file and a
+// state whose per-iteration times name node 7, all for region "warm" at
+// 320 iterations.
 func FuzzAdoptStoredDecision(f *testing.F) {
 	const n = 320
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"maps"
 	"math"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hetmp/internal/decstore"
 	"hetmp/internal/machine"
 )
 
@@ -247,12 +249,34 @@ func checkDecision(t *testing.T, p platform, s regionState, d Decision) {
 	}
 }
 
+// checkStoredState puts a probed state through the decision store —
+// export, JSON and back, then seed — and checks that the rule derives
+// from what was loaded the decision the state holds:
+// decide(load(save(s))) == s.decision.
+func checkStoredState(t *testing.T, p platform, s regionState) {
+	t.Helper()
+	data, err := json.Marshal(entryToStore(&probeEntry{regionState: s}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se decstore.Entry
+	if err := json.Unmarshal(data, &se); err != nil {
+		t.Fatal(err)
+	}
+	var seeded probeEntry
+	seedEntry(&seeded, &p, se, Options{}.withDefaults().ProbeMaxInvocations)
+	if !reflect.DeepEqual(seeded.decision, s.decision) {
+		t.Fatalf("stored as %s, seeded %s, want %s", data, seeded.decision, s.decision)
+	}
+}
+
 // FuzzRegionStep checks the rule's properties over generated platforms
 // and reading sequences: Q1 is monotone in the fault period and enables
 // every non-suspect on a fault-free region; every CSR weight is finite
 // and at least 1, the lowest exactly 1; the origin is always enabled
 // and a suspect never is; a step writes nothing of the state it is
-// given; and the same inputs give the same outputs.
+// given; the same inputs give the same outputs; and every probed state
+// stored and loaded again gives the same decision.
 func FuzzRegionStep(f *testing.F) {
 	// Probe, monitor window, region reading, on two to four nodes.
 	f.Add([]byte{0, 0, 0, 1, 50, 0, 255, 40, 10, 2, 25, 2, 1, 10, 2, 200, 5, 2, 9, 3, 7, 4})
@@ -289,6 +313,9 @@ func FuzzRegionStep(f *testing.F) {
 					if hi == infinitePeriod && len(higher) != len(c.p.specs)-len(next.suspects) {
 						t.Fatalf("fault-free Q1 enables %v of %d nodes with suspects %v", higher, len(c.p.specs), next.suspects)
 					}
+				}
+				if next.invocations > 0 {
+					checkStoredState(t, c.p, next)
 				}
 				s = next
 				out = append(out, next)

@@ -26,7 +26,7 @@ func TestConcurrentSaveLosesNothing(t *testing.T) {
 			defer wg.Done()
 			st := Open(path, fp)
 			for k := 0; k < keysPer; k++ {
-				st.Put(fmt.Sprintf("region-%d-%d", g, k), Entry{Node: g, Invocations: k + 1})
+				st.Put(fmt.Sprintf("region-%d-%d", g, k), Entry{FaultPeriodNs: int64(g), Invocations: k + 1})
 				// Save mid-stream too, so merges happen while other
 				// goroutines are also mid-cycle.
 				if k%7 == 0 {
@@ -57,8 +57,8 @@ func TestConcurrentSaveLosesNothing(t *testing.T) {
 			if !ok {
 				t.Fatalf("key %s lost", key)
 			}
-			if e.Node != g || e.Invocations != k+1 {
-				t.Fatalf("key %s = %+v, want node %d invocations %d", key, e, g, k+1)
+			if e.FaultPeriodNs != int64(g) || e.Invocations != k+1 {
+				t.Fatalf("key %s = %+v, want fault period %d invocations %d", key, e, g, k+1)
 			}
 		}
 	}
@@ -75,7 +75,7 @@ func TestConcurrentPutLookupSave(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
 				key := fmt.Sprintf("r%d", k%10)
-				st.Put(key, Entry{Node: g, Invocations: k})
+				st.Put(key, Entry{FaultPeriodNs: int64(g), Invocations: k})
 				st.Lookup(key)
 				if k%10 == 0 {
 					if err := st.Save(); err != nil {
@@ -98,13 +98,13 @@ func TestNewMemStore(t *testing.T) {
 	if st.Path() != "" {
 		t.Fatalf("Path = %q, want empty", st.Path())
 	}
-	st.Put("region", Entry{Node: 1, Invocations: 3})
+	st.Put("region", Entry{FaultPeriodNs: 1, Invocations: 3})
 	if err := st.Save(); err != nil {
 		t.Fatalf("Save on memory store: %v", err)
 	}
 	e, ok := st.Lookup("region")
-	if !ok || e.Node != 1 || e.Invocations != 3 {
-		t.Fatalf("Lookup = %+v, %v; want node 1 invocations 3", e, ok)
+	if !ok || e.FaultPeriodNs != 1 || e.Invocations != 3 {
+		t.Fatalf("Lookup = %+v, %v; want fault period 1 invocations 3", e, ok)
 	}
 	if st.Status() != "" {
 		t.Fatalf("Status = %q, want empty", st.Status())

@@ -1,11 +1,20 @@
-// Package decstore persists HetProbe probe-cache decisions across
-// runs: a versioned on-disk store (JSON) keyed by region signature,
-// bound to a cluster-configuration fingerprint derived from the node
-// specs and interconnect parameters. A steady-state run seeds its
-// decisions from the store instead of paying the probing period
-// (ROADMAP item 3; the paper's Section 3.1 probe cache, made
-// persistent as "Compiler Enhanced Scheduling" and "Runtime Support
-// for Performance Portability" motivate).
+// Package decstore persists HetProbe's probe cache across runs: a
+// versioned on-disk store (JSON) keyed by region signature, bound to a
+// cluster-configuration fingerprint derived from the node specs and
+// interconnect parameters. An entry is what the rule measured of a
+// region, not the decision it reached: a later run derives the
+// decision from it under its own rule and threshold (internal/core),
+// and so adopts it instead of paying the probing period (the paper's
+// Section 3.1 probe cache, made persistent as "Compiler Enhanced
+// Scheduling" and "Runtime Support for Performance Portability"
+// motivate).
+//
+// Schema version 3 files hold the state alone. Version 2 files also
+// hold the decision a build derived from the state; they carry every
+// state field but Suspects, so they load, and the decision beside
+// them is not read. Version 1 files are rejected. A build that reads
+// only version 2 rejects a version 3 file, so it re-probes instead of
+// adopting the zero decision the missing fields would read as.
 //
 // Robustness contract: a store NEVER breaks a run. A missing,
 // truncated, corrupt, stale-schema or foreign-fingerprint file is
@@ -29,52 +38,48 @@ import (
 	"hetmp/internal/machine"
 )
 
-// SchemaVersion is the on-disk format version. Bump it on any
-// incompatible change to Entry or fileFormat; older files are then
-// rejected (falling back to probing) instead of being misread.
-// Version 1 files may hold decisions a since-removed guard overturned
-// and wrote back (EXPERIMENTS.md "Negative result: guarding stored
-// decisions"); nothing re-examines a stored decision, so they are
-// retired and re-probe once.
-const SchemaVersion = 2
+// SchemaVersion is the on-disk format version Save writes. Bump it on
+// any incompatible change to Entry or fileFormat; files of other
+// versions are then rejected (falling back to probing) instead of
+// being misread. Load also accepts version 2 (see the package doc).
+const SchemaVersion = 3
 
-// Features are the region characteristics stored beside a decision.
-// Iterations is the one the runtime reads; MissesPerKinst is recorded
-// only.
+// Features are the region characteristics stored beside its state.
 type Features struct {
 	// Iterations is the region's iteration count at its first
 	// invocation — what a later run presents when it consults the
 	// store. The entry is adopted when the two are equal.
 	Iterations int `json:"iterations"`
-	// BytesTouched and OpsPerByte are what older runtimes measured of
-	// the probe windows' footprint and compute intensity. Nothing read
-	// them; the runtime no longer writes them, and files that carry
-	// them still load.
-	BytesTouched int64   `json:"bytes_touched,omitempty"`
-	OpsPerByte   float64 `json:"ops_per_byte,omitempty"`
-	// MissesPerKinst is the region's LLC misses per kilo-instruction
-	// (internal/perf's node-selection metric).
-	MissesPerKinst float64 `json:"misses_per_kinst"`
+	// BytesTouched is read and written by nothing; benchmark/ sets it.
+	BytesTouched int64 `json:"bytes_touched,omitempty"`
+	// OpsPerByte is read and written by nothing; benchmark/ sets it.
+	OpsPerByte float64 `json:"ops_per_byte,omitempty"`
 }
 
-// Entry is one stored region decision plus the probe statistics and
-// features it was derived from. Durations are nanoseconds so the
+// Entry is HetProbe's state for one region: the EWMA-smoothed probe
+// measurements and the nodes the monitor condemned, from which the
+// rule derives the region's decision. Durations are nanoseconds so the
 // "no faults" sentinel (math.MaxInt64) round-trips exactly.
 type Entry struct {
-	CrossNode      bool            `json:"cross_node"`
-	Node           int             `json:"node"`
-	Nodes          []int           `json:"nodes,omitempty"`
-	CSR            map[int]float64 `json:"csr,omitempty"`
-	FaultPeriodNs  int64           `json:"fault_period_ns"`
-	MissesPerKinst float64         `json:"misses_per_kinst"`
-	PerIterNs      map[int]int64   `json:"per_iter_ns,omitempty"`
+	FaultPeriodNs  int64         `json:"fault_period_ns"`
+	MissesPerKinst float64       `json:"misses_per_kinst"`
+	PerIterNs      map[int]int64 `json:"per_iter_ns,omitempty"`
+	// Suspects are the nodes the monitor condemned, ascending; the
+	// rule keeps them out of the region's decision.
+	Suspects []int `json:"suspects,omitempty"`
 	// Invocations is how many probed invocations the entry
 	// accumulated. Recorded, not read: an entry probed once is adopted
 	// like any other.
 	Invocations int      `json:"invocations"`
 	Features    Features `json:"features"`
-	// Classes is read by nothing. benchmark/ is its only user: it sets
-	// it in an Entry literal.
+
+	// CrossNode is read and written by nothing; benchmark/ sets it.
+	CrossNode bool `json:"cross_node,omitempty"`
+	// Nodes is read and written by nothing; benchmark/ sets it.
+	Nodes []int `json:"nodes,omitempty"`
+	// CSR is read and written by nothing; benchmark/ sets it.
+	CSR map[int]float64 `json:"csr,omitempty"`
+	// Classes is read and written by nothing; benchmark/ sets it.
 	Classes []string `json:"classes,omitempty"`
 }
 
@@ -141,7 +146,7 @@ func Fingerprint(nodes []machine.NodeSpec, extras ...string) string {
 }
 
 // Open binds a store to path. If the file exists and carries the
-// current schema version and the given fingerprint, its entries are
+// schema version it reads and the given fingerprint, its entries are
 // loaded; otherwise — missing, unreadable, truncated, corrupt, stale
 // schema, foreign fingerprint — the store starts empty and Status
 // explains why. Open never fails: a bad store degrades to cold-run
@@ -191,8 +196,8 @@ func load(path, fingerprint string) (*fileFormat, string) {
 	if err := json.Unmarshal(data, &ff); err != nil {
 		return nil, fmt.Sprintf("corrupt store %s: %v", path, err)
 	}
-	if ff.SchemaVersion != SchemaVersion {
-		return nil, fmt.Sprintf("store %s has schema version %d, want %d", path, ff.SchemaVersion, SchemaVersion)
+	if ff.SchemaVersion != SchemaVersion && ff.SchemaVersion != 2 {
+		return nil, fmt.Sprintf("store %s has schema version %d, want 2 or %d", path, ff.SchemaVersion, SchemaVersion)
 	}
 	if ff.Fingerprint != fingerprint {
 		return nil, fmt.Sprintf("store %s fingerprint %q does not match cluster %q", path, ff.Fingerprint, fingerprint)
@@ -242,7 +247,7 @@ func (s *Store) Put(key string, e Entry) {
 // entries, written to a temporary file in the same directory and
 // renamed over the target. Cross-process concurrent savers keep each
 // other's regions (a racing update to the same key is last-writer-
-// wins, which is safe — every entry is a self-consistent decision);
+// wins, which is safe — every entry is a self-consistent state);
 // in-process savers targeting the same path additionally serialize
 // the whole read-merge-write cycle on a per-path lock, so none of
 // their updates can be lost to a load/rename interleaving. Save on a

@@ -18,19 +18,12 @@ func testFingerprint() string {
 
 func sampleEntry() Entry {
 	return Entry{
-		CrossNode:      true,
-		Nodes:          []int{0, 1},
-		CSR:            map[int]float64{0: 2.5, 1: 1},
 		FaultPeriodNs:  int64(250_000),
 		MissesPerKinst: 1.7,
 		PerIterNs:      map[int]int64{0: 120, 1: 300},
+		Suspects:       []int{1},
 		Invocations:    10,
-		Features: Features{
-			Iterations:     65536,
-			BytesTouched:   4 << 20,
-			OpsPerByte:     3.2,
-			MissesPerKinst: 1.7,
-		},
+		Features:       Features{Iterations: 65536},
 	}
 }
 
@@ -62,8 +55,8 @@ func TestRoundTrip(t *testing.T) {
 	if got.FaultPeriodNs != math.MaxInt64 {
 		t.Errorf("FaultPeriodNs = %d, want MaxInt64", got.FaultPeriodNs)
 	}
-	if !got.CrossNode || got.CSR[0] != 2.5 || got.CSR[1] != 1 {
-		t.Errorf("CSR did not round-trip: %+v", got.CSR)
+	if got.MissesPerKinst != 1.7 || len(got.Suspects) != 1 || got.Suspects[0] != 1 {
+		t.Errorf("misses/kinst or suspects did not round-trip: %+v", got)
 	}
 	if got.PerIterNs[1] != 300 || got.Invocations != 10 {
 		t.Errorf("entry did not round-trip: %+v", got)
@@ -171,8 +164,7 @@ func TestSaveMergesConcurrentStores(t *testing.T) {
 	b := Open(path, fp)
 	a.Put("blackscholes:calc", sampleEntry())
 	other := sampleEntry()
-	other.CrossNode = false
-	other.Node = 1
+	other.Invocations = 1
 	b.Put("lud:update", other)
 	if err := a.Save(); err != nil {
 		t.Fatalf("a.Save: %v", err)
@@ -188,7 +180,7 @@ func TestSaveMergesConcurrentStores(t *testing.T) {
 	if _, ok := r.Lookup("blackscholes:calc"); !ok {
 		t.Error("first writer's entry lost")
 	}
-	if e, ok := r.Lookup("lud:update"); !ok || e.Node != 1 {
+	if e, ok := r.Lookup("lud:update"); !ok || e.Invocations != 1 {
 		t.Errorf("second writer's entry lost or mangled: %+v ok=%v", e, ok)
 	}
 }

@@ -138,9 +138,9 @@ func TestRejectedStoreSaysWhy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range readStoreFiles(t, dir) {
-		old := bytes.Replace(data, []byte(`"schema_version": 2`), []byte(`"schema_version": 1`), 1)
+		old := bytes.Replace(data, []byte(`"schema_version": 3`), []byte(`"schema_version": 1`), 1)
 		if bytes.Equal(old, data) {
-			t.Fatalf("%s carries no schema_version 2 to rewrite:\n%s", name, data)
+			t.Fatalf("%s carries no schema_version 3 to rewrite:\n%s", name, data)
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestRejectedStoreSaysWhy(t *testing.T) {
 			t.Errorf("run over a schema-1 file: %d predictions, %d probes, want it to probe", res.Predictions, res.Probes)
 		}
 	}
-	if got := warned.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "schema version 1, want 2") {
+	if got := warned.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "schema version 1, want 2 or 3") {
 		t.Errorf("two runs over one schema-1 file warned %q, want one line naming the two versions", got)
 	}
 }
