@@ -159,8 +159,9 @@ churn-smoke:
 # suite, one run under chaos (the ReDecide monitor's four windows and
 # one re-decision end to end), the JSON report checked for
 # well-formedness, and an
-# unknown chaos profile rejected by both before anything runs.
-# Foreground.
+# unknown chaos profile rejected by both before anything runs; then
+# the calibrate and heterosim examples, which derive their thresholds
+# through the public API. Foreground.
 .PHONY: cmd-smoke
 cmd-smoke:
 	$(GO) run ./cmd/hetmprun -quick -bench EP-C
@@ -169,3 +170,5 @@ cmd-smoke:
 	$(GO) run ./cmd/hetbench -quick -run fig4 -json - | python3 -m json.tool > /dev/null
 	! $(GO) run ./cmd/hetmprun -quick -bench EP-C -chaos-profile bogus
 	! $(GO) run ./cmd/hetbench -quick -run fig4 -chaos-profile bogus
+	$(GO) run ./examples/calibrate
+	$(GO) run ./examples/heterosim

@@ -20,8 +20,7 @@ func main() {
 				Seed:     1,
 			})
 		}
-		intensities := []float64{1, 8, 64, 512, 4096, 32768, 262144}
-		points, err := hetmp.Calibrate(mk, intensities, 8)
+		points, err := hetmp.Calibrate(mk, []float64{1, 8, 64, 512, 4096, 32768, 262144})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -30,7 +29,10 @@ func main() {
 			fmt.Printf("  %8.0f ops/byte  %10.1f Mops/s  %10.1f µs/fault\n",
 				p.OpsPerByte, p.Throughput/1e6, float64(p.FaultPeriod)/1e3)
 		}
-		fmt.Printf("  → threshold: %v (Options.FaultPeriodThreshold)\n\n",
-			hetmp.DeriveThreshold(points, 0.25))
+		threshold, err := hetmp.DeriveThreshold(mk)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  → threshold: %v (Options.FaultPeriodThreshold)\n\n", threshold)
 	}
 }

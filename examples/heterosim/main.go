@@ -24,13 +24,12 @@ func run() error {
 	// Derive the cross-node profitability threshold for this platform
 	// with the paper's microbenchmark (Section 3.2) — the step a real
 	// deployment runs once per (architecture, interconnect) pair.
-	points, err := hetmp.Calibrate(func() (hetmp.Cluster, error) {
+	threshold, err := hetmp.DeriveThreshold(func() (hetmp.Cluster, error) {
 		return hetmp.NewSimCluster(hetmp.SimConfig{Platform: platform, Protocol: hetmp.RDMA(), Seed: 1})
-	}, []float64{1, 8, 64, 512, 4096, 32768, 262144}, 8)
+	})
 	if err != nil {
 		return err
 	}
-	threshold := hetmp.DeriveThreshold(points, 0.25)
 	fmt.Printf("calibrated cross-node threshold: %v\n\n", threshold)
 
 	cl, err := hetmp.NewSimCluster(hetmp.SimConfig{

@@ -148,14 +148,14 @@ func HetProbe() Schedule { return core.HetProbeSchedule() }
 
 // Calibrate runs the Section 3.2 DSM microbenchmark at each compute
 // intensity and returns the throughput / fault-period curve (Figure 4).
-func Calibrate(mkCluster func() (Cluster, error), opsPerByte []float64, pagesPerThread int) ([]CalibrationPoint, error) {
-	return core.Calibrate(mkCluster, opsPerByte, pagesPerThread)
+func Calibrate(mkCluster func() (Cluster, error), opsPerByte []float64) ([]CalibrationPoint, error) {
+	return core.Calibrate(mkCluster, opsPerByte)
 }
 
-// DeriveThreshold converts a calibration curve into the cross-node
-// profitability threshold HetProbe uses (Options.FaultPeriodThreshold).
-func DeriveThreshold(points []CalibrationPoint, frac float64) time.Duration {
-	return core.DeriveThreshold(points, frac)
+// DeriveThreshold runs the Section 3.2 procedure on fresh clusters from
+// mkCluster: the cross-node threshold, Options.FaultPeriodThreshold.
+func DeriveThreshold(mkCluster func() (Cluster, error)) (time.Duration, error) {
+	return core.DeriveThreshold(mkCluster)
 }
 
 // Reduce runs a typed parallel reduction: body folds [lo, hi) into its

@@ -80,11 +80,14 @@ func TestPublicAPICalibration(t *testing.T) {
 	mk := func() (hetmp.Cluster, error) {
 		return hetmp.NewSimCluster(hetmp.SimConfig{Platform: plat, Protocol: hetmp.RDMA(), Seed: 1})
 	}
-	points, err := hetmp.Calibrate(mk, []float64{1, 64, 4096, 262144}, 8)
+	points, err := hetmp.Calibrate(mk, []float64{1, 64, 4096, 262144})
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := hetmp.DeriveThreshold(points, 0.25)
+	th, err := hetmp.DeriveThreshold(mk)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if th <= 0 || th > time.Second {
 		t.Fatalf("implausible threshold %v", th)
 	}

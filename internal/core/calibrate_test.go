@@ -22,7 +22,7 @@ func mkCalCluster(t *testing.T, proto interconnect.Spec) func() (cluster.Cluster
 var calIntensities = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}
 
 func TestCalibrateCurveShape(t *testing.T) {
-	points, err := Calibrate(mkCalCluster(t, interconnect.RDMA56()), calIntensities, 8)
+	points, err := Calibrate(mkCalCluster(t, interconnect.RDMA56()), calIntensities)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,16 +50,14 @@ func TestCalibrateCurveShape(t *testing.T) {
 }
 
 func TestDeriveThresholdOrdering(t *testing.T) {
-	rdma, err := Calibrate(mkCalCluster(t, interconnect.RDMA56()), calIntensities, 8)
+	thR, err := DeriveThreshold(mkCalCluster(t, interconnect.RDMA56()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, err := Calibrate(mkCalCluster(t, interconnect.TCPIP()), calIntensities, 8)
+	thT, err := DeriveThreshold(mkCalCluster(t, interconnect.TCPIP()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	thR := DeriveThreshold(rdma, 0.9)
-	thT := DeriveThreshold(tcp, 0.9)
 	if thR <= 0 || thR == infinitePeriod {
 		t.Fatalf("RDMA threshold = %v", thR)
 	}
@@ -74,16 +72,19 @@ func TestDeriveThresholdOrdering(t *testing.T) {
 }
 
 func TestDeriveThresholdEdgeCases(t *testing.T) {
-	if got := DeriveThreshold(nil, 0.9); got != 0 {
-		t.Errorf("empty points threshold = %v, want 0", got)
-	}
 	pts := []CalibrationPoint{{OpsPerByte: 1, Throughput: 100, FaultPeriod: time.Millisecond}}
-	if got := DeriveThreshold(pts, 0.9); got != time.Millisecond {
+	if got := knee(pts); got != time.Millisecond {
 		t.Errorf("single-point threshold = %v", got)
 	}
-	// Bad frac falls back to a sane default rather than panicking.
-	if got := DeriveThreshold(pts, -1); got != time.Millisecond {
-		t.Errorf("negative frac threshold = %v", got)
+	// The knee is interpolated between the samples that bracket a
+	// quarter of the plateau: 25 of 100 lies halfway from 10 to 40.
+	pts = []CalibrationPoint{
+		{OpsPerByte: 1, Throughput: 10, FaultPeriod: 10 * time.Microsecond},
+		{OpsPerByte: 2, Throughput: 40, FaultPeriod: 30 * time.Microsecond},
+		{OpsPerByte: 4, Throughput: 100, FaultPeriod: infinitePeriod},
+	}
+	if got := knee(pts); got != 20*time.Microsecond {
+		t.Errorf("interpolated knee = %v, want 20µs", got)
 	}
 }
 
@@ -93,7 +94,10 @@ func TestCalibrateRequiresRemoteNode(t *testing.T) {
 	mk := func() (cluster.Cluster, error) {
 		return cluster.NewSim(cluster.SimConfig{Platform: solo, Seed: 1})
 	}
-	if _, err := Calibrate(mk, []float64{1}, 4); err == nil {
+	if _, err := Calibrate(mk, []float64{1}); err == nil {
 		t.Error("calibration succeeded without a remote node")
+	}
+	if _, err := DeriveThreshold(mk); err == nil {
+		t.Error("threshold derived without a remote node")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hetmp/internal/cluster"
+	"hetmp/internal/interconnect"
 	"hetmp/internal/machine"
 	"hetmp/internal/telemetry"
 )
@@ -26,10 +27,10 @@ type Body func(e cluster.Env, lo, hi int)
 // Options tunes the runtime. The zero value selects the paper's
 // defaults.
 type Options struct {
-	// FaultPeriodThreshold is the break-even page-fault period: regions
+	// FaultPeriodThreshold is Q1's break-even page-fault period: regions
 	// whose measured period is below it are not profitable across
-	// nodes. Defaults to 100 µs (the paper's RDMA threshold); derive a
-	// platform-specific value with Calibrate.
+	// nodes. Derive it with DeriveThreshold (Section 3.2); zero selects
+	// the paper's RDMA datum, 100 µs, for callers that derive none.
 	FaultPeriodThreshold time.Duration
 	// ProbeMaxInvocations is how many invocations of a region are
 	// probed (with EWMA smoothing) before the cached decision is
@@ -86,7 +87,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.FaultPeriodThreshold == 0 {
-		o.FaultPeriodThreshold = 100 * time.Microsecond
+		o.FaultPeriodThreshold = interconnect.RDMA56().PaperFaultPeriodThreshold
 	}
 	if o.ProbeMaxInvocations == 0 {
 		o.ProbeMaxInvocations = 10

@@ -237,29 +237,20 @@ func (s *Suite) simConfig(which string, proto interconnect.Spec) cluster.SimConf
 	}
 }
 
-// calibrate runs the Section 3.2 microbenchmark on fresh clusters of
-// cfg, 8 pages per remote thread. Calibration spawns at the cluster's
-// unscaled default migration cost, whatever cfg says.
-func calibrate(cfg cluster.SimConfig, intensities []float64) ([]core.CalibrationPoint, error) {
+// calibrating returns fresh clusters of cfg for the Section 3.2
+// microbenchmark, which spawns at the cluster's unscaled default
+// migration cost, whatever cfg says.
+func calibrating(cfg cluster.SimConfig) func() (cluster.Cluster, error) {
 	cfg.MigrationCost = 0
-	return core.Calibrate(func() (cluster.Cluster, error) { return cluster.NewSim(cfg) }, intensities, 8)
+	return func() (cluster.Cluster, error) { return cluster.NewSim(cfg) }
 }
 
-// Threshold returns (calibrating and caching on first use) the
-// cross-node profitability threshold for a protocol, derived with the
-// Section 3.2 microbenchmark exactly as the paper prescribes.
+// Threshold returns (deriving and caching on first use) the cross-node
+// profitability threshold for a protocol: core.DeriveThreshold, the
+// paper's Section 3.2 procedure, on the suite's own cluster.
 func (s *Suite) Threshold(proto interconnect.Spec) (time.Duration, error) {
 	v, err := s.cache.do("threshold/"+proto.Name, func() (any, error) {
-		intensities := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
-		points, err := calibrate(s.simConfig("both", proto), intensities)
-		if err != nil {
-			return nil, err
-		}
-		// Break-even at 25%% of plateau throughput: the remote node's
-		// many cores still contribute more than their interference costs
-		// at a quarter efficiency (the paper's 100 µs RDMA threshold sits
-		// at the same knee of its Figure 4b curve).
-		return core.DeriveThreshold(points, 0.25), nil
+		return core.DeriveThreshold(calibrating(s.simConfig("both", proto)))
 	})
 	if err != nil {
 		return 0, err

@@ -74,7 +74,7 @@ func (s *Suite) Figure4() ([]Fig4Point, error) {
 		cfg := s.simConfig("both", protos[i])
 		cfg.Protocol = protos[i]
 		cfg.Protocol.BatchFaults = s.BatchFaults
-		pts, err := calibrate(cfg, intensities)
+		pts, err := core.Calibrate(calibrating(cfg), intensities)
 		if err != nil {
 			return err
 		}

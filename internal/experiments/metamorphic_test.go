@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"testing"
+	"time"
 
 	"hetmp/internal/cluster"
 	"hetmp/internal/core"
@@ -60,6 +61,65 @@ func TestCSREquivariance(t *testing.T) {
 		if got[1] != 1 || math.Abs(got[0]/tc.want-1) > 0.02 {
 			t.Errorf("clocks ×%g, ×%g: CSR %.4f : %.4f, want %.4f : 1 (base %.4f : 1)",
 				tc.xeon, tc.tx, got[0], got[1], tc.want, base[0])
+		}
+	}
+}
+
+// cgDecision runs CG-C under HetProbe on the quick suite's two-node
+// platform over RDMA at the given Q1 threshold and returns its probe
+// region's decision. The region probes once (ProbeMaxInvocations 1),
+// and the other regions run static across both nodes until it has, so
+// everything before that probe, and the fault period it measures, is
+// the same at every threshold.
+func cgDecision(t *testing.T, threshold time.Duration) core.Decision {
+	t.Helper()
+	s := Quick()
+	cl, err := cluster.NewSim(s.simConfig("both", interconnect.RDMA56()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernels.New("CG-C", s.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := core.New(cl, core.Options{FaultPeriodThreshold: threshold, ProbeMaxInvocations: 1, ProbeRegionID: k.ProbeRegion()})
+	if err := rt.Run(func(a *core.App) { k.Run(a, kernels.Fixed(core.HetProbeSchedule())) }); err != nil {
+		t.Fatal(err)
+	}
+	d, ok := rt.Decision(k.ProbeRegion())
+	if !ok {
+		t.Fatalf("threshold %v: no decision for %s", threshold, k.ProbeRegion())
+	}
+	return d
+}
+
+// TestQ1FlipsAtMeasuredFaultPeriod checks Q1's threshold relation end
+// to end, on CG-C, the benchmark whose fault period sits nearest the
+// suite's threshold: the fault period the shell measures is the one
+// the step compares. Q1 enables the remote node when the period is at
+// least the threshold, so with the threshold set 1 ns below and then
+// equal to the measured period the region runs cross-node, and 1 ns
+// above it single-node. The step-level check is TestDecideQ1AtThreshold.
+func TestQ1FlipsAtMeasuredFaultPeriod(t *testing.T) {
+	th, err := Quick().Threshold(interconnect.RDMA56())
+	if err != nil {
+		t.Fatal(err)
+	}
+	period := cgDecision(t, th).FaultPeriod
+	if period <= 0 || period == time.Duration(math.MaxInt64) {
+		t.Fatalf("CG-C measured a fault period of %v, want a finite positive one", period)
+	}
+	t.Logf("CG-C's probe measures a %v fault period; the suite's threshold is %v", period, th)
+	for _, tc := range []struct {
+		threshold time.Duration
+		cross     bool
+	}{{period - 1, true}, {period, true}, {period + 1, false}} {
+		d := cgDecision(t, tc.threshold)
+		if d.FaultPeriod != period {
+			t.Errorf("threshold %v: fault period %v, want the %v every threshold measures", tc.threshold, d.FaultPeriod, period)
+		}
+		if d.CrossNode != tc.cross {
+			t.Errorf("threshold %v, measured period %v: decision %s, want cross-node %v", tc.threshold, period, d, tc.cross)
 		}
 	}
 }

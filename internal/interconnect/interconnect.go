@@ -45,8 +45,8 @@ type Spec struct {
 	DSMWorkers int
 	// PaperFaultPeriodThreshold is the break-even page-fault period
 	// the paper derived for this protocol (100 µs RDMA, 7600 µs
-	// TCP/IP). Kept for reporting; experiments calibrate their own
-	// threshold with the Section 3.2 microbenchmark.
+	// TCP/IP): paper data, and core's default for callers that derive
+	// none. The suite and the serving host use core.DeriveThreshold.
 	PaperFaultPeriodThreshold time.Duration
 	// BatchFaults enables Popcorn-style request batching in the DSM:
 	// contiguous faulting pages in identical coherence state are
@@ -149,7 +149,6 @@ func (s Spec) Scaled(f float64) Spec {
 		return s
 	}
 	out := s
-	out.Name = s.Name
 	out.OneWayLatency = time.Duration(float64(s.OneWayLatency) * f)
 	out.ReqSoftBase = time.Duration(float64(s.ReqSoftBase) * f)
 	out.OwnerSoftBase = time.Duration(float64(s.OwnerSoftBase) * f)

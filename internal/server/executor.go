@@ -3,6 +3,7 @@ package server
 import (
 	"hash/fnv"
 	"sync"
+	"time"
 
 	"hetmp/internal/chaos"
 	"hetmp/internal/cluster"
@@ -16,16 +17,28 @@ import (
 
 // simPlatform is the simulated executor's cluster: a scaled-down paper
 // platform, a 4-core Xeon and a 12-core ThunderX with caches at the
-// 0.2 scale-model factor, decided over RDMA against core's default
-// fault-period threshold. It is the scale-model approach the Quick
-// experiment suite takes, so a job completes in milliseconds of wall
-// time while preserving miss/fault ratios.
+// 0.2 scale-model factor, decided over RDMA against simThreshold. As
+// in the Quick experiment suite's scale model, a job completes in
+// milliseconds of wall time with its miss/fault ratios preserved.
 var simPlatform = func() machine.Platform {
 	xeon := machine.XeonE5_2620v4().ScaleCaches(0.2)
 	xeon.Cores = 4
 	tx := machine.ThunderX().ScaleCaches(0.2)
 	tx.Cores = 12
 	return machine.Platform{Nodes: []machine.NodeSpec{xeon, tx}, Origin: 0}
+}()
+
+// simThreshold is the fault-period threshold every job's Q1 compares
+// against: core.DeriveThreshold over simPlatform and RDMA (50.6 µs),
+// built like simPlatform at package initialisation, once per process.
+var simThreshold = func() time.Duration {
+	th, err := core.DeriveThreshold(func() (cluster.Cluster, error) {
+		return cluster.NewSim(cluster.SimConfig{Platform: simPlatform, Protocol: interconnect.RDMA56(), Seed: 1})
+	})
+	if err != nil {
+		panic(err) // simPlatform is fixed: only a bug in core or cluster gets here
+	}
+	return th
 }()
 
 // SimFingerprint identifies the simulated executor's cluster
@@ -197,12 +210,12 @@ func (x *SimExecutor) execute(sp Spec, invocations int, seed int64, store core.D
 	if err != nil {
 		return ExecResult{}, err
 	}
-	opts := core.Options{
-		Telemetry:     x.cfg.Telemetry,
-		ReDecide:      inj != nil,
-		DecisionStore: store,
-	}
-	rt := core.New(cl, opts)
+	rt := core.New(cl, core.Options{
+		FaultPeriodThreshold: simThreshold,
+		Telemetry:            x.cfg.Telemetry,
+		ReDecide:             inj != nil,
+		DecisionStore:        store,
+	})
 
 	pageBytes := int64(dsm.PageSize)
 	size := int64(sp.Pages) * pageBytes

@@ -4,7 +4,32 @@ import (
 	"testing"
 
 	"hetmp/internal/decstore"
+	"hetmp/internal/interconnect"
+	"hetmp/internal/telemetry"
 )
+
+// The executor decides Q1 against the threshold derived for its own
+// platform (simThreshold), not against the paper's 100 µs for the
+// paper's hardware. Load-smoke's w2 shape probes a fault period
+// between the two, so its one probing invocation runs cross-node here
+// and would run single-node at 100 µs.
+func TestExecutorDecidesAgainstDerivedThreshold(t *testing.T) {
+	paper := interconnect.RDMA56().PaperFaultPeriodThreshold
+	tel := telemetry.New(telemetry.Options{})
+	sp := Spec{Tenant: "t0", Region: "w2", Iterations: 4096, Pages: 32, OpsPerByte: 64, Invocations: 1}
+	if _, err := NewSimExecutor(SimExecutorConfig{Seed: 1, Telemetry: tel}).Execute(sp); err != nil {
+		t.Fatal(err)
+	}
+	m := tel.Metrics()
+	period := m.Gauge("hetmp_hetprobe_fault_period_seconds", telemetry.L("region", sp.Sig())).Value()
+	if period < simThreshold.Seconds() || period >= paper.Seconds() {
+		t.Fatalf("%s probed a %v s fault period, want one in [%v, %v)", sp.Sig(), period, simThreshold, paper)
+	}
+	if n := m.Counter("hetmp_hetprobe_decisions_total", telemetry.L("outcome", "cross-node")).Value(); n != 1 {
+		t.Errorf("%s decided cross-node %d times over one probing invocation at a %v s fault period, want 1 (threshold %v)",
+			sp.Sig(), n, period, simThreshold)
+	}
+}
 
 // A span's segments are the bytes the per-iteration body declared,
 // iteration by iteration, with runs of consecutive offsets merged.
