@@ -153,7 +153,7 @@ func Calibrate(mkCluster func() (Cluster, error), opsPerByte []float64) ([]Calib
 }
 
 // DeriveThreshold runs the Section 3.2 procedure on fresh clusters from
-// mkCluster: the cross-node threshold, Options.FaultPeriodThreshold.
+// mkCluster and returns the threshold for Options.FaultPeriodThreshold.
 func DeriveThreshold(mkCluster func() (Cluster, error)) (time.Duration, error) {
 	return core.DeriveThreshold(mkCluster)
 }
